@@ -521,37 +521,27 @@ func BenchmarkMeshExpressTraversal(b *testing.B) {
 }
 
 // BenchmarkMCEpochSkip measures clean-epoch skipping in the MC path-FER
-// loop (7-hop diagonal, 300k flits per op). The PR 5 loop
-// (MeasureFERPathGrantWalk, kept frozen) already consumes whole clean
-// traversals in O(1) GrantSpans; the epoch-skip loop
-// (MeasureFERPathSchedule) additionally jumps the clean crossings inside
-// each struck traversal, making per-traversal cost proportional to error
+// loop (7-hop diagonal, 300k flits per op): whole clean traversals are
+// consumed in O(1) GrantSpans and the clean crossings inside each struck
+// traversal are jumped, so per-traversal cost is proportional to error
 // events rather than hops. The legs hold the flit count constant while
-// the BER drops, so their ns/op ratios are per-flit cost ratios: CI gates
-// pr5@1e-6 / epoch@1e-9 ≥ 5 — the BER-proportional effect the deep-tail
-// estimators ride — and epoch@1e-6 vs pr5@1e-6 shows the same-BER
-// intra-traversal win. Samples are asserted bit-identical between the
-// two loops before timing.
+// the BER drops, so their ns/op ratio is a per-flit cost ratio: CI gates
+// epoch@1e-6 / epoch@1e-9 ≥ 5 — the BER-proportional effect the deep-tail
+// estimators ride.
 func BenchmarkMCEpochSkip(b *testing.B) {
 	const hops, flits = 7, 300_000
-	if w, s := reliability.MeasureFERPathGrantWalk(1e-6, hops, 60_000, 11),
-		reliability.MeasureFERPathSchedule(1e-6, hops, 60_000, 11); w != s {
-		b.Fatalf("epoch-skip sample diverges from the PR 5 loop:\npr5   %+v\nepoch %+v", w, s)
-	}
 	legs := []struct {
 		name string
 		ber  float64
-		fn   func(float64, int, int, uint64) reliability.PathFERSample
 	}{
-		{"pr5-ber1e6", 1e-6, reliability.MeasureFERPathGrantWalk},
-		{"epoch-ber1e6", 1e-6, reliability.MeasureFERPathSchedule},
-		{"epoch-ber1e9", 1e-9, reliability.MeasureFERPathSchedule},
+		{"epoch-ber1e6", 1e-6},
+		{"epoch-ber1e9", 1e-9},
 	}
 	for _, leg := range legs {
 		b.Run(leg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				leg.fn(leg.ber, hops, flits, 1)
+				reliability.MeasureFERPathSchedule(leg.ber, hops, flits, 1)
 			}
 			b.ReportMetric(float64(flits)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mflits_per_s")
 		})

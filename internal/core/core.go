@@ -49,10 +49,11 @@ type Config struct {
 	// settings produce bit-identical results for identical seeds.
 	NoFastPath bool
 	// NoExpress disables the express traversal path on mesh fabrics:
-	// every flit pays one engine event per hop (the PR 5 model) instead
-	// of claiming its whole route at injection. Unlike NoFastPath this is
-	// a model switch, not a reference toggle — express changes the wire
-	// claim order under cross-traffic — so the differential contract
+	// every flit pays one engine event per hop and claims each wire on
+	// arrival instead of claiming its whole route at injection. Unlike
+	// NoFastPath this is a model ablation, not a reference toggle —
+	// express changes the wire claim order under cross-traffic, and the
+	// benchmark measures both sides — so the differential contract
 	// compares fast vs byte-level at equal NoExpress, and the express
 	// test suite separately pins express == hop-by-hop timing on
 	// same-path-only traffic. Ignored by chain fabrics.
@@ -163,7 +164,7 @@ func (f *Fabric) B() *link.Peer { return f.Chain.B }
 func (f *Fabric) Run() { f.Eng.Run() }
 
 // RunFor advances simulated time by d.
-func (f *Fabric) RunFor(d sim.Time) { f.Eng.RunUntil(f.Eng.Now() + d) }
+func (f *Fabric) RunFor(d sim.Time) { f.Eng.AdvanceTo(f.Eng.Now() + d) }
 
 // sealedLimit is the extent of the integrity keystream within a payload:
 // everything up to the fabric routing bytes (source and destination tags),

@@ -231,8 +231,8 @@ func TestMeshStatsAuditZipfHotSpot(t *testing.T) {
 }
 
 // TestMeshWorkloadSpanDrainEquivalence: draining the same mesh workload
-// with the engine's bulk Run and with RunSpans at an arbitrary span gives
-// identical delivery accounting — the engine-level bulk-advance
+// with the engine's bulk Run and with AdvanceTo in steps of an arbitrary
+// span gives identical delivery accounting — the engine-level bulk-advance
 // determinism surfaced at the fabric layer.
 func TestMeshWorkloadSpanDrainEquivalence(t *testing.T) {
 	run := func(span sim.Time) MeshResult {
@@ -248,7 +248,9 @@ func TestMeshWorkloadSpanDrainEquivalence(t *testing.T) {
 			tx.Submit(SealedPayload(uint64(i)))
 		}
 		if span > 0 {
-			m.Eng.RunSpans(span)
+			for m.Eng.Pending() > 0 {
+				m.Eng.AdvanceTo(m.Eng.Now() + span)
+			}
 		} else {
 			m.Run()
 		}

@@ -8,17 +8,23 @@
 // for arbitrary corruption — so any well-conditioned CRC-64 reproduces the
 // evaluation.
 //
-// Five implementations are provided and cross-checked by tests: a
-// bit-serial reference, a single-table byte-at-a-time engine, a
-// slicing-by-8 engine, the slicing-by-16 engine (16 precomputed 256-entry
+// One path computes flit CRCs: Update, which dispatches at runtime (via
+// internal/cpu feature detection) to a PCLMULQDQ carry-less-multiply
+// folding kernel in Go assembly (crc_amd64.s) where the CPU has it, and to
+// the portable slicing-by-16 engine otherwise (16 precomputed 256-entry
 // tables consume one 16-byte block per iteration with two independent
 // 8-byte loads, so the table lookups of the two halves overlap in the
-// pipeline), and a PCLMULQDQ carry-less-multiply folding kernel in Go
-// assembly (crc_amd64.s). Update dispatches between the last two at
-// runtime via internal/cpu feature detection; building with -tags purego
-// (or setting RXL_PUREGO) pins everything to the portable table engines.
-// The throughput spread between the engines is one of the ablations
-// called out in DESIGN.md.
+// pipeline). Building with -tags purego (or setting RXL_PUREGO) pins
+// Update to slicing-by-16 — the only path on non-amd64 hosts and the
+// pinned reference the kernel differential and fuzz suites compare the
+// assembly against. UpdateBitwise is the bit-serial definition of the
+// polynomial every table is derived from and checked against.
+// UpdateTable and UpdateSlicing8 are the intermediate rungs of the
+// throughput ladder (one table, eight tables): nothing in the simulator
+// calls them; they exist so the gated BenchmarkCRCSlicing can show the
+// encode pipeline is table-bound and by how much each widening pays (the
+// CRC ablation in DESIGN.md §5), and the cross-check tests hold all five
+// engines to identical output.
 //
 // # ISN encoding
 //

@@ -52,26 +52,25 @@ type FrontConfig struct {
 // freely, and N fronts over the same peer list route identically
 // (placement is a pure function of key and peer set).
 type Front struct {
-	cfg   FrontConfig
-	ring  *Ring
-	peers []*frontPeer // indexed by position in ring.Peers() order
-	hot   *hotTracker
-	mux   *http.ServeMux
-	hc    *http.Client // raw forwards (GET/DELETE/events)
-	start time.Time
+	cfg     FrontConfig
+	ring    *Ring
+	peers   []*frontPeer // indexed by position in ring.Peers() order
+	hot     *hotTracker
+	handler http.Handler // the mux behind the request-ID middleware
+	start   time.Time
 
 	metrics    *obs.Registry
 	subSeconds map[string]*obs.Histogram // outcome label → submit latency
 	tracer     *obs.Tracer
 
+	// Registry counters (see wireMetrics): the only store of each count.
+	forwards   *obs.Counter
+	failovers  *obs.Counter
+	promotions *obs.Counter
+
 	stop      chan struct{}
 	closeOnce sync.Once
 	probeWG   sync.WaitGroup
-
-	mu         sync.Mutex
-	forwards   uint64
-	failovers  uint64
-	promotions uint64
 }
 
 // frontPeer is one routed-to daemon plus its health state: the passive
@@ -82,17 +81,19 @@ type frontPeer struct {
 	url    string
 	client *service.Client
 
+	// Registry counters, labelled by peer URL (see wireMetrics).
+	routed     *obs.Counter
+	errors     *obs.Counter
+	probes     *obs.Counter
+	probeFails *obs.Counter
+
 	mu        sync.Mutex
 	downUntil time.Time
-	routed    uint64
-	errors    uint64
 	// Active probe state. probeChecked stays false until the first probe
 	// completes, so a just-started front routes normally instead of
 	// treating the whole fleet as unverified.
 	probeChecked bool
 	probeOK      bool
-	probes       uint64
-	probeFails   uint64
 }
 
 // NewFront validates the configuration and builds the router.
@@ -123,7 +124,6 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 		cfg:    cfg,
 		ring:   ring,
 		hot:    newHotTracker(cfg.HotEpoch, 0),
-		hc:     &http.Client{},
 		start:  time.Now(),
 		tracer: obs.NewTracer("front", "front"),
 		stop:   make(chan struct{}),
@@ -143,7 +143,7 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 	mux.HandleFunc("GET /v1/healthz", f.handleHealthz)
 	mux.HandleFunc("GET /v1/statsz", f.handleStatsz)
 	mux.Handle("GET /metrics", f.metrics.Handler())
-	f.mux = mux
+	f.handler = f.tracer.Middleware(mux)
 
 	if cfg.ProbeInterval > 0 {
 		f.probeWG.Add(1)
@@ -152,18 +152,12 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 	return f, nil
 }
 
-// ServeHTTP implements http.Handler. Like the daemon, the front stamps
-// every request with a propagated-or-fresh request ID, so the spans it
-// records (forwarding decisions, failovers) and the spans the owner and
-// peers record all land under the one ID the client saw.
+// ServeHTTP implements http.Handler. Like the daemon, the front serves
+// behind the tracer's request-ID middleware, so the spans it records
+// (forwarding decisions, failovers) and the spans the owner and peers
+// record all land under the one ID the client saw.
 func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rid := r.Header.Get(obs.HeaderRequestID)
-	if rid == "" {
-		rid = obs.NewRequestID()
-	}
-	w.Header().Set(obs.HeaderRequestID, rid)
-	r = r.WithContext(obs.WithTrace(r.Context(), f.tracer, rid))
-	f.mux.ServeHTTP(w, r)
+	f.handler.ServeHTTP(w, r)
 }
 
 // Close stops the background health prober. Safe to call more than once;
@@ -204,13 +198,14 @@ func (f *Front) probeAll() {
 			ctx, cancel := context.WithTimeout(context.Background(), f.cfg.ProbeTimeout)
 			err := p.client.Health(ctx)
 			cancel()
+			p.probes.Inc()
+			if err != nil {
+				p.probeFails.Inc()
+			}
 			p.mu.Lock()
 			p.probeChecked = true
 			p.probeOK = err == nil
-			p.probes++
-			if err != nil {
-				p.probeFails++
-			} else {
+			if err == nil {
 				// A live answer overrides any passive down-mark.
 				p.downUntil = time.Time{}
 			}
@@ -253,44 +248,29 @@ func (p *frontPeer) upLocked(now time.Time) bool {
 
 // markDown records a transport failure.
 func (p *frontPeer) markDown(until time.Time) {
+	p.errors.Inc()
 	p.mu.Lock()
-	p.errors++
 	p.downUntil = until
 	p.mu.Unlock()
 }
 
 // markRouted records a successful forward (and clears down state).
 func (p *frontPeer) markRouted() {
+	p.routed.Inc()
 	p.mu.Lock()
-	p.routed++
 	p.downUntil = time.Time{}
 	p.mu.Unlock()
 }
 
-// writeJSON mirrors the daemon's compact encoder: result documents are
-// raw messages and must pass through byte-identically.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-type apiError struct {
-	Error string `json:"error"`
-}
-
 // handleSubmit routes a submission to its owner (or replica set).
 func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var spec service.JobSpec
-	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "decode spec: " + err.Error()})
+	spec, ok := service.DecodeSpec(w, r)
+	if !ok {
 		return
 	}
 	norm, err := spec.Normalize()
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+		service.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	key := norm.Key()
@@ -307,9 +287,7 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		k := f.cfg.HotReplicas
 		pick := int(n) % k
 		candidates[0], candidates[pick] = candidates[pick], candidates[0]
-		f.mu.Lock()
-		f.promotions++
-		f.mu.Unlock()
+		f.promotions.Inc()
 		obs.Record(r.Context(), "hot_promote", now, map[string]string{
 			"key": key[:8], "target": candidates[0],
 		})
@@ -317,15 +295,15 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	v, peer, err := f.forwardSubmit(r.Context(), candidates, norm, now)
 	if err != nil {
-		f.subSeconds[outcomeError].Observe(time.Since(now).Seconds())
+		f.subSeconds[service.OutcomeError].Observe(time.Since(now).Seconds())
 		if code, ok := service.StatusCode(err); ok {
 			if code == http.StatusTooManyRequests {
 				w.Header().Set("Retry-After", "1")
 			}
-			writeJSON(w, code, apiError{Error: strings.TrimPrefix(err.Error(), "service: ")})
+			service.WriteError(w, code, strings.TrimPrefix(err.Error(), "service: "))
 			return
 		}
-		writeJSON(w, http.StatusBadGateway, apiError{Error: "fleet: no reachable owner: " + err.Error()})
+		service.WriteError(w, http.StatusBadGateway, "fleet: no reachable owner: "+err.Error())
 		return
 	}
 	f.subSeconds[submitOutcome(v)].Observe(time.Since(now).Seconds())
@@ -334,7 +312,7 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if v.Status.Terminal() {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, v)
+	service.WriteJSON(w, status, v)
 }
 
 // submitOutcome classifies a forwarded submit's response for the front's
@@ -342,17 +320,17 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func submitOutcome(v service.JobView) string {
 	switch {
 	case v.Status == service.StatusFailed || v.Status == service.StatusCanceled:
-		return outcomeError
+		return service.OutcomeError
 	case v.Cached:
-		return outcomeHit
+		return service.OutcomeHit
 	case v.PeerFetched:
-		return outcomePeerFetched
+		return service.OutcomePeerFetched
 	case v.Dedup:
-		return outcomeInflightJoin
+		return service.OutcomeInflightJoin
 	default:
 		// Accepted and still running: the submit itself was a miss at
 		// forward time (terminal outcome lands on the owner's histogram).
-		return outcomeMiss
+		return service.OutcomeMiss
 	}
 }
 
@@ -378,12 +356,10 @@ func (f *Front) forwardSubmit(ctx context.Context, candidates []string, norm ser
 					"peer": url, "failover": strconv.FormatBool(i > 0),
 				})
 				p.markRouted()
-				f.mu.Lock()
-				f.forwards++
+				f.forwards.Inc()
 				if i > 0 {
-					f.failovers++
+					f.failovers.Inc()
 				}
-				f.mu.Unlock()
 				return v, p, nil
 			}
 			if _, isHTTP := service.StatusCode(err); isHTTP {
@@ -420,91 +396,83 @@ func (f *Front) resolveJobID(id string) (*frontPeer, string, bool) {
 	return f.peers[idx], rest, true
 }
 
+// proxy relays the request for a front job handle to the daemon that
+// issued it: resolve the "p<idx>~" prefix, send {method} /v1/jobs/{local
+// id}{suffix} through the peer's client (which forwards the request ID,
+// so the owner's spans join the front's trace), and update the peer's
+// passive health marks. It returns the daemon's 2xx response for the
+// caller to relay and close. On any other outcome — unknown handle,
+// unreachable peer, or a non-2xx answer, which passes through verbatim
+// (a 304 with its ETag and no body) — it has answered the client itself
+// and returns ok=false.
+func (f *Front) proxy(w http.ResponseWriter, r *http.Request, suffix string, header http.Header) (p *frontPeer, resp *http.Response, ok bool) {
+	p, localID, ok := f.resolveJobID(r.PathValue("id"))
+	if !ok {
+		service.WriteError(w, http.StatusNotFound, "no such job (fleet IDs look like p0~j000001-...)")
+		return nil, nil, false
+	}
+	resp, err := p.client.Send(r.Context(), r.Method, "/v1/jobs/"+localID+suffix, nil, header)
+	if err != nil {
+		p.markDown(time.Now().Add(f.cfg.RetryDead))
+		service.WriteError(w, http.StatusBadGateway, "fleet: peer unreachable: "+err.Error())
+		return nil, nil, false
+	}
+	p.markRouted()
+	if et := resp.Header.Get("ETag"); et != "" {
+		w.Header().Set("ETag", et)
+	}
+	if resp.StatusCode >= 300 {
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusNotModified {
+			w.Header().Set("Content-Type", "application/json")
+		}
+		w.WriteHeader(resp.StatusCode)
+		io.Copy(w, resp.Body)
+		return nil, nil, false
+	}
+	return p, resp, true
+}
+
 // handleForward proxies GET/DELETE /v1/jobs/{id} to the issuing daemon,
 // rewriting the job ID in the response and passing the query string
 // (?wait=) and conditional headers through untouched.
 func (f *Front) handleForward(w http.ResponseWriter, r *http.Request) {
-	p, localID, ok := f.resolveJobID(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no such job (fleet IDs look like p0~j000001-...)"})
-		return
-	}
-	path := p.url + "/v1/jobs/" + localID
+	suffix := ""
 	if r.URL.RawQuery != "" {
-		path += "?" + r.URL.RawQuery
+		suffix = "?" + r.URL.RawQuery
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, path, nil)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-		return
-	}
+	var header http.Header
 	if inm := r.Header.Get("If-None-Match"); inm != "" {
-		req.Header.Set("If-None-Match", inm)
+		header = http.Header{"If-None-Match": {inm}}
 	}
-	resp, err := f.hc.Do(req)
-	if err != nil {
-		p.markDown(time.Now().Add(f.cfg.RetryDead))
-		writeJSON(w, http.StatusBadGateway, apiError{Error: "fleet: peer unreachable: " + err.Error()})
+	p, resp, ok := f.proxy(w, r, suffix, header)
+	if !ok {
 		return
 	}
 	defer resp.Body.Close()
-	p.markRouted()
-
-	if et := resp.Header.Get("ETag"); et != "" {
-		w.Header().Set("ETag", et)
-	}
-	if resp.StatusCode == http.StatusNotModified {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	if resp.StatusCode >= 300 {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
-		return
-	}
 	var v service.JobView
 	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		writeJSON(w, http.StatusBadGateway, apiError{Error: "fleet: bad peer response: " + err.Error()})
+		service.WriteError(w, http.StatusBadGateway, "fleet: bad peer response: "+err.Error())
 		return
 	}
 	v.ID = fmt.Sprintf("p%d~%s", p.index, v.ID)
-	writeJSON(w, resp.StatusCode, v)
+	service.WriteJSON(w, resp.StatusCode, v)
 }
 
 // handleEvents streams a job's SSE feed through from the issuing
 // daemon. Event payloads carry no job IDs, so the bytes pass through
 // verbatim, flushed as they arrive.
 func (f *Front) handleEvents(w http.ResponseWriter, r *http.Request) {
-	p, localID, ok := f.resolveJobID(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no such job"})
-		return
-	}
 	flusher, canFlush := w.(http.Flusher)
 	if !canFlush {
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: "streaming unsupported"})
+		service.WriteError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, p.url+"/v1/jobs/"+localID+"/events", nil)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-		return
-	}
-	resp, err := f.hc.Do(req)
-	if err != nil {
-		p.markDown(time.Now().Add(f.cfg.RetryDead))
-		writeJSON(w, http.StatusBadGateway, apiError{Error: "fleet: peer unreachable: " + err.Error()})
+	_, resp, ok := f.proxy(w, r, "/events", nil)
+	if !ok {
 		return
 	}
 	defer resp.Body.Close()
-	p.markRouted()
-	if resp.StatusCode != http.StatusOK {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
-		return
-	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
@@ -548,7 +516,7 @@ func (f *Front) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		p.mu.Unlock()
 		anyUp = anyUp || up
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	service.WriteJSON(w, http.StatusOK, map[string]any{
 		"ok":        anyUp,
 		"role":      "front",
 		"uptime_ms": time.Since(f.start).Milliseconds(),
@@ -587,34 +555,30 @@ type FrontStats struct {
 func (f *Front) Stats() FrontStats {
 	now := time.Now()
 	st := FrontStats{
-		Role:         "front",
-		UptimeMS:     time.Since(f.start).Milliseconds(),
-		RingSize:     f.ring.Size(),
-		VNodes:       f.ring.VNodes(),
-		HotThreshold: f.cfg.HotThreshold,
-		HotReplicas:  f.cfg.HotReplicas,
-		HotTracked:   f.hot.size(),
+		Role:          "front",
+		UptimeMS:      time.Since(f.start).Milliseconds(),
+		RingSize:      f.ring.Size(),
+		VNodes:        f.ring.VNodes(),
+		HotThreshold:  f.cfg.HotThreshold,
+		HotReplicas:   f.cfg.HotReplicas,
+		HotTracked:    f.hot.size(),
+		HotPromotions: f.promotions.Value(),
+		Forwards:      f.forwards.Value(),
+		Failovers:     f.failovers.Value(),
 	}
-	f.mu.Lock()
-	st.HotPromotions = f.promotions
-	st.Forwards = f.forwards
-	st.Failovers = f.failovers
-	f.mu.Unlock()
 	for _, p := range f.peers {
-		p.mu.Lock()
 		st.Peers = append(st.Peers, FrontPeerStats{
 			URL:        p.url,
-			Up:         p.upLocked(now),
-			Routed:     p.routed,
-			Errors:     p.errors,
-			Probes:     p.probes,
-			ProbeFails: p.probeFails,
+			Up:         p.up(now),
+			Routed:     p.routed.Value(),
+			Errors:     p.errors.Value(),
+			Probes:     p.probes.Value(),
+			ProbeFails: p.probeFails.Value(),
 		})
-		p.mu.Unlock()
 	}
 	return st
 }
 
 func (f *Front) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, f.Stats())
+	service.WriteJSON(w, http.StatusOK, f.Stats())
 }

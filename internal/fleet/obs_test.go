@@ -5,7 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -240,6 +243,77 @@ func TestFrontMetricsFamilies(t *testing.T) {
 	for _, u := range tf.urls {
 		if got := obs.SumSamples(samples, "rxlfront_peer_routed_total", "peer", u); got < 0 {
 			t.Errorf("missing per-peer series for %s", u)
+		}
+	}
+}
+
+// TestFrontProxyPropagatesRequestID: the front's job-handle proxy (GET
+// and the SSE feed) goes through the same client request builder as every
+// other hop, so the owner receives the request ID the front serves the
+// request under — the client's if it sent one.
+func TestFrontProxyPropagatesRequestID(t *testing.T) {
+	srv, err := service.New(service.Config{ShardBudget: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var mu sync.Mutex
+	seen := map[string]string{} // "METHOD path" → request ID the owner received
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen[r.Method+" "+r.URL.Path] = r.Header.Get(obs.HeaderRequestID)
+		mu.Unlock()
+		srv.ServeHTTP(w, r)
+	}))
+	defer owner.Close()
+	front, err := NewFront(FrontConfig{Peers: []string{owner.URL}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer front.Close()
+	frontTS := httptest.NewServer(front)
+	defer frontTS.Close()
+
+	ctx := context.Background()
+	fc := service.NewClient(frontTS.URL)
+	v, err := fc.Submit(ctx, gridSpec(59))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err = fc.Wait(ctx, v.ID); err != nil {
+		t.Fatal(err)
+	}
+	_, localID, ok := front.resolveJobID(v.ID)
+	if !ok {
+		t.Fatalf("front issued an unroutable job id %q", v.ID)
+	}
+
+	for _, tc := range []struct{ rid, suffix string }{
+		{"fwdget0000000001", ""},
+		{"fwdsse0000000002", "/events"},
+	} {
+		req, err := http.NewRequest(http.MethodGet, frontTS.URL+"/v1/jobs/"+v.ID+tc.suffix, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(obs.HeaderRequestID, tc.rid)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s through the front: status %d", tc.suffix, resp.StatusCode)
+		}
+		if got := resp.Header.Get(obs.HeaderRequestID); got != tc.rid {
+			t.Errorf("front echoed request id %q, want %q", got, tc.rid)
+		}
+		mu.Lock()
+		got := seen["GET /v1/jobs/"+localID+tc.suffix]
+		mu.Unlock()
+		if got != tc.rid {
+			t.Errorf("owner saw request id %q on the forwarded GET %s, want the front's %q", got, tc.suffix, tc.rid)
 		}
 	}
 }

@@ -8,36 +8,22 @@ import (
 	"repro/internal/service"
 )
 
-// Outcome labels for the front's submit-latency histogram. They mirror
-// the daemon's rxld_request_seconds labels, with one difference: a
-// forwarded miss is observed here at submit-accept time (the terminal
-// latency lands on the owner's histogram), so the front's "miss" series
-// measures routing cost, not compute cost.
-const (
-	outcomeHit          = "hit"
-	outcomeMiss         = "miss"
-	outcomePeerFetched  = "peer_fetched"
-	outcomeInflightJoin = "inflight_join"
-	outcomeError        = "error"
-)
-
-var submitOutcomes = []string{
-	outcomeHit, outcomeMiss, outcomePeerFetched, outcomeInflightJoin, outcomeError,
-}
-
-// wireMetrics builds the front's /metrics registry. Same design as the
-// daemon's: histograms are observed on the request path, everything the
-// front already counts under a lock is sampled at scrape time.
+// wireMetrics builds the front's /metrics registry and hands the routing
+// code its counters. Same design as the daemon's: a registry counter is
+// the one store of each count (FrontStats reads its Value), histograms
+// are observed on the request path, and state that is not a count is
+// sampled at scrape time.
+//
+// The submit-latency histogram carries the daemon's outcome labels with
+// one difference: a forwarded miss is observed here at submit-accept time
+// (the terminal latency lands on the owner's histogram), so the front's
+// "miss" series measures routing cost, not compute cost.
 func (f *Front) wireMetrics() {
 	reg := obs.NewRegistry()
 	f.metrics = reg
 
-	f.subSeconds = make(map[string]*obs.Histogram, len(submitOutcomes))
-	for _, oc := range submitOutcomes {
-		f.subSeconds[oc] = reg.Histogram("rxlfront_submit_seconds",
-			"Submit forwarding latency in seconds, by response outcome.",
-			nil, "outcome", oc)
-	}
+	f.subSeconds = service.OutcomeHistograms(reg, "rxlfront_submit_seconds",
+		"Submit forwarding latency in seconds, by response outcome.")
 
 	reg.GaugeFunc("rxlfront_uptime_seconds", "Seconds since front start.",
 		func() float64 { return time.Since(f.start).Seconds() })
@@ -46,53 +32,32 @@ func (f *Front) wireMetrics() {
 	reg.GaugeFunc("rxlfront_hot_tracked", "Keys currently tracked by the hot-key counter.",
 		func() float64 { return float64(f.hot.size()) })
 
-	locked := func(read func() uint64) func() float64 {
-		return func() float64 {
-			f.mu.Lock()
-			defer f.mu.Unlock()
-			return float64(read())
-		}
-	}
-	reg.CounterFunc("rxlfront_forwards_total", "Submissions forwarded to an owner.",
-		locked(func() uint64 { return f.forwards }))
-	reg.CounterFunc("rxlfront_failovers_total", "Forwards that skipped at least one dead owner.",
-		locked(func() uint64 { return f.failovers }))
-	reg.CounterFunc("rxlfront_hot_promotions_total", "Submissions routed via a hot key's replica set.",
-		locked(func() uint64 { return f.promotions }))
+	f.forwards = reg.Counter("rxlfront_forwards_total", "Submissions forwarded to an owner.")
+	f.failovers = reg.Counter("rxlfront_failovers_total", "Forwards that skipped at least one dead owner.")
+	f.promotions = reg.Counter("rxlfront_hot_promotions_total", "Submissions routed via a hot key's replica set.")
 
 	// Per-peer health and traffic, labelled by the peer's base URL — the
 	// series rxltop renders as the fleet map.
+	bit := func(b bool) float64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
 	for _, p := range f.peers {
 		p := p
-		peerRead := func(read func() float64) func() float64 {
-			return func() float64 {
+		reg.GaugeFunc("rxlfront_peer_up", "1 when the peer is routable (probe verdict AND passive marks).",
+			func() float64 { return bit(p.up(time.Now())) }, "peer", p.url)
+		reg.GaugeFunc("rxlfront_peer_probe_ok", "1 when the peer's last active health probe succeeded.",
+			func() float64 {
 				p.mu.Lock()
 				defer p.mu.Unlock()
-				return read()
-			}
-		}
-		reg.GaugeFunc("rxlfront_peer_up", "1 when the peer is routable (probe verdict AND passive marks).",
-			func() float64 {
-				if p.up(time.Now()) {
-					return 1
-				}
-				return 0
+				return bit(p.probeOK)
 			}, "peer", p.url)
-		reg.GaugeFunc("rxlfront_peer_probe_ok", "1 when the peer's last active health probe succeeded.",
-			peerRead(func() float64 {
-				if p.probeOK {
-					return 1
-				}
-				return 0
-			}), "peer", p.url)
-		reg.CounterFunc("rxlfront_peer_routed_total", "Successful forwards to the peer.",
-			peerRead(func() float64 { return float64(p.routed) }), "peer", p.url)
-		reg.CounterFunc("rxlfront_peer_errors_total", "Transport failures forwarding to the peer.",
-			peerRead(func() float64 { return float64(p.errors) }), "peer", p.url)
-		reg.CounterFunc("rxlfront_peer_probes_total", "Active health probes sent to the peer.",
-			peerRead(func() float64 { return float64(p.probes) }), "peer", p.url)
-		reg.CounterFunc("rxlfront_peer_probe_failures_total", "Active health probes the peer failed.",
-			peerRead(func() float64 { return float64(p.probeFails) }), "peer", p.url)
+		p.routed = reg.Counter("rxlfront_peer_routed_total", "Successful forwards to the peer.", "peer", p.url)
+		p.errors = reg.Counter("rxlfront_peer_errors_total", "Transport failures forwarding to the peer.", "peer", p.url)
+		p.probes = reg.Counter("rxlfront_peer_probes_total", "Active health probes sent to the peer.", "peer", p.url)
+		p.probeFails = reg.Counter("rxlfront_peer_probe_failures_total", "Active health probes the peer failed.", "peer", p.url)
 	}
 
 	reg.GaugeFunc("rxlfront_traces_live", "Request IDs with spans in the front's trace buffer.",
@@ -108,22 +73,22 @@ func (f *Front) wireMetrics() {
 func (f *Front) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	p, localID, ok := f.resolveJobID(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no such job (fleet IDs look like p0~j000001-...)"})
+		service.WriteError(w, http.StatusNotFound, "no such job (fleet IDs look like p0~j000001-...)")
 		return
 	}
 	tv, err := p.client.JobTrace(r.Context(), localID)
 	if err != nil {
 		if code, ok := service.StatusCode(err); ok {
-			writeJSON(w, code, apiError{Error: err.Error()})
+			service.WriteError(w, code, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusBadGateway, apiError{Error: "fleet: peer unreachable: " + err.Error()})
+		service.WriteError(w, http.StatusBadGateway, "fleet: peer unreachable: "+err.Error())
 		return
 	}
 	spans := f.assembleTrace(r, tv.RequestID, p)
 	spans = append(tv.Spans, spans...)
 	obs.SortSpans(spans)
-	writeJSON(w, http.StatusOK, service.TraceView{
+	service.WriteJSON(w, http.StatusOK, service.TraceView{
 		RequestID: tv.RequestID,
 		JobID:     r.PathValue("id"),
 		Spans:     spans,
@@ -136,11 +101,11 @@ func (f *Front) handleTrace(w http.ResponseWriter, r *http.Request) {
 	rid := r.PathValue("rid")
 	spans := f.assembleTrace(r, rid, nil)
 	if len(spans) == 0 {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no trace for request id"})
+		service.WriteError(w, http.StatusNotFound, "no trace for request id")
 		return
 	}
 	obs.SortSpans(spans)
-	writeJSON(w, http.StatusOK, service.TraceView{RequestID: rid, Spans: spans})
+	service.WriteJSON(w, http.StatusOK, service.TraceView{RequestID: rid, Spans: spans})
 }
 
 // assembleTrace gathers the front's own spans for rid plus every

@@ -32,7 +32,7 @@ func runCoalesce(t testing.TB, coalesce, n int) (ackFlits uint64, peakOccupancy 
 	}
 	// Sample occupancy while draining.
 	for eng.Pending() > 0 {
-		eng.RunUntil(eng.Now() + 10*sim.Nanosecond)
+		eng.AdvanceTo(eng.Now() + 10*sim.Nanosecond)
 		if occ := a.Outstanding(); occ > peakOccupancy {
 			peakOccupancy = occ
 		}

@@ -7,9 +7,11 @@
 //   - The hot path must stay lock-cheap and allocation-free. Counter,
 //     Gauge, and Histogram values are plain atomics; handles are created
 //     once at wiring time, so recording is an atomic add with no map
-//     lookups and no allocations. Slower sources (values already guarded
-//     by a mutex elsewhere, like the scheduler's queue depth) register as
-//     Func metrics that are sampled only when a scrape happens.
+//     lookups and no allocations. The registry handle is the counter's
+//     only store: the serving code increments it and /v1/statsz reads its
+//     Value, so the two surfaces cannot disagree. State that is not a
+//     count (queue depth, cache footprint, a peer's routability) registers
+//     as a GaugeFunc sampled only when a scrape happens.
 //
 //   - Observability must not perturb served bytes. Nothing in this
 //     package touches result documents; /metrics and trace endpoints are
@@ -44,8 +46,8 @@ var DefLatencyBuckets = []float64{
 
 // Registry holds metric families and renders them as Prometheus text.
 // Metric handles are created up front (Counter/Gauge/Histogram) or
-// registered as scrape-time callbacks (CounterFunc/GaugeFunc); creation
-// takes the registry lock, recording never does.
+// registered as scrape-time callbacks (GaugeFunc); creation takes the
+// registry lock, recording never does.
 type Registry struct {
 	mu   sync.Mutex
 	fams map[string]*family
@@ -198,9 +200,9 @@ func (r *Registry) Gauge(name, help string, labelPairs ...string) *Gauge {
 	return f.getOrAdd(labelString(labelPairs), &Gauge{}).(*Gauge)
 }
 
-// funcMetric samples a callback at scrape time — the bridge for values
-// that already live under someone else's lock (queue depths, cache
-// stats). The callback must be safe to call from the scrape goroutine.
+// funcMetric samples a callback at scrape time — the bridge for state
+// that lives under someone else's lock (queue depths, cache footprint).
+// The callback must be safe to call from the scrape goroutine.
 type funcMetric struct {
 	fn func() float64
 }
@@ -214,15 +216,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labelPairs ..
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.register(name, help, "gauge")
-	f.getOrAdd(labelString(labelPairs), funcMetric{fn})
-}
-
-// CounterFunc registers a counter whose value is fn() at scrape time.
-// fn must be monotonic (it exposes an existing cumulative counter).
-func (r *Registry) CounterFunc(name, help string, fn func() float64, labelPairs ...string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.register(name, help, "counter")
 	f.getOrAdd(labelString(labelPairs), funcMetric{fn})
 }
 

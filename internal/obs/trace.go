@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -60,6 +61,22 @@ func NewTracer(service, origin string) *Tracer {
 		traces:   make(map[string]*list.Element),
 		lru:      list.New(),
 	}
+}
+
+// Middleware stamps every request with a request ID — the caller's
+// HeaderRequestID if it sent one (the fleet front and peer fetches do), a
+// fresh one otherwise — echoes it on the response, and carries it with the
+// tracer in the request context, so handlers record spans under the one ID
+// the client saw. Daemon and front both mount their mux behind it.
+func (t *Tracer) Middleware(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rid := r.Header.Get(HeaderRequestID)
+		if rid == "" {
+			rid = NewRequestID()
+		}
+		w.Header().Set(HeaderRequestID, rid)
+		next.ServeHTTP(w, r.WithContext(WithTrace(r.Context(), t, rid)))
+	})
 }
 
 // Record appends a span to rid's trace. Overflowing logs count drops

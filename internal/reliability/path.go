@@ -24,9 +24,16 @@ type PathFERSample struct {
 	Analytic  float64 // 1-(1-BER)^(Hops·FlitBits), the Eq. 1 form per path
 }
 
-// analyticPathFER is Eq. 1 generalized to an H-hop traversal.
-func analyticPathFER(ber float64, hops int) float64 {
-	return 1 - math.Pow(1-ber, float64(hops*FlitBits))
+// pathSample fills in the measured and analytic rates of a finished
+// count; the analytic form is Eq. 1 generalized to an H-hop traversal.
+func pathSample(ber float64, hops, flits, bad int) PathFERSample {
+	return PathFERSample{
+		Hops:      hops,
+		Flits:     flits,
+		Erroneous: bad,
+		FER:       float64(bad) / float64(flits),
+		Analytic:  1 - math.Pow(1-ber, float64(hops*FlitBits)),
+	}
 }
 
 // MeasureFERPath is the byte-level reference: every flit crosses `hops`
@@ -54,13 +61,7 @@ func MeasureFERPath(ber float64, hops, flits int, seed uint64) PathFERSample {
 			bad++
 		}
 	}
-	return PathFERSample{
-		Hops:      hops,
-		Flits:     flits,
-		Erroneous: bad,
-		FER:       float64(bad) / float64(flits),
-		Analytic:  analyticPathFER(ber, hops),
-	}
+	return pathSample(ber, hops, flits, bad)
 }
 
 // MeasureFERPathSchedule is MeasureFERPath on the shared path schedule
@@ -73,9 +74,7 @@ func MeasureFERPath(ber float64, hops, flits int, seed uint64) PathFERSample {
 // schedule assigns it (each event crossing goes through Traverse), and
 // the channel consumes exactly the random stream MeasureFERPath would, so
 // identical seeds give identical samples — proven by
-// TestMeasureFERPathScheduleMatchesByteLevel and pinned against the
-// frozen MeasureFERPathGrantWalk loop by
-// TestMeasureFERPathEpochSkipMatchesGrantWalk.
+// TestMeasureFERPathScheduleMatchesByteLevel.
 func MeasureFERPathSchedule(ber float64, hops, flits int, seed uint64) PathFERSample {
 	if flits <= 0 || hops <= 0 {
 		panic("reliability: MeasureFERPathSchedule needs positive hops and flits")
@@ -106,54 +105,5 @@ func MeasureFERPathSchedule(ber float64, hops, flits int, seed uint64) PathFERSa
 		}
 		i++
 	}
-	return PathFERSample{
-		Hops:      hops,
-		Flits:     flits,
-		Erroneous: bad,
-		FER:       float64(bad) / float64(flits),
-		Analytic:  analyticPathFER(ber, hops),
-	}
-}
-
-// MeasureFERPathGrantWalk is the frozen pre-epoch-skip estimator loop:
-// GrantSpan for whole clean traversals, then a crossing-by-crossing walk
-// of every struck traversal — even its clean hops. It is kept verbatim as
-// the comparison baseline for BenchmarkMCEpochSkip and as a second
-// independent pin on MeasureFERPathSchedule's stream consumption (the two
-// must return identical samples for identical seeds; see
-// TestMeasureFERPathEpochSkipMatchesGrantWalk). New callers want
-// MeasureFERPathSchedule.
-func MeasureFERPathGrantWalk(ber float64, hops, flits int, seed uint64) PathFERSample {
-	if flits <= 0 || hops <= 0 {
-		panic("reliability: MeasureFERPathGrantWalk needs positive hops and flits")
-	}
-	s := phy.NewSharedSchedule(ber, 0, phy.NewRNG(seed), FlitBits)
-	bad := 0
-	for i := 0; i < flits; {
-		if n := s.GrantSpan(hops, flits-i); n > 0 {
-			i += n
-			continue
-		}
-		// Struck traversal: walk it crossing by crossing so burst
-		// truncation and unit accounting match the per-hop reference.
-		struck := false
-		for h := 0; h < hops; h++ {
-			if s.CrossClean() {
-				s.Advance()
-			} else if s.Traverse() > 0 {
-				struck = true
-			}
-		}
-		if struck {
-			bad++
-		}
-		i++
-	}
-	return PathFERSample{
-		Hops:      hops,
-		Flits:     flits,
-		Erroneous: bad,
-		FER:       float64(bad) / float64(flits),
-		Analytic:  analyticPathFER(ber, hops),
-	}
+	return pathSample(ber, hops, flits, bad)
 }

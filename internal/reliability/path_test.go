@@ -60,20 +60,3 @@ func TestMeasureFERPathGuards(t *testing.T) {
 		}()
 	}
 }
-
-// TestMeasureFERPathEpochSkipMatchesGrantWalk: the epoch-skipping
-// estimator and the frozen pre-epoch-skip grant walk are the same
-// measurement — identical samples for identical seeds across hop depths
-// and BERs (they consume the same error-event stream, one jumping clean
-// crossings arithmetically, the other walking them).
-func TestMeasureFERPathEpochSkipMatchesGrantWalk(t *testing.T) {
-	for _, hops := range []int{1, 3, 7, 14} {
-		for _, ber := range []float64{1e-4, 1e-5, 1e-6} {
-			ref := MeasureFERPathGrantWalk(ber, hops, 60000, 11)
-			got := MeasureFERPathSchedule(ber, hops, 60000, 11)
-			if ref != got {
-				t.Errorf("hops=%d ber=%g: epoch skip diverges from grant walk:\nwalk %+v\nskip %+v", hops, ber, ref, got)
-			}
-		}
-	}
-}

@@ -180,25 +180,17 @@ func (il *Interleaved) Decode(data, parity []byte) Result {
 // Verify reports whether data||parity is a valid interleaved codeword via
 // syndromes only — no correction attempt, no mutation. See Code.Verify.
 func (il *Interleaved) Verify(data, parity []byte) bool {
-	if len(data) != il.total || len(parity) != il.ParityLen() {
-		panic("rs: interleaved Verify length mismatch")
-	}
-	il.deinterleave(data)
-	for x := range parity {
-		il.parity[il.parityWay[x]][il.parityIdx[x]] = parity[x]
-	}
-	for w, c := range il.codes {
-		if !c.Verify(il.deint[w], il.parity[w]) {
-			return false
-		}
-	}
-	return true
+	return il.verify(data, parity, (*Code).Verify)
 }
 
 // VerifyReference is Verify on the byte-level reference syndrome loop of
 // every way, bypassing the word-parallel kernel. Differential suites use it
 // as the pinned slow path; simulation code should call Verify.
 func (il *Interleaved) VerifyReference(data, parity []byte) bool {
+	return il.verify(data, parity, (*Code).VerifyReference)
+}
+
+func (il *Interleaved) verify(data, parity []byte, way func(c *Code, data, parity []byte) bool) bool {
 	if len(data) != il.total || len(parity) != il.ParityLen() {
 		panic("rs: interleaved Verify length mismatch")
 	}
@@ -207,7 +199,7 @@ func (il *Interleaved) VerifyReference(data, parity []byte) bool {
 		il.parity[il.parityWay[x]][il.parityIdx[x]] = parity[x]
 	}
 	for w, c := range il.codes {
-		if !c.VerifyReference(il.deint[w], il.parity[w]) {
+		if !way(c, il.deint[w], il.parity[w]) {
 			return false
 		}
 	}

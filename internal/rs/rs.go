@@ -216,20 +216,15 @@ func (c *Code) DecodeScratch(data, parity, synd []byte) Result {
 // counterpart of the clean-mark skip, and the tool differential tests use
 // to prove a claimed-clean image really is a codeword.
 func (c *Code) Verify(data, parity []byte) bool {
-	if len(data) != c.k || len(parity) != c.nparity {
-		panic("rs: Verify length mismatch")
-	}
 	if vectoredSyndromes && c.vec != nil {
+		if len(data) != c.k || len(parity) != c.nparity {
+			panic("rs: Verify length mismatch")
+		}
 		// The packed word is zero exactly when every syndrome is; no
 		// unpacking, no scratch.
 		return c.syndromeWord(data, parity) == 0
 	}
-	var buf [8]byte
-	synd := buf[:]
-	if c.nparity > len(buf) {
-		synd = make([]byte, c.nparity)
-	}
-	return c.syndromesRef(data, parity, synd[:c.nparity])
+	return c.VerifyReference(data, parity)
 }
 
 // VerifyReference is Verify on the byte-at-a-time reference loop,

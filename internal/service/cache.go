@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"repro/internal/obs"
 )
 
 // Cache is the content-addressed result store: canonical-spec SHA-256 key
@@ -23,7 +25,10 @@ type Cache struct {
 	lru     *list.List // front = most recently used
 	bytes   int64      // result bytes resident in the memory tier
 
-	hits, misses, diskHits, spills, probes uint64
+	// Traffic counters. A bare cache counts into detached counters; a
+	// Server re-points them at its /metrics registry (wireMetrics), so the
+	// series Prometheus scrapes are the ones Stats reads.
+	hits, misses, diskHits, spills, probes *obs.Counter
 }
 
 // cacheEntry is one LRU slot.
@@ -66,36 +71,20 @@ func NewCache(capacity int, spillDir string) (*Cache, error) {
 		spillDir: spillDir,
 		entries:  make(map[string]*list.Element),
 		lru:      list.New(),
+		hits:     new(obs.Counter),
+		misses:   new(obs.Counter),
+		diskHits: new(obs.Counter),
+		spills:   new(obs.Counter),
+		probes:   new(obs.Counter),
 	}, nil
 }
 
 // Get returns the cached result bytes for key. A memory miss consults the
 // spill directory and promotes a disk hit back into the LRU.
 func (c *Cache) Get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		c.hits++
-		res := el.Value.(*cacheEntry).result
-		c.mu.Unlock()
-		return res, true
-	}
-	c.mu.Unlock()
-
-	if c.spillDir != "" {
-		if b, err := os.ReadFile(c.spillPath(key)); err == nil {
-			c.mu.Lock()
-			c.diskHits++
-			c.insertLocked(key, b)
-			c.mu.Unlock()
-			return b, true
-		}
-	}
-
-	c.mu.Lock()
-	c.misses++
-	c.mu.Unlock()
-	return nil, false
+	res, ok, outcome := c.lookup(key)
+	outcome.Inc()
+	return res, ok
 }
 
 // Probe is Get for fleet peer traffic (GET /v1/cache/{key}). It reads
@@ -105,25 +94,34 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 // hit rate both ways. Probes are counted on their own; the server's
 // fleet stats break out how many were served.
 func (c *Cache) Probe(key string) ([]byte, bool) {
+	c.probes.Inc()
+	res, ok, _ := c.lookup(key)
+	return res, ok
+}
+
+// lookup reads the memory tier, then the disk tier (promoting a disk hit
+// back into the LRU), and names the client-traffic counter the lookup
+// falls under: hits, diskHits or misses.
+func (c *Cache) lookup(key string) (res []byte, ok bool, outcome *obs.Counter) {
 	c.mu.Lock()
-	c.probes++
-	if el, ok := c.entries[key]; ok {
+	el, ok := c.entries[key]
+	if ok {
 		c.lru.MoveToFront(el)
-		res := el.Value.(*cacheEntry).result
-		c.mu.Unlock()
-		return res, true
+		res = el.Value.(*cacheEntry).result
 	}
 	c.mu.Unlock()
-
+	if ok {
+		return res, true, c.hits
+	}
 	if c.spillDir != "" {
 		if b, err := os.ReadFile(c.spillPath(key)); err == nil {
 			c.mu.Lock()
 			c.insertLocked(key, b)
 			c.mu.Unlock()
-			return b, true
+			return b, true, c.diskHits
 		}
 	}
-	return nil, false
+	return nil, false, c.misses
 }
 
 // Put stores the result bytes under key, evicting the LRU tail past
@@ -136,9 +134,7 @@ func (c *Cache) Put(key string, result []byte) {
 
 	if c.spillDir != "" {
 		if err := c.writeSpill(key, result); err == nil {
-			c.mu.Lock()
-			c.spills++
-			c.mu.Unlock()
+			c.spills.Inc()
 		}
 	}
 }
@@ -198,11 +194,11 @@ func (c *Cache) Stats() CacheStats {
 		Entries:  c.lru.Len(),
 		Capacity: c.capacity,
 		Bytes:    c.bytes,
-		Hits:     c.hits,
-		Misses:   c.misses,
-		DiskHits: c.diskHits,
-		Spills:   c.spills,
-		Probes:   c.probes,
+		Hits:     c.hits.Value(),
+		Misses:   c.misses.Value(),
+		DiskHits: c.diskHits.Value(),
+		Spills:   c.spills.Value(),
+		Probes:   c.probes.Value(),
 	}
 	if total := s.Hits + s.DiskHits + s.Misses; total > 0 {
 		s.HitRate = float64(s.Hits+s.DiskHits) / float64(total)

@@ -68,51 +68,65 @@ func StatusCode(err error) (code int, ok bool) {
 	return se.Code, true
 }
 
-// do issues a request and decodes the JSON response into out.
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+// Send is the client's one request builder and transport call: base URL +
+// path, an optional JSON body, optional extra headers, and the context's
+// trace request ID propagated — so a hop made on behalf of a traced
+// request (a front forwarding a submit or proxying a job handle, a member
+// probing a peer's cache) records its spans on the far side under the
+// same ID. It returns the daemon's response whatever its status; the
+// caller closes the body. Every typed method below goes through it, and
+// the fleet front uses it directly to relay responses verbatim.
+func (c *Client) Send(ctx context.Context, method, path string, body any, header http.Header) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rd = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	propagateRequestID(ctx, req)
+	for k, vs := range header {
+		for _, v := range vs {
+			req.Header.Add(k, v)
+		}
+	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := c.hc.Do(req)
+	if rid := obs.RequestID(ctx); rid != "" {
+		req.Header.Set(obs.HeaderRequestID, rid)
+	}
+	return c.hc.Do(req)
+}
+
+// statusError decodes a non-2xx response's uniform error body.
+func statusError(resp *http.Response) error {
+	var ae apiError
+	msg := resp.Status
+	if json.NewDecoder(resp.Body).Decode(&ae) == nil && ae.Error != "" {
+		msg = ae.Error
+	}
+	return &apiStatusError{Code: resp.StatusCode, Message: msg}
+}
+
+// do issues a request and decodes the JSON response into out.
+func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+	resp, err := c.Send(ctx, method, path, body, nil)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 300 {
-		var ae apiError
-		msg := resp.Status
-		if json.NewDecoder(resp.Body).Decode(&ae) == nil && ae.Error != "" {
-			msg = ae.Error
-		}
-		return &apiStatusError{Code: resp.StatusCode, Message: msg}
+		return statusError(resp)
 	}
 	if out == nil {
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// propagateRequestID forwards the context's trace request ID, so a hop
-// made on behalf of a traced request — a front forwarding a submit, a
-// member probing a peer's cache — records its spans on the far side
-// under the same ID.
-func propagateRequestID(ctx context.Context, req *http.Request) {
-	if rid := obs.RequestID(ctx); rid != "" {
-		req.Header.Set(obs.HeaderRequestID, rid)
-	}
 }
 
 // Submit posts a job spec. Cache hits come back already StatusDone with
@@ -137,15 +151,11 @@ func (c *Client) Get(ctx context.Context, id string) (JobView, error) {
 // is zero in that case. The ETag of the fresh response (empty until the
 // job is done) comes back for the caller to store.
 func (c *Client) GetConditional(ctx context.Context, id, etag string) (v JobView, newETag string, notModified bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return v, "", false, err
-	}
-	propagateRequestID(ctx, req)
+	var header http.Header
 	if etag != "" {
-		req.Header.Set("If-None-Match", etag)
+		header = http.Header{"If-None-Match": {etag}}
 	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.Send(ctx, http.MethodGet, "/v1/jobs/"+id, nil, header)
 	if err != nil {
 		return v, "", false, err
 	}
@@ -154,12 +164,7 @@ func (c *Client) GetConditional(ctx context.Context, id, etag string) (v JobView
 	case resp.StatusCode == http.StatusNotModified:
 		return v, etag, true, nil
 	case resp.StatusCode >= 300:
-		var ae apiError
-		msg := resp.Status
-		if json.NewDecoder(resp.Body).Decode(&ae) == nil && ae.Error != "" {
-			msg = ae.Error
-		}
-		return v, "", false, &apiStatusError{Code: resp.StatusCode, Message: msg}
+		return v, "", false, statusError(resp)
 	}
 	err = json.NewDecoder(resp.Body).Decode(&v)
 	return v, resp.Header.Get("ETag"), false, err
@@ -176,12 +181,7 @@ func (c *Client) FetchCached(ctx context.Context, key string, wait time.Duration
 	if wait > 0 {
 		path += "?wait=" + strconv.FormatInt(wait.Milliseconds(), 10)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	propagateRequestID(ctx, req)
-	resp, err := c.hc.Do(req)
+	resp, err := c.Send(ctx, http.MethodGet, path, nil, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -190,12 +190,7 @@ func (c *Client) FetchCached(ctx context.Context, key string, wait time.Duration
 	case resp.StatusCode == http.StatusNotFound:
 		return nil, false, nil
 	case resp.StatusCode >= 300:
-		var ae apiError
-		msg := resp.Status
-		if json.NewDecoder(resp.Body).Decode(&ae) == nil && ae.Error != "" {
-			msg = ae.Error
-		}
-		return nil, false, &apiStatusError{Code: resp.StatusCode, Message: msg}
+		return nil, false, statusError(resp)
 	}
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -248,24 +243,14 @@ func (c *Client) Run(ctx context.Context, spec JobSpec) (json.RawMessage, error)
 // fn's error, or ctx. A nil error from Stream means the job's event log
 // completed.
 func (c *Client) Stream(ctx context.Context, id string, fn func(Event) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/events", nil)
-	if err != nil {
-		return err
-	}
-	propagateRequestID(ctx, req)
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := c.hc.Do(req)
+	resp, err := c.Send(ctx, http.MethodGet, "/v1/jobs/"+id+"/events", nil,
+		http.Header{"Accept": {"text/event-stream"}})
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		var ae apiError
-		msg := resp.Status
-		if json.NewDecoder(resp.Body).Decode(&ae) == nil && ae.Error != "" {
-			msg = ae.Error
-		}
-		return &apiStatusError{Code: resp.StatusCode, Message: msg}
+		return statusError(resp)
 	}
 
 	sc := bufio.NewScanner(resp.Body)

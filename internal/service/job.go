@@ -41,10 +41,12 @@ type Job struct {
 	cancel     context.CancelFunc
 	events     *broker
 	shardsDone atomic.Int64
-	// onTerminal runs exactly once, after the terminal event publishes —
+	// onTerminal runs exactly once, before the terminal event publishes —
 	// the server hooks its registry finalization here so every path to a
 	// terminal state (engine completion, queued-job cancellation,
-	// shutdown drain) releases the job's in-flight claim.
+	// shutdown drain) releases the job's in-flight claim, and whatever the
+	// hook records (completion count, latency sample, finish span) is
+	// already visible to a waiter the terminal event wakes.
 	onTerminal func(*Job)
 
 	mu          sync.Mutex
@@ -150,8 +152,9 @@ func (j *Job) setRunning(workers int) bool {
 	return true
 }
 
-// finish transitions to a terminal state exactly once, publishing the
-// terminal event ("result" on success, "error" otherwise).
+// finish transitions to a terminal state exactly once: run the terminal
+// hook, then publish the terminal event ("result" on success, "error"
+// otherwise) that wakes Wait, long-polls and SSE streams.
 func (j *Job) finish(status Status, result json.RawMessage, errMsg string) {
 	j.mu.Lock()
 	if j.status.Terminal() {
@@ -164,14 +167,14 @@ func (j *Job) finish(status Status, result json.RawMessage, errMsg string) {
 	j.finished = time.Now()
 	j.mu.Unlock()
 
+	if j.onTerminal != nil {
+		j.onTerminal(j)
+	}
 	switch status {
 	case StatusDone:
 		j.events.publish(Event{Type: "result", Status: status, Result: result}, true)
 	default:
 		j.events.publish(Event{Type: "error", Status: status, Error: errMsg}, true)
-	}
-	if j.onTerminal != nil {
-		j.onTerminal(j)
 	}
 }
 

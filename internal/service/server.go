@@ -94,28 +94,30 @@ func (c Config) withDefaults() Config {
 // it on a listener, tests mount it on httptest, and the in-process client
 // calls it directly.
 type Server struct {
-	cfg   Config
-	cache *Cache
-	sched *scheduler
-	mux   *http.ServeMux
-	start time.Time
+	cfg     Config
+	cache   *Cache
+	sched   *scheduler
+	handler http.Handler // the mux behind the request-ID middleware
+	start   time.Time
 
 	metrics    *obs.Registry
 	reqSeconds map[string]*obs.Histogram // outcome label → latency histogram
 	tracer     *obs.Tracer
 
-	mu         sync.Mutex
-	jobs       map[string]*Job
-	order      []*Job          // submission order, for history trimming
-	inflight   map[string]*Job // cache key → live job (dedup coalescing)
-	seq        uint64
-	submitted  uint64
-	completed  uint64
-	dedups     uint64
-	peerHits   uint64 // misses answered by PeerFetch
-	peerMisses uint64 // PeerFetch attempts that fell through to compute
-	peerServed uint64 // /v1/cache/{key} requests answered with bytes
-	closed     bool
+	// Registry counters (see wireMetrics): the only store of each count.
+	submitted  *obs.Counter
+	completed  *obs.Counter
+	dedups     *obs.Counter
+	peerHits   *obs.Counter // misses answered by PeerFetch
+	peerMisses *obs.Counter // PeerFetch attempts that fell through to compute
+	peerServed *obs.Counter // /v1/cache/{key} requests answered with bytes
+
+	mu       sync.Mutex
+	jobs     map[string]*Job
+	order    []*Job          // submission order, for history trimming
+	inflight map[string]*Job // cache key → live job (dedup coalescing)
+	seq      uint64
+	closed   bool
 }
 
 // New builds a Server from the configuration.
@@ -151,7 +153,7 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/statsz", s.handleStatsz)
 	mux.Handle("GET /metrics", s.metrics.Handler())
-	s.mux = mux
+	s.handler = s.tracer.Middleware(mux)
 	return s, nil
 }
 
@@ -164,19 +166,11 @@ func MustNew(cfg Config) *Server {
 	return s
 }
 
-// ServeHTTP implements http.Handler. Every request is stamped with a
-// request ID — the caller's X-Rxl-Request-Id if it sent one (the fleet
-// front and peer fetches do), a fresh one otherwise — echoed on the
-// response and carried in the request context so handlers record trace
-// spans under it.
+// ServeHTTP implements http.Handler: the /v1 mux behind the tracer's
+// request-ID middleware, so every handler records spans under the ID the
+// client sent (or was issued).
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rid := r.Header.Get(obs.HeaderRequestID)
-	if rid == "" {
-		rid = obs.NewRequestID()
-	}
-	w.Header().Set(obs.HeaderRequestID, rid)
-	r = r.WithContext(obs.WithTrace(r.Context(), s.tracer, rid))
-	s.mux.ServeHTTP(w, r)
+	s.handler.ServeHTTP(w, r)
 }
 
 // Close stops admission, cancels every live job, and waits for the
@@ -249,11 +243,11 @@ func (s *Server) SubmitCtx(ctx context.Context, spec JobSpec) (j *Job, dedup boo
 		// client's fate. (It cannot claim the in-flight key, so it
 		// computes redundantly — the correct price for divergent
 		// scheduling demands.)
-		s.dedups++
+		s.dedups.Inc()
 		s.mu.Unlock()
 		// The join is this request's outcome, observed now: it has no job
 		// of its own to reach a terminal hook.
-		s.reqSeconds[outcomeInflightJoin].Observe(0)
+		s.reqSeconds[OutcomeInflightJoin].Observe(0)
 		s.tracer.Record(rid, "inflight_join", time.Now(), 0, map[string]string{
 			"job": ex.ID, "key": key[:8],
 		})
@@ -347,7 +341,7 @@ func (s *Server) registerLocked(rid string, spec JobSpec, key string, inflight b
 	j.submitted = time.Now()
 	j.events.publish(Event{Type: "status", Status: StatusQueued}, false)
 
-	s.submitted++
+	s.submitted.Inc()
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j)
 	if inflight {
@@ -395,7 +389,7 @@ func (s *Server) finalize(j *Job) {
 	if s.inflight[j.Key] == j {
 		delete(s.inflight, j.Key)
 	}
-	s.completed++
+	s.completed.Inc()
 	s.mu.Unlock()
 	s.observeJob(j)
 }
@@ -428,9 +422,7 @@ func (s *Server) runJob(j *Job, workers int) {
 	if s.cfg.PeerFetch != nil {
 		fetchStart := time.Now()
 		if res, ok := s.cfg.PeerFetch(ctx, j.Key); ok {
-			s.mu.Lock()
-			s.peerHits++
-			s.mu.Unlock()
+			s.peerHits.Inc()
 			s.tracer.Record(j.rid, "peer_fetch", fetchStart, time.Since(fetchStart),
 				map[string]string{"hit": "true"})
 			cw := time.Now()
@@ -440,9 +432,7 @@ func (s *Server) runJob(j *Job, workers int) {
 			j.finish(StatusDone, res, "")
 			return
 		}
-		s.mu.Lock()
-		s.peerMisses++
-		s.mu.Unlock()
+		s.peerMisses.Inc()
 		s.tracer.Record(j.rid, "peer_fetch", fetchStart, time.Since(fetchStart),
 			map[string]string{"hit": "false"})
 		if ctx.Err() != nil {
@@ -526,25 +516,25 @@ func (s *Server) Stats() Stats {
 		QueueDepth:      queued,
 		QueueCapacity:   s.cfg.QueueDepth,
 		RunningJobs:     running,
+		JobsSubmitted:   s.submitted.Value(),
+		JobsCompleted:   s.completed.Value(),
+		DedupHits:       s.dedups.Value(),
 		JobsByStatus:    make(map[Status]int),
 		Cache:           s.cache.Stats(),
 	}
 	if st.ShardBudget > 0 {
 		st.ShardUtilization = float64(inUse) / float64(st.ShardBudget)
 	}
-	s.mu.Lock()
-	st.JobsSubmitted = s.submitted
-	st.JobsCompleted = s.completed
-	st.DedupHits = s.dedups
 	if s.cfg.FleetInfo != nil {
 		st.Fleet = &FleetStats{
 			FleetInfo:  *s.cfg.FleetInfo,
-			PeerHits:   s.peerHits,
-			PeerMisses: s.peerMisses,
-			PeerServed: s.peerServed,
+			PeerHits:   s.peerHits.Value(),
+			PeerMisses: s.peerMisses.Value(),
+			PeerServed: s.peerServed.Value(),
 			PeerProbes: st.Cache.Probes,
 		}
 	}
+	s.mu.Lock()
 	for _, j := range s.jobs {
 		st.JobsByStatus[j.Status()]++
 	}
@@ -559,37 +549,70 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-// writeJSON writes compact JSON. Compactness matters beyond bytes on the
-// wire: result documents are stored and served as raw messages, and an
+// WriteJSON writes compact JSON — the one response encoder of the daemon
+// and the fleet front. Compactness matters beyond bytes on the wire:
+// result documents are stored and served as raw messages, and an
 // indenting encoder would reformat them — breaking the byte-identity
 // between cached, uncached, and direct library runs that the cache's
 // whole design guarantees.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// WriteError answers with the uniform error body {"error": msg}.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, apiError{Error: msg})
+}
+
+// parseWait reads the ?wait=ms long-poll budget: absent means no wait
+// (ok with d == 0), negative or non-numeric is rejected, and anything
+// past a minute is clamped so a handler goroutine never parks for longer.
+func parseWait(r *http.Request) (d time.Duration, ok bool) {
+	waitStr := r.URL.Query().Get("wait")
+	if waitStr == "" {
+		return 0, true
+	}
+	ms, err := strconv.Atoi(waitStr)
+	if err != nil || ms < 0 {
+		return 0, false
+	}
+	if ms > 60_000 {
+		ms = 60_000
+	}
+	return time.Duration(ms) * time.Millisecond, true
+}
+
+// DecodeSpec reads the POST /v1/jobs body strictly (unknown fields are a
+// client error, not silently dropped parameters), answering 400 itself
+// when it cannot.
+func DecodeSpec(w http.ResponseWriter, r *http.Request) (spec JobSpec, ok bool) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	var spec JobSpec
 	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "decode spec: " + err.Error()})
+		WriteError(w, http.StatusBadRequest, "decode spec: "+err.Error())
+		return spec, false
+	}
+	return spec, true
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, ok := DecodeSpec(w, r)
+	if !ok {
 		return
 	}
-
 	j, dedup, err := s.SubmitCtx(r.Context(), spec)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, apiError{Error: err.Error()})
+		WriteError(w, http.StatusTooManyRequests, err.Error())
 		return
 	case errors.Is(err, ErrClosed):
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: err.Error()})
+		WriteError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	case err != nil:
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -620,7 +643,7 @@ func writeJobView(w http.ResponseWriter, r *http.Request, v JobView, status int)
 			return
 		}
 	}
-	writeJSON(w, status, v)
+	WriteJSON(w, status, v)
 }
 
 // etagMatches implements the weak-comparison If-None-Match rules the 304
@@ -646,19 +669,16 @@ func etagMatches(header, etag string) bool {
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no such job"})
+		WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	if waitStr := r.URL.Query().Get("wait"); waitStr != "" {
-		ms, err := strconv.Atoi(waitStr)
-		if err != nil || ms < 0 {
-			writeJSON(w, http.StatusBadRequest, apiError{Error: "bad wait parameter"})
-			return
-		}
-		if ms > 60_000 {
-			ms = 60_000
-		}
-		waitTerminal(r.Context(), j, time.Duration(ms)*time.Millisecond)
+	wait, ok := parseWait(r)
+	if !ok {
+		WriteError(w, http.StatusBadRequest, "bad wait parameter")
+		return
+	}
+	if wait > 0 {
+		waitTerminal(r.Context(), j, wait)
 	}
 	writeJobView(w, r, j.View(), http.StatusOK)
 }
@@ -688,22 +708,22 @@ func waitTerminal(ctx context.Context, j *Job, d time.Duration) {
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no such job"})
+		WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	s.CancelJob(j)
-	writeJSON(w, http.StatusOK, j.View())
+	WriteJSON(w, http.StatusOK, j.View())
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no such job"})
+		WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: "streaming unsupported"})
+		WriteError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	h := w.Header()
@@ -747,13 +767,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCacheFetch(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if len(key) != 64 {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "cache key must be a hex sha-256"})
+		WriteError(w, http.StatusBadRequest, "cache key must be a hex sha-256")
 		return
 	}
 	serve := func(b []byte) {
-		s.mu.Lock()
-		s.peerServed++
-		s.mu.Unlock()
+		s.peerServed.Inc()
 		// Recorded under the *fetching* daemon's request ID (propagated in
 		// the request header), so the owner's serve shows up in the trace
 		// of the miss that triggered the fetch.
@@ -768,27 +786,24 @@ func (s *Server) handleCacheFetch(w http.ResponseWriter, r *http.Request) {
 		serve(b)
 		return
 	}
-	if waitStr := r.URL.Query().Get("wait"); waitStr != "" {
-		ms, err := strconv.Atoi(waitStr)
-		if err != nil || ms < 0 {
-			writeJSON(w, http.StatusBadRequest, apiError{Error: "bad wait parameter"})
-			return
-		}
-		if ms > 60_000 {
-			ms = 60_000
-		}
+	wait, ok := parseWait(r)
+	if !ok {
+		WriteError(w, http.StatusBadRequest, "bad wait parameter")
+		return
+	}
+	if wait > 0 {
 		s.mu.Lock()
 		j := s.inflight[key]
 		s.mu.Unlock()
 		if j != nil {
-			waitTerminal(r.Context(), j, time.Duration(ms)*time.Millisecond)
+			waitTerminal(r.Context(), j, wait)
 			if b, ok := s.cache.Probe(key); ok {
 				serve(b)
 				return
 			}
 		}
 	}
-	writeJSON(w, http.StatusNotFound, apiError{Error: "not cached"})
+	WriteError(w, http.StatusNotFound, "not cached")
 }
 
 // TraceView is the JSON document of GET /v1/jobs/{id}/trace and
@@ -804,33 +819,33 @@ type TraceView struct {
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no such job"})
+		WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	spans := s.tracer.Spans(j.rid)
 	if spans == nil {
 		spans = []obs.Span{}
 	}
-	writeJSON(w, http.StatusOK, TraceView{RequestID: j.rid, JobID: j.ID, Spans: spans})
+	WriteJSON(w, http.StatusOK, TraceView{RequestID: j.rid, JobID: j.ID, Spans: spans})
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	rid := r.PathValue("rid")
 	spans := s.tracer.Spans(rid)
 	if spans == nil {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no trace for request id"})
+		WriteError(w, http.StatusNotFound, "no trace for request id")
 		return
 	}
-	writeJSON(w, http.StatusOK, TraceView{RequestID: rid, Spans: spans})
+	WriteJSON(w, http.StatusOK, TraceView{RequestID: rid, Spans: spans})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"ok":        true,
 		"uptime_ms": time.Since(s.start).Milliseconds(),
 	})
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }

@@ -211,7 +211,7 @@ func (e *Engine) push(ev event) {
 // that, heap order is genuinely cheaper than shifting.
 const fifoInsertWindow = 8
 
-// Stop makes the current Run/RunUntil/AdvanceTo/RunSpans call return after
+// Stop makes the current Run/AdvanceTo call return after
 // the in-flight event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
@@ -221,14 +221,9 @@ const maxTime = Time(math.MaxInt64)
 // Run dispatches events until the queue is empty or Stop is called.
 func (e *Engine) Run() { e.run(maxTime) }
 
-// RunUntil dispatches events with timestamps <= t, then advances the clock
-// to exactly t. Events scheduled at t are executed. It is AdvanceTo under
-// its historical name.
-func (e *Engine) RunUntil(t Time) { e.AdvanceTo(t) }
-
 // AdvanceTo is the bulk-advance pump: it dispatches every event with a
-// timestamp <= t in strict (time, schedule-order) order, then jumps the
-// clock to exactly t. Stretches with no pending events are crossed in one
+// timestamp <= t (events scheduled at t included) in strict (time,
+// schedule-order) order, then jumps the clock to exactly t. Stretches with no pending events are crossed in one
 // assignment — the clock is driven by the schedule, not ticked — and runs
 // of monotone events (the dominant pattern: flit deliveries and pump
 // wakeups land at or after the previously scheduled tail) dispatch in a
@@ -238,43 +233,6 @@ func (e *Engine) AdvanceTo(t Time) {
 	if !e.stopped && e.now < t {
 		e.now = t
 	}
-}
-
-// RunSpans drains the queue like Run, advancing the clock in spans of at
-// most `span` per pump iteration and jumping idle stretches directly to
-// the next scheduled event. The dispatch trajectory — event order, times,
-// everything observable — is identical for every span size (proven by
-// TestRunSpansTrajectoryInvariant); span only bounds how far a single
-// AdvanceTo call reaches, for callers that interleave simulation with
-// periodic outside work.
-func (e *Engine) RunSpans(span Time) {
-	if span <= 0 {
-		panic("sim: non-positive span")
-	}
-	e.stopped = false
-	for !e.stopped {
-		next, ok := e.NextTime()
-		if !ok {
-			return
-		}
-		target := e.now + span
-		if next > target {
-			// Nothing scheduled inside the span: jump the empty stretch
-			// in one step instead of iterating span by span.
-			target = next
-		}
-		e.AdvanceTo(target)
-	}
-}
-
-// NextTime returns the timestamp of the next pending event, or ok=false
-// when the queue is empty.
-func (e *Engine) NextTime() (t Time, ok bool) {
-	ev := e.peek()
-	if ev == nil {
-		return 0, false
-	}
-	return ev.at, true
 }
 
 // run dispatches events with timestamps <= limit until the queue is
@@ -289,9 +247,8 @@ func (e *Engine) run(limit Time) {
 		// iteration rather than cached.
 		for e.fifoPos < len(e.fifo) && !e.stopped {
 			ev := e.fifo[e.fifoPos]
-			// Past the limit or behind the heap head: leave the merged
-			// path below to decide — the heap may still hold earlier
-			// events within the limit.
+			// Past the limit or behind the heap head: the heap may still
+			// hold earlier events within the limit.
 			if ev.at > limit {
 				break
 			}
@@ -304,51 +261,17 @@ func (e *Engine) run(limit Time) {
 			e.Executed++
 			ev.dispatch()
 		}
-		if e.stopped {
+		// The sorted lane is empty, past the limit, or behind the heap
+		// head: in every case the heap head is the next event overall, so
+		// it runs if it is due and otherwise nothing is.
+		if e.stopped || len(e.events) == 0 || e.events[0].at > limit {
 			return
 		}
-		ev := e.peek()
-		if ev == nil || ev.at > limit {
-			return
-		}
-		e.step()
+		ev := e.events.pop()
+		e.now = ev.at
+		e.Executed++
+		ev.dispatch()
 	}
-}
-
-// peek returns the next event in (time, schedule-order) without removing
-// it, or nil when both lanes are empty.
-func (e *Engine) peek() *event {
-	var f, h *event
-	if e.fifoPos < len(e.fifo) {
-		f = &e.fifo[e.fifoPos]
-	}
-	if len(e.events) > 0 {
-		h = &e.events[0]
-	}
-	switch {
-	case f == nil:
-		return h
-	case h == nil:
-		return f
-	case f.before(h):
-		return f
-	default:
-		return h
-	}
-}
-
-func (e *Engine) step() {
-	var ev event
-	if next := e.peek(); e.fifoPos < len(e.fifo) && next == &e.fifo[e.fifoPos] {
-		ev = *next
-		e.fifo[e.fifoPos] = event{} // release references for GC
-		e.fifoPos++
-	} else {
-		ev = e.events.pop()
-	}
-	e.now = ev.at
-	e.Executed++
-	ev.dispatch()
 }
 
 // Pending returns the number of queued events.

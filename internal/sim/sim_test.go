@@ -91,14 +91,16 @@ func TestSchedulePastPanics(t *testing.T) {
 	e.At(5, func() {})
 }
 
-func TestRunUntil(t *testing.T) {
+// TestAdvanceToIncludesBoundary: events at exactly t run, later ones stay
+// queued, and the clock lands on t.
+func TestAdvanceToIncludesBoundary(t *testing.T) {
 	e := NewEngine()
 	var ran []Time
 	for _, d := range []Time{5, 10, 15, 20} {
 		d := d
 		e.Schedule(d, func() { ran = append(ran, d) })
 	}
-	e.RunUntil(12)
+	e.AdvanceTo(12)
 	if len(ran) != 2 {
 		t.Fatalf("ran %v", ran)
 	}
@@ -109,7 +111,7 @@ func TestRunUntil(t *testing.T) {
 		t.Fatalf("pending %d", e.Pending())
 	}
 	// Boundary: events exactly at t are included.
-	e.RunUntil(15)
+	e.AdvanceTo(15)
 	if len(ran) != 3 {
 		t.Fatalf("boundary event missed: %v", ran)
 	}
@@ -260,20 +262,27 @@ func trajectory(drive func(*Engine)) []Time {
 	return log
 }
 
-// TestRunSpansTrajectoryInvariant is the bulk-advance determinism bar: the
+// TestDrainTrajectoryInvariant is the bulk-advance determinism bar: the
 // dispatch trajectory must be identical whether the queue is drained by
-// Run, by AdvanceTo in one jump, or by RunSpans at any span size.
-func TestRunSpansTrajectoryInvariant(t *testing.T) {
+// Run, by AdvanceTo in one jump, or by AdvanceTo in steps of any size.
+func TestDrainTrajectoryInvariant(t *testing.T) {
 	ref := trajectory(func(e *Engine) { e.Run() })
 	if len(ref) == 0 {
 		t.Fatal("reference trajectory empty")
 	}
+	stepped := func(step Time) func(*Engine) {
+		return func(e *Engine) {
+			for e.Pending() > 0 {
+				e.AdvanceTo(e.Now() + step)
+			}
+		}
+	}
 	drivers := map[string]func(*Engine){
 		"AdvanceToOnce": func(e *Engine) { e.AdvanceTo(maxTime - 1) },
-		"Spans1":        func(e *Engine) { e.RunSpans(1) },
-		"Spans2":        func(e *Engine) { e.RunSpans(2) },
-		"Spans17":       func(e *Engine) { e.RunSpans(17) },
-		"SpansHuge":     func(e *Engine) { e.RunSpans(1 * Second) },
+		"Step1":         stepped(1),
+		"Step2":         stepped(2),
+		"Step17":        stepped(17),
+		"StepHuge":      stepped(1 * Second),
 	}
 	for name, drive := range drivers {
 		got := trajectory(drive)
@@ -304,54 +313,6 @@ func TestAdvanceToJumpsIdleStretch(t *testing.T) {
 	e.AdvanceTo(2 * Second)
 	if !ran || e.Now() != 2*Second {
 		t.Fatalf("ran=%v now=%d", ran, e.Now())
-	}
-}
-
-// TestRunSpansStop: Stop inside a span ends the drain immediately.
-func TestRunSpansStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 0; i < 100; i++ {
-		e.Schedule(Time(i), func() {
-			count++
-			if count == 10 {
-				e.Stop()
-			}
-		})
-	}
-	e.RunSpans(1000)
-	if count != 10 {
-		t.Fatalf("ran %d events after Stop", count)
-	}
-}
-
-// TestRunSpansNonPositivePanics pins the span guard.
-func TestRunSpansNonPositivePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewEngine().RunSpans(0)
-}
-
-// TestNextTime covers the empty, sorted-lane-only, and heap-head cases.
-func TestNextTime(t *testing.T) {
-	e := NewEngine()
-	if _, ok := e.NextTime(); ok {
-		t.Fatal("NextTime on empty queue reported an event")
-	}
-	// Deepen the sorted lane beyond the insertion window so the push at 7
-	// genuinely lands in the heap, then verify the merged peek reports it.
-	for i := Time(0); i < 12; i++ {
-		e.Schedule(42+i, func() {})
-	}
-	e.At(7, func() {})
-	if len(e.events) == 0 {
-		t.Fatal("event at 7 did not reach the heap lane")
-	}
-	if at, ok := e.NextTime(); !ok || at != 7 {
-		t.Fatalf("NextTime = %d,%v want 7,true", at, ok)
 	}
 }
 
@@ -439,7 +400,7 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.Schedule(Time(i%1000), fn)
 		if e.Pending() > 10000 {
-			e.RunUntil(e.Now() + 500)
+			e.AdvanceTo(e.Now() + 500)
 		}
 	}
 	e.Run()

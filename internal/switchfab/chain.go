@@ -113,15 +113,7 @@ func (c *Chain) AllWires() []*link.Wire {
 func (c *Chain) TotalSwitchStats() Stats {
 	var t Stats
 	for _, s := range c.Switches {
-		t.FlitsIn += s.Stats.FlitsIn
-		t.Forwarded += s.Stats.Forwarded
-		t.DeliveredLocal += s.Stats.DeliveredLocal
-		t.DroppedUncorrectable += s.Stats.DroppedUncorrectable
-		t.DroppedCRC += s.Stats.DroppedCRC
-		t.DroppedNoRoute += s.Stats.DroppedNoRoute
-		t.CorrectedFlits += s.Stats.CorrectedFlits
-		t.CorrectedSymbols += s.Stats.CorrectedSymbols
-		t.InternalCorruptions += s.Stats.InternalCorruptions
+		t.add(s.Stats)
 	}
 	return t
 }

@@ -55,8 +55,7 @@ type Mesh struct {
 	wires []*link.Wire
 
 	// noExpress disables the express traversal path, forcing every flit
-	// through per-hop forwarding events — the PR 5 baseline, kept for
-	// benchmarks and the express differential tests.
+	// through per-hop forwarding events (see MeshConfig.NoExpress).
 	noExpress bool
 
 	// ExpressTraversals counts traversals collapsed into up-front wire
@@ -124,11 +123,13 @@ type MeshConfig struct {
 	// wire — is unchanged; only the hop count of a traversal shrinks.
 	Wrap bool
 	// NoExpress disables the express traversal path: every flit pays one
-	// engine event per hop as in PR 5. Express changes the order in which
-	// wires are claimed under cross-traffic (the whole route is claimed
-	// at injection), so this is a model switch, not an optimization
-	// toggle — but on same-path-only traffic the two produce identical
-	// timing, which the express tests pin.
+	// engine event per hop and claims each wire on arrival. Express changes
+	// the order in which wires are claimed under cross-traffic (the whole
+	// route is claimed at injection), so this is a model ablation, not an
+	// optimization toggle — the benchmark measures both sides
+	// (switchfab.perhop_flit_ns vs express_flit_ns), and on same-path-only
+	// traffic the two produce identical timing, which the express tests
+	// pin.
 	NoExpress bool
 }
 
@@ -194,30 +195,18 @@ func NewMesh(eng *sim.Engine, w, h int, cfg MeshConfig) *Mesh {
 	// Inter-router wires: each delivers into the neighbor's pipeline
 	// behind a hop crossing of the flit's path schedule. Node-ingress
 	// wires are the injection points where whole-path grants are taken.
-	// Under Wrap the boundary routers gain wraparound wires in the same
-	// direction slots (east from x=W-1 lands on x=0, and so on), so the
-	// forwarding switch below needs no wrap-specific cases.
+	// A direction has a wire when stepping that way stays inside the mesh,
+	// or — under Wrap, in a dimension of at least two routers — wraps
+	// around it (east from x=W-1 lands on x=0, and so on); neighbor
+	// resolves both, so forwarding needs no wrap-specific cases.
 	for x := 0; x < w; x++ {
 		for y := 0; y < h; y++ {
-			if x+1 < w {
-				m.out[x][y][dirEast] = mkWire(m.hopArrival(x+1, y))
-			} else if cfg.Wrap && w > 1 {
-				m.out[x][y][dirEast] = mkWire(m.hopArrival(0, y))
-			}
-			if x > 0 {
-				m.out[x][y][dirWest] = mkWire(m.hopArrival(x-1, y))
-			} else if cfg.Wrap && w > 1 {
-				m.out[x][y][dirWest] = mkWire(m.hopArrival(w-1, y))
-			}
-			if y+1 < h {
-				m.out[x][y][dirSouth] = mkWire(m.hopArrival(x, y+1))
-			} else if cfg.Wrap && h > 1 {
-				m.out[x][y][dirSouth] = mkWire(m.hopArrival(x, 0))
-			}
-			if y > 0 {
-				m.out[x][y][dirNorth] = mkWire(m.hopArrival(x, y-1))
-			} else if cfg.Wrap && h > 1 {
-				m.out[x][y][dirNorth] = mkWire(m.hopArrival(x, h-1))
+			inside := [meshDirs]bool{dirEast: x+1 < w, dirWest: x > 0, dirSouth: y+1 < h, dirNorth: y > 0}
+			wraps := [meshDirs]bool{dirEast: w > 1, dirWest: w > 1, dirSouth: h > 1, dirNorth: h > 1}
+			for d := 0; d < meshDirs; d++ {
+				if inside[d] || cfg.Wrap && wraps[d] {
+					m.out[x][y][d] = mkWire(m.hopArrival(m.neighbor(x, y, d)))
+				}
 			}
 			m.ingress[x][y] = mkWire(m.injectArrival(x, y))
 		}
@@ -347,12 +336,17 @@ func (m *Mesh) injectArrival(x, y int) func(*flit.Flit) {
 			granted = link.BeginPathTraversal(m.pathSched(src, dst), m.fec, f, hops)
 		}
 		if ok && !m.noExpress {
-			if granted && m.expressTraverse(f, x, y, dx, dy) {
+			eligible := m.expressEligible(x, y, dx, dy)
+			if granted && eligible {
 				m.ExpressTraversals++
+				m.expressTraverse(f, x, y, dx, dy)
 				return
 			}
 			m.ExpressFallbacks++
-			if !granted && m.scheduleWalk(f, x, y, dx, dy) {
+			// hops == 1 is local delivery at the injection router: nothing
+			// to claim, the lazy pipeline handles it identically.
+			if eligible && hops > 1 {
+				m.scheduleWalk(f, x, y, dx, dy, hops-1)
 				return
 			}
 		}
@@ -374,60 +368,36 @@ type meshWalk struct {
 }
 
 // scheduleWalk carries a struck (ungranted) flit through the mesh with
-// its whole route claimed at injection: eligibility is exactly express's,
-// so on any eligible path *every* flit — granted express or struck walk —
-// claims its wires in injection order, which is what keeps per-path
-// delivery in order (ISN's ground rule) without express ever blocking
-// behind a draining traversal. The flit still pays one event per hop at
-// the pre-reserved arrival times, where it crosses the path schedule and
-// terminates FEC byte-for-byte like the lazy pipeline; only the claim
-// *timing* moved to injection, and sim.Pipe's claim floor is
-// max(now, earliest), so the reserved windows — and every queue-depth
+// its whole route claimed at injection. The caller has established
+// expressEligible, so on any eligible path *every* flit — granted express
+// or struck walk — claims its wires in injection order, which is what
+// keeps per-path delivery in order (ISN's ground rule) without express
+// ever blocking behind a draining traversal. The flit still pays one
+// event per hop at the pre-reserved arrival times, where it crosses the
+// path schedule and terminates FEC byte-for-byte like the lazy pipeline;
+// only the claim *timing* moved to injection, and sim.Pipe's claim floor
+// is max(now, earliest), so the reserved windows — and every queue-depth
 // statistic — are identical to the lazy claims on uncontended paths.
 //
 // The route is fixed here from the pre-crossing routing tags (source
 // routing): corruption that rewrites the route bytes in flight changes
 // which schedule later crossings consume — same as the lazy pipeline —
-// but not the wires the flit occupies. Returns false, having claimed
-// nothing, when the route is not express-eligible; the caller falls back
-// to the lazy hop-by-hop pipeline.
-func (m *Mesh) scheduleWalk(f *flit.Flit, x, y, dx, dy int) bool {
-	cx, cy := x, y
-	hops := 0
-	for {
-		r := m.Routers[cx][cy]
-		if r.InternalHook != nil || r.InternalBitFlipProb > 0 {
-			return false
-		}
-		d := m.routeDir(cx, cy, dx, dy)
-		if d < 0 {
-			break
-		}
-		w := m.out[cx][cy][d]
-		if w == nil || !w.ExpressClaimable() {
-			return false
-		}
-		hops++
-		cx, cy = m.neighbor(cx, cy, d)
-	}
-	if hops == 0 {
-		// Local delivery at the injection router: nothing to claim, the
-		// lazy pipeline handles it identically.
-		return false
-	}
+// but not the wires the flit occupies. wireHops > 0 is the number of
+// inter-router wires on the route.
+func (m *Mesh) scheduleWalk(f *flit.Flit, x, y, dx, dy, wireHops int) {
 	// Injection router: processed now, synchronously — exactly when the
 	// lazy pipeline would run it. A struck flit may already be corrupt;
 	// an uncorrectable drop here has claimed nothing.
 	r := m.Routers[x][y]
 	if !r.process(f) {
 		flit.Release(f)
-		return true
+		return
 	}
 	r.Stats.Forwarded++
 	// Claim walk: reserve every route wire up front in route order.
-	wk := &meshWalk{f: f, dx: dx, dy: dy, times: make([]sim.Time, 0, hops)}
+	wk := &meshWalk{f: f, dx: dx, dy: dy, times: make([]sim.Time, 0, wireHops)}
 	arrive := m.Eng.Now()
-	cx, cy = x, y
+	cx, cy := x, y
 	for {
 		d := m.routeDir(cx, cy, dx, dy)
 		if d < 0 {
@@ -439,7 +409,6 @@ func (m *Mesh) scheduleWalk(f *flit.Flit, x, y, dx, dy int) bool {
 	}
 	wk.cx, wk.cy = m.neighbor(x, y, m.routeDir(x, y, dx, dy))
 	m.Eng.AtArg(wk.times[0], m.walkFn, wk)
-	return true
 }
 
 // walkStep is one router arrival of a scheduled walk: cross the path
@@ -451,12 +420,8 @@ func (m *Mesh) scheduleWalk(f *flit.Flit, x, y, dx, dy int) bool {
 func (m *Mesh) walkStep(p interface{}) {
 	wk := p.(*meshWalk)
 	f := wk.f
-	if m.paths != nil && !f.TakePathPass() {
-		// Same consumption as hopArrival: the possibly-corrupted tags
-		// choose the schedule.
-		src := f.Payload()[flit.SrcRouteOffset]
-		dst := f.Payload()[flit.RouteOffset]
-		link.CrossPathUnit(m.pathSched(src, dst), m.fec, f)
+	if m.paths != nil {
+		m.crossHop(f)
 	}
 	r := m.Routers[wk.cx][wk.cy]
 	if !r.process(f) {
@@ -465,13 +430,7 @@ func (m *Mesh) walkStep(p interface{}) {
 	}
 	d := m.routeDir(wk.cx, wk.cy, wk.dx, wk.dy)
 	if d < 0 {
-		r.Stats.DeliveredLocal++
-		sink := m.localSink[wk.cx][wk.cy]
-		if r.Latency > 0 {
-			m.Eng.ScheduleArg(r.Latency, sink, f)
-		} else {
-			sink(f)
-		}
+		m.deliverLocal(r, wk.cx, wk.cy, f)
 		return
 	}
 	r.Stats.Forwarded++
@@ -482,7 +441,8 @@ func (m *Mesh) walkStep(p interface{}) {
 
 // routeDir is the dimension-ordered routing decision at router (cx,cy)
 // for destination router (dx,dy): an egress direction, or -1 for local
-// delivery. It mirrors routerIngress exactly, so an express walk visits
+// delivery. Every traversal tier (lazy pipeline, scheduled walk, express)
+// and InterRouterWire route through it, so an express walk visits
 // precisely the routers and wires the hop-by-hop path would.
 func (m *Mesh) routeDir(cx, cy, dx, dy int) int {
 	if sx := m.dimStep(cx, dx, m.W); sx > 0 {
@@ -522,14 +482,9 @@ func (m *Mesh) neighbor(cx, cy, d int) (int, int) {
 	return cx, cy
 }
 
-// expressTraverse attempts the express path for a granted traversal from
-// router (x,y) to router (dx,dy): claim every wire on the route up front,
-// run each router's pipeline inline, and schedule one delivery event at
-// the analytically-known arrival time. Returns false — having claimed
-// nothing — when the route is not express-eligible, so the caller falls
-// back to hop-by-hop with no state to unwind.
-//
-// Eligibility (checked before any claim):
+// expressEligible reports whether the (x,y)→(dx,dy) route may be claimed
+// up front at injection — by expressTraverse for a granted flit, by
+// scheduleWalk for a struck one:
 //
 //   - No route router carries an internal fault point (hook or
 //     probabilistic flip): process() must stay deterministic and
@@ -537,82 +492,95 @@ func (m *Mesh) neighbor(cx, cy, d int) (int, int) {
 //   - Every route wire is ExpressClaimable — no wire-attached error
 //     model, no fault hook installed or pending (volatile wires marked by
 //     fault scripts). In-flight flits do not block: on an eligible path
-//     every flit claims its wires at injection (granted flits here,
-//     struck flits via scheduleWalk), so claims — and therefore per-wire
-//     serialization and per-path delivery — follow injection order, which
-//     is ISN's in-order contract. Eligibility is a property of the route,
-//     not the flit, so a path is never in a mixed claim regime.
+//     every flit claims its wires at injection, so claims — and therefore
+//     per-wire serialization and per-path delivery — follow injection
+//     order, which is ISN's in-order contract.
+//
+// Eligibility is a property of the route, not the flit, so a path is
+// never in a mixed claim regime.
+func (m *Mesh) expressEligible(x, y, dx, dy int) bool {
+	for {
+		r := m.Routers[x][y]
+		if r.InternalHook != nil || r.InternalBitFlipProb > 0 {
+			return false
+		}
+		d := m.routeDir(x, y, dx, dy)
+		if d < 0 {
+			return true
+		}
+		w := m.out[x][y][d]
+		if w == nil || !w.ExpressClaimable() {
+			return false
+		}
+		x, y = m.neighbor(x, y, d)
+	}
+}
+
+// expressTraverse carries a granted flit over an expressEligible route
+// from router (x,y) to router (dx,dy): claim every wire on the route up
+// front, run each router's pipeline inline, and schedule one delivery
+// event at the analytically-known arrival time.
 //
 // The claim math per hop is exactly the SendAfter fold — serialization
 // starts at max(arrival+latency, wire-free) — so on same-path-only
 // traffic express timing is bit-identical to hop-by-hop. Under
 // cross-traffic the claim *order* changes (the whole route is claimed at
 // injection), which is a change to the fabric model itself and, like the
-// PR 5 grant policy, applies identically to fast-path and byte-level
-// runs.
-func (m *Mesh) expressTraverse(f *flit.Flit, x, y, dx, dy int) bool {
-	cx, cy := x, y
-	for {
-		r := m.Routers[cx][cy]
-		if r.InternalHook != nil || r.InternalBitFlipProb > 0 {
-			return false
-		}
-		d := m.routeDir(cx, cy, dx, dy)
-		if d < 0 {
-			break
-		}
-		w := m.out[cx][cy][d]
-		if w == nil || !w.ExpressClaimable() {
-			return false
-		}
-		cx, cy = m.neighbor(cx, cy, d)
-	}
-	// Claim walk. Running process() at claim time is unobservable: for an
-	// eligible route it touches only the flit image and the router stats,
-	// draws no RNG, and cannot drop a granted (hence uncorrupted,
-	// CRC-valid) flit.
+// whole-traversal grant policy, applies identically to fast-path and
+// byte-level runs.
+//
+// Running process() at claim time is unobservable: for an eligible route
+// it touches only the flit image and the router stats, draws no RNG, and
+// cannot drop a granted (hence uncorrupted, CRC-valid) flit.
+func (m *Mesh) expressTraverse(f *flit.Flit, x, y, dx, dy int) {
 	arrive := m.Eng.Now()
-	cx, cy = x, y
 	for {
-		r := m.Routers[cx][cy]
+		r := m.Routers[x][y]
 		if !r.process(f) {
 			// Unreachable for eligible routes; keep the drop semantics in
 			// case a future pipeline stage can reject clean flits.
 			flit.Release(f)
-			return true
+			return
 		}
-		d := m.routeDir(cx, cy, dx, dy)
+		d := m.routeDir(x, y, dx, dy)
 		if d < 0 {
 			r.Stats.DeliveredLocal++
-			m.Eng.AtArg(arrive+r.Latency, m.localSink[cx][cy], f)
-			return true
+			m.Eng.AtArg(arrive+r.Latency, m.localSink[x][y], f)
+			return
 		}
 		r.Stats.Forwarded++
 		if m.paths != nil {
 			f.TakePathPass()
 		}
-		arrive = m.out[cx][cy][d].Reserve(arrive + r.Latency)
-		cx, cy = m.neighbor(cx, cy, d)
+		arrive = m.out[x][y][d].Reserve(arrive + r.Latency)
+		x, y = m.neighbor(x, y, d)
 	}
 }
 
-// hopArrival wraps router (x,y)'s pipeline for an inter-router wire: a
-// path pass (whole traversal pre-consumed at injection) skips channel
-// work entirely; otherwise this crossing consumes one unit of the flit's
-// path schedule.
+// hopArrival wraps router (x,y)'s pipeline for an inter-router wire,
+// putting a crossing of the flit's path schedule in front of it.
 func (m *Mesh) hopArrival(x, y int) func(*flit.Flit) {
 	pipeline := m.routerIngress(x, y)
 	if m.paths == nil {
 		return pipeline
 	}
 	return func(f *flit.Flit) {
-		if !f.TakePathPass() {
-			src := f.Payload()[flit.SrcRouteOffset]
-			dst := f.Payload()[flit.RouteOffset]
-			link.CrossPathUnit(m.pathSched(src, dst), m.fec, f)
-		}
+		m.crossHop(f)
 		pipeline(f)
 	}
+}
+
+// crossHop is one inter-router crossing of the flit's path schedule: a
+// path pass (whole traversal pre-consumed at injection) skips channel
+// work entirely; otherwise the crossing consumes one unit of the schedule
+// the flit's — possibly already corrupted — routing tags select.
+func (m *Mesh) crossHop(f *flit.Flit) {
+	if f.TakePathPass() {
+		return
+	}
+	src := f.Payload()[flit.SrcRouteOffset]
+	dst := f.Payload()[flit.RouteOffset]
+	link.CrossPathUnit(m.pathSched(src, dst), m.fec, f)
 }
 
 func abs(v int) int {
@@ -653,30 +621,17 @@ func (m *Mesh) AttachNode(x, y int, deliver func(*flit.Flit)) *link.Wire {
 // and node-ingress).
 func (m *Mesh) Wires() []*link.Wire { return m.wires }
 
-// InterRouterWire returns the wire from router (x1,y1) to the adjacent
-// router (x2,y2), for targeted fault injection on one hop. On a torus the
-// wraparound edges are adjacent too: (W-1,y)→(0,y) is that row's East wrap
-// wire, (x,H-1)→(x,0) the column's South one, and their reverses
-// West/North.
+// InterRouterWire returns the wire a flit routed from router (x1,y1) to
+// the adjacent router (x2,y2) crosses, for targeted fault injection on one
+// hop. On a torus the wraparound edges are adjacent too: (W-1,y)→(0,y) is
+// that row's East wrap wire, (x,H-1)→(x,0) the column's South one, and
+// their reverses West/North.
 func (m *Mesh) InterRouterWire(x1, y1, x2, y2 int) *link.Wire {
 	var w *link.Wire
-	switch {
-	case x2 == x1+1 && y2 == y1:
-		w = m.out[x1][y1][dirEast]
-	case x2 == x1-1 && y2 == y1:
-		w = m.out[x1][y1][dirWest]
-	case x2 == x1 && y2 == y1+1:
-		w = m.out[x1][y1][dirSouth]
-	case x2 == x1 && y2 == y1-1:
-		w = m.out[x1][y1][dirNorth]
-	case m.wrap && m.W > 1 && y2 == y1 && x1 == m.W-1 && x2 == 0:
-		w = m.out[x1][y1][dirEast]
-	case m.wrap && m.W > 1 && y2 == y1 && x1 == 0 && x2 == m.W-1:
-		w = m.out[x1][y1][dirWest]
-	case m.wrap && m.H > 1 && x2 == x1 && y1 == m.H-1 && y2 == 0:
-		w = m.out[x1][y1][dirSouth]
-	case m.wrap && m.H > 1 && x2 == x1 && y1 == 0 && y2 == m.H-1:
-		w = m.out[x1][y1][dirNorth]
+	if d := m.routeDir(x1, y1, x2, y2); d >= 0 {
+		if nx, ny := m.neighbor(x1, y1, d); nx == x2 && ny == y2 {
+			w = m.out[x1][y1][d]
+		}
 	}
 	if w == nil {
 		panic(fmt.Sprintf("switchfab: (%d,%d)-(%d,%d) are not adjacent mesh routers", x1, y1, x2, y2))
@@ -692,58 +647,46 @@ func (m *Mesh) InterRouterWire(x1, y1, x2, y2 int) *link.Wire {
 // latency event so the node still receives at arrival+Latency.
 func (m *Mesh) routerIngress(x, y int) func(*flit.Flit) {
 	r := m.Routers[x][y]
-	// The stable local-delivery sink per router (shared with the express
-	// delivery event), so the per-flit latency schedule carries only the
-	// flit instead of allocating a closure.
-	deliverLocal := m.localSink[x][y]
 	return func(f *flit.Flit) {
 		if !r.process(f) {
 			flit.Release(f)
 			return
 		}
 		dx, dy, ok := m.nodeXY(f.Payload()[flit.RouteOffset])
-		sx, sy := 0, 0
-		if ok {
-			sx = m.dimStep(x, dx, m.W)
-			if sx == 0 {
-				sy = m.dimStep(y, dy, m.H)
-			}
-		}
-		switch {
-		case !ok:
+		if !ok {
 			r.Stats.DroppedNoRoute++
 			flit.Release(f)
-		case sx > 0:
-			m.forwardTo(r, f, m.out[x][y][dirEast])
-		case sx < 0:
-			m.forwardTo(r, f, m.out[x][y][dirWest])
-		case sy > 0:
-			m.forwardTo(r, f, m.out[x][y][dirSouth])
-		case sy < 0:
-			m.forwardTo(r, f, m.out[x][y][dirNorth])
-		default:
-			// Local delivery is accounted on its own: counting it as a
-			// forward inflated TotalStats().Forwarded by one per delivered
-			// flit relative to the flit's actual inter-router hops (see
-			// the per-hop audit in internal/core's mesh stats test).
-			r.Stats.DeliveredLocal++
-			if r.Latency > 0 {
-				m.Eng.ScheduleArg(r.Latency, deliverLocal, f)
-			} else {
-				deliverLocal(f)
-			}
+			return
 		}
+		d := m.routeDir(x, y, dx, dy)
+		if d < 0 {
+			m.deliverLocal(r, x, y, f)
+			return
+		}
+		w := m.out[x][y][d]
+		if w == nil {
+			r.Stats.DroppedNoRoute++
+			flit.Release(f)
+			return
+		}
+		r.Stats.Forwarded++
+		w.SendAfter(f, m.Eng.Now()+r.Latency)
 	}
 }
 
-func (m *Mesh) forwardTo(r *Switch, f *flit.Flit, w *link.Wire) {
-	if w == nil {
-		r.Stats.DroppedNoRoute++
-		flit.Release(f)
-		return
+// deliverLocal hands a flit that reached its destination router (x,y) to
+// the attached node after the router latency. Local delivery is accounted
+// on its own, not as a forward, so TotalStats().Forwarded equals the
+// flits' actual inter-router hops (see the per-hop audit in
+// internal/core's mesh stats test). The sink is the stable per-router
+// one, so the latency event carries only the flit.
+func (m *Mesh) deliverLocal(r *Switch, x, y int, f *flit.Flit) {
+	r.Stats.DeliveredLocal++
+	if r.Latency > 0 {
+		m.Eng.ScheduleArg(r.Latency, m.localSink[x][y], f)
+	} else {
+		m.localSink[x][y](f)
 	}
-	r.Stats.Forwarded++
-	w.SendAfter(f, m.Eng.Now()+r.Latency)
 }
 
 // TotalStats sums statistics across every router (QueuePeak aggregates by
@@ -754,18 +697,7 @@ func (m *Mesh) TotalStats() Stats {
 	var t Stats
 	for _, col := range m.Routers {
 		for _, r := range col {
-			t.FlitsIn += r.Stats.FlitsIn
-			t.Forwarded += r.Stats.Forwarded
-			t.DeliveredLocal += r.Stats.DeliveredLocal
-			t.DroppedUncorrectable += r.Stats.DroppedUncorrectable
-			t.DroppedCRC += r.Stats.DroppedCRC
-			t.DroppedNoRoute += r.Stats.DroppedNoRoute
-			t.CorrectedFlits += r.Stats.CorrectedFlits
-			t.CorrectedSymbols += r.Stats.CorrectedSymbols
-			t.InternalCorruptions += r.Stats.InternalCorruptions
-			if r.Stats.QueuePeak > t.QueuePeak {
-				t.QueuePeak = r.Stats.QueuePeak
-			}
+			t.add(r.Stats)
 		}
 	}
 	return t

@@ -69,6 +69,23 @@ type Stats struct {
 	QueuePeak uint64
 }
 
+// add folds another switch's counters into a fabric total: counts sum,
+// QueuePeak — a depth — takes the max.
+func (t *Stats) add(s Stats) {
+	t.FlitsIn += s.FlitsIn
+	t.Forwarded += s.Forwarded
+	t.DeliveredLocal += s.DeliveredLocal
+	t.DroppedUncorrectable += s.DroppedUncorrectable
+	t.DroppedCRC += s.DroppedCRC
+	t.DroppedNoRoute += s.DroppedNoRoute
+	t.CorrectedFlits += s.CorrectedFlits
+	t.CorrectedSymbols += s.CorrectedSymbols
+	t.InternalCorruptions += s.InternalCorruptions
+	if s.QueuePeak > t.QueuePeak {
+		t.QueuePeak = s.QueuePeak
+	}
+}
+
 // Switch is a single switching element processing flits between two
 // endpoints (one per direction via Pipeline). It holds no per-connection
 // state.
