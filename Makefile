@@ -5,7 +5,7 @@
 GO ?= go
 
 .PHONY: build test vet verify unit race differential smoke metrics fleet compose bench \
-        fleet-up fleet-down fleet-bench docker clean
+        fleet-up fleet-down docker clean
 
 build: ## Build all binaries into ./bin
 	$(GO) build -o bin/ ./cmd/...
@@ -27,9 +27,6 @@ fleet-up: ## Start the docker-compose fleet (3 daemons + front on :17080)
 
 fleet-down: ## Stop the docker-compose fleet and drop its state
 	docker compose down -v --remove-orphans
-
-fleet-bench: ## Measure the 1..3-daemon scaling curve (process fleets)
-	scripts/fleet_bench.sh
 
 docker: ## Build the rxld image
 	docker build -t rxld .

@@ -22,8 +22,8 @@
 // popularity real caches see (rank-1 config dominates), and -fleet
 // routes each request client-side over the same consistent-hash ring
 // the daemons use — measuring pure daemon scale-out with no front hop.
-// -json appends a single machine-readable "RESULT {...}" line, which
-// scripts/fleet_bench.sh aggregates into the 1→N scaling curve.
+// -json appends a single machine-readable "RESULT {...}" line for
+// scripts.
 package main
 
 import (

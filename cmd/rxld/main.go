@@ -16,7 +16,7 @@
 // given), so -addr 127.0.0.1:0 picks a free port scriptably — the CI
 // smoke job starts the daemon exactly that way.
 //
-// Fleet modes (see DESIGN.md §14 and OPERATIONS.md):
+// Fleet modes (see DESIGN.md §10 and OPERATIONS.md):
 //
 //   - Member: -fleet-self/-fleet-peers make this daemon part of a
 //     consistent-hash fleet. On a cache miss it first asks the key's

@@ -39,7 +39,8 @@ type Config struct {
 	// Seed derives every RNG in the fabric; equal seeds give bit-exact
 	// reruns.
 	Seed uint64
-	// LinkConfig overrides the link-layer configuration. Nil means
+	// LinkConfig overrides the link-layer configuration, except its
+	// Protocol field, which always follows Protocol above. Nil means
 	// link.DefaultConfig(Protocol).
 	LinkConfig *link.Config
 	// NoFastPath forces the byte-level reference path on every link,
@@ -77,7 +78,27 @@ func (c Config) Validate() error {
 	case c.InternalFlipProb < 0 || c.InternalFlipProb > 1:
 		return fmt.Errorf("core: InternalFlipProb %g out of [0,1]", c.InternalFlipProb)
 	}
+	if err := c.linkConfig().Validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
 	return nil
+}
+
+// linkConfig resolves the link-layer configuration of every peer a fabric
+// builds from this Config: the paper's defaults for Protocol, replaced by
+// *LinkConfig when set, with Protocol forced back to the fabric's own (so
+// the peers, the switch mode and the result label cannot disagree) and
+// NoFastPath applied last.
+func (c Config) linkConfig() link.Config {
+	lcfg := link.DefaultConfig(c.Protocol)
+	if c.LinkConfig != nil {
+		lcfg = *c.LinkConfig
+		lcfg.Protocol = c.Protocol
+	}
+	if c.NoFastPath {
+		lcfg.FastPath = false
+	}
+	return lcfg
 }
 
 // Fabric is a live end-to-end stack: engine, chain topology, channels.
@@ -100,12 +121,7 @@ func NewFabric(cfg Config) (*Fabric, error) {
 	}
 	eng := sim.NewEngine()
 	ccfg := switchfab.DefaultChainConfig(cfg.Protocol, cfg.Levels)
-	if cfg.LinkConfig != nil {
-		ccfg.LinkCfg = *cfg.LinkConfig
-	}
-	if cfg.NoFastPath {
-		ccfg.LinkCfg.FastPath = false
-	}
+	ccfg.LinkCfg = cfg.linkConfig()
 	if cfg.Serialization > 0 {
 		ccfg.Serialization = cfg.Serialization
 	}

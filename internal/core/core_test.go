@@ -7,6 +7,7 @@ import (
 	"repro/internal/flit"
 	"repro/internal/link"
 	"repro/internal/sim"
+	"repro/internal/switchfab"
 	"repro/internal/trace"
 )
 
@@ -21,11 +22,54 @@ func TestConfigValidate(t *testing.T) {
 		{BER: 2},
 		{BurstProb: 1},
 		{InternalFlipProb: -0.1},
+		{Protocol: 7},
+		// The link layer would panic on these at NewPeer; Validate must
+		// see them first — on the resolved config, so a selective-repeat
+		// LinkConfig is rejected by the fabric's protocol, not its own.
+		{Protocol: link.ProtocolRXL, LinkConfig: &link.Config{ReplayBufferSize: 600}},
+		{Protocol: link.ProtocolRXL, LinkConfig: &link.Config{Retry: link.SelectiveRepeat}},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: accepted %+v", i, c)
 		}
+	}
+	sr := Config{Protocol: link.ProtocolCXL, LinkConfig: &link.Config{Protocol: link.ProtocolRXL, Retry: link.SelectiveRepeat}}
+	if err := sr.Validate(); err != nil {
+		t.Errorf("CXL fabric with a selective-repeat LinkConfig rejected: %v", err)
+	}
+}
+
+// TestLinkConfigFollowsFabricProtocol: Config.Protocol decides the
+// protocol of both peers and the switch mode even when LinkConfig carries
+// another one (its zero value is CXL), on chain and mesh fabrics alike, so
+// a protocol axis over a base with LinkConfig set runs what it labels.
+func TestLinkConfigFollowsFabricProtocol(t *testing.T) {
+	cxlDefault := link.DefaultConfig(link.ProtocolCXL)
+	cxlDefault.CoalesceCount = 4
+	cfg := Config{Protocol: link.ProtocolRXL, Levels: 2, LinkConfig: &cxlDefault, NoFastPath: true}
+
+	f := MustNewFabric(cfg)
+	for _, p := range []*link.Peer{f.A(), f.B()} {
+		if p.Cfg.Protocol != link.ProtocolRXL || p.Cfg.CoalesceCount != 4 || p.Cfg.FastPath {
+			t.Errorf("chain peer %s resolved %+v", p.Name, p.Cfg)
+		}
+	}
+	for _, sw := range f.Chain.Switches {
+		if sw.Mode != switchfab.ModeRXL {
+			t.Errorf("chain switch %s runs %v", sw.Name, sw.Mode)
+		}
+	}
+
+	m := MustNewMeshFabric(cfg, 2, 2)
+	if p := m.Node(0, 0).PeerTo(m.Node(1, 1).ID); p.Cfg.Protocol != link.ProtocolRXL || p.Cfg.CoalesceCount != 4 || p.Cfg.FastPath {
+		t.Errorf("mesh peer resolved %+v", p.Cfg)
+	}
+	if got := m.Mesh.Routers[0][0].Mode; got != switchfab.ModeRXL {
+		t.Errorf("mesh router runs %v", got)
+	}
+	if cxlDefault.Protocol != link.ProtocolCXL {
+		t.Error("resolving mutated the caller's LinkConfig")
 	}
 }
 

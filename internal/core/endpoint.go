@@ -7,22 +7,14 @@ import (
 )
 
 // MessageEndpoint adapts a link-layer peer to the transaction layer: it
-// packs outgoing messages into flit payloads (several per flit, as the CXL
-// link layer does — Section 2.2) and unpacks arriving payloads to a
-// handler. Losing one flit therefore disrupts every packed message, the
-// amplification the paper highlights (Section 2.3).
+// packs each outgoing message into a flit payload and unpacks arriving
+// payloads to a handler. One message per flit keeps the Fig. 5 failure
+// scenarios deterministic — the script controls exactly which message a
+// dropped flit carried.
 type MessageEndpoint struct {
 	Peer *link.Peer
 	// OnMessage receives each unpacked message in delivery order.
 	OnMessage func(transaction.Message)
-	// MaxPerFlit caps messages packed per flit (default: pack capacity).
-	MaxPerFlit int
-
-	queue []transaction.Message
-
-	// Packed counts flits submitted; Messages counts messages carried.
-	Packed   uint64
-	Messages uint64
 }
 
 // NewMessageEndpoint wraps peer and installs the unpacking deliver hook.
@@ -32,40 +24,11 @@ func NewMessageEndpoint(peer *link.Peer, onMessage func(transaction.Message)) *M
 	return ep
 }
 
-// Send queues one message and flushes it into a flit immediately.
-// Immediate flushing (one flit per Send unless Batch is used) keeps
-// failure scenarios deterministic: tests control exactly which messages
-// share a flit.
+// Send packs one message into a flit and submits it.
 func (ep *MessageEndpoint) Send(m transaction.Message) {
-	ep.queue = append(ep.queue, m)
-	ep.Flush()
-}
-
-// Batch queues a message without flushing; call Flush to emit the packed
-// flit(s).
-func (ep *MessageEndpoint) Batch(m transaction.Message) {
-	ep.queue = append(ep.queue, m)
-}
-
-// Flush packs every queued message into as few flits as possible and
-// submits them.
-func (ep *MessageEndpoint) Flush() {
-	for len(ep.queue) > 0 {
-		limit := ep.MaxPerFlit
-		if limit <= 0 || limit > transaction.PackCapacity {
-			limit = transaction.PackCapacity
-		}
-		batch := ep.queue
-		if len(batch) > limit {
-			batch = batch[:limit]
-		}
-		payload := make([]byte, flit.PayloadSize)
-		n := transaction.Pack(payload, batch)
-		ep.queue = ep.queue[n:]
-		ep.Packed++
-		ep.Messages += uint64(n)
-		ep.Peer.Submit(payload)
-	}
+	payload := make([]byte, flit.PayloadSize)
+	transaction.Pack(payload, []transaction.Message{m})
+	ep.Peer.Submit(payload)
 }
 
 func (ep *MessageEndpoint) deliver(p []byte) {

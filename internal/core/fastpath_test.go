@@ -7,9 +7,6 @@ import (
 
 	"repro/internal/link"
 	"repro/internal/phy"
-	"repro/internal/sim"
-	"repro/internal/switchfab"
-	"repro/internal/trace"
 )
 
 // channelStats is the error-process accounting a fabric run leaves
@@ -133,87 +130,6 @@ func TestFastPathDifferentialSelectiveRepeat(t *testing.T) {
 		}
 		t.Run(proto.String(), func(t *testing.T) {
 			assertFastSlowIdentical(t, cfg, 600)
-		})
-	}
-}
-
-// starSnapshot captures everything a star run can observe: per-stream
-// delivery taxonomy, per-peer link statistics, crossbar statistics, wire
-// channel accounting, and the simulated end time.
-type starSnapshot struct {
-	Delivered, OutOfOrder, Duplicates []int
-	HostStats, DevStats               []link.Stats
-	Crossbar                          switchfab.Stats
-	Channels                          []channelStats
-	End                               sim.Time
-}
-
-// runStarOnce drives a bidirectional host<->device stream per device
-// through the crossbar and snapshots the observable state.
-func runStarOnce(t *testing.T, cfg Config, n uint64) starSnapshot {
-	t.Helper()
-	s, err := NewStar(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap starSnapshot
-	checkers := map[byte]*trace.Checker{}
-	for _, d := range s.Devices() {
-		checkers[d] = trace.NewChecker()
-		s.Dev[d].Deliver = checkers[d].Deliver
-		s.Host[d].Deliver = func([]byte) {}
-	}
-	for i := uint64(0); i < n; i++ {
-		for _, d := range s.Devices() {
-			s.Host[d].Submit(trace.TagPayload(i, 16))
-			s.Dev[d].Submit(trace.TagPayload(i, 16))
-		}
-	}
-	s.Run()
-	for _, d := range s.Devices() {
-		c := checkers[d]
-		snap.Delivered = append(snap.Delivered, c.Delivered)
-		snap.OutOfOrder = append(snap.OutOfOrder, c.OutOfOrder)
-		snap.Duplicates = append(snap.Duplicates, c.Duplicates)
-		snap.HostStats = append(snap.HostStats, s.Host[d].Stats)
-		snap.DevStats = append(snap.DevStats, s.Dev[d].Stats)
-	}
-	snap.Crossbar = s.Crossbar.Stats
-	for _, w := range s.Wires {
-		if w.Channel == nil {
-			continue
-		}
-		snap.Channels = append(snap.Channels, channelStats{
-			BitsSeen:     w.Channel.BitsSeen,
-			BitsFlipped:  w.Channel.BitsFlipped,
-			ErrorEvents:  w.Channel.ErrorEvents,
-			UnitsTouched: w.Channel.UnitsTouched,
-		})
-	}
-	snap.End = s.Eng.Now()
-	return snap
-}
-
-// TestFastPathDifferentialStar extends the fast-vs-slow correctness bar to
-// the star (crossbar) topology, where Config.NoFastPath is plumbed through
-// NewStar's per-peer link configs rather than the chain builder.
-func TestFastPathDifferentialStar(t *testing.T) {
-	for _, proto := range Protocols {
-		cfg := Config{
-			Protocol:  proto,
-			BER:       1e-5,
-			BurstProb: 0.4,
-			Seed:      17,
-		}
-		t.Run(proto.String(), func(t *testing.T) {
-			fastCfg, slowCfg := cfg, cfg
-			fastCfg.NoFastPath = false
-			slowCfg.NoFastPath = true
-			fast := runStarOnce(t, fastCfg, 400)
-			slow := runStarOnce(t, slowCfg, 400)
-			if !reflect.DeepEqual(fast, slow) {
-				t.Errorf("star fast/slow diverge:\nfast: %+v\nslow: %+v", fast, slow)
-			}
 		})
 	}
 }

@@ -45,11 +45,7 @@ func newMeshFabric(cfg Config, w, h int, wrap bool) (*MeshFabric, error) {
 	if w < 1 || h < 1 || w*h > 256 {
 		return nil, fmt.Errorf("core: mesh %dx%d out of range (need 1..256 nodes)", w, h)
 	}
-	mode := switchfab.ModeCXL
-	if cfg.Protocol == link.ProtocolRXL {
-		mode = switchfab.ModeRXL
-	}
-	mc := switchfab.DefaultMeshConfig(mode)
+	mc := switchfab.DefaultMeshConfig(switchfab.ModeFor(cfg.Protocol))
 	mc.BER = cfg.BER
 	mc.BurstProb = cfg.BurstProb
 	mc.Seed = cfg.Seed
@@ -92,24 +88,13 @@ func (m *MeshFabric) Node(x, y int) *switchfab.MeshNode {
 	if nd, ok := m.nodes[key]; ok {
 		return nd
 	}
-	lcfg := link.DefaultConfig(m.Cfg.Protocol)
-	if m.Cfg.LinkConfig != nil {
-		lcfg = *m.Cfg.LinkConfig
-		lcfg.Protocol = m.Cfg.Protocol
-	}
-	if m.Cfg.NoFastPath {
-		lcfg.FastPath = false
-	}
-	nd := switchfab.NewMeshNode(m.Mesh, x, y, lcfg)
+	nd := switchfab.NewMeshNode(m.Mesh, x, y, m.Cfg.linkConfig())
 	m.nodes[key] = nd
 	return nd
 }
 
 // Run drains the event queue.
 func (m *MeshFabric) Run() { m.Eng.Run() }
-
-// RunFor advances simulated time by d.
-func (m *MeshFabric) RunFor(d sim.Time) { m.Eng.AdvanceTo(m.Eng.Now() + d) }
 
 // MeshFlow is one unidirectional stream of a mesh workload.
 type MeshFlow struct {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/link"
-	"repro/internal/transaction"
 )
 
 // TestFig4Scenario reproduces the paper's Fig. 4 at the link layer: under
@@ -114,48 +113,5 @@ func TestFig5ScenariosComplete(t *testing.T) {
 		if b.Issued == 0 || b.Completed < b.Issued-1 {
 			t.Errorf("%v fig5b: issued %d completed %d", proto, b.Issued, b.Completed)
 		}
-	}
-}
-
-// TestMessageEndpointPacking: batched messages share flits up to the pack
-// capacity.
-func TestMessageEndpointPacking(t *testing.T) {
-	f := MustNewFabric(Config{Protocol: link.ProtocolRXL})
-	var got []uint32
-	rx := NewMessageEndpoint(f.B(), nil)
-	rx.OnMessage = func(m transaction.Message) { got = append(got, m.ID) }
-	tx := NewMessageEndpoint(f.A(), nil)
-
-	for i := uint32(0); i < 30; i++ {
-		tx.Batch(transaction.Message{Kind: transaction.KindReq, ID: i})
-	}
-	tx.Flush()
-	f.Run()
-
-	if len(got) != 30 {
-		t.Fatalf("received %d messages", len(got))
-	}
-	for i, id := range got {
-		if id != uint32(i) {
-			t.Fatalf("message %d has ID %d", i, id)
-		}
-	}
-	// 30 messages at 13/flit = 3 flits.
-	if tx.Packed != 3 {
-		t.Fatalf("packed %d flits, want 3", tx.Packed)
-	}
-}
-
-// TestMessageEndpointPerFlitCap honors MaxPerFlit.
-func TestMessageEndpointPerFlitCap(t *testing.T) {
-	f := MustNewFabric(Config{Protocol: link.ProtocolRXL})
-	tx := NewMessageEndpoint(f.A(), nil)
-	tx.MaxPerFlit = 1
-	for i := uint32(0); i < 5; i++ {
-		tx.Batch(transaction.Message{Kind: transaction.KindReq, ID: i})
-	}
-	tx.Flush()
-	if tx.Packed != 5 {
-		t.Fatalf("packed %d flits, want 5", tx.Packed)
 	}
 }

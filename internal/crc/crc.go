@@ -23,7 +23,7 @@
 // throughput ladder (one table, eight tables): nothing in the simulator
 // calls them; they exist so the gated BenchmarkCRCSlicing can show the
 // encode pipeline is table-bound and by how much each widening pays (the
-// CRC ablation in DESIGN.md §5), and the cross-check tests hold all five
+// CRC ablation in DESIGN.md §3), and the cross-check tests hold all five
 // engines to identical output.
 //
 // # ISN encoding
@@ -48,9 +48,6 @@ const SeqBits = 10
 
 // SeqMask masks a sequence number to SeqBits.
 const SeqMask uint16 = 1<<SeqBits - 1
-
-// Size is the checksum size in bytes (8B CRC field of the 256B flit).
-const Size = 8
 
 var (
 	table [256]uint64
@@ -291,17 +288,4 @@ func Verify(sum uint64, segments ...[]byte) bool {
 // property to replace this computation with a sequence comparison.
 func VerifyISN(sum uint64, seq uint16, segments ...[]byte) bool {
 	return ChecksumISN(seq, segments...) == sum
-}
-
-// ChecksumISNAppend is the ablation variant of ISN that appends the
-// sequence number as a trailing 2-byte big-endian word instead of folding it
-// into the payload tail. Both variants give identical detection guarantees;
-// the fold variant matches the paper's 10-XOR-gate hardware argument.
-func ChecksumISNAppend(seq uint16, segments ...[]byte) uint64 {
-	seq &= SeqMask
-	var crc uint64
-	for _, s := range segments {
-		crc = Update(crc, s)
-	}
-	return Update(crc, []byte{byte(seq >> 8), byte(seq)})
 }

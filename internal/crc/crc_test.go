@@ -209,9 +209,6 @@ func TestISNSeqMaskedToTenBits(t *testing.T) {
 	if ChecksumISN(0, msg) != ChecksumISN(1024, msg) {
 		t.Error("seq 1024 should alias to 0 (10-bit wrap)")
 	}
-	if ChecksumISNAppend(0, msg) != ChecksumISNAppend(1024, msg) {
-		t.Error("append variant: seq 1024 should alias to 0")
-	}
 }
 
 func TestISNSeqZeroEqualsPlainChecksum(t *testing.T) {
@@ -230,20 +227,6 @@ func TestISNTooShortPanics(t *testing.T) {
 		}
 	}()
 	ChecksumISN(1, []byte{0x42})
-}
-
-// The append-variant ablation has the same injectivity over sequence space.
-func TestISNAppendSequenceMismatchDetected(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	msg := make([]byte, 242)
-	rng.Read(msg)
-	sums := make(map[uint64]bool)
-	for seq := uint16(0); seq <= SeqMask; seq++ {
-		sums[ChecksumISNAppend(seq, msg)] = true
-	}
-	if len(sums) != 1024 {
-		t.Fatalf("append variant: %d distinct checksums, want 1024", len(sums))
-	}
 }
 
 // A payload error combined with the right sequence skew could in principle
@@ -330,14 +313,6 @@ func BenchmarkChecksumISNFlit(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
 		sink = ChecksumISN(uint16(i), data)
-	}
-}
-
-func BenchmarkChecksumISNAppendFlit(b *testing.B) {
-	data := make([]byte, 242)
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		sink = ChecksumISNAppend(uint16(i), data)
 	}
 }
 

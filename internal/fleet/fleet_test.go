@@ -131,7 +131,10 @@ func TestFleetByteIdentity(t *testing.T) {
 		t.Fatalf("front run: %v", err)
 	}
 
-	standalone := service.MustNew(service.Config{ShardBudget: 4})
+	standalone, err := service.New(service.Config{ShardBudget: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer standalone.Close()
 	sts := httptest.NewServer(standalone)
 	defer sts.Close()

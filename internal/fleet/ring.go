@@ -28,7 +28,7 @@
 // byte-identical documents for a given spec (the runner's determinism
 // contract), so routing, failover, and replication only decide which
 // machine serves bytes that are fixed by the spec alone. See DESIGN.md
-// §14 for the full argument.
+// §10 for the full argument.
 package fleet
 
 import (
@@ -103,15 +103,6 @@ func NewRing(peers []string, vnodes int) (*Ring, error) {
 		return r.points[i].peer < r.points[j].peer
 	})
 	return r, nil
-}
-
-// MustNewRing is NewRing panicking on error, for tests and examples.
-func MustNewRing(peers []string, vnodes int) *Ring {
-	r, err := NewRing(peers, vnodes)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // pointHash positions virtual node v of a peer on the circle: the first

@@ -14,6 +14,15 @@ func testKeys(n int) []string {
 	return keys
 }
 
+func mustRing(t testing.TB, peers []string, vnodes int) *Ring {
+	t.Helper()
+	r, err := NewRing(peers, vnodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // TestRingPlacementPure pins that ownership is a pure function of
 // (key, peer set): rebuilding the ring — including from a shuffled,
 // duplicated peer list — maps every key to the same owner.
@@ -21,9 +30,9 @@ func TestRingPlacementPure(t *testing.T) {
 	peers := []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1"}
 	shuffled := []string{"http://c:1", "http://a:1", "http://d:1", "http://b:1", "http://a:1"}
 
-	r1 := MustNewRing(peers, 0)
-	r2 := MustNewRing(shuffled, 0)
-	r3 := MustNewRing(peers, 0)
+	r1 := mustRing(t, peers, 0)
+	r2 := mustRing(t, shuffled, 0)
+	r3 := mustRing(t, peers, 0)
 
 	for _, k := range testKeys(5000) {
 		o := r1.Owner(k)
@@ -48,7 +57,7 @@ func TestRingPlacementPure(t *testing.T) {
 // keys), so the bounds cannot flake.
 func TestRingBalance(t *testing.T) {
 	peers := []string{"http://p0:8080", "http://p1:8080", "http://p2:8080", "http://p3:8080", "http://p4:8080"}
-	r := MustNewRing(peers, 0)
+	r := mustRing(t, peers, 0)
 	keys := testKeys(20000)
 
 	load := make(map[string]int)
@@ -75,8 +84,8 @@ func TestRingMinimalMovement(t *testing.T) {
 	grown := append(append([]string{}, base...), "http://p5:1")
 	keys := testKeys(20000)
 
-	before := MustNewRing(base, 0)
-	after := MustNewRing(grown, 0)
+	before := mustRing(t, base, 0)
+	after := mustRing(t, grown, 0)
 
 	moved := 0
 	for _, k := range keys {
@@ -97,7 +106,7 @@ func TestRingMinimalMovement(t *testing.T) {
 
 	// Removal is the exact inverse: shrinking back must restore the
 	// original owner for every key.
-	shrunk := MustNewRing(grown[:len(base)], 0)
+	shrunk := mustRing(t, grown[:len(base)], 0)
 	for _, k := range keys {
 		if shrunk.Owner(k) != before.Owner(k) {
 			t.Fatalf("key %q: owner changed after add+remove round trip", k)
@@ -110,7 +119,7 @@ func TestRingMinimalMovement(t *testing.T) {
 // and requesting more owners than peers returns all peers.
 func TestRingOwners(t *testing.T) {
 	peers := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r := MustNewRing(peers, 0)
+	r := mustRing(t, peers, 0)
 
 	for _, k := range testKeys(1000) {
 		owners := r.Owners(k, 2)
@@ -145,7 +154,7 @@ func TestNewRingRejectsBadInput(t *testing.T) {
 }
 
 func BenchmarkRingOwner(b *testing.B) {
-	r := MustNewRing([]string{"http://a:1", "http://b:1", "http://c:1", "http://d:1", "http://e:1"}, 0)
+	r := mustRing(b, []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1", "http://e:1"}, 0)
 	keys := testKeys(1024)
 	b.ReportAllocs()
 	b.ResetTimer()

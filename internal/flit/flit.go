@@ -17,7 +17,7 @@
 // interleaved single-symbol-correct Reed-Solomon code from internal/rs.
 //
 // Both coding kernels dispatch on CPU features at startup (CLMUL CRC
-// folding, word-parallel RS syndromes; see DESIGN.md §16). The bytes a
+// folding, word-parallel RS syndromes; see DESIGN.md §4). The bytes a
 // sealed flit carries are identical on every path — TestSealReference
 // pins them against the portable reference kernels.
 package flit
@@ -49,7 +49,7 @@ const (
 // FSNMask masks the 10-bit flit sequence number.
 const FSNMask uint16 = 1<<10 - 1
 
-// Fabric routing tags. Multi-endpoint fabrics (crossbars/stars) route by a
+// Fabric routing tags. Multi-endpoint fabrics (mesh, torus) route by a
 // destination tag carried in the payload; a source tag lets the receiving
 // node demultiplex to the right link-layer peer. Both live inside the
 // CRC-protected region, so tag corruption is end-to-end detectable under
@@ -322,9 +322,6 @@ func (f *Flit) TakePathPass() bool {
 	f.pass--
 	return true
 }
-
-// PathPass returns the remaining granted crossings.
-func (f *Flit) PathPass() int { return int(f.pass) }
 
 // Deferred reports whether the CRC/FEC fields still await Materialize.
 func (f *Flit) Deferred() bool { return f.deferred }

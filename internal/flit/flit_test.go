@@ -219,8 +219,8 @@ func TestPathPass(t *testing.T) {
 		t.Fatal("fresh flit held a pass")
 	}
 	f.SetPathPass(2)
-	if f.PathPass() != 2 {
-		t.Fatalf("PathPass = %d", f.PathPass())
+	if f.pass != 2 {
+		t.Fatalf("pass = %d", f.pass)
 	}
 	g := f.Clone()
 	for i := 0; i < 2; i++ {
@@ -236,7 +236,7 @@ func TestPathPass(t *testing.T) {
 	p := Get()
 	p.SetPathPass(3)
 	Release(p)
-	if q := Get(); q.PathPass() != 0 {
+	if q := Get(); q.pass != 0 {
 		t.Fatal("pool leaked a path pass")
 	}
 }
@@ -273,38 +273,6 @@ func TestTypeStrings(t *testing.T) {
 	}
 	if Type(9).String() != "Type(9)" {
 		t.Error("unknown type string")
-	}
-}
-
-func TestFlit68RoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	f := &Flit68{}
-	f.SetHeader(Header{FSN: 33, Cmd: CmdSeq, Type: TypeData})
-	rng.Read(f.Payload())
-	f.Seal()
-	if !f.CheckCRC() {
-		t.Fatal("fresh 68B flit CRC failed")
-	}
-	h := f.Header()
-	if h.FSN != 33 {
-		t.Fatalf("header FSN %d", h.FSN)
-	}
-	f.Payload()[10] ^= 1
-	if f.CheckCRC() {
-		t.Fatal("corrupted 68B flit passed CRC")
-	}
-}
-
-func TestFlit68ISN(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	f := &Flit68{}
-	rng.Read(f.Payload())
-	f.SealISN(200)
-	if !f.CheckCRCISN(200) {
-		t.Fatal("68B ISN CRC with correct seq failed")
-	}
-	if f.CheckCRCISN(201) {
-		t.Fatal("68B ISN CRC passed with wrong seq")
 	}
 }
 

@@ -115,42 +115,6 @@ func Pow(a byte, e int) byte {
 	return expTable[le]
 }
 
-// MulSlice multiplies every element of p in place by c and returns p.
-// It is used by the Reed-Solomon encoder's hot loop.
-func MulSlice(p []byte, c byte) []byte {
-	if c == 0 {
-		for i := range p {
-			p[i] = 0
-		}
-		return p
-	}
-	lc := logTable[c]
-	for i, v := range p {
-		if v != 0 {
-			p[i] = expTable[logTable[v]+lc]
-		}
-	}
-	return p
-}
-
-// AddMulSlice computes dst[i] ^= c * src[i] for every i, the fused
-// multiply-accumulate used by systematic RS encoding. dst and src must have
-// the same length.
-func AddMulSlice(dst, src []byte, c byte) {
-	if len(dst) != len(src) {
-		panic("gf256: AddMulSlice length mismatch")
-	}
-	if c == 0 {
-		return
-	}
-	lc := logTable[c]
-	for i, v := range src {
-		if v != 0 {
-			dst[i] ^= expTable[logTable[v]+lc]
-		}
-	}
-}
-
 // PolyEval evaluates the polynomial with coefficients p (p[0] is the
 // highest-degree coefficient) at point x, using Horner's rule.
 func PolyEval(p []byte, x byte) byte {

@@ -170,56 +170,6 @@ func TestPow(t *testing.T) {
 	}
 }
 
-func TestMulSlice(t *testing.T) {
-	p := []byte{1, 2, 3, 0, 255}
-	q := make([]byte, len(p))
-	copy(q, p)
-	MulSlice(q, 7)
-	for i := range p {
-		if q[i] != Mul(p[i], 7) {
-			t.Fatalf("MulSlice mismatch at %d", i)
-		}
-	}
-	MulSlice(q, 0)
-	for i := range q {
-		if q[i] != 0 {
-			t.Fatal("MulSlice by zero did not clear")
-		}
-	}
-}
-
-func TestAddMulSlice(t *testing.T) {
-	dst := []byte{10, 20, 30}
-	src := []byte{1, 0, 5}
-	want := make([]byte, 3)
-	for i := range want {
-		want[i] = dst[i] ^ Mul(src[i], 9)
-	}
-	AddMulSlice(dst, src, 9)
-	for i := range dst {
-		if dst[i] != want[i] {
-			t.Fatalf("AddMulSlice mismatch at %d: got %d want %d", i, dst[i], want[i])
-		}
-	}
-	// c == 0 is a no-op.
-	before := append([]byte(nil), dst...)
-	AddMulSlice(dst, src, 0)
-	for i := range dst {
-		if dst[i] != before[i] {
-			t.Fatal("AddMulSlice with c=0 modified dst")
-		}
-	}
-}
-
-func TestAddMulSliceLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	AddMulSlice(make([]byte, 2), make([]byte, 3), 1)
-}
-
 func TestPolyEval(t *testing.T) {
 	// p(x) = 2x^2 + 3x + 5
 	p := []byte{2, 3, 5}
@@ -270,19 +220,6 @@ func BenchmarkMul(b *testing.B) {
 		acc ^= Mul(byte(i), byte(i>>8))
 	}
 	sink = acc
-}
-
-func BenchmarkAddMulSlice(b *testing.B) {
-	dst := make([]byte, 256)
-	src := make([]byte, 256)
-	for i := range src {
-		src[i] = byte(i)
-	}
-	b.SetBytes(int64(len(src)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AddMulSlice(dst, src, byte(i)|1)
-	}
 }
 
 var sink byte

@@ -25,7 +25,12 @@
 // comparison the paper makes.
 package link
 
-import "repro/internal/sim"
+import (
+	"errors"
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // Protocol selects the sequence-integrity scheme.
 type Protocol int
@@ -127,8 +132,8 @@ type Config struct {
 
 	// StampRoute, when true, writes RouteTag and SrcTag into the fabric
 	// routing bytes (flit.RouteOffset, flit.SrcRouteOffset) of every
-	// outgoing flit, including control flits. Required on crossbar/star
-	// fabrics; ignored on point-to-point and chain topologies.
+	// outgoing flit, including control flits. Mesh routers route by these
+	// bytes; point-to-point and chain topologies ignore them.
 	StampRoute bool
 	// RouteTag is the destination endpoint tag (the remote peer).
 	RouteTag byte
@@ -150,9 +155,28 @@ func DefaultConfig(p Protocol) Config {
 	}
 }
 
+// Validate reports whether the configuration can drive a peer. Sizes and
+// timeouts left at zero (or below) are not errors — NewPeer fills them
+// with the DefaultConfig values — so only combinations no default can
+// repair are rejected.
+func (c Config) Validate() error {
+	switch {
+	case c.Protocol < ProtocolCXL || c.Protocol > ProtocolRXL:
+		return fmt.Errorf("link: unknown protocol %d", int(c.Protocol))
+	case c.Retry == SelectiveRepeat && c.Protocol == ProtocolRXL:
+		return errors.New("link: RXL cannot use selective repeat — ISN has no explicit sequence numbers to reorder by (Section 5)")
+	case c.ReplayBufferSize >= 512:
+		return fmt.Errorf("link: ReplayBufferSize %d must be < 512 for 10-bit sequence numbers", c.ReplayBufferSize)
+	}
+	return nil
+}
+
+// sanitize fills defaulted fields in place. An invalid configuration
+// reaching a peer is a caller bug — configurations from outside the
+// program go through Validate (core.Config.Validate) first — so it panics.
 func (c *Config) sanitize() {
-	if c.Retry == SelectiveRepeat && c.Protocol == ProtocolRXL {
-		panic("link: RXL cannot use selective repeat — ISN has no explicit sequence numbers to reorder by (Section 5)")
+	if err := c.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if c.ReassemblyBufferSize <= 0 {
 		c.ReassemblyBufferSize = 64
@@ -162,9 +186,6 @@ func (c *Config) sanitize() {
 	}
 	if c.ReplayBufferSize <= 0 {
 		c.ReplayBufferSize = 128
-	}
-	if c.ReplayBufferSize >= 512 {
-		panic("link: ReplayBufferSize must be < 512 for 10-bit sequence numbers")
 	}
 	if c.AckTimeout <= 0 {
 		c.AckTimeout = 200 * sim.Nanosecond

@@ -186,10 +186,6 @@ func (w *Wire) ExpressClaimable() bool {
 	return w.Channel == nil && w.PathSched == nil && w.FaultHook == nil && !w.Volatile
 }
 
-// InFlight returns the number of flits sent on this wire but not yet
-// delivered (reservations excluded).
-func (w *Wire) InFlight() int { return w.pipe.InFlight() }
-
 // QueuePeak returns the high-water mark of the wire's serialization
 // queue depth — the backpressure measurement of congestion scenarios.
 func (w *Wire) QueuePeak() uint64 { return w.pipe.QueuePeak }

@@ -9,14 +9,13 @@ import (
 )
 
 // Histogram is a fixed-bucket histogram: per-bucket atomic counters plus
-// an atomic count and sum. Observe is allocation-free — a binary search
-// over the (immutable) bounds and three atomic adds — so it is safe on
-// the request hot path. Buckets are stored per-bucket internally and
+// an atomic sum. Observe is allocation-free — a binary search over the
+// (immutable) bounds and two atomic updates — so it is safe on the
+// request hot path. Buckets are stored per-bucket internally and
 // rendered cumulatively, as the exposition format requires.
 type Histogram struct {
 	bounds  []float64 // ascending upper bounds; +Inf is implicit
 	buckets []atomic.Uint64
-	count   atomic.Uint64
 	sumBits atomic.Uint64
 
 	// leLabels are the pre-rendered per-bucket label strings (the series
@@ -68,7 +67,6 @@ func spliceLE(labels, le string) string {
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v: its bucket
 	h.buckets[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -77,45 +75,12 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// HistogramSnapshot is a consistent-enough copy of a histogram for
-// quantile math: cumulative bucket counts aligned with Bounds (the last
-// entry is the +Inf bucket, equal to Count).
-type HistogramSnapshot struct {
-	Bounds []float64 // finite upper bounds
-	Cum    []uint64  // cumulative counts, len(Bounds)+1 (last = total)
-	Count  uint64
-	Sum    float64
-}
-
-// Snapshot copies the histogram state. Concurrent observers may land
-// between bucket loads; the skew is at most the handful of in-flight
-// observations, which is what any scrape of a live process sees.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Bounds: h.bounds,
-		Cum:    make([]uint64, len(h.buckets)),
-		Sum:    math.Float64frombits(h.sumBits.Load()),
-	}
-	var cum uint64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		s.Cum[i] = cum
-	}
-	s.Count = cum
-	return s
-}
-
-// Quantile estimates the q-quantile (0 < q < 1) from the snapshot with
-// linear interpolation inside the landing bucket — the same estimate
-// Prometheus's histogram_quantile computes. Samples in the +Inf bucket
-// clamp to the highest finite bound. Returns NaN on an empty histogram.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	return CumulativeQuantile(s.Bounds, s.Cum, q)
-}
-
-// CumulativeQuantile is the quantile estimate over explicit cumulative
-// bucket counts, shared by HistogramSnapshot and by scrapers (rxltop)
-// that reconstruct histograms from parsed _bucket series.
+// CumulativeQuantile estimates the q-quantile (0 < q < 1) over cumulative
+// bucket counts aligned with bounds (the last count is the +Inf bucket),
+// with linear interpolation inside the landing bucket — the same estimate
+// Prometheus's histogram_quantile computes, for scrapers (rxltop) that
+// reconstruct histograms from parsed _bucket series. Samples in the +Inf
+// bucket clamp to the highest finite bound; an empty histogram gives NaN.
 func CumulativeQuantile(bounds []float64, cum []uint64, q float64) float64 {
 	if len(cum) == 0 || cum[len(cum)-1] == 0 || math.IsNaN(q) {
 		return math.NaN()

@@ -13,7 +13,7 @@ func TestParseRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("jobs_total", "", "outcome", "hit").Add(7)
 	r.Counter("jobs_total", "", "outcome", `we"ird`).Add(2)
-	r.Gauge("depth", "").Set(3.5)
+	r.GaugeFunc("depth", "", func() float64 { return 3.5 })
 	h := r.Histogram("lat_seconds", "", []float64{0.01, 0.1})
 	h.Observe(0.005)
 	h.Observe(0.05)

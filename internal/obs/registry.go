@@ -4,8 +4,8 @@
 //
 // Two design constraints shape everything here:
 //
-//   - The hot path must stay lock-cheap and allocation-free. Counter,
-//     Gauge, and Histogram values are plain atomics; handles are created
+//   - The hot path must stay lock-cheap and allocation-free. Counter
+//     and Histogram values are plain atomics; handles are created
 //     once at wiring time, so recording is an atomic add with no map
 //     lookups and no allocations. The registry handle is the counter's
 //     only store: the serving code increments it and /v1/statsz reads its
@@ -45,7 +45,7 @@ var DefLatencyBuckets = []float64{
 }
 
 // Registry holds metric families and renders them as Prometheus text.
-// Metric handles are created up front (Counter/Gauge/Histogram) or
+// Metric handles are created up front (Counter/Histogram) or
 // registered as scrape-time callbacks (GaugeFunc); creation takes the
 // registry lock, recording never does.
 type Registry struct {
@@ -165,39 +165,6 @@ func (r *Registry) Counter(name, help string, labelPairs ...string) *Counter {
 	defer r.mu.Unlock()
 	f := r.register(name, help, "counter")
 	return f.getOrAdd(labelString(labelPairs), &Counter{}).(*Counter)
-}
-
-// Gauge is a settable value (float64 bits in an atomic).
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds d (CAS loop; uncontended in practice).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) write(w *bufio.Writer, name, labels string) {
-	fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(g.Value()))
-}
-
-// Gauge returns (creating if needed) the gauge series for name and labels.
-func (r *Registry) Gauge(name, help string, labelPairs ...string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.register(name, help, "gauge")
-	return f.getOrAdd(labelString(labelPairs), &Gauge{}).(*Gauge)
 }
 
 // funcMetric samples a callback at scrape time — the bridge for state

@@ -14,8 +14,7 @@ func TestCounterGaugeRender(t *testing.T) {
 	c := r.Counter("zeta_total", "last family alphabetically", "outcome", "hit")
 	c.Add(3)
 	r.Counter("zeta_total", "last family alphabetically", "outcome", "miss").Inc()
-	g := r.Gauge("alpha_depth", "first family")
-	g.Set(7.5)
+	r.GaugeFunc("alpha_depth", "first family", func() float64 { return 7.5 })
 	r.GaugeFunc("alpha_depth", "first family", func() float64 { return 2 }, "kind", `quo"ted`)
 
 	var sb strings.Builder
@@ -74,7 +73,7 @@ func TestTypeConflictPanics(t *testing.T) {
 			t.Fatal("no panic registering c_total as a gauge")
 		}
 	}()
-	r.Gauge("c_total", "")
+	r.GaugeFunc("c_total", "", func() float64 { return 0 })
 }
 
 // TestHistogramBuckets pins bucket assignment and the cumulative
@@ -87,18 +86,15 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	// Buckets: le=0.001 gets {0.0005, 0.001} (bound is inclusive),
 	// le=0.01 adds {0.002}, le=0.1 adds {0.05}, +Inf adds {0.5, 2}.
-	s := h.Snapshot()
+	samples, _, cum := scrape(t, r, "lat_seconds")
 	wantCum := []uint64{2, 3, 4, 6}
 	for i, w := range wantCum {
-		if s.Cum[i] != w {
-			t.Errorf("cum[%d] = %d, want %d", i, s.Cum[i], w)
+		if cum[i] != w {
+			t.Errorf("cum[%d] = %d, want %d", i, cum[i], w)
 		}
 	}
-	if s.Count != 6 {
-		t.Errorf("count = %d, want 6", s.Count)
-	}
-	if math.Abs(s.Sum-2.5535) > 1e-9 {
-		t.Errorf("sum = %g, want 2.5535", s.Sum)
+	if sum := SumSamples(samples, "lat_seconds_sum"); math.Abs(sum-2.5535) > 1e-9 {
+		t.Errorf("sum = %g, want 2.5535", sum)
 	}
 
 	var sb strings.Builder
@@ -125,14 +121,14 @@ func TestHistogramQuantile(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i) * 0.001) // 0.001..0.100, 25 per bucket
 	}
-	s := h.Snapshot()
+	_, bounds, cum := scrape(t, r, "q_seconds")
 	cases := []struct{ q, want float64 }{
 		{0.5, 0.05},     // exactly the 50th sample's bucket edge
 		{0.95, 0.095},   // 95th sample interpolates to 0.095
 		{0.125, 0.0125}, // rank 12.5 of 25 in the first bucket
 	}
 	for _, c := range cases {
-		got := s.Quantile(c.q)
+		got := CumulativeQuantile(bounds, cum, c.q)
 		if math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("q%.3f = %g, want %g", c.q, got, c.want)
 		}
@@ -142,24 +138,40 @@ func TestHistogramQuantile(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		h.Observe(1)
 	}
-	if got := h.Snapshot().Quantile(0.99); got != 0.1 {
+	_, bounds, cum = scrape(t, r, "q_seconds")
+	if got := CumulativeQuantile(bounds, cum, 0.99); got != 0.1 {
 		t.Errorf("quantile in +Inf bucket = %g, want clamp to 0.1", got)
 	}
 	// Empty histograms answer NaN, not garbage.
-	e := r.Histogram("e_seconds", "", nil)
-	if !math.IsNaN(e.Snapshot().Quantile(0.5)) {
+	r.Histogram("e_seconds", "", nil)
+	if _, bounds, cum := scrape(t, r, "e_seconds"); !math.IsNaN(CumulativeQuantile(bounds, cum, 0.5)) {
 		t.Error("empty histogram quantile not NaN")
 	}
 }
 
-// TestRegistryConcurrency hammers counters, gauges, and histograms from
+// scrape renders the registry and reads one histogram back the way a
+// scraper does: parsed samples, finite bounds, cumulative counts.
+func scrape(t *testing.T, r *Registry, name string) (samples []Sample, bounds []float64, cum []uint64) {
+	t.Helper()
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := ParsePrometheus(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds, cum = RebuildHistogram(samples, name)
+	return samples, bounds, cum
+}
+
+// TestRegistryConcurrency hammers counters and histograms from
 // parallel writers while scrapes run — the -race contract for the whole
 // registry: recording is atomic, rendering takes no lock the hot path
 // shares.
 func TestRegistryConcurrency(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("conc_total", "", "outcome", "hit")
-	g := r.Gauge("conc_depth", "")
 	h := r.Histogram("conc_seconds", "", nil)
 	r.GaugeFunc("conc_fn", "", func() float64 { return float64(c.Value()) })
 
@@ -171,7 +183,6 @@ func TestRegistryConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				c.Inc()
-				g.Add(1)
 				h.Observe(float64(i%100) * 0.0001)
 			}
 		}(w)
@@ -194,10 +205,7 @@ func TestRegistryConcurrency(t *testing.T) {
 	if c.Value() != writers*perWriter {
 		t.Errorf("counter = %d, want %d", c.Value(), writers*perWriter)
 	}
-	if g.Value() != writers*perWriter {
-		t.Errorf("gauge = %g, want %d", g.Value(), writers*perWriter)
-	}
-	if s := h.Snapshot(); s.Count != writers*perWriter {
-		t.Errorf("histogram count = %d, want %d", s.Count, writers*perWriter)
+	if _, _, cum := scrape(t, r, "conc_seconds"); cum[len(cum)-1] != writers*perWriter {
+		t.Errorf("histogram count = %d, want %d", cum[len(cum)-1], writers*perWriter)
 	}
 }

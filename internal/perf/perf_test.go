@@ -251,7 +251,7 @@ func TestMeasuredRetryOverheadTracksEq12(t *testing.T) {
 	cfg := switchfab.DefaultChainConfig(link.ProtocolRXL, 1)
 	c := switchfab.NewChain(eng, cfg)
 	rng := phy.NewRNG(12345)
-	for _, w := range c.AllWires() {
+	for _, w := range append(append([]*link.Wire{}, c.Fwd...), c.Bwd...) {
 		w.Channel = phy.NewChannel(2e-5, 0.4, rng.Split())
 	}
 	delivered := 0

@@ -177,16 +177,3 @@ func flip(buf []byte, pos int) {
 		buf[pos/8] ^= 1 << (7 - pos%8)
 	}
 }
-
-// FlitErrorRate returns the observed fraction of corrupted buffers, for
-// cross-checking against the analytic FER of Eq. 1.
-func (ch *Channel) FlitErrorRate(unitBits int) float64 {
-	if ch.BitsSeen == 0 {
-		return 0
-	}
-	units := ch.BitsSeen / uint64(unitBits)
-	if units == 0 {
-		return 0
-	}
-	return float64(ch.UnitsTouched) / float64(units)
-}

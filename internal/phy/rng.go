@@ -68,9 +68,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Byte returns a uniform random byte.
-func (r *RNG) Byte() byte { return byte(r.Uint64()) }
-
 // NonzeroByte returns a uniform random byte in [1, 255].
 func (r *RNG) NonzeroByte() byte { return byte(r.Intn(255) + 1) }
 

@@ -16,7 +16,7 @@ import "math"
 // which is exactly the product of the per-gap ratios of every gap the
 // schedule drew inside the unit, with boundary-straddling residual gaps
 // splitting across units by memorylessness (see TestUnitLogLRTelescopes
-// and DESIGN.md §8 for the derivation). The tilting hook therefore leaves
+// and DESIGN.md §7 for the derivation). The tilting hook therefore leaves
 // Channel — and the whole PR 2 fast path — untouched: NextEvent/Advance/
 // Traverse run at the proposal rate, and the caller folds UnitLogLR over
 // per-unit flip counts.

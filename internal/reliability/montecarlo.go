@@ -121,14 +121,6 @@ func (o FECOutcome) DetectionRate() float64 {
 	return float64(o.Detected) / float64(bad)
 }
 
-// MiscorrectionRate returns Miscorrected / Trials.
-func (o FECOutcome) MiscorrectionRate() float64 {
-	if o.Trials == 0 {
-		return 0
-	}
-	return float64(o.Miscorrected) / float64(o.Trials)
-}
-
 // MeasureFECBurst injects `trials` random contiguous byte bursts of the
 // given length into sealed flits and classifies the FEC decode outcome.
 // Burst positions and symbol values are uniform; length is in bytes

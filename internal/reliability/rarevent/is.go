@@ -67,9 +67,6 @@ type ISFER struct {
 	Proposal float64 // tilted sampling rate; ≥ BER (see AutoProposalFER)
 }
 
-// Name implements Estimator.
-func (e ISFER) Name() string { return "is-fer" }
-
 // Run implements Estimator: `trials` flits through the tilted schedule.
 func (e ISFER) Run(ctx context.Context, trials int, seed uint64) Estimate {
 	if trials <= 0 {
@@ -86,85 +83,6 @@ func (e ISFER) Run(ctx context.Context, trials int, seed uint64) Estimate {
 		est.SumWZ2 += w * w
 	})
 	est.SumW += float64(clean) * math.Exp(phy.UnitLogLR(p, q, UnitBits, 0))
-	est.finalize()
-	return est
-}
-
-// ISPathFER estimates the multi-hop traversal error rate — P(≥1 flipped
-// bit on any of Hops crossings of one shared path schedule) — at BER by
-// importance sampling at Proposal. It is the deep-tail counterpart of
-// reliability.MeasureFERPathSchedule: one trial is a whole traversal of
-// span = Hops×UnitBits tilted bits, whole clean traversals are
-// epoch-skipped in bulk with their constant weight folded in closed form,
-// and a struck traversal jumps straight between its event crossings with
-// the same clean-epoch arithmetic, drawing RNG only where the schedule
-// actually fires. The Analytic field carries Eq. 1 over the whole span at
-// the true BER.
-type ISPathFER struct {
-	BER      float64 // true bit error rate (the quantity's operating point)
-	Proposal float64 // tilted sampling rate; ≥ BER (see AutoProposalFER)
-	Hops     int     // crossings per traversal
-}
-
-// Name implements Estimator.
-func (e ISPathFER) Name() string { return "is-pathfer" }
-
-// Run implements Estimator: `trials` traversals through the tilted
-// schedule.
-func (e ISPathFER) Run(ctx context.Context, trials int, seed uint64) Estimate {
-	if trials <= 0 {
-		panic("rarevent: ISPathFER needs at least one trial")
-	}
-	if e.Hops <= 0 {
-		panic("rarevent: ISPathFER needs positive hops")
-	}
-	p, q := e.BER, e.Proposal
-	hops := e.Hops
-	span := hops * UnitBits
-	ch := phy.TiltedChannel(p, q, phy.NewRNG(seed))
-	est := Estimate{
-		Trials:   trials,
-		Analytic: -math.Expm1(float64(span) * math.Log1p(-p)),
-	}
-	cleanTraversals := 0
-	for i, steps := 0, 0; i < trials; steps++ {
-		if steps&cancelCheckMask == 0 && ctx.Err() != nil {
-			break
-		}
-		if n := ch.NextEvent() / span; n > 0 {
-			if n > trials-i {
-				n = trials - i
-			}
-			ch.Advance(n * span)
-			cleanTraversals += n
-			i += n
-			continue
-		}
-		// Struck traversal: clean epochs between its event crossings are
-		// advanced arithmetically; only event crossings touch the RNG.
-		flips := 0
-		for h := 0; h < hops; {
-			if k := ch.NextEvent() / UnitBits; k > 0 {
-				if k > hops-h {
-					k = hops - h
-				}
-				ch.Advance(k * UnitBits)
-				h += k
-				continue
-			}
-			flips += ch.Traverse(UnitBits)
-			h++
-		}
-		w := math.Exp(phy.UnitLogLR(p, q, span, flips))
-		est.SumW += w
-		if flips > 0 {
-			est.Hits++
-			est.SumWZ += w
-			est.SumWZ2 += w * w
-		}
-		i++
-	}
-	est.SumW += float64(cleanTraversals) * math.Exp(phy.UnitLogLR(p, q, span, 0))
 	est.finalize()
 	return est
 }
@@ -227,9 +145,6 @@ type ISUncorrectable struct {
 	Proposal float64 // see AutoProposalUC
 }
 
-// Name implements Estimator.
-func (e ISUncorrectable) Name() string { return "is-feruc" }
-
 // Run implements Estimator.
 func (e ISUncorrectable) Run(ctx context.Context, trials int, seed uint64) Estimate {
 	if trials <= 0 {
@@ -261,9 +176,6 @@ type ISUndetected struct {
 	// the 64-bit CRC's 2^-64.
 	CRCEscape float64
 }
-
-// Name implements Estimator.
-func (e ISUndetected) Name() string { return "is-ferud" }
 
 // Run implements Estimator.
 func (e ISUndetected) Run(ctx context.Context, trials int, seed uint64) Estimate {

@@ -123,8 +123,6 @@ func (e *Estimate) finalize() {
 // discard the value when it is non-nil. An uncancelled context never
 // changes a single draw, keeping determinism intact.
 type Estimator interface {
-	// Name identifies the estimator in reports and errors.
-	Name() string
 	// Run consumes `trials` flit trajectories seeded from `seed`,
 	// returning early (with a partial, to-be-discarded estimate) if ctx
 	// is cancelled.

@@ -92,7 +92,7 @@ func TestISEstimatorsDeterministic(t *testing.T) {
 		a := e.Run(bg, 20000, 77)
 		b := e.Run(bg, 20000, 77)
 		if a != b {
-			t.Fatalf("%s: reruns diverge:\n%+v\n%+v", e.Name(), a, b)
+			t.Fatalf("%T: reruns diverge:\n%+v\n%+v", e, a, b)
 		}
 	}
 }
@@ -235,49 +235,4 @@ func TestEstimatorValidation(t *testing.T) {
 	mustPanic("Splitting zero budget", func() { Splitting{BER: 1e-5}.Run(bg, 0, 1) })
 	mustPanic("Splitting bad level", func() { Splitting{BER: 1e-5, Level: 99}.Run(bg, 100, 1) })
 	mustPanic("Splitting bad BER", func() { Splitting{BER: 0}.Run(bg, 100, 1) })
-}
-
-// TestISPathFERMatchesAnalyticDeepTail: the multi-hop IS estimator lands
-// within 3σ of Eq. 1 over the whole Hops×UnitBits span at BERs where
-// naive path Monte-Carlo would need hundreds of millions of traversals
-// per event.
-func TestISPathFERMatchesAnalyticDeepTail(t *testing.T) {
-	for _, hops := range []int{3, 7} {
-		for _, ber := range []float64{1e-9, 1e-10} {
-			e := ISPathFER{BER: ber, Proposal: AutoProposalFER(ber), Hops: hops}
-			est := e.Run(bg, 400000, 1)
-			if est.Value <= 0 {
-				t.Fatalf("hops=%d BER %g: zero estimate %+v", hops, ber, est)
-			}
-			if est.RelErr > 0.05 {
-				t.Fatalf("hops=%d BER %g: relative error %.3f too loose", hops, ber, est.RelErr)
-			}
-			if s := est.Sigma(est.Analytic); s > 3 {
-				t.Fatalf("hops=%d BER %g: estimate %.4g vs analytic %.4g is %.1fσ off", hops, ber, est.Value, est.Analytic, s)
-			}
-		}
-	}
-}
-
-// TestISPathFEROneHopReducesToISFER: a 1-hop path traversal is a single
-// flit crossing, so ISPathFER{Hops: 1} must reproduce ISFER exactly —
-// same stream, same weights, same estimate.
-func TestISPathFEROneHopReducesToISFER(t *testing.T) {
-	const ber = 1e-9
-	q := AutoProposalFER(ber)
-	single := ISFER{BER: ber, Proposal: q}.Run(bg, 200000, 5)
-	path := ISPathFER{BER: ber, Proposal: q, Hops: 1}.Run(bg, 200000, 5)
-	if single.Value != path.Value || single.Hits != path.Hits || single.SumW != path.SumW {
-		t.Fatalf("1-hop path estimate diverges from ISFER:\nis    %+v\npath  %+v", single, path)
-	}
-}
-
-// TestISPathFERWeightsSumToOne: the importance weights are a proper
-// likelihood ratio over the span — their mean must be 1 within noise.
-func TestISPathFERWeightsSumToOne(t *testing.T) {
-	e := ISPathFER{BER: 1e-9, Proposal: AutoProposalFER(1e-9), Hops: 5}
-	est := e.Run(bg, 300000, 9)
-	if math.Abs(est.MeanWeight-1) > 0.02 {
-		t.Fatalf("mean weight %.4f, want ≈1", est.MeanWeight)
-	}
 }

@@ -52,9 +52,6 @@ type Splitting struct {
 	PilotEffort int
 }
 
-// Name implements Estimator.
-func (s Splitting) Name() string { return "split-symtail" }
-
 // entry is a trajectory state crossing a level: the bit position of the
 // error that completed the level and the distinct symbols hit so far.
 type entry struct {

@@ -1,10 +1,6 @@
 package rs
 
-import (
-	"fmt"
-
-	"repro/internal/gf256"
-)
+import "fmt"
 
 // Interleaved is a byte-interleaved bank of identical-strength shortened RS
 // codes. CXL 3.0's flit FEC is Interleaved{total: 250, ways: 3, nparity: 2}:
@@ -77,39 +73,11 @@ func MustNewInterleaved(total, ways, nparity int) *Interleaved {
 	return il
 }
 
-// Clone returns an independent Interleaved with its own scratch buffers,
-// sharing the immutable code definitions.
-func (il *Interleaved) Clone() *Interleaved {
-	c := &Interleaved{
-		total: il.total, ways: il.ways, nparity: il.nparity, codes: il.codes,
-		parityWay: il.parityWay, parityIdx: il.parityIdx,
-	}
-	for w := 0; w < il.ways; w++ {
-		c.deint = append(c.deint, make([]byte, il.codes[w].DataLen()))
-		c.parity = append(c.parity, make([]byte, il.nparity))
-	}
-	c.synd = make([]byte, il.nparity)
-	return c
-}
-
 // DataLen returns the number of protected data bytes.
 func (il *Interleaved) DataLen() int { return il.total }
 
 // ParityLen returns the total number of parity bytes on the wire.
 func (il *Interleaved) ParityLen() int { return il.ways * il.nparity }
-
-// Ways returns the interleaving factor.
-func (il *Interleaved) Ways() int { return il.ways }
-
-// SubBlockLens returns the shortened codeword length of each way, e.g.
-// [86 85 85] for the CXL flit FEC.
-func (il *Interleaved) SubBlockLens() []int {
-	out := make([]int, il.ways)
-	for w, c := range il.codes {
-		out[w] = c.CodewordLen()
-	}
-	return out
-}
 
 func (il *Interleaved) deinterleave(data []byte) {
 	for w := range il.deint {
@@ -204,11 +172,4 @@ func (il *Interleaved) verify(data, parity []byte, way func(c *Code, data, parit
 		}
 	}
 	return true
-}
-
-// VacantFraction returns the fraction of the mother-code position space that
-// is vacant for way w — the source of the shortened code's detection power
-// (~170/255 = 2/3 for the CXL sub-blocks).
-func (il *Interleaved) VacantFraction(w int) float64 {
-	return float64(gf256.Order-il.codes[w].CodewordLen()) / float64(gf256.Order)
 }

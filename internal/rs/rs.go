@@ -106,9 +106,6 @@ func (c *Code) DataLen() int { return c.k }
 // ParityLen returns the number of parity symbols per codeword.
 func (c *Code) ParityLen() int { return c.nparity }
 
-// CodewordLen returns the shortened codeword length k+nparity.
-func (c *Code) CodewordLen() int { return c.n }
-
 // T returns the symbol-error correction capability nparity/2.
 func (c *Code) T() int { return c.nparity / 2 }
 

@@ -27,8 +27,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.DataLen() != 83 || c.ParityLen() != 2 || c.CodewordLen() != 85 || c.T() != 1 {
-		t.Errorf("geometry wrong: %d/%d/%d t=%d", c.DataLen(), c.ParityLen(), c.CodewordLen(), c.T())
+	if c.DataLen() != 83 || c.ParityLen() != 2 || c.n != 85 || c.T() != 1 {
+		t.Errorf("geometry wrong: %d/%d/%d t=%d", c.DataLen(), c.ParityLen(), c.n, c.T())
 	}
 }
 
@@ -205,7 +205,7 @@ func TestBMDecoderCorrectsUpToT(t *testing.T) {
 				c.Encode(data, parity)
 				orig := append([]byte(nil), data...)
 				origP := append([]byte(nil), parity...)
-				positions := rng.Perm(c.CodewordLen())[:nerr]
+				positions := rng.Perm(c.n)[:nerr]
 				for _, p := range positions {
 					mag := byte(rng.Intn(255) + 1)
 					if p < cfg.k {
@@ -314,7 +314,7 @@ func BenchmarkDecodeSSCOneError(b *testing.B) {
 }
 
 // Ablation: generic BM decoder on the same single-error workload, to justify
-// the dedicated SSC fast path (DESIGN.md section 5).
+// the dedicated SSC fast path (DESIGN.md §3).
 func BenchmarkDecodeBMOneErrorT2(b *testing.B) {
 	c := MustNew(83, 4)
 	data := make([]byte, 83)

@@ -38,8 +38,7 @@ func comparisonSpec() JobSpec {
 // byte-identical results to executing the normalized spec directly —
 // the serving contract extended to the new kind.
 func TestComparisonJobMatchesDirect(t *testing.T) {
-	srv := MustNew(Config{ShardBudget: 2})
-	defer srv.Close()
+	srv := newTestServer(t, Config{ShardBudget: 2})
 	c := NewInProcessClient(srv)
 
 	res, err := c.Run(context.Background(), comparisonSpec())
@@ -103,8 +102,7 @@ func TestComparisonNormalizeScrubsIgnoredFields(t *testing.T) {
 // submissions are independent samples, not byte-identical copies filed
 // under different cache keys.
 func TestComparisonSeedVariesResults(t *testing.T) {
-	srv := MustNew(Config{ShardBudget: 2})
-	defer srv.Close()
+	srv := newTestServer(t, Config{ShardBudget: 2})
 	c := NewInProcessClient(srv)
 
 	run := func(seed uint64) string {
@@ -130,8 +128,7 @@ func TestComparisonSeedVariesResults(t *testing.T) {
 // TestRareSelfCheckJobServes: the self-check kind runs end-to-end and
 // returns parsable check points within the advertised sigma budget.
 func TestRareSelfCheckJobServes(t *testing.T) {
-	srv := MustNew(Config{ShardBudget: 2})
-	defer srv.Close()
+	srv := newTestServer(t, Config{ShardBudget: 2})
 	c := NewInProcessClient(srv)
 
 	spec := JobSpec{
@@ -180,8 +177,7 @@ func TestNewKindsValidation(t *testing.T) {
 // content address), and a repeat fetch presenting it via If-None-Match is
 // answered 304 with no body — over the real HTTP stack.
 func TestETagNotModified(t *testing.T) {
-	srv := MustNew(Config{ShardBudget: 2})
-	defer srv.Close()
+	srv := newTestServer(t, Config{ShardBudget: 2})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := NewClient(ts.URL)
@@ -304,5 +300,34 @@ func TestLegacyKindKeysUnchanged(t *testing.T) {
 	}
 	if got, want := norm.Key(), keyOfBytes(b); got != want {
 		t.Fatalf("legacy sweep key changed: %s != %s", got, want)
+	}
+}
+
+// TestInvalidLinkConfigRejectedNotFatal: a LinkConfig the link layer
+// cannot run — a replay window past the 10-bit sequence space, selective
+// repeat on RXL — is a 400 at submission, and the daemon that refused it
+// serves the next request. Before core.Config.Validate looked inside
+// LinkConfig these specs were queued and link.NewPeer panicked in a
+// runner goroutine, taking the process down.
+func TestInvalidLinkConfigRejectedNotFatal(t *testing.T) {
+	srv := newTestServer(t, Config{ShardBudget: 2})
+	for _, name := range []string{"bad-replay-window-600", "bad-rxl-selective-repeat"} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(corpusBody(t, name))))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d, want 400: %s", name, rec.Code, rec.Body)
+		}
+	}
+	var valid JobSpec
+	if err := json.Unmarshal(corpusBody(t, "valid-grid"), &valid); err != nil {
+		t.Fatal(err)
+	}
+	res, err := NewInProcessClient(srv).Run(context.Background(), valid)
+	if err != nil {
+		t.Fatalf("valid spec after the rejections: %v", err)
+	}
+	var cells []core.Result
+	if err := json.Unmarshal(res, &cells); err != nil || len(cells) != len(core.Protocols) {
+		t.Fatalf("valid grid returned %d cells (%v), want one per protocol", len(cells), err)
 	}
 }

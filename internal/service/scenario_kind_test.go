@@ -41,8 +41,7 @@ func scenarioSpec() JobSpec {
 // a resubmission is a cache hit serving the same bytes — the serving
 // contract extended to the scenario kind.
 func TestScenarioJobMatchesDirect(t *testing.T) {
-	srv := MustNew(Config{ShardBudget: 2})
-	defer srv.Close()
+	srv := newTestServer(t, Config{ShardBudget: 2})
 	c := NewInProcessClient(srv)
 
 	res, err := c.Run(context.Background(), scenarioSpec())

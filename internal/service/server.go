@@ -157,15 +157,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// MustNew is New panicking on error, for examples and tests.
-func MustNew(cfg Config) *Server {
-	s, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // ServeHTTP implements http.Handler: the /v1 mux behind the tracer's
 // request-ID middleware, so every handler records spans under the ID the
 // client sent (or was issued).

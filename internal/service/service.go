@@ -54,7 +54,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/reliability"
 )
 
 // Job kinds accepted by POST /v1/jobs.
@@ -133,7 +132,7 @@ type RareSelfCheckSpec struct {
 // key: they can change when a job runs and with how many workers, but —
 // by the runner's determinism invariant — never what it computes.
 type JobSpec struct {
-	// Kind selects the engine: "grid", "sweep", or "rare".
+	// Kind selects the engine: one of the Kind… constants.
 	Kind string `json:"kind"`
 	// Seed is the runner pool's base seed; every shard seed derives from
 	// it, so (spec, seed) fully determines the result bytes.
@@ -170,151 +169,27 @@ type JobSpec struct {
 // order, axes left to default expansion, shard counts left to the default
 // — normalize to identical values.
 func (s JobSpec) Normalize() (JobSpec, error) {
-	n := 0
-	if s.Grid != nil {
-		n++
+	set := 0
+	for i := range kinds {
+		if kinds[i].present(s) {
+			set++
+		}
 	}
-	if s.Sweep != nil {
-		n++
+	if set != 1 {
+		return s, fmt.Errorf("service: spec needs exactly one of %s, got %d",
+			kindList(func(k *kind) string { return k.payload }, "/"), set)
 	}
-	if s.Rare != nil {
-		n++
+	k := kindOf(s.Kind)
+	if k == nil {
+		return s, fmt.Errorf("service: unknown job kind %q (want one of %s)",
+			s.Kind, kindList(func(k *kind) string { return k.name }, ", "))
 	}
-	if s.Comparison != nil {
-		n++
+	if !k.present(s) {
+		return s, fmt.Errorf("service: kind %q needs a %s payload", s.Kind, k.payload)
 	}
-	if s.RareSelfCheck != nil {
-		n++
-	}
-	if s.Scenario != nil {
-		n++
-	}
-	if n != 1 {
-		return s, fmt.Errorf("service: spec needs exactly one of grid/sweep/rare/comparison/rare_selfcheck/scenario, got %d", n)
-	}
-	switch s.Kind {
-	case KindGrid:
-		if s.Grid == nil {
-			return s, fmt.Errorf("service: kind %q needs a grid payload", s.Kind)
-		}
-		if s.Grid.N <= 0 {
-			return s, fmt.Errorf("service: grid needs N > 0 payloads per cell")
-		}
-		if err := s.Grid.Base.Validate(); err != nil {
-			return s, err
-		}
-		g := s.Grid.Normalized()
-		for _, cfg := range g.Configs() {
-			if err := cfg.Validate(); err != nil {
-				return s, err
-			}
-		}
-		s.Grid = &g
-	case KindSweep:
-		if s.Sweep == nil {
-			return s, fmt.Errorf("service: kind %q needs a sweep payload", s.Kind)
-		}
-		sw := *s.Sweep
-		if len(sw.BERs) == 0 {
-			return s, fmt.Errorf("service: sweep needs at least one BER")
-		}
-		for _, ber := range sw.BERs {
-			if ber <= 0 || ber >= 1 {
-				return s, fmt.Errorf("service: sweep BER %g out of (0,1)", ber)
-			}
-		}
-		if sw.FlitsPerPoint <= 0 {
-			return s, fmt.Errorf("service: sweep needs flits_per_point > 0")
-		}
-		if sw.Shards <= 0 {
-			sw.Shards = reliability.DefaultShards
-		}
-		s.Sweep = &sw
-	case KindRare:
-		if s.Rare == nil {
-			return s, fmt.Errorf("service: kind %q needs a rare payload", s.Kind)
-		}
-		r := *s.Rare
-		if len(r.BERs) == 0 {
-			return s, fmt.Errorf("service: rare needs at least one BER")
-		}
-		for _, ber := range r.BERs {
-			if ber <= 0 || ber >= 1 {
-				return s, fmt.Errorf("service: rare BER %g out of (0,1)", ber)
-			}
-		}
-		if r.MaxTrials <= 0 {
-			r.MaxTrials = 1 << 22
-		}
-		if r.RelErr < 0 {
-			r.RelErr = 0
-		}
-		if r.Shards <= 0 {
-			r.Shards = reliability.DefaultShards
-		}
-		s.Rare = &r
-	case KindComparison:
-		if s.Comparison == nil {
-			return s, fmt.Errorf("service: kind %q needs a comparison payload", s.Kind)
-		}
-		c := *s.Comparison
-		if c.N <= 0 {
-			return s, fmt.Errorf("service: comparison needs n > 0 payloads")
-		}
-		// Protocol and LinkConfig are overridden per variant by the
-		// comparison engine; normalize them away so two specs that differ
-		// only in ignored fields share one cache entry.
-		c.Base.Protocol = 0
-		c.Base.LinkConfig = nil
-		if err := c.Base.Validate(); err != nil {
-			return s, err
-		}
-		s.Comparison = &c
-	case KindRareSelfCheck:
-		if s.RareSelfCheck == nil {
-			return s, fmt.Errorf("service: kind %q needs a rare_selfcheck payload", s.Kind)
-		}
-		r := *s.RareSelfCheck
-		if len(r.BERs) == 0 {
-			return s, fmt.Errorf("service: rare_selfcheck needs at least one BER")
-		}
-		for _, ber := range r.BERs {
-			if ber <= 0 || ber >= 1 {
-				return s, fmt.Errorf("service: rare_selfcheck BER %g out of (0,1)", ber)
-			}
-		}
-		if r.Flits <= 0 {
-			r.Flits = 1 << 21
-		}
-		if r.Shards <= 0 {
-			r.Shards = reliability.DefaultShards
-		}
-		s.RareSelfCheck = &r
-	case KindScenario:
-		if s.Scenario == nil {
-			return s, fmt.Errorf("service: kind %q needs a scenario payload", s.Kind)
-		}
-		if err := s.Scenario.Base.Validate(); err != nil {
-			return s, err
-		}
-		sg, err := s.Scenario.Normalized()
-		if err != nil {
-			return s, err
-		}
-		// Reject grids with no runnable cells at submission, like an
-		// invalid axis — and validate every cell configuration.
-		cells, err := sg.Cells()
-		if err != nil {
-			return s, err
-		}
-		for _, c := range cells {
-			if err := c.Cfg.Validate(); err != nil {
-				return s, err
-			}
-		}
-		s.Scenario = &sg
-	default:
-		return s, fmt.Errorf("service: unknown job kind %q (want grid, sweep, rare, comparison, rare-selfcheck, or scenario)", s.Kind)
+	s, err := k.normalize(s)
+	if err != nil {
+		return s, err
 	}
 	if s.Workers < 0 {
 		s.Workers = 0

@@ -285,7 +285,8 @@ type Pipe struct {
 	Engine             *Engine
 	SerializationDelay Time
 	PropagationDelay   Time
-	// Sink receives each payload at its arrival time.
+	// Sink receives each payload at its arrival time. A send binds the
+	// Sink it sees, so set it before the first one.
 	Sink func(payload interface{})
 
 	busyUntil Time
@@ -301,12 +302,6 @@ type Pipe struct {
 	// depth is the waiting time ahead of the claim divided by the
 	// serialization delay, rounded up, plus one.
 	QueuePeak uint64
-
-	inFlight int
-	// dispatchFn is the stable bound method delivering event-carried
-	// payloads (built lazily, one allocation per pipe) so every SendAt can
-	// decrement the in-flight count without a per-send closure.
-	dispatchFn func(interface{})
 }
 
 // Send enqueues payload for transmission. It returns the time at which the
@@ -348,36 +343,19 @@ func (p *Pipe) claim(earliest Time) Time {
 // `earliest` and Sending then, without paying that event.
 func (p *Pipe) SendAt(payload interface{}, earliest Time) Time {
 	end := p.claim(earliest)
-	p.inFlight++
-	if p.dispatchFn == nil {
-		p.dispatchFn = p.dispatch
-	}
-	p.Engine.AtArg(end+p.PropagationDelay, p.dispatchFn, payload)
+	p.Engine.AtArg(end+p.PropagationDelay, p.Sink, payload)
 	return end
-}
-
-func (p *Pipe) dispatch(payload interface{}) {
-	p.inFlight--
-	p.Sink(payload)
 }
 
 // Reserve claims the wire for one payload without carrying it through an
 // event: identical occupancy accounting to SendAt (busy window, BusyTime,
-// Sent, QueuePeak) but no delivery is scheduled and the payload never
-// counts as in flight. It returns the arrival time a SendAt at `earliest`
-// would have delivered at — the primitive behind express traversal, where
-// a whole route's wires are claimed up front and only the final arrival
-// becomes an engine event.
+// Sent, QueuePeak) but no delivery is scheduled. It returns the arrival
+// time a SendAt at `earliest` would have delivered at — the primitive
+// behind express traversal, where a whole route's wires are claimed up
+// front and only the final arrival becomes an engine event.
 func (p *Pipe) Reserve(earliest Time) (arrival Time) {
 	return p.claim(earliest) + p.PropagationDelay
 }
-
-// InFlight returns the number of payloads sent but not yet delivered to
-// the sink. Reservations are not counted: an express claim is timing-only,
-// while an in-flight payload is one whose downstream fate (forward, drop,
-// fall back) is still undecided — the distinction express eligibility is
-// built on.
-func (p *Pipe) InFlight() int { return p.inFlight }
 
 // FreeAt returns the earliest time a new Send would start serializing.
 func (p *Pipe) FreeAt() Time {

@@ -490,30 +490,6 @@ func TestPipeReserveHonorsEarliest(t *testing.T) {
 	}
 }
 
-// TestPipeInFlight: InFlight counts payloads sent but not yet delivered;
-// reservations never count (an express flit is not on this wire's event
-// queue — that is the point of reserving).
-func TestPipeInFlight(t *testing.T) {
-	e := NewEngine()
-	p := &Pipe{Engine: e, SerializationDelay: 2, PropagationDelay: 10, Sink: func(interface{}) {}}
-	if p.InFlight() != 0 {
-		t.Fatalf("idle InFlight %d", p.InFlight())
-	}
-	p.SendAt(1, 0)
-	p.Reserve(0)
-	if p.InFlight() != 1 {
-		t.Fatalf("InFlight %d after one send + one reserve, want 1", p.InFlight())
-	}
-	p.SendAt(2, 0)
-	if p.InFlight() != 2 {
-		t.Fatalf("InFlight %d after two sends, want 2", p.InFlight())
-	}
-	e.Run()
-	if p.InFlight() != 0 {
-		t.Fatalf("InFlight %d after drain, want 0", p.InFlight())
-	}
-}
-
 // TestPipeQueuePeak: QueuePeak records the deepest serialization backlog
 // (claiming flit included) and never decays as the queue drains.
 func TestPipeQueuePeak(t *testing.T) {

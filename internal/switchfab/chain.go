@@ -3,7 +3,6 @@ package switchfab
 import (
 	"fmt"
 
-	"repro/internal/flit"
 	"repro/internal/link"
 	"repro/internal/sim"
 )
@@ -47,9 +46,9 @@ func DefaultChainConfig(proto link.Protocol, levels int) ChainConfig {
 	}
 }
 
-// switchMode maps the link protocol to the switch stack variant: RXL
+// ModeFor maps the link protocol to the switch stack variant: RXL
 // switches pass the CRC through; everything else terminates it per hop.
-func switchMode(p link.Protocol) Mode {
+func ModeFor(p link.Protocol) Mode {
 	if p == link.ProtocolRXL {
 		return ModeRXL
 	}
@@ -65,7 +64,7 @@ func NewChain(eng *sim.Engine, cfg ChainConfig) *Chain {
 	c := &Chain{}
 	c.A = link.NewPeer("A", eng, cfg.LinkCfg)
 	c.B = link.NewPeer("B", eng, cfg.LinkCfg)
-	mode := switchMode(cfg.LinkCfg.Protocol)
+	mode := ModeFor(cfg.LinkCfg.Protocol)
 
 	for i := 0; i < cfg.Levels; i++ {
 		c.Switches = append(c.Switches,
@@ -101,14 +100,6 @@ func buildPath(eng *sim.Engine, cfg ChainConfig, switches []*Switch, dst *link.P
 	return wires
 }
 
-// AllWires returns every wire in both directions, for bulk channel
-// attachment.
-func (c *Chain) AllWires() []*link.Wire {
-	out := make([]*link.Wire, 0, len(c.Fwd)+len(c.Bwd))
-	out = append(out, c.Fwd...)
-	return append(out, c.Bwd...)
-}
-
 // TotalSwitchStats sums the stats across all switches.
 func (c *Chain) TotalSwitchStats() Stats {
 	var t Stats
@@ -116,45 +107,4 @@ func (c *Chain) TotalSwitchStats() Stats {
 		t.add(s.Stats)
 	}
 	return t
-}
-
-// Crossbar is a multi-port switch routing flits by the destination tag at
-// flit.RouteOffset in the payload. It shares the Switch ingress/egress pipeline
-// (FEC termination, per-mode CRC handling, internal fault injection).
-type Crossbar struct {
-	*Switch
-	routes map[byte]*link.Wire
-}
-
-// NewCrossbar constructs a crossbar switch.
-func NewCrossbar(name string, eng *sim.Engine, mode Mode, latency sim.Time) *Crossbar {
-	return &Crossbar{
-		Switch: NewSwitch(name, eng, mode, latency, nil),
-		routes: make(map[byte]*link.Wire),
-	}
-}
-
-// SetRoute installs the egress wire for a destination tag.
-func (x *Crossbar) SetRoute(dest byte, egress *link.Wire) { x.routes[dest] = egress }
-
-// Ingress returns the deliver function for an ingress wire: process, then
-// route by the (possibly corrupted) destination tag. Unknown destinations
-// are dropped silently — a misrouted flit simply vanishes, exactly the
-// hazard the paper cites for forwarding erroneous flits. The crossbar
-// latency is folded into the egress wire claim (Switch.Pipeline has the
-// reasoning).
-func (x *Crossbar) Ingress() func(*flit.Flit) {
-	return func(f *flit.Flit) {
-		if !x.process(f) {
-			flit.Release(f)
-			return
-		}
-		egress, ok := x.routes[f.Payload()[flit.RouteOffset]]
-		if !ok {
-			x.Stats.DroppedNoRoute++
-			flit.Release(f)
-			return
-		}
-		x.forward(f, egress)
-	}
 }

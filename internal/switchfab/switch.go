@@ -56,7 +56,7 @@ type Stats struct {
 	DeliveredLocal       uint64 // mesh routers: flits handed to the attached node
 	DroppedUncorrectable uint64 // FEC-detected, silently discarded
 	DroppedCRC           uint64 // ModeCXL only: link CRC failures discarded
-	DroppedNoRoute       uint64 // crossbar: unknown destination
+	DroppedNoRoute       uint64 // mesh routers: destination outside the mesh
 	CorrectedFlits       uint64
 	CorrectedSymbols     uint64
 	InternalCorruptions  uint64 // injected internal faults

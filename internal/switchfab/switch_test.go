@@ -239,7 +239,7 @@ func TestChainUnderBERRXLExactlyOnce(t *testing.T) {
 	eng := sim.NewEngine()
 	c := NewChain(eng, DefaultChainConfig(link.ProtocolRXL, 2))
 	rng := phy.NewRNG(99)
-	for _, w := range c.AllWires() {
+	for _, w := range append(append([]*link.Wire{}, c.Fwd...), c.Bwd...) {
 		w.Channel = phy.NewChannel(1e-5, 0.4, rng.Split())
 	}
 	var got []uint64
@@ -261,7 +261,7 @@ func TestChainUnderBERNoPiggybackExactlyOnce(t *testing.T) {
 	cfg := DefaultChainConfig(link.ProtocolCXLNoPiggyback, 1)
 	c := NewChain(eng, cfg)
 	rng := phy.NewRNG(5)
-	for _, w := range c.AllWires() {
+	for _, w := range append(append([]*link.Wire{}, c.Fwd...), c.Bwd...) {
 		w.Channel = phy.NewChannel(1e-5, 0.4, rng.Split())
 	}
 	var got []uint64
@@ -272,92 +272,6 @@ func TestChainUnderBERNoPiggybackExactlyOnce(t *testing.T) {
 	}
 	eng.Run()
 	wantInOrder(t, got, n)
-}
-
-func TestCrossbarStar(t *testing.T) {
-	// Host <-> crossbar <-> 3 devices, RXL. Each device exchanges tagged
-	// streams with the host through its own link-layer peer pair.
-	eng := sim.NewEngine()
-	x := NewCrossbar("X", eng, ModeRXL, 5*sim.Nanosecond)
-
-	const ndev = 3
-	const hostTag = 0
-
-	mkCfg := func(src, dst byte) link.Config {
-		c := link.DefaultConfig(link.ProtocolRXL)
-		c.StampRoute = true
-		c.SrcTag = src
-		c.RouteTag = dst
-		return c
-	}
-
-	// Host side: one peer per device, demuxed by source tag.
-	hostPeers := make(map[byte]*link.Peer)
-	devPeers := make(map[byte]*link.Peer)
-	gotAtHost := make(map[byte][]uint64)
-	gotAtDev := make(map[byte][]uint64)
-
-	// Host->crossbar wire is shared by all host peers (one physical link).
-	hostToX := link.NewWire(eng, sim.FlitTime, 10*sim.Nanosecond, x.Ingress())
-	// Crossbar->host wire demuxes by source tag.
-	xToHost := link.NewWire(eng, sim.FlitTime, 10*sim.Nanosecond, func(f *flit.Flit) {
-		src := f.Payload()[flit.SrcRouteOffset]
-		if p, ok := hostPeers[src]; ok {
-			p.Receive(f)
-		}
-	})
-	x.SetRoute(hostTag, xToHost)
-
-	for d := byte(1); d <= ndev; d++ {
-		d := d
-		hp := link.NewPeer("host-"+string('0'+d), eng, mkCfg(hostTag, d))
-		hp.Attach(hostToX)
-		hp.Deliver = func(p []byte) {
-			gotAtHost[d] = append(gotAtHost[d], binary.BigEndian.Uint64(p))
-		}
-		hostPeers[d] = hp
-
-		dp := link.NewPeer("dev-"+string('0'+d), eng, mkCfg(d, hostTag))
-		xToDev := link.NewWire(eng, sim.FlitTime, 10*sim.Nanosecond, dp.Receive)
-		devToX := link.NewWire(eng, sim.FlitTime, 10*sim.Nanosecond, x.Ingress())
-		dp.Attach(devToX)
-		dp.Deliver = func(p []byte) {
-			gotAtDev[d] = append(gotAtDev[d], binary.BigEndian.Uint64(p))
-		}
-		x.SetRoute(d, xToDev)
-		devPeers[d] = dp
-	}
-
-	const n = 100
-	for i := uint64(0); i < n; i++ {
-		for d := byte(1); d <= ndev; d++ {
-			hostPeers[d].Submit(tagged(i))
-			devPeers[d].Submit(tagged(i))
-		}
-	}
-	eng.Run()
-
-	for d := byte(1); d <= ndev; d++ {
-		wantInOrder(t, gotAtDev[d], n)
-		wantInOrder(t, gotAtHost[d], n)
-	}
-	if x.Stats.DroppedNoRoute != 0 {
-		t.Errorf("crossbar dropped %d flits for missing routes", x.Stats.DroppedNoRoute)
-	}
-}
-
-func TestCrossbarDropsUnknownDest(t *testing.T) {
-	eng := sim.NewEngine()
-	x := NewCrossbar("X", eng, ModeRXL, 0)
-	in := link.NewWire(eng, sim.FlitTime, 0, x.Ingress())
-	f := &flit.Flit{}
-	f.Payload()[flit.RouteOffset] = 42 // no such route
-	f.SealRXL(0, flit.NewFEC())
-	in.Send(f)
-	eng.Run()
-	if x.Stats.DroppedNoRoute != 1 {
-		t.Fatalf("DroppedNoRoute = %d", x.Stats.DroppedNoRoute)
-	}
 }
 
 func TestNegativeLevelsPanics(t *testing.T) {

@@ -1,14 +1,7 @@
-// Package trace generates the synthetic workloads that drive the
-// simulation experiments: streams of tagged payloads and transaction
-// messages with controllable arrival processes.
-//
-// The paper motivates its reliability analysis with AI training traffic —
-// cache-line-granularity exchanges between thousands of processors. No
-// public flit-level traces of such systems exist, so this package supplies
-// the standard synthetic stand-ins used by interconnect studies: open-loop
-// uniform injection, bursty on/off sources, request/response echo loops,
-// and sequential memory streams. Every generator is seeded and
-// deterministic, so experiments are exactly reproducible.
+// Package trace holds the tagged-payload conventions the simulation
+// experiments share — a sequential tag in a payload's first eight bytes and
+// a Checker validating exactly-once in-order delivery against it — and the
+// replay-trace parser behind the trace-driven workload (replay.go).
 package trace
 
 import (
@@ -16,28 +9,7 @@ import (
 	"fmt"
 
 	"repro/internal/flit"
-	"repro/internal/phy"
-	"repro/internal/sim"
 )
-
-// Item is one generated unit of offered load.
-type Item struct {
-	// At is the injection time.
-	At sim.Time
-	// Payload is the flit payload image (at most flit.PayloadSize bytes).
-	Payload []byte
-	// Tag is the sequential identity embedded in the payload, used by
-	// delivery checkers.
-	Tag uint64
-}
-
-// Generator produces a finite schedule of offered load.
-type Generator interface {
-	// Generate returns the injection schedule, sorted by time.
-	Generate() []Item
-	// Name identifies the workload in reports.
-	Name() string
-}
 
 // TagPayload builds a payload carrying tag in its first eight bytes,
 // padding to size bytes (minimum 8).
@@ -56,160 +28,6 @@ func TagPayload(tag uint64, size int) []byte {
 // TagOf recovers the tag from a delivered payload.
 func TagOf(payload []byte) uint64 {
 	return binary.BigEndian.Uint64(payload)
-}
-
-// Uniform is an open-loop source injecting one payload every Interval,
-// starting at Start — the steady full-rate traffic of the Section 7.2
-// bandwidth analysis.
-type Uniform struct {
-	N        int      // number of payloads
-	Interval sim.Time // injection period (use sim.FlitTime for line rate)
-	Start    sim.Time
-	Size     int // payload bytes (tag header included)
-}
-
-// Name implements Generator.
-func (u Uniform) Name() string { return fmt.Sprintf("uniform(n=%d,T=%dps)", u.N, u.Interval) }
-
-// Generate implements Generator.
-func (u Uniform) Generate() []Item {
-	if u.N < 0 {
-		panic("trace: negative N")
-	}
-	items := make([]Item, u.N)
-	for i := range items {
-		items[i] = Item{
-			At:      u.Start + sim.Time(i)*u.Interval,
-			Payload: TagPayload(uint64(i), u.Size),
-			Tag:     uint64(i),
-		}
-	}
-	return items
-}
-
-// Bursty is an on/off source: bursts of BurstLen back-to-back payloads
-// (one per Interval) separated by exponential-ish idle gaps with mean
-// MeanGap. It models the clustered all-reduce phases of training traffic.
-type Bursty struct {
-	N        int
-	BurstLen int
-	Interval sim.Time
-	MeanGap  sim.Time
-	Size     int
-	Seed     uint64
-}
-
-// Name implements Generator.
-func (b Bursty) Name() string {
-	return fmt.Sprintf("bursty(n=%d,burst=%d,gap=%dps)", b.N, b.BurstLen, b.MeanGap)
-}
-
-// Generate implements Generator.
-func (b Bursty) Generate() []Item {
-	if b.N < 0 || b.BurstLen <= 0 || b.Interval <= 0 {
-		panic("trace: bad bursty parameters")
-	}
-	rng := phy.NewRNG(b.Seed)
-	// Idle gaps are geometric in units of the injection interval, with
-	// mean MeanGap (at least one interval).
-	meanUnits := float64(b.MeanGap) / float64(b.Interval)
-	if meanUnits < 1 {
-		meanUnits = 1
-	}
-	items := make([]Item, b.N)
-	t := sim.Time(0)
-	for i := range items {
-		items[i] = Item{At: t, Payload: TagPayload(uint64(i), b.Size), Tag: uint64(i)}
-		if (i+1)%b.BurstLen == 0 {
-			t += b.Interval * sim.Time(1+rng.Geometric(1/meanUnits))
-		} else {
-			t += b.Interval
-		}
-	}
-	return items
-}
-
-// MemoryStream models a sequential memory reader: reads of Stride-spaced
-// addresses at line rate, encoded as transaction-style payloads. The
-// address is carried after the tag so transaction layers can decode it.
-type MemoryStream struct {
-	N        int
-	Base     uint64
-	Stride   uint64
-	Interval sim.Time
-	Size     int
-}
-
-// Name implements Generator.
-func (m MemoryStream) Name() string {
-	return fmt.Sprintf("memstream(n=%d,stride=%d)", m.N, m.Stride)
-}
-
-// Generate implements Generator.
-func (m MemoryStream) Generate() []Item {
-	if m.N < 0 {
-		panic("trace: negative N")
-	}
-	size := m.Size
-	if size < 16 {
-		size = 16
-	}
-	items := make([]Item, m.N)
-	for i := range items {
-		p := TagPayload(uint64(i), size)
-		binary.BigEndian.PutUint64(p[8:], m.Base+uint64(i)*m.Stride)
-		items[i] = Item{At: sim.Time(i) * m.Interval, Payload: p, Tag: uint64(i)}
-	}
-	return items
-}
-
-// AddressOf recovers the address of a MemoryStream payload.
-func AddressOf(payload []byte) uint64 {
-	return binary.BigEndian.Uint64(payload[8:])
-}
-
-// Poisson is an open-loop source with geometric (discretized exponential)
-// inter-arrival times of mean MeanInterval — the classic random-traffic
-// model for interconnect evaluation.
-type Poisson struct {
-	N            int
-	MeanInterval sim.Time
-	Size         int
-	Seed         uint64
-}
-
-// Name implements Generator.
-func (p Poisson) Name() string {
-	return fmt.Sprintf("poisson(n=%d,mean=%dps)", p.N, p.MeanInterval)
-}
-
-// Generate implements Generator.
-func (p Poisson) Generate() []Item {
-	if p.N < 0 || p.MeanInterval <= 0 {
-		panic("trace: bad poisson parameters")
-	}
-	rng := phy.NewRNG(p.Seed)
-	items := make([]Item, p.N)
-	t := sim.Time(0)
-	for i := range items {
-		items[i] = Item{At: t, Payload: TagPayload(uint64(i), p.Size), Tag: uint64(i)}
-		// Geometric with success probability 1/mean (in picosecond steps,
-		// quantized to nanoseconds to keep event counts sane).
-		step := sim.Time(rng.Geometric(float64(sim.Nanosecond)/float64(p.MeanInterval))) * sim.Nanosecond
-		t += sim.Nanosecond + step
-	}
-	return items
-}
-
-// Inject schedules every item of a generated workload onto an engine,
-// calling submit for each at its injection time. It returns the number of
-// items scheduled.
-func Inject(eng *sim.Engine, items []Item, submit func([]byte)) int {
-	for _, it := range items {
-		payload := it.Payload
-		eng.At(it.At, func() { submit(payload) })
-	}
-	return len(items)
 }
 
 // Checker validates delivered payloads against the tag sequence: exactly
@@ -249,9 +67,4 @@ func (c *Checker) Deliver(payload []byte) {
 		return
 	}
 	c.Next++
-}
-
-// Clean reports whether every delivery was exactly-once and in order.
-func (c *Checker) Clean() bool {
-	return c.OutOfOrder == 0 && c.Duplicates == 0
 }

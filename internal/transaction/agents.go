@@ -94,9 +94,6 @@ func (d *Device) IssueRead(addr uint64, cqid uint8) uint32 {
 	return id
 }
 
-// Outstanding returns the number of unanswered requests.
-func (d *Device) Outstanding() int { return len(d.outstanding) }
-
 // OnMessage validates one arriving message against the issued stream.
 func (d *Device) OnMessage(m Message) {
 	if m.Kind != KindData {

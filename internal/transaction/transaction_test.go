@@ -109,8 +109,8 @@ func TestHostDeviceHappyPath(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		d.IssueRead(uint64(i)*64, uint8(i%4))
 	}
-	if d.Stats.Completed != 100 || d.Outstanding() != 0 {
-		t.Fatalf("completed %d, outstanding %d", d.Stats.Completed, d.Outstanding())
+	if d.Stats.Completed != 100 || len(d.outstanding) != 0 {
+		t.Fatalf("completed %d, outstanding %d", d.Stats.Completed, len(d.outstanding))
 	}
 	if d.Stats.DuplicateData+d.Stats.OutOfOrderData+d.Stats.CorruptData+d.Stats.UnknownData != 0 {
 		t.Fatalf("clean run reported failures: %+v", d.Stats)

@@ -218,7 +218,8 @@ type Service = service.Server
 type ServiceConfig = service.Config
 
 // JobSpec is the wire form of a serving job: kind ("grid", "sweep",
-// "rare"), seed, scheduling hints, and exactly one payload.
+// "rare", "comparison", "rare-selfcheck", "scenario"), seed, scheduling
+// hints, and exactly one payload.
 type JobSpec = service.JobSpec
 
 // JobView is a job's externally visible state: status, cache provenance,

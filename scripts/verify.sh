@@ -52,8 +52,8 @@ rung_unit() {
 
 rung_race() {
   run go test -race ./...
-  # Fuzz seed corpus (replay parsing only, no long fuzzing).
-  run go test -run 'Fuzz.*' ./internal/trace/
+  # Fuzz seed corpora (replay parsing, JobSpec normalize; no long fuzzing).
+  run go test -run 'Fuzz.*' ./internal/trace/ ./internal/service/
 }
 
 rung_kernels() {

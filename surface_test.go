@@ -1,0 +1,213 @@
+package rxl_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// keptUnreached is the literal allow-list of TestInternalSurfaceIsReached:
+// exported internal/ names that no shipped code path names, each with the
+// reason it stays. An entry whose name becomes reached, or that internal/
+// no longer declares, fails the test, so the list cannot rot.
+var keptUnreached = map[string]string{
+	"crc.VerifyISN":  "byte-level oracle: flit's clean-verdict suite checks every O(1) verdict against it",
+	"gf256.Inv":      "reference kernel: a·Inv(a) = 1 is how the field tests pin Div",
+	"gf256.PolyEval": "reference kernel: the evaluation homomorphism is how the tests pin PolyMul, which builds the RS generators",
+	"phy.GapLogLR":   "reference kernel: the per-gap likelihood ratio UnitLogLR's closed form is tested to telescope from",
+
+	"link.ConnectDirect":    "byte-level oracle: the two-peer harness every link protocol suite drives",
+	"link.Peer.Outstanding": "byte-level oracle: replay-window occupancy the link harness observes",
+	"link.Peer.NextSeq":     "byte-level oracle: transmit sequence state the link harness observes",
+	"link.Peer.ExpectedSeq": "byte-level oracle: receive sequence state the link harness observes",
+
+	"service.inProcessTransport.RoundTrip": "interface method: http.RoundTripper",
+	"service.jobQueue.Less":                "interface method: heap.Interface",
+	"service.jobQueue.Swap":                "interface method: heap.Interface",
+
+	"core.Fabric.RunFor":                   "facade type method: rxl.Fabric",
+	"core.Fig5Report.CleanTransactions":    "facade type method: rxl.Fig5Report",
+	"hwcost.Report.RelativeDepthOverhead":  "facade type method: rxl.HardwareReport",
+	"hwcost.Circuit.MaxFanIn":              "facade type method: the type of rxl.HardwareReport.Baseline",
+	"perf.Params.EffectiveBandwidth":       "facade type method: rxl.Performance",
+	"reliability.Params.BERBudgetCrossing": "facade type method: rxl.Reliability",
+	"service.Client.GetConditional":        "facade type method: rxl.Client",
+	"sim.Engine.Pending":                   "facade type method: rxl.Engine",
+}
+
+// TestInternalSurfaceIsReached keeps internal/ free of test-only surface.
+// It is a reachability closure over identifiers, not types (go/parser
+// only): the roots are every identifier named in a non-test .go file
+// outside internal/ — cmd/, examples/, rxl.go, bench/ — plus the root
+// bench_test.go, which is the documented E1–E18 harness; a top-level
+// internal/ declaration whose name is reached contributes the identifiers
+// its signature and body name (not its receiver: a method reached only
+// because another type's method shares its name must not pull its own
+// type in). Every exported func, method and type of a non-test internal/
+// file must end up reached or carry a reason in keptUnreached. Matching
+// by bare name means a dead declaration that shares its name with a live
+// one goes unnoticed — lenient, never flaky.
+func TestInternalSurfaceIsReached(t *testing.T) {
+	type decl struct {
+		key, name, file string
+		names           []string // identifiers the declaration names
+		checked         bool     // an exported func, method or type
+	}
+	var decls []decl
+	byName := map[string][]int{} // declared name -> indices into decls
+	var work []string
+	reached := map[string]bool{}
+	reach := func(names []string) {
+		for _, name := range names {
+			if !reached[name] {
+				reached[name] = true
+				work = append(work, name)
+			}
+		}
+	}
+
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		path = filepath.ToSlash(path)
+		if !strings.HasSuffix(path, ".go") ||
+			strings.HasSuffix(path, "_test.go") && path != "bench_test.go" {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		if !strings.HasPrefix(path, "internal/") {
+			reach(identsIn(f))
+			return nil
+		}
+		add := func(key string, id *ast.Ident, checked bool, body ...ast.Node) {
+			names := identsIn(body...)
+			if id.Name == "_" || id.Name == "init" {
+				reach(names) // runs unconditionally
+				return
+			}
+			byName[id.Name] = append(byName[id.Name], len(decls))
+			decls = append(decls, decl{f.Name.Name + "." + key, id.Name, path, names, checked && id.IsExported()})
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				key := d.Name.Name
+				if d.Recv != nil {
+					key = receiverName(d.Recv.List[0].Type) + "." + key
+				}
+				if d.Body == nil { // assembly stub
+					add(key, d.Name, true, d.Type)
+				} else {
+					add(key, d.Name, true, d.Type, d.Body)
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						add(s.Name.Name, s.Name, true, s.Type)
+					case *ast.ValueSpec:
+						var body []ast.Node
+						if s.Type != nil {
+							body = append(body, s.Type)
+						}
+						for _, v := range s.Values {
+							body = append(body, v)
+						}
+						for _, id := range s.Names {
+							add(id.Name, id, false, body...)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(work) > 0 {
+		name := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, i := range byName[name] {
+			reach(decls[i].names)
+		}
+	}
+
+	var unreached []string
+	declared := map[string]bool{}
+	for _, d := range decls {
+		if !d.checked {
+			continue
+		}
+		declared[d.key] = true
+		_, kept := keptUnreached[d.key]
+		switch {
+		case reached[d.name] && kept:
+			t.Errorf("keptUnreached lists %s, but shipped code names it: drop the entry", d.key)
+		case !reached[d.name] && !kept:
+			unreached = append(unreached, d.key+"  ("+d.file+")")
+		}
+	}
+	for key, reason := range keptUnreached {
+		if !declared[key] {
+			t.Errorf("keptUnreached lists %s, which internal/ does not declare", key)
+		}
+		if strings.TrimSpace(reason) == "" {
+			t.Errorf("keptUnreached entry %s has no reason", key)
+		}
+	}
+	if len(unreached) > 0 {
+		sort.Strings(unreached)
+		t.Errorf("%d exported internal/ declarations are reached by no cmd/, example, rxl.go, bench/ or "+
+			"bench_test.go code (delete them with their tests, or add them to keptUnreached with a reason):\n  %s",
+			len(unreached), strings.Join(unreached, "\n  "))
+	}
+}
+
+// identsIn lists every identifier under the given nodes.
+func identsIn(nodes ...ast.Node) (out []string) {
+	for _, n := range nodes {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				out = append(out, id.Name)
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// receiverName returns the type name of a method receiver expression,
+// stripping the pointer and any type parameters.
+func receiverName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return "?"
+		}
+	}
+}
