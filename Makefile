@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet verify unit race differential smoke metrics fleet compose bench \
+.PHONY: build test vet verify unit race differential smoke metrics fleet compose bench e2e \
         fleet-up fleet-down docker clean
 
 build: ## Build all binaries into ./bin
@@ -19,7 +19,7 @@ vet: ## go vet
 verify: ## The whole verification ladder, bottom to top
 	scripts/verify.sh --level=all
 
-unit race differential smoke metrics fleet compose bench: ## Individual verify rungs
+unit race differential smoke metrics fleet compose bench e2e: ## Individual verify rungs
 	scripts/verify.sh --level=$@
 
 fleet-up: ## Start the docker-compose fleet (3 daemons + front on :17080)
@@ -32,4 +32,4 @@ docker: ## Build the rxld image
 	docker build -t rxld .
 
 clean:
-	rm -rf bin rxld rxld.addr bench.txt baseline.txt statsz.json r1.json r2.json
+	rm -rf bin rxld rxld.addr statsz.json r1.json r2.json

@@ -55,6 +55,54 @@ func TestExpressTimingMatchesHopByHop(t *testing.T) {
 	}
 }
 
+// TestExpressCollapsesEvents is the express floor, by count instead of by
+// clock: 20 000 flits across the full diagonal of a 4x4 mesh (7 wire
+// crossings) at the paper's operating point, with and without NoExpress.
+// The two runs must agree on everything observable — deliveries, stats,
+// simulated end time — while the express run dispatches far fewer engine
+// events: a granted traversal is one delivery event instead of one per
+// hop. The counts are exact and identical on every host and every run;
+// the 2.5x bar is the claim, the pair below is what it measures today.
+func TestExpressCollapsesEvents(t *testing.T) {
+	const flits = 20_000
+	const perHopEvents, expressEvents = 182_093, 65_675 // 2.77x
+	run := func(noExpress bool) (MeshResult, uint64) {
+		m := MustNewMeshFabric(Config{
+			Protocol: link.ProtocolRXL, BER: 1e-6, BurstProb: 0.4,
+			Seed: 11, NoExpress: noExpress,
+		}, 4, 4)
+		res := m.RunWorkload([]MeshFlow{{SrcX: 0, SrcY: 0, DstX: 3, DstY: 3}}, flits)
+		return res, m.Eng.Executed
+	}
+	er, eEvents := run(false)
+	hr, hEvents := run(true)
+	ex, fb := er.ExpressTraversals, er.ExpressFallbacks
+	share := float64(ex) / float64(ex+fb)
+	t.Logf("engine events for %d flits: per-hop %d, express %d (%.2fx), express share %.3f",
+		flits, hEvents, eEvents, float64(hEvents)/float64(eEvents), share)
+
+	if !er.Clean() || er.PerFlow[0].Delivered != flits {
+		t.Fatalf("express run not clean: %v", er)
+	}
+	if share < 0.95 {
+		t.Errorf("express share %.3f (%d express, %d fallbacks), want >= 0.95", share, ex, fb)
+	}
+	// Everything but the toggle and the express counters, Elapsed included.
+	er.Cfg, hr.Cfg = Config{}, Config{}
+	er.ExpressTraversals, er.ExpressFallbacks = 0, 0
+	if !reflect.DeepEqual(er, hr) {
+		t.Errorf("express result diverges from per-hop:\nexpress %+v\nper-hop %+v", er, hr)
+	}
+	if float64(hEvents) < 2.5*float64(eEvents) {
+		t.Errorf("per-hop %d events < 2.5 x express %d", hEvents, eEvents)
+	}
+	if hEvents != perHopEvents || eEvents != expressEvents {
+		t.Errorf("event counts moved: per-hop %d (was %d), express %d (was %d) — "+
+			"exact by construction, so a change here is a model change: update the pair with it",
+			hEvents, perHopEvents, eEvents, expressEvents)
+	}
+}
+
 // TestExpressFallbackDifferential: a flap campaign marks its wire
 // volatile, so every traversal crossing it must refuse the express claim
 // and fall back to hop-by-hop forwarding — and the fast and byte-level

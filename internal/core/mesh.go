@@ -137,9 +137,11 @@ type MeshResult struct {
 	// max.
 	QueuePeaks [][]uint64
 	// ExpressTraversals counts traversals collapsed to a single delivery
-	// event; ExpressFallbacks counts granted routable traversals whose
-	// express claim was refused (fault-scripted wire, in-flight flit,
-	// fault-configured router) and fell back to hop-by-hop forwarding.
+	// event; ExpressFallbacks counts routable traversals that took
+	// per-hop events instead: the path schedule struck the flit (it
+	// walks its route hop by hop), or the route could not be claimed up
+	// front (scripted or volatile wire, installed fault hook,
+	// fault-configured router).
 	ExpressTraversals uint64
 	ExpressFallbacks  uint64
 	// HookDropped counts flits silently dropped by scripted fault hooks

@@ -21,10 +21,10 @@
 // polynomial every table is derived from and checked against.
 // UpdateTable and UpdateSlicing8 are the intermediate rungs of the
 // throughput ladder (one table, eight tables): nothing in the simulator
-// calls them; they exist so the gated BenchmarkCRCSlicing can show the
-// encode pipeline is table-bound and by how much each widening pays (the
-// CRC ablation in DESIGN.md §3), and the cross-check tests hold all five
-// engines to identical output.
+// calls them; they exist so the BenchmarkChecksum*Flit family and the
+// table/by16 floor can show the encode pipeline is table-bound and by how
+// much each widening pays (the CRC ablation in DESIGN.md §3), and the
+// cross-check tests hold all five engines to identical output.
 //
 // # ISN encoding
 //

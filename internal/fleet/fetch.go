@@ -23,10 +23,11 @@ type FetchConfig struct {
 	// giving up (0 = 2: the owner plus one fallback for when the owner
 	// is down).
 	Candidates int
-	// Wait is the in-flight join budget per probe: how long a probe may
-	// block on a peer that is computing the key right now (0 = 10s).
-	// Probes of peers that neither hold nor are computing the key
-	// return immediately regardless.
+	// Wait is the in-flight join budget of the primary owner's probe:
+	// how long it may block while the owner is computing the key right
+	// now (0 = 10s). An owner that neither holds nor is computing the
+	// key answers immediately regardless, and fallback probes never
+	// wait (see Fetch).
 	Wait time.Duration
 }
 
@@ -79,6 +80,11 @@ func NewFetcher(cfg FetchConfig) (*Fetcher, error) {
 //     owner on the ring. Any bytes found are the answer — every daemon
 //     computes identical bytes for a spec, so a fallback owner's copy
 //     is the owner's copy.
+//   - Only the primary owner's probe joins an in-flight job. A fallback
+//     owner is another non-owner: its in-flight job for the key may be
+//     sitting in this very loop, probing us, and two such daemons
+//     joining each other would both wait out the whole budget before
+//     either computes. Fallback probes take finished bytes or nothing.
 //
 // Errors are deliberately swallowed into ok=false: a dead peer must
 // degrade to a local compute, never fail the job.
@@ -93,8 +99,12 @@ func (f *Fetcher) Fetch(ctx context.Context, key string) ([]byte, bool) {
 			continue
 		}
 		tried++
+		wait := f.wait
+		if o != owners[0] {
+			wait = 0
+		}
 		start := time.Now()
-		b, ok, err := f.clients[o].FetchCached(ctx, key, f.wait)
+		b, ok, err := f.clients[o].FetchCached(ctx, key, wait)
 		// The job's context carries the submitting request's trace (and
 		// FetchCached forwards its ID), so each probe — and the serve it
 		// triggers on the peer — lands in the request's fleet-wide trace.

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,6 +36,10 @@ type testFleet struct {
 	daemons []*httptest.Server
 	front   *Front
 	frontTS *httptest.Server
+	// fetchGate, when set, holds every daemon's PeerFetch at its start
+	// until the group's count has arrived — a test's way to make "these
+	// jobs were all in flight before any probed" certain, not likely.
+	fetchGate atomic.Pointer[sync.WaitGroup]
 }
 
 // startFleet boots n daemons and a front. Peer URLs are only known
@@ -53,6 +59,10 @@ func startFleet(t *testing.T, n int, frontCfg FrontConfig) *testFleet {
 			PeerFetch: func(ctx context.Context, key string) ([]byte, bool) {
 				if fetchers[i] == nil {
 					return nil, false
+				}
+				if g := tf.fetchGate.Load(); g != nil {
+					g.Done()
+					g.Wait()
 				}
 				return fetchers[i].Fetch(ctx, key)
 			},
@@ -237,6 +247,53 @@ func TestFleetPeerFetch(t *testing.T) {
 	if hits != 2 || served < 2 {
 		t.Fatalf("fleet stats: peer_hits=%d (want 2), peer_served=%d (want >= 2)", hits, served)
 	}
+}
+
+// TestColdKeyAtBothNonOwners pins the mutual-join fix: one cold key
+// handed directly to both non-owners at once. Each probes the owner
+// (404 at once — it has never seen the key) and then the other as its
+// fallback owner, where the key is in flight; if fallback probes joined
+// in-flight jobs the two would wait on each other for the whole fetch
+// budget (30 s here) before either computed. Both must instead compute
+// and answer identical bytes in compute time — tens of milliseconds.
+func TestColdKeyAtBothNonOwners(t *testing.T) {
+	tf := startFleet(t, 3, FrontConfig{})
+	spec := gridSpec(29)
+	norm, err := spec.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := tf.front.Ring().Owner(norm.Key())
+
+	// Both jobs are registered in flight before either starts probing.
+	var gate sync.WaitGroup
+	gate.Add(2)
+	tf.fetchGate.Store(&gate)
+
+	want := directBytes(t, spec)
+	start := time.Now()
+	var wg sync.WaitGroup
+	for _, url := range tf.urls {
+		if url == owner {
+			continue
+		}
+		wg.Add(1)
+		go func(url string) {
+			defer wg.Done()
+			res, err := service.NewClient(url).Run(context.Background(), spec)
+			if err != nil || string(res) != string(want) {
+				t.Errorf("non-owner %s: error %v, bytes\n%s\nwant\n%s", url, err, res, want)
+			}
+		}(url)
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	// A sixth of the join budget: far above any loaded-host compute
+	// time, far below what a mutual join costs.
+	if elapsed > 5*time.Second {
+		t.Fatalf("cold key at both non-owners took %v: they waited on each other", elapsed)
+	}
+	t.Logf("both non-owners answered in %v", elapsed)
 }
 
 // TestFrontHotPromotion drives one key past the promotion threshold and

@@ -358,8 +358,7 @@ func TestOneStoreContract(t *testing.T) {
 				// in-flight twin, repeats hit, hot keys spread to a replica
 				// that peer-fetches. The direct submission follows the
 				// front's answer, so the owner already holds the key and the
-				// non-owner peer-fetches it (two cold non-owners asked at once
-				// would wait out each other's in-flight join budget).
+				// non-owner peer-fetches it.
 				spec := gridSpec(uint64(70 + (w+i)%4))
 				if _, err := front.Run(ctx, spec); err != nil {
 					t.Errorf("worker %d request %d via front: %v", w, i, err)

@@ -73,10 +73,24 @@ func parseSampleLine(line string) (Sample, error) {
 		return s, fmt.Errorf("obs: bad value in %q: %v", line, err)
 	}
 	s.Value = v
-	if s.Name == "" {
-		return s, fmt.Errorf("obs: empty metric name: %q", line)
+	if !validName(s.Name, true) {
+		return s, fmt.Errorf("obs: bad metric name: %q", line)
 	}
 	return s, nil
+}
+
+// validName reports whether s is a legal exposition-format identifier:
+// [a-zA-Z_][a-zA-Z0-9_]*, with ':' also allowed in metric names.
+func validName(s string, metric bool) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', c == '_', c == ':' && metric:
+		case '0' <= c && c <= '9' && i > 0:
+		default:
+			return false
+		}
+	}
+	return s != ""
 }
 
 // parseLabels parses `k="v",k2="v2"` with the exposition escapes
@@ -88,6 +102,9 @@ func parseLabels(in string, into map[string]string) error {
 			return fmt.Errorf("label without value")
 		}
 		key := strings.TrimSpace(in[:eq])
+		if !validName(key, false) {
+			return fmt.Errorf("bad label name %q", key)
+		}
 		in = in[eq+1:]
 		if len(in) == 0 || in[0] != '"' {
 			return fmt.Errorf("unquoted label value")
@@ -102,8 +119,10 @@ func parseLabels(in string, into map[string]string) error {
 				switch in[i] {
 				case 'n':
 					sb.WriteByte('\n')
-				default:
+				case '\\', '"':
 					sb.WriteByte(in[i])
+				default:
+					return fmt.Errorf("bad escape \\%c", in[i])
 				}
 				continue
 			}
@@ -116,8 +135,11 @@ func parseLabels(in string, into map[string]string) error {
 			return fmt.Errorf("unterminated label value")
 		}
 		into[key] = sb.String()
-		in = strings.TrimPrefix(strings.TrimSpace(in[i+1:]), ",")
-		in = strings.TrimSpace(in)
+		in = strings.TrimSpace(in[i+1:])
+		if in != "" && in[0] != ',' {
+			return fmt.Errorf("junk after label %q", key)
+		}
+		in = strings.TrimSpace(strings.TrimPrefix(in, ","))
 	}
 	return nil
 }

@@ -26,7 +26,7 @@ const DefaultShards = 64
 // shard index. The merged sample is bit-identical at any worker count.
 // Shards run on the error-event schedule (MeasureFERSchedule), which
 // produces bit-identical samples to the byte-level loop at a fraction of
-// the cost — see BenchmarkMCInnerLoopFastPath.
+// the cost — see TestMeasureFERScheduleMatchesByteLevel.
 func MeasureFERSharded(ctx context.Context, pool runner.Pool, ber float64, flits, shards int) (FERSample, error) {
 	if flits <= 0 || shards <= 0 {
 		return FERSample{}, fmt.Errorf("reliability: MeasureFERSharded needs positive flits (%d) and shards (%d)", flits, shards)

@@ -10,11 +10,9 @@
 #   scripts/verify.sh --level=metrics       # /metrics + trace contract + rxltop drill
 #   scripts/verify.sh --level=fleet         # 3-daemon fleet + front byte-identity e2e
 #   scripts/verify.sh --level=compose       # same drill via docker compose (skips w/o docker)
-#   scripts/verify.sh --level=bench         # gated benchmark suite + benchgate
+#   scripts/verify.sh --level=bench         # the host-independent speed floors (BenchmarkFloors)
+#   scripts/verify.sh --level=e2e           # bench/run.sh -repeat 3 -> bench/out/result.json
 #   scripts/verify.sh --level=all           # the whole ladder, bottom to top
-#
-# The bench rung leaves its raw output in bench.txt so CI can package it
-# as the commit-keyed artifact that becomes the next BENCH_baseline.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,7 +21,7 @@ for arg in "$@"; do
   case "$arg" in
     --level=*) level="${arg#--level=}" ;;
     *)
-      echo "usage: $0 [--level=unit|race|kernels|differential|smoke|metrics|fleet|compose|bench|all]" >&2
+      echo "usage: $0 [--level=unit|race|kernels|differential|smoke|metrics|fleet|compose|bench|e2e|all]" >&2
       exit 2
       ;;
   esac
@@ -34,6 +32,57 @@ run() {
   "$@"
 }
 
+# Every daemon a rung boots is recorded in PIDS; stop_daemons ends them,
+# and runs on any exit so a failed assertion leaves nothing behind.
+PIDS=()
+stop_daemons() {
+  [ ${#PIDS[@]} -eq 0 ] || kill "${PIDS[@]}" 2>/dev/null || true
+  PIDS=()
+}
+trap stop_daemons EXIT
+
+# boot_daemon — build rxld and start one standalone daemon on a random
+# port; sets ADDR once the daemon has written its address file.
+boot_daemon() {
+  run go build -o rxld ./cmd/rxld
+  rm -f rxld.addr
+  ./rxld -addr 127.0.0.1:0 -addr-file rxld.addr &
+  PIDS+=($!)
+  for _ in $(seq 50); do [ -s rxld.addr ] && break; sleep 0.2; done
+  ADDR=$(cat rxld.addr)
+  echo "daemon at $ADDR"
+}
+
+# wait_healthz URL... — poll each daemon's /v1/healthz until it answers.
+wait_healthz() {
+  local u
+  for u in "$@"; do
+    for _ in $(seq 50); do
+      curl -fsS "$u/v1/healthz" >/dev/null 2>&1 && break
+      sleep 0.2
+    done
+  done
+}
+
+# boot_fleet PORT [front flags...] — build rxld and start a 3-member
+# consistent-hash fleet on PORT+1..PORT+3 with a front on PORT, as host
+# processes; sets FRONT and MEMBERS (base URLs) once all four answer.
+boot_fleet() {
+  local port=$1 m peers
+  shift
+  run go build -o rxld ./cmd/rxld
+  FRONT="http://127.0.0.1:$port"
+  MEMBERS=("http://127.0.0.1:$((port + 1))" "http://127.0.0.1:$((port + 2))" "http://127.0.0.1:$((port + 3))")
+  peers=$(IFS=,; echo "${MEMBERS[*]}")
+  for m in "${MEMBERS[@]}"; do
+    ./rxld -addr "${m#http://}" -fleet-self "$m" -fleet-peers "$peers" &
+    PIDS+=($!)
+  done
+  ./rxld -addr "${FRONT#http://}" -fleet "$peers" "$@" &
+  PIDS+=($!)
+  wait_healthz "${MEMBERS[@]}" "$FRONT"
+}
+
 rung_unit() {
   run go vet ./...
   run go build ./...
@@ -42,8 +91,8 @@ rung_unit() {
   run go build -tags purego ./...
   run go test ./...
   # Benchmark smoke: one iteration of everything, so a benchmark that no
-  # longer compiles or trips its own assertions fails fast here rather
-  # than in the (slow) bench rung.
+  # longer compiles or trips its own assertions fails fast here
+  # (BenchmarkFloors judges no ratio whose legs ran this briefly).
   run go test -run '^$' -bench . -benchtime 1x ./...
   # bench/ is a module of its own (the BENCHMARK.json harness), so ./...
   # above does not reach it.
@@ -52,8 +101,9 @@ rung_unit() {
 
 rung_race() {
   run go test -race ./...
-  # Fuzz seed corpora (replay parsing, JobSpec normalize; no long fuzzing).
-  run go test -run 'Fuzz.*' ./internal/trace/ ./internal/service/
+  # Fuzz seed corpora (replay parsing, JobSpec normalize, Prometheus text;
+  # no long fuzzing).
+  run go test -run 'Fuzz.*' ./internal/trace/ ./internal/service/ ./internal/obs/
 }
 
 rung_kernels() {
@@ -84,14 +134,7 @@ rung_smoke() {
   # Boot the real daemon on a random port, drive the HTTP API the way an
   # operator would, and assert the serving contract — the repeat of an
   # identical job must be a cache hit with a byte-identical result.
-  run go build -o rxld ./cmd/rxld
-  rm -f rxld.addr
-  ./rxld -addr 127.0.0.1:0 -addr-file rxld.addr &
-  RXLD_PID=$!
-  trap 'kill "$RXLD_PID" 2>/dev/null || true' EXIT
-  for _ in $(seq 50); do [ -s rxld.addr ] && break; sleep 0.2; done
-  ADDR=$(cat rxld.addr)
-  echo "daemon at $ADDR"
+  boot_daemon
 
   curl -fsS "http://$ADDR/v1/healthz" | jq -e '.ok == true'
 
@@ -117,8 +160,7 @@ rung_smoke() {
   curl -fsS "http://$ADDR/v1/statsz" | tee statsz.json | jq .
   jq -e '.cache.hits >= 1 and .jobs_completed >= 2' statsz.json
 
-  kill "$RXLD_PID"
-  trap - EXIT
+  stop_daemons
 }
 
 rung_metrics() {
@@ -126,17 +168,9 @@ rung_metrics() {
   # the documented families and outcome-split latency histograms, a
   # client-sent request id resolves to a lifecycle trace, and rxltop
   # renders a 3-member fleet map from nothing but /metrics endpoints.
-  run go build -o rxld ./cmd/rxld
   BASE=$(mktemp -d)
   run go build -o "$BASE/rxltop" ./cmd/rxltop
-
-  rm -f rxld.addr
-  ./rxld -addr 127.0.0.1:0 -addr-file rxld.addr &
-  RXLD_PID=$!
-  trap 'kill "$RXLD_PID" 2>/dev/null || true' EXIT
-  for _ in $(seq 50); do [ -s rxld.addr ] && break; sleep 0.2; done
-  ADDR=$(cat rxld.addr)
-  echo "daemon at $ADDR"
+  boot_daemon
 
   SPEC='{"kind":"grid","seed":11,"grid":{"Base":{"Protocol":2,"Levels":1,"BER":1e-6},"N":2000}}'
   RID=feedfacecafe0001
@@ -166,40 +200,23 @@ rung_metrics() {
   echo "$TRACE" | jq -e '[.spans[].name] | contains(["submit", "run", "finish"])'
   curl -fsS "http://$ADDR/v1/trace/$RID" | jq -e '.spans | length > 0'
 
-  kill "$RXLD_PID"
-  trap - EXIT
+  stop_daemons
 
   # 3-member fleet + front with active probing: the front's per-peer
   # families render, and rxltop folds the whole fleet into one map.
-  P1=17091 P2=17092 P3=17093 PF=17090
-  PEERS="http://127.0.0.1:$P1,http://127.0.0.1:$P2,http://127.0.0.1:$P3"
-  PIDS=()
-  for p in $P1 $P2 $P3; do
-    ./rxld -addr "127.0.0.1:$p" -fleet-self "http://127.0.0.1:$p" -fleet-peers "$PEERS" &
-    PIDS+=($!)
-  done
-  ./rxld -addr "127.0.0.1:$PF" -fleet "$PEERS" -fleet-probe-interval 250ms &
-  PIDS+=($!)
-  trap 'kill "${PIDS[@]}" 2>/dev/null || true' EXIT
-  for p in $P1 $P2 $P3 $PF; do
-    for _ in $(seq 50); do
-      curl -fsS "http://127.0.0.1:$p/v1/healthz" >/dev/null 2>&1 && break
-      sleep 0.2
-    done
-  done
-  curl -fsS -X POST "http://127.0.0.1:$PF/v1/jobs" -d "$SPEC" >/dev/null
+  boot_fleet 17090 -fleet-probe-interval 250ms
+  curl -fsS -X POST "$FRONT/v1/jobs" -d "$SPEC" >/dev/null
   sleep 1 # let a probe round land
-  curl -fsS "http://127.0.0.1:$PF/metrics" | grep -q '^rxlfront_peer_up'
+  curl -fsS "$FRONT/metrics" | grep -q '^rxlfront_peer_up'
 
-  "$BASE/rxltop" -once -front "http://127.0.0.1:$PF" | tee "$BASE/top.txt"
-  grep -q "FRONT http://127.0.0.1:$PF" "$BASE/top.txt"
+  "$BASE/rxltop" -once -front "$FRONT" | tee "$BASE/top.txt"
+  grep -q "FRONT $FRONT" "$BASE/top.txt"
   grep -q '^MEMBER' "$BASE/top.txt"
-  for p in $P1 $P2 $P3; do
-    grep "127.0.0.1:$p" "$BASE/top.txt" | grep -qv DOWN
+  for m in "${MEMBERS[@]}"; do
+    grep "${m#http://}" "$BASE/top.txt" | grep -qv DOWN
   done
 
-  kill "${PIDS[@]}" 2>/dev/null || true
-  trap - EXIT
+  stop_daemons
   rm -rf "$BASE"
 }
 
@@ -255,41 +272,21 @@ rung_fleet() {
   # Boot a real 3-daemon fleet plus a front as separate processes, drive
   # the fleet serving contract, and diff every byte against a standalone
   # (fleet-less) daemon — routing must never change a result.
-  run go build -o rxld ./cmd/rxld
   BASE=$(mktemp -d)
-  P1=17081 P2=17082 P3=17083 PF=17080 PS=17089
-  PEERS="http://127.0.0.1:$P1,http://127.0.0.1:$P2,http://127.0.0.1:$P3"
-  PIDS=()
-  for p in $P1 $P2 $P3; do
-    ./rxld -addr "127.0.0.1:$p" -fleet-self "http://127.0.0.1:$p" -fleet-peers "$PEERS" &
-    PIDS+=($!)
-  done
-  ./rxld -addr "127.0.0.1:$PF" -fleet "$PEERS" &
-  PIDS+=($!)
-  ./rxld -addr "127.0.0.1:$PS" &
-  PIDS+=($!)
-  trap 'kill "${PIDS[@]}" 2>/dev/null || true' EXIT
-  for p in $P1 $P2 $P3 $PF $PS; do
-    for _ in $(seq 50); do
-      curl -fsS "http://127.0.0.1:$p/v1/healthz" >/dev/null 2>&1 && break
-      sleep 0.2
-    done
-  done
+  boot_fleet 17080
+  boot_daemon
 
-  fleet_drill "$BASE" "http://127.0.0.1:$PF" \
-    "http://127.0.0.1:$P1" "http://127.0.0.1:$P2" "http://127.0.0.1:$P3"
+  fleet_drill "$BASE" "$FRONT" "${MEMBERS[@]}"
 
   # Differential leg: the same spec on a standalone daemon must produce
-  # the exact bytes the fleet served.
-  SPEC='{"kind":"grid","seed":41,"grid":{"Base":{"Protocol":2,"Levels":1,"BER":1e-6},"N":2000}}'
-  V=$(curl -fsS -X POST "http://127.0.0.1:$PS/v1/jobs" -d "$SPEC")
+  # the exact bytes the fleet served (SPEC is the drill's).
+  V=$(curl -fsS -X POST "http://$ADDR/v1/jobs" -d "$SPEC")
   VID=$(echo "$V" | jq -r .id)
-  curl -fsS "http://127.0.0.1:$PS/v1/jobs/$VID?wait=60000" | jq -cS .result >"$BASE/standalone.json"
+  curl -fsS "http://$ADDR/v1/jobs/$VID?wait=60000" | jq -cS .result >"$BASE/standalone.json"
   cmp "$BASE/front1.json" "$BASE/standalone.json"
   echo "fleet bytes == standalone bytes"
 
-  kill "${PIDS[@]}" 2>/dev/null || true
-  trap - EXIT
+  stop_daemons
   rm -rf "$BASE"
 }
 
@@ -311,64 +308,21 @@ rung_compose() {
   fleet_drill "$BASE" "http://127.0.0.1:17080" \
     "http://127.0.0.1:17081" "http://127.0.0.1:17082" "http://127.0.0.1:17083"
   run docker compose down -v --remove-orphans
-  trap - EXIT
+  trap stop_daemons EXIT
   rm -rf "$BASE"
 }
 
 rung_bench() {
-  # Separate invocations so each benchmark gets enough wall time per rep:
-  # FlitTransfer/MeshTransfer/MeshExpress ops are ~0.3-20µs (20000x), the
-  # MC inner loop is ~8ms/op (100x is already ~1s/rep), the MC epoch-skip
-  # legs span 300ns-350µs/op (2000x keeps the slow leg ~0.7s/rep), the
-  # engine pump is ~20ns/op (2000000x), the CRC kernels are 0.1-2.5µs
-  # (200000x).
-  run go test -run '^$' -bench 'FlitTransfer' \
-    -count 5 -benchtime 20000x -benchmem . | tee bench.txt
-  run go test -run '^$' -bench 'MeshTransferFastPath' \
-    -count 5 -benchtime 20000x -benchmem . | tee -a bench.txt
-  run go test -run '^$' -bench 'MeshExpressTraversal' \
-    -count 5 -benchtime 20000x -benchmem . | tee -a bench.txt
-  run go test -run '^$' -bench 'EngineBulkAdvance' \
-    -count 5 -benchtime 2000000x -benchmem . | tee -a bench.txt
-  run go test -run '^$' -bench 'MCInnerLoopFastPath' \
-    -count 5 -benchtime 100x -benchmem . | tee -a bench.txt
-  run go test -run '^$' -bench 'MCEpochSkip' \
-    -count 5 -benchtime 2000x -benchmem . | tee -a bench.txt
-  run go test -run '^$' -bench 'CRCSlicing' \
-    -count 5 -benchtime 200000x -benchmem . | tee -a bench.txt
-  run go test -run '^$' -bench 'CRCCLMUL' \
-    -count 5 -benchtime 1000000x -benchmem . | tee -a bench.txt
-  run go test -run '^$' -bench 'RSSyndromeVectored' \
-    -count 5 -benchtime 200000x -benchmem . | tee -a bench.txt
+  # The host-independent speed floors (bench_test.go's floors table,
+  # DESIGN.md §2): BenchmarkFloors runs each ratio's two legs, prints the
+  # ratio and fails itself when one is under its minimum.
+  run go test -run '^$' -bench '^BenchmarkFloors$' .
+}
 
-  jq -r '.output' BENCH_baseline.json >baseline.txt
-  if command -v benchstat >/dev/null; then
-    benchstat baseline.txt bench.txt || true
-  fi
-
-  # Two legs: geomean ns/op vs the committed baseline (absolute, carries
-  # runner-fleet noise — hence geomean over count=5 averages), plus
-  # machine-invariant within-run ratio floors so the fast-path, express,
-  # and epoch-skip wins are gated even when absolute timings drift with
-  # the runner's CPU model.
-  # The CLMUL gate only applies where the host actually ran the kernel:
-  # the benchmark self-skips (emitting nothing) on CPUs or builds without
-  # PCLMULQDQ, and a missing benchmark would otherwise fail the gate.
-  CLMUL_GATE=()
-  if grep -q '^BenchmarkCRCCLMUL/clmul' bench.txt; then
-    CLMUL_GATE=(-min-ratio 'BenchmarkCRCSlicing/by16,BenchmarkCRCCLMUL/clmul,4')
-  else
-    echo "verify: no CLMUL on this host, skipping clmul ratio gate" >&2
-  fi
-  run go run ./cmd/benchgate -baseline baseline.txt -current bench.txt \
-    -max-regress 0.15 \
-    -min-ratio 'BenchmarkFlitTransfer/bytelevel,BenchmarkFlitTransfer/fastpath,5' \
-    -min-ratio 'BenchmarkMeshTransferFastPath/bytelevel,BenchmarkMeshTransferFastPath/fastpath,5' \
-    -min-ratio 'BenchmarkMeshExpressTraversal/fastpath,BenchmarkMeshExpressTraversal/express,1.05' \
-    -min-ratio 'BenchmarkMCEpochSkip/epoch-ber1e6,BenchmarkMCEpochSkip/epoch-ber1e9,5' \
-    -min-ratio 'BenchmarkCRCSlicing/table,BenchmarkCRCSlicing/by16,4' \
-    -min-ratio 'BenchmarkRSSyndromeVectored/bytelevel,BenchmarkRSSyndromeVectored/vectored,3' \
-    "${CLMUL_GATE[@]}"
+rung_e2e() {
+  # The benchmark BENCHMARK.json declares, three full sets, into
+  # bench/out/result.json.
+  run bash bench/run.sh -repeat 3
 }
 
 case "$level" in
@@ -381,6 +335,7 @@ metrics) rung_metrics ;;
 fleet) rung_fleet ;;
 compose) rung_compose ;;
 bench) rung_bench ;;
+e2e) rung_e2e ;;
 all)
   rung_unit
   rung_race
@@ -391,9 +346,10 @@ all)
   rung_fleet
   rung_compose
   rung_bench
+  rung_e2e
   ;;
 *)
-  echo "unknown level '$level' (want unit|race|kernels|differential|smoke|metrics|fleet|compose|bench|all)" >&2
+  echo "unknown level '$level' (want unit|race|kernels|differential|smoke|metrics|fleet|compose|bench|e2e|all)" >&2
   exit 2
   ;;
 esac

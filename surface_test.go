@@ -1,11 +1,14 @@
 package rxl_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -16,10 +19,14 @@ import (
 // reason it stays. An entry whose name becomes reached, or that internal/
 // no longer declares, fails the test, so the list cannot rot.
 var keptUnreached = map[string]string{
-	"crc.VerifyISN":  "byte-level oracle: flit's clean-verdict suite checks every O(1) verdict against it",
-	"gf256.Inv":      "reference kernel: a·Inv(a) = 1 is how the field tests pin Div",
-	"gf256.PolyEval": "reference kernel: the evaluation homomorphism is how the tests pin PolyMul, which builds the RS generators",
-	"phy.GapLogLR":   "reference kernel: the per-gap likelihood ratio UnitLogLR's closed form is tested to telescope from",
+	"crc.UpdateBitwise": "reference kernel: the bit-serial definition every table and CLMUL engine is tested equal to",
+	"crc.VerifyISN":     "byte-level oracle: flit's clean-verdict suite checks every O(1) verdict against it",
+	"gf256.Inv":         "reference kernel: a·Inv(a) = 1 is how the field tests pin Div",
+	"gf256.PolyEval":    "reference kernel: the evaluation homomorphism is how the tests pin PolyMul, which builds the RS generators",
+	"phy.GapLogLR":      "reference kernel: the per-gap likelihood ratio UnitLogLR's closed form is tested to telescope from",
+
+	"reliability.MeasureFER":     "byte-level oracle: TestMeasureFERScheduleMatchesByteLevel pins the schedule loop's samples to it",
+	"reliability.MeasureFERPath": "byte-level oracle: the path-schedule suite pins MeasureFERPathSchedule's samples to it",
 
 	"link.ConnectDirect":    "byte-level oracle: the two-peer harness every link protocol suite drives",
 	"link.Peer.Outstanding": "byte-level oracle: replay-window occupancy the link harness observes",
@@ -177,6 +184,65 @@ func TestInternalSurfaceIsReached(t *testing.T) {
 		t.Errorf("%d exported internal/ declarations are reached by no cmd/, example, rxl.go, bench/ or "+
 			"bench_test.go code (delete them with their tests, or add them to keptUnreached with a reason):\n  %s",
 			len(unreached), strings.Join(unreached, "\n  "))
+	}
+}
+
+// TestBenchmarkIndex makes DESIGN.md §2 the rule for what the root
+// package may benchmark: every root Benchmark* function is named there
+// (an E-numbered experiment driver, or BenchmarkFloors), every benchmark
+// §2 names exists, and §2's floor rows are the floors table's entries.
+// Anything else that times the code belongs in bench/.
+func TestBenchmarkIndex(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, ok := strings.Cut(string(design), "\n## 2. ")
+	if ok {
+		sec, _, ok = strings.Cut(sec, "\n## 3. ")
+	}
+	if !ok {
+		t.Fatal("DESIGN.md has no §2 followed by §3")
+	}
+	indexed := map[string]bool{}
+	for _, m := range regexp.MustCompile("`(Benchmark\\w+)`").FindAllStringSubmatch(sec, -1) {
+		indexed[m[1]] = true
+	}
+
+	files, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "Benchmark") {
+				continue
+			}
+			if !indexed[fn.Name.Name] {
+				t.Errorf("%s: %s is not in DESIGN.md §2 — give it an E-number, make it a floor, or move it to bench/",
+					path, fn.Name.Name)
+			}
+			delete(indexed, fn.Name.Name)
+		}
+	}
+	for name := range indexed {
+		t.Errorf("DESIGN.md §2 names %s, which the root package does not declare", name)
+	}
+
+	for _, f := range floors {
+		row := fmt.Sprintf("\n| `%s` | %s / %s | %g |", f.name, f.slow.name, f.fast.name, f.min)
+		if !strings.Contains(sec, row) {
+			t.Errorf("DESIGN.md §2 has no floor row %q", row[1:])
+		}
+	}
+	if n := strings.Count(sec, "\n| `"); n != len(floors) {
+		t.Errorf("DESIGN.md §2 has %d floor rows, the floors table %d entries", n, len(floors))
 	}
 }
 
