@@ -13,14 +13,16 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/flit"
 	"repro/internal/link"
 	"repro/internal/phy"
 	"repro/internal/sim"
 	"repro/internal/switchfab"
-	"repro/internal/trace"
 )
 
 // Config describes one end-to-end fabric.
@@ -182,50 +184,70 @@ func (f *Fabric) Run() { f.Eng.Run() }
 // RunFor advances simulated time by d.
 func (f *Fabric) RunFor(d sim.Time) { f.Eng.AdvanceTo(f.Eng.Now() + d) }
 
-// sealedLimit is the extent of the integrity keystream within a payload:
-// everything up to the fabric routing bytes (source and destination tags),
-// which the link layer may stamp in transit.
-func sealedLimit(n int) int {
-	if n > flit.SrcRouteOffset {
-		return flit.SrcRouteOffset
-	}
-	return n
-}
-
-// payloadBody fills bytes [8:limit) of a tag payload with a cheap
-// deterministic keystream of the tag, so corrupted payloads that escape
-// the protocol are detectable at the application (Fail_data).
-func payloadBody(tag uint64, p []byte) {
-	x := tag*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
-	for i := 8; i < sealedLimit(len(p)); i++ {
+// keystream walks the integrity keystream of the tag in p's first eight
+// bytes over the rest of p, one xorshift step per eight bytes: with fill it
+// writes the stream, otherwise it reports whether p carries it — so a
+// corrupted payload that escapes the protocol is visible at the
+// application (Fail_data), and checking one needs no second buffer. The
+// stream stops short of the fabric routing bytes (source and destination
+// tags), which the link layer may stamp in transit.
+func keystream(p []byte, fill bool) bool {
+	x := binary.BigEndian.Uint64(p)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
+	body := p[8:min(len(p), flit.SrcRouteOffset)]
+	for len(body) > 0 {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		p[i] = byte(x)
+		if len(body) < 8 {
+			var tail [8]byte
+			binary.LittleEndian.PutUint64(tail[:], x)
+			if fill {
+				copy(body, tail[:])
+			}
+			return bytes.Equal(body, tail[:len(body)])
+		}
+		if fill {
+			binary.LittleEndian.PutUint64(body, x)
+		} else if binary.LittleEndian.Uint64(body) != x {
+			return false
+		}
+		body = body[8:]
 	}
+	return true
+}
+
+// seal writes tag and its keystream into p, in place.
+func seal(p []byte, tag uint64) {
+	binary.BigEndian.PutUint64(p, tag)
+	keystream(p, true)
 }
 
 // SealedPayload returns a full flit payload carrying tag plus an integrity
 // keystream covering the entire deliverable region, so the receiver can
 // verify it regardless of zero-padding on the wire.
 func SealedPayload(tag uint64) []byte {
-	p := trace.TagPayload(tag, flit.PayloadSize)
-	payloadBody(tag, p)
+	p := make([]byte, flit.PayloadSize)
+	seal(p, tag)
 	return p
 }
 
 // PayloadIntact reports whether a delivered payload matches its tag's
 // keystream (ignoring the routing tag bytes at the payload tail).
-func PayloadIntact(p []byte) bool {
-	tag := trace.TagOf(p)
-	want := make([]byte, len(p))
-	payloadBody(tag, want)
-	for i := 8; i < sealedLimit(len(p)); i++ {
-		if p[i] != want[i] {
-			return false
+func PayloadIntact(p []byte) bool { return keystream(p, false) }
+
+// offer submits tags 0..counts[j]-1 to each transmitter txs[j], interleaved
+// round-robin across the transmitters still offering. Each tag is sealed
+// once into one buffer, which Submit copies.
+func offer(txs []*link.Peer, counts []int) {
+	var buf [flit.PayloadSize]byte
+	for tag, n := 0, slices.Max(counts); tag < n; tag++ {
+		seal(buf[:], uint64(tag))
+		for j, tx := range txs {
+			if tag < counts[j] {
+				tx.Submit(buf[:])
+			}
 		}
 	}
-	return true
 }
 
 // FailureCounts is the paper's protocol-failure taxonomy (Section 7.1)
@@ -252,27 +274,53 @@ func (fc FailureCounts) Clean() bool {
 	return fc.FailData == 0 && fc.FailOrder == 0 && fc.Duplicates == 0 && fc.Missing == 0
 }
 
-// Collector accumulates FailureCounts from delivered payloads.
+// Collector is the Section 7.1 accountant of one flow: it checks every
+// delivered payload against the tag sequence 0,1,2,… (exactly once, in
+// order) and against its keystream.
 type Collector struct {
-	Counts  FailureCounts
-	Expect  int // total tags expected (set by the experiment)
-	checker *trace.Checker
+	Counts FailureCounts
+	Expect int // total tags expected (set by the experiment)
+
+	// next is the tag an in-order delivery carries: one past the highest
+	// delivered so far. Every tag below seen has been delivered; beyond
+	// holds the delivered tags at or above it, so an in-order run never
+	// touches the map.
+	next, seen uint64
+	beyond     map[uint64]bool
 }
 
 // NewCollector returns a collector expecting `expect` tags.
 func NewCollector(expect int) *Collector {
-	return &Collector{Expect: expect, checker: trace.NewChecker()}
+	return &Collector{Expect: expect}
 }
 
 // Deliver is the endpoint delivery callback.
 func (c *Collector) Deliver(p []byte) {
-	before := *c.checker
-	c.checker.Deliver(p)
+	tag := binary.BigEndian.Uint64(p)
 	c.Counts.Delivered++
-	if c.checker.Duplicates > before.Duplicates {
+	switch {
+	case tag == c.seen:
+		c.seen++
+		for len(c.beyond) > 0 && c.beyond[c.seen] {
+			delete(c.beyond, c.seen)
+			c.seen++
+		}
+	case tag < c.seen || c.beyond[tag]:
 		c.Counts.Duplicates++
+	default:
+		if c.beyond == nil {
+			c.beyond = make(map[uint64]bool)
+		}
+		c.beyond[tag] = true
 	}
-	if c.checker.OutOfOrder > before.OutOfOrder {
+	switch {
+	case tag == c.next:
+		c.next++
+	case tag > c.next:
+		// A skip past dropped tags: resume at the new high-water mark.
+		c.Counts.FailOrder++
+		c.next = tag + 1
+	default:
 		c.Counts.FailOrder++
 	}
 	if !PayloadIntact(p) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -8,7 +9,6 @@ import (
 	"repro/internal/link"
 	"repro/internal/sim"
 	"repro/internal/switchfab"
-	"repro/internal/trace"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -91,7 +91,7 @@ func TestMustNewFabricPanics(t *testing.T) {
 func TestSealedPayloadRoundTrip(t *testing.T) {
 	f := func(tag uint64) bool {
 		p := SealedPayload(tag)
-		return trace.TagOf(p) == tag && PayloadIntact(p)
+		return binary.BigEndian.Uint64(p) == tag && PayloadIntact(p)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -134,6 +134,71 @@ func TestCollectorCountsFailures(t *testing.T) {
 	}
 	if fc.Clean() {
 		t.Fatal("Clean() on dirty counts")
+	}
+}
+
+// TestCollector is the accountant's contract: what each delivery pattern
+// costs in Section 7.1 counts, and what it leaves in the watermark and the
+// beyond-watermark map.
+func TestCollector(t *testing.T) {
+	type delivery struct {
+		tag     uint64
+		flipTag bool // corrupt the tag's top bit in flight: tag becomes tag + 2^63
+	}
+	seq := func(tags ...uint64) []delivery {
+		ds := make([]delivery, len(tags))
+		for i, tag := range tags {
+			ds[i].tag = tag
+		}
+		return ds
+	}
+	cases := []struct {
+		name   string
+		expect int
+		in     []delivery
+		want   FailureCounts
+		seen   uint64 // every tag below it was delivered
+		beyond int    // map entries left
+	}{
+		{"in-order run", 10, seq(0, 1, 2, 3, 4, 5, 6, 7, 8, 9),
+			FailureCounts{Delivered: 10}, 10, 0},
+		{"duplicate", 1, seq(0, 0),
+			FailureCounts{Delivered: 2, Duplicates: 1, FailOrder: 1}, 1, 0},
+		{"gap then continue", 4, seq(0, 2, 3),
+			FailureCounts{Delivered: 3, FailOrder: 1, Missing: 1}, 1, 2},
+		{"late arrival of a skipped tag", 4, seq(0, 2, 1, 3),
+			FailureCounts{Delivered: 4, FailOrder: 2}, 4, 0},
+		{"reorder from the start", 2, seq(1, 0),
+			FailureCounts{Delivered: 2, FailOrder: 2}, 2, 0},
+		{"gap that never fills", 7, seq(0, 1, 5, 6),
+			FailureCounts{Delivered: 4, FailOrder: 1, Missing: 3}, 2, 2},
+		// One corrupted tag far above the run: a single map entry, one
+		// Fail_order and one Fail_data for the delivery itself; later
+		// duplicates are still told from first arrivals (every later tag
+		// is below the high-water mark, hence out of order).
+		{"corrupted huge tag", 3, []delivery{{tag: 0}, {tag: 0, flipTag: true}, {tag: 1}, {tag: 1}, {tag: 2}},
+			FailureCounts{Delivered: 5, FailOrder: 4, FailData: 1, Duplicates: 1}, 3, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCollector(tc.expect)
+			for _, d := range tc.in {
+				p := SealedPayload(d.tag)
+				if d.flipTag {
+					p[0] ^= 0x80
+				}
+				c.Deliver(p)
+			}
+			if got := c.Finish(); got != tc.want {
+				t.Errorf("counts = %+v, want %+v", got, tc.want)
+			}
+			if c.seen != tc.seen || len(c.beyond) != tc.beyond {
+				t.Errorf("watermark %d with %d tags beyond it, want %d and %d", c.seen, len(c.beyond), tc.seen, tc.beyond)
+			}
+			if tc.want.Clean() && c.beyond != nil {
+				t.Error("a clean run touched the beyond-watermark map")
+			}
+		})
 	}
 }
 

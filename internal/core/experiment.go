@@ -64,9 +64,7 @@ func (e *Experiment) Run() Result {
 	col := NewCollector(e.N)
 	f.B().Deliver = col.Deliver
 
-	for i := 0; i < e.N; i++ {
-		f.A().Submit(SealedPayload(uint64(i)))
-	}
+	offer([]*link.Peer{f.A()}, []int{e.N})
 	f.Run()
 
 	res := Result{

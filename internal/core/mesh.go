@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/link"
 	"repro/internal/sim"
@@ -187,7 +188,7 @@ func (m *MeshFabric) RunWorkload(flows []MeshFlow, n int) MeshResult {
 	if n <= 0 {
 		panic("core: mesh workload needs n > 0")
 	}
-	res := m.runWorkload(flows, nil, n)
+	res := m.runWorkload(flows, slices.Repeat([]int{n}, len(flows)))
 	res.PerFlowOffered = nil // uniform runs keep the legacy result shape
 	return res
 }
@@ -200,52 +201,37 @@ func (m *MeshFabric) RunWeighted(flows []MeshFlow, counts []int) MeshResult {
 	if len(counts) != len(flows) {
 		panic("core: mesh workload counts must match flows")
 	}
-	maxN := 0
 	for _, c := range counts {
 		if c <= 0 {
 			panic("core: mesh workload needs every count > 0")
 		}
-		if c > maxN {
-			maxN = c
-		}
 	}
-	return m.runWorkload(flows, counts, maxN)
+	return m.runWorkload(flows, counts)
 }
 
-func (m *MeshFabric) runWorkload(flows []MeshFlow, counts []int, n int) MeshResult {
+func (m *MeshFabric) runWorkload(flows []MeshFlow, counts []int) MeshResult {
 	if len(flows) == 0 {
 		panic("core: mesh workload needs at least one flow")
 	}
 	txs := make([]*link.Peer, len(flows))
 	rxs := make([]*link.Peer, len(flows))
 	cols := make([]*Collector, len(flows))
-	count := func(i int) int {
-		if counts == nil {
-			return n
-		}
-		return counts[i]
-	}
 	for i, fl := range flows {
 		src := m.Node(fl.SrcX, fl.SrcY)
 		dst := m.Node(fl.DstX, fl.DstY)
 		txs[i] = src.PeerTo(dst.ID)
 		rxs[i] = dst.PeerTo(src.ID)
-		cols[i] = NewCollector(count(i))
+		cols[i] = NewCollector(counts[i])
 		rxs[i].Deliver = cols[i].Deliver
 	}
-	for i := 0; i < n; i++ {
-		for j, tx := range txs {
-			if i < count(j) {
-				tx.Submit(SealedPayload(uint64(i)))
-			}
-		}
-	}
+	offer(txs, counts)
 	m.Run()
 
 	res := MeshResult{
 		Cfg: m.Cfg, W: m.W, H: m.H,
 		Flows:             append([]MeshFlow(nil), flows...),
-		Offered:           n,
+		Offered:           slices.Max(counts),
+		PerFlowOffered:    append([]int(nil), counts...),
 		Routers:           m.Mesh.TotalStats(),
 		Paths:             m.Mesh.PathStats(),
 		QueuePeaks:        m.Mesh.NodeQueuePeaks(),
@@ -253,9 +239,6 @@ func (m *MeshFabric) runWorkload(flows []MeshFlow, counts []int, n int) MeshResu
 		ExpressFallbacks:  m.Mesh.ExpressFallbacks,
 		HookDropped:       m.Mesh.HookDrops(),
 		Elapsed:           m.Eng.Now(),
-	}
-	if counts != nil {
-		res.PerFlowOffered = append([]int(nil), counts...)
 	}
 	for i := range flows {
 		res.PerFlow = append(res.PerFlow, cols[i].Finish())

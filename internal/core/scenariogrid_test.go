@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -199,7 +200,7 @@ func TestScenarioGridEnumeration(t *testing.T) {
 	g := ScenarioGrid{
 		Base: Config{Protocol: link.ProtocolRXL, Seed: 3},
 		Topologies: []Topology{
-			{W: 4, H: 1},          // non-square: transpose drops out
+			{W: 4, H: 1}, // non-square: transpose drops out
 			{Kind: TopoTorus, W: 2, H: 2},
 		},
 		Workloads: []workload.Spec{
@@ -231,11 +232,11 @@ func TestScenarioGridEnumeration(t *testing.T) {
 	}
 
 	bad := []ScenarioGrid{
-		{Topologies: []Topology{{W: 2, H: 2}}, Workloads: []workload.Spec{{Kind: workload.KindUniform}}},                         // N missing
-		{N: 5, Workloads: []workload.Spec{{Kind: workload.KindUniform}}},                                                        // no topology
-		{N: 5, Topologies: []Topology{{W: 2, H: 2}}},                                                                            // no workload
-		{N: 5, Topologies: []Topology{{Kind: "ring", W: 2, H: 2}}, Workloads: []workload.Spec{{Kind: workload.KindUniform}}},    // bad topo
-		{N: 5, Topologies: []Topology{{W: 2, H: 2}}, Workloads: []workload.Spec{{Kind: "tornado"}}},                             // bad workload
+		{Topologies: []Topology{{W: 2, H: 2}}, Workloads: []workload.Spec{{Kind: workload.KindUniform}}},                                               // N missing
+		{N: 5, Workloads: []workload.Spec{{Kind: workload.KindUniform}}},                                                                               // no topology
+		{N: 5, Topologies: []Topology{{W: 2, H: 2}}},                                                                                                   // no workload
+		{N: 5, Topologies: []Topology{{Kind: "ring", W: 2, H: 2}}, Workloads: []workload.Spec{{Kind: workload.KindUniform}}},                           // bad topo
+		{N: 5, Topologies: []Topology{{W: 2, H: 2}}, Workloads: []workload.Spec{{Kind: "tornado"}}},                                                    // bad workload
 		{N: 5, Topologies: []Topology{{W: 2, H: 2}}, Workloads: []workload.Spec{{Kind: workload.KindUniform}}, Faults: []FaultScript{{Kind: "quake"}}}, // bad fault
 	}
 	for i, b := range bad {
@@ -280,5 +281,37 @@ func TestScenarioReplayWeighting(t *testing.T) {
 		if fc.Delivered != want[i] {
 			t.Errorf("flow %d delivered %d of %d", i, fc.Delivered, want[i])
 		}
+	}
+}
+
+// TestScenarioCellAllocationBudget holds DESIGN §5.7 for the driver, not
+// only for the probes: under ScenarioCell.Run the one payload-sized
+// allocation per offered payload is the transmitting peer's replay entry
+// (flit images are pooled, the offer loop reuses one buffer, the collector
+// checks in place), so a warm cell stays under 1.5 heap objects and 512 B
+// per offered payload.
+func TestScenarioCellAllocationBudget(t *testing.T) {
+	const flows, n = 8, 2000
+	cell := ScenarioCell{
+		Cfg:      Config{Protocol: link.ProtocolRXL, BER: 1e-6, BurstProb: 0.4, Seed: 1},
+		Topo:     Topology{Kind: TopoMesh, W: 4, H: 4},
+		Workload: workload.Spec{Kind: workload.KindUniform, Flows: flows},
+	}
+	run := func() {
+		res, err := cell.Run(n)
+		if err != nil || !res.Clean() {
+			t.Fatalf("cell: err=%v result=%v", err, res.Result)
+		}
+	}
+	run() // warm the flit pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	objects := float64(after.Mallocs-before.Mallocs) / (flows * n)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (flows * n)
+	t.Logf("%.2f objects, %.0f B per offered payload", objects, bytes)
+	if objects >= 1.5 || bytes >= 512 {
+		t.Errorf("cell allocates %.2f objects and %.0f B per offered payload, budget is < 1.5 and < 512 B", objects, bytes)
 	}
 }

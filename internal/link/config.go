@@ -123,11 +123,11 @@ type Config struct {
 	// mark, and every hop consults the channel's pre-drawn error schedule
 	// instead of scanning the image. Flits an error event (or fault hook,
 	// or switch-internal corruption) does touch are materialized and
-	// processed byte-level, and retransmissions always take the
-	// byte-level path, so results are bit-identical to FastPath=false for
-	// identical seeds — proven by the differential tests in
-	// internal/core. Off for zero-value Configs; DefaultConfig turns it
-	// on.
+	// processed byte-level, so results are bit-identical to
+	// FastPath=false for identical seeds — proven by the differential
+	// tests in internal/core. Every flit a FastPath peer sends defers its
+	// seal, first transmission or replay. Off for zero-value Configs;
+	// DefaultConfig turns it on.
 	FastPath bool
 
 	// StampRoute, when true, writes RouteTag and SrcTag into the fabric

@@ -2,7 +2,6 @@ package link
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/flit"
 	"repro/internal/headq"
@@ -10,18 +9,14 @@ import (
 	"repro/internal/sim"
 )
 
-// replayEntry holds one unacknowledged data flit in the transmitter's
-// replay ring.
+// replayEntry is the one buffer a payload lives in from Submit until its
+// acknowledgment: queued in sendQ, then moved by pointer into the replay
+// ring, then recycled on the peer's free list.
 type replayEntry struct {
-	seq      uint64 // absolute sequence number
+	seq      uint64 // absolute sequence number, assigned at first transmission
 	payload  [flit.PayloadSize]byte
 	lastSent sim.Time
 }
-
-// entryPool recycles replay entries; every data flit allocates one
-// otherwise, which dominates steady-state allocations once flit images
-// are pooled.
-var entryPool = sync.Pool{New: func() interface{} { return new(replayEntry) }}
 
 // Peer is one end of a duplex link-layer connection: a transmitter with a
 // go-back-N replay buffer and a receiver with sequence validation per the
@@ -51,9 +46,10 @@ type Peer struct {
 	nextSeq       uint64
 	ackedUpTo     uint64 // all sequence numbers below this are acknowledged
 	replay        []*replayEntry
-	cursor        int                      // next replay index to (re)transmit; == len(replay) when drained
-	sendQ         [][flit.PayloadSize]byte // pending payloads from sendHead on
-	sendHead      int                      // consumed prefix of sendQ; array reused once drained
+	cursor        int            // next replay index to (re)transmit; == len(replay) when drained
+	sendQ         []*replayEntry // pending payloads from sendHead on
+	sendHead      int            // consumed prefix of sendQ; array reused once drained
+	free          []*replayEntry // acknowledged entries, reused by Submit
 	pumpScheduled bool
 	timerArmed    bool
 	nakToSend     bool
@@ -107,10 +103,16 @@ func (p *Peer) Submit(payload []byte) {
 	if len(payload) > flit.PayloadSize {
 		panic(fmt.Sprintf("link: payload %dB exceeds %dB", len(payload), flit.PayloadSize))
 	}
-	var buf [flit.PayloadSize]byte
-	copy(buf[:], payload)
+	var e *replayEntry
+	if last := len(p.free) - 1; last >= 0 {
+		e, p.free = p.free[last], p.free[:last]
+	} else {
+		e = new(replayEntry)
+	}
+	n := copy(e.payload[:], payload)
+	clear(e.payload[n:])
 	p.sendQ, p.sendHead = headq.Compact(p.sendQ, p.sendHead)
-	p.sendQ = append(p.sendQ, buf)
+	p.sendQ = append(p.sendQ, e)
 	p.pump()
 }
 
@@ -183,10 +185,9 @@ func (p *Peer) transmitOne() bool {
 		return true
 
 	case p.sendHead < len(p.sendQ) && len(p.replay) < p.Cfg.ReplayBufferSize:
-		e := entryPool.Get().(*replayEntry)
-		e.seq, e.lastSent = p.nextSeq, 0
-		e.payload = p.sendQ[p.sendHead]
+		e := p.sendQ[p.sendHead]
 		p.sendHead++
+		e.seq, e.lastSent = p.nextSeq, 0
 		p.nextSeq++
 		p.replay = append(p.replay, e)
 		p.cursor = len(p.replay)
@@ -231,11 +232,6 @@ func (p *Peer) sendData(e *replayEntry, isRetransmit bool) {
 	copy(f.Payload(), e.payload[:])
 	p.stampRoute(f)
 
-	// Retransmissions always take the byte-level slow path: they are rare
-	// by construction (one per error event) and sit on the protocol's
-	// recovery edge, where the reference semantics must hold unmodified.
-	fast := p.Cfg.FastPath && !isRetransmit
-
 	h := flit.Header{Type: flit.TypeData, Cmd: flit.CmdSeq}
 	// Selective-repeat retransmissions always carry their explicit FSN:
 	// the receiver must match them against the gap it is holding open.
@@ -254,7 +250,7 @@ func (p *Peer) sendData(e *replayEntry, isRetransmit bool) {
 		// FSN carries only the AckNum (or zero); the sequence number
 		// travels inside the CRC.
 		f.SetHeader(h)
-		if fast {
+		if p.Cfg.FastPath {
 			f.DeferSealRXL(wireSeq(e.seq))
 		} else {
 			f.SealRXL(wireSeq(e.seq), p.fec)
@@ -266,7 +262,7 @@ func (p *Peer) sendData(e *replayEntry, isRetransmit bool) {
 			h.FSN = wireSeq(e.seq)
 		}
 		f.SetHeader(h)
-		if fast {
+		if p.Cfg.FastPath {
 			f.DeferSealCXL()
 		} else {
 			f.SealCXL(p.fec)
@@ -562,17 +558,17 @@ func (p *Peer) onNak(fsn uint16) {
 	p.pump()
 }
 
-// popAcked discards replay entries with sequence numbers below watermark,
-// returning them to the pool.
+// popAcked moves replay entries with sequence numbers below watermark to
+// the free list.
 func (p *Peer) popAcked(watermark uint64) {
 	n := 0
 	for n < len(p.replay) && p.replay[n].seq < watermark {
-		entryPool.Put(p.replay[n])
 		n++
 	}
 	if n == 0 {
 		return
 	}
+	p.free = append(p.free, p.replay[:n]...)
 	p.replay = p.replay[n:]
 	p.ackedUpTo += uint64(n)
 	p.cursor -= n

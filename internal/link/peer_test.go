@@ -1,6 +1,7 @@
 package link
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 
@@ -427,6 +428,34 @@ func TestSubmitOversizedPanics(t *testing.T) {
 		}
 	}()
 	h.a.Submit(make([]byte, flit.PayloadSize+1))
+}
+
+// TestSubmitOwnsOneBufferPerPayload: Submit copies the caller's bytes once
+// into the entry that carries them to their acknowledgment, so the caller
+// may reuse its buffer at once, and an entry recycled after its ack still
+// zero-pads a shorter payload.
+func TestSubmitOwnsOneBufferPerPayload(t *testing.T) {
+	h := newHarness(t, ProtocolRXL, nil)
+	var got [][]byte
+	h.b.Deliver = func(p []byte) { got = append(got, bytes.Clone(p)) }
+
+	buf := bytes.Repeat([]byte{0xFF}, flit.PayloadSize)
+	h.a.Submit(buf)
+	clear(buf) // the caller's buffer is its own again
+	h.eng.Run()
+	if h.a.Outstanding() != 0 || len(h.a.free) != 1 {
+		t.Fatalf("after the ack: %d outstanding, %d free entries", h.a.Outstanding(), len(h.a.free))
+	}
+	h.a.Submit([]byte{1, 2, 3}) // rides the recycled entry
+	h.eng.Run()
+	if len(h.a.free) != 1 {
+		t.Fatalf("second payload did not reuse the freed entry: %d free", len(h.a.free))
+	}
+
+	want := [][]byte{bytes.Repeat([]byte{0xFF}, flit.PayloadSize), append([]byte{1, 2, 3}, make([]byte, flit.PayloadSize-3)...)}
+	if len(got) != 2 || !bytes.Equal(got[0], want[0]) || !bytes.Equal(got[1], want[1]) {
+		t.Fatalf("delivered %x, want %x", got, want)
+	}
 }
 
 func TestProtocolStrings(t *testing.T) {

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"container/list"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -114,11 +116,20 @@ func (c *Cache) lookup(key string) (res []byte, ok bool, outcome *obs.Counter) {
 		return res, true, c.hits
 	}
 	if c.spillDir != "" {
-		if b, err := os.ReadFile(c.spillPath(key)); err == nil {
-			c.mu.Lock()
-			c.insertLocked(key, b)
-			c.mu.Unlock()
-			return b, true, c.diskHits
+		path := c.spillPath(key)
+		if file, err := os.ReadFile(path); err == nil {
+			// A spill file verifies when its header line is the one its
+			// body would be written under. Anything else — truncated by a
+			// crash, bit-flipped, unframed (an older daemon's), wrong
+			// length — is removed and recomputed, never served.
+			header, b, _ := bytes.Cut(file, []byte("\n"))
+			if string(header)+"\n" == spillHeader(b) {
+				c.mu.Lock()
+				c.insertLocked(key, b)
+				c.mu.Unlock()
+				return b, true, c.diskHits
+			}
+			os.Remove(path)
 		}
 	}
 	return nil, false, c.misses
@@ -126,7 +137,8 @@ func (c *Cache) lookup(key string) (res []byte, ok bool, outcome *obs.Counter) {
 
 // Put stores the result bytes under key, evicting the LRU tail past
 // capacity. With a spill directory configured the entry is also written
-// through to disk (atomically, via rename), so evictions lose nothing.
+// through to disk (synced, then renamed into place), so evictions lose
+// nothing.
 func (c *Cache) Put(key string, result []byte) {
 	c.mu.Lock()
 	c.insertLocked(key, result)
@@ -167,23 +179,34 @@ func (c *Cache) spillPath(key string) string {
 	return filepath.Join(c.spillDir, key+".json")
 }
 
-// writeSpill writes the entry via a temp file + rename so concurrent
-// readers never observe a torn result.
+// spillHeader is the first line of result's spill file: its length and
+// SHA-256, which lookup checks the rest of the file against.
+func spillHeader(result []byte) string {
+	return fmt.Sprintf("rxld-spill %d %x\n", len(result), sha256.Sum256(result))
+}
+
+// writeSpill writes the framed entry to a temp file, syncs it and renames
+// it into place, so neither a concurrent reader nor a crash leaves a torn
+// result under the final name.
 func (c *Cache) writeSpill(key string, result []byte) error {
 	tmp, err := os.CreateTemp(c.spillDir, "spill-*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(result); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	_, err = tmp.Write(append([]byte(spillHeader(result)), result...))
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	return os.Rename(tmp.Name(), c.spillPath(key))
+	if err == nil {
+		err = os.Rename(tmp.Name(), c.spillPath(key))
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Stats snapshots the counters.

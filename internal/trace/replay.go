@@ -1,3 +1,6 @@
+// Package trace is the replay-trace parser behind the trace-driven
+// workload: it reads "src dst [count]" flow records from text that may
+// come from outside the program, and bounds everything it accumulates.
 package trace
 
 import (

@@ -2,7 +2,7 @@
 # Tiered verification ladder. Every CI job calls one rung of this script,
 # so the exact commands CI enforces are runnable (and debuggable) locally:
 #
-#   scripts/verify.sh --level=unit          # vet + build (incl. purego) + tests (incl. bench/) + bench smoke
+#   scripts/verify.sh --level=unit          # gofmt + vet + build (incl. purego) + tests (incl. bench/) + bench smoke
 #   scripts/verify.sh --level=race          # race detector over ./... + fuzz corpus
 #   scripts/verify.sh --level=kernels       # coding-kernel differential: default vs -tags purego
 #   scripts/verify.sh --level=differential  # scenario-grid fast/slow scan
@@ -84,6 +84,11 @@ boot_fleet() {
 }
 
 rung_unit() {
+  # gofmt prints the tracked .go files it would rewrite; any name fails.
+  echo "+ gofmt -l (tracked .go files)" >&2
+  local unformatted
+  unformatted=$(git ls-files -z '*.go' | xargs -0 gofmt -l)
+  [ -z "$unformatted" ] || { echo "gofmt -l: $unformatted" >&2; exit 1; }
   run go vet ./...
   run go build ./...
   # The purego build is the pinned reference for every SIMD-dispatched
@@ -101,8 +106,8 @@ rung_unit() {
 
 rung_race() {
   run go test -race ./...
-  # Fuzz seed corpora (replay parsing, JobSpec normalize, Prometheus text;
-  # no long fuzzing).
+  # Fuzz seed corpora (replay parsing, JobSpec normalize, spill files,
+  # Prometheus text; no long fuzzing).
   run go test -run 'Fuzz.*' ./internal/trace/ ./internal/service/ ./internal/obs/
 }
 
@@ -128,6 +133,9 @@ rung_differential() {
   # fast-path/byte-level differential; any diverging cell (or
   # non-exactly-once RXL delivery) exits non-zero.
   run go run ./cmd/rxlsim -scan -scan-n 25 -ber 1e-5
+  # Again where retransmissions dominate: every replayed flit defers its
+  # seal on the fast path, so these cells pin that against byte-level.
+  run go run ./cmd/rxlsim -scan -scan-n 25 -ber 1e-4
 }
 
 rung_smoke() {
