@@ -357,9 +357,9 @@ type leg struct {
 // runs every leg once and asserts nothing). The express floor is an
 // exact event count instead: core.TestExpressCollapsesEvents.
 var floors = []floor{
-	{name: "chain-fastpath", min: 5,
+	{name: "chain-fastpath", min: 3,
 		slow: leg{"bytelevel", chainTransfer(true)}, fast: leg{"fastpath", chainTransfer(false)}},
-	{name: "mesh-fastpath", min: 5,
+	{name: "mesh-fastpath", min: 3,
 		slow: leg{"bytelevel", meshTransfer(true)}, fast: leg{"fastpath", meshTransfer(false)}},
 	{name: "mc-epoch-skip", min: 5,
 		slow: leg{"epoch-ber1e6", mcEpochSkip(1e-6)}, fast: leg{"epoch-ber1e9", mcEpochSkip(1e-9)}},

@@ -167,10 +167,10 @@ const (
 // never appears on the wire: a seal record (kind and ISN sequence number)
 // and a clean mark. A clean flit's image is known to be bit-identical to
 // its sealed form — no channel or switch has touched it — so every
-// integrity operation (CheckCRC, CheckCRCISN, DecodeFEC, RecomputeCRC,
-// ReencodeFEC) short-circuits to its provable outcome in O(1). Anything
-// that mutates Raw outside those methods must call Taint (after
-// Materialize if the seal is still deferred) or the clean mark lies.
+// integrity check (CheckCRC, CheckCRCISN, DecodeFEC) short-circuits to its
+// provable outcome in O(1). Anything that mutates Raw outside those
+// methods must call Taint (after Materialize if the seal is still
+// deferred) or the clean mark lies.
 type Flit struct {
 	Raw [Size]byte
 
@@ -353,13 +353,10 @@ func (f *Flit) Materialize(fec *rs.Interleaved) {
 }
 
 // ReencodeFEC recomputes the FEC parity without touching the CRC. Switches
-// use this on egress: under RXL the end-to-end CRC passes through untouched
-// while FEC is terminated per hop (Section 6.4). A clean deferred flit
-// skips the encode — the parity bytes do not exist yet and stay deferred.
+// use this on egress after their internal fault point touched the image:
+// under RXL the end-to-end CRC passes through untouched while FEC is
+// terminated per hop (Section 6.4). The image must be materialized.
 func (f *Flit) ReencodeFEC(fec *rs.Interleaved) {
-	if f.clean && f.deferred {
-		return
-	}
 	fec.Encode(f.protected(), f.FECField())
 }
 
@@ -407,18 +404,10 @@ func (f *Flit) CheckCRCISN(eseq uint16) bool {
 // RecomputeCRC rewrites the CRC over the current header+payload (plain
 // semantics). CXL switches do this on egress after terminating the
 // link-layer CRC — the step that leaves switch-internal corruption
-// unprotected in baseline CXL (Section 6.3). On a clean flit the rewrite
-// is equivalent to re-sealing the untouched image with plain semantics,
-// so a deferred seal just switches kind and stays deferred.
+// unprotected in baseline CXL (Section 6.3). The image must be
+// materialized.
 func (f *Flit) RecomputeCRC() {
-	if f.clean && f.deferred {
-		f.kind = sealPlain
-		return
-	}
 	f.setCRCField(crc.Checksum(f.crcInput()))
-	if f.clean {
-		f.kind = sealPlain
-	}
 }
 
 // Clone returns a deep copy of the flit, including its fast-path seal

@@ -110,10 +110,14 @@ func (v *synTab) horner2(acc uint64, s []byte) uint64 {
 			g1[s[i]] ^ uint64(s[i+1])*0x0101
 	}
 	if i < len(s) {
-		acc = v.t1[0][byte(acc)] ^ v.t1[1][byte(acc>>8)] ^
-			uint64(s[i])*0x0101
+		acc = v.step2(acc, s[i])
 	}
 	return acc
+}
+
+// step2 advances a two-lane accumulator by one received byte.
+func (v *synTab) step2(acc uint64, b byte) uint64 {
+	return v.t1[0][byte(acc)] ^ v.t1[1][byte(acc>>8)] ^ uint64(b)*0x0101
 }
 
 // hornerN is the generic bank (3 ≤ np ≤ 8): same two-byte schedule, lane

@@ -3,7 +3,9 @@
 // flits, the failure mode at the center of the paper (Sections 2.3, 6.4).
 //
 // A switch terminates the FEC on ingress (decode, correct, or drop) and
-// regenerates it on egress. The two protocol stacks differ in what happens
+// regenerates it on egress whenever its internal fault point touched the
+// image; an untouched image already leaves the decoder as a codeword, so
+// it is forwarded as is. The two protocol stacks differ in what happens
 // to the CRC:
 //
 //   - ModeCXL: the CRC is a link-layer mechanism, so the switch verifies it
@@ -103,8 +105,11 @@ type Switch struct {
 	InternalBitFlipProb float64
 
 	// InternalHook, when non-nil, may mutate the flit at the internal
-	// fault point; return true to count it as a corruption. Used by the
-	// deterministic Section 6.3 experiments.
+	// fault point; return true to count it as a corruption. The return
+	// value only feeds InternalCorruptions: the switch regenerates the
+	// egress CRC (ModeCXL) and FEC after every hook call, so a hook that
+	// mutates and returns false still forwards a valid codeword. Used by
+	// the deterministic Section 6.3 experiments.
 	InternalHook func(*flit.Flit) bool
 
 	fec *rs.Interleaved
@@ -155,9 +160,12 @@ func (s *Switch) forward(f *flit.Flit, egress *link.Wire) {
 // if the flit was discarded.
 //
 // Clean flits cross in O(1): the FEC decode and CRC check below
-// short-circuit inside the flit layer, only the internal fault point draws
-// (so the RNG stream matches the byte-level reference), and the egress
-// regeneration resolves to a no-op on an image that never changed.
+// short-circuit inside the flit layer, and only the internal fault point
+// draws (so the RNG stream matches the byte-level reference). Egress
+// regenerates the CRC and FEC only when the fault point touched the
+// image: a Clean or Corrected decode leaves data‖parity a codeword, whose
+// systematic parity re-encodes to the same bytes, and a CRC that passed
+// CheckCRC rewrites to the same bytes, so skipping both is the identity.
 func (s *Switch) process(f *flit.Flit) bool {
 	s.Stats.FlitsIn++
 
@@ -182,21 +190,20 @@ func (s *Switch) process(f *flit.Flit) bool {
 
 	// Internal fault point: datapath/buffer corruption inside the switch.
 	// A deferred seal is materialized before the image mutates, so the
-	// corruption lands on the byte-exact sealed image.
-	corrupted := false
-	if s.InternalHook != nil {
+	// corruption lands on the byte-exact sealed image. A hook may mutate
+	// without reporting it, so touched follows the call, not its verdict.
+	touched, corrupted := s.InternalHook != nil, false
+	if touched {
 		f.Materialize(s.fec)
 		f.Taint()
-		if s.InternalHook(f) {
-			corrupted = true
-		}
+		corrupted = s.InternalHook(f)
 	}
 	if s.InternalBitFlipProb > 0 && s.rng != nil && s.rng.Float64() < s.InternalBitFlipProb {
 		bit := s.rng.Intn((flit.HeaderSize + flit.PayloadSize) * 8)
 		f.Materialize(s.fec)
 		f.Raw[bit/8] ^= 1 << (7 - bit%8)
 		f.Taint()
-		corrupted = true
+		touched, corrupted = true, true
 	}
 	if corrupted {
 		s.Stats.InternalCorruptions++
@@ -204,9 +211,11 @@ func (s *Switch) process(f *flit.Flit) bool {
 
 	// Egress: ModeCXL regenerates the CRC — blessing any internal
 	// corruption. ModeRXL leaves the end-to-end CRC untouched.
-	if s.Mode == ModeCXL {
-		f.RecomputeCRC()
+	if touched {
+		if s.Mode == ModeCXL {
+			f.RecomputeCRC()
+		}
+		f.ReencodeFEC(s.fec)
 	}
-	f.ReencodeFEC(s.fec)
 	return true
 }

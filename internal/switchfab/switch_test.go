@@ -235,6 +235,53 @@ func TestInternalCorruptionRXLDetected(t *testing.T) {
 	}
 }
 
+// TestInternalHookSilentMutationRegenerated pins the hook contract the
+// egress skip must honour: a hook that mutates the image and returns false
+// still gets a regenerated FEC, so the next hop receives a valid codeword
+// (and does not "correct" the mutation away), and the RXL endpoint
+// rejects the flit by its end-to-end CRC.
+func TestInternalHookSilentMutationRegenerated(t *testing.T) {
+	eng := sim.NewEngine()
+	c := NewChain(eng, DefaultChainConfig(link.ProtocolRXL, 2))
+	var payloads [][]byte
+	c.B.Deliver = func(p []byte) { payloads = append(payloads, append([]byte(nil), p...)) }
+
+	fired := false
+	c.Switches[0].InternalHook = func(f *flit.Flit) bool {
+		if !fired && f.Header().Type == flit.TypeData {
+			fired = true
+			f.Payload()[5] ^= 0xAA
+		}
+		return false
+	}
+	fec := flit.NewFEC()
+	nonCodewords := 0
+	c.Fwd[1].FaultHook = func(f *flit.Flit) bool {
+		if !fec.VerifyReference(f.Raw[:flit.ProtectedSize], f.FECField()) {
+			nonCodewords++
+		}
+		return false
+	}
+	c.A.Submit(tagged(0))
+	eng.Run()
+
+	if !fired {
+		t.Fatal("internal mutation never injected")
+	}
+	if nonCodewords != 0 {
+		t.Fatalf("%d flits reached the next hop as non-codewords", nonCodewords)
+	}
+	if c.B.Stats.CrcErrors == 0 {
+		t.Error("RXL endpoint did not reject the silently mutated flit by ECRC")
+	}
+	if st := c.TotalSwitchStats(); st.InternalCorruptions != 0 || st.CorrectedFlits != 0 {
+		t.Errorf("hook returned false but stats show %d corruptions, %d corrections", st.InternalCorruptions, st.CorrectedFlits)
+	}
+	if len(payloads) != 1 || payloads[0][5] != 0 {
+		t.Fatalf("delivered %d payloads, want the retried clean one", len(payloads))
+	}
+}
+
 func TestChainUnderBERRXLExactlyOnce(t *testing.T) {
 	eng := sim.NewEngine()
 	c := NewChain(eng, DefaultChainConfig(link.ProtocolRXL, 2))
