@@ -363,12 +363,12 @@ var floors = []floor{
 		slow: leg{"bytelevel", meshTransfer(true)}, fast: leg{"fastpath", meshTransfer(false)}},
 	{name: "mc-epoch-skip", min: 5,
 		slow: leg{"epoch-ber1e6", mcEpochSkip(1e-6)}, fast: leg{"epoch-ber1e9", mcEpochSkip(1e-9)}},
-	{name: "crc-slicing", min: 4,
-		slow: leg{"table", crcEngine(crc.UpdateTable)}, fast: leg{"by16", crcEngine(crc.UpdateSlicing16)}},
+	{name: "crc-slicing", min: 8,
+		slow: leg{"bitwise", crcEngine(crc.UpdateBitwise)}, fast: leg{"by16", crcEngine(crc.UpdateSlicing16)}},
 	{name: "crc-clmul", min: 4, applies: crc.UsingCLMUL,
 		slow: leg{"by16", crcEngine(crc.UpdateSlicing16)}, fast: leg{"clmul", crcEngine(crc.Update)}},
 	{name: "rs-syndrome", min: 3,
-		slow: leg{"bytelevel", rsVerify((*rs.Code).VerifyReference)}, fast: leg{"vectored", rsVerify((*rs.Code).Verify)}},
+		slow: leg{"bytelevel", rsVerify((*rs.Interleaved).VerifyReference)}, fast: leg{"vectored", rsVerify((*rs.Interleaved).Verify)}},
 }
 
 const (
@@ -491,9 +491,8 @@ func mcEpochSkip(ber float64) func(*testing.B) {
 }
 
 // crcEngine runs one CRC-64 engine over a full 242-byte flit input
-// (header + payload). table → by16 is the portable ladder (by16 is the
-// purego hot path), by16 → crc.Update is what PCLMULQDQ folding adds;
-// the rest of the ladder (by8, bit-serial) is benchmarked in internal/crc.
+// (header + payload). bit-serial → by16 is what the tables buy (by16 is
+// the purego hot path), by16 → crc.Update is what PCLMULQDQ folding adds.
 func crcEngine(update func(uint64, []byte) uint64) func(*testing.B) {
 	return func(b *testing.B) {
 		buf := make([]byte, 242)
@@ -507,19 +506,20 @@ func crcEngine(update func(uint64, []byte) uint64) func(*testing.B) {
 	}
 }
 
-// rsVerify runs one RS syndrome front-end over a CXL sub-block (86-symbol
-// codeword, 2 parity): word-parallel rs.Code.Verify, or the byte loop.
-func rsVerify(verify func(*rs.Code, []byte, []byte) bool) func(*testing.B) {
+// rsVerify runs one RS clean check over the flit FEC's 250-byte image and
+// its 6 parity bytes: the stride-3 table kernel Interleaved.Verify, or the
+// per-way byte loop.
+func rsVerify(verify func(*rs.Interleaved, []byte, []byte) bool) func(*testing.B) {
 	return func(b *testing.B) {
-		c := rs.MustNew(84, 2)
-		data := make([]byte, 84)
-		parity := make([]byte, 2)
+		fec := flit.NewFEC()
+		data := make([]byte, fec.DataLen())
+		parity := make([]byte, fec.ParityLen())
 		phy.NewRNG(3).Fill(data)
-		c.Encode(data, parity)
+		fec.Encode(data, parity)
 		b.SetBytes(int64(len(data) + len(parity)))
 		ok := false
 		for i := 0; i < b.N; i++ {
-			ok = verify(c, data, parity)
+			ok = verify(fec, data, parity)
 		}
 		if !ok {
 			b.Fatal("benchmark codeword failed verify")

@@ -102,19 +102,6 @@ type MeshFlow struct {
 	SrcX, SrcY, DstX, DstY int
 }
 
-// Hops returns the number of wire crossings of the flow's XY route:
-// the node-ingress wire plus the Manhattan distance between routers.
-func (f MeshFlow) Hops() int {
-	return 1 + absInt(f.DstX-f.SrcX) + absInt(f.DstY-f.SrcY)
-}
-
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 // MeshResult is the accounting of one mesh workload run: the Section 7.1
 // failure taxonomy per flow, per-flow endpoint link statistics, the
 // router totals, and the per-path channel accounting.

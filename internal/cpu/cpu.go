@@ -3,10 +3,12 @@
 // It is a deliberately tiny, stdlib-only stand-in for golang.org/x/sys/cpu:
 // the simulator's hot byte-level kernels (internal/crc's PCLMULQDQ folding)
 // select an implementation at package init based on the flags here, and the
-// container image bakes in no external modules. Detection runs the CPUID
-// instruction directly (see cpuid_amd64.s); on non-amd64 architectures, or
-// under the `purego` build tag, every flag is false and all kernels fall
-// back to their portable table-driven reference implementations.
+// container image bakes in no external modules. It detects only the flags a
+// kernel dispatches on; a wider kernel adds its flag together with the code
+// that reads it. Detection runs the CPUID instruction directly (see
+// cpuid_amd64.s); on non-amd64 architectures, or under the `purego` build
+// tag, every flag is false and all kernels fall back to their portable
+// table-driven reference implementations.
 //
 // The RXL_PUREGO environment variable (any non-empty value) clears every
 // flag at startup, forcing the pure-Go reference kernels without a rebuild —
@@ -25,15 +27,6 @@ var X86 struct {
 	HasPCLMULQDQ bool
 	// HasSSE41: SSE4.1 (PEXTRQ, used by the folding kernel's epilogue).
 	HasSSE41 bool
-	// HasSSE42 is detected for completeness (hardware CRC32, unused here).
-	HasSSE42 bool
-	// HasAVX2 requires both the CPU feature and OS XSAVE support for the
-	// YMM state. Detected for future wider kernels; nothing dispatches on
-	// it yet.
-	HasAVX2 bool
-	// HasGFNI: GF(2^8) affine instructions (the ROADMAP's eventual RS
-	// lane-multiply target). Detection only; nothing dispatches on it yet.
-	HasGFNI bool
 }
 
 func init() {
@@ -41,8 +34,5 @@ func init() {
 	if os.Getenv("RXL_PUREGO") != "" {
 		X86.HasPCLMULQDQ = false
 		X86.HasSSE41 = false
-		X86.HasSSE42 = false
-		X86.HasAVX2 = false
-		X86.HasGFNI = false
 	}
 }

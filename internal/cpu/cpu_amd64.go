@@ -6,11 +6,6 @@ package cpu
 // subleaf (ECX). Implemented in cpuid_amd64.s.
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 
-// xgetbv reads extended control register 0 (the XCR0 state-enable mask).
-// Only valid when CPUID leaf 1 reports OSXSAVE. Implemented in
-// cpuid_amd64.s.
-func xgetbv() (eax, edx uint32)
-
 // detectionActive reports that this build really interrogates the CPU
 // (as opposed to the purego/non-amd64 no-op detect).
 const detectionActive = true
@@ -19,14 +14,6 @@ const detectionActive = true
 const (
 	leaf1PCLMULQDQ = 1 << 1
 	leaf1SSE41     = 1 << 19
-	leaf1SSE42     = 1 << 20
-	leaf1OSXSAVE   = 1 << 27
-)
-
-// CPUID leaf 7 subleaf 0 feature bits.
-const (
-	leaf7EBXAVX2 = 1 << 5
-	leaf7ECXGFNI = 1 << 8
 )
 
 func detect() {
@@ -37,18 +24,4 @@ func detect() {
 	_, _, ecx1, _ := cpuid(1, 0)
 	X86.HasPCLMULQDQ = ecx1&leaf1PCLMULQDQ != 0
 	X86.HasSSE41 = ecx1&leaf1SSE41 != 0
-	X86.HasSSE42 = ecx1&leaf1SSE42 != 0
-
-	// YMM-state kernels additionally need the OS to have enabled XMM+YMM
-	// saving (XCR0 bits 1 and 2); a CPU flag alone is not enough.
-	osAVX := false
-	if ecx1&leaf1OSXSAVE != 0 {
-		xcr0, _ := xgetbv()
-		osAVX = xcr0&0x6 == 0x6
-	}
-	if maxLeaf >= 7 {
-		_, ebx7, ecx7, _ := cpuid(7, 0)
-		X86.HasAVX2 = osAVX && ebx7&leaf7EBXAVX2 != 0
-		X86.HasGFNI = ecx7&leaf7ECXGFNI != 0
-	}
 }

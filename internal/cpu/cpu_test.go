@@ -12,13 +12,13 @@ import (
 // amd64, and RXL_PUREGO force-clears everything.
 func TestFlagsConsistent(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
-		if X86.HasPCLMULQDQ || X86.HasSSE41 || X86.HasSSE42 || X86.HasAVX2 || X86.HasGFNI {
+		if X86.HasPCLMULQDQ || X86.HasSSE41 {
 			t.Fatalf("non-amd64 host reports x86 features: %+v", X86)
 		}
 		return
 	}
 	if os.Getenv("RXL_PUREGO") != "" {
-		if X86.HasPCLMULQDQ || X86.HasSSE41 || X86.HasSSE42 || X86.HasAVX2 || X86.HasGFNI {
+		if X86.HasPCLMULQDQ || X86.HasSSE41 {
 			t.Fatalf("RXL_PUREGO set but features survived: %+v", X86)
 		}
 	}
@@ -27,7 +27,7 @@ func TestFlagsConsistent(t *testing.T) {
 
 // TestAgainstProcCPUInfo cross-checks our raw-CPUID detection against the
 // kernel's own view on Linux/amd64. The flags /proc/cpuinfo advertises use
-// lowercase underscore names (pclmulqdq, sse4_1, sse4_2, avx2, gfni).
+// lowercase underscore names (pclmulqdq, sse4_1).
 func TestAgainstProcCPUInfo(t *testing.T) {
 	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" || !detectionActive {
 		t.Skip("cross-check needs linux/amd64 /proc/cpuinfo and active detection")
@@ -59,18 +59,10 @@ func TestAgainstProcCPUInfo(t *testing.T) {
 	}{
 		{"pclmulqdq", X86.HasPCLMULQDQ},
 		{"sse4_1", X86.HasSSE41},
-		{"sse4_2", X86.HasSSE42},
-		{"gfni", X86.HasGFNI},
 	}
 	for _, c := range checks {
 		if c.ours != kernel[c.name] {
 			t.Errorf("%s: cpuid says %v, /proc/cpuinfo says %v", c.name, c.ours, kernel[c.name])
 		}
-	}
-	// AVX2 is the one flag where we additionally require OS YMM-state
-	// support, so ours may legitimately be false while the kernel flag is
-	// set (e.g. restrictive XCR0 in a VM). The reverse would be a bug.
-	if X86.HasAVX2 && !kernel["avx2"] {
-		t.Error("we report AVX2 but /proc/cpuinfo does not list it")
 	}
 }

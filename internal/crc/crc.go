@@ -18,13 +18,8 @@
 // Update to slicing-by-16 — the only path on non-amd64 hosts and the
 // pinned reference the kernel differential and fuzz suites compare the
 // assembly against. UpdateBitwise is the bit-serial definition of the
-// polynomial every table is derived from and checked against.
-// UpdateTable and UpdateSlicing8 are the intermediate rungs of the
-// throughput ladder (one table, eight tables): nothing in the simulator
-// calls them; they exist so the BenchmarkChecksum*Flit family and the
-// table/by16 floor can show the encode pipeline is table-bound and by how
-// much each widening pays (the CRC ablation in DESIGN.md §3), and the
-// cross-check tests hold all five engines to identical output.
+// polynomial every table is derived from and checked against, and the
+// slow leg of the bitwise/by16 floor (DESIGN.md §2).
 //
 // # ISN encoding
 //
@@ -52,8 +47,8 @@ const SeqMask uint16 = 1<<SeqBits - 1
 var (
 	table [256]uint64
 	// sliceTbl[k][b] is the CRC of byte b followed by k zero bytes —
-	// table-advanced k times. The slicing-by-8 engine uses rows 0..7, the
-	// slicing-by-16 engine all 16 rows.
+	// table-advanced k times. The slicing-by-16 engine uses all 16 rows,
+	// its 8-byte tail step rows 0..7.
 	sliceTbl [16][256]uint64
 )
 
@@ -105,9 +100,9 @@ func Update(crc uint64, data []byte) uint64 {
 // not built with -tags purego, not disabled via RXL_PUREGO).
 func UsingCLMUL() bool { return hasCLMUL }
 
-// UpdateSlicing16 is the slicing-by-16 engine (8-byte and byte-at-a-time
-// tails): the portable hot path, the dispatch fallback, and the reference
-// the CLMUL kernel is differentially pinned against.
+// UpdateSlicing16 is the slicing-by-16 engine (one 8-byte step and
+// byte-at-a-time tails): the portable hot path, the dispatch fallback, and
+// the reference the CLMUL kernel is differentially pinned against.
 func UpdateSlicing16(crc uint64, data []byte) uint64 {
 	for len(data) >= 16 {
 		// One 16-byte block per iteration: the running state folds into
@@ -137,7 +132,24 @@ func UpdateSlicing16(crc uint64, data []byte) uint64 {
 			sliceTbl[0][byte(lo)]
 		data = data[16:]
 	}
-	return UpdateSlicing8(crc, data)
+	if len(data) >= 8 {
+		crc ^= uint64(data[0])<<56 | uint64(data[1])<<48 | uint64(data[2])<<40 |
+			uint64(data[3])<<32 | uint64(data[4])<<24 | uint64(data[5])<<16 |
+			uint64(data[6])<<8 | uint64(data[7])
+		crc = sliceTbl[7][byte(crc>>56)] ^
+			sliceTbl[6][byte(crc>>48)] ^
+			sliceTbl[5][byte(crc>>40)] ^
+			sliceTbl[4][byte(crc>>32)] ^
+			sliceTbl[3][byte(crc>>24)] ^
+			sliceTbl[2][byte(crc>>16)] ^
+			sliceTbl[1][byte(crc>>8)] ^
+			sliceTbl[0][byte(crc)]
+		data = data[8:]
+	}
+	for _, b := range data {
+		crc = table[byte(crc>>56)^b] ^ crc<<8
+	}
+	return crc
 }
 
 // foldReduce finishes the carry-less-multiply kernel: the 128-bit folding
@@ -163,40 +175,8 @@ func foldReduce(hi, lo uint64) uint64 {
 		sliceTbl[0][byte(lo)]
 }
 
-// UpdateSlicing8 is the slicing-by-8 engine: one 8-byte block per
-// iteration. It remains the tail processor of Update and the mid-rung of
-// the kernel ablation (bitwise → table → by-8 → by-16).
-func UpdateSlicing8(crc uint64, data []byte) uint64 {
-	for len(data) >= 8 {
-		crc ^= uint64(data[0])<<56 | uint64(data[1])<<48 | uint64(data[2])<<40 |
-			uint64(data[3])<<32 | uint64(data[4])<<24 | uint64(data[5])<<16 |
-			uint64(data[6])<<8 | uint64(data[7])
-		crc = sliceTbl[7][byte(crc>>56)] ^
-			sliceTbl[6][byte(crc>>48)] ^
-			sliceTbl[5][byte(crc>>40)] ^
-			sliceTbl[4][byte(crc>>32)] ^
-			sliceTbl[3][byte(crc>>24)] ^
-			sliceTbl[2][byte(crc>>16)] ^
-			sliceTbl[1][byte(crc>>8)] ^
-			sliceTbl[0][byte(crc)]
-		data = data[8:]
-	}
-	for _, b := range data {
-		crc = table[byte(crc>>56)^b] ^ crc<<8
-	}
-	return crc
-}
-
-// UpdateTable is the single-table byte-at-a-time engine (ablation baseline).
-func UpdateTable(crc uint64, data []byte) uint64 {
-	for _, b := range data {
-		crc = table[byte(crc>>56)^b] ^ crc<<8
-	}
-	return crc
-}
-
-// UpdateBitwise is the bit-serial reference implementation used to validate
-// the table-driven engines.
+// UpdateBitwise is the bit-serial definition of the polynomial, the
+// reference the table-driven engines are validated against.
 func UpdateBitwise(crc uint64, data []byte) uint64 {
 	for _, b := range data {
 		crc ^= uint64(b) << 56

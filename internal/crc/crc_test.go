@@ -13,12 +13,6 @@ func TestEnginesAgree(t *testing.T) {
 			data := make([]byte, n)
 			rng.Read(data)
 			ref := UpdateBitwise(0, data)
-			if got := UpdateTable(0, data); got != ref {
-				t.Fatalf("n=%d: table %#x != bitwise %#x", n, got, ref)
-			}
-			if got := UpdateSlicing8(0, data); got != ref {
-				t.Fatalf("n=%d: slicing-8 %#x != bitwise %#x", n, got, ref)
-			}
 			if got := UpdateSlicing16(0, data); got != ref {
 				t.Fatalf("n=%d: slicing-16 %#x != bitwise %#x", n, got, ref)
 			}
@@ -32,9 +26,7 @@ func TestEnginesAgree(t *testing.T) {
 func TestEnginesAgreeProperty(t *testing.T) {
 	prop := func(data []byte, init uint64) bool {
 		ref := UpdateBitwise(init, data)
-		return UpdateTable(init, data) == ref &&
-			UpdateSlicing8(init, data) == ref &&
-			UpdateSlicing16(init, data) == ref &&
+		return UpdateSlicing16(init, data) == ref &&
 			Update(init, data) == ref
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
@@ -281,22 +273,6 @@ func BenchmarkChecksumSlicing16Flit(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
 		sink = UpdateSlicing16(0, data)
-	}
-}
-
-func BenchmarkChecksumSlicing8Flit(b *testing.B) {
-	data := make([]byte, 242)
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		sink = UpdateSlicing8(0, data)
-	}
-}
-
-func BenchmarkChecksumTableFlit(b *testing.B) {
-	data := make([]byte, 242)
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		sink = UpdateTable(0, data)
 	}
 }
 

@@ -423,5 +423,5 @@ func (f *Flit) Clone() *Flit {
 // 3-way interleaved, 2 parity symbols per way over the 250-byte protected
 // region. Each goroutine/entity needs its own (scratch buffers are reused).
 func NewFEC() *rs.Interleaved {
-	return rs.MustNewInterleaved(ProtectedSize, 3, 2)
+	return rs.MustNewInterleaved(ProtectedSize)
 }

@@ -46,38 +46,12 @@ func init() {
 	logTable[0] = -1 // poison value: log of zero is undefined
 }
 
-// Add returns a + b in GF(2^8). Addition and subtraction coincide.
-func Add(a, b byte) byte { return a ^ b }
-
 // Mul returns a * b in GF(2^8).
 func Mul(a, b byte) byte {
 	if a == 0 || b == 0 {
 		return 0
 	}
 	return expTable[logTable[a]+logTable[b]]
-}
-
-// Div returns a / b in GF(2^8). It panics if b == 0.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("gf256: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	d := logTable[a] - logTable[b]
-	if d < 0 {
-		d += Order
-	}
-	return expTable[d]
-}
-
-// Inv returns the multiplicative inverse of a. It panics if a == 0.
-func Inv(a byte) byte {
-	if a == 0 {
-		panic("gf256: inverse of zero")
-	}
-	return expTable[Order-logTable[a]]
 }
 
 // Exp returns alpha^e where alpha is the field generator. The exponent may
@@ -97,22 +71,6 @@ func Log(a byte) int {
 		panic("gf256: log of zero")
 	}
 	return logTable[a]
-}
-
-// Pow returns a^e in GF(2^8). Pow(0, 0) is defined as 1, matching the
-// convention for polynomial evaluation; Pow(0, e>0) is 0.
-func Pow(a byte, e int) byte {
-	if e == 0 {
-		return 1
-	}
-	if a == 0 {
-		return 0
-	}
-	le := (logTable[a] * e) % Order
-	if le < 0 {
-		le += Order
-	}
-	return expTable[le]
 }
 
 // PolyEval evaluates the polynomial with coefficients p (p[0] is the

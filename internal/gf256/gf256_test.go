@@ -5,17 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestAddIsXOR(t *testing.T) {
-	if Add(0x55, 0xAA) != 0xFF {
-		t.Fatalf("Add(0x55,0xAA) = %#x, want 0xFF", Add(0x55, 0xAA))
-	}
-	for a := 0; a < 256; a++ {
-		if Add(byte(a), byte(a)) != 0 {
-			t.Fatalf("a + a != 0 for a=%d", a)
-		}
-	}
-}
-
 func TestMulIdentityAndZero(t *testing.T) {
 	for a := 0; a < 256; a++ {
 		if Mul(byte(a), 1) != byte(a) {
@@ -66,49 +55,10 @@ func TestMulCommutativeAssociativeDistributive(t *testing.T) {
 	if err := quick.Check(assoc, nil); err != nil {
 		t.Error(err)
 	}
-	dist := func(a, b, c byte) bool { return Mul(a, Add(b, c)) == Add(Mul(a, b), Mul(a, c)) }
+	dist := func(a, b, c byte) bool { return Mul(a, b^c) == Mul(a, b)^Mul(a, c) }
 	if err := quick.Check(dist, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestInvAndDiv(t *testing.T) {
-	for a := 1; a < 256; a++ {
-		inv := Inv(byte(a))
-		if Mul(byte(a), inv) != 1 {
-			t.Fatalf("a * Inv(a) != 1 for a=%d (inv=%d)", a, inv)
-		}
-		if Div(byte(a), byte(a)) != 1 {
-			t.Fatalf("a/a != 1 for a=%d", a)
-		}
-	}
-	prop := func(a, b byte) bool {
-		if b == 0 {
-			return true
-		}
-		return Mul(Div(a, b), b) == a
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDivByZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Div by zero did not panic")
-		}
-	}()
-	Div(1, 0)
-}
-
-func TestInvZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Inv(0) did not panic")
-		}
-	}()
-	Inv(0)
 }
 
 func TestLogZeroPanics(t *testing.T) {
@@ -148,34 +98,12 @@ func TestExpCoversAllNonzeroElements(t *testing.T) {
 	}
 }
 
-func TestPow(t *testing.T) {
-	if Pow(0, 0) != 1 {
-		t.Error("Pow(0,0) != 1")
-	}
-	if Pow(0, 5) != 0 {
-		t.Error("Pow(0,5) != 0")
-	}
-	for a := 1; a < 256; a++ {
-		want := byte(1)
-		for e := 0; e < 10; e++ {
-			if got := Pow(byte(a), e); got != want {
-				t.Fatalf("Pow(%d,%d) = %d, want %d", a, e, got, want)
-			}
-			want = Mul(want, byte(a))
-		}
-		// Fermat's little theorem analogue: a^255 == 1.
-		if Pow(byte(a), Order) != 1 {
-			t.Fatalf("Pow(%d, 255) != 1", a)
-		}
-	}
-}
-
 func TestPolyEval(t *testing.T) {
 	// p(x) = 2x^2 + 3x + 5
 	p := []byte{2, 3, 5}
 	for x := 0; x < 256; x++ {
 		xb := byte(x)
-		want := Add(Add(Mul(2, Mul(xb, xb)), Mul(3, xb)), 5)
+		want := Mul(2, Mul(xb, xb)) ^ Mul(3, xb) ^ 5
 		if got := PolyEval(p, xb); got != want {
 			t.Fatalf("PolyEval at x=%d: got %d want %d", x, got, want)
 		}

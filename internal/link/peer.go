@@ -152,7 +152,7 @@ func (p *Peer) transmitOne() bool {
 	switch {
 	case p.nakToSend:
 		p.nakToSend = false
-		p.sendControl(flit.TypeNak, flit.Header{
+		p.sendControl(flit.Header{
 			FSN: wireSeq(p.verified), Cmd: flit.CmdNakGoBackN, Type: flit.TypeNak,
 		})
 		p.Stats.NakFlitsSent++
@@ -160,7 +160,7 @@ func (p *Peer) transmitOne() bool {
 
 	case p.srNakToSend:
 		p.srNakToSend = false
-		p.sendControl(flit.TypeNak, flit.Header{
+		p.sendControl(flit.Header{
 			FSN: wireSeq(p.srNakFor), Cmd: flit.CmdNakSingle, Type: flit.TypeNak,
 		})
 		p.Stats.SingleNaksSent++
@@ -178,7 +178,7 @@ func (p *Peer) transmitOne() bool {
 	case p.ackToSend:
 		p.ackToSend = false
 		p.ackPending = false
-		p.sendControl(flit.TypeAck, flit.Header{
+		p.sendControl(flit.Header{
 			FSN: wireSeq(p.verified - 1), Cmd: flit.CmdAck, Type: flit.TypeAck,
 		})
 		p.Stats.AckFlitsSent++
@@ -201,7 +201,7 @@ func (p *Peer) transmitOne() bool {
 // sendControl seals and transmits a standalone control flit. Control flits
 // sit outside the sequence stream and always use a plain CRC; their loss is
 // recovered by the retransmission and ACK timers.
-func (p *Peer) sendControl(_ flit.Type, h flit.Header) {
+func (p *Peer) sendControl(h flit.Header) {
 	f := flit.Get()
 	f.SetHeader(h)
 	p.stampRoute(f)

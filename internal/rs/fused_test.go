@@ -13,9 +13,9 @@ func encodeReference(il *Interleaved, data, parity []byte) {
 	for w, c := range il.codes {
 		way := make([]byte, c.k)
 		for i := range way {
-			way[i] = data[i*il.ways+w]
+			way[i] = data[i*ways+w]
 		}
-		p := make([]byte, c.nparity)
+		p := make([]byte, nparity)
 		c.Encode(way, p)
 		for x := range parity {
 			if il.parityWay[x] == w {
@@ -33,7 +33,7 @@ func TestFusedKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	totals := []int{3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 249, 250, 251, 252}
 	for _, total := range totals {
-		il := MustNewInterleaved(total, 3, 2)
+		il := MustNewInterleaved(total)
 		for trial := 0; trial < 300; trial++ {
 			data := randData(rng, total)
 			got, want := make([]byte, 6), make([]byte, 6)
@@ -62,7 +62,7 @@ func flitData(in []byte) []byte {
 // the byte-level reference syndromes. The committed corpus holds all-zero,
 // all-0xFF and random 250-byte images.
 func FuzzInterleavedEncode(f *testing.F) {
-	il := MustNewInterleaved(250, 3, 2)
+	il := MustNewInterleaved(250)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		data := flitData(in)
 		got, want := make([]byte, 6), make([]byte, 6)
@@ -85,7 +85,7 @@ func FuzzInterleavedEncode(f *testing.F) {
 // committed corpus covers a clean image, one error per way, two in one
 // way, a burst straddling the parity field and a four-byte burst.
 func FuzzReencodeIdentity(f *testing.F) {
-	il := MustNewInterleaved(250, 3, 2)
+	il := MustNewInterleaved(250)
 	f.Fuzz(func(t *testing.T, in, errs []byte) {
 		data := flitData(in)
 		parity := make([]byte, 6)

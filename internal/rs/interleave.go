@@ -6,75 +6,62 @@ import (
 	"repro/internal/gf256"
 )
 
-// Interleaved is a byte-interleaved bank of identical-strength shortened RS
-// codes. CXL 3.0's flit FEC is Interleaved{total: 250, ways: 3, nparity: 2}:
-// byte i of the protected region belongs to sub-block i mod 3, each
-// sub-block carries 2 parity bytes, and the round-robin assignment continues
-// uninterrupted across the parity field (wire byte total+x belongs to
-// sub-block (total+x) mod ways). A burst of up to `ways` consecutive wire
-// bytes — anywhere in the flit, including straddling the data/parity
-// boundary — therefore touches at most one symbol per sub-block and is
-// always correctable when each sub-block corrects a single symbol.
+// ways is the interleave depth of the flit FEC: three sub-blocks.
+const ways = 3
+
+// Interleaved is the flit FEC: a byte-interleaved bank of three shortened
+// SSC codes. CXL 3.0 protects 250 bytes with it: byte i of the protected
+// region belongs to sub-block i mod 3, each sub-block carries 2 parity
+// bytes, and the round-robin assignment continues uninterrupted across the
+// parity field (wire byte total+x belongs to sub-block (total+x) mod 3). A
+// burst of up to 3 consecutive wire bytes — anywhere in the flit, including
+// straddling the data/parity boundary — therefore touches at most one
+// symbol per sub-block and is always correctable.
 type Interleaved struct {
-	total   int // protected data bytes
-	ways    int
-	nparity int // parity symbols per way
-	codes   []*Code
+	total int // protected data bytes
+	codes [ways]*Code
 	// parityWay[x] and parityIdx[x] map wire parity slot x to (way, symbol).
-	parityWay []int
-	parityIdx []int
-	// fused selects the stride-3 kernels (encode3x2, clean3x2) for the
-	// spec's 3-way, 2-parity geometry on the vectored build.
-	fused bool
+	parityWay [ways * nparity]int
+	parityIdx [ways * nparity]int
 	// scratch buffers reused across calls; an Interleaved is NOT safe for
 	// concurrent use. Clone per goroutine.
-	deint  [][]byte
-	parity [][]byte
-	synd   []byte
+	deint  [ways][]byte
+	parity [ways][nparity]byte
 }
 
-// NewInterleaved builds a ways-way interleaved bank protecting total data
-// bytes with nparity parity symbols per way.
-func NewInterleaved(total, ways, nparity int) (*Interleaved, error) {
-	if total <= 0 || ways <= 0 || nparity <= 0 {
-		return nil, fmt.Errorf("rs: invalid interleave geometry total=%d ways=%d nparity=%d", total, ways, nparity)
+// NewInterleaved builds the 3-way SSC bank protecting total data bytes.
+func NewInterleaved(total int) (*Interleaved, error) {
+	// Every way needs a data symbol, and no way's codeword may outgrow
+	// the 255-symbol mother code.
+	if maxTotal := ways * (gf256.Order - nparity); total < ways || total > maxTotal {
+		return nil, fmt.Errorf("rs: interleave of %d data bytes, want %d..%d", total, ways, maxTotal)
 	}
-	il := &Interleaved{total: total, ways: ways, nparity: nparity,
-		fused: vectoredSyndromes && ways == 3 && nparity == 2}
-	for w := 0; w < ways; w++ {
+	il := &Interleaved{total: total}
+	for w := range il.codes {
 		k := total / ways
 		if w < total%ways {
 			k++
 		}
-		if k == 0 {
-			return nil, fmt.Errorf("rs: interleave way %d would be empty", w)
-		}
-		c, err := New(k, nparity)
-		if err != nil {
-			return nil, err
-		}
-		il.codes = append(il.codes, c)
-		il.deint = append(il.deint, make([]byte, k))
-		il.parity = append(il.parity, make([]byte, nparity))
+		il.codes[w] = MustNew(k)
+		il.deint[w] = make([]byte, k)
 	}
-	il.synd = make([]byte, nparity)
 	// Continue the data region's round-robin through the parity field so a
 	// burst crossing the boundary still spreads across sub-blocks. Any run
 	// of ways*nparity consecutive positions hits each residue class
 	// exactly nparity times, so every way receives its full parity.
-	seen := make([]int, ways)
-	for x := 0; x < ways*nparity; x++ {
+	var seen [ways]int
+	for x := range il.parityWay {
 		w := (total + x) % ways
-		il.parityWay = append(il.parityWay, w)
-		il.parityIdx = append(il.parityIdx, seen[w])
+		il.parityWay[x] = w
+		il.parityIdx[x] = seen[w]
 		seen[w]++
 	}
 	return il, nil
 }
 
 // MustNewInterleaved is like NewInterleaved but panics on error.
-func MustNewInterleaved(total, ways, nparity int) *Interleaved {
-	il, err := NewInterleaved(total, ways, nparity)
+func MustNewInterleaved(total int) *Interleaved {
+	il, err := NewInterleaved(total)
 	if err != nil {
 		panic(err)
 	}
@@ -85,54 +72,57 @@ func MustNewInterleaved(total, ways, nparity int) *Interleaved {
 func (il *Interleaved) DataLen() int { return il.total }
 
 // ParityLen returns the total number of parity bytes on the wire.
-func (il *Interleaved) ParityLen() int { return il.ways * il.nparity }
+func (il *Interleaved) ParityLen() int { return ways * nparity }
 
-func (il *Interleaved) deinterleave(data []byte) {
-	for w := range il.deint {
-		for i := range il.deint[w] {
-			il.deint[w][i] = data[i*il.ways+w]
-		}
+// checkLen panics unless data and parity are a whole protected image; the
+// stack names the entry point.
+func (il *Interleaved) checkLen(data, parity []byte) {
+	if len(data) != il.total || len(parity) != ways*nparity {
+		panic("rs: interleaved data/parity length mismatch")
 	}
 }
 
-func (il *Interleaved) reinterleave(data []byte) {
+// split copies the wire image into the per-way scratch words.
+func (il *Interleaved) split(data, parity []byte) {
 	for w := range il.deint {
 		for i := range il.deint[w] {
-			data[i*il.ways+w] = il.deint[w][i]
+			il.deint[w][i] = data[i*ways+w]
 		}
+	}
+	for x, p := range parity {
+		il.parity[il.parityWay[x]][il.parityIdx[x]] = p
+	}
+}
+
+// joinParity writes the per-way parity back to its wire slots.
+func (il *Interleaved) joinParity(parity []byte) {
+	for x := range parity {
+		parity[x] = il.parity[il.parityWay[x]][il.parityIdx[x]]
 	}
 }
 
 // Encode computes the interleaved parity for data (length DataLen) into
 // parity (length ParityLen). The parity wire layout continues the data
-// round-robin: parity slot x carries the next symbol of way (total+x)%ways.
+// round-robin: parity slot x carries the next symbol of way (total+x)%3.
 func (il *Interleaved) Encode(data, parity []byte) {
-	if len(data) != il.total {
-		panic(fmt.Sprintf("rs: interleaved Encode data length %d, want %d", len(data), il.total))
-	}
-	if len(parity) != il.ParityLen() {
-		panic(fmt.Sprintf("rs: interleaved Encode parity length %d, want %d", len(parity), il.ParityLen()))
-	}
-	if il.fused {
+	il.checkLen(data, parity)
+	if vectoredSyndromes {
 		il.encode3x2(data, parity)
 		return
 	}
-	il.deinterleave(data)
+	il.split(data, parity)
 	for w, c := range il.codes {
-		c.Encode(il.deint[w], il.parity[w])
+		c.Encode(il.deint[w], il.parity[w][:])
 	}
-	for x := range parity {
-		parity[x] = il.parity[il.parityWay[x]][il.parityIdx[x]]
-	}
+	il.joinParity(parity)
 }
 
 // encTab2[fb] packs the two-parity LFSR feedback g1·fb (low byte) and
 // g2·fb (high byte) of g(x) = x² + g1·x + g2, so one lookup replaces the
 // two gf256.Mul calls of Code.Encode's inner loop.
 var encTab2 = func() (t [256]uint16) {
-	g := MustNew(1, 2).gen
 	for fb := range t {
-		t[fb] = uint16(gf256.Mul(g[1], byte(fb))) | uint16(gf256.Mul(g[2], byte(fb)))<<8
+		t[fb] = uint16(gf256.Mul(gen[1], byte(fb))) | uint16(gf256.Mul(gen[2], byte(fb)))<<8
 	}
 	return t
 }()
@@ -150,7 +140,7 @@ func (il *Interleaved) encode3x2(data, parity []byte) {
 		s1 = s1>>8 ^ t[data[i+1]^byte(s1)]
 		s2 = s2>>8 ^ t[data[i+2]^byte(s2)]
 	}
-	s := [3]uint16{s0, s1, s2}
+	s := [ways]uint16{s0, s1, s2}
 	for w, d := range data[i:] {
 		s[w] = s[w]>>8 ^ t[d^byte(s[w])]
 	}
@@ -162,10 +152,9 @@ func (il *Interleaved) encode3x2(data, parity []byte) {
 // clean3x2 reports whether data||parity is a codeword: three independent
 // horner2 chains, one per way, read the image at stride 3 and pack each
 // way's (S0, S1) into one word. It is the clean check of both Decode and
-// Verify on the fused geometry.
+// Verify.
 func (il *Interleaved) clean3x2(data, parity []byte) bool {
-	v := il.codes[0].vec
-	t2a, t2b, g1 := &v.t2[0], &v.t2[1], &v.g1
+	t2a, t2b, g1 := &syn2.t2[0], &syn2.t2[1], &syn2.g1
 	var a0, a1, a2 uint64
 	i := 0
 	for ; i+6 <= len(data); i += 6 {
@@ -174,12 +163,12 @@ func (il *Interleaved) clean3x2(data, parity []byte) bool {
 		a2 = t2a[byte(a2)] ^ t2b[byte(a2>>8)] ^ g1[data[i+2]] ^ uint64(data[i+5])*0x0101
 	}
 	// The last few data bytes and the parity field, one step at a time.
-	acc := [3]uint64{a0, a1, a2}
+	acc := [ways]uint64{a0, a1, a2}
 	for j, d := range data[i:] {
-		acc[j%3] = v.step2(acc[j%3], d)
+		acc[j%ways] = step2(acc[j%ways], d)
 	}
 	for x, p := range parity {
-		acc[il.parityWay[x]] = v.step2(acc[il.parityWay[x]], p)
+		acc[il.parityWay[x]] = step2(acc[il.parityWay[x]], p)
 	}
 	return acc[0]|acc[1]|acc[2] == 0
 }
@@ -188,19 +177,14 @@ func (il *Interleaved) clean3x2(data, parity []byte) bool {
 // uncorrectable as soon as any single way is uncorrectable; corrected counts
 // accumulate across ways.
 func (il *Interleaved) Decode(data, parity []byte) Result {
-	if len(data) != il.total || len(parity) != il.ParityLen() {
-		panic("rs: interleaved Decode length mismatch")
-	}
-	if il.fused && il.clean3x2(data, parity) {
+	il.checkLen(data, parity)
+	if vectoredSyndromes && il.clean3x2(data, parity) {
 		return Result{Status: StatusClean}
 	}
-	il.deinterleave(data)
-	for x := range parity {
-		il.parity[il.parityWay[x]][il.parityIdx[x]] = parity[x]
-	}
+	il.split(data, parity)
 	total := Result{Status: StatusClean}
 	for w, c := range il.codes {
-		res := c.DecodeScratch(il.deint[w], il.parity[w], il.synd)
+		res := c.decode(il.deint[w], il.parity[w][:])
 		switch res.Status {
 		case StatusUncorrectable:
 			return Result{Status: StatusUncorrectable}
@@ -210,40 +194,34 @@ func (il *Interleaved) Decode(data, parity []byte) Result {
 		}
 	}
 	if total.Status == StatusCorrected {
-		il.reinterleave(data)
-		for x := range parity {
-			parity[x] = il.parity[il.parityWay[x]][il.parityIdx[x]]
+		for w := range il.deint {
+			for i, d := range il.deint[w] {
+				data[i*ways+w] = d
+			}
 		}
+		il.joinParity(parity)
 	}
 	return total
 }
 
 // Verify reports whether data||parity is a valid interleaved codeword via
-// syndromes only — no correction attempt, no mutation. See Code.Verify.
+// syndromes only — no correction attempt, no mutation.
 func (il *Interleaved) Verify(data, parity []byte) bool {
-	if il.fused && len(data) == il.total && len(parity) == il.ParityLen() {
-		return il.clean3x2(data, parity)
+	if !vectoredSyndromes {
+		return il.VerifyReference(data, parity)
 	}
-	return il.verify(data, parity, (*Code).Verify)
+	il.checkLen(data, parity)
+	return il.clean3x2(data, parity)
 }
 
 // VerifyReference is Verify on the byte-level reference syndrome loop of
-// every way, bypassing the word-parallel kernel. Differential suites use it
-// as the pinned slow path; simulation code should call Verify.
+// every way, regardless of build tags. Differential suites use it as the
+// pinned slow path; simulation code should call Verify.
 func (il *Interleaved) VerifyReference(data, parity []byte) bool {
-	return il.verify(data, parity, (*Code).VerifyReference)
-}
-
-func (il *Interleaved) verify(data, parity []byte, way func(c *Code, data, parity []byte) bool) bool {
-	if len(data) != il.total || len(parity) != il.ParityLen() {
-		panic("rs: interleaved Verify length mismatch")
-	}
-	il.deinterleave(data)
-	for x := range parity {
-		il.parity[il.parityWay[x]][il.parityIdx[x]] = parity[x]
-	}
+	il.checkLen(data, parity)
+	il.split(data, parity)
 	for w, c := range il.codes {
-		if !way(c, il.deint[w], il.parity[w]) {
+		if !c.VerifyReference(il.deint[w], il.parity[w][:]) {
 			return false
 		}
 	}

@@ -7,9 +7,9 @@ import (
 )
 
 func TestInterleavedGeometryCXL(t *testing.T) {
-	il := MustNewInterleaved(250, 3, 2)
-	if il.DataLen() != 250 || il.ParityLen() != 6 || il.ways != 3 {
-		t.Fatalf("geometry: data=%d parity=%d ways=%d", il.DataLen(), il.ParityLen(), il.ways)
+	il := MustNewInterleaved(250)
+	if il.DataLen() != 250 || il.ParityLen() != 6 || len(il.codes) != 3 {
+		t.Fatalf("geometry: data=%d parity=%d ways=%d", il.DataLen(), il.ParityLen(), len(il.codes))
 	}
 	// The paper's 85/85/86 sub-blocks (83/83/84 data + 2 parity each):
 	// each way leaves ~170 of the mother code's 255 positions vacant, the
@@ -24,27 +24,29 @@ func TestInterleavedGeometryCXL(t *testing.T) {
 }
 
 func TestInterleavedValidation(t *testing.T) {
-	if _, err := NewInterleaved(0, 3, 2); err == nil {
+	if _, err := NewInterleaved(0); err == nil {
 		t.Error("total=0 should fail")
 	}
-	if _, err := NewInterleaved(250, 0, 2); err == nil {
-		t.Error("ways=0 should fail")
-	}
-	if _, err := NewInterleaved(250, 3, 0); err == nil {
-		t.Error("nparity=0 should fail")
-	}
-	if _, err := NewInterleaved(2, 3, 2); err == nil {
+	if _, err := NewInterleaved(2); err == nil {
 		t.Error("empty way should fail")
 	}
 	// Oversized sub-block codeword.
-	if _, err := NewInterleaved(900, 3, 2); err == nil {
+	if _, err := NewInterleaved(900); err == nil {
 		t.Error("sub-block over 255 should fail")
+	}
+	// The widest bank: 253 data + 2 parity symbols fill every way's
+	// mother code; one more byte overflows the first way.
+	if _, err := NewInterleaved(3 * 253); err != nil {
+		t.Errorf("total=759 should succeed: %v", err)
+	}
+	if _, err := NewInterleaved(3*253 + 1); err == nil {
+		t.Error("total=760 should fail")
 	}
 }
 
 func TestInterleavedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	il := MustNewInterleaved(250, 3, 2)
+	il := MustNewInterleaved(250)
 	for trial := 0; trial < 100; trial++ {
 		data := randData(rng, 250)
 		parity := make([]byte, 6)
@@ -61,7 +63,7 @@ func TestInterleavedRoundTrip(t *testing.T) {
 // 3-way interleaved SSC (Section 2.5 / 6.4).
 func TestInterleavedBurst3AlwaysCorrected(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	il := MustNewInterleaved(250, 3, 2)
+	il := MustNewInterleaved(250)
 	data := randData(rng, 250)
 	parity := make([]byte, 6)
 	il.Encode(data, parity)
@@ -100,7 +102,7 @@ func TestInterleavedBurst3AlwaysCorrected(t *testing.T) {
 // (L-3) sub-blocks and all of them must miscorrect for the flit to escape.
 func TestInterleavedBurstDetectionRates(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	il := MustNewInterleaved(250, 3, 2)
+	il := MustNewInterleaved(250)
 
 	cases := []struct {
 		burst  int
@@ -139,7 +141,7 @@ func TestInterleavedBurstDetectionRates(t *testing.T) {
 }
 
 func TestInterleavedLengthPanics(t *testing.T) {
-	il := MustNewInterleaved(250, 3, 2)
+	il := MustNewInterleaved(250)
 	for _, fn := range []func(){
 		func() { il.Encode(make([]byte, 249), make([]byte, 6)) },
 		func() { il.Encode(make([]byte, 250), make([]byte, 5)) },
@@ -162,11 +164,11 @@ func TestMustNewInterleavedPanics(t *testing.T) {
 			t.Fatal("MustNewInterleaved with bad params did not panic")
 		}
 	}()
-	MustNewInterleaved(0, 3, 2)
+	MustNewInterleaved(0)
 }
 
 func BenchmarkInterleavedEncodeFlit(b *testing.B) {
-	il := MustNewInterleaved(250, 3, 2)
+	il := MustNewInterleaved(250)
 	data := make([]byte, 250)
 	parity := make([]byte, 6)
 	b.SetBytes(250)
@@ -176,7 +178,7 @@ func BenchmarkInterleavedEncodeFlit(b *testing.B) {
 }
 
 func BenchmarkInterleavedDecodeClean(b *testing.B) {
-	il := MustNewInterleaved(250, 3, 2)
+	il := MustNewInterleaved(250)
 	data := make([]byte, 250)
 	parity := make([]byte, 6)
 	il.Encode(data, parity)
@@ -190,7 +192,7 @@ func BenchmarkInterleavedDecodeClean(b *testing.B) {
 func BenchmarkFECBurstDetection(b *testing.B) {
 	// Experiment E14 harness: throughput of decode under 4-byte bursts.
 	rng := rand.New(rand.NewSource(14))
-	il := MustNewInterleaved(250, 3, 2)
+	il := MustNewInterleaved(250)
 	data := make([]byte, 250)
 	parity := make([]byte, 6)
 	il.Encode(data, parity)

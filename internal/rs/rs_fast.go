@@ -2,7 +2,7 @@
 
 package rs
 
-// vectoredSyndromes selects the word-parallel syndrome evaluator for
-// codes with at most synLanes parity symbols. Constant, so the dispatch
-// branch in syndromes/Verify folds away at compile time.
+// vectoredSyndromes selects the table kernels: the stride-3 encode and
+// clean check and the word-parallel syndromes. Constant, so every dispatch
+// branch folds away at compile time.
 const vectoredSyndromes = true

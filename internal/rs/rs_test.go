@@ -14,21 +14,18 @@ func randData(rng *rand.Rand, n int) []byte {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, 2); err == nil {
-		t.Error("New(0,2) should fail")
+	if _, err := New(0); err == nil {
+		t.Error("New(0) should fail")
 	}
-	if _, err := New(10, 0); err == nil {
-		t.Error("New(10,0) should fail")
-	}
-	if _, err := New(254, 2); err == nil {
+	if _, err := New(254); err == nil {
 		t.Error("codeword longer than 255 should fail")
 	}
-	c, err := New(83, 2)
+	c, err := New(83)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.DataLen() != 83 || c.ParityLen() != 2 || c.n != 85 || c.T() != 1 {
-		t.Errorf("geometry wrong: %d/%d/%d t=%d", c.DataLen(), c.ParityLen(), c.n, c.T())
+	if c.k != 83 || c.n != 85 {
+		t.Errorf("geometry wrong: k=%d n=%d", c.k, c.n)
 	}
 }
 
@@ -38,18 +35,18 @@ func TestMustNewPanics(t *testing.T) {
 			t.Fatal("MustNew with bad params did not panic")
 		}
 	}()
-	MustNew(0, 2)
+	MustNew(0)
 }
 
 func TestEncodeProducesValidCodeword(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, k := range []int{1, 2, 10, 83, 84, 200} {
-		c := MustNew(k, 2)
+		c := MustNew(k)
 		for trial := 0; trial < 50; trial++ {
 			data := randData(rng, k)
 			parity := make([]byte, 2)
 			c.Encode(data, parity)
-			res := c.Decode(data, parity)
+			res := c.decode(data, parity)
 			if res.Status != StatusClean {
 				t.Fatalf("k=%d: fresh codeword decodes as %v", k, res.Status)
 			}
@@ -59,7 +56,7 @@ func TestEncodeProducesValidCodeword(t *testing.T) {
 
 func TestSingleErrorCorrectedEverywhere(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	c := MustNew(83, 2)
+	c := MustNew(83)
 	data := randData(rng, 83)
 	parity := make([]byte, 2)
 	c.Encode(data, parity)
@@ -76,7 +73,7 @@ func TestSingleErrorCorrectedEverywhere(t *testing.T) {
 			} else {
 				p[pos-83] ^= mag
 			}
-			res := c.Decode(d, p)
+			res := c.decode(d, p)
 			if res.Status != StatusCorrected || res.Corrected != 1 {
 				t.Fatalf("pos=%d mag=%#x: got %+v", pos, mag, res)
 			}
@@ -88,7 +85,7 @@ func TestSingleErrorCorrectedEverywhere(t *testing.T) {
 }
 
 func TestSingleErrorProperty(t *testing.T) {
-	c := MustNew(40, 2)
+	c := MustNew(40)
 	rng := rand.New(rand.NewSource(3))
 	prop := func(seed int64, posRaw, magRaw byte) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -102,7 +99,7 @@ func TestSingleErrorProperty(t *testing.T) {
 			mag = 1
 		}
 		data[pos] ^= mag
-		res := c.Decode(data, parity)
+		res := c.decode(data, parity)
 		return res.Status == StatusCorrected && bytes.Equal(data, orig)
 	}
 	cfg := &quick.Config{MaxCount: 500, Rand: rng}
@@ -117,7 +114,7 @@ func TestSingleErrorProperty(t *testing.T) {
 // StatusClean.
 func TestDoubleErrorNeverFalselyClean(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	c := MustNew(83, 2)
+	c := MustNew(83)
 	for trial := 0; trial < 2000; trial++ {
 		data := randData(rng, 83)
 		parity := make([]byte, 2)
@@ -129,7 +126,7 @@ func TestDoubleErrorNeverFalselyClean(t *testing.T) {
 		}
 		data[p1] ^= byte(rng.Intn(255) + 1)
 		data[p2] ^= byte(rng.Intn(255) + 1)
-		res := c.Decode(data, parity)
+		res := c.decode(data, parity)
 		if res.Status == StatusClean {
 			t.Fatalf("trial %d: two errors reported clean", trial)
 		}
@@ -143,7 +140,7 @@ func TestDoubleErrorNeverFalselyClean(t *testing.T) {
 // positions are occupied.
 func TestShortenedDetectionRates(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	c := MustNew(83, 2)
+	c := MustNew(83)
 	const trials = 30000
 	detected := 0
 	for trial := 0; trial < trials; trial++ {
@@ -164,7 +161,7 @@ func TestShortenedDetectionRates(t *testing.T) {
 		}
 		inject(p1, byte(rng.Intn(255)+1))
 		inject(p2, byte(rng.Intn(255)+1))
-		if c.Decode(data, parity).Status == StatusUncorrectable {
+		if c.decode(data, parity).Status == StatusUncorrectable {
 			detected++
 		}
 	}
@@ -181,95 +178,30 @@ func TestZeroSyndromePairDetected(t *testing.T) {
 	// Craft a 2-error pattern with equal magnitudes at two positions:
 	// S0 = e ^ e = 0 but S1 != 0 -> must be flagged uncorrectable by the
 	// "one zero syndrome" rule rather than crash in Log(0).
-	c := MustNew(10, 2)
+	c := MustNew(10)
 	data := make([]byte, 10)
 	parity := make([]byte, 2)
 	c.Encode(data, parity)
 	data[2] ^= 0x41
 	data[7] ^= 0x41
-	res := c.Decode(data, parity)
+	res := c.decode(data, parity)
 	if res.Status != StatusUncorrectable {
 		t.Fatalf("equal-magnitude double error: got %v, want uncorrectable", res.Status)
 	}
 }
 
-func TestBMDecoderCorrectsUpToT(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, cfg := range []struct{ k, np int }{{50, 4}, {50, 6}, {100, 8}} {
-		c := MustNew(cfg.k, cfg.np)
-		tcap := c.T()
-		for nerr := 1; nerr <= tcap; nerr++ {
-			for trial := 0; trial < 200; trial++ {
-				data := randData(rng, cfg.k)
-				parity := make([]byte, cfg.np)
-				c.Encode(data, parity)
-				orig := append([]byte(nil), data...)
-				origP := append([]byte(nil), parity...)
-				positions := rng.Perm(c.n)[:nerr]
-				for _, p := range positions {
-					mag := byte(rng.Intn(255) + 1)
-					if p < cfg.k {
-						data[p] ^= mag
-					} else {
-						parity[p-cfg.k] ^= mag
-					}
-				}
-				res := c.Decode(data, parity)
-				if res.Status != StatusCorrected || res.Corrected != nerr {
-					t.Fatalf("k=%d np=%d nerr=%d trial=%d: got %+v", cfg.k, cfg.np, nerr, trial, res)
-				}
-				if !bytes.Equal(data, orig) || !bytes.Equal(parity, origP) {
-					t.Fatalf("k=%d np=%d nerr=%d: wrong correction", cfg.k, cfg.np, nerr)
-				}
-			}
-		}
-	}
-}
-
-func TestBMDecoderBeyondTMostlyDetected(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	c := MustNew(50, 4) // t = 2
-	const trials = 3000
-	falseClean := 0
-	for trial := 0; trial < trials; trial++ {
-		data := randData(rng, 50)
-		parity := make([]byte, 4)
-		c.Encode(data, parity)
-		orig := append([]byte(nil), data...)
-		positions := rng.Perm(54)[:3]
-		for _, p := range positions {
-			mag := byte(rng.Intn(255) + 1)
-			if p < 50 {
-				data[p] ^= mag
-			} else {
-				parity[p-50] ^= mag
-			}
-		}
-		res := c.Decode(data, parity)
-		if res.Status == StatusClean {
-			t.Fatalf("3 errors decoded as clean")
-		}
-		if res.Status == StatusCorrected && bytes.Equal(data, orig) {
-			falseClean++
-		}
-	}
-	if falseClean > 0 {
-		t.Fatalf("%d trials silently restored original from >t errors", falseClean)
-	}
-}
-
 func TestDecodeLengthMismatchPanics(t *testing.T) {
-	c := MustNew(10, 2)
+	c := MustNew(10)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on bad length")
 		}
 	}()
-	c.Decode(make([]byte, 9), make([]byte, 2))
+	c.decode(make([]byte, 9), make([]byte, 2))
 }
 
 func TestEncodeLengthMismatchPanics(t *testing.T) {
-	c := MustNew(10, 2)
+	c := MustNew(10)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on bad length")
@@ -279,7 +211,7 @@ func TestEncodeLengthMismatchPanics(t *testing.T) {
 }
 
 func BenchmarkEncodeSSC83(b *testing.B) {
-	c := MustNew(83, 2)
+	c := MustNew(83)
 	data := make([]byte, 83)
 	parity := make([]byte, 2)
 	b.SetBytes(83)
@@ -289,19 +221,19 @@ func BenchmarkEncodeSSC83(b *testing.B) {
 }
 
 func BenchmarkDecodeSSCClean(b *testing.B) {
-	c := MustNew(83, 2)
+	c := MustNew(83)
 	data := make([]byte, 83)
 	parity := make([]byte, 2)
 	c.Encode(data, parity)
 	b.SetBytes(83)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Decode(data, parity)
+		c.decode(data, parity)
 	}
 }
 
 func BenchmarkDecodeSSCOneError(b *testing.B) {
-	c := MustNew(83, 2)
+	c := MustNew(83)
 	data := make([]byte, 83)
 	parity := make([]byte, 2)
 	c.Encode(data, parity)
@@ -309,21 +241,6 @@ func BenchmarkDecodeSSCOneError(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		data[i%83] ^= 0x5A
-		c.Decode(data, parity)
-	}
-}
-
-// Ablation: generic BM decoder on the same single-error workload, to justify
-// the dedicated SSC fast path (DESIGN.md §3).
-func BenchmarkDecodeBMOneErrorT2(b *testing.B) {
-	c := MustNew(83, 4)
-	data := make([]byte, 83)
-	parity := make([]byte, 4)
-	c.Encode(data, parity)
-	b.SetBytes(83)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data[i%83] ^= 0x5A
-		c.Decode(data, parity)
+		c.decode(data, parity)
 	}
 }

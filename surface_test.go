@@ -19,11 +19,9 @@ import (
 // reason it stays. An entry whose name becomes reached, or that internal/
 // no longer declares, fails the test, so the list cannot rot.
 var keptUnreached = map[string]string{
-	"crc.UpdateBitwise": "reference kernel: the bit-serial definition every table and CLMUL engine is tested equal to",
-	"crc.VerifyISN":     "byte-level oracle: flit's clean-verdict suite checks every O(1) verdict against it",
-	"gf256.Inv":         "reference kernel: a·Inv(a) = 1 is how the field tests pin Div",
-	"gf256.PolyEval":    "reference kernel: the evaluation homomorphism is how the tests pin PolyMul, which builds the RS generators",
-	"phy.GapLogLR":      "reference kernel: the per-gap likelihood ratio UnitLogLR's closed form is tested to telescope from",
+	"crc.VerifyISN":  "byte-level oracle: flit's clean-verdict suite checks every O(1) verdict against it",
+	"gf256.PolyEval": "reference kernel: the evaluation homomorphism is how the tests pin PolyMul, which builds the RS generator",
+	"phy.GapLogLR":   "reference kernel: the per-gap likelihood ratio UnitLogLR's closed form is tested to telescope from",
 
 	"reliability.MeasureFER":     "byte-level oracle: TestMeasureFERScheduleMatchesByteLevel pins the schedule loop's samples to it",
 	"reliability.MeasureFERPath": "byte-level oracle: the path-schedule suite pins MeasureFERPathSchedule's samples to it",
