@@ -46,9 +46,6 @@ type Experiment struct {
 	Fabric *Fabric
 	// N is the number of line-rate payloads to offer (one per FlitTime).
 	N int
-	// Hooks, when non-nil, runs after the fabric is built and before
-	// traffic starts — the place to install scripted faults.
-	Hooks func(*Fabric)
 }
 
 // Run executes the experiment to quiescence and returns the result.
@@ -57,9 +54,6 @@ func (e *Experiment) Run() Result {
 		panic("core: experiment needs N > 0")
 	}
 	f := e.Fabric
-	if e.Hooks != nil {
-		e.Hooks(f)
-	}
 
 	col := NewCollector(e.N)
 	f.B().Deliver = col.Deliver

@@ -28,8 +28,6 @@ type FrontConfig struct {
 	// HotReplicas is how many distinct owners a promoted key's requests
 	// spread over (0 = 2; clamped to the fleet size).
 	HotReplicas int
-	// HotEpoch is the decay half-life of the hot tracker (0 = 10s).
-	HotEpoch time.Duration
 	// RetryDead is how long a peer that failed a forward is skipped
 	// before being retried (0 = 3s).
 	RetryDead time.Duration
@@ -123,7 +121,7 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 	f := &Front{
 		cfg:    cfg,
 		ring:   ring,
-		hot:    newHotTracker(cfg.HotEpoch, 0),
+		hot:    newHotTracker(),
 		start:  time.Now(),
 		tracer: obs.NewTracer("front", "front"),
 		stop:   make(chan struct{}),

@@ -7,30 +7,23 @@ import (
 
 // hotTracker counts per-key request arrivals with periodic exponential
 // decay, so "hot" means *recently* hot: a key that stops repeating
-// halves toward zero every epoch and loses its promotion instead of
+// halves toward zero every hotEpoch and loses its promotion instead of
 // pinning replicas forever. The map is bounded — when it overflows,
 // entries below the running median are dropped (a key that cannot stay
 // above the crowd is not hot).
 type hotTracker struct {
 	mu     sync.Mutex
-	epoch  time.Duration
-	limit  int
 	last   time.Time
 	counts map[string]uint64
 }
 
-func newHotTracker(epoch time.Duration, limit int) *hotTracker {
-	if epoch <= 0 {
-		epoch = 10 * time.Second
-	}
-	if limit <= 0 {
-		limit = 8192
-	}
-	return &hotTracker{
-		epoch:  epoch,
-		limit:  limit,
-		counts: make(map[string]uint64),
-	}
+const (
+	hotEpoch = 10 * time.Second // decay half-life of the counts
+	hotLimit = 8192             // tracked keys before the colder half is evicted
+)
+
+func newHotTracker() *hotTracker {
+	return &hotTracker{counts: make(map[string]uint64)}
 }
 
 // bump records one arrival for key and returns its decayed count, the
@@ -42,9 +35,9 @@ func (h *hotTracker) bump(key string, now time.Time) uint64 {
 		h.last = now
 	}
 	// Lazy decay: halve every elapsed epoch. The map is bounded, so the
-	// sweep is O(limit) at worst and runs at most once per epoch.
-	for now.Sub(h.last) >= h.epoch {
-		h.last = h.last.Add(h.epoch)
+	// sweep is O(hotLimit) at worst and runs at most once per epoch.
+	for now.Sub(h.last) >= hotEpoch {
+		h.last = h.last.Add(hotEpoch)
 		for k, c := range h.counts {
 			if c >>= 1; c == 0 {
 				delete(h.counts, k)
@@ -55,7 +48,7 @@ func (h *hotTracker) bump(key string, now time.Time) uint64 {
 	}
 	h.counts[key]++
 	n := h.counts[key]
-	if len(h.counts) > h.limit {
+	if len(h.counts) > hotLimit {
 		h.evictColdLocked()
 	}
 	return n
@@ -75,7 +68,7 @@ func (h *hotTracker) evictColdLocked() {
 		pivot = 1
 	}
 	for k, c := range h.counts {
-		if c <= pivot && len(h.counts) > h.limit/2 {
+		if c <= pivot && len(h.counts) > hotLimit/2 {
 			delete(h.counts, k)
 		}
 	}

@@ -323,9 +323,6 @@ func (f *Flit) TakePathPass() bool {
 	return true
 }
 
-// Deferred reports whether the CRC/FEC fields still await Materialize.
-func (f *Flit) Deferred() bool { return f.deferred }
-
 // Taint clears the clean mark; call it after mutating Raw. A deferred
 // seal must be materialized first — corrupting an image whose CRC/FEC
 // bytes do not exist yet would diverge from byte-level semantics.
@@ -408,15 +405,6 @@ func (f *Flit) CheckCRCISN(eseq uint16) bool {
 // materialized.
 func (f *Flit) RecomputeCRC() {
 	f.setCRCField(crc.Checksum(f.crcInput()))
-}
-
-// Clone returns a deep copy of the flit, including its fast-path seal
-// state and any path pass. Clones never belong to the pool.
-func (f *Flit) Clone() *Flit {
-	g := &Flit{}
-	g.Raw = f.Raw
-	g.kind, g.isnSeq, g.clean, g.deferred, g.pass = f.kind, f.isnSeq, f.clean, f.deferred, f.pass
-	return g
 }
 
 // NewFEC returns a fresh instance of the spec FEC geometry for 256B flits:

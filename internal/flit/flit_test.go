@@ -110,7 +110,7 @@ func TestFECCorrectsFlitBurst(t *testing.T) {
 
 	// 3-byte bursts anywhere in the 256B wire image are corrected.
 	for start := 0; start <= Size-3; start += 7 {
-		g := f.Clone()
+		g := *f
 		for i := 0; i < 3; i++ {
 			g.Raw[start+i] ^= byte(rng.Intn(255) + 1)
 		}
@@ -139,7 +139,7 @@ func TestCRCCatchesWhatFECMiscorrects(t *testing.T) {
 
 	miscorrections := 0
 	for trial := 0; trial < 5000 && miscorrections < 200; trial++ {
-		g := f.Clone()
+		g := *f
 		// Two errors in the same sub-block (positions congruent mod 3).
 		p1 := rng.Intn(250)
 		p2 := p1
@@ -203,16 +203,6 @@ func TestRecomputeCRCBlessesCorruption(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	f := &Flit{}
-	f.Payload()[0] = 0xAA
-	g := f.Clone()
-	g.Payload()[0] = 0xBB
-	if f.Payload()[0] != 0xAA {
-		t.Fatal("Clone shares storage")
-	}
-}
-
 func TestPathPass(t *testing.T) {
 	f := &Flit{}
 	if f.TakePathPass() {
@@ -222,7 +212,7 @@ func TestPathPass(t *testing.T) {
 	if f.pass != 2 {
 		t.Fatalf("pass = %d", f.pass)
 	}
-	g := f.Clone()
+	g := *f
 	for i := 0; i < 2; i++ {
 		if !f.TakePathPass() || !g.TakePathPass() {
 			t.Fatalf("crossing %d: pass not honored", i)

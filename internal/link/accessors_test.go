@@ -35,14 +35,8 @@ func TestPeerIntrospectionAccessors(t *testing.T) {
 		t.Errorf("ExpectedSeq = %d, want 200", b.ExpectedSeq())
 	}
 
-	if ab.Sent() != a.Stats.FlitsSent {
-		t.Errorf("wire Sent %d != peer FlitsSent %d", ab.Sent(), a.Stats.FlitsSent)
-	}
-	if ab.BusyTime() != sim.Time(ab.Sent())*sim.FlitTime {
-		t.Errorf("BusyTime %d inconsistent with %d sends", ab.BusyTime(), ab.Sent())
-	}
-	if u := ab.Utilization(); u <= 0 || u > 1 {
-		t.Errorf("utilization %g out of range", u)
+	if u, want := ab.Utilization(), float64(a.Stats.FlitsSent)*float64(sim.FlitTime)/float64(eng.Now()); u != want {
+		t.Errorf("utilization %g, want %g from the peer's FlitsSent", u, want)
 	}
 }
 
@@ -190,13 +184,13 @@ func TestAckBeyondWindowClamped(t *testing.T) {
 	}
 }
 
-// TestChannelAttachment exercises the BER channel path through the wire.
+// TestChannelAttachment exercises the BER error model through the wire.
 func TestChannelAttachment(t *testing.T) {
 	eng := sim.NewEngine()
 	a := NewPeer("A", eng, DefaultConfig(ProtocolRXL))
 	b := NewPeer("B", eng, DefaultConfig(ProtocolRXL))
 	ab, _ := ConnectDirect(eng, a, b, sim.FlitTime, sim.Nanosecond)
-	ab.Channel = phy.NewChannel(1e-4, 0, phy.NewRNG(3))
+	ab.PathSched, ab.PathHops = phy.NewSharedSchedule(1e-4, 0, phy.NewRNG(3), flit.Bits), 1
 
 	delivered := 0
 	b.Deliver = func([]byte) { delivered++ }
@@ -208,7 +202,7 @@ func TestChannelAttachment(t *testing.T) {
 	if delivered != n {
 		t.Fatalf("delivered %d of %d", delivered, n)
 	}
-	if ab.Channel.BitsFlipped == 0 {
+	if ab.PathSched.Channel().BitsFlipped == 0 {
 		t.Fatal("channel injected nothing at BER 1e-4")
 	}
 }

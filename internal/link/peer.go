@@ -37,9 +37,9 @@ type Peer struct {
 	out *Wire
 	fec *rs.Interleaved
 
-	// pumpResume is the pump wakeup callback, built once so the per-flit
-	// schedule does not allocate a closure.
-	pumpResume func()
+	// Engine sinks of the pump wakeup and the retry and ACK timers, bound
+	// once in NewPeer so scheduling any of them allocates nothing.
+	pumpSink, retrySink, ackSink func(interface{})
 
 	// Transmit state. Invariant: nextSeq == ackedUpTo + len(replay);
 	// replay[i].seq == ackedUpTo + i.
@@ -82,12 +82,7 @@ type Peer struct {
 func NewPeer(name string, eng *sim.Engine, cfg Config) *Peer {
 	cfg.sanitize()
 	p := &Peer{Name: name, Eng: eng, Cfg: cfg, fec: flit.NewFEC()}
-	p.pumpResume = func() {
-		p.pumpScheduled = false
-		if p.transmitOne() {
-			p.pump()
-		}
-	}
+	p.pumpSink, p.retrySink, p.ackSink = p.pumpResume, p.retryTimeout, p.ackTimeout
 	if cfg.Retry == SelectiveRepeat {
 		p.reorder = make(map[uint64]*[flit.PayloadSize]byte)
 	}
@@ -143,7 +138,15 @@ func (p *Peer) pump() {
 		return
 	}
 	p.pumpScheduled = true
-	p.Eng.At(p.out.FreeAt(), p.pumpResume)
+	p.Eng.AtArg(p.out.FreeAt(), p.pumpSink, nil)
+}
+
+// pumpResume is the pump wakeup: transmit one item, then re-arm the pump.
+func (p *Peer) pumpResume(interface{}) {
+	p.pumpScheduled = false
+	if p.transmitOne() {
+		p.pump()
+	}
 }
 
 // transmitOne sends the highest-priority pending item: NAK, then replay,
@@ -290,24 +293,28 @@ func (p *Peer) armRetryTimer() {
 	if d < 0 {
 		d = 0
 	}
-	p.Eng.Schedule(d, func() {
-		p.timerArmed = false
-		if len(p.replay) == 0 {
-			return
-		}
-		if p.Eng.Now()-p.replay[0].lastSent >= p.Cfg.RetryTimeout {
-			p.Stats.TimeoutRetries++
-			p.cursor = 0
-			// Stamp the head now: the replay is *scheduled* even if the
-			// wire is momentarily busy, so the timer must back off a full
-			// period rather than re-fire with zero delay until the wire
-			// frees (which would live-lock the event loop at one
-			// timestamp on busy shared wires).
-			p.replay[0].lastSent = p.Eng.Now()
-		}
-		p.pump()
-		p.armRetryTimer()
-	})
+	p.Eng.ScheduleArg(d, p.retrySink, nil)
+}
+
+// retryTimeout fires the retry timer: replay the whole window when its head
+// has waited a full RetryTimeout, then re-arm.
+func (p *Peer) retryTimeout(interface{}) {
+	p.timerArmed = false
+	if len(p.replay) == 0 {
+		return
+	}
+	if p.Eng.Now()-p.replay[0].lastSent >= p.Cfg.RetryTimeout {
+		p.Stats.TimeoutRetries++
+		p.cursor = 0
+		// Stamp the head now: the replay is *scheduled* even if the wire
+		// is momentarily busy, so the timer must back off a full period
+		// rather than re-fire with zero delay until the wire frees (which
+		// would live-lock the event loop at one timestamp on busy shared
+		// wires).
+		p.replay[0].lastSent = p.Eng.Now()
+	}
+	p.pump()
+	p.armRetryTimer()
 }
 
 // Receive processes a flit arriving from the wire (after any switches).
@@ -515,13 +522,17 @@ func (p *Peer) armAckTimer() {
 		return
 	}
 	p.ackTimerArmed = true
-	p.Eng.Schedule(p.Cfg.AckTimeout, func() {
-		p.ackTimerArmed = false
-		if p.ackPending {
-			p.ackToSend = true
-			p.pump()
-		}
-	})
+	p.Eng.ScheduleArg(p.Cfg.AckTimeout, p.ackSink, nil)
+}
+
+// ackTimeout fires the ACK timer: an acknowledgment still pending goes out
+// as a standalone flit.
+func (p *Peer) ackTimeout(interface{}) {
+	p.ackTimerArmed = false
+	if p.ackPending {
+		p.ackToSend = true
+		p.pump()
+	}
 }
 
 // onAck frees acknowledged replay entries. fsn is the last verified

@@ -386,8 +386,8 @@ func TestRandomBERDirectLinkExactlyOnce(t *testing.T) {
 		t.Run(proto.String(), func(t *testing.T) {
 			h := newHarness(t, proto, nil)
 			rng := phy.NewRNG(42)
-			h.ab.Channel = phy.NewChannel(2e-6, 0.3, rng.Split())
-			h.ba.Channel = phy.NewChannel(2e-6, 0.3, rng.Split())
+			h.ab.PathSched, h.ab.PathHops = phy.NewSharedSchedule(2e-6, 0.3, rng.Split(), flit.Bits), 1
+			h.ba.PathSched, h.ba.PathHops = phy.NewSharedSchedule(2e-6, 0.3, rng.Split(), flit.Bits), 1
 			const n = 4000
 			for i := uint64(0); i < n; i++ {
 				h.a.Submit(tagged(i))
@@ -405,8 +405,8 @@ func TestRandomBERHighErrorStress(t *testing.T) {
 		c.RetryTimeout = 1 * sim.Microsecond
 	})
 	rng := phy.NewRNG(7)
-	h.ab.Channel = phy.NewChannel(5e-5, 0.5, rng.Split())
-	h.ba.Channel = phy.NewChannel(5e-5, 0.5, rng.Split())
+	h.ab.PathSched, h.ab.PathHops = phy.NewSharedSchedule(5e-5, 0.5, rng.Split(), flit.Bits), 1
+	h.ba.PathSched, h.ba.PathHops = phy.NewSharedSchedule(5e-5, 0.5, rng.Split(), flit.Bits), 1
 	const n = 3000
 	for i := uint64(0); i < n; i++ {
 		h.a.Submit(tagged(i))
@@ -458,6 +458,38 @@ func TestSubmitOwnsOneBufferPerPayload(t *testing.T) {
 	}
 }
 
+// TestTimerArmsAllocateNothing: the retry and ACK timers' engine sinks are
+// bound once in NewPeer, so arming either on a warmed peer and draining the
+// engine allocates nothing.
+func TestTimerArmsAllocateNothing(t *testing.T) {
+	h := newHarness(t, ProtocolRXL, nil)
+	h.a.Submit(tagged(0))
+	h.eng.Run()
+	retries := h.a.Stats.TimeoutRetries
+
+	// A retry timer armed over an outstanding flit whose ACK lands before
+	// the deadline: the timer fires on an empty window and retires.
+	e := &replayEntry{}
+	retry := testing.AllocsPerRun(100, func() {
+		e.lastSent = h.eng.Now()
+		h.a.replay = append(h.a.replay, e)
+		h.a.armRetryTimer()
+		h.a.replay = h.a.replay[:0]
+		h.eng.Run()
+	})
+	// An ACK timer whose acknowledgment piggybacked before it fired.
+	ack := testing.AllocsPerRun(100, func() {
+		h.b.armAckTimer()
+		h.eng.Run()
+	})
+	if retry != 0 || ack != 0 {
+		t.Fatalf("allocations per arm: retry timer %v, ACK timer %v; want 0", retry, ack)
+	}
+	if h.a.Stats.TimeoutRetries != retries {
+		t.Fatalf("%d timeout retries on an acknowledged window", h.a.Stats.TimeoutRetries-retries)
+	}
+}
+
 func TestProtocolStrings(t *testing.T) {
 	if ProtocolCXL.String() != "CXL" || ProtocolCXLNoPiggyback.String() != "CXL-noPB" ||
 		ProtocolRXL.String() != "RXL" || Protocol(99).String() != "Protocol(?)" {
@@ -501,7 +533,7 @@ func benchThroughput(b *testing.B, proto Protocol, ber float64) {
 	bb.Deliver = func([]byte) { delivered++ }
 	ab, _ := ConnectDirect(eng, a, bb, sim.FlitTime, 10*sim.Nanosecond)
 	if ber > 0 {
-		ab.Channel = phy.NewChannel(ber, 0.3, phy.NewRNG(1))
+		ab.PathSched, ab.PathHops = phy.NewSharedSchedule(ber, 0.3, phy.NewRNG(1), flit.Bits), 1
 	}
 	payload := make([]byte, flit.PayloadSize)
 	b.SetBytes(flit.PayloadSize)

@@ -210,8 +210,8 @@ func TestSelectiveRepeatUnderBER(t *testing.T) {
 		b := NewPeer("B", eng, cfg)
 		ab, ba := ConnectDirect(eng, a, b, sim.FlitTime, 10*sim.Nanosecond)
 		rng := phy.NewRNG(4242)
-		ab.Channel = phy.NewChannel(2e-5, 0.4, rng.Split())
-		ba.Channel = phy.NewChannel(2e-5, 0.4, rng.Split())
+		ab.PathSched, ab.PathHops = phy.NewSharedSchedule(2e-5, 0.4, rng.Split(), flit.Bits), 1
+		ba.PathSched, ba.PathHops = phy.NewSharedSchedule(2e-5, 0.4, rng.Split(), flit.Bits), 1
 
 		var got []uint64
 		b.Deliver = func(p []byte) { got = append(got, binary.BigEndian.Uint64(p)) }
@@ -252,8 +252,8 @@ func benchRetry(b *testing.B, policy RetryPolicy) {
 	pb := NewPeer("B", eng, cfg)
 	ab, ba := ConnectDirect(eng, a, pb, sim.FlitTime, 10*sim.Nanosecond)
 	rng := phy.NewRNG(7)
-	ab.Channel = phy.NewChannel(1e-5, 0.4, rng.Split())
-	ba.Channel = phy.NewChannel(1e-5, 0.4, rng.Split())
+	ab.PathSched, ab.PathHops = phy.NewSharedSchedule(1e-5, 0.4, rng.Split(), flit.Bits), 1
+	ba.PathSched, ba.PathHops = phy.NewSharedSchedule(1e-5, 0.4, rng.Split(), flit.Bits), 1
 	delivered := 0
 	pb.Deliver = func([]byte) { delivered++ }
 	payload := make([]byte, 16)

@@ -15,8 +15,12 @@ import (
 // including label escapes and histogram parts.
 func TestParseRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("jobs_total", "", "outcome", "hit").Add(7)
-	r.Counter("jobs_total", "", "outcome", `we"ird`).Add(2)
+	hit, weird := r.Counter("jobs_total", "", "outcome", "hit"), r.Counter("jobs_total", "", "outcome", `we"ird`)
+	for i := 0; i < 7; i++ {
+		hit.Inc()
+	}
+	weird.Inc()
+	weird.Inc()
 	r.GaugeFunc("depth", "", func() float64 { return 3.5 })
 	h := r.Histogram("lat_seconds", "", []float64{0.01, 0.1})
 	h.Observe(0.005)

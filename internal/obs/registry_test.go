@@ -12,7 +12,9 @@ import (
 func TestCounterGaugeRender(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("zeta_total", "last family alphabetically", "outcome", "hit")
-	c.Add(3)
+	c.Inc()
+	c.Inc()
+	c.Inc()
 	r.Counter("zeta_total", "last family alphabetically", "outcome", "miss").Inc()
 	r.GaugeFunc("alpha_depth", "first family", func() float64 { return 7.5 })
 	r.GaugeFunc("alpha_depth", "first family", func() float64 { return 2 }, "kind", `quo"ted`)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/flit"
 	"repro/internal/link"
 	"repro/internal/phy"
 	"repro/internal/sim"
@@ -252,7 +253,7 @@ func TestMeasuredRetryOverheadTracksEq12(t *testing.T) {
 	c := switchfab.NewChain(eng, cfg)
 	rng := phy.NewRNG(12345)
 	for _, w := range append(append([]*link.Wire{}, c.Fwd...), c.Bwd...) {
-		w.Channel = phy.NewChannel(2e-5, 0.4, rng.Split())
+		w.PathSched, w.PathHops = phy.NewSharedSchedule(2e-5, 0.4, rng.Split(), flit.Bits), 1
 	}
 	delivered := 0
 	c.B.Deliver = func([]byte) { delivered++ }

@@ -1,8 +1,8 @@
 // Package sim is a small discrete-event simulation engine with picosecond
 // resolution, used to drive the link-layer and fabric models. It provides a
-// deterministic event queue (stable FIFO ordering among same-time events)
-// and a Pipe primitive modeling a unidirectional wire with serialization
-// and propagation delay — the substrate on which flits move.
+// deterministic event queue (stable FIFO ordering among same-time events);
+// link.Wire builds the flit conduit — serialization, propagation, busy
+// accounting — on top of it.
 //
 // The engine is single-threaded by design: determinism matters more than
 // parallel speedup for protocol-correctness experiments, and a 256B flit
@@ -33,24 +33,20 @@ const (
 // 2ns").
 const FlitTime = 2 * Nanosecond
 
+// event is the engine's one event form: at its time, sink(arg) runs.
+// Long-lived senders (wires, link peers, the mesh) bind their sink once,
+// so scheduling one allocates nothing; At and Schedule carry a func() as
+// the arg of runFunc.
 type event struct {
-	at  Time
-	seq uint64 // tie-break: schedule order
-	fn  func()
-	// Payload form: when fn is nil, sink(arg) runs instead. Senders with a
-	// long-lived sink function (pipes) use this to avoid a closure
-	// allocation per scheduled delivery.
+	at   Time
+	seq  uint64 // tie-break: schedule order
 	sink func(interface{})
 	arg  interface{}
 }
 
-func (ev *event) dispatch() {
-	if ev.fn != nil {
-		ev.fn()
-		return
-	}
-	ev.sink(ev.arg)
-}
+// runFunc is the sink of At/Schedule events. A func value is
+// pointer-shaped, so boxing it in arg does not allocate.
+func runFunc(fn interface{}) { fn.(func())() }
 
 // before reports the strict (at, seq) ordering between events.
 func (ev *event) before(o *event) bool {
@@ -139,15 +135,9 @@ func (e *Engine) Now() Time { return e.now }
 
 // Schedule runs fn after delay (>= 0) simulation time. Events scheduled for
 // the same instant run in schedule order.
-func (e *Engine) Schedule(delay Time, fn func()) {
-	if delay < 0 {
-		panic("sim: negative delay")
-	}
-	e.At(e.now+delay, fn)
-}
+func (e *Engine) Schedule(delay Time, fn func()) { e.ScheduleArg(delay, runFunc, fn) }
 
-// ScheduleArg is Schedule for a long-lived sink function and a payload,
-// avoiding the per-event closure allocation.
+// ScheduleArg runs sink(arg) after delay (>= 0) simulation time.
 func (e *Engine) ScheduleArg(delay Time, sink func(interface{}), arg interface{}) {
 	if delay < 0 {
 		panic("sim: negative delay")
@@ -156,13 +146,10 @@ func (e *Engine) ScheduleArg(delay Time, sink func(interface{}), arg interface{}
 }
 
 // At runs fn at absolute time t (>= Now).
-func (e *Engine) At(t Time, fn func()) {
-	e.push(event{at: t, seq: e.seq, fn: fn})
-}
+func (e *Engine) At(t Time, fn func()) { e.AtArg(t, runFunc, fn) }
 
-// AtArg runs sink(arg) at absolute time t (>= Now). Pipes use this form on
-// the per-flit delivery path: sink is one stable function per pipe, so no
-// closure is allocated per send.
+// AtArg runs sink(arg) at absolute time t (>= Now). With a sink bound once
+// per sender and a pointer arg, the event allocates nothing.
 func (e *Engine) AtArg(t Time, sink func(interface{}), arg interface{}) {
 	e.push(event{at: t, seq: e.seq, sink: sink, arg: arg})
 }
@@ -259,7 +246,7 @@ func (e *Engine) run(limit Time) {
 			e.fifoPos++
 			e.now = ev.at
 			e.Executed++
-			ev.dispatch()
+			ev.sink(ev.arg)
 		}
 		// The sorted lane is empty, past the limit, or behind the heap
 		// head: in every case the heap head is the next event overall, so
@@ -270,105 +257,9 @@ func (e *Engine) run(limit Time) {
 		ev := e.events.pop()
 		e.now = ev.at
 		e.Executed++
-		ev.dispatch()
+		ev.sink(ev.arg)
 	}
 }
 
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return len(e.events) + len(e.fifo) - e.fifoPos }
-
-// Pipe models a unidirectional wire: each Send occupies the wire for
-// SerializationDelay (back-to-back sends queue behind each other, FIFO) and
-// then propagates for PropagationDelay before Sink is invoked with the
-// payload. Busy time is accumulated for utilization/bandwidth accounting.
-type Pipe struct {
-	Engine             *Engine
-	SerializationDelay Time
-	PropagationDelay   Time
-	// Sink receives each payload at its arrival time. A send binds the
-	// Sink it sees, so set it before the first one.
-	Sink func(payload interface{})
-
-	busyUntil Time
-	// BusyTime is the cumulative serialization occupancy, the numerator
-	// of link utilization.
-	BusyTime Time
-	// Sent counts payloads accepted (event-carried sends and reservations).
-	Sent uint64
-	// QueuePeak is the high-water mark of the serialization queue: the
-	// largest number of payloads simultaneously waiting for or occupying
-	// the wire, observed at claim time (the claiming payload included).
-	// Back-to-back claims each occupy exactly SerializationDelay, so the
-	// depth is the waiting time ahead of the claim divided by the
-	// serialization delay, rounded up, plus one.
-	QueuePeak uint64
-}
-
-// Send enqueues payload for transmission. It returns the time at which the
-// wire becomes free again (end of serialization), letting senders model
-// back-pressure.
-func (p *Pipe) Send(payload interface{}) Time { return p.SendAt(payload, 0) }
-
-// claim performs the wire-occupancy bookkeeping shared by SendAt and
-// Reserve: serialization starts at max(now, earliest, wire-free) and the
-// wire is busy until start+SerializationDelay. Returns the serialization
-// end time.
-func (p *Pipe) claim(earliest Time) Time {
-	floor := p.Engine.Now()
-	if earliest > floor {
-		floor = earliest
-	}
-	start := floor
-	if p.busyUntil > start {
-		start = p.busyUntil
-	}
-	depth := uint64(1)
-	if wait := p.busyUntil - floor; wait > 0 && p.SerializationDelay > 0 {
-		depth += uint64((wait + p.SerializationDelay - 1) / p.SerializationDelay)
-	}
-	if depth > p.QueuePeak {
-		p.QueuePeak = depth
-	}
-	end := start + p.SerializationDelay
-	p.busyUntil = end
-	p.BusyTime += p.SerializationDelay
-	p.Sent++
-	return end
-}
-
-// SendAt is Send with an earliest serialization start: the payload begins
-// serializing at max(now, earliest, wire-free). Switches use it to fold
-// their ingress-to-egress latency into the wire claim — the payload's
-// arrival time is identical to scheduling a separate forward event at
-// `earliest` and Sending then, without paying that event.
-func (p *Pipe) SendAt(payload interface{}, earliest Time) Time {
-	end := p.claim(earliest)
-	p.Engine.AtArg(end+p.PropagationDelay, p.Sink, payload)
-	return end
-}
-
-// Reserve claims the wire for one payload without carrying it through an
-// event: identical occupancy accounting to SendAt (busy window, BusyTime,
-// Sent, QueuePeak) but no delivery is scheduled. It returns the arrival
-// time a SendAt at `earliest` would have delivered at — the primitive
-// behind express traversal, where a whole route's wires are claimed up
-// front and only the final arrival becomes an engine event.
-func (p *Pipe) Reserve(earliest Time) (arrival Time) {
-	return p.claim(earliest) + p.PropagationDelay
-}
-
-// FreeAt returns the earliest time a new Send would start serializing.
-func (p *Pipe) FreeAt() Time {
-	if p.busyUntil > p.Engine.Now() {
-		return p.busyUntil
-	}
-	return p.Engine.Now()
-}
-
-// Utilization returns BusyTime divided by elapsed simulation time.
-func (p *Pipe) Utilization() float64 {
-	if p.Engine.Now() == 0 {
-		return 0
-	}
-	return float64(p.BusyTime) / float64(p.Engine.Now())
-}

@@ -143,97 +143,6 @@ func TestStop(t *testing.T) {
 	}
 }
 
-func TestPipeDelays(t *testing.T) {
-	e := NewEngine()
-	var arrivals []Time
-	var got []interface{}
-	p := &Pipe{
-		Engine:             e,
-		SerializationDelay: 2 * Nanosecond,
-		PropagationDelay:   10 * Nanosecond,
-		Sink: func(pl interface{}) {
-			arrivals = append(arrivals, e.Now())
-			got = append(got, pl)
-		},
-	}
-	p.Send("a") // ser 0-2ns, arrives 12ns
-	p.Send("b") // ser 2-4ns, arrives 14ns
-	e.Run()
-	if len(arrivals) != 2 {
-		t.Fatalf("arrivals %v", arrivals)
-	}
-	if arrivals[0] != 12*Nanosecond || arrivals[1] != 14*Nanosecond {
-		t.Fatalf("arrival times %v", arrivals)
-	}
-	if got[0] != "a" || got[1] != "b" {
-		t.Fatalf("payload order %v", got)
-	}
-}
-
-func TestPipeSerializationQueuing(t *testing.T) {
-	e := NewEngine()
-	p := &Pipe{Engine: e, SerializationDelay: 5, PropagationDelay: 0, Sink: func(interface{}) {}}
-	end1 := p.Send(1)
-	end2 := p.Send(2)
-	if end1 != 5 || end2 != 10 {
-		t.Fatalf("serialization ends %d, %d", end1, end2)
-	}
-	if p.FreeAt() != 10 {
-		t.Fatalf("FreeAt %d", p.FreeAt())
-	}
-	e.Run()
-	if p.BusyTime != 10 {
-		t.Fatalf("BusyTime %d", p.BusyTime)
-	}
-}
-
-func TestPipeIdleGapNotCountedBusy(t *testing.T) {
-	e := NewEngine()
-	p := &Pipe{Engine: e, SerializationDelay: 2, PropagationDelay: 1, Sink: func(interface{}) {}}
-	p.Send(1)
-	e.Schedule(100, func() { p.Send(2) })
-	e.Run()
-	if p.BusyTime != 4 {
-		t.Fatalf("BusyTime %d, want 4", p.BusyTime)
-	}
-	u := p.Utilization()
-	want := 4.0 / float64(e.Now())
-	if u != want {
-		t.Fatalf("utilization %v, want %v", u, want)
-	}
-}
-
-func TestPipeInOrderUnderLoad(t *testing.T) {
-	e := NewEngine()
-	var got []int
-	p := &Pipe{Engine: e, SerializationDelay: 3, PropagationDelay: 7,
-		Sink: func(pl interface{}) { got = append(got, pl.(int)) }}
-	for i := 0; i < 50; i++ {
-		i := i
-		e.Schedule(Time(i), func() { p.Send(i) })
-	}
-	e.Run()
-	if len(got) != 50 {
-		t.Fatalf("got %d", len(got))
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("out of order at %d: %v", i, got[:i+1])
-		}
-	}
-	if p.Sent != 50 {
-		t.Fatalf("Sent %d", p.Sent)
-	}
-}
-
-func TestUtilizationZeroTime(t *testing.T) {
-	e := NewEngine()
-	p := &Pipe{Engine: e, SerializationDelay: 1, Sink: func(interface{}) {}}
-	if p.Utilization() != 0 {
-		t.Fatal("utilization at t=0 should be 0")
-	}
-}
-
 // trajectory runs a canonical mixed workload — two monotone event chains,
 // an out-of-order timer that reschedules into the past-relative region, and
 // nested zero-delay events — under the given drive function and records
@@ -406,19 +315,6 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	e.Run()
 }
 
-func BenchmarkPipeSend(b *testing.B) {
-	e := NewEngine()
-	p := &Pipe{Engine: e, SerializationDelay: 2 * Nanosecond, PropagationDelay: 10 * Nanosecond,
-		Sink: func(interface{}) {}}
-	for i := 0; i < b.N; i++ {
-		p.Send(i)
-		if e.Pending() > 10000 {
-			e.Run()
-		}
-	}
-	e.Run()
-}
-
 // TestFIFOLaneCompaction drives two interleaved self-perpetuating event
 // chains so the monotone lane never fully drains: at every push another
 // monotone event is still pending, the drained-reset in push never fires,
@@ -449,67 +345,5 @@ func TestFIFOLaneCompaction(t *testing.T) {
 	}
 	if c := cap(e.fifo); c > 1024 {
 		t.Fatalf("fifo backing array grew to %d slots for %d events; dispatched prefix not reclaimed", c, total)
-	}
-}
-
-// TestPipeReserveMatchesSendTiming: Reserve claims the wire exactly as
-// SendAt does — same serialization window, same busy accounting, same
-// arrival arithmetic — without scheduling a delivery event, so express
-// claims and hop-by-hop sends interleave on one wire with identical
-// timing in either order.
-func TestPipeReserveMatchesSendTiming(t *testing.T) {
-	e := NewEngine()
-	var arrivals []Time
-	p := &Pipe{Engine: e, SerializationDelay: 3, PropagationDelay: 7,
-		Sink: func(interface{}) { arrivals = append(arrivals, e.Now()) }}
-	a1 := p.Reserve(0)      // ser 0-3, arrival 10
-	end := p.SendAt("x", 0) // queues behind the claim: ser 3-6, arrival 13
-	a2 := p.Reserve(0)      // ser 6-9, arrival 16
-	if a1 != 10 || end != 6 || a2 != 16 {
-		t.Fatalf("reserve/send/reserve = %d/%d/%d, want 10/6/16", a1, end, a2)
-	}
-	e.Run()
-	if len(arrivals) != 1 || arrivals[0] != 13 {
-		t.Fatalf("send arrivals %v, want [13]", arrivals)
-	}
-	if p.Sent != 3 || p.BusyTime != 9 {
-		t.Fatalf("Sent %d BusyTime %d, want 3 and 9", p.Sent, p.BusyTime)
-	}
-}
-
-// TestPipeReserveHonorsEarliest: a reservation respects the earliest
-// bound the same way SendAt does.
-func TestPipeReserveHonorsEarliest(t *testing.T) {
-	e := NewEngine()
-	p := &Pipe{Engine: e, SerializationDelay: 2, PropagationDelay: 5, Sink: func(interface{}) {}}
-	if a := p.Reserve(100); a != 107 {
-		t.Fatalf("arrival %d, want 107", a)
-	}
-	if p.FreeAt() != 102 {
-		t.Fatalf("FreeAt %d, want 102", p.FreeAt())
-	}
-}
-
-// TestPipeQueuePeak: QueuePeak records the deepest serialization backlog
-// (claiming flit included) and never decays as the queue drains.
-func TestPipeQueuePeak(t *testing.T) {
-	e := NewEngine()
-	p := &Pipe{Engine: e, SerializationDelay: 2, PropagationDelay: 1, Sink: func(interface{}) {}}
-	if p.QueuePeak != 0 {
-		t.Fatalf("initial QueuePeak %d", p.QueuePeak)
-	}
-	p.Send(1)
-	if p.QueuePeak != 1 {
-		t.Fatalf("QueuePeak %d after uncontended send, want 1", p.QueuePeak)
-	}
-	p.Send(2)
-	p.Send(3)
-	if p.QueuePeak != 3 {
-		t.Fatalf("QueuePeak %d after burst of 3, want 3", p.QueuePeak)
-	}
-	e.Run()
-	p.Send(4) // wire is idle again: depth 1, high-water mark stays
-	if p.QueuePeak != 3 {
-		t.Fatalf("QueuePeak %d after drain, want 3", p.QueuePeak)
 	}
 }

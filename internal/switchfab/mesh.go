@@ -43,11 +43,10 @@ type Mesh struct {
 
 	// out[x][y][d] is the egress wire of router (x,y) toward direction d.
 	out [][][meshDirs]*link.Wire
-	// locals[x][y] delivers flits addressed to node (x,y).
-	locals [][]func(*flit.Flit)
-	// localSink[x][y] is the stable engine-event form of locals[x][y]
-	// (release when unattached), shared by the hop-by-hop latency event
-	// and the express delivery event so neither allocates per flit.
+	// localSink[x][y] hands flits addressed to node (x,y) to the node
+	// AttachNode installed (releasing them while none is). It is the
+	// engine sink of both the hop-by-hop latency event and the express
+	// delivery event, so neither allocates per flit.
 	localSink [][]func(interface{})
 	// ingress[x][y] is the wire a node uses to inject at its router.
 	ingress [][]*link.Wire
@@ -163,26 +162,16 @@ func NewMesh(eng *sim.Engine, w, h int, cfg MeshConfig) *Mesh {
 
 	m.Routers = make([][]*Switch, w)
 	m.out = make([][][meshDirs]*link.Wire, w)
-	m.locals = make([][]func(*flit.Flit), w)
 	m.localSink = make([][]func(interface{}), w)
 	m.ingress = make([][]*link.Wire, w)
 	for x := 0; x < w; x++ {
 		m.Routers[x] = make([]*Switch, h)
 		m.out[x] = make([][meshDirs]*link.Wire, h)
-		m.locals[x] = make([]func(*flit.Flit), h)
 		m.localSink[x] = make([]func(interface{}), h)
 		m.ingress[x] = make([]*link.Wire, h)
 		for y := 0; y < h; y++ {
 			m.Routers[x][y] = NewSwitch(fmt.Sprintf("R%d.%d", x, y), eng, cfg.Mode, cfg.RouterLatency, nil)
-			x, y := x, y
-			m.localSink[x][y] = func(p interface{}) {
-				f := p.(*flit.Flit)
-				if m.locals[x][y] != nil {
-					m.locals[x][y](f)
-				} else {
-					flit.Release(f)
-				}
-			}
+			m.localSink[x][y] = releaseFlit
 		}
 	}
 
@@ -308,7 +297,7 @@ func (m *Mesh) SetPathBERScale(scale float64) {
 // mesh timing, so the traversal tries to go express: claim every wire of
 // the route up front and schedule exactly one delivery event. A struck
 // flit on the same (express-eligible) route claims its wires up front too
-// but walks them with per-hop events (scheduleWalk) — byte work happens
+// but walks them with per-hop events (claimRoute) — byte work happens
 // at each hop, only the claim timing moves to injection, which is what
 // keeps every claim on a path in injection order. Routes express cannot
 // claim fall back to the lazy per-hop pipeline below. The express
@@ -339,14 +328,15 @@ func (m *Mesh) injectArrival(x, y int) func(*flit.Flit) {
 			eligible := m.expressEligible(x, y, dx, dy)
 			if granted && eligible {
 				m.ExpressTraversals++
-				m.expressTraverse(f, x, y, dx, dy)
+				m.claimRoute(f, x, y, dx, dy, nil)
 				return
 			}
 			m.ExpressFallbacks++
 			// hops == 1 is local delivery at the injection router: nothing
 			// to claim, the lazy pipeline handles it identically.
 			if eligible && hops > 1 {
-				m.scheduleWalk(f, x, y, dx, dy, hops-1)
+				wk := &meshWalk{f: f, dx: dx, dy: dy, times: make([]sim.Time, 0, hops-1)}
+				m.claimRoute(f, x, y, dx, dy, wk)
 				return
 			}
 		}
@@ -367,48 +357,72 @@ type meshWalk struct {
 	times  []sim.Time
 }
 
-// scheduleWalk carries a struck (ungranted) flit through the mesh with
-// its whole route claimed at injection. The caller has established
-// expressEligible, so on any eligible path *every* flit — granted express
-// or struck walk — claims its wires in injection order, which is what
-// keeps per-path delivery in order (ISN's ground rule) without express
-// ever blocking behind a draining traversal. The flit still pays one
-// event per hop at the pre-reserved arrival times, where it crosses the
-// path schedule and terminates FEC byte-for-byte like the lazy pipeline;
-// only the claim *timing* moved to injection, and sim.Pipe's claim floor
-// is max(now, earliest), so the reserved windows — and every queue-depth
-// statistic — are identical to the lazy claims on uncontended paths.
+// claimRoute claims every wire of an expressEligible (x,y)→(dx,dy) route
+// at injection, in route order, and schedules the traversal's one event.
+// The claim math per hop is exactly the SendAfter fold — serialization
+// starts at max(arrival+latency, wire-free) — so on same-path-only
+// traffic the claimed timing is bit-identical to hop-by-hop. Under
+// cross-traffic the claim *order* changes (the whole route is claimed at
+// injection), which is a change to the fabric model itself and, like the
+// whole-traversal grant policy, applies identically to fast-path and
+// byte-level runs. On an eligible path *every* flit claims this way, so
+// per-path delivery follows injection order (ISN's ground rule) without
+// express ever blocking behind a draining traversal.
 //
-// The route is fixed here from the pre-crossing routing tags (source
-// routing): corruption that rewrites the route bytes in flight changes
-// which schedule later crossings consume — same as the lazy pipeline —
-// but not the wires the flit occupies. wireHops > 0 is the number of
-// inter-router wires on the route.
-func (m *Mesh) scheduleWalk(f *flit.Flit, x, y, dx, dy, wireHops int) {
-	// Injection router: processed now, synchronously — exactly when the
-	// lazy pipeline would run it. A struck flit may already be corrupt;
-	// an uncorrectable drop here has claimed nothing.
-	r := m.Routers[x][y]
-	if !r.process(f) {
-		flit.Release(f)
-		return
-	}
-	r.Stats.Forwarded++
-	// Claim walk: reserve every route wire up front in route order.
-	wk := &meshWalk{f: f, dx: dx, dy: dy, times: make([]sim.Time, 0, wireHops)}
+// A granted flit (wk == nil) goes express: each router's pipeline runs
+// inline and the one event is the delivery at the analytically-known
+// arrival time. Running process() at claim time is unobservable: for an
+// eligible route it touches only the flit image and the router stats,
+// draws no RNG, and cannot drop a granted (hence uncorrupted, CRC-valid)
+// flit.
+//
+// A struck flit walks (wk != nil): only the injection router runs now,
+// exactly when the lazy pipeline would, and the one event is the first
+// walkStep at the first reserved arrival. The walk pays one event per hop
+// from there, crossing its path schedule and terminating FEC
+// byte-for-byte like the lazy pipeline; only the claim *timing* moved to
+// injection, and the claim floor is max(now, earliest), so the reserved
+// windows — and every queue-depth statistic — are identical to the lazy
+// claims on uncontended paths. The route is fixed from the pre-crossing
+// routing tags (source routing): corruption that rewrites the route bytes
+// in flight changes which schedule later crossings consume — same as the
+// lazy pipeline — but not the wires the flit occupies.
+func (m *Mesh) claimRoute(f *flit.Flit, x, y, dx, dy int, wk *meshWalk) {
 	arrive := m.Eng.Now()
-	cx, cy := x, y
-	for {
-		d := m.routeDir(cx, cy, dx, dy)
+	for inline := true; ; inline = wk == nil {
+		r := m.Routers[x][y]
+		if inline && !r.process(f) {
+			// A struck flit may be uncorrectable at its injection router,
+			// which then claims nothing; a granted flit cannot be dropped,
+			// the release stays in case a future pipeline stage can reject
+			// clean flits.
+			flit.Release(f)
+			return
+		}
+		d := m.routeDir(x, y, dx, dy)
 		if d < 0 {
 			break
 		}
-		arrive = m.out[cx][cy][d].Reserve(arrive + m.Routers[cx][cy].Latency)
-		wk.times = append(wk.times, arrive)
-		cx, cy = m.neighbor(cx, cy, d)
+		if inline {
+			r.Stats.Forwarded++
+			f.TakePathPass() // a granted flit spends one per wire; a walk holds none
+		}
+		arrive = m.out[x][y][d].Reserve(arrive + r.Latency)
+		x, y = m.neighbor(x, y, d)
+		if wk != nil {
+			if len(wk.times) == 0 {
+				wk.cx, wk.cy = x, y
+			}
+			wk.times = append(wk.times, arrive)
+		}
 	}
-	wk.cx, wk.cy = m.neighbor(x, y, m.routeDir(x, y, dx, dy))
-	m.Eng.AtArg(wk.times[0], m.walkFn, wk)
+	if wk != nil {
+		m.Eng.AtArg(wk.times[0], m.walkFn, wk)
+		return
+	}
+	r := m.Routers[x][y]
+	r.Stats.DeliveredLocal++
+	m.Eng.AtArg(arrive+r.Latency, m.localSink[x][y], f)
 }
 
 // walkStep is one router arrival of a scheduled walk: cross the path
@@ -483,8 +497,8 @@ func (m *Mesh) neighbor(cx, cy, d int) (int, int) {
 }
 
 // expressEligible reports whether the (x,y)→(dx,dy) route may be claimed
-// up front at injection — by expressTraverse for a granted flit, by
-// scheduleWalk for a struck one:
+// up front at injection by claimRoute — express for a granted flit, a
+// scheduled walk for a struck one:
 //
 //   - No route router carries an internal fault point (hook or
 //     probabilistic flip): process() must stay deterministic and
@@ -516,47 +530,6 @@ func (m *Mesh) expressEligible(x, y, dx, dy int) bool {
 	}
 }
 
-// expressTraverse carries a granted flit over an expressEligible route
-// from router (x,y) to router (dx,dy): claim every wire on the route up
-// front, run each router's pipeline inline, and schedule one delivery
-// event at the analytically-known arrival time.
-//
-// The claim math per hop is exactly the SendAfter fold — serialization
-// starts at max(arrival+latency, wire-free) — so on same-path-only
-// traffic express timing is bit-identical to hop-by-hop. Under
-// cross-traffic the claim *order* changes (the whole route is claimed at
-// injection), which is a change to the fabric model itself and, like the
-// whole-traversal grant policy, applies identically to fast-path and
-// byte-level runs.
-//
-// Running process() at claim time is unobservable: for an eligible route
-// it touches only the flit image and the router stats, draws no RNG, and
-// cannot drop a granted (hence uncorrupted, CRC-valid) flit.
-func (m *Mesh) expressTraverse(f *flit.Flit, x, y, dx, dy int) {
-	arrive := m.Eng.Now()
-	for {
-		r := m.Routers[x][y]
-		if !r.process(f) {
-			// Unreachable for eligible routes; keep the drop semantics in
-			// case a future pipeline stage can reject clean flits.
-			flit.Release(f)
-			return
-		}
-		d := m.routeDir(x, y, dx, dy)
-		if d < 0 {
-			r.Stats.DeliveredLocal++
-			m.Eng.AtArg(arrive+r.Latency, m.localSink[x][y], f)
-			return
-		}
-		r.Stats.Forwarded++
-		if m.paths != nil {
-			f.TakePathPass()
-		}
-		arrive = m.out[x][y][d].Reserve(arrive + r.Latency)
-		x, y = m.neighbor(x, y, d)
-	}
-}
-
 // hopArrival wraps router (x,y)'s pipeline for an inter-router wire,
 // putting a crossing of the flit's path schedule in front of it.
 func (m *Mesh) hopArrival(x, y int) func(*flit.Flit) {
@@ -582,6 +555,9 @@ func (m *Mesh) crossHop(f *flit.Flit) {
 	dst := f.Payload()[flit.RouteOffset]
 	link.CrossPathUnit(m.pathSched(src, dst), m.fec, f)
 }
+
+// releaseFlit is the local sink of a node with nothing attached.
+func releaseFlit(p interface{}) { flit.Release(p.(*flit.Flit)) }
 
 func abs(v int) int {
 	if v < 0 {
@@ -613,7 +589,7 @@ func (m *Mesh) AttachNode(x, y int, deliver func(*flit.Flit)) *link.Wire {
 	if deliver == nil {
 		panic("switchfab: nil node deliver")
 	}
-	m.locals[x][y] = deliver
+	m.localSink[x][y] = func(p interface{}) { deliver(p.(*flit.Flit)) }
 	return m.ingress[x][y]
 }
 

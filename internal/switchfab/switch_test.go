@@ -287,7 +287,7 @@ func TestChainUnderBERRXLExactlyOnce(t *testing.T) {
 	c := NewChain(eng, DefaultChainConfig(link.ProtocolRXL, 2))
 	rng := phy.NewRNG(99)
 	for _, w := range append(append([]*link.Wire{}, c.Fwd...), c.Bwd...) {
-		w.Channel = phy.NewChannel(1e-5, 0.4, rng.Split())
+		w.PathSched, w.PathHops = phy.NewSharedSchedule(1e-5, 0.4, rng.Split(), flit.Bits), 1
 	}
 	var got []uint64
 	c.B.Deliver = collectTags(&got)
@@ -309,7 +309,7 @@ func TestChainUnderBERNoPiggybackExactlyOnce(t *testing.T) {
 	c := NewChain(eng, cfg)
 	rng := phy.NewRNG(5)
 	for _, w := range append(append([]*link.Wire{}, c.Fwd...), c.Bwd...) {
-		w.Channel = phy.NewChannel(1e-5, 0.4, rng.Split())
+		w.PathSched, w.PathHops = phy.NewSharedSchedule(1e-5, 0.4, rng.Split(), flit.Bits), 1
 	}
 	var got []uint64
 	c.B.Deliver = collectTags(&got)

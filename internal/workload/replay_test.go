@@ -1,4 +1,4 @@
-package trace
+package workload
 
 import (
 	"errors"
@@ -7,7 +7,7 @@ import (
 )
 
 func TestParseReplay(t *testing.T) {
-	recs, err := ParseReplayString(`
+	recs, err := parseReplay(`
 # AI training shard: hot parameter server at node 0
 1 0 40
 2 0 40
@@ -17,7 +17,7 @@ func TestParseReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []FlowRecord{{1, 0, 40}, {2, 0, 40}, {3, 0, 1}, {0, 3, 5}}
+	want := []flowRecord{{1, 0, 40}, {2, 0, 40}, {3, 0, 1}, {0, 3, 5}}
 	if len(recs) != len(want) {
 		t.Fatalf("got %d records, want %d", len(recs), len(want))
 	}
@@ -49,7 +49,7 @@ func TestParseReplayErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := ParseReplayString(c.in)
+			_, err := parseReplay(c.in)
 			if err == nil {
 				t.Fatalf("parsed %q without error", c.in)
 			}
@@ -59,24 +59,24 @@ func TestParseReplayErrors(t *testing.T) {
 		})
 	}
 
-	if _, err := ParseReplayString("# only\n"); !errors.Is(err, ErrEmptyTrace) {
-		t.Errorf("empty trace error = %v, want ErrEmptyTrace", err)
+	if _, err := parseReplay("# only\n"); !errors.Is(err, errEmptyTrace) {
+		t.Errorf("empty trace error = %v, want errEmptyTrace", err)
 	}
 }
 
 func TestParseReplayOversized(t *testing.T) {
 	var sb strings.Builder
-	for i := 0; i <= MaxReplayRecords; i++ {
+	for i := 0; i <= maxReplayRecords; i++ {
 		sb.WriteString("1 2\n")
 	}
-	if _, err := ParseReplayString(sb.String()); err == nil || !strings.Contains(err.Error(), "records") {
+	if _, err := parseReplay(sb.String()); err == nil || !strings.Contains(err.Error(), "records") {
 		t.Errorf("oversized trace error = %v", err)
 	}
 
 	// A single line longer than the scanner buffer errors instead of
 	// silently truncating.
 	long := "1 2 " + strings.Repeat("9", maxReplayLine)
-	if _, err := ParseReplayString(long); err == nil {
+	if _, err := parseReplay(long); err == nil {
 		t.Error("overlong line parsed without error")
 	}
 }
@@ -96,18 +96,18 @@ func FuzzParseReplay(f *testing.F) {
 	f.Add("9999999999999999999 2\n")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, in string) {
-		recs, err := ParseReplayString(in)
+		recs, err := parseReplay(in)
 		if err != nil {
 			if recs != nil {
 				t.Fatal("error with non-nil records")
 			}
 			return
 		}
-		if len(recs) == 0 || len(recs) > MaxReplayRecords {
+		if len(recs) == 0 || len(recs) > maxReplayRecords {
 			t.Fatalf("parsed %d records outside contract", len(recs))
 		}
 		for _, r := range recs {
-			if r.Src < 0 || r.Dst < 0 || r.N <= 0 || r.N > MaxReplayCount {
+			if r.Src < 0 || r.Dst < 0 || r.N <= 0 || r.N > maxReplayCount {
 				t.Fatalf("out-of-contract record %+v", r)
 			}
 		}

@@ -1,8 +1,7 @@
 // Package workload generates spatial traffic patterns — which (src,dst)
 // node pairs of a W×H fabric exchange payloads — for scenario-diversity
-// experiments. It complements internal/trace, which shapes load in time:
-// a workload picks the routes, a trace generator picks the injection
-// schedule along them.
+// experiments: a workload picks the routes, and the scenario layer
+// (internal/core) injects payloads along them.
 //
 // Every generator is a pure function of (spec, geometry, seed), so the
 // same scenario cell reproduces the same flow set on the fast and
@@ -23,7 +22,6 @@ import (
 	"math"
 
 	"repro/internal/phy"
-	"repro/internal/trace"
 )
 
 // Workload kinds.
@@ -198,7 +196,7 @@ func Generate(spec Spec, w, h int, seed uint64) ([]Flow, error) {
 		}
 		return nonEmpty(flows, spec.Kind)
 	case KindReplay:
-		recs, err := trace.ParseReplayString(spec.Trace)
+		recs, err := parseReplay(spec.Trace)
 		if err != nil {
 			return nil, err
 		}
@@ -227,7 +225,7 @@ func ReplayCounts(spec Spec, w, h int) ([]int, error) {
 	if spec.Kind != KindReplay {
 		return nil, nil
 	}
-	recs, err := trace.ParseReplayString(spec.Trace)
+	recs, err := parseReplay(spec.Trace)
 	if err != nil {
 		return nil, err
 	}

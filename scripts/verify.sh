@@ -108,7 +108,7 @@ rung_race() {
   run go test -race ./...
   # Fuzz seed corpora (replay parsing, JobSpec normalize, spill files,
   # Prometheus text; no long fuzzing).
-  run go test -run 'Fuzz.*' ./internal/trace/ ./internal/service/ ./internal/obs/
+  run go test -run 'Fuzz.*' ./internal/workload/ ./internal/service/ ./internal/obs/
 }
 
 rung_kernels() {
