@@ -6,7 +6,6 @@ import (
 	"repro/internal/flit"
 	"repro/internal/link"
 	"repro/internal/sim"
-	"repro/internal/transaction"
 )
 
 // This file reproduces the paper's deterministic failure scenarios:
@@ -124,27 +123,6 @@ func (r Fig5Report) CleanTransactions() bool {
 		r.OutOfOrderData == 0 && r.CorruptData == 0
 }
 
-// fig5Fabric builds the one-switch fabric used by both Fig. 5 scripts:
-// device at endpoint A, host at endpoint B, with per-endpoint ACK
-// coalescing. The asymmetry matters: only the side that acks per delivery
-// piggybacks AckNums on its data flits, and only flits received *verified*
-// (explicit FSN) arm acknowledgments — so the endpoint whose stream is
-// attacked must receive explicit FSNs from the other direction.
-func fig5Fabric(proto link.Protocol, devCoalesce, hostCoalesce int) (*Fabric, *transaction.Device, *transaction.Host) {
-	cfg := link.DefaultConfig(proto)
-	cfg.CoalesceCount = devCoalesce
-	f := MustNewFabric(Config{Protocol: proto, Levels: 1, LinkConfig: &cfg})
-	f.B().Cfg.CoalesceCount = hostCoalesce
-
-	var devEP, hostEP *MessageEndpoint
-	dev := transaction.NewDevice(func(m transaction.Message) { devEP.Send(m) })
-	host := transaction.NewHost(func(m transaction.Message) { hostEP.Send(m) })
-	devEP = NewMessageEndpoint(f.A(), nil)
-	hostEP = NewMessageEndpoint(f.B(), host.OnMessage)
-	devEP.OnMessage = dev.OnMessage
-	return f, dev, host
-}
-
 // RunFig5a executes the duplicate-request scenario: a request-carrying
 // flit is silently dropped on the way to the host while the following flit
 // carries a piggybacked AckNum. Under CXL the host executes the later
@@ -154,7 +132,7 @@ func RunFig5a(proto link.Protocol) Fig5Report {
 	// The device acks every response (piggybacking AckNums on its request
 	// flits — the attacked stream); the host coalesces, so its responses
 	// carry explicit FSNs and the device's deliveries stay verified.
-	f, dev, host := fig5Fabric(proto, 1, 10)
+	f, dev, rep := fig5Fabric(proto, 1, 10)
 
 	// Drop the second request-carrying flit A→B at the first hop.
 	seen := 0
@@ -183,20 +161,13 @@ func RunFig5a(proto link.Protocol) Fig5Report {
 	//	             go-back-N replay re-delivers req2 → re-execution.
 	for i, at := range []sim.Time{0, 10, 70, 80, 200, 210} {
 		addr := uint64(0x1000 + i*64)
-		f.Eng.Schedule(at*sim.Nanosecond, func() { dev.IssueRead(addr, 0) })
+		f.Eng.Schedule(at*sim.Nanosecond, func() { dev.issueRead(addr, 0) })
 	}
 	f.Run()
 
-	return Fig5Report{
-		Issued:              dev.Stats.Issued,
-		Completed:           dev.Stats.Completed,
-		DuplicateExecutions: host.Stats.DuplicateExecutions,
-		DuplicateData:       dev.Stats.DuplicateData,
-		OutOfOrderData:      dev.Stats.OutOfOrderData,
-		CorruptData:         dev.Stats.CorruptData,
-		LinkCrcErrors:       f.B().Stats.CrcErrors,
-		SwitchDrops:         f.Chain.TotalSwitchStats().DroppedUncorrectable + f.Chain.Fwd[0].HookDropped,
-	}
+	rep.LinkCrcErrors = f.B().Stats.CrcErrors
+	rep.SwitchDrops = f.Chain.TotalSwitchStats().DroppedUncorrectable + f.Chain.Fwd[0].HookDropped
+	return *rep
 }
 
 // RunFig5b executes the out-of-order-data scenario: a data-carrying flit
@@ -209,7 +180,7 @@ func RunFig5b(proto link.Protocol) Fig5Report {
 	// AckNums on its data flits — the attacked stream); the device
 	// coalesces, so its requests carry explicit FSNs and the host's
 	// deliveries stay verified.
-	f, dev, host := fig5Fabric(proto, 10, 1)
+	f, dev, rep := fig5Fabric(proto, 10, 1)
 
 	// Drop the second data-carrying flit B→A (host→device) at the first
 	// backward hop.
@@ -231,18 +202,11 @@ func RunFig5b(proto link.Protocol) Fig5Report {
 	// ordering violation directly.
 	for i := 0; i < 6; i++ {
 		addr := uint64(0x8000 + i*64)
-		f.Eng.Schedule(sim.Time(i)*70*sim.Nanosecond, func() { dev.IssueRead(addr, 7) })
+		f.Eng.Schedule(sim.Time(i)*70*sim.Nanosecond, func() { dev.issueRead(addr, 7) })
 	}
 	f.Run()
 
-	return Fig5Report{
-		Issued:              dev.Stats.Issued,
-		Completed:           dev.Stats.Completed,
-		DuplicateExecutions: host.Stats.DuplicateExecutions,
-		DuplicateData:       dev.Stats.DuplicateData,
-		OutOfOrderData:      dev.Stats.OutOfOrderData,
-		CorruptData:         dev.Stats.CorruptData,
-		LinkCrcErrors:       f.A().Stats.CrcErrors,
-		SwitchDrops:         f.Chain.TotalSwitchStats().DroppedUncorrectable + f.Chain.Bwd[0].HookDropped,
-	}
+	rep.LinkCrcErrors = f.A().Stats.CrcErrors
+	rep.SwitchDrops = f.Chain.TotalSwitchStats().DroppedUncorrectable + f.Chain.Bwd[0].HookDropped
+	return *rep
 }

@@ -9,7 +9,7 @@
 // evaluation.
 //
 // One path computes flit CRCs: Update, which dispatches at runtime (via
-// internal/cpu feature detection) to a PCLMULQDQ carry-less-multiply
+// CPUID, crc_clmul_amd64.go) to a PCLMULQDQ carry-less-multiply
 // folding kernel in Go assembly (crc_amd64.s) where the CPU has it, and to
 // the portable slicing-by-16 engine otherwise (16 precomputed 256-entry
 // tables consume one 16-byte block per iteration with two independent

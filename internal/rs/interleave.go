@@ -1,10 +1,6 @@
 package rs
 
-import (
-	"fmt"
-
-	"repro/internal/gf256"
-)
+import "fmt"
 
 // ways is the interleave depth of the flit FEC: three sub-blocks.
 const ways = 3
@@ -33,7 +29,7 @@ type Interleaved struct {
 func NewInterleaved(total int) (*Interleaved, error) {
 	// Every way needs a data symbol, and no way's codeword may outgrow
 	// the 255-symbol mother code.
-	if maxTotal := ways * (gf256.Order - nparity); total < ways || total > maxTotal {
+	if maxTotal := ways * (order - nparity); total < ways || total > maxTotal {
 		return nil, fmt.Errorf("rs: interleave of %d data bytes, want %d..%d", total, ways, maxTotal)
 	}
 	il := &Interleaved{total: total}
@@ -119,10 +115,10 @@ func (il *Interleaved) Encode(data, parity []byte) {
 
 // encTab2[fb] packs the two-parity LFSR feedback g1·fb (low byte) and
 // g2·fb (high byte) of g(x) = x² + g1·x + g2, so one lookup replaces the
-// two gf256.Mul calls of Code.Encode's inner loop.
+// two mul calls of Code.Encode's inner loop.
 var encTab2 = func() (t [256]uint16) {
 	for fb := range t {
-		t[fb] = uint16(gf256.Mul(gen[1], byte(fb))) | uint16(gf256.Mul(gen[2], byte(fb)))<<8
+		t[fb] = uint16(mul(gen[1], byte(fb))) | uint16(mul(gen[2], byte(fb)))<<8
 	}
 	return t
 }()

@@ -24,17 +24,16 @@ package rs
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/gf256"
 )
 
 // nparity is the number of parity symbols per sub-block: 2, so each way
 // corrects a single symbol.
 const nparity = 2
 
-// gen is the generator polynomial g(x) = (x - α^0)(x - α^1), monic,
-// highest degree first.
-var gen = gf256.PolyMul([]byte{1, gf256.Exp(0)}, []byte{1, gf256.Exp(1)})
+// gen is the generator polynomial g(x) = (x - α^0)(x - α^1) = x² + 3x + 2
+// over 0x11D (α^0 = 1, α^1 = 2, and subtraction is XOR), monic, highest
+// degree first.
+var gen = [nparity + 1]byte{1, 3, 2}
 
 // Status reports the outcome of a decode attempt.
 type Status int
@@ -85,8 +84,8 @@ func New(k int) (*Code, error) {
 	if k <= 0 {
 		return nil, errors.New("rs: k must be positive")
 	}
-	if k+nparity > gf256.Order {
-		return nil, fmt.Errorf("rs: codeword length %d exceeds %d", k+nparity, gf256.Order)
+	if k+nparity > order {
+		return nil, fmt.Errorf("rs: codeword length %d exceeds %d", k+nparity, order)
 	}
 	return &Code{k: k, n: k + nparity}, nil
 }
@@ -123,7 +122,7 @@ func (c *Code) Encode(data, parity []byte) {
 		parity[nparity-1] = 0
 		if fb != 0 {
 			for j := 1; j < len(gen); j++ {
-				parity[j-1] ^= gf256.Mul(gen[j], fb)
+				parity[j-1] ^= mul(gen[j], fb)
 			}
 		}
 	}
@@ -148,13 +147,13 @@ func syndromes(data, parity []byte) uint64 {
 func syndromesRef(data, parity []byte) uint64 {
 	var w uint64
 	for j := 0; j < nparity; j++ {
-		x := gf256.Exp(j)
+		x := exp(j)
 		var acc byte
 		for _, d := range data {
-			acc = gf256.Mul(acc, x) ^ d
+			acc = mul(acc, x) ^ d
 		}
 		for _, p := range parity {
-			acc = gf256.Mul(acc, x) ^ p
+			acc = mul(acc, x) ^ p
 		}
 		w |= uint64(acc) << (8 * j)
 	}
@@ -198,9 +197,9 @@ func (c *Code) decodeSingle(data, parity []byte, s0, s1 byte) Result {
 		// one zero syndrome proves at least two errors.
 		return Result{Status: StatusUncorrectable}
 	}
-	p := gf256.Log(s1) - gf256.Log(s0)
+	p := log(s1) - log(s0)
 	if p < 0 {
-		p += gf256.Order
+		p += order
 	}
 	if p >= c.n {
 		// The "error" falls in a vacant (zero-padded) position of the

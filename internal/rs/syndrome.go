@@ -21,8 +21,6 @@
 // differentially pinned against; the purego build tag falls back to it.
 package rs
 
-import "repro/internal/gf256"
-
 // synTab holds the two-lane advance tables.
 type synTab struct {
 	// t1[j][b]: lane j advanced one Horner step, b·α^j, pre-shifted into
@@ -38,12 +36,12 @@ type synTab struct {
 // syn2 is the process-wide table bank, built once at init like encTab2.
 var syn2 = func() (v synTab) {
 	for j := 0; j < nparity; j++ {
-		a1 := gf256.Exp(j)
-		a2 := gf256.Mul(a1, a1)
+		a1 := exp(j)
+		a2 := mul(a1, a1)
 		shift := 8 * uint(j)
 		for b := 0; b < 256; b++ {
-			v.t1[j][b] = uint64(gf256.Mul(byte(b), a1)) << shift
-			v.t2[j][b] = uint64(gf256.Mul(byte(b), a2)) << shift
+			v.t1[j][b] = uint64(mul(byte(b), a1)) << shift
+			v.t2[j][b] = uint64(mul(byte(b), a2)) << shift
 			v.g1[b] ^= v.t1[j][b]
 		}
 	}

@@ -105,6 +105,9 @@ func (c *Cache) Probe(key string) ([]byte, bool) {
 // back into the LRU), and names the client-traffic counter the lookup
 // falls under: hits, diskHits or misses.
 func (c *Cache) lookup(key string) (res []byte, ok bool, outcome *obs.Counter) {
+	if !validKey(key) {
+		return nil, false, c.misses
+	}
 	c.mu.Lock()
 	el, ok := c.entries[key]
 	if ok {
@@ -138,8 +141,11 @@ func (c *Cache) lookup(key string) (res []byte, ok bool, outcome *obs.Counter) {
 // Put stores the result bytes under key, evicting the LRU tail past
 // capacity. With a spill directory configured the entry is also written
 // through to disk (synced, then renamed into place), so evictions lose
-// nothing.
+// nothing. A malformed key (see validKey) is not stored.
 func (c *Cache) Put(key string, result []byte) {
+	if !validKey(key) {
+		return
+	}
 	c.mu.Lock()
 	c.insertLocked(key, result)
 	c.mu.Unlock()
@@ -173,8 +179,23 @@ func (c *Cache) insertLocked(key string, result []byte) {
 	}
 }
 
-// spillPath maps a key to its spill file. Keys are hex SHA-256, so they
-// are always safe path components.
+// validKey reports whether key is a cache key: the 64 lowercase hex
+// digits of a SHA-256, as JobSpec.Key renders it. The cache stores and
+// looks up nothing else, so a key that reaches spillPath is always one
+// safe path component; any other key is a miss that touches no file.
+func validKey(key string) bool {
+	if len(key) != 64 {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// spillPath maps a validKey key to its spill file.
 func (c *Cache) spillPath(key string) string {
 	return filepath.Join(c.spillDir, key+".json")
 }

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-const spillKey = "00ff"
+var spillKey = strings.Repeat("00ff", 16)
 
 // lookupSpill starts a cache over a spill directory holding file under
 // spillKey and looks the key up, as a restarted daemon would.
@@ -99,4 +102,34 @@ func FuzzSpillFile(f *testing.F) {
 			t.Fatalf("rejected file %q: stat err %v, stats %+v", file, err, st)
 		}
 	})
+}
+
+// TestCacheFetchRejectsPathKeys: GET /v1/cache/{key} unescapes %2F, so a
+// 64-byte key can climb out of the spill directory. Such a key is a 400
+// that touches no file — the planted file outside the spill directory,
+// which does not verify as a spill entry, must survive the request.
+func TestCacheFetchRejectsPathKeys(t *testing.T) {
+	root := t.TempDir()
+	victim := filepath.Join(root, "victim", strings.Repeat("a", 54)+".json")
+	if err := os.MkdirAll(filepath.Dir(victim), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(victim, []byte("not a spill file"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newTestServer(t, Config{SpillDir: filepath.Join(root, "spill")}))
+	defer ts.Close()
+
+	key := "..%2Fvictim%2F" + strings.Repeat("a", 54)
+	resp, err := http.Get(ts.URL + "/v1/cache/" + key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("path key: status %d, want 400", resp.StatusCode)
+	}
+	if _, err := os.Stat(victim); err != nil {
+		t.Fatalf("file outside the spill directory: %v", err)
+	}
 }

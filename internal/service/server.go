@@ -757,7 +757,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // owner's first computation gets the owner's bytes, not a second run.
 func (s *Server) handleCacheFetch(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if len(key) != 64 {
+	if !validKey(key) {
 		WriteError(w, http.StatusBadRequest, "cache key must be a hex sha-256")
 		return
 	}

@@ -325,48 +325,19 @@ type MeshResult = core.MeshResult
 // end-to-end, whole-path grants at the injection wire), so clean
 // multi-hop traversals cost one schedule consultation instead of one per
 // hop.
-type NoC struct {
-	// Eng is the discrete-event engine driving the mesh.
-	Eng *sim.Engine
-	// Mesh exposes the routers and wires for fault injection.
-	Mesh *switchfab.Mesh
-
-	fab *core.MeshFabric
-}
+type NoC = core.MeshFabric
 
 // NewNoC builds a w×h mesh NoC. The Config supplies protocol, BER/burst,
 // seed, timing overrides, and NoFastPath; Levels and switch-specific
 // fields are ignored.
 func NewNoC(w, h int, cfg Config) (*NoC, error) {
-	return newNoC(cfg, Topology{Kind: core.TopoMesh, W: w, H: h})
+	return core.NewTopologyFabric(cfg, Topology{Kind: core.TopoMesh, W: w, H: h})
 }
 
 // NewTorus builds a w×h 2D-torus NoC: wraparound row/column rings with
 // minimal-direction routing, everything else as NewNoC.
 func NewTorus(w, h int, cfg Config) (*NoC, error) {
-	return newNoC(cfg, Topology{Kind: core.TopoTorus, W: w, H: h})
-}
-
-func newNoC(cfg Config, topo Topology) (*NoC, error) {
-	fab, err := core.NewTopologyFabric(cfg, topo)
-	if err != nil {
-		return nil, err
-	}
-	return &NoC{Eng: fab.Eng, Mesh: fab.Mesh, fab: fab}, nil
-}
-
-// Node returns (creating on first use) the endpoint at mesh position
-// (x,y).
-func (n *NoC) Node(x, y int) *MeshNode { return n.fab.Node(x, y) }
-
-// Run drains the event queue.
-func (n *NoC) Run() { n.fab.Run() }
-
-// RunWorkload drives nPayloads through each flow simultaneously and
-// returns the full accounting — the one-call mesh experiment behind the
-// multi-hop benchmarks and differential tests.
-func (n *NoC) RunWorkload(flows []MeshFlow, nPayloads int) MeshResult {
-	return n.fab.RunWorkload(flows, nPayloads)
+	return core.NewTopologyFabric(cfg, Topology{Kind: core.TopoTorus, W: w, H: h})
 }
 
 // Topology selects the fabric shape of a scenario cell: a 2D mesh or a

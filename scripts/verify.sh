@@ -118,11 +118,11 @@ rung_kernels() {
   # -tags purego (the pinned byte-level reference). Every differential
   # test in these packages cross-checks fast against reference, so the
   # two runs together pin the asm and vectored paths bit-for-bit.
-  run go test -count=1 ./internal/cpu/ ./internal/crc/ ./internal/rs/ ./internal/flit/
-  run go test -count=1 -tags purego ./internal/cpu/ ./internal/crc/ ./internal/rs/ ./internal/flit/
+  run go test -count=1 ./internal/crc/ ./internal/rs/ ./internal/flit/
+  run go test -count=1 -tags purego ./internal/crc/ ./internal/rs/ ./internal/flit/
   # The RXL_PUREGO escape hatch must force the reference kernels at
   # runtime without a rebuild.
-  RXL_PUREGO=1 run go test -count=1 -run 'CLMUL|Dispatch|Flags' ./internal/cpu/ ./internal/crc/
+  RXL_PUREGO=1 run go test -count=1 -run 'CLMUL|Flags' ./internal/crc/
   # Kernel fuzz corpora, replayed on both builds.
   run go test -count=1 -run 'Fuzz.*' ./internal/crc/ ./internal/rs/
   run go test -count=1 -tags purego -run 'Fuzz.*' ./internal/crc/ ./internal/rs/

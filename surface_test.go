@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -19,9 +20,8 @@ import (
 // reason it stays. An entry whose name becomes reached, or that internal/
 // no longer declares, fails the test, so the list cannot rot.
 var keptUnreached = map[string]string{
-	"crc.VerifyISN":  "byte-level oracle: flit's clean-verdict suite checks every O(1) verdict against it",
-	"gf256.PolyEval": "reference kernel: the evaluation homomorphism is how the tests pin PolyMul, which builds the RS generator",
-	"phy.GapLogLR":   "reference kernel: the per-gap likelihood ratio UnitLogLR's closed form is tested to telescope from",
+	"crc.VerifyISN": "byte-level oracle: flit's clean-verdict suite checks every O(1) verdict against it",
+	"phy.GapLogLR":  "reference kernel: the per-gap likelihood ratio UnitLogLR's closed form is tested to telescope from",
 
 	"reliability.MeasureFER":     "byte-level oracle: TestMeasureFERScheduleMatchesByteLevel pins the schedule loop's samples to it",
 	"reliability.MeasureFERPath": "byte-level oracle: the path-schedule suite pins MeasureFERPathSchedule's samples to it",
@@ -182,6 +182,91 @@ func TestInternalSurfaceIsReached(t *testing.T) {
 		t.Errorf("%d exported internal/ declarations are reached by no cmd/, example, rxl.go, bench/ or "+
 			"bench_test.go code (delete them with their tests, or add them to keptUnreached with a reason):\n  %s",
 			len(unreached), strings.Join(unreached, "\n  "))
+	}
+}
+
+// singleImporterKept is the literal allow-list of
+// TestInternalPackagesEarnTheirBoundary: internal/ packages with fewer than
+// two non-test importers, each with the reason its boundary stays. An entry
+// whose package gains a second importer, or no longer exists, fails the
+// test, so the list cannot rot.
+var singleImporterKept = map[string]string{}
+
+// TestInternalPackagesEarnTheirBoundary requires every internal/ package to
+// be imported by the non-test files of at least two packages of this module
+// (bench/ is a module of its own and does not count). A package with one
+// importer folds into it, unless singleImporterKept gives the reason it
+// stays apart.
+func TestInternalPackagesEarnTheirBoundary(t *testing.T) {
+	pkgs := map[string]bool{}
+	importers := map[string]map[string]bool{} // package -> importing dirs
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "bench") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if strings.HasPrefix(dir, "internal/") {
+			pkgs[dir] = true
+		}
+		for _, imp := range f.Imports {
+			ip, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				return err
+			}
+			if dep, ok := strings.CutPrefix(ip, "repro/"); ok && strings.HasPrefix(dep, "internal/") {
+				if importers[dep] == nil {
+					importers[dep] = map[string]bool{}
+				}
+				importers[dep][dir] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lone []string
+	for pkg := range pkgs {
+		_, kept := singleImporterKept[pkg]
+		switch n := len(importers[pkg]); {
+		case n < 2 && !kept:
+			var by []string
+			for dir := range importers[pkg] {
+				by = append(by, dir)
+			}
+			sort.Strings(by)
+			lone = append(lone, fmt.Sprintf("%s (imported by %v)", pkg, by))
+		case n >= 2 && kept:
+			t.Errorf("singleImporterKept lists %s, which has %d importers: drop the entry", pkg, n)
+		}
+	}
+	for pkg, reason := range singleImporterKept {
+		if !pkgs[pkg] {
+			t.Errorf("singleImporterKept lists %s, which is not an internal/ package", pkg)
+		}
+		if strings.TrimSpace(reason) == "" {
+			t.Errorf("singleImporterKept entry %s has no reason", pkg)
+		}
+	}
+	if len(lone) > 0 {
+		sort.Strings(lone)
+		t.Errorf("%d internal/ packages have fewer than two non-test importers (fold each into its importer, "+
+			"or add it to singleImporterKept with a reason):\n  %s", len(lone), strings.Join(lone, "\n  "))
 	}
 }
 
