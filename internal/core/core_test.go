@@ -23,20 +23,14 @@ func TestConfigValidate(t *testing.T) {
 		{BurstProb: 1},
 		{InternalFlipProb: -0.1},
 		{Protocol: 7},
-		// The link layer would panic on these at NewPeer; Validate must
-		// see them first — on the resolved config, so a selective-repeat
-		// LinkConfig is rejected by the fabric's protocol, not its own.
+		// The link layer would panic on this at NewPeer; Validate must
+		// see it first.
 		{Protocol: link.ProtocolRXL, LinkConfig: &link.Config{ReplayBufferSize: 600}},
-		{Protocol: link.ProtocolRXL, LinkConfig: &link.Config{Retry: link.SelectiveRepeat}},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: accepted %+v", i, c)
 		}
-	}
-	sr := Config{Protocol: link.ProtocolCXL, LinkConfig: &link.Config{Protocol: link.ProtocolRXL, Retry: link.SelectiveRepeat}}
-	if err := sr.Validate(); err != nil {
-		t.Errorf("CXL fabric with a selective-repeat LinkConfig rejected: %v", err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/link"
 	"repro/internal/phy"
 )
 
@@ -104,29 +103,6 @@ func TestFastPathDifferentialInternalCorruption(t *testing.T) {
 			BER:              1e-5,
 			InternalFlipProb: 2e-3,
 			Seed:             99,
-		}
-		t.Run(proto.String(), func(t *testing.T) {
-			assertFastSlowIdentical(t, cfg, 600)
-		})
-	}
-}
-
-// TestFastPathDifferentialSelectiveRepeat exercises the selective-repeat
-// retry engine, whose retransmissions and reassembly buffering must stay
-// on the byte-level path under FastPath.
-func TestFastPathDifferentialSelectiveRepeat(t *testing.T) {
-	// RXL cannot run selective repeat (ISN has no explicit sequence
-	// numbers to reorder by), so only the CXL variants apply.
-	for _, proto := range []link.Protocol{link.ProtocolCXL, link.ProtocolCXLNoPiggyback} {
-		lcfg := link.DefaultConfig(proto)
-		lcfg.Retry = link.SelectiveRepeat
-		cfg := Config{
-			Protocol:   proto,
-			Levels:     1,
-			BER:        5e-5,
-			BurstProb:  0.4,
-			Seed:       31,
-			LinkConfig: &lcfg,
 		}
 		t.Run(proto.String(), func(t *testing.T) {
 			assertFastSlowIdentical(t, cfg, 600)

@@ -77,12 +77,22 @@ func TestStampRouteOnControlFlits(t *testing.T) {
 	}
 }
 
-// TestOnNakSingleStaleIgnored: single NAKs for already-acknowledged or
-// never-sent sequences are ignored without disturbing the window.
+// receiveNakSingle hands p a sealed NAK flit whose header carries the
+// single-flit command. The header format still defines CmdNakSingle, but
+// no peer dispatches on it: every NAK flit is a go-back-N request.
+func receiveNakSingle(p *Peer, seq uint64) {
+	f := flit.Get()
+	f.SetHeader(flit.Header{FSN: wireSeq(seq), Cmd: flit.CmdNakSingle, Type: flit.TypeNak})
+	f.SealCXL(p.fec)
+	p.Receive(f)
+}
+
+// TestOnNakSingleStaleIgnored: single-flit NAKs for already-acknowledged
+// or never-sent sequences are handled as go-back-N NAKs and, with nothing
+// in flight, replay nothing.
 func TestOnNakSingleStaleIgnored(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultConfig(ProtocolCXLNoPiggyback)
-	cfg.Retry = SelectiveRepeat
 	a := NewPeer("A", eng, cfg)
 	b := NewPeer("B", eng, cfg)
 	ConnectDirect(eng, a, b, sim.FlitTime, sim.Nanosecond)
@@ -91,27 +101,30 @@ func TestOnNakSingleStaleIgnored(t *testing.T) {
 	}
 	eng.Run()
 
-	// Everything acknowledged; a stale single NAK must be a no-op.
-	before := a.Stats.SingleRetries
-	a.onNakSingle(wireSeq(0))
+	// Everything acknowledged; a stale NAK must be a no-op.
+	before := a.Stats
+	receiveNakSingle(a, 0)
 	eng.Run()
-	if a.Stats.SingleRetries != before {
+	if a.Stats.NaksReceived != before.NaksReceived+1 {
+		t.Fatalf("NaksReceived = %d, want %d", a.Stats.NaksReceived, before.NaksReceived+1)
+	}
+	if a.Stats.Retransmissions != before.Retransmissions || a.Stats.GoBackNRounds != before.GoBackNRounds {
 		t.Fatal("stale single NAK triggered a retransmission")
 	}
 	// A NAK for a sequence never sent is also ignored.
-	a.onNakSingle(wireSeq(500))
+	receiveNakSingle(a, 500)
 	eng.Run()
-	if a.Stats.SingleRetries != before {
+	if a.Stats.Retransmissions != before.Retransmissions || a.Stats.GoBackNRounds != before.GoBackNRounds {
 		t.Fatal("future single NAK triggered a retransmission")
 	}
 }
 
-// TestOnNakSingleDuplicateQueued: duplicate single NAKs for the same
-// sequence retransmit once.
+// TestOnNakSingleDuplicateQueued: duplicate single-flit NAKs for the same
+// sequence, arriving while the payloads are still queued, leave delivery
+// exactly-once.
 func TestOnNakSingleDuplicateQueued(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultConfig(ProtocolCXLNoPiggyback)
-	cfg.Retry = SelectiveRepeat
 	a := NewPeer("A", eng, cfg)
 	b := NewPeer("B", eng, cfg)
 	ConnectDirect(eng, a, b, sim.FlitTime, sim.Nanosecond)
@@ -119,13 +132,16 @@ func TestOnNakSingleDuplicateQueued(t *testing.T) {
 	// Hold the window open: submit but do not run, so nothing is acked.
 	a.Submit(make([]byte, 8))
 	a.Submit(make([]byte, 8))
-	a.onNakSingle(wireSeq(1))
-	a.onNakSingle(wireSeq(1)) // duplicate while queued
+	receiveNakSingle(a, 1)
+	receiveNakSingle(a, 1) // duplicate while queued
 	delivered := 0
 	b.Deliver = func([]byte) { delivered++ }
 	eng.Run()
 	if delivered != 2 {
 		t.Fatalf("delivered %d of 2", delivered)
+	}
+	if a.Stats.NaksReceived != 2 {
+		t.Fatalf("NaksReceived = %d, want 2", a.Stats.NaksReceived)
 	}
 }
 

@@ -26,7 +26,6 @@
 package link
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/sim"
@@ -60,47 +59,14 @@ func (p Protocol) String() string {
 	}
 }
 
-// RetryPolicy selects the loss-recovery scheme (Section 5 discusses the
-// trade-off).
-type RetryPolicy int
-
-const (
-	// GoBackN replays every unacknowledged flit from the requested
-	// sequence number onward — the scheme PCIe and CXL actually ship.
-	GoBackN RetryPolicy = iota
-	// SelectiveRepeat retransmits only the missing flit; the receiver
-	// holds subsequent verified flits in a bounded reassembly buffer and
-	// drains them once the gap fills. Requires explicit sequence numbers:
-	// ISN verifies sequence integrity only pass/fail, so RXL cannot
-	// identify *which* flit to hold or request (the Section 5 limitation)
-	// and rejects this policy.
-	SelectiveRepeat
-)
-
-// String implements fmt.Stringer.
-func (r RetryPolicy) String() string {
-	if r == SelectiveRepeat {
-		return "selective-repeat"
-	}
-	return "go-back-N"
-}
-
 // Config parameterizes a link-layer peer.
 type Config struct {
 	// Protocol selects CXL, CXL-without-piggybacking, or RXL.
 	Protocol Protocol
 
-	// Retry selects go-back-N (default) or selective repeat.
-	Retry RetryPolicy
-
-	// ReassemblyBufferSize bounds the out-of-order flits a selective-
-	// repeat receiver holds (Section 5 prices this buffer). On overflow
-	// the receiver falls back to a go-back-N replay.
-	ReassemblyBufferSize int
-
 	// CoalesceCount is the number of delivered flits acknowledged by one
 	// ACK — the inverse of the paper's p_coalescing (CoalesceCount=10
-	// means p_coalescing=0.1).
+	// means p_coalescing=0.1). Zero or below acknowledges every flit.
 	CoalesceCount int
 
 	// ReplayBufferSize is the maximum number of unacknowledged flits the
@@ -157,14 +123,13 @@ func DefaultConfig(p Protocol) Config {
 
 // Validate reports whether the configuration can drive a peer. Sizes and
 // timeouts left at zero (or below) are not errors — NewPeer fills them
-// with the DefaultConfig values — so only combinations no default can
-// repair are rejected.
+// with the DefaultConfig values, and a CoalesceCount of zero or below
+// acknowledges every flit — so only combinations no default can repair
+// are rejected.
 func (c Config) Validate() error {
 	switch {
 	case c.Protocol < ProtocolCXL || c.Protocol > ProtocolRXL:
 		return fmt.Errorf("link: unknown protocol %d", int(c.Protocol))
-	case c.Retry == SelectiveRepeat && c.Protocol == ProtocolRXL:
-		return errors.New("link: RXL cannot use selective repeat — ISN has no explicit sequence numbers to reorder by (Section 5)")
 	case c.ReplayBufferSize >= 512:
 		return fmt.Errorf("link: ReplayBufferSize %d must be < 512 for 10-bit sequence numbers", c.ReplayBufferSize)
 	}
@@ -178,19 +143,17 @@ func (c *Config) sanitize() {
 	if err := c.Validate(); err != nil {
 		panic(err.Error())
 	}
-	if c.ReassemblyBufferSize <= 0 {
-		c.ReassemblyBufferSize = 64
-	}
+	def := DefaultConfig(c.Protocol)
 	if c.CoalesceCount <= 0 {
 		c.CoalesceCount = 1
 	}
 	if c.ReplayBufferSize <= 0 {
-		c.ReplayBufferSize = 128
+		c.ReplayBufferSize = def.ReplayBufferSize
 	}
 	if c.AckTimeout <= 0 {
-		c.AckTimeout = 200 * sim.Nanosecond
+		c.AckTimeout = def.AckTimeout
 	}
 	if c.RetryTimeout <= 0 {
-		c.RetryTimeout = 2 * sim.Microsecond
+		c.RetryTimeout = def.RetryTimeout
 	}
 }

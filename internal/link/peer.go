@@ -54,7 +54,6 @@ type Peer struct {
 	timerArmed    bool
 	nakToSend     bool
 	ackToSend     bool
-	srQueue       []uint64 // selective repeat: sequences to retransmit individually
 
 	// Receive state. verified is the watermark: every sequence number
 	// below it passed an explicit (or ISN) check. eseq is the next
@@ -68,13 +67,6 @@ type Peer struct {
 	nakOutstanding    bool
 	lastNakAt         sim.Time
 
-	// Selective repeat receive state: out-of-order verified payloads held
-	// until the gap fills, and the single-NAK cooldown.
-	reorder     map[uint64]*[flit.PayloadSize]byte
-	srNakToSend bool
-	srNakFor    uint64
-	srNakAt     sim.Time
-
 	Stats Stats
 }
 
@@ -83,9 +75,6 @@ func NewPeer(name string, eng *sim.Engine, cfg Config) *Peer {
 	cfg.sanitize()
 	p := &Peer{Name: name, Eng: eng, Cfg: cfg, fec: flit.NewFEC()}
 	p.pumpSink, p.retrySink, p.ackSink = p.pumpResume, p.retryTimeout, p.ackTimeout
-	if cfg.Retry == SelectiveRepeat {
-		p.reorder = make(map[uint64]*[flit.PayloadSize]byte)
-	}
 	return p
 }
 
@@ -126,8 +115,7 @@ func (p *Peer) ExpectedSeq() uint64 { return p.eseq }
 
 // hasWork reports whether the transmitter has anything to put on the wire.
 func (p *Peer) hasWork() bool {
-	return p.nakToSend || p.srNakToSend || p.ackToSend ||
-		len(p.srQueue) > 0 || p.cursor < len(p.replay) ||
+	return p.nakToSend || p.ackToSend || p.cursor < len(p.replay) ||
 		(p.sendHead < len(p.sendQ) && len(p.replay) < p.Cfg.ReplayBufferSize)
 }
 
@@ -159,17 +147,6 @@ func (p *Peer) transmitOne() bool {
 			FSN: wireSeq(p.verified), Cmd: flit.CmdNakGoBackN, Type: flit.TypeNak,
 		})
 		p.Stats.NakFlitsSent++
-		return true
-
-	case p.srNakToSend:
-		p.srNakToSend = false
-		p.sendControl(flit.Header{
-			FSN: wireSeq(p.srNakFor), Cmd: flit.CmdNakSingle, Type: flit.TypeNak,
-		})
-		p.Stats.SingleNaksSent++
-		return true
-
-	case len(p.srQueue) > 0 && p.transmitSingleRetry():
 		return true
 
 	case p.cursor < len(p.replay):
@@ -236,10 +213,7 @@ func (p *Peer) sendData(e *replayEntry, isRetransmit bool) {
 	p.stampRoute(f)
 
 	h := flit.Header{Type: flit.TypeData, Cmd: flit.CmdSeq}
-	// Selective-repeat retransmissions always carry their explicit FSN:
-	// the receiver must match them against the gap it is holding open.
-	piggyback := p.ackPending && p.Cfg.Protocol != ProtocolCXLNoPiggyback &&
-		!(isRetransmit && p.Cfg.Retry == SelectiveRepeat)
+	piggyback := p.ackPending && p.Cfg.Protocol != ProtocolCXLNoPiggyback
 	if piggyback {
 		h.Cmd = flit.CmdAck
 		h.FSN = wireSeq(p.verified - 1)
@@ -348,13 +322,10 @@ func (p *Peer) receive(f *flit.Flit) {
 	h := f.Header()
 	switch h.Type {
 	case flit.TypeNak:
-		switch {
-		case !f.CheckCRC():
-			p.Stats.ControlCrcErrors++
-		case h.Cmd == flit.CmdNakSingle:
-			p.onNakSingle(h.FSN)
-		default:
+		if f.CheckCRC() {
 			p.onNak(h.FSN)
+		} else {
+			p.Stats.ControlCrcErrors++
 		}
 	case flit.TypeAck:
 		if f.CheckCRC() {
@@ -391,19 +362,11 @@ func (p *Peer) rxDataCXL(f *flit.Flit, h flit.Header) {
 			p.eseq++
 			p.advanceVerified(p.eseq)
 			p.nakOutstanding = false
-			if p.Cfg.Retry == SelectiveRepeat {
-				p.drainReorder()
-			}
 		case abs > p.eseq:
-			// A preceding flit is missing. Under selective repeat, hold
-			// this verified flit and request exactly the missing one;
-			// otherwise (or on reassembly overflow) go-back-N.
+			// A preceding flit is missing: go-back-N from the verified
+			// watermark.
 			p.Stats.GapsDetected++
-			if p.Cfg.Retry == SelectiveRepeat && p.bufferOutOfOrder(abs, f) {
-				p.requestSingleNak()
-			} else {
-				p.requestNak()
-			}
+			p.requestNak()
 		default:
 			p.Stats.DuplicatesDropped++
 			// A replay below eseq can only mean the region was consumed

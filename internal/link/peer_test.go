@@ -303,6 +303,27 @@ func TestFig4NoPiggybackDetectsDrop(t *testing.T) {
 	}
 }
 
+// TestGoBackNSingleDropReplaysWindow: one dropped flit costs a replay of
+// every flit in flight behind it, not a single retransmission — the price
+// of the one retry machine all three protocols share.
+func TestGoBackNSingleDropReplaysWindow(t *testing.T) {
+	h := newHarness(t, ProtocolCXLNoPiggyback, nil)
+	h.ab.FaultHook = dropNthData(3)
+
+	const n = 20
+	for i := uint64(0); i < n; i++ {
+		h.a.Submit(tagged(i))
+	}
+	h.eng.Run()
+
+	if len(h.gotB) != n {
+		t.Fatalf("delivered %d of %d", len(h.gotB), n)
+	}
+	if h.a.Stats.Retransmissions <= 1 {
+		t.Fatalf("go-back-N retransmitted %d flits; expected a window replay", h.a.Stats.Retransmissions)
+	}
+}
+
 func TestDropRecoveryLongStream(t *testing.T) {
 	// Multiple scripted drops spread through a long stream: RXL and
 	// no-piggyback CXL must deliver exactly-once in-order.
@@ -498,11 +519,6 @@ func TestProtocolStrings(t *testing.T) {
 }
 
 func TestConfigSanitize(t *testing.T) {
-	c := Config{}
-	c.sanitize()
-	if c.CoalesceCount != 1 || c.ReplayBufferSize != 128 || c.AckTimeout == 0 || c.RetryTimeout == 0 {
-		t.Errorf("sanitize defaults wrong: %+v", c)
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("oversized window did not panic")
@@ -510,6 +526,23 @@ func TestConfigSanitize(t *testing.T) {
 	}()
 	bad := Config{ReplayBufferSize: 512}
 	bad.sanitize()
+}
+
+// TestZeroConfigResolvesToDefaults: a Config naming only its protocol
+// resolves its sizes and timeouts to the DefaultConfig values, and its
+// CoalesceCount to 1 — zero means "acknowledge every flit".
+func TestZeroConfigResolvesToDefaults(t *testing.T) {
+	type resolved struct {
+		coalesce, window int
+		ack, retry       sim.Time
+	}
+	want := resolved{1, 128, 200 * sim.Nanosecond, 2 * sim.Microsecond}
+	for _, proto := range []Protocol{ProtocolCXL, ProtocolCXLNoPiggyback, ProtocolRXL} {
+		c := NewPeer("a", sim.NewEngine(), Config{Protocol: proto}).Cfg
+		if got := (resolved{c.CoalesceCount, c.ReplayBufferSize, c.AckTimeout, c.RetryTimeout}); got != want {
+			t.Errorf("%v resolved %+v, want %+v", proto, got, want)
+		}
+	}
 }
 
 func BenchmarkLinkThroughputRXL(b *testing.B) {

@@ -9,10 +9,8 @@ type Stats struct {
 	AckFlitsSent    uint64 // standalone ACK control flits
 	NakFlitsSent    uint64 // standalone NAK control flits
 	PiggybackedAcks uint64 // data flits whose FSN carried an AckNum
-	Retransmissions uint64 // data flits re-sent (go-back-N rounds or single retries)
+	Retransmissions uint64 // data flits re-sent by go-back-N rounds
 	TimeoutRetries  uint64 // go-back-N rounds triggered by the retry timer
-	SingleRetries   uint64 // selective repeat: flits re-sent individually
-	SingleNaksSent  uint64 // selective repeat: NAKs naming one missing flit
 
 	// Receive side.
 	FlitsReceived       uint64
@@ -29,9 +27,4 @@ type Stats struct {
 	AcksReceived        uint64
 	NaksReceived        uint64
 	GoBackNRounds       uint64 // NAK-triggered replay rounds
-
-	// Selective repeat (Section 5 ablation).
-	ReassemblyBuffered  uint64 // out-of-order flits parked in the buffer
-	ReassemblyDrained   uint64 // parked flits delivered after a gap filled
-	ReassemblyOverflows uint64 // buffer-full events forcing go-back-N
 }

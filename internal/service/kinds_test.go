@@ -303,17 +303,40 @@ func TestLegacyKindKeysUnchanged(t *testing.T) {
 	}
 }
 
+// TestLinkConfigFreeKeyUnchanged pins the cache key of a grid spec that
+// carries no LinkConfig, computed before link.Config lost its retry-policy
+// fields: a change to that struct's JSON shape may move the keys of specs
+// that name a LinkConfig, never of specs that don't, or the spill
+// directories of existing deployments stop answering.
+func TestLinkConfigFreeKeyUnchanged(t *testing.T) {
+	spec, ok := decodeBody([]byte(`{"kind":"grid","seed":1,"grid":{"Base":{"Protocol":2,"Levels":1,"BER":1e-6},"N":2000}}`))
+	if !ok {
+		t.Fatal("smoke spec does not decode")
+	}
+	norm, err := spec.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := norm.Key(), "49993ec2cfaf449e454525d94599dfbdd2656ece365d325a987b3d579ef63cf8"; got != want {
+		t.Fatalf("smoke spec key moved: %s, want %s", got, want)
+	}
+}
+
 // TestInvalidLinkConfigRejectedNotFatal: a LinkConfig the link layer
-// cannot run — a replay window past the 10-bit sequence space, selective
-// repeat on RXL — is a 400 at submission, and the daemon that refused it
-// serves the next request. Before core.Config.Validate looked inside
-// LinkConfig these specs were queued and link.NewPeer panicked in a
-// runner goroutine, taking the process down.
+// cannot run (a replay window past the 10-bit sequence space) or does not
+// know (the retired retry-policy field) is a 400 at submission, and the
+// daemon that refused it serves the next request. Before
+// core.Config.Validate looked inside LinkConfig such specs were queued and
+// link.NewPeer panicked in a runner goroutine, taking the process down.
 func TestInvalidLinkConfigRejectedNotFatal(t *testing.T) {
 	srv := newTestServer(t, Config{ShardBudget: 2})
-	for _, name := range []string{"bad-replay-window-600", "bad-rxl-selective-repeat"} {
+	bodies := map[string][]byte{
+		"bad-replay-window-600": corpusBody(t, "bad-replay-window-600"),
+		"retry-field":           []byte(`{"kind":"grid","seed":1,"grid":{"Base":{"Protocol":2,"Levels":1,"BER":1e-6,"Seed":1,"LinkConfig":{"Retry":1}},"N":100}}`),
+	}
+	for name, body := range bodies {
 		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(corpusBody(t, name))))
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body)))
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400: %s", name, rec.Code, rec.Body)
 		}
