@@ -266,10 +266,11 @@ func runGrid(ctx context.Context, pool runner.Pool, opt options, w io.Writer) er
 
 func runMC(ctx context.Context, pool runner.Pool, opt options, w io.Writer) error {
 	header(w, "Monte-Carlo cross-checks (sharded runner)")
-	s, err := reliability.MeasureFERSharded(ctx, pool, 5e-4, 20000, reliability.DefaultShards)
+	pts, err := reliability.MCBERSweep(ctx, pool, []float64{5e-4}, 20000, reliability.DefaultShards)
 	if err != nil {
 		return err
 	}
+	s := pts[0].Sample
 	fmt.Fprintf(w, "Eq. 1 at BER=5e-4: measured FER %.4f vs analytic %.4f (%d flits, %d shards)\n",
 		s.FER, s.Analytic, s.Flits, reliability.DefaultShards)
 	for _, b := range []int{3, 4, 5, 6} {

@@ -94,26 +94,19 @@ func RunComparison(base Config, n int) map[link.Protocol]Result {
 	return out
 }
 
-// RunComparisonPool is RunComparison with an explicit context and pool.
-// A zero base seed is replaced by one seed derived from the pool's base
-// seed — the *same* seed for all three variants, since the comparison's
-// whole point is identical error patterns across protocols — so distinct
-// pool seeds yield independent comparison samples.
+// RunComparisonPool is RunComparison with an explicit context and pool:
+// a three-cell Grid over Protocols. A zero base seed is replaced by one
+// seed derived from the pool's base seed — the *same* seed for all three
+// variants, since the comparison's whole point is identical error
+// patterns across protocols — so distinct pool seeds yield independent
+// comparison samples. Each variant runs its protocol-correct link
+// defaults (LinkConfig is cleared), and n must be positive.
 func RunComparisonPool(ctx context.Context, pool runner.Pool, base Config, n int) (map[link.Protocol]Result, error) {
 	if base.Seed == 0 {
 		base.Seed = runner.ShardSeed(pool.BaseSeed, 0)
 	}
-	results, err := runner.Map(ctx, pool, len(Protocols), func(ctx context.Context, s runner.Shard) (Result, error) {
-		cfg := base
-		cfg.Protocol = Protocols[s.Index]
-		cfg.LinkConfig = nil // protocol-correct defaults per variant
-		f, err := NewFabric(cfg)
-		if err != nil {
-			return Result{}, err
-		}
-		exp := Experiment{Fabric: f, N: n}
-		return exp.Run(), nil
-	})
+	base.LinkConfig = nil
+	results, err := RunGrid(ctx, pool, Grid{Base: base, Protocols: Protocols, N: n})
 	if err != nil {
 		return nil, err
 	}

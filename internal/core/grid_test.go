@@ -122,6 +122,9 @@ func TestRunGridErrors(t *testing.T) {
 	if _, err := RunGrid(context.Background(), runner.Pool{}, Grid{N: 0}); err == nil {
 		t.Fatal("N=0 accepted")
 	}
+	if _, err := RunComparisonPool(context.Background(), runner.Pool{}, Config{Levels: 1}, 0); err == nil {
+		t.Fatal("comparison with n=0 accepted")
+	}
 	bad := Grid{Levels: []int{-1}, N: 10}
 	if _, err := RunGrid(context.Background(), runner.Pool{}, bad); err == nil {
 		t.Fatal("invalid cell config accepted")

@@ -38,6 +38,20 @@ type Fig4Report struct {
 	Duplicates int
 }
 
+// dropSecondData is the scripts' fault: a switch FaultHook that silently
+// drops the second TypeData flit to cross its wire — the switch-side
+// discard of an uncorrectable flit.
+func dropSecondData() func(*flit.Flit) bool {
+	seen := 0
+	return func(fl *flit.Flit) bool {
+		if fl.Header().Type != flit.TypeData {
+			return false
+		}
+		seen++
+		return seen == 2
+	}
+}
+
 // RunFig4 executes the Fig. 4 drop script on a one-switch chain under the
 // given protocol and reports what the endpoint observed.
 func RunFig4(proto link.Protocol) Fig4Report {
@@ -58,18 +72,8 @@ func RunFig4(proto link.Protocol) Fig4Report {
 		rep.Tags = append(rep.Tags, tag)
 	}
 
-	// Silently drop the second data flit on the first forward hop — the
-	// switch-side discard of an uncorrectable flit.
-	seen := 0
-	f.Chain.Fwd[0].FaultHook = func(fl *flit.Flit) bool {
-		if fl.Header().Type == flit.TypeData {
-			seen++
-			if seen == 2 {
-				return true
-			}
-		}
-		return false
-	}
+	// Silently drop the second data flit on the first forward hop.
+	f.Chain.Fwd[0].FaultHook = dropSecondData()
 
 	// Reverse payload gives A an acknowledgment to piggyback; the
 	// staggered downstream submissions reproduce the figure's timing:
@@ -135,16 +139,7 @@ func RunFig5a(proto link.Protocol) Fig5Report {
 	f, dev, rep := fig5Fabric(proto, 1, 10)
 
 	// Drop the second request-carrying flit A→B at the first hop.
-	seen := 0
-	f.Chain.Fwd[0].FaultHook = func(fl *flit.Flit) bool {
-		if fl.Header().Type == flit.TypeData {
-			seen++
-			if seen == 2 {
-				return true
-			}
-		}
-		return false
-	}
+	f.Chain.Fwd[0].FaultHook = dropSecondData()
 
 	// Figure 5a timing. One direction takes ≈29 ns (2+10+5+2+10), so a
 	// response reaches the device ≈58 ns after its request:
@@ -184,16 +179,7 @@ func RunFig5b(proto link.Protocol) Fig5Report {
 
 	// Drop the second data-carrying flit B→A (host→device) at the first
 	// backward hop.
-	seen := 0
-	f.Chain.Bwd[0].FaultHook = func(fl *flit.Flit) bool {
-		if fl.Header().Type == flit.TypeData {
-			seen++
-			if seen == 2 {
-				return true
-			}
-		}
-		return false
-	}
+	f.Chain.Bwd[0].FaultHook = dropSecondData()
 
 	// All requests share CQID 7, so their data must arrive in order.
 	// Every host response piggybacks the ACK of the request that

@@ -16,9 +16,9 @@ func TestPeerIntrospectionAccessors(t *testing.T) {
 	eng := sim.NewEngine()
 	a := NewPeer("A", eng, DefaultConfig(ProtocolRXL))
 	b := NewPeer("B", eng, DefaultConfig(ProtocolRXL))
-	ab, _ := ConnectDirect(eng, a, b, sim.FlitTime, sim.Nanosecond)
+	ab, _ := connectDirect(eng, a, b, sim.FlitTime, sim.Nanosecond)
 
-	if a.NextSeq() != 0 || a.ExpectedSeq() != 0 || a.Queued() != 0 {
+	if a.nextSeq != 0 || a.eseq != 0 || a.Queued() != 0 {
 		t.Fatal("fresh peer not zeroed")
 	}
 	for i := 0; i < 200; i++ {
@@ -28,11 +28,11 @@ func TestPeerIntrospectionAccessors(t *testing.T) {
 		t.Error("nothing queued behind the replay window")
 	}
 	eng.Run()
-	if a.NextSeq() != 200 {
-		t.Errorf("NextSeq = %d, want 200", a.NextSeq())
+	if a.nextSeq != 200 {
+		t.Errorf("nextSeq = %d, want 200", a.nextSeq)
 	}
-	if b.ExpectedSeq() != 200 {
-		t.Errorf("ExpectedSeq = %d, want 200", b.ExpectedSeq())
+	if b.eseq != 200 {
+		t.Errorf("eseq = %d, want 200", b.eseq)
 	}
 
 	if u, want := ab.Utilization(), float64(a.Stats.FlitsSent)*float64(sim.FlitTime)/float64(eng.Now()); u != want {
@@ -95,7 +95,7 @@ func TestOnNakSingleStaleIgnored(t *testing.T) {
 	cfg := DefaultConfig(ProtocolCXLNoPiggyback)
 	a := NewPeer("A", eng, cfg)
 	b := NewPeer("B", eng, cfg)
-	ConnectDirect(eng, a, b, sim.FlitTime, sim.Nanosecond)
+	connectDirect(eng, a, b, sim.FlitTime, sim.Nanosecond)
 	for i := 0; i < 20; i++ {
 		a.Submit(make([]byte, 8))
 	}
@@ -127,7 +127,7 @@ func TestOnNakSingleDuplicateQueued(t *testing.T) {
 	cfg := DefaultConfig(ProtocolCXLNoPiggyback)
 	a := NewPeer("A", eng, cfg)
 	b := NewPeer("B", eng, cfg)
-	ConnectDirect(eng, a, b, sim.FlitTime, sim.Nanosecond)
+	connectDirect(eng, a, b, sim.FlitTime, sim.Nanosecond)
 
 	// Hold the window open: submit but do not run, so nothing is acked.
 	a.Submit(make([]byte, 8))
@@ -153,7 +153,7 @@ func TestCorruptedAckIgnored(t *testing.T) {
 	cfg.CoalesceCount = 1
 	a := NewPeer("A", eng, cfg)
 	b := NewPeer("B", eng, cfg)
-	_, ba := ConnectDirect(eng, a, b, sim.FlitTime, sim.Nanosecond)
+	_, ba := connectDirect(eng, a, b, sim.FlitTime, sim.Nanosecond)
 
 	// Corrupt the CRC of the first ACK so it fails validation but keep
 	// FEC consistent by re-encoding.
@@ -191,12 +191,12 @@ func TestAckBeyondWindowClamped(t *testing.T) {
 	eng := sim.NewEngine()
 	a := NewPeer("A", eng, DefaultConfig(ProtocolCXLNoPiggyback))
 	b := NewPeer("B", eng, DefaultConfig(ProtocolCXLNoPiggyback))
-	ConnectDirect(eng, a, b, sim.FlitTime, sim.Nanosecond)
+	connectDirect(eng, a, b, sim.FlitTime, sim.Nanosecond)
 	a.Submit(make([]byte, 8))
 	a.onAck(wireSeq(700)) // absurd AckNum
 	eng.Run()
-	if a.NextSeq() != 1 || len(a.replay) != 0 {
-		t.Fatalf("window state corrupted: next=%d outstanding=%d", a.NextSeq(), len(a.replay))
+	if a.nextSeq != 1 || len(a.replay) != 0 {
+		t.Fatalf("window state corrupted: next=%d outstanding=%d", a.nextSeq, len(a.replay))
 	}
 }
 
@@ -205,7 +205,7 @@ func TestChannelAttachment(t *testing.T) {
 	eng := sim.NewEngine()
 	a := NewPeer("A", eng, DefaultConfig(ProtocolRXL))
 	b := NewPeer("B", eng, DefaultConfig(ProtocolRXL))
-	ab, _ := ConnectDirect(eng, a, b, sim.FlitTime, sim.Nanosecond)
+	ab, _ := connectDirect(eng, a, b, sim.FlitTime, sim.Nanosecond)
 	ab.PathSched, ab.PathHops = phy.NewSharedSchedule(1e-4, 0, phy.NewRNG(3), flit.Bits), 1
 
 	delivered := 0

@@ -19,21 +19,21 @@ func runCoalesce(t testing.TB, coalesce, n int) (ackFlits uint64, peakOccupancy 
 	cfg.CoalesceCount = coalesce
 	a := NewPeer("A", eng, cfg)
 	b := NewPeer("B", eng, cfg)
-	ConnectDirect(eng, a, b, sim.FlitTime, 10*sim.Nanosecond)
+	connectDirect(eng, a, b, sim.FlitTime, 10*sim.Nanosecond)
 
 	delivered := 0
 	b.Deliver = func([]byte) { delivered++ }
 	payload := make([]byte, 16)
 	for i := 0; i < n; i++ {
 		a.Submit(payload)
-		if occ := a.Outstanding(); occ > peakOccupancy {
+		if occ := len(a.replay); occ > peakOccupancy {
 			peakOccupancy = occ
 		}
 	}
 	// Sample occupancy while draining.
 	for eng.Pending() > 0 {
 		eng.AdvanceTo(eng.Now() + 10*sim.Nanosecond)
-		if occ := a.Outstanding(); occ > peakOccupancy {
+		if occ := len(a.replay); occ > peakOccupancy {
 			peakOccupancy = occ
 		}
 	}
@@ -77,7 +77,7 @@ func BenchmarkCoalescingAblation(b *testing.B) {
 			cfg.CoalesceCount = cc
 			a := NewPeer("A", eng, cfg)
 			pb := NewPeer("B", eng, cfg)
-			ConnectDirect(eng, a, pb, sim.FlitTime, 10*sim.Nanosecond)
+			connectDirect(eng, a, pb, sim.FlitTime, 10*sim.Nanosecond)
 			delivered := 0
 			pb.Deliver = func([]byte) { delivered++ }
 			payload := make([]byte, 16)

@@ -103,16 +103,6 @@ func (p *Peer) Submit(payload []byte) {
 // Queued returns the number of payloads waiting behind the replay window.
 func (p *Peer) Queued() int { return len(p.sendQ) - p.sendHead }
 
-// Outstanding returns the number of sent-but-unacknowledged flits.
-func (p *Peer) Outstanding() int { return len(p.replay) }
-
-// NextSeq exposes the transmitter's next sequence number (for tests and
-// experiment orchestration).
-func (p *Peer) NextSeq() uint64 { return p.nextSeq }
-
-// ExpectedSeq exposes the receiver's next expected sequence number.
-func (p *Peer) ExpectedSeq() uint64 { return p.eseq }
-
 // hasWork reports whether the transmitter has anything to put on the wire.
 func (p *Peer) hasWork() bool {
 	return p.nakToSend || p.ackToSend || p.cursor < len(p.replay) ||
@@ -549,16 +539,4 @@ func (p *Peer) popAcked(watermark uint64) {
 	if p.cursor < 0 {
 		p.cursor = 0
 	}
-}
-
-// ConnectDirect wires two peers back-to-back (the paper's "direct
-// connection" topology) with the given per-direction serialization and
-// propagation delays, returning the two wires (a->b, b->a) for channel and
-// fault-hook attachment.
-func ConnectDirect(eng *sim.Engine, a, b *Peer, ser, prop sim.Time) (ab, ba *Wire) {
-	ab = NewWire(eng, ser, prop, b.Receive)
-	ba = NewWire(eng, ser, prop, a.Receive)
-	a.Attach(ab)
-	b.Attach(ba)
-	return ab, ba
 }

@@ -31,8 +31,20 @@ func newHarness(t *testing.T, proto Protocol, tweak func(*Config)) *harness {
 	h.b = NewPeer("b", eng, cfg)
 	h.a.Deliver = func(p []byte) { h.gotA = append(h.gotA, binary.BigEndian.Uint64(p)) }
 	h.b.Deliver = func(p []byte) { h.gotB = append(h.gotB, binary.BigEndian.Uint64(p)) }
-	h.ab, h.ba = ConnectDirect(eng, h.a, h.b, sim.FlitTime, 10*sim.Nanosecond)
+	h.ab, h.ba = connectDirect(eng, h.a, h.b, sim.FlitTime, 10*sim.Nanosecond)
 	return h
+}
+
+// connectDirect wires two peers back-to-back (the paper's "direct
+// connection" topology) with the given per-direction serialization and
+// propagation delays, returning the two wires (a->b, b->a) for channel and
+// fault-hook attachment.
+func connectDirect(eng *sim.Engine, a, b *Peer, ser, prop sim.Time) (ab, ba *Wire) {
+	ab = NewWire(eng, ser, prop, b.Receive)
+	ba = NewWire(eng, ser, prop, a.Receive)
+	a.Attach(ab)
+	b.Attach(ba)
+	return ab, ba
 }
 
 func tagged(tag uint64) []byte {
@@ -73,8 +85,8 @@ func TestBasicDeliveryAllProtocols(t *testing.T) {
 			if h.a.Stats.Retransmissions != 0 {
 				t.Errorf("clean link retransmitted %d flits", h.a.Stats.Retransmissions)
 			}
-			if h.a.Outstanding() != 0 {
-				t.Errorf("%d flits never acknowledged", h.a.Outstanding())
+			if len(h.a.replay) != 0 {
+				t.Errorf("%d flits never acknowledged", len(h.a.replay))
 			}
 		})
 	}
@@ -135,8 +147,8 @@ func TestReplayWindowBackpressure(t *testing.T) {
 	for i := uint64(0); i < n; i++ {
 		h.a.Submit(tagged(i))
 	}
-	if h.a.Outstanding() > 8 {
-		t.Fatalf("window exceeded: %d", h.a.Outstanding())
+	if len(h.a.replay) > 8 {
+		t.Fatalf("window exceeded: %d", len(h.a.replay))
 	}
 	h.eng.Run()
 	wantInOrder(t, h.gotB, n)
@@ -393,8 +405,8 @@ func TestLostAckRecoveredByTimeout(t *testing.T) {
 	}
 	h.eng.Run()
 	wantInOrder(t, h.gotB, n)
-	if h.a.Outstanding() != 0 {
-		t.Errorf("%d flits stuck in replay buffer", h.a.Outstanding())
+	if len(h.a.replay) != 0 {
+		t.Errorf("%d flits stuck in replay buffer", len(h.a.replay))
 	}
 }
 
@@ -464,8 +476,8 @@ func TestSubmitOwnsOneBufferPerPayload(t *testing.T) {
 	h.a.Submit(buf)
 	clear(buf) // the caller's buffer is its own again
 	h.eng.Run()
-	if h.a.Outstanding() != 0 || len(h.a.free) != 1 {
-		t.Fatalf("after the ack: %d outstanding, %d free entries", h.a.Outstanding(), len(h.a.free))
+	if len(h.a.replay) != 0 || len(h.a.free) != 1 {
+		t.Fatalf("after the ack: %d outstanding, %d free entries", len(h.a.replay), len(h.a.free))
 	}
 	h.a.Submit([]byte{1, 2, 3}) // rides the recycled entry
 	h.eng.Run()
@@ -564,7 +576,7 @@ func benchThroughput(b *testing.B, proto Protocol, ber float64) {
 	bb := NewPeer("b", eng, cfg)
 	delivered := 0
 	bb.Deliver = func([]byte) { delivered++ }
-	ab, _ := ConnectDirect(eng, a, bb, sim.FlitTime, 10*sim.Nanosecond)
+	ab, _ := connectDirect(eng, a, bb, sim.FlitTime, 10*sim.Nanosecond)
 	if ber > 0 {
 		ab.PathSched, ab.PathHops = phy.NewSharedSchedule(ber, 0.3, phy.NewRNG(1), flit.Bits), 1
 	}

@@ -224,7 +224,8 @@ func TestMeasuredAckOverheadMatchesEq13(t *testing.T) {
 		cfg.CoalesceCount = coalesce
 		a := link.NewPeer("A", eng, cfg)
 		b := link.NewPeer("B", eng, cfg)
-		link.ConnectDirect(eng, a, b, sim.FlitTime, 10*sim.Nanosecond)
+		a.Attach(link.NewWire(eng, sim.FlitTime, 10*sim.Nanosecond, b.Receive))
+		b.Attach(link.NewWire(eng, sim.FlitTime, 10*sim.Nanosecond, a.Receive))
 
 		const n = 2000
 		payload := make([]byte, 16)

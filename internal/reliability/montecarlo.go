@@ -1,6 +1,7 @@
 package reliability
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/flit"
@@ -31,41 +32,14 @@ type FERSample struct {
 	Analytic  float64 // Eq. 1 at the same BER for comparison
 }
 
-// MeasureFER pushes `flits` flit images through a BER channel and counts
-// how many are corrupted, cross-checking Eq. 1. Use an accelerated BER
-// (1e-4..1e-3) so the sample contains thousands of events.
-func MeasureFER(ber float64, flits int, seed uint64) FERSample {
-	if flits <= 0 {
-		panic("reliability: MeasureFER needs at least one flit")
-	}
-	p := DefaultParams()
-	p.BER = ber
-	ch := phy.NewChannel(ber, 0, phy.NewRNG(seed))
-	buf := make([]byte, FlitBits/8)
-	bad := 0
-	for i := 0; i < flits; i++ {
-		for j := range buf {
-			buf[j] = 0
-		}
-		if ch.Corrupt(buf) > 0 {
-			bad++
-		}
-	}
-	return FERSample{
-		Flits:     flits,
-		Erroneous: bad,
-		FER:       float64(bad) / float64(flits),
-		Analytic:  p.FER(),
-	}
-}
-
-// MeasureFERSchedule is MeasureFER on the error-event schedule: instead of
-// zeroing and corrupting a flit image per trial, it walks the channel's
-// pre-drawn error schedule with phy.Channel.Traverse, so clean flits cost
-// O(1) with zero RNG draws. The channel consumes exactly the random
-// stream MeasureFER would, so identical seeds give identical samples —
-// proven by TestMeasureFERScheduleMatchesByteLevel — at one-to-two orders
-// of magnitude higher trial throughput at production BERs (Fig. 8 tails).
+// MeasureFERSchedule pushes `flits` flits through a BER channel and
+// counts how many are corrupted, cross-checking Eq. 1. It walks the
+// channel's pre-drawn error-event schedule with phy.Channel.Traverse, so
+// clean flits cost O(1) with zero RNG draws. The channel consumes exactly
+// the random stream the byte-level reference (the one-hop MeasureFERPath)
+// would, so identical seeds give identical counts — proven by
+// TestMeasureFERScheduleMatchesByteLevel — at one-to-two orders of
+// magnitude higher trial throughput at production BERs (Fig. 8 tails).
 func MeasureFERSchedule(ber float64, flits int, seed uint64) FERSample {
 	if flits <= 0 {
 		panic("reliability: MeasureFERSchedule needs at least one flit")
@@ -153,7 +127,7 @@ func MeasureFECBurst(burstLen, trials int, seed uint64) FECOutcome {
 			// Zero syndromes despite injected errors means the burst
 			// mapped the codeword onto another valid codeword — an FEC
 			// miss unless the flips happened to cancel.
-			if equalPrefix(f.Raw[:], reference.Raw[:], flit.ProtectedSize) {
+			if bytes.Equal(f.Raw[:flit.ProtectedSize], reference.Raw[:flit.ProtectedSize]) {
 				out.Clean++
 			} else {
 				out.Miscorrected++
@@ -161,7 +135,7 @@ func MeasureFECBurst(burstLen, trials int, seed uint64) FECOutcome {
 		case rs.StatusUncorrectable:
 			out.Detected++
 		case rs.StatusCorrected:
-			if equalPrefix(f.Raw[:], reference.Raw[:], flit.ProtectedSize) {
+			if bytes.Equal(f.Raw[:flit.ProtectedSize], reference.Raw[:flit.ProtectedSize]) {
 				out.Corrected++
 			} else {
 				out.Miscorrected++
@@ -171,21 +145,12 @@ func MeasureFECBurst(burstLen, trials int, seed uint64) FECOutcome {
 	return out
 }
 
-func equalPrefix(a, b []byte, n int) bool {
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // StagedEstimate composes measured conditional stages with the analytic
 // CRC escape probability into end-to-end failure rates, mirroring the
 // closed forms with empirically validated inputs.
 type StagedEstimate struct {
 	// Measured inputs.
-	FER            float64 // stage 1, from MeasureFER (rescaled if needed)
+	FER            float64 // stage 1, from MeasureFERSchedule (rescaled if needed)
 	PUncorrectable float64 // stage 2: P(uncorrectable | erroneous)
 	PFECMiss       float64 // stage 3: P(FEC misses | uncorrectable)
 	PCoalescing    float64

@@ -20,30 +20,6 @@ import (
 // setup (FEC tables, channel state) stays negligible.
 const DefaultShards = 64
 
-// MeasureFERSharded is MeasureFER split across `shards` runner shards.
-// The flit budget is partitioned with runner.Split and each shard pushes
-// its quota through a channel seeded from the pool's base seed and the
-// shard index. The merged sample is bit-identical at any worker count.
-// Shards run on the error-event schedule (MeasureFERSchedule), which
-// produces bit-identical samples to the byte-level loop at a fraction of
-// the cost — see TestMeasureFERScheduleMatchesByteLevel.
-func MeasureFERSharded(ctx context.Context, pool runner.Pool, ber float64, flits, shards int) (FERSample, error) {
-	if flits <= 0 || shards <= 0 {
-		return FERSample{}, fmt.Errorf("reliability: MeasureFERSharded needs positive flits (%d) and shards (%d)", flits, shards)
-	}
-	quota := runner.Split(flits, shards)
-	samples, err := runner.Map(ctx, pool, shards, func(ctx context.Context, s runner.Shard) (FERSample, error) {
-		if quota[s.Index] == 0 {
-			return FERSample{}, nil
-		}
-		return MeasureFERSchedule(ber, quota[s.Index], s.Seed), nil
-	})
-	if err != nil {
-		return FERSample{}, err
-	}
-	return mergeFERSamples(samples, ber), nil
-}
-
 // mergeFERSamples sums per-shard counts, recomputes the merged rate, and
 // attaches the Eq. 1 analytic value at the measurement BER.
 func mergeFERSamples(samples []FERSample, ber float64) FERSample {
@@ -132,10 +108,11 @@ func MCBERSweep(ctx context.Context, pool runner.Pool, bers []float64, flitsPerP
 // base seed derived past the FER stage's shard range, so the two
 // measurements consume independent RNG streams.
 func StagedSharded(ctx context.Context, pool runner.Pool, accelBER float64, flits, burstLen, trials, shards int) (*StagedEstimate, error) {
-	fer, err := MeasureFERSharded(ctx, pool, accelBER, flits, shards)
+	pts, err := MCBERSweep(ctx, pool, []float64{accelBER}, flits, shards)
 	if err != nil {
 		return nil, err
 	}
+	fer := pts[0].Sample
 	fecPool := pool
 	fecPool.BaseSeed = runner.ShardSeed(pool.BaseSeed, shards)
 	fec, err := MeasureFECBurstSharded(ctx, fecPool, burstLen, trials, shards)

@@ -10,21 +10,23 @@ import (
 	"repro/internal/runner"
 )
 
-// TestMeasureFERShardedDeterministic: merged Monte-Carlo aggregates are
-// bit-identical at workers=1, workers=4, and workers=NumCPU.
+// A one-point sharded FER measurement (MCBERSweep at a single BER)
+// merges to bit-identical aggregates at workers=1, workers=4, and
+// workers=NumCPU.
 func TestMeasureFERShardedDeterministic(t *testing.T) {
 	ctx := context.Background()
 	const ber, flits, shards = 5e-4, 8000, 16
-	ref, err := MeasureFERSharded(ctx, runner.Pool{Workers: 1, BaseSeed: 42}, ber, flits, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{4, runtime.NumCPU()} {
-		got, err := MeasureFERSharded(ctx, runner.Pool{Workers: w, BaseSeed: 42}, ber, flits, shards)
+	measure := func(workers int) FERSample {
+		t.Helper()
+		pts, err := MCBERSweep(ctx, runner.Pool{Workers: workers, BaseSeed: 42}, []float64{ber}, flits, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != ref {
+		return pts[0].Sample
+	}
+	ref := measure(1)
+	for _, w := range []int{4, runtime.NumCPU()} {
+		if got := measure(w); got != ref {
 			t.Fatalf("workers=%d: %+v != %+v", w, got, ref)
 		}
 	}
@@ -128,7 +130,7 @@ func TestStagedSharded(t *testing.T) {
 // TestShardedValidation: bad arguments and canceled contexts error out.
 func TestShardedValidation(t *testing.T) {
 	ctx := context.Background()
-	if _, err := MeasureFERSharded(ctx, runner.Pool{}, 1e-4, 0, 4); err == nil {
+	if _, err := MCBERSweep(ctx, runner.Pool{}, []float64{1e-4}, 0, 4); err == nil {
 		t.Fatal("zero flits accepted")
 	}
 	if _, err := MeasureFECBurstSharded(ctx, runner.Pool{}, 0, 10, 4); err == nil {
@@ -139,7 +141,7 @@ func TestShardedValidation(t *testing.T) {
 	}
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := MeasureFERSharded(canceled, runner.Pool{}, 1e-4, 100, 4); !errors.Is(err, context.Canceled) {
+	if _, err := MCBERSweep(canceled, runner.Pool{}, []float64{1e-4}, 100, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled context: %v", err)
 	}
 }

@@ -1,7 +1,7 @@
 package reliability
 
 // Rare-event estimation on the sharded runner: the deep-tail (BER ≤ 1e-9)
-// counterparts of MeasureFERSharded and the staged Monte-Carlo chain,
+// counterparts of MCBERSweep and the staged Monte-Carlo chain,
 // backed by internal/reliability/rarevent's importance-sampling and
 // multilevel-splitting estimators.
 //
@@ -141,7 +141,7 @@ func MeasureUndetectedRare(ctx context.Context, pool runner.Pool, ber, proposal,
 		proposal = rarevent.AutoProposalUC(ber)
 	}
 	return runRare(ctx, pool, func() rarevent.Estimator {
-		return rarevent.ISUndetected{BER: ber, Proposal: proposal, CRCEscape: CRCEscape}
+		return rarevent.ISUndetected{BER: ber, Proposal: proposal}
 	}, relErr, maxTrials, shards, 16*1024)
 }
 
@@ -201,10 +201,11 @@ func RareSelfCheck(ctx context.Context, pool runner.Pool, bers []float64, flits,
 		}
 		naivePool := pool
 		naivePool.BaseSeed = runner.ShardSeed(pool.BaseSeed, 2*i+1)
-		naive, err := MeasureFERSharded(ctx, naivePool, ber, flits, shards)
+		pts, err := MCBERSweep(ctx, naivePool, []float64{ber}, flits, shards)
 		if err != nil {
 			return nil, err
 		}
+		naive := pts[0].Sample
 		// Binomial variance of the naive mean; IS variance is reported.
 		naiveVar := naive.FER * (1 - naive.FER) / float64(naive.Flits)
 		se := math.Sqrt(is.Variance + naiveVar)

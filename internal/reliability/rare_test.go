@@ -25,10 +25,11 @@ func TestMeasureFERRareWithin3SigmaOfNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := MeasureFERSharded(ctx, runner.Pool{BaseSeed: 1042}, ber, flits, shards)
+	pts, err := MCBERSweep(ctx, runner.Pool{BaseSeed: 1042}, []float64{ber}, flits, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
+	naive := pts[0].Sample
 	naiveVar := naive.FER * (1 - naive.FER) / float64(naive.Flits)
 	sigma := math.Abs(is.Value-naive.FER) / math.Sqrt(is.Variance+naiveVar)
 	if sigma > 3 {

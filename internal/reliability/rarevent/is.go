@@ -166,32 +166,29 @@ func (e ISUncorrectable) Run(ctx context.Context, trials int, seed uint64) Estim
 // ISUndetected estimates FER_UD — the per-flit undetected failure rate:
 // the channel corrupts the flit, the FEC decode misses, and the 64-bit
 // CRC escapes. The FEC-miss probability is importance-sampled with real
-// decodes; the CRC escape composes analytically (CRCEscape, the staged
+// decodes; the CRC escape composes analytically (crcEscape, the staged
 // model's stage 4), exactly as reliability.StagedEstimate does at
 // feasible rates.
 type ISUndetected struct {
 	BER      float64
 	Proposal float64 // see AutoProposalUC
-	// CRCEscape is the analytic stage-4 escape probability; zero selects
-	// the 64-bit CRC's 2^-64.
-	CRCEscape float64
 }
+
+// crcEscape is the analytic stage-4 escape probability: the 64-bit CRC's
+// 2^-64.
+const crcEscape = 1.0 / (1 << 63) / 2
 
 // Run implements Estimator.
 func (e ISUndetected) Run(ctx context.Context, trials int, seed uint64) Estimate {
 	if trials <= 0 {
 		panic("rarevent: ISUndetected needs at least one trial")
 	}
-	escape := e.CRCEscape
-	if escape == 0 {
-		escape = 1.0 / (1 << 63) / 2 // 2^-64
-	}
 	est := Estimate{Trials: trials}
 	sumW, _ := isDecode(ctx, e.BER, e.Proposal, trials, seed, func(w float64, ev fecEvent) {
 		if ev == fecMiss {
 			// Fold the analytic escape into the weight so Value, Variance
 			// and RelErr all come out on the FER_UD scale.
-			w *= escape
+			w *= crcEscape
 			est.Hits++
 			est.SumWZ += w
 			est.SumWZ2 += w * w

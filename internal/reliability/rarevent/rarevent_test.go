@@ -87,7 +87,7 @@ func TestISEstimatorsDeterministic(t *testing.T) {
 		ISFER{BER: 1e-9, Proposal: AutoProposalFER(1e-9)},
 		ISUncorrectable{BER: 1e-9, Proposal: AutoProposalUC(1e-9)},
 		ISUndetected{BER: 1e-9, Proposal: AutoProposalUC(1e-9)},
-		Splitting{BER: 1e-5, Level: 3, PilotEffort: 1000},
+		Splitting{BER: 1e-5, Level: 3},
 	} {
 		a := e.Run(bg, 20000, 77)
 		b := e.Run(bg, 20000, 77)
@@ -128,7 +128,7 @@ func TestISUncorrectableOrdering(t *testing.T) {
 // At BER 1e-5 and level 4 the event probability is ~7e-9 — already far
 // beyond what the trial budget could sample naively (~1e5 trials).
 func TestSplittingMatchesBinomialTail(t *testing.T) {
-	s := Splitting{BER: 1e-5, Level: 4, PilotEffort: 4096}
+	s := Splitting{BER: 1e-5, Level: 4}
 	est := s.Run(bg, 120000, 11)
 	if est.Value <= 0 {
 		t.Fatalf("zero splitting estimate %+v", est)
@@ -150,7 +150,7 @@ func TestSplittingMatchesBinomialTail(t *testing.T) {
 // TestSplittingLevelOne: a single level degrades to plain schedule
 // counting of erroneous flits, pinned against Eq. 1.
 func TestSplittingLevelOne(t *testing.T) {
-	est := Splitting{BER: 1e-4, Level: 1, PilotEffort: 2048}.Run(bg, 50000, 2)
+	est := Splitting{BER: 1e-4, Level: 1}.Run(bg, 50000, 2)
 	ana := AnalyticSymbolTail(1e-4, 1)
 	if math.Abs(est.Value-ana)/ana > 0.15 {
 		t.Fatalf("level-1 splitting %.4g vs analytic %.4g", est.Value, ana)
@@ -205,7 +205,7 @@ func TestMergeIS(t *testing.T) {
 // TestMergeShards: the splitting merge averages equal-effort shard
 // estimates and tightens the error bar.
 func TestMergeShards(t *testing.T) {
-	s := Splitting{BER: 1e-5, Level: 3, PilotEffort: 1024}
+	s := Splitting{BER: 1e-5, Level: 3}
 	parts := []Estimate{s.Run(bg, 20000, 1), s.Run(bg, 20000, 2), s.Run(bg, 20000, 3), {}}
 	m := MergeShards(parts)
 	want := (parts[0].Value + parts[1].Value + parts[2].Value) / 3

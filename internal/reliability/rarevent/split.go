@@ -42,14 +42,15 @@ const maxSplitLevel = 8
 // before calibrating on the observed rate.
 const minStageEntries = 8
 
+// pilotEffort is the per-stage pilot trajectory budget used to calibrate
+// the main run's effort allocation.
+const pilotEffort = 4096
+
 // Splitting is the multilevel-splitting estimator for the symbol pile-up
 // tail P(≥ Level distinct erroneous symbols in one flit) at BER.
 type Splitting struct {
 	BER   float64
 	Level int // target distinct-symbol count, 1..8 (default 4: one past correctable)
-	// PilotEffort is the per-stage pilot trajectory budget used to
-	// calibrate the main run's effort allocation (0 → 4096).
-	PilotEffort int
 }
 
 // entry is a trajectory state crossing a level: the bit position of the
@@ -80,10 +81,6 @@ func (s Splitting) Run(ctx context.Context, trials int, seed uint64) Estimate {
 	if s.BER <= 0 || s.BER >= 1 {
 		panic("rarevent: Splitting needs BER in (0,1)")
 	}
-	pilot := s.PilotEffort
-	if pilot <= 0 {
-		pilot = 4096
-	}
 	rng := phy.NewRNG(seed)
 	est := Estimate{Analytic: AnalyticSymbolTail(s.BER, level), MeanWeight: 1}
 
@@ -92,7 +89,7 @@ func (s Splitting) Run(ctx context.Context, trials int, seed uint64) Estimate {
 	pilotProbs := make([]float64, level)
 	entries := []entry(nil)
 	for l := 0; l < level; l++ {
-		effort := pilot
+		effort := pilotEffort
 		var succ []entry
 		var n int
 		for try := 0; ; try++ {

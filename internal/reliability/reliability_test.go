@@ -243,7 +243,7 @@ func TestFEROrderScalesWithCoalescing(t *testing.T) {
 // accelerated BER where events are plentiful.
 func TestMCFERMatchesEq1(t *testing.T) {
 	const ber = 5e-4 // ~64% of flits erroneous at 2048 bits
-	s := MeasureFER(ber, 20000, 42)
+	s := MeasureFERPath(ber, 1, 20000, 42)
 	if !within(s.FER, s.Analytic, 0.05) {
 		t.Fatalf("measured FER %g vs analytic %g", s.FER, s.Analytic)
 	}
@@ -251,7 +251,7 @@ func TestMCFERMatchesEq1(t *testing.T) {
 
 func TestMCFERLowRate(t *testing.T) {
 	const ber = 1e-5
-	s := MeasureFER(ber, 50000, 7)
+	s := MeasureFERPath(ber, 1, 50000, 7)
 	if !within(s.FER, s.Analytic, 0.2) {
 		t.Fatalf("measured FER %g vs analytic %g", s.FER, s.Analytic)
 	}
@@ -331,7 +331,7 @@ func TestMeasureFERPanicsOnZeroFlits(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	MeasureFER(1e-6, 0, 1)
+	MeasureFERPath(1e-6, 1, 0, 1)
 }
 
 func TestMeasureFECBurstPanicsOnBadArgs(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/link"
 	"repro/internal/reliability"
 	"repro/internal/runner"
+	"repro/internal/workload"
 )
 
 // keyOfBytes mirrors JobSpec.Key's hash step for a hand-built projection.
@@ -352,5 +353,55 @@ func TestInvalidLinkConfigRejectedNotFatal(t *testing.T) {
 	var cells []core.Result
 	if err := json.Unmarshal(res, &cells); err != nil || len(cells) != len(core.Protocols) {
 		t.Fatalf("valid grid returned %d cells (%v), want one per protocol", len(cells), err)
+	}
+}
+
+// TestKindResultBytesPinned pins the served result bytes of one small spec
+// per kind. Spilled cache entries and mixed-version fleets hand these
+// bytes out under keys TestLegacyKindKeysUnchanged and
+// TestLinkConfigFreeKeyUnchanged hold fixed, so a refactor that moves any
+// of them changes what an unchanged key answers.
+func TestKindResultBytesPinned(t *testing.T) {
+	cases := []struct {
+		spec JobSpec
+		sha  string
+	}{
+		{JobSpec{Kind: KindGrid, Grid: &core.Grid{
+			Base: core.Config{Protocol: link.ProtocolRXL, Levels: 1, BER: 1e-5, BurstProb: 0.4}, N: 500,
+		}}, "b32ae55bd54e565a4a576e46b9818a75cbc9e93690b34a2018874b774786af52"},
+		{JobSpec{Kind: KindSweep, Sweep: &SweepSpec{
+			BERs: []float64{1e-4, 5e-4}, FlitsPerPoint: 20000, Shards: 8,
+		}}, "8edb8be0e48d1ed5d9b0d9b91cb4bf8d5adba8a2c91ca833345c55915fa67c74"},
+		{JobSpec{Kind: KindRare, Rare: &RareSpec{
+			BERs: []float64{1e-9}, MaxTrials: 20000, Shards: 8,
+		}}, "b2e41d75c9158b32d97cd763e044a5d740deaa066e028c6d4e96a9ecdddfafe2"},
+		{JobSpec{Kind: KindComparison, Comparison: &ComparisonSpec{
+			Base: core.Config{Levels: 1, BER: 1e-5, BurstProb: 0.4}, N: 500,
+		}}, "42553df31d3167f173b8529808982d882f87b936c07b4488b8c9580769c0f951"},
+		{JobSpec{Kind: KindRareSelfCheck, RareSelfCheck: &RareSelfCheckSpec{
+			BERs: []float64{1e-5}, Flits: 20000, Shards: 8,
+		}}, "5e3437535769c2d2d2dabf6842228314e3eef5ba49cc46acc72dced08db095f8"},
+		{JobSpec{Kind: KindScenario, Scenario: &core.ScenarioGrid{
+			Base:       core.Config{Protocol: link.ProtocolRXL, BER: 1e-5, BurstProb: 0.4},
+			Topologies: []core.Topology{{W: 4, H: 4}},
+			Workloads:  []workload.Spec{{Kind: workload.KindUniform, Flows: 4}},
+			Faults:     []core.FaultScript{{Kind: core.FaultStorm}},
+			N:          50,
+		}}, "93943d5236e9c1cb18ce2529cefa0f52eaecef2c5e550dab50dcb9edaf564115"},
+	}
+	for _, c := range cases {
+		spec := c.spec
+		spec.Seed = 1
+		norm, err := spec.Normalize()
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Kind, err)
+		}
+		out, err := execute(context.Background(), norm, runner.Pool{Workers: 2, BaseSeed: spec.Seed})
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Kind, err)
+		}
+		if got := keyOfBytes(out); got != c.sha {
+			t.Errorf("%s: result bytes hash to %s, want %s", spec.Kind, got, c.sha)
+		}
 	}
 }

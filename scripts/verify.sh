@@ -5,7 +5,7 @@
 #   scripts/verify.sh --level=unit          # gofmt + vet + build (incl. purego) + tests (incl. bench/) + bench smoke
 #   scripts/verify.sh --level=race          # race detector over ./... + fuzz corpus
 #   scripts/verify.sh --level=kernels       # coding-kernel differential: default vs -tags purego
-#   scripts/verify.sh --level=differential  # scenario-grid fast/slow scan
+#   scripts/verify.sh --level=differential  # scenario-grid fast/slow scan + EXPERIMENTS.md bytes
 #   scripts/verify.sh --level=smoke         # rxld HTTP serving-contract drill
 #   scripts/verify.sh --level=metrics       # /metrics + trace contract + rxltop drill
 #   scripts/verify.sh --level=fleet         # 3-daemon fleet + front byte-identity e2e
@@ -136,6 +136,9 @@ rung_differential() {
   # Again where retransmissions dominate: every replayed flit defers its
   # seal on the fast path, so these cells pin that against byte-level.
   run go run ./cmd/rxlsim -scan -scan-n 25 -ber 1e-4
+  # The committed evaluation record: every output byte of the full sweep
+  # must reproduce EXPERIMENTS.md.
+  run go run ./cmd/sweep -rare | cmp - EXPERIMENTS.md
 }
 
 rung_smoke() {

@@ -23,13 +23,7 @@ var keptUnreached = map[string]string{
 	"crc.VerifyISN": "byte-level oracle: flit's clean-verdict suite checks every O(1) verdict against it",
 	"phy.GapLogLR":  "reference kernel: the per-gap likelihood ratio UnitLogLR's closed form is tested to telescope from",
 
-	"reliability.MeasureFER":     "byte-level oracle: TestMeasureFERScheduleMatchesByteLevel pins the schedule loop's samples to it",
 	"reliability.MeasureFERPath": "byte-level oracle: the path-schedule suite pins MeasureFERPathSchedule's samples to it",
-
-	"link.ConnectDirect":    "byte-level oracle: the two-peer harness every link protocol suite drives",
-	"link.Peer.Outstanding": "byte-level oracle: replay-window occupancy the link harness observes",
-	"link.Peer.NextSeq":     "byte-level oracle: transmit sequence state the link harness observes",
-	"link.Peer.ExpectedSeq": "byte-level oracle: receive sequence state the link harness observes",
 
 	"service.inProcessTransport.RoundTrip": "interface method: http.RoundTripper",
 	"service.jobQueue.Less":                "interface method: heap.Interface",
