@@ -100,7 +100,6 @@ func main() {
 		front      = flag.String("fleet", "", "run as fleet front: comma-separated daemon base URLs to route over (no local engines)")
 		fleetSelf  = flag.String("fleet-self", "", "this daemon's base URL within the fleet (member mode; requires -fleet-peers)")
 		peersCSV   = flag.String("fleet-peers", "", "comma-separated base URLs of every fleet daemon, self included (member mode)")
-		vnodes     = flag.Int("fleet-vnodes", 0, "virtual nodes per peer on the consistent-hash ring (0 = 128; must match fleet-wide)")
 		hotThresh  = flag.Int("fleet-hot-threshold", 0, "front: decayed repeat count that promotes a key to its replica set (0 = 32, negative disables)")
 		hotRepl    = flag.Int("fleet-hot-replicas", 0, "front: distinct owners a hot key spreads over (0 = 2)")
 		fetchWait  = flag.Duration("fleet-fetch-wait", 0, "member: how long a peer fetch may join the owner's in-flight computation (0 = 10s)")
@@ -122,7 +121,6 @@ func main() {
 	if *front != "" {
 		err = runFront(*addr, *addrFile, fleet.FrontConfig{
 			Peers:         splitCSV(*front),
-			VNodes:        *vnodes,
 			HotThreshold:  *hotThresh,
 			HotReplicas:   *hotRepl,
 			ProbeInterval: *probeEvery,
@@ -139,10 +137,9 @@ func main() {
 		if *fleetSelf != "" {
 			peers := splitCSV(*peersCSV)
 			fetcher, ferr := fleet.NewFetcher(fleet.FetchConfig{
-				Self:   *fleetSelf,
-				Peers:  peers,
-				VNodes: *vnodes,
-				Wait:   *fetchWait,
+				Self:  *fleetSelf,
+				Peers: peers,
+				Wait:  *fetchWait,
 			})
 			if ferr != nil {
 				fmt.Fprintln(os.Stderr, ferr)

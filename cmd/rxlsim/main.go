@@ -225,11 +225,7 @@ func runReplicas(ctx context.Context, pool runner.Pool, base core.Config, n, rep
 	clean := true
 	for i, r := range results {
 		fmt.Printf("rep %2d  %s\n", i, r)
-		merged.Delivered += r.Failures.Delivered
-		merged.FailData += r.Failures.FailData
-		merged.FailOrder += r.Failures.FailOrder
-		merged.Duplicates += r.Failures.Duplicates
-		merged.Missing += r.Failures.Missing
+		merged.Add(r.Failures)
 		retx += r.LinkA.Retransmissions
 		drops += r.Switches.DroppedUncorrectable
 		clean = clean && r.Failures.Clean()

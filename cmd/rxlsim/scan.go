@@ -104,13 +104,9 @@ func runScan(ctx context.Context, pool runner.Pool, g core.ScenarioGrid, w io.Wr
 			status = "REGRESS"
 			regressions++
 		}
-		var del, missing int
-		for _, fc := range o.fast.Result.PerFlow {
-			del += fc.Delivered
-			missing += fc.Missing
-		}
+		sum, _ := o.fast.Result.Totals()
 		fmt.Fprintf(w, "%s  %-60s delivered=%d missing=%d drops=%d hook_drops=%d",
-			status, o.cell.Name(), del, missing,
+			status, o.cell.Name(), sum.Delivered, sum.Missing,
 			o.fast.Result.Routers.DroppedUncorrectable, o.fast.Result.HookDropped)
 		if r := o.reason(); r != "" {
 			fmt.Fprintf(w, "  [%s]", r)

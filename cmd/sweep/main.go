@@ -208,19 +208,10 @@ func runScenarios(ctx context.Context, pool runner.Pool, opt options, w io.Write
 	fmt.Fprintf(w, "%-9s %-9s %-22s %-22s %9s %9s %7s %6s %10s\n",
 		"protocol", "topology", "workload", "fault", "offered", "delivered", "missing", "drops", "hook_drops")
 	for _, r := range res {
-		var del, missing, offered int
-		for i, fc := range r.Result.PerFlow {
-			del += fc.Delivered
-			missing += fc.Missing
-			if r.Result.PerFlowOffered != nil {
-				offered += r.Result.PerFlowOffered[i]
-			} else {
-				offered += r.Result.Offered
-			}
-		}
+		sum, offered := r.Result.Totals()
 		fmt.Fprintf(w, "%-9s %-9s %-22s %-22s %9d %9d %7d %6d %10d\n",
 			r.Result.Cfg.Protocol, r.Topology.Name(), r.Workload.Name(), r.Fault.Name(),
-			offered, del, missing, r.Result.Routers.DroppedUncorrectable, r.Result.HookDropped)
+			offered, sum.Delivered, sum.Missing, r.Result.Routers.DroppedUncorrectable, r.Result.HookDropped)
 	}
 	if opt.scenCSV != "" {
 		if err := runner.SaveCSV(opt.scenCSV, core.ScenarioCSVHeader(), core.ScenarioResultRows(res)); err != nil {

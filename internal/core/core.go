@@ -45,11 +45,12 @@ type Config struct {
 	// Protocol field, which always follows Protocol above. Nil means
 	// link.DefaultConfig(Protocol).
 	LinkConfig *link.Config
-	// NoFastPath forces the byte-level reference path on every link,
-	// overriding LinkConfig/defaults: no deferred seals, no error-event
-	// schedule skips. The zero value keeps the fast path on (the
-	// link.DefaultConfig default); the differential tests prove the two
-	// settings produce bit-identical results for identical seeds.
+	// NoFastPath is the one switch between the two paths: true runs the
+	// byte-level reference on every link (no deferred seals, no
+	// error-event schedule skips), false the fast path. It decides
+	// link.Config.FastPath whatever LinkConfig holds; the differential
+	// tests prove the two settings produce bit-identical results for
+	// identical seeds.
 	NoFastPath bool
 	// NoExpress disables the express traversal path on mesh fabrics:
 	// every flit pays one engine event per hop and claims each wire on
@@ -90,16 +91,14 @@ func (c Config) Validate() error {
 // builds from this Config: the paper's defaults for Protocol, replaced by
 // *LinkConfig when set, with Protocol forced back to the fabric's own (so
 // the peers, the switch mode and the result label cannot disagree) and
-// NoFastPath applied last.
+// FastPath set from NoFastPath alone.
 func (c Config) linkConfig() link.Config {
 	lcfg := link.DefaultConfig(c.Protocol)
 	if c.LinkConfig != nil {
 		lcfg = *c.LinkConfig
 		lcfg.Protocol = c.Protocol
 	}
-	if c.NoFastPath {
-		lcfg.FastPath = false
-	}
+	lcfg.FastPath = !c.NoFastPath
 	return lcfg
 }
 
@@ -267,6 +266,15 @@ type FailureCounts struct {
 	Duplicates int
 	// Missing counts tags never delivered.
 	Missing int
+}
+
+// Add folds another flow's (or run's) counts into fc.
+func (fc *FailureCounts) Add(o FailureCounts) {
+	fc.Delivered += o.Delivered
+	fc.FailData += o.FailData
+	fc.FailOrder += o.FailOrder
+	fc.Duplicates += o.Duplicates
+	fc.Missing += o.Missing
 }
 
 // Clean reports whether delivery was exactly-once, in-order, and intact.

@@ -67,6 +67,23 @@ func TestLinkConfigFollowsFabricProtocol(t *testing.T) {
 	}
 }
 
+// TestNoFastPathAloneDecidesThePath: a LinkConfig override names link
+// choices, never the path — its zero FastPath must not switch a fabric
+// onto the byte-level reference. NoFastPath alone decides, on chain and
+// mesh peers alike.
+func TestNoFastPathAloneDecidesThePath(t *testing.T) {
+	for _, noFast := range []bool{false, true} {
+		cfg := Config{Protocol: link.ProtocolRXL, Levels: 1, LinkConfig: &link.Config{CoalesceCount: 5}, NoFastPath: noFast}
+		f := MustNewFabric(cfg)
+		m := MustNewMeshFabric(cfg, 2, 2)
+		for _, p := range []*link.Peer{f.A(), f.B(), m.Node(0, 0).PeerTo(m.Node(1, 1).ID)} {
+			if p.Cfg.FastPath == noFast || p.Cfg.CoalesceCount != 5 {
+				t.Errorf("NoFastPath=%v: peer %s resolved %+v", noFast, p.Name, p.Cfg)
+			}
+		}
+	}
+}
+
 func TestNewFabricRejectsInvalid(t *testing.T) {
 	if _, err := NewFabric(Config{Levels: -3}); err == nil {
 		t.Fatal("no error")

@@ -103,8 +103,8 @@ func TestExpressCollapsesEvents(t *testing.T) {
 	}
 }
 
-// TestExpressFallbackDifferential: a flap campaign marks its wire
-// volatile, so every traversal crossing it must refuse the express claim
+// TestExpressFallbackDifferential: a flap campaign hooks its wire for the
+// whole run, so every traversal crossing it must refuse the express claim
 // and fall back to hop-by-hop forwarding — and the fast and byte-level
 // paths must still agree bit-exactly on the mixed express/fallback run.
 // Seeds are scanned until the seed-chosen flap wire actually lies on the

@@ -82,18 +82,12 @@ func (s FaultScript) Normalized() (FaultScript, error) {
 		if s.DurationNS != 0 || s.Flaps != 0 || s.PeriodNS != 0 {
 			return s, fmt.Errorf("core: degrade takes only startNS/factor")
 		}
-		if s.StartNS == 0 {
-			s.StartNS = 200
-		}
 		if s.Factor == 0 {
 			s.Factor = 100
 		}
 	case FaultStorm:
 		if s.Flaps != 0 || s.PeriodNS != 0 {
 			return s, fmt.Errorf("core: storm takes only startNS/durationNS/factor")
-		}
-		if s.StartNS == 0 {
-			s.StartNS = 200
 		}
 		if s.DurationNS == 0 {
 			s.DurationNS = 300
@@ -104,9 +98,6 @@ func (s FaultScript) Normalized() (FaultScript, error) {
 	case FaultFlap:
 		if s.Factor != 0 {
 			return s, fmt.Errorf("core: flap has no BER factor")
-		}
-		if s.StartNS == 0 {
-			s.StartNS = 200
 		}
 		if s.DurationNS == 0 {
 			s.DurationNS = 120
@@ -122,6 +113,9 @@ func (s FaultScript) Normalized() (FaultScript, error) {
 		}
 	default:
 		return s, fmt.Errorf("core: unknown fault kind %q", s.Kind)
+	}
+	if s.StartNS == 0 {
+		s.StartNS = 200
 	}
 	if s.StartNS < 0 || s.DurationNS < 0 || s.Factor < 0 || s.Flaps < 0 || s.PeriodNS < 0 {
 		return s, fmt.Errorf("core: negative fault parameter in %+v", s)
@@ -154,19 +148,17 @@ func (m *MeshFabric) ApplyFault(script FaultScript, index int) error {
 		wires := m.Mesh.Wires()
 		rng := phy.NewRNG(m.Cfg.Seed ^ (0x9E3779B97F4A7C15 * uint64(index+1)))
 		w := wires[rng.Intn(len(wires))]
-		// An express claim is immutable once taken, so a hook installed
-		// mid-flight by the events below would be skipped by any flit that
-		// claimed the wire earlier. Marking the wire volatile for the whole
-		// run forces every traversal crossing it onto the hop-by-hop path —
+		// The hook is installed for the whole run and the outage events
+		// only toggle what it returns: express never claims a hooked
+		// wire, so every traversal crossing it takes the hop-by-hop path —
 		// deterministically and traffic-independently, so fast and
 		// byte-level runs fall back on exactly the same traversals.
-		w.Volatile = true
-		dropAll := func(*flit.Flit) bool { return true }
+		var down bool
+		w.FaultHook = func(*flit.Flit) bool { return down }
 		for k := 0; k < s.Flaps; k++ {
-			down := start + sim.Time(int64(k)*s.PeriodNS)*sim.Nanosecond
-			up := down + sim.Time(s.DurationNS)*sim.Nanosecond
-			m.Eng.At(down, func() { w.FaultHook = dropAll })
-			m.Eng.At(up, func() { w.FaultHook = nil })
+			at := start + sim.Time(int64(k)*s.PeriodNS)*sim.Nanosecond
+			m.Eng.At(at, func() { down = true })
+			m.Eng.At(at+sim.Time(s.DurationNS)*sim.Nanosecond, func() { down = false })
 		}
 	}
 	return nil

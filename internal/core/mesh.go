@@ -32,25 +32,21 @@ type MeshFabric struct {
 	nodes map[[2]int]*switchfab.MeshNode
 }
 
-// NewMeshFabric builds a w×h mesh fabric from the configuration.
-func NewMeshFabric(cfg Config, w, h int) (*MeshFabric, error) {
-	return newMeshFabric(cfg, w, h, false)
-}
-
-// newMeshFabric is the shared constructor behind NewMeshFabric and
-// NewTopologyFabric; wrap selects torus wiring.
-func newMeshFabric(cfg Config, w, h int, wrap bool) (*MeshFabric, error) {
-	if err := cfg.Validate(); err != nil {
+// NewTopologyFabric builds the fabric of a topology: a plain mesh or a
+// 2D torus.
+func NewTopologyFabric(cfg Config, topo Topology) (*MeshFabric, error) {
+	t, err := topo.Normalized()
+	if err != nil {
 		return nil, err
 	}
-	if w < 1 || h < 1 || w*h > 256 {
-		return nil, fmt.Errorf("core: mesh %dx%d out of range (need 1..256 nodes)", w, h)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	mc := switchfab.DefaultMeshConfig(switchfab.ModeFor(cfg.Protocol))
 	mc.BER = cfg.BER
 	mc.BurstProb = cfg.BurstProb
 	mc.Seed = cfg.Seed
-	mc.Wrap = wrap
+	mc.Wrap = t.Kind == TopoTorus
 	mc.NoExpress = cfg.NoExpress
 	if cfg.Serialization > 0 {
 		mc.Serialization = cfg.Serialization
@@ -64,17 +60,17 @@ func newMeshFabric(cfg Config, w, h int, wrap bool) (*MeshFabric, error) {
 	eng := sim.NewEngine()
 	return &MeshFabric{
 		Cfg:   cfg,
-		W:     w,
-		H:     h,
+		W:     t.W,
+		H:     t.H,
 		Eng:   eng,
-		Mesh:  switchfab.NewMesh(eng, w, h, mc),
+		Mesh:  switchfab.NewMesh(eng, t.W, t.H, mc),
 		nodes: make(map[[2]int]*switchfab.MeshNode),
 	}, nil
 }
 
-// MustNewMeshFabric is NewMeshFabric panicking on error.
+// MustNewMeshFabric builds a w×h mesh fabric, panicking on error.
 func MustNewMeshFabric(cfg Config, w, h int) *MeshFabric {
-	m, err := NewMeshFabric(cfg, w, h)
+	m, err := NewTopologyFabric(cfg, Topology{Kind: TopoMesh, W: w, H: h})
 	if err != nil {
 		panic(err)
 	}
@@ -128,8 +124,7 @@ type MeshResult struct {
 	// event; ExpressFallbacks counts routable traversals that took
 	// per-hop events instead: the path schedule struck the flit (it
 	// walks its route hop by hop), or the route could not be claimed up
-	// front (scripted or volatile wire, installed fault hook,
-	// fault-configured router).
+	// front (a wire with a fault hook, a fault-configured router).
 	ExpressTraversals uint64
 	ExpressFallbacks  uint64
 	// HookDropped counts flits silently dropped by scripted fault hooks
@@ -138,31 +133,34 @@ type MeshResult struct {
 	Elapsed     sim.Time
 }
 
+// Totals sums the failure taxonomy over every flow and counts the
+// payloads offered across all flows (per flow for weighted runs).
+func (r MeshResult) Totals() (sum FailureCounts, offered int) {
+	for i, fc := range r.PerFlow {
+		sum.Add(fc)
+		if r.PerFlowOffered != nil {
+			offered += r.PerFlowOffered[i]
+		} else {
+			offered += r.Offered
+		}
+	}
+	return sum, offered
+}
+
 // Clean reports whether every flow delivered exactly-once, in-order, and
 // intact.
 func (r MeshResult) Clean() bool {
-	for _, fc := range r.PerFlow {
-		if !fc.Clean() {
-			return false
-		}
-	}
-	return true
+	sum, _ := r.Totals()
+	return sum.Clean()
 }
 
 // String summarizes the result on one line.
 func (r MeshResult) String() string {
-	var del, ooo, dup, corrupt, missing int
-	for _, fc := range r.PerFlow {
-		del += fc.Delivered
-		ooo += fc.FailOrder
-		dup += fc.Duplicates
-		corrupt += fc.FailData
-		missing += fc.Missing
-	}
+	sum, offered := r.Totals()
 	return fmt.Sprintf(
 		"%s mesh %dx%d BER=%g: flows=%d offered=%d delivered=%d dup=%d ooo=%d corrupt=%d missing=%d drops=%d t=%dns",
-		r.Cfg.Protocol, r.W, r.H, r.Cfg.BER, len(r.Flows), r.Offered*len(r.Flows),
-		del, dup, ooo, corrupt, missing, r.Routers.DroppedUncorrectable,
+		r.Cfg.Protocol, r.W, r.H, r.Cfg.BER, len(r.Flows), offered,
+		sum.Delivered, sum.Duplicates, sum.FailOrder, sum.FailData, sum.Missing, r.Routers.DroppedUncorrectable,
 		r.Elapsed/sim.Nanosecond)
 }
 

@@ -60,17 +60,6 @@ func (t Topology) Normalized() (Topology, error) {
 	return t, nil
 }
 
-// NewTopologyFabric builds the fabric of a topology: a plain mesh or a
-// 2D torus, sharing every other Config interpretation with
-// NewMeshFabric.
-func NewTopologyFabric(cfg Config, topo Topology) (*MeshFabric, error) {
-	t, err := topo.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	return newMeshFabric(cfg, t.W, t.H, t.Kind == TopoTorus)
-}
-
 // ScenarioCell is one fully specified scenario: a link configuration on
 // a topology, a spatial workload, and a fault campaign. Cells are
 // produced by ScenarioGrid.Cells but stand alone — the differential
@@ -220,36 +209,19 @@ func (g ScenarioGrid) Normalized() (ScenarioGrid, error) {
 	if len(g.Workloads) == 0 {
 		return g, fmt.Errorf("core: scenario grid needs at least one workload")
 	}
-	topos := make([]Topology, len(g.Topologies))
-	for i, t := range g.Topologies {
-		nt, err := t.Normalized()
-		if err != nil {
-			return g, err
-		}
-		topos[i] = nt
-	}
-	g.Topologies = topos
-	wls := make([]workload.Spec, len(g.Workloads))
-	for i, w := range g.Workloads {
-		nw, err := w.Normalized()
-		if err != nil {
-			return g, err
-		}
-		wls[i] = nw
-	}
-	g.Workloads = wls
 	if len(g.Faults) == 0 {
 		g.Faults = []FaultScript{{Kind: FaultNone}}
 	}
-	faults := make([]FaultScript, len(g.Faults))
-	for i, f := range g.Faults {
-		nf, err := f.Normalized()
-		if err != nil {
-			return g, err
-		}
-		faults[i] = nf
+	var err error
+	if g.Topologies, err = normalizeAxis(g.Topologies, Topology.Normalized); err != nil {
+		return g, err
 	}
-	g.Faults = faults
+	if g.Workloads, err = normalizeAxis(g.Workloads, workload.Spec.Normalized); err != nil {
+		return g, err
+	}
+	if g.Faults, err = normalizeAxis(g.Faults, FaultScript.Normalized); err != nil {
+		return g, err
+	}
 	if len(g.Protocols) == 0 {
 		g.Protocols = []link.Protocol{g.Base.Protocol}
 	}
@@ -260,6 +232,20 @@ func (g ScenarioGrid) Normalized() (ScenarioGrid, error) {
 		g.Seeds = []uint64{g.Base.Seed}
 	}
 	return g, nil
+}
+
+// normalizeAxis returns a normalized copy of one grid axis, or the first
+// element's error.
+func normalizeAxis[T any](axis []T, normalize func(T) (T, error)) ([]T, error) {
+	out := make([]T, len(axis))
+	for i, v := range axis {
+		nv, err := normalize(v)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = nv
+	}
+	return out, nil
 }
 
 // Cells enumerates the compatible cells in deterministic order:
@@ -332,19 +318,7 @@ func ScenarioCSVHeader() []string {
 
 // CSVRow renders the result as one row under ScenarioCSVHeader.
 func (r ScenarioResult) CSVRow() []string {
-	var del, ooo, dup, corrupt, missing, offered int
-	for i, fc := range r.Result.PerFlow {
-		del += fc.Delivered
-		ooo += fc.FailOrder
-		dup += fc.Duplicates
-		corrupt += fc.FailData
-		missing += fc.Missing
-		if r.Result.PerFlowOffered != nil {
-			offered += r.Result.PerFlowOffered[i]
-		} else {
-			offered += r.Result.Offered
-		}
-	}
+	sum, offered := r.Result.Totals()
 	return []string{
 		fmt.Sprint(r.Result.Cfg.Protocol),
 		r.Topology.Name(),
@@ -354,11 +328,11 @@ func (r ScenarioResult) CSVRow() []string {
 		strconv.FormatUint(r.Result.Cfg.Seed, 10),
 		strconv.Itoa(len(r.Result.Flows)),
 		strconv.Itoa(offered),
-		strconv.Itoa(del),
-		strconv.Itoa(dup),
-		strconv.Itoa(ooo),
-		strconv.Itoa(corrupt),
-		strconv.Itoa(missing),
+		strconv.Itoa(sum.Delivered),
+		strconv.Itoa(sum.Duplicates),
+		strconv.Itoa(sum.FailOrder),
+		strconv.Itoa(sum.FailData),
+		strconv.Itoa(sum.Missing),
 		strconv.FormatUint(r.Result.Routers.DroppedUncorrectable, 10),
 		strconv.FormatUint(r.Result.HookDropped, 10),
 		strconv.FormatInt(int64(r.Result.Elapsed/sim.Nanosecond), 10),

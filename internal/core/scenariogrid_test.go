@@ -284,6 +284,28 @@ func TestScenarioReplayWeighting(t *testing.T) {
 	}
 }
 
+// TestMeshResultTotalsWeighted: a weighted replay cell offers the sum of
+// its per-flow counts, not the largest count once per flow, and String
+// prints the same total Totals reports.
+func TestMeshResultTotalsWeighted(t *testing.T) {
+	cell := ScenarioCell{
+		Cfg:      Config{Protocol: link.ProtocolRXL, Seed: 1},
+		Topo:     Topology{Kind: TopoTorus, W: 4, H: 4},
+		Workload: workload.Spec{Kind: workload.KindReplay, Trace: "0 5 30\n3 12 10\n9 2 20\n"},
+	}
+	res, err := cell.Run(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, offered := res.Result.Totals()
+	if offered != 60 || sum.Delivered != 60 || !sum.Clean() {
+		t.Fatalf("Totals = %+v, offered %d; want 60 offered and delivered, clean", sum, offered)
+	}
+	if s := res.Result.String(); !strings.Contains(s, " offered=60 ") {
+		t.Errorf("String does not print offered=60: %s", s)
+	}
+}
+
 // TestScenarioCellAllocationBudget holds DESIGN §5.7 for the driver, not
 // only for the probes: under ScenarioCell.Run the one payload-sized
 // allocation per offered payload is the transmitting peer's replay entry

@@ -16,13 +16,6 @@ type FetchConfig struct {
 	Self string
 	// Peers is the full fleet membership (base URLs), self included.
 	Peers []string
-	// VNodes is the ring's virtual-node count per peer (0 =
-	// DefaultVNodes). Every fleet member must agree on it.
-	VNodes int
-	// Candidates is how many distinct non-self owners to try before
-	// giving up (0 = 2: the owner plus one fallback for when the owner
-	// is down).
-	Candidates int
 	// Wait is the in-flight join budget of the primary owner's probe:
 	// how long it may block while the owner is computing the key right
 	// now (0 = 10s). An owner that neither holds nor is computing the
@@ -31,6 +24,11 @@ type FetchConfig struct {
 	Wait time.Duration
 }
 
+// fetchCandidates is how many distinct non-self owners a fetch tries
+// before giving up: the owner plus one fallback for when the owner is
+// down.
+const fetchCandidates = 2
+
 // Fetcher resolves cache misses from fleet peers: on a miss for a key
 // this daemon does not own, ask the ring owner (then a fallback owner)
 // for the bytes before computing locally. It is the value wired into
@@ -38,19 +36,15 @@ type FetchConfig struct {
 type Fetcher struct {
 	ring    *Ring
 	self    string
-	cands   int
 	wait    time.Duration
 	clients map[string]*service.Client
 }
 
 // NewFetcher validates the configuration and builds the ring.
 func NewFetcher(cfg FetchConfig) (*Fetcher, error) {
-	ring, err := NewRing(cfg.Peers, cfg.VNodes)
+	ring, err := NewRing(cfg.Peers, 0)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Candidates <= 0 {
-		cfg.Candidates = 2
 	}
 	if cfg.Wait <= 0 {
 		cfg.Wait = 10 * time.Second
@@ -58,7 +52,6 @@ func NewFetcher(cfg FetchConfig) (*Fetcher, error) {
 	f := &Fetcher{
 		ring:    ring,
 		self:    cfg.Self,
-		cands:   cfg.Candidates,
 		wait:    cfg.Wait,
 		clients: make(map[string]*service.Client, len(ring.peers)),
 	}
@@ -89,13 +82,13 @@ func NewFetcher(cfg FetchConfig) (*Fetcher, error) {
 // Errors are deliberately swallowed into ok=false: a dead peer must
 // degrade to a local compute, never fail the job.
 func (f *Fetcher) Fetch(ctx context.Context, key string) ([]byte, bool) {
-	owners := f.ring.Owners(key, f.cands+1)
+	owners := f.ring.Owners(key, fetchCandidates+1)
 	if len(owners) > 0 && owners[0] == f.self {
 		return nil, false
 	}
 	tried := 0
 	for _, o := range owners {
-		if o == f.self || tried >= f.cands {
+		if o == f.self || tried >= fetchCandidates {
 			continue
 		}
 		tried++
@@ -125,4 +118,4 @@ func (f *Fetcher) Fetch(ctx context.Context, key string) ([]byte, bool) {
 func (f *Fetcher) Ring() *Ring { return f.ring }
 
 // Candidates returns the fetch candidate budget (statsz "replicas").
-func (f *Fetcher) Candidates() int { return f.cands }
+func (f *Fetcher) Candidates() int { return fetchCandidates }

@@ -19,9 +19,6 @@ import (
 type FrontConfig struct {
 	// Peers are the daemons' base URLs (e.g. "http://127.0.0.1:8081").
 	Peers []string
-	// VNodes is the virtual-node count per peer (0 = DefaultVNodes).
-	// Must match the daemons' fetcher rings.
-	VNodes int
 	// HotThreshold is the decayed request count at which a key is
 	// promoted to its replica set (0 = 32; < 0 disables promotion).
 	HotThreshold int
@@ -96,7 +93,7 @@ type frontPeer struct {
 
 // NewFront validates the configuration and builds the router.
 func NewFront(cfg FrontConfig) (*Front, error) {
-	ring, err := NewRing(cfg.Peers, cfg.VNodes)
+	ring, err := NewRing(cfg.Peers, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -84,6 +84,10 @@ type Config struct {
 	// backstop against lost ACK/NAK control flits.
 	RetryTimeout sim.Time
 
+	// The fields below are wiring, not choices, so they stay out of the
+	// JSON form: core sets FastPath from Config.NoFastPath, and
+	// MeshNode.PeerTo sets the routing fields of every mesh peer.
+
 	// FastPath enables the error-event fast path: outgoing flits defer
 	// their CRC/FEC computation and travel by reference with a clean
 	// mark, and every hop consults the channel's pre-drawn error schedule
@@ -94,17 +98,17 @@ type Config struct {
 	// tests in internal/core. Every flit a FastPath peer sends defers its
 	// seal, first transmission or replay. Off for zero-value Configs;
 	// DefaultConfig turns it on.
-	FastPath bool
+	FastPath bool `json:"-"`
 
 	// StampRoute, when true, writes RouteTag and SrcTag into the fabric
 	// routing bytes (flit.RouteOffset, flit.SrcRouteOffset) of every
 	// outgoing flit, including control flits. Mesh routers route by these
 	// bytes; point-to-point and chain topologies ignore them.
-	StampRoute bool
+	StampRoute bool `json:"-"`
 	// RouteTag is the destination endpoint tag (the remote peer).
-	RouteTag byte
+	RouteTag byte `json:"-"`
 	// SrcTag is this endpoint's own tag.
-	SrcTag byte
+	SrcTag byte `json:"-"`
 }
 
 // DefaultConfig returns the configuration used by the paper's performance

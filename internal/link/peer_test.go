@@ -3,6 +3,9 @@ package link
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/flit"
@@ -554,6 +557,24 @@ func TestZeroConfigResolvesToDefaults(t *testing.T) {
 		if got := (resolved{c.CoalesceCount, c.ReplayBufferSize, c.AckTimeout, c.RetryTimeout}); got != want {
 			t.Errorf("%v resolved %+v, want %+v", proto, got, want)
 		}
+	}
+}
+
+// TestConfigJSONHoldsOnlyChoices: the JSON form of a Config — what a job
+// spec's LinkConfig names and its cache key hashes — carries the protocol
+// choices only, never the wiring the fabric sets on every peer.
+func TestConfigJSONHoldsOnlyChoices(t *testing.T) {
+	b, err := json.Marshal(DefaultConfig(ProtocolRXL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(b, &fields); err != nil {
+		t.Fatal(err)
+	}
+	keys := slices.Sorted(maps.Keys(fields))
+	if want := []string{"AckTimeout", "CoalesceCount", "Protocol", "ReplayBufferSize", "RetryTimeout"}; !slices.Equal(keys, want) {
+		t.Errorf("Config JSON keys %v, want %v", keys, want)
 	}
 }
 

@@ -52,16 +52,11 @@ type Wire struct {
 	// equivalent of a switch discarding an uncorrectable flit. Hooked
 	// wires force every flit onto the byte-level path: the hook may
 	// mutate the image, so the clean mark cannot be trusted past it.
+	// Express claims never cross a hooked wire, so a hook must be
+	// installed before the run: one appearing mid-run would be skipped by
+	// flits that claimed the wire earlier. A campaign whose fault comes
+	// and goes keeps its hook installed and toggles what it returns.
 	FaultHook func(*flit.Flit) bool
-
-	// Volatile marks a wire whose FaultHook a fault script may install or
-	// remove mid-run. An express claim is immutable once taken — the
-	// traversal's only event is the final delivery, so a hook appearing
-	// after claim time would be silently skipped. Express claims therefore
-	// never cross a volatile wire; campaigns set the flag before the run
-	// (deterministically, traffic-independently), so fast and byte-level
-	// runs fall back on exactly the same traversals.
-	Volatile bool
 
 	// HookDropped counts flits dropped by FaultHook.
 	HookDropped uint64
@@ -189,13 +184,13 @@ func (w *Wire) claim(earliest sim.Time) sim.Time {
 // ExpressClaimable reports whether an express traversal may claim this
 // wire: no path schedule (the mesh drives shared schedules from its
 // arrival sinks — a wire-attached error model would be skipped by the
-// claim) and no scripted fault hook installed or pending (Volatile).
+// claim) and no scripted fault hook.
 // In-flight flits do not block a claim — claims queue FIFO on the wire's
 // busy window, and per-path delivery order (ISN's ground rule) is the
 // fabric's concern: it claims every flit of a claimable route at
 // injection, so claim order is injection order.
 func (w *Wire) ExpressClaimable() bool {
-	return w.PathSched == nil && w.FaultHook == nil && !w.Volatile
+	return w.PathSched == nil && w.FaultHook == nil
 }
 
 // QueuePeak returns the high-water mark of the wire's serialization queue:

@@ -325,15 +325,20 @@ func TestLinkConfigFreeKeyUnchanged(t *testing.T) {
 
 // TestInvalidLinkConfigRejectedNotFatal: a LinkConfig the link layer
 // cannot run (a replay window past the 10-bit sequence space) or does not
-// know (the retired retry-policy field) is a 400 at submission, and the
-// daemon that refused it serves the next request. Before
-// core.Config.Validate looked inside LinkConfig such specs were queued and
-// link.NewPeer panicked in a runner goroutine, taking the process down.
+// know (the retired retry-policy field, and the wiring fields the fabric
+// sets on every peer itself) is a 400 at submission, and the daemon that
+// refused it serves the next request. Before core.Config.Validate looked
+// inside LinkConfig such specs were queued and link.NewPeer panicked in a
+// runner goroutine, taking the process down.
 func TestInvalidLinkConfigRejectedNotFatal(t *testing.T) {
 	srv := newTestServer(t, Config{ShardBudget: 2})
 	bodies := map[string][]byte{
-		"bad-replay-window-600": corpusBody(t, "bad-replay-window-600"),
-		"retry-field":           []byte(`{"kind":"grid","seed":1,"grid":{"Base":{"Protocol":2,"Levels":1,"BER":1e-6,"Seed":1,"LinkConfig":{"Retry":1}},"N":100}}`),
+		"bad-replay-window-600":           corpusBody(t, "bad-replay-window-600"),
+		"retry-field":                     []byte(`{"kind":"grid","seed":1,"grid":{"Base":{"Protocol":2,"Levels":1,"BER":1e-6,"Seed":1,"LinkConfig":{"Retry":1}},"N":100}}`),
+		"undecodable-linkconfig-fastpath": corpusBody(t, "undecodable-linkconfig-fastpath"),
+	}
+	for _, field := range []string{`"StampRoute":true`, `"RouteTag":3`, `"SrcTag":1`} {
+		bodies[field] = []byte(`{"kind":"grid","seed":1,"grid":{"Base":{"Protocol":2,"Levels":1,"BER":1e-6,"LinkConfig":{"CoalesceCount":5,` + field + `}},"N":100}}`)
 	}
 	for name, body := range bodies {
 		rec := httptest.NewRecorder()
@@ -388,6 +393,19 @@ func TestKindResultBytesPinned(t *testing.T) {
 			Faults:     []core.FaultScript{{Kind: core.FaultStorm}},
 			N:          50,
 		}}, "93943d5236e9c1cb18ce2529cefa0f52eaecef2c5e550dab50dcb9edaf564115"},
+		// A flap wire, on weighted replay and incast traffic: the CXL
+		// replay cell drops a flit at the flap hook.
+		{JobSpec{Kind: KindScenario, Scenario: &core.ScenarioGrid{
+			Base:       core.Config{Protocol: link.ProtocolRXL, BER: 1e-5, BurstProb: 0.4},
+			Protocols:  []link.Protocol{link.ProtocolCXL, link.ProtocolRXL},
+			Topologies: []core.Topology{{Kind: core.TopoTorus, W: 4, H: 4}},
+			Workloads: []workload.Spec{
+				{Kind: workload.KindReplay, Trace: "0 5 30\n3 12 10\n9 2 20\n"},
+				{Kind: workload.KindSingleSink, Flows: 5},
+			},
+			Faults: []core.FaultScript{{Kind: core.FaultFlap}},
+			N:      40,
+		}}, "5d231c6756460ffbd478de728a420a5d6e72e03edda0b4fbec1ea49784ac437b"},
 	}
 	for _, c := range cases {
 		spec := c.spec

@@ -21,7 +21,8 @@ import (
 // survive the marshal/unmarshal round trip a fleet front puts it through.
 // The committed corpus (testdata/fuzz) holds one valid spec per kind plus
 // the rejected shapes: the two LinkConfig specs that used to panic in a
-// runner goroutine, a two-payload spec and an unknown kind.
+// runner goroutine, a two-payload spec, an unknown kind, and a LinkConfig
+// naming a wiring field the strict decode refuses.
 func FuzzJobSpecNormalize(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		spec, ok := decodeBody(body)
@@ -58,13 +59,16 @@ func FuzzJobSpecNormalize(f *testing.F) {
 
 // TestFuzzCorpusVerdicts pins what the committed corpus is for: the
 // valid-* seeds normalize (one per kind, so the fuzz target exercises
-// every table entry), the bad-* seeds are rejected.
+// every table entry), the bad-* seeds decode and are rejected by
+// Normalize, and the undecodable-* seeds are refused by the strict decode.
 func TestFuzzCorpusVerdicts(t *testing.T) {
 	valid := map[string]bool{}
 	for _, name := range corpusNames(t) {
 		spec, ok := decodeBody(corpusBody(t, name))
-		if !ok {
-			t.Errorf("%s: does not decode", name)
+		if undecodable := strings.HasPrefix(name, "undecodable-"); ok == undecodable {
+			t.Errorf("%s: decodes = %v", name, ok)
+			continue
+		} else if undecodable {
 			continue
 		}
 		norm, err := spec.Normalize()

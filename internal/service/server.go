@@ -34,10 +34,6 @@ type Config struct {
 	// SpillDir, when non-empty, persists cache entries to disk so
 	// restarts and LRU evictions keep answering repeats.
 	SpillDir string
-	// JobHistory bounds retained terminal jobs; the oldest finished jobs
-	// are forgotten past it (0 = 4096). Queued/running jobs are never
-	// evicted.
-	JobHistory int
 	// PeerFetch, when non-nil, makes the daemon a fleet member: it is
 	// consulted on every cache miss after the job is dispatched but
 	// before any engine runs, and may return result bytes computed by
@@ -83,11 +79,12 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 256
 	}
-	if c.JobHistory <= 0 {
-		c.JobHistory = 4096
-	}
 	return c
 }
+
+// jobHistory bounds retained terminal jobs; the oldest finished jobs are
+// forgotten past it. Queued/running jobs are never evicted.
+const jobHistory = 4096
 
 // Server is the experiment-serving daemon: cache, scheduler, job
 // registry, and the HTTP surface. It is an http.Handler; cmd/rxld mounts
@@ -338,9 +335,9 @@ func (s *Server) registerLocked(rid string, spec JobSpec, key string, inflight b
 	if inflight {
 		s.inflight[key] = j
 	}
-	if len(s.order) > s.cfg.JobHistory {
+	if len(s.order) > jobHistory {
 		kept := s.order[:0]
-		excess := len(s.order) - s.cfg.JobHistory
+		excess := len(s.order) - jobHistory
 		for _, old := range s.order {
 			if excess > 0 && old.Status().Terminal() {
 				delete(s.jobs, old.ID)

@@ -60,8 +60,8 @@ type Mesh struct {
 	// ExpressTraversals counts traversals collapsed into up-front wire
 	// claims plus a single delivery event; ExpressFallbacks counts
 	// routable traversals that paid per-hop events instead — a struck
-	// schedule window (the scheduled walk below), a scripted/volatile
-	// wire, an installed fault hook, or a fault-configured router.
+	// schedule window (the scheduled walk below), a wire with a fault
+	// hook, or a fault-configured router.
 	// Identical between fast-path and byte-level runs — the express
 	// decision never consults the flit's fast-path marks.
 	ExpressTraversals uint64
@@ -504,11 +504,11 @@ func (m *Mesh) neighbor(cx, cy, d int) (int, int) {
 //     probabilistic flip): process() must stay deterministic and
 //     RNG-silent when run at claim time instead of arrival time.
 //   - Every route wire is ExpressClaimable — no wire-attached error
-//     model, no fault hook installed or pending (volatile wires marked by
-//     fault scripts). In-flight flits do not block: on an eligible path
-//     every flit claims its wires at injection, so claims — and therefore
-//     per-wire serialization and per-path delivery — follow injection
-//     order, which is ISN's in-order contract.
+//     model, no fault hook (fault scripts install theirs before the run).
+//     In-flight flits do not block: on an eligible path every flit claims
+//     its wires at injection, so claims — and therefore per-wire
+//     serialization and per-path delivery — follow injection order, which
+//     is ISN's in-order contract.
 //
 // Eligibility is a property of the route, not the flit, so a path is
 // never in a mixed claim regime.
@@ -665,52 +665,45 @@ func (m *Mesh) deliverLocal(r *Switch, x, y int, f *flit.Flit) {
 	}
 }
 
-// TotalStats sums statistics across every router (QueuePeak aggregates by
-// max — it is a depth, not a count). Wire-held queue peaks are synced into
-// the router stats first.
+// TotalStats sums statistics across every router. QueuePeak is the max
+// of the per-node peaks (a depth, not a count).
 func (m *Mesh) TotalStats() Stats {
-	m.SyncQueuePeaks()
 	var t Stats
-	for _, col := range m.Routers {
-		for _, r := range col {
+	for x, col := range m.Routers {
+		for y, r := range col {
 			t.add(r.Stats)
+			t.QueuePeak = max(t.QueuePeak, m.nodeQueuePeak(x, y))
 		}
 	}
 	return t
 }
 
-// SyncQueuePeaks folds each router's wire queue high-water marks into its
-// Stats.QueuePeak: the max across the router's egress wires and its
-// node-ingress wire (the node's injection backlog). Queue depth lives on
-// the wires — the mesh is output-queued, a forward queues on the egress
-// wire's serialization window — so the per-switch counter is derived
-// rather than incremented inline. Express reservations use the same claim
-// accounting as hop-by-hop sends, so the peaks are identical across
-// express, fast-path, and byte-level runs.
-func (m *Mesh) SyncQueuePeaks() {
-	for x := 0; x < m.W; x++ {
-		for y := 0; y < m.H; y++ {
-			p := m.ingress[x][y].QueuePeak()
-			for d := 0; d < meshDirs; d++ {
-				if w := m.out[x][y][d]; w != nil && w.QueuePeak() > p {
-					p = w.QueuePeak()
-				}
-			}
-			m.Routers[x][y].Stats.QueuePeak = p
+// nodeQueuePeak is the queue-depth high-water mark of node (x,y): the max
+// across its router's egress wires and its node-ingress wire (the node's
+// injection backlog). Queue depth lives on the wires — the mesh is
+// output-queued, a forward queues on the egress wire's serialization
+// window — and express reservations use the same claim accounting as
+// hop-by-hop sends, so the peaks are identical across express, fast-path,
+// and byte-level runs.
+func (m *Mesh) nodeQueuePeak(x, y int) uint64 {
+	p := m.ingress[x][y].QueuePeak()
+	for _, w := range m.out[x][y] {
+		if w != nil {
+			p = max(p, w.QueuePeak())
 		}
 	}
+	return p
 }
 
 // NodeQueuePeaks returns the per-node queue-depth high-water marks,
 // indexed [y][x] (rows of the mesh, matching node-ID order) — the real
 // backpressure numbers of the single-sink/incast scenarios.
 func (m *Mesh) NodeQueuePeaks() [][]uint64 {
-	m.SyncQueuePeaks()
 	out := make([][]uint64, m.H)
 	for y := 0; y < m.H; y++ {
 		out[y] = make([]uint64, m.W)
 		for x := 0; x < m.W; x++ {
-			out[y][x] = m.Routers[x][y].Stats.QueuePeak
+			out[y][x] = m.nodeQueuePeak(x, y)
 		}
 	}
 	return out
@@ -760,37 +753,26 @@ func (m *Mesh) PathStats() []PathStat {
 // MeshNode bundles the per-flow link peers of one mesh node: one peer per
 // remote node it talks to, demultiplexed by source tag on delivery.
 type MeshNode struct {
-	ID        byte
-	peers     map[byte]*link.Peer
-	attachAll meshAttach
+	ID      byte
+	eng     *sim.Engine
+	ingress *link.Wire
+	linkCfg link.Config
+	peers   map[byte]*link.Peer
 }
 
 // NewMeshNode attaches a node at (x,y) and returns its peer manager.
-// linkCfg is the base link configuration; protocol and routing tags are
-// filled per flow.
+// linkCfg is the base link configuration; PeerTo fills the routing tags
+// per flow.
 func NewMeshNode(m *Mesh, x, y int, linkCfg link.Config) *MeshNode {
-	n := &MeshNode{ID: m.NodeID(x, y), peers: make(map[byte]*link.Peer)}
-	ingress := m.AttachNode(x, y, func(f *flit.Flit) {
+	n := &MeshNode{ID: m.NodeID(x, y), eng: m.Eng, linkCfg: linkCfg, peers: make(map[byte]*link.Peer)}
+	n.ingress = m.AttachNode(x, y, func(f *flit.Flit) {
 		src := f.Payload()[flit.SrcRouteOffset]
 		if p, ok := n.peers[src]; ok {
 			p.Receive(f)
 		}
 	})
-	n.attachAll = func(remote byte) *link.Peer {
-		cfg := linkCfg
-		cfg.StampRoute = true
-		cfg.SrcTag = n.ID
-		cfg.RouteTag = remote
-		p := link.NewPeer(fmt.Sprintf("n%d->n%d", n.ID, remote), m.Eng, cfg)
-		p.Attach(ingress)
-		n.peers[remote] = p
-		return p
-	}
 	return n
 }
-
-// attachAll creates the peer for a remote node (set in NewMeshNode).
-type meshAttach = func(remote byte) *link.Peer
 
 // PeerTo returns (creating on first use) this node's link peer for the
 // flow to the given remote node.
@@ -798,5 +780,12 @@ func (n *MeshNode) PeerTo(remote byte) *link.Peer {
 	if p, ok := n.peers[remote]; ok {
 		return p
 	}
-	return n.attachAll(remote)
+	cfg := n.linkCfg
+	cfg.StampRoute = true
+	cfg.SrcTag = n.ID
+	cfg.RouteTag = remote
+	p := link.NewPeer(fmt.Sprintf("n%d->n%d", n.ID, remote), n.eng, cfg)
+	p.Attach(n.ingress)
+	n.peers[remote] = p
+	return p
 }

@@ -62,17 +62,15 @@ type Stats struct {
 	CorrectedFlits       uint64
 	CorrectedSymbols     uint64
 	InternalCorruptions  uint64 // injected internal faults
-	// QueuePeak is the high-water mark of the switch's output queues —
-	// the deepest serialization backlog any of its egress wires (or, for
-	// mesh routers, its node-ingress wire) ever reached, in flits. It is
-	// the per-node backpressure number of the incast/single-sink
-	// scenarios; mesh fabrics fold it in via Mesh.SyncQueuePeaks. In
-	// totals it aggregates by max, not sum.
+	// QueuePeak is the high-water mark of a fabric's output queues — the
+	// deepest serialization backlog any wire ever reached, in flits. Queue
+	// depth lives on the wires, so only Mesh.TotalStats fills it (the max
+	// over every router's wires); a single switch's Stats and chain totals
+	// leave it 0.
 	QueuePeak uint64
 }
 
-// add folds another switch's counters into a fabric total: counts sum,
-// QueuePeak — a depth — takes the max.
+// add folds another switch's counters into a fabric total.
 func (t *Stats) add(s Stats) {
 	t.FlitsIn += s.FlitsIn
 	t.Forwarded += s.Forwarded
@@ -83,9 +81,6 @@ func (t *Stats) add(s Stats) {
 	t.CorrectedFlits += s.CorrectedFlits
 	t.CorrectedSymbols += s.CorrectedSymbols
 	t.InternalCorruptions += s.InternalCorruptions
-	if s.QueuePeak > t.QueuePeak {
-		t.QueuePeak = s.QueuePeak
-	}
 }
 
 // Switch is a single switching element processing flits between two

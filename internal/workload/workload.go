@@ -59,8 +59,8 @@ type Spec struct {
 	// default 8). Distinct because routes sharing a (src,dst) pair would
 	// share one link-layer peer.
 	Flows int `json:"flows,omitempty"`
-	// SinkX, SinkY locate the incast sink (singlesink only; default the
-	// fabric center).
+	// SinkX, SinkY locate the incast sink (singlesink only; default
+	// (0,0)).
 	SinkX int `json:"sinkX,omitempty"`
 	SinkY int `json:"sinkY,omitempty"`
 	// Trace is the inline replay trace ("src dst [count]" lines, node IDs
