@@ -9,7 +9,8 @@
 //
 //	rxlbench -addr http://127.0.0.1:8080 [-duration 10s] [-concurrency 16]
 //	         [-repeat 0.9] [-hot 4] [-kind grid] [-n 2000] [-flits 1000000]
-//	         [-dist uniform|zipf] [-zipf-s 1.2] [-fleet URL,URL,...] [-json]
+//	         [-dist uniform|zipf] [-zipf-s 1.2] [-fleet URL,URL,...] [-seed 1]
+//	         [-json]
 //
 // The hot set (-hot distinct configs) is primed once before timing
 // starts, so the repeated fraction measures pure cache-hit serving. With

@@ -10,7 +10,10 @@
 //	rxld [-addr 127.0.0.1:8080] [-budget 0] [-queue 64] [-cache 256]
 //	     [-spill DIR] [-job-workers 0] [-addr-file PATH]
 //	     [-fleet-self URL -fleet-peers URL,URL,...]     # fleet member
+//	     [-fleet-fetch-wait 10s]
 //	rxld -fleet URL,URL,... [-addr ...] [-addr-file ...] # fleet front
+//	     [-fleet-hot-threshold 32] [-fleet-hot-replicas 2]
+//	     [-fleet-probe-interval 2s] [-fleet-probe-timeout 1s]
 //
 // The bound address is printed on startup (and written to -addr-file when
 // given), so -addr 127.0.0.1:0 picks a free port scriptably — the CI
@@ -22,12 +25,14 @@
 //     consistent-hash fleet. On a cache miss it first asks the key's
 //     ring owner for the bytes (GET /v1/cache/{key}, joining the
 //     owner's in-flight computation when there is one) and only
-//     computes when no peer has them. /v1/statsz grows a "fleet"
+//     computes when no peer has them; -fleet-fetch-wait bounds how long
+//     a fetch joins the owner's computation. /v1/statsz grows a "fleet"
 //     section (ring size, peer hits/misses/served).
 //
 //   - Front: -fleet runs a stateless router instead of a daemon. Every
-//     submission is normalized, keyed, and forwarded to its owner —
-//     hot keys are spread over a replica set — and job handles carry a
+//     submission is normalized, keyed, and forwarded to its owner — a
+//     key whose decayed repeat count reaches -fleet-hot-threshold is
+//     spread over -fleet-hot-replicas owners — and job handles carry a
 //     peer prefix ("p1~j000042-...") so GET/DELETE/events find the
 //     daemon that issued them. No engines, no cache, restartable at
 //     will.
@@ -47,8 +52,9 @@
 //     under the one propagated ID.
 //
 //   - The front actively probes every member's /v1/healthz in the
-//     background (-fleet-probe-interval) and routes around peers whose
-//     probes fail; passive forward-failure marks remain as the fast path.
+//     background (-fleet-probe-interval, each probe bounded by
+//     -fleet-probe-timeout) and routes around peers whose probes fail;
+//     passive forward-failure marks remain as the fast path.
 //
 // API quickstart:
 //

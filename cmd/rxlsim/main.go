@@ -62,6 +62,18 @@ func parseProto(s string) (link.Protocol, error) {
 	}
 }
 
+// checkCounts rejects a payload or replica count below one, which no mode
+// can run: the experiment panics on N = 0 and -reps 0 would run one replica.
+func checkCounts(n, reps int) error {
+	if n < 1 {
+		return fmt.Errorf("rxlsim: -n must be at least 1, got %d", n)
+	}
+	if reps < 1 {
+		return fmt.Errorf("rxlsim: -reps must be at least 1, got %d", reps)
+	}
+	return nil
+}
+
 func main() {
 	proto := flag.String("proto", "rxl", "protocol: cxl, cxl-nopb, or rxl")
 	levels := flag.Int("levels", 1, "switching levels (0 = direct connection)")
@@ -80,6 +92,10 @@ func main() {
 	scan := flag.Bool("scan", false, "sweep the built-in scenario grid (topologies × workloads × fault campaigns) through the fast/byte-level differential and report regressions")
 	scanN := flag.Int("scan-n", 60, "payloads per flow for each -scan cell")
 	flag.Parse()
+	if err := checkCounts(*n, *reps); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	ctx := context.Background()
 	pool := runner.Pool{Workers: *workers, BaseSeed: *seed}

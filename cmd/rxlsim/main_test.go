@@ -34,6 +34,27 @@ func TestParseProto(t *testing.T) {
 	}
 }
 
+func TestCheckCounts(t *testing.T) {
+	cases := []struct {
+		n, reps int
+		ok      bool
+	}{
+		{100000, 1, true},
+		{1, 1, true},
+		{20, 4, true},
+		{0, 1, false},
+		{-5, 1, false},
+		{0, 4, false},
+		{100, 0, false},
+		{100, -3, false},
+	}
+	for _, c := range cases {
+		if err := checkCounts(c.n, c.reps); (err == nil) != c.ok {
+			t.Errorf("checkCounts(%d, %d) = %v, want ok=%v", c.n, c.reps, err, c.ok)
+		}
+	}
+}
+
 // TestRunScanTinyGrid drives the scan verb over a reduced grid: every
 // cell must come back OK (the differential suite pins these operating
 // points), the report must cover the full enumeration, and the output

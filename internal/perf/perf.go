@@ -135,25 +135,6 @@ func (p Params) Table() []Row {
 	}
 }
 
-// CoalescingSweep evaluates Eq. 13 across coalescing levels, reproducing
-// the buffering-vs-bandwidth trade-off discussion: ps lists the
-// p_coalescing values to evaluate.
-func CoalescingSweep(ps []float64) []Row {
-	rows := make([]Row, 0, len(ps))
-	for _, pc := range ps {
-		if pc < 0 || pc > 1 {
-			panic("perf: p_coalescing out of [0,1]")
-		}
-		rows = append(rows, Row{
-			Scheme:  fmt.Sprintf("no-piggyback p=%.3g", pc),
-			Levels:  1,
-			BWLoss:  pc,
-			Ordered: true,
-		})
-	}
-	return rows
-}
-
 // --- Simulation cross-checks ---------------------------------------------
 
 // MeasuredGoodput summarizes useful versus total link occupancy from live

@@ -103,25 +103,6 @@ func TestTableShape(t *testing.T) {
 	}
 }
 
-func TestCoalescingSweep(t *testing.T) {
-	ps := []float64{0.02, 0.1, 0.5, 1}
-	rows := CoalescingSweep(ps)
-	for i, r := range rows {
-		if r.BWLoss != ps[i] {
-			t.Errorf("row %d: BWLoss %g, want %g", i, r.BWLoss, ps[i])
-		}
-	}
-}
-
-func TestCoalescingSweepPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	CoalescingSweep([]float64{1.5})
-}
-
 func TestBWLossMonotoneInLevels(t *testing.T) {
 	p := DefaultParams()
 	prev := -1.0

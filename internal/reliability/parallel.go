@@ -71,7 +71,7 @@ type MCBERPoint struct {
 }
 
 // MCBERSweep measures the flit error rate at each BER on the sharded
-// runner — the Monte-Carlo cross-check of the analytic BERSweep. Each
+// runner — the Monte-Carlo cross-check of Eq. 1 across BERs. Each
 // point gets `shardsPerPoint` shards of `flitsPerPoint` total flits; the
 // whole sweep is one flat job set, so points and shards fill the pool
 // together. Results are in BER order and bit-identical at any worker
@@ -104,9 +104,9 @@ func MCBERSweep(ctx context.Context, pool runner.Pool, bers []float64, flitsPerP
 // stage 1 (FER at an accelerated BER) and stages 2–3 (FEC decode outcomes
 // under burst injection), composed with the analytic stage 4 into the
 // end-to-end StagedEstimate. This is the parallel form of the
-// cross-checks cmd/sweep and cmd/fitcalc print. The FEC stage runs on a
-// base seed derived past the FER stage's shard range, so the two
-// measurements consume independent RNG streams.
+// cross-checks cmd/sweep prints. The FEC stage runs on a base seed
+// derived past the FER stage's shard range, so the two measurements
+// consume independent RNG streams.
 func StagedSharded(ctx context.Context, pool runner.Pool, accelBER float64, flits, burstLen, trials, shards int) (*StagedEstimate, error) {
 	pts, err := MCBERSweep(ctx, pool, []float64{accelBER}, flits, shards)
 	if err != nil {

@@ -207,10 +207,12 @@ func (p Params) FITCXL(levels int) float64 {
 // contributes uncorrectable errors at rate FER_UC, and retried flits face
 // the same exposure once more — hence the (1 + FER_UC) factor of Eq. 9:
 //
-//	FER_UD = (levels+1) × FER_UC × (1 + FER_UC) × 2^-64 ≈ 1.6e-24
+//	FER_UD = (levels+1) × FER_UC × (1 + FER_UC) × 2^-64
 //
-// (Eq. 9 prints the leading FER_UC factor inside the parenthesis; the
-// paper's numeric value 1.6e-24 confirms the intended form used here.)
+// That is ≈ 1.6e-24 per link and ≈ 3.3e-24 at one level, which has two
+// links. (Eq. 9 prints the leading FER_UC factor inside the parenthesis;
+// the paper's numeric value 1.6e-24, the one-link value, confirms the
+// intended form.)
 func (p Params) FERUndetectedRXL(levels int) float64 {
 	if levels < 0 {
 		panic("reliability: negative switching levels")
@@ -219,8 +221,10 @@ func (p Params) FERUndetectedRXL(levels int) float64 {
 }
 
 // FITRXL returns the device FIT of RXL at the given number of switching
-// levels (Eq. 10): ≈ 2.9e-3 at one level, rising only linearly with the
-// number of links — "nearly unchanged" on the paper's log scale.
+// levels (Eq. 10): (levels+1) × (1 + FER_UC) × FITDirect, ≈ 5.9e-3 at one
+// level. The paper prints 2.9e-3, its one-link (Eq. 5) value; here each
+// of the levels+1 links counts. The rise is only linear in the number of
+// links — "nearly unchanged" on the paper's log scale.
 func (p Params) FITRXL(levels int) float64 {
 	return p.FIT(p.FERUndetectedRXL(levels))
 }
@@ -255,10 +259,4 @@ func (p Params) Fig8(maxLevels int) []Point {
 		pts[l] = Point{Levels: l, FITCXL: p.FITCXL(l), FITRXL: p.FITRXL(l)}
 	}
 	return pts
-}
-
-// ExpectedErroneousFlitsPerSecond returns the headline "1 million erroneous
-// flits out of 500 million flits per second" illustration of Section 7.1.1.
-func (p Params) ExpectedErroneousFlitsPerSecond() float64 {
-	return p.FER() * p.FlitsPerSecond
 }

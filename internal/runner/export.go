@@ -2,7 +2,7 @@ package runner
 
 // Result export: every sweep driver serializes its merged aggregates
 // through these two writers so CSV and JSON outputs stay uniform across
-// the CLIs (cmd/sweep, cmd/rxlsim, cmd/fitcalc).
+// the CLIs (cmd/sweep, cmd/rxlsim).
 
 import (
 	"encoding/csv"

@@ -456,7 +456,7 @@ func (m *Mesh) walkStep(p interface{}) {
 // routeDir is the dimension-ordered routing decision at router (cx,cy)
 // for destination router (dx,dy): an egress direction, or -1 for local
 // delivery. Every traversal tier (lazy pipeline, scheduled walk, express)
-// and InterRouterWire route through it, so an express walk visits
+// routes through it, so an express walk visits
 // precisely the routers and wires the hop-by-hop path would.
 func (m *Mesh) routeDir(cx, cy, dx, dy int) int {
 	if sx := m.dimStep(cx, dx, m.W); sx > 0 {
@@ -596,24 +596,6 @@ func (m *Mesh) AttachNode(x, y int, deliver func(*flit.Flit)) *link.Wire {
 // Wires returns every wire for bulk channel/fault attachment (inter-router
 // and node-ingress).
 func (m *Mesh) Wires() []*link.Wire { return m.wires }
-
-// InterRouterWire returns the wire a flit routed from router (x1,y1) to
-// the adjacent router (x2,y2) crosses, for targeted fault injection on one
-// hop. On a torus the wraparound edges are adjacent too: (W-1,y)→(0,y) is
-// that row's East wrap wire, (x,H-1)→(x,0) the column's South one, and
-// their reverses West/North.
-func (m *Mesh) InterRouterWire(x1, y1, x2, y2 int) *link.Wire {
-	var w *link.Wire
-	if d := m.routeDir(x1, y1, x2, y2); d >= 0 {
-		if nx, ny := m.neighbor(x1, y1, d); nx == x2 && ny == y2 {
-			w = m.out[x1][y1][d]
-		}
-	}
-	if w == nil {
-		panic(fmt.Sprintf("switchfab: (%d,%d)-(%d,%d) are not adjacent mesh routers", x1, y1, x2, y2))
-	}
-	return w
-}
 
 // routerIngress builds the deliver function of router (x,y): run the
 // switch pipeline, then forward by XY dimension-ordered routing. The

@@ -29,14 +29,13 @@ var keptUnreached = map[string]string{
 	"service.jobQueue.Less":                "interface method: heap.Interface",
 	"service.jobQueue.Swap":                "interface method: heap.Interface",
 
-	"core.Fabric.RunFor":                   "facade type method: rxl.Fabric",
-	"core.Fig5Report.CleanTransactions":    "facade type method: rxl.Fig5Report",
-	"hwcost.Report.RelativeDepthOverhead":  "facade type method: rxl.HardwareReport",
-	"hwcost.Circuit.MaxFanIn":              "facade type method: the type of rxl.HardwareReport.Baseline",
-	"perf.Params.EffectiveBandwidth":       "facade type method: rxl.Performance",
-	"reliability.Params.BERBudgetCrossing": "facade type method: rxl.Reliability",
-	"service.Client.GetConditional":        "facade type method: rxl.Client",
-	"sim.Engine.Pending":                   "facade type method: rxl.Engine",
+	"core.Fabric.RunFor":                  "facade type method: rxl.Fabric",
+	"core.Fig5Report.CleanTransactions":   "facade type method: rxl.Fig5Report",
+	"hwcost.Report.RelativeDepthOverhead": "facade type method: rxl.HardwareReport",
+	"hwcost.Circuit.MaxFanIn":             "facade type method: the type of rxl.HardwareReport.Baseline",
+	"perf.Params.EffectiveBandwidth":      "facade type method: rxl.Performance",
+	"service.Client.GetConditional":       "facade type method: rxl.Client",
+	"sim.Engine.Pending":                  "facade type method: rxl.Engine",
 }
 
 // TestInternalSurfaceIsReached keeps internal/ free of test-only surface.
