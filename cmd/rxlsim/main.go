@@ -32,7 +32,7 @@
 //	rxlsim [-proto rxl|cxl|cxl-nopb] [-levels 1] [-ber 1e-6] [-n 100000]
 //	       [-seed 1] [-burst 0.4] [-internal 0] [-compare]
 //	       [-reps 1] [-workers 0] [-csv out.csv]
-//	       [-rare] [-proposal-ber 0] [-rel-err 0.1]
+//	       [-rare] [-proposal-ber 0] [-rel-err 0.1 (0 = spend the fixed 2^24-trial budget)]
 //	       [-scan] [-scan-n 60]
 package main
 
@@ -88,7 +88,7 @@ func main() {
 	csvPath := flag.String("csv", "", "export replica results as CSV to this path")
 	rare := flag.Bool("rare", false, "estimate rare-event deep tails at -ber instead of running the live simulation")
 	proposal := flag.Float64("proposal-ber", 0, "importance-sampling proposal BER (0 = variance-optimal auto)")
-	relErr := flag.Float64("rel-err", 0.1, "target relative error for the rare-event estimates")
+	relErr := flag.Float64("rel-err", 0.1, "target relative error for the rare-event estimates (0 = spend the fixed 2^24-trial budget)")
 	scan := flag.Bool("scan", false, "sweep the built-in scenario grid (topologies × workloads × fault campaigns) through the fast/byte-level differential and report regressions")
 	scanN := flag.Int("scan-n", 60, "payloads per flow for each -scan cell")
 	flag.Parse()

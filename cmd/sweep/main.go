@@ -24,7 +24,7 @@
 //
 //	sweep [-mc] [-n 20000] [-workers 0] [-grid] [-csv grid.csv] [-json grid.json]
 //	      [-scenarios] [-scenario-csv scenarios.csv]
-//	      [-rare] [-proposal-ber 0] [-rel-err 0.1]
+//	      [-rare] [-proposal-ber 0] [-rel-err 0.1 (0 = spend the fixed 2^24-trial budget)]
 package main
 
 import (
@@ -71,7 +71,7 @@ func main() {
 	flag.StringVar(&opt.csvPath, "csv", "", "export the grid results as CSV to this path")
 	flag.StringVar(&opt.jsonPath, "json", "", "export the grid results as JSON to this path")
 	flag.Float64Var(&opt.proposal, "proposal-ber", 0, "importance-sampling proposal BER (0 = variance-optimal auto)")
-	flag.Float64Var(&opt.relErr, "rel-err", 0.1, "target relative error for the rare-event estimates")
+	flag.Float64Var(&opt.relErr, "rel-err", 0.1, "target relative error for the rare-event estimates (0 = spend the fixed 2^24-trial budget)")
 	flag.Parse()
 
 	if err := run(context.Background(), opt, os.Stdout); err != nil {

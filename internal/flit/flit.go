@@ -16,8 +16,8 @@
 // ISN); the FEC covers header+payload+CRC (250 bytes) with the 3-way
 // interleaved single-symbol-correct Reed-Solomon code from internal/rs.
 //
-// Both coding kernels dispatch on CPU features at startup (CLMUL CRC
-// folding, word-parallel RS syndromes; see DESIGN.md §4). The bytes a
+// Both coding kernels have a fast path beside their reference (CLMUL CRC
+// folding, the slicing-by-8 RS remainder; see DESIGN.md §4). The bytes a
 // sealed flit carries are identical on every path — TestSealReference
 // pins them against the portable reference kernels.
 package flit

@@ -12,7 +12,7 @@ import (
 // to on this host: the CRC field must equal a slicing-by-16 checksum (with
 // the ISN fold applied by hand for RXL seals), and the sealed image must
 // be a valid FEC codeword under the byte-level reference syndrome loop.
-// If the CLMUL or word-parallel paths ever drifted, sealed wire bytes
+// If the CLMUL or RS remainder paths ever drifted, sealed wire bytes
 // would change and this test would catch it at the flit layer.
 func TestSealReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))

@@ -16,8 +16,8 @@ const order = 255
 // expTable[i] = α^i for i in [0, 2·order), doubled so that mul can index
 // expTable[log(a)+log(b)] without a modular reduction; logTable[a] is the
 // discrete log of a, with logTable[0] a poison value. They are variable
-// initializers, not an init func, so the package-level code tables built
-// from mul (encTab2, the syndrome tables) are ordered after them.
+// initializers, not an init func, so the package-level remainder tables
+// built from mul are ordered after them.
 var expTable, logTable = func() (et [2 * order]byte, lt [256]int) {
 	x := 1
 	for i := 0; i < order; i++ {

@@ -102,8 +102,11 @@ func (il *Interleaved) joinParity(parity []byte) {
 // round-robin: parity slot x carries the next symbol of way (total+x)%3.
 func (il *Interleaved) Encode(data, parity []byte) {
 	il.checkLen(data, parity)
-	if vectoredSyndromes {
-		il.encode3x2(data, parity)
+	if slicedRemainder {
+		r := remainders(data)
+		for x := range parity {
+			parity[x] = byte(r[il.parityWay[x]] >> (8 * il.parityIdx[x]))
+		}
 		return
 	}
 	il.split(data, parity)
@@ -113,60 +116,72 @@ func (il *Interleaved) Encode(data, parity []byte) {
 	il.joinParity(parity)
 }
 
-// encTab2[fb] packs the two-parity LFSR feedback g1·fb (low byte) and
-// g2·fb (high byte) of g(x) = x² + g1·x + g2, so one lookup replaces the
-// two mul calls of Code.Encode's inner loop.
-var encTab2 = func() (t [256]uint16) {
-	for fb := range t {
-		t[fb] = uint16(mul(gen[1], byte(fb))) | uint16(mul(gen[2], byte(fb)))<<8
+// remTab[e-2][b] is b·(x^e mod g) for e = 2..9, packed like a remainder
+// register: the x¹ coefficient in the low byte, the x⁰ one in the high
+// byte. remTab[0] is one LFSR step's feedback (g1·b, g2·b) of
+// Code.Encode; the eight slices together advance a register by eight
+// symbols.
+var remTab = func() (t [8][256]uint16) {
+	c1, c0 := byte(1), byte(0) // x¹
+	for e := range t {
+		// Multiply by x and reduce: x² ≡ g1·x + g2 (mod g).
+		c1, c0 = mul(gen[1], c1)^c0, mul(gen[2], c1)
+		for b := range t[e] {
+			t[e][b] = uint16(mul(byte(b), c1)) | uint16(mul(byte(b), c0))<<8
+		}
 	}
 	return t
 }()
 
-// encode3x2 runs the three ways' LFSRs in one stride-3 pass straight off
-// the interleaved image, with no deinterleave copy. Register s of a way
-// packs (parity[0], parity[1]) in its low and high bytes; one step is
-// Code.Encode's shift-and-feedback.
-func (il *Interleaved) encode3x2(data, parity []byte) {
-	t := &encTab2
+// remainders runs the three ways' remainder registers r = data(x)·x² mod
+// g over the interleaved image in one stride-3 pass, with no deinterleave
+// copy. Each 24-byte block advances every way by eight symbols at once
+// (slicing-by-8): the register's two bytes join the block's two oldest
+// symbols, and eight independent lookups replace eight dependent LFSR
+// steps. The tail runs the one-symbol step of Code.Encode.
+func remainders(data []byte) [ways]uint16 {
+	t := &remTab
 	var s0, s1, s2 uint16
 	i := 0
+	for ; i+24 <= len(data); i += 24 {
+		b := data[i : i+24 : i+24]
+		s0 = t[7][b[0]^byte(s0)] ^ t[6][b[3]^byte(s0>>8)] ^ t[5][b[6]] ^ t[4][b[9]] ^
+			t[3][b[12]] ^ t[2][b[15]] ^ t[1][b[18]] ^ t[0][b[21]]
+		s1 = t[7][b[1]^byte(s1)] ^ t[6][b[4]^byte(s1>>8)] ^ t[5][b[7]] ^ t[4][b[10]] ^
+			t[3][b[13]] ^ t[2][b[16]] ^ t[1][b[19]] ^ t[0][b[22]]
+		s2 = t[7][b[2]^byte(s2)] ^ t[6][b[5]^byte(s2>>8)] ^ t[5][b[8]] ^ t[4][b[11]] ^
+			t[3][b[14]] ^ t[2][b[17]] ^ t[1][b[20]] ^ t[0][b[23]]
+	}
 	for ; i+3 <= len(data); i += 3 {
-		s0 = s0>>8 ^ t[data[i]^byte(s0)]
-		s1 = s1>>8 ^ t[data[i+1]^byte(s1)]
-		s2 = s2>>8 ^ t[data[i+2]^byte(s2)]
+		s0 = s0>>8 ^ t[0][data[i]^byte(s0)]
+		s1 = s1>>8 ^ t[0][data[i+1]^byte(s1)]
+		s2 = s2>>8 ^ t[0][data[i+2]^byte(s2)]
 	}
-	s := [ways]uint16{s0, s1, s2}
+	r := [ways]uint16{s0, s1, s2}
 	for w, d := range data[i:] {
-		s[w] = s[w]>>8 ^ t[d^byte(s[w])]
+		r[w] = r[w]>>8 ^ t[0][d^byte(r[w])]
 	}
-	for x := range parity {
-		parity[x] = byte(s[il.parityWay[x]] >> (8 * il.parityIdx[x]))
-	}
+	return r
 }
 
-// clean3x2 reports whether data||parity is a codeword: three independent
-// horner2 chains, one per way, read the image at stride 3 and pack each
-// way's (S0, S1) into one word. It is the clean check of both Decode and
-// Verify.
-func (il *Interleaved) clean3x2(data, parity []byte) bool {
-	t2a, t2b, g1 := &syn2.t2[0], &syn2.t2[1], &syn2.g1
-	var a0, a1, a2 uint64
-	i := 0
-	for ; i+6 <= len(data); i += 6 {
-		a0 = t2a[byte(a0)] ^ t2b[byte(a0>>8)] ^ g1[data[i]] ^ uint64(data[i+3])*0x0101
-		a1 = t2a[byte(a1)] ^ t2b[byte(a1>>8)] ^ g1[data[i+1]] ^ uint64(data[i+4])*0x0101
-		a2 = t2a[byte(a2)] ^ t2b[byte(a2>>8)] ^ g1[data[i+2]] ^ uint64(data[i+5])*0x0101
-	}
-	// The last few data bytes and the parity field, one step at a time.
-	acc := [ways]uint64{a0, a1, a2}
-	for j, d := range data[i:] {
-		acc[j%ways] = step2(acc[j%ways], d)
-	}
+// residues folds the received parity into each way's data remainder,
+// leaving the remainder of the whole received word: zero exactly when the
+// way is a codeword. It is the clean check of both Decode and Verify.
+func (il *Interleaved) residues(data, parity []byte) [ways]uint16 {
+	r := remainders(data)
 	for x, p := range parity {
-		acc[il.parityWay[x]] = step2(acc[il.parityWay[x]], p)
+		r[il.parityWay[x]] ^= uint16(p) << (8 * il.parityIdx[x])
 	}
-	return acc[0]|acc[1]|acc[2] == 0
+	return r
+}
+
+// residueSyndromes returns the syndromes of a way from its residue
+// r1·x + r0 (r1 in the low byte). The received word is its residue plus a
+// multiple of g, and g vanishes at α⁰ and α¹, so S0 = r(1) = r1 ⊕ r0 and
+// S1 = r(α) = α·r1 ⊕ r0.
+func residueSyndromes(r uint16) (s0, s1 byte) {
+	r1, r0 := byte(r), byte(r>>8)
+	return r1 ^ r0, mul(exp(1), r1) ^ r0
 }
 
 // Decode checks and corrects data and parity in place. The whole flit is
@@ -174,8 +189,8 @@ func (il *Interleaved) clean3x2(data, parity []byte) bool {
 // accumulate across ways.
 func (il *Interleaved) Decode(data, parity []byte) Result {
 	il.checkLen(data, parity)
-	if vectoredSyndromes && il.clean3x2(data, parity) {
-		return Result{Status: StatusClean}
+	if slicedRemainder {
+		return il.decodeResidues(data, parity)
 	}
 	il.split(data, parity)
 	total := Result{Status: StatusClean}
@@ -200,14 +215,56 @@ func (il *Interleaved) Decode(data, parity []byte) Result {
 	return total
 }
 
-// Verify reports whether data||parity is a valid interleaved codeword via
-// syndromes only — no correction attempt, no mutation.
+// decodeResidues is Decode on the interleaved image itself: each way's
+// residue gives its syndromes, and every way is located before any byte
+// moves, so an uncorrectable flit is left as received.
+func (il *Interleaved) decodeResidues(data, parity []byte) Result {
+	r := il.residues(data, parity)
+	if r[0]|r[1]|r[2] == 0 {
+		return Result{Status: StatusClean}
+	}
+	// A located way's magnitude S0 is nonzero; a clean way's stays 0.
+	var pos [ways]int
+	var mag [ways]byte
+	for w, rw := range r {
+		if rw == 0 {
+			continue
+		}
+		s0, s1 := residueSyndromes(rw)
+		p, ok := locate(il.codes[w].n, s0, s1)
+		if !ok {
+			return Result{Status: StatusUncorrectable}
+		}
+		pos[w], mag[w] = p, s0
+	}
+	res := Result{Status: StatusCorrected}
+	for w, e := range mag {
+		if e == 0 {
+			continue
+		}
+		if p := pos[w]; p >= nparity {
+			data[(il.codes[w].k-1-(p-nparity))*ways+w] ^= e
+		} else {
+			for x := range parity {
+				if il.parityWay[x] == w && il.parityIdx[x] == nparity-1-p {
+					parity[x] ^= e
+				}
+			}
+		}
+		res.Corrected++
+	}
+	return res
+}
+
+// Verify reports whether data||parity is a valid interleaved codeword from
+// its residues alone — no correction attempt, no mutation.
 func (il *Interleaved) Verify(data, parity []byte) bool {
-	if !vectoredSyndromes {
+	if !slicedRemainder {
 		return il.VerifyReference(data, parity)
 	}
 	il.checkLen(data, parity)
-	return il.clean3x2(data, parity)
+	r := il.residues(data, parity)
+	return r[0]|r[1]|r[2] == 0
 }
 
 // VerifyReference is Verify on the byte-level reference syndrome loop of

@@ -12,10 +12,11 @@
 // uncorrectable sub-block errors are flagged rather than miscorrected, the
 // property RXL leans on to let switches drop bad flits early.
 //
-// Each kernel has one fast path and one reference. The fast path is the
-// table-driven stride-3 encode and clean check over the interleaved image
-// (interleave.go) and the two-lane word-parallel syndromes of a dirty
-// decode (syndrome.go). The reference is the per-way Code: its LFSR
+// Each kernel has one fast path and one reference. The fast path is one
+// stride-3, slicing-by-8 remainder pass over the interleaved image
+// (interleave.go): its registers are the encode's parity, their fold with
+// the received parity is the clean check, and a dirty way's residue gives
+// its syndromes directly. The reference is the per-way Code: its LFSR
 // Encode, the byte-at-a-time syndromesRef, decodeSingle and
 // VerifyReference. Building with -tags purego pins every call to the
 // reference.
@@ -128,21 +129,10 @@ func (c *Code) Encode(data, parity []byte) {
 	}
 }
 
-// syndromes returns S_0 (low byte) and S_1 (next byte) of the received word
-// data||parity packed into one word, which is zero exactly when the word
-// is a codeword. The default build evaluates both on the word-parallel
-// tables (see syndrome.go); -tags purego pins the byte-level reference.
-// Both are bit-identical and the differential and fuzz suites hold them
-// to it.
-func syndromes(data, parity []byte) uint64 {
-	if vectoredSyndromes {
-		return horner2(horner2(0, data), parity)
-	}
-	return syndromesRef(data, parity)
-}
-
-// syndromesRef is the byte-at-a-time Horner reference — the loop the
-// word-parallel path is differentially pinned against: S_j = r(α^j).
+// syndromesRef returns S_0 (low byte) and S_1 (next byte) of the received
+// word data||parity packed into one word, which is zero exactly when the
+// word is a codeword. It is the byte-at-a-time Horner reference the
+// remainder kernel is differentially pinned against: S_j = r(α^j).
 // Do not "optimize" it.
 func syndromesRef(data, parity []byte) uint64 {
 	var w uint64
@@ -166,7 +156,7 @@ func (c *Code) decode(data, parity []byte) Result {
 	if len(data) != c.k || len(parity) != nparity {
 		panic("rs: Decode length mismatch")
 	}
-	s := syndromes(data, parity)
+	s := syndromesRef(data, parity)
 	if s == 0 {
 		return Result{Status: StatusClean}
 	}
@@ -183,27 +173,11 @@ func (c *Code) VerifyReference(data, parity []byte) bool {
 	return syndromesRef(data, parity) == 0
 }
 
-// decodeSingle corrects a single symbol error from the syndromes S0 = e
-// and S1 = e*α^p of an error of magnitude e at polynomial position p: the
-// position is log(S1/S0) and the magnitude is S0 directly.
-//
-// It honours the shortened-code detection rule: a computed error location
-// outside the transmitted codeword corresponds to one of the zero-padded
-// vacant positions and is reported as uncorrectable rather than
-// "corrected" (Section 2.5).
+// decodeSingle corrects the single symbol error that locate finds from
+// the syndromes S0 and S1; its magnitude is S0 directly.
 func (c *Code) decodeSingle(data, parity []byte, s0, s1 byte) Result {
-	if s0 == 0 || s1 == 0 {
-		// A single symbol error always yields two nonzero syndromes;
-		// one zero syndrome proves at least two errors.
-		return Result{Status: StatusUncorrectable}
-	}
-	p := log(s1) - log(s0)
-	if p < 0 {
-		p += order
-	}
-	if p >= c.n {
-		// The "error" falls in a vacant (zero-padded) position of the
-		// shortened code: detected uncorrectable.
+	p, ok := locate(c.n, s0, s1)
+	if !ok {
 		return Result{Status: StatusUncorrectable}
 	}
 	// Positions [0, nparity) address parity (lowest degrees); positions
@@ -215,4 +189,25 @@ func (c *Code) decodeSingle(data, parity []byte, s0, s1 byte) Result {
 		data[c.k-1-(p-nparity)] ^= s0
 	}
 	return Result{Status: StatusCorrected, Corrected: 1}
+}
+
+// locate returns the polynomial position p of a single symbol error in an
+// n-symbol codeword from its syndromes S0 = e and S1 = e·α^p, or ok =
+// false when no single error explains them. It honours the shortened-code
+// detection rule: a location outside the transmitted codeword is one of
+// the zero-padded vacant positions and is reported uncorrectable rather
+// than "corrected" (Section 2.5).
+func locate(n int, s0, s1 byte) (p int, ok bool) {
+	if s0 == 0 || s1 == 0 {
+		// A single symbol error always yields two nonzero syndromes;
+		// one zero syndrome proves at least two errors.
+		return 0, false
+	}
+	p = log(s1) - log(s0)
+	if p < 0 {
+		p += order
+	}
+	// p >= n falls in a vacant (zero-padded) position of the shortened
+	// code: detected uncorrectable.
+	return p, p < n
 }

@@ -2,7 +2,7 @@
 
 package rs
 
-// vectoredSyndromes selects the table kernels: the stride-3 encode and
-// clean check and the word-parallel syndromes. Constant, so every dispatch
-// branch folds away at compile time.
-const vectoredSyndromes = true
+// slicedRemainder selects the stride-3 slicing-by-8 remainder kernel for
+// encode, clean check and dirty decode. Constant, so every dispatch branch
+// folds away at compile time.
+const slicedRemainder = true

@@ -24,27 +24,38 @@ func corrupt(rng *rand.Rand, data, parity []byte, e int) {
 	}
 }
 
-// TestSyndromesVectoredMatchesReference pins the word-parallel evaluator
-// to the byte-level reference, lane by lane, across data lengths, error
-// weights (clean through beyond t), and random words.
+// TestSyndromesVectoredMatchesReference pins the syndromes the remainder
+// kernel reads off each way's residue to the byte-level reference, lane by
+// lane, across way lengths, error weights (clean through beyond t), and
+// random words. An image of 3k bytes gives every way k data symbols.
 func TestSyndromesVectoredMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, k := range dataLens {
-		c := MustNew(k)
-		data := make([]byte, k)
-		parity := make([]byte, nparity)
+		il := MustNewInterleaved(ways * k)
+		data := make([]byte, ways*k)
+		parity := make([]byte, ways*nparity)
+		way, wayParity := make([]byte, k), make([]byte, nparity)
 		for trial := 0; trial < 200; trial++ {
 			rng.Read(data)
-			c.Encode(data, parity)
-			corrupt(rng, data, parity, rng.Intn(nparity+2))
-			if got, want := syndromes(data, parity), syndromesRef(data, parity); got != want {
-				t.Fatalf("k=%d: syndromes %#04x, ref %#04x", k, got, want)
-			}
-			if got, want := horner2(horner2(0, data), parity), syndromesRef(data, parity); got != want {
-				t.Fatalf("k=%d: horner2 %#04x, ref %#04x", k, got, want)
-			}
-			if got, want := syndromes(data, parity) == 0, c.VerifyReference(data, parity); got != want {
-				t.Fatalf("k=%d: syndromes clean %v != VerifyReference %v", k, got, want)
+			il.Encode(data, parity)
+			corrupt(rng, data, parity, rng.Intn(ways*(nparity+2)))
+			r := il.residues(data, parity)
+			for w := range r {
+				for i := range way {
+					way[i] = data[i*ways+w]
+				}
+				for x, p := range parity {
+					if il.parityWay[x] == w {
+						wayParity[il.parityIdx[x]] = p
+					}
+				}
+				s0, s1 := residueSyndromes(r[w])
+				if got, want := uint64(s0)|uint64(s1)<<8, syndromesRef(way, wayParity); got != want {
+					t.Fatalf("k=%d way %d: residue syndromes %#04x, ref %#04x", k, w, got, want)
+				}
+				if got, want := r[w] == 0, il.codes[w].VerifyReference(way, wayParity); got != want {
+					t.Fatalf("k=%d way %d: zero residue %v != VerifyReference %v", k, w, got, want)
+				}
 			}
 		}
 	}
@@ -52,8 +63,8 @@ func TestSyndromesVectoredMatchesReference(t *testing.T) {
 
 // TestVerifyAllocFree: the FEC entry points must not allocate on either
 // path — every router hop, endpoint and Monte-Carlo trial calls them. The
-// interleaved calls run on the flit geometry, on a clean image and on one
-// with a symbol error in every way.
+// interleaved calls run on the flit geometry, on a clean image, on one
+// with a symbol error in every way and on an uncorrectable one.
 func TestVerifyAllocFree(t *testing.T) {
 	c := MustNew(84)
 	data := make([]byte, 84)
@@ -74,12 +85,15 @@ func TestVerifyAllocFree(t *testing.T) {
 	struck[7] ^= 0x11   // way 1
 	struck[120] ^= 0x22 // way 0
 	struck[254] ^= 0x33 // parity slot 4: way (250+4)%3 = 2
+	twice := append([]byte(nil), clean...)
+	twice[3] ^= 0x44 // two errors in way 0: uncorrectable
+	twice[6] ^= 0x55
 	img := make([]byte, 256)
 	d, p := img[:250], img[250:]
 	for _, tc := range []struct {
 		name string
 		src  []byte
-	}{{"clean", clean}, {"one error per way", struck}} {
+	}{{"clean", clean}, {"one error per way", struck}, {"two errors in one way", twice}} {
 		for _, call := range []struct {
 			name string
 			fn   func()
@@ -105,8 +119,7 @@ func TestVerifyAllocFree(t *testing.T) {
 }
 
 // FuzzVerifyDecode drives random error patterns (including weights beyond
-// t) through both syndrome paths and the per-way decoder, asserting the
-// vectored/reference syndromes agree and the decode outcome is
+// t) through the per-way decoder, asserting the decode outcome is
 // self-consistent: a corrected word must re-verify clean on the reference
 // loop, with exactly one symbol corrected. The CI kernel leg replays the
 // committed corpus under both the default and purego builds.
@@ -136,9 +149,6 @@ func FuzzVerifyDecode(f *testing.F) {
 			} else {
 				parity[p-k] ^= m
 			}
-		}
-		if v, r := syndromes(data, parity), syndromesRef(data, parity); v != r {
-			t.Fatalf("syndromes: vectored %#04x != ref %#04x", v, r)
 		}
 		res := c.decode(data, parity)
 		switch res.Status {

@@ -93,6 +93,11 @@ func TestMapError(t *testing.T) {
 		if s.Index == 5 {
 			return 0, boom
 		}
+		// Shards after the failing one wait for the cancel, so the other
+		// workers cannot drain every shard while shard 5 is descheduled.
+		if s.Index > 5 {
+			<-ctx.Done()
+		}
 		return s.Index, nil
 	})
 	if got != nil {

@@ -86,6 +86,18 @@ var kinds = []kind{
 			if r.RelErr < 0 {
 				r.RelErr = 0
 			}
+			// Every non-positive proposal is the automatic tilt; a set one
+			// must lie in [BER, 1) for every listed BER. This mirrors
+			// reliability.checkTilt, so a bad proposal is a 400 here
+			// rather than a failed job later.
+			if r.Proposal < 0 {
+				r.Proposal = 0
+			}
+			for _, ber := range r.BERs {
+				if r.Proposal > 0 && (r.Proposal < ber || r.Proposal >= 1) {
+					return s, fmt.Errorf("service: rare proposal BER %g out of [BER=%g, 1)", r.Proposal, ber)
+				}
+			}
 			r.Shards = shardsOrDefault(r.Shards)
 			s.Rare = &r
 			return s, nil

@@ -6,6 +6,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -21,8 +22,9 @@ import (
 // survive the marshal/unmarshal round trip a fleet front puts it through.
 // The committed corpus (testdata/fuzz) holds one valid spec per kind plus
 // the rejected shapes: the two LinkConfig specs that used to panic in a
-// runner goroutine, a two-payload spec, an unknown kind, and a LinkConfig
-// naming a wiring field the strict decode refuses.
+// runner goroutine, a two-payload spec, an unknown kind, a LinkConfig
+// naming a wiring field the strict decode refuses, and two rare proposals
+// outside [BER, 1).
 func FuzzJobSpecNormalize(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		spec, ok := decodeBody(body)
@@ -84,6 +86,58 @@ func TestFuzzCorpusVerdicts(t *testing.T) {
 	for _, k := range kinds {
 		if !valid[k.name] {
 			t.Errorf("corpus has no valid %q spec", k.name)
+		}
+	}
+}
+
+// TestRareProposalNormalizes: every non-positive proposal is the
+// automatic tilt and shares its cache key, and a proposal the estimators
+// would refuse — at or above 1, or below any listed BER — is a 400 at
+// submission instead of a job that fails in the worker.
+func TestRareProposalNormalizes(t *testing.T) {
+	srv := newTestServer(t, Config{ShardBudget: 1})
+	body := func(proposal string) []byte {
+		return []byte(`{"kind":"rare","seed":3,"rare":{"bers":[1e-9,1e-12],"max_trials":4096,"proposal_ber":` + proposal + `}}`)
+	}
+	auto, ok := decodeBody(body("0"))
+	if !ok {
+		t.Fatal("auto-tilt spec does not decode")
+	}
+	auto, err := auto.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		proposal string
+		ok       bool
+	}{
+		{"-1", true},
+		{"-1e-300", true},
+		{"1e-9", true},
+		{"0.5", true},
+		{"1", false},
+		{"2", false},
+		{"1e-10", false},
+		{"1e-12", false},
+	} {
+		spec, ok := decodeBody(body(tc.proposal))
+		if !ok {
+			t.Fatalf("proposal %s: does not decode", tc.proposal)
+		}
+		norm, err := spec.Normalize()
+		if (err == nil) != tc.ok {
+			t.Errorf("proposal %s: Normalize error %v, want accepted = %v", tc.proposal, err, tc.ok)
+			continue
+		}
+		if tc.ok && strings.HasPrefix(tc.proposal, "-") && norm.Key() != auto.Key() {
+			t.Errorf("proposal %s: key %s, the automatic tilt's %s", tc.proposal, norm.Key(), auto.Key())
+		}
+		if !tc.ok {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body(tc.proposal))))
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("proposal %s: HTTP %d, want 400: %s", tc.proposal, rec.Code, rec.Body)
+			}
 		}
 	}
 }

@@ -113,8 +113,8 @@ rung_race() {
 
 rung_kernels() {
   # Coding-kernel differential: the exact same test and fuzz-corpus suite
-  # twice — once on the dispatched build (CLMUL CRC folding and
-  # word-parallel RS syndromes where the CPU has them) and once under
+  # twice — once on the dispatched build (CLMUL CRC folding where the CPU
+  # has it, the slicing-by-8 RS remainder kernel) and once under
   # -tags purego (the pinned byte-level reference). Every differential
   # test in these packages cross-checks fast against reference, so the
   # two runs together pin the asm and vectored paths bit-for-bit.
@@ -126,6 +126,11 @@ rung_kernels() {
   # Kernel fuzz corpora, replayed on both builds.
   run go test -count=1 -run 'Fuzz.*' ./internal/crc/ ./internal/rs/
   run go test -count=1 -tags purego -run 'Fuzz.*' ./internal/crc/ ./internal/rs/
+  # A short live fuzz of the FEC kernel against its per-way reference on
+  # the default build; go runs one -fuzz target per invocation.
+  for target in FuzzInterleavedEncode FuzzReencodeIdentity FuzzVerifyDecode FuzzDecodeMatchesReference; do
+    run go test -run '^$' -fuzz "^${target}\$" -fuzztime=10s ./internal/rs/
+  done
 }
 
 rung_differential() {
