@@ -94,12 +94,15 @@ func (c ScenarioCell) Flows() ([]MeshFlow, []int, error) {
 		return nil, nil, err
 	}
 	flows := make([]MeshFlow, len(wf))
+	var counts []int
+	if c.Workload.Kind == workload.KindReplay {
+		counts = make([]int, len(wf))
+	}
 	for i, f := range wf {
 		flows[i] = MeshFlow{SrcX: f.SrcX, SrcY: f.SrcY, DstX: f.DstX, DstY: f.DstY}
-	}
-	counts, err := workload.ReplayCounts(c.Workload, c.Topo.W, c.Topo.H)
-	if err != nil {
-		return nil, nil, err
+		if counts != nil {
+			counts[i] = f.Count
+		}
 	}
 	return flows, counts, nil
 }

@@ -84,6 +84,10 @@ type frontPeer struct {
 
 	mu        sync.Mutex
 	downUntil time.Time
+	// marks counts down-marks, so a probe clears only a mark placed
+	// before it was sent: an answer that was in flight when a newer
+	// forward failed says nothing about the peer since.
+	marks uint64
 	// Active probe state. probeChecked stays false until the first probe
 	// completes, so a just-started front routes normally instead of
 	// treating the whole fleet as unverified.
@@ -190,6 +194,9 @@ func (f *Front) probeAll() {
 		wg.Add(1)
 		go func(p *frontPeer) {
 			defer wg.Done()
+			p.mu.Lock()
+			marks := p.marks
+			p.mu.Unlock()
 			ctx, cancel := context.WithTimeout(context.Background(), f.cfg.ProbeTimeout)
 			err := p.client.Health(ctx)
 			cancel()
@@ -200,8 +207,9 @@ func (f *Front) probeAll() {
 			p.mu.Lock()
 			p.probeChecked = true
 			p.probeOK = err == nil
-			if err == nil {
-				// A live answer overrides any passive down-mark.
+			if err == nil && p.marks == marks {
+				// A live answer overrides any passive down-mark placed
+				// before the probe was sent.
 				p.downUntil = time.Time{}
 			}
 			p.mu.Unlock()
@@ -246,6 +254,7 @@ func (p *frontPeer) markDown(until time.Time) {
 	p.errors.Inc()
 	p.mu.Lock()
 	p.downUntil = until
+	p.marks++
 	p.mu.Unlock()
 }
 

@@ -207,6 +207,57 @@ func TestFrontActiveProbing(t *testing.T) {
 	}
 }
 
+// TestFrontStaleProbeKeepsNewerMark: a probe answer that was in flight
+// when a forward failed cannot revive the peer that failure marked down —
+// it was sent before the mark, so it says nothing about the peer since.
+// The member's /v1/healthz blocks until released, which puts the mark
+// inside the probe's flight deterministically.
+func TestFrontStaleProbeKeepsNewerMark(t *testing.T) {
+	inFlight, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	member := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/healthz" {
+			once.Do(func() { close(inFlight) })
+			<-release
+		}
+	}))
+	defer member.Close()
+	front, err := NewFront(FrontConfig{
+		Peers:         []string{member.URL},
+		ProbeInterval: time.Hour, // only the immediate first round runs
+		ProbeTimeout:  time.Minute,
+		RetryDead:     time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer front.Close()
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce()
+
+	<-inFlight
+	p := front.peers[0]
+	p.markDown(time.Now().Add(time.Hour))
+	releaseOnce()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		p.mu.Lock()
+		probed := p.probeChecked
+		p.mu.Unlock()
+		if probed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("timeout waiting for the probe answer")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if p.up(time.Now()) {
+		t.Fatal("a probe sent before the down-mark revived the peer")
+	}
+}
+
 // TestFrontMetricsFamilies pins the front's documented /metrics surface
 // after real traffic: forwarding counters, the submit-latency histogram
 // split by outcome, and a per-peer series for every ring member.

@@ -1,5 +1,7 @@
 package phy
 
+import "context"
+
 // SharedSchedule is one pre-drawn error-event schedule consumed by every
 // hop of a source→destination path. Where a per-wire Channel models each
 // hop as an independent bit-error process, a SharedSchedule concatenates
@@ -58,10 +60,8 @@ func (s *SharedSchedule) Begin(hops int) bool {
 }
 
 // GrantSpan consumes up to max whole clean traversals of hops crossings
-// each in one O(1) advance, returning how many were granted. It is the
-// bulk form of Begin for schedule-only Monte Carlo: at production BERs a
-// single call skips hundreds of traversals, so the estimator loop runs
-// per error event rather than per flit per hop.
+// each in one O(1) advance, returning how many were granted: the bulk
+// form of Begin, and the step Walk takes over every clean span.
 func (s *SharedSchedule) GrantSpan(hops, max int) int {
 	if hops <= 0 {
 		panic("phy: non-positive hop count")
@@ -81,29 +81,40 @@ func (s *SharedSchedule) GrantSpan(hops, max int) int {
 // events. It never consumes the schedule.
 func (s *SharedSchedule) CrossClean() bool { return s.ch.NextEvent() >= s.UnitBits }
 
-// CleanCrossings returns the distance to the next error event measured in
-// whole crossings, capped at max: the next n crossings are provably clean
-// and the caller may consume them in one AdvanceCrossings. Together the
-// two are the epoch-skip primitive — a Monte-Carlo loop jumps straight to
-// the struck crossing instead of walking every clean one, so its cost is
-// proportional to error events, not to flits×hops. A schedule that will
-// never fire (BER 0) reports max. Nothing is consumed.
-func (s *SharedSchedule) CleanCrossings(max int) int {
-	n := s.ch.NextEvent() / s.UnitBits
-	if n > max {
-		n = max
-	}
-	return n
-}
+// walkCheckMask sets Walk's context-poll period: every 4096 steps, cheap
+// against even the lightest per-step work while keeping cancellation
+// latency in the microseconds.
+const walkCheckMask = 4095
 
-// AdvanceCrossings consumes n clean crossings in one O(1) closed-form
-// step with no RNG draws — bitwise identical stream consumption to n
-// successive Advance calls. The caller must have obtained n from
-// CleanCrossings (advancing across a scheduled event panics).
-func (s *SharedSchedule) AdvanceCrossings(n int) {
-	if n > 0 {
-		s.ch.Advance(n * s.UnitBits)
+// Walk drives units traversals of hops crossings each through the
+// schedule and returns how many were clean. It is the one clean-span
+// loop of schedule-only Monte Carlo: each run of clean traversals is
+// consumed in one GrantSpan step with zero RNG draws, so at production
+// BERs the loop runs per error event rather than per unit per hop, and
+// onStruck runs once per traversal the schedule strikes. onStruck must
+// consume exactly that traversal — hops crossings, through Traverse,
+// Corrupt or a one-hop Walk over them — so the stream stays the one a
+// crossing-by-crossing walk consumes.
+//
+// ctx is polled every 4096 steps (a step is one grant and the struck
+// traversal it stops at); on cancellation the walk abandons the remaining units and
+// returns the clean count so far.
+func (s *SharedSchedule) Walk(ctx context.Context, hops, units int, onStruck func()) (clean int) {
+	for i, steps := 0, 0; i < units; steps++ {
+		if steps&walkCheckMask == 0 && ctx.Err() != nil {
+			break
+		}
+		n := s.GrantSpan(hops, units-i)
+		clean += n
+		i += n
+		// A grant short of the cap stops at the event: the next
+		// traversal is struck.
+		if i < units {
+			onStruck()
+			i++
+		}
 	}
+	return clean
 }
 
 // Advance consumes one clean crossing in O(1) with no RNG draws. The

@@ -1,6 +1,10 @@
 package phy
 
-import "testing"
+import (
+	"context"
+	"slices"
+	"testing"
+)
 
 // TestSharedScheduleMatchesChannelStream: driving a SharedSchedule with
 // the grant-then-per-unit policy consumes exactly the stream a bare
@@ -127,37 +131,39 @@ func TestSharedScheduleGuards(t *testing.T) {
 	}
 }
 
-// TestCleanCrossingsEpochSkipMatchesStepwise: jumping clean epochs with
-// CleanCrossings/AdvanceCrossings consumes exactly the stream a
-// crossing-by-crossing walk consumes — same struck crossings, same flip
-// counts, same channel accounting.
-func TestCleanCrossingsEpochSkipMatchesStepwise(t *testing.T) {
+// TestWalkEpochSkipMatchesStepwise: a one-hop Walk — clean epochs
+// jumped in one grant, struck crossings Traversed — consumes exactly the
+// stream a crossing-by-crossing walk consumes: same struck crossings,
+// same flip counts, same channel accounting.
+func TestWalkEpochSkipMatchesStepwise(t *testing.T) {
 	const unit = 2048
 	const crossings = 60000
 	s := NewSharedSchedule(1e-5, 0.4, NewRNG(9), unit)
 	ref := NewChannel(1e-5, 0.4, NewRNG(9))
 	struck := 0
-	for c := 0; c < crossings; {
-		k := s.CleanCrossings(crossings - c)
-		for j := 0; j < k; j++ {
-			if got := ref.Traverse(unit); got != 0 {
-				t.Fatalf("crossing %d: declared clean but reference flips %d bits", c+j, got)
-			}
-		}
-		s.AdvanceCrossings(k)
-		c += k
-		if c < crossings {
+	clean := s.Walk(context.Background(), 1, crossings, func() {
+		for {
 			want := ref.Traverse(unit)
-			got := s.Traverse()
-			if got != want || got == 0 {
-				t.Fatalf("crossing %d: struck flips %d, reference %d (want equal, nonzero)", c, got, want)
+			if want == 0 {
+				continue // a clean crossing Walk granted
 			}
-			struck++
-			c++
+			if got := s.Traverse(); got != want {
+				t.Fatalf("struck crossing %d: flips %d, reference %d", struck, got, want)
+			}
+			break
+		}
+		struck++
+	})
+	for ref.BitsSeen < uint64(crossings*unit) {
+		if got := ref.Traverse(unit); got != 0 {
+			t.Fatalf("trailing crossing declared clean but reference flips %d bits", got)
 		}
 	}
 	if struck == 0 {
 		t.Fatal("no struck crossing exercised")
+	}
+	if clean+struck != crossings {
+		t.Fatalf("clean %d + struck %d != %d crossings", clean, struck, crossings)
 	}
 	sc := s.Channel()
 	if sc.BitsSeen != ref.BitsSeen || sc.BitsFlipped != ref.BitsFlipped || sc.ErrorEvents != ref.ErrorEvents {
@@ -166,16 +172,81 @@ func TestCleanCrossingsEpochSkipMatchesStepwise(t *testing.T) {
 	}
 }
 
-// TestCleanCrossingsZeroBER: a schedule that will never fire reports the
-// cap, and advancing by it consumes exactly that many crossings.
-func TestCleanCrossingsZeroBER(t *testing.T) {
+// TestWalkZeroBER: a schedule that will never fire grants every unit in
+// one step and consumes exactly that many traversals.
+func TestWalkZeroBER(t *testing.T) {
 	s := NewSharedSchedule(0, 0, NewRNG(1), 2048)
-	if n := s.CleanCrossings(123); n != 123 {
-		t.Fatalf("CleanCrossings %d, want the cap 123", n)
+	clean := s.Walk(context.Background(), 3, 123, func() { t.Fatal("zero-BER schedule struck a traversal") })
+	if clean != 123 {
+		t.Fatalf("Walk clean %d, want all 123", clean)
 	}
-	s.AdvanceCrossings(123)
-	s.AdvanceCrossings(0) // no-op
-	if s.Channel().BitsSeen != 123*2048 {
+	if s.Walk(context.Background(), 3, 0, nil) != 0 { // no units: no-op
+		t.Fatal("empty walk reported clean units")
+	}
+	if s.Channel().BitsSeen != 123*3*2048 {
 		t.Fatalf("BitsSeen %d", s.Channel().BitsSeen)
 	}
+}
+
+// TestWalkStopsOnCancel: a canceled context stops the walk at its first
+// poll, before any unit is consumed.
+func TestWalkStopsOnCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s := NewSharedSchedule(0.5, 0, NewRNG(1), 64)
+	if clean := s.Walk(ctx, 1, 1000, func() { t.Fatal("canceled walk struck a unit") }); clean != 0 {
+		t.Fatalf("canceled walk granted %d units", clean)
+	}
+	if s.Channel().BitsSeen != 0 {
+		t.Fatalf("canceled walk consumed %d bits", s.Channel().BitsSeen)
+	}
+}
+
+// FuzzWalkMatchesStepwise: for any BER, burst, seed, hop count and unit
+// count, Walk — with onStruck Traversing the struck traversal's crossings
+// one by one — reports the clean traversals, struck traversals (with
+// their flip counts, in order) and channel accounting of a
+// crossing-by-crossing Channel.Traverse walk on the same seed.
+func FuzzWalkMatchesStepwise(f *testing.F) {
+	const unit = 256
+	f.Fuzz(func(t *testing.T, ber, burst float64, seed uint64, hops uint8, units uint16) {
+		if !(ber >= 0 && ber <= 1) || !(burst >= 0 && burst < 1) {
+			return
+		}
+		h, n := int(hops%8)+1, int(units%1024)
+
+		s := NewSharedSchedule(ber, burst, NewRNG(seed), unit)
+		var struck []int
+		clean := s.Walk(context.Background(), h, n, func() {
+			flips := 0
+			for c := 0; c < h; c++ {
+				flips += s.Traverse()
+			}
+			struck = append(struck, flips)
+		})
+
+		ref := NewChannel(ber, burst, NewRNG(seed))
+		var want []int
+		refClean := 0
+		for i := 0; i < n; i++ {
+			flips := 0
+			for c := 0; c < h; c++ {
+				flips += ref.Traverse(unit)
+			}
+			if flips == 0 {
+				refClean++
+			} else {
+				want = append(want, flips)
+			}
+		}
+
+		if clean != refClean || !slices.Equal(struck, want) {
+			t.Fatalf("clean %d struck %v, stepwise clean %d struck %v", clean, struck, refClean, want)
+		}
+		sc := s.Channel()
+		if sc.BitsSeen != ref.BitsSeen || sc.BitsFlipped != ref.BitsFlipped ||
+			sc.ErrorEvents != ref.ErrorEvents || sc.UnitsTouched != ref.UnitsTouched {
+			t.Fatalf("accounting diverged: %+v, stepwise %+v", *sc, *ref)
+		}
+	})
 }

@@ -17,26 +17,26 @@ import "math"
 // schedule drew inside the unit, with boundary-straddling residual gaps
 // splitting across units by memorylessness (see TestUnitLogLRTelescopes
 // and DESIGN.md §7 for the derivation). The tilting hook therefore leaves
-// Channel — and the whole PR 2 fast path — untouched: NextEvent/Advance/
-// Traverse run at the proposal rate, and the caller folds UnitLogLR over
-// per-unit flip counts.
+// the schedule untouched: Walk, Traverse and Corrupt run at the proposal
+// rate, and the caller folds UnitLogLR over per-unit flip counts.
 
-// TiltedChannel returns the importance-sampling proposal channel for a
-// true-BER process: an ordinary schedule-driven Channel whose gaps are
-// drawn at proposalBER instead of trueBER. Burst extension is disabled —
-// the likelihood-ratio algebra covers the iid channel, matching the
+// TiltedChannel returns the importance-sampling proposal for a true-BER
+// process: an ordinary schedule of unitBits-wide units whose gaps are
+// drawn at proposalBER instead of trueBER, walked like any other
+// (SharedSchedule.Walk). Burst extension is disabled — the
+// likelihood-ratio algebra covers the iid channel, matching the
 // schedule-only Monte-Carlo estimators. It panics if the proposal would
 // undersample the truth (proposal < trueBER) or if either rate is outside
 // (0,1); equal rates are allowed and degrade to plain Monte-Carlo with
 // unit weights.
-func TiltedChannel(trueBER, proposalBER float64, rng *RNG) *Channel {
+func TiltedChannel(trueBER, proposalBER float64, rng *RNG, unitBits int) *SharedSchedule {
 	if trueBER <= 0 || trueBER >= 1 || proposalBER >= 1 {
 		panic("phy: TiltedChannel needs BERs in (0,1)")
 	}
 	if proposalBER < trueBER {
 		panic("phy: TiltedChannel proposal below the true BER")
 	}
-	return NewChannel(proposalBER, 0, rng)
+	return NewSharedSchedule(proposalBER, 0, rng, unitBits)
 }
 
 // GapLogLR returns the log likelihood ratio of one drawn schedule gap —

@@ -6,18 +6,18 @@ import (
 )
 
 // TestTiltedChannelIsPlainProposalChannel: the tilting hook must not
-// perturb the schedule semantics — a tilted channel walks bit-identically
-// to a plain channel built at the proposal rate, so the PR 2 fast path
-// (NextEvent/Advance/Traverse) composes untouched.
+// perturb the schedule semantics — a tilted schedule walks bit-identically
+// to a plain channel built at the proposal rate, so the schedule fast
+// path (NextEvent/Advance/Traverse) composes untouched.
 func TestTiltedChannelIsPlainProposalChannel(t *testing.T) {
 	const p, q, unit = 1e-9, 5e-4, 2048
-	tilted := TiltedChannel(p, q, NewRNG(7))
+	tilted := TiltedChannel(p, q, NewRNG(7), unit)
 	plain := NewChannel(q, 0, NewRNG(7))
 	for i := 0; i < 5000; i++ {
-		if a, b := tilted.NextEvent(), plain.NextEvent(); a != b {
+		if a, b := tilted.Channel().NextEvent(), plain.NextEvent(); a != b {
 			t.Fatalf("unit %d: tilted NextEvent %d != plain %d", i, a, b)
 		}
-		if a, b := tilted.Traverse(unit), plain.Traverse(unit); a != b {
+		if a, b := tilted.Traverse(), plain.Traverse(unit); a != b {
 			t.Fatalf("unit %d: tilted Traverse %d != plain %d", i, a, b)
 		}
 	}
@@ -35,12 +35,12 @@ func TestTiltedChannelValidation(t *testing.T) {
 					t.Errorf("TiltedChannel(%g, %g) accepted", bad.p, bad.q)
 				}
 			}()
-			TiltedChannel(bad.p, bad.q, NewRNG(1))
+			TiltedChannel(bad.p, bad.q, NewRNG(1), 2048)
 		}()
 	}
 	// Equal rates are the untilted degenerate case and must be accepted.
-	if ch := TiltedChannel(1e-6, 1e-6, NewRNG(1)); ch.BER != 1e-6 {
-		t.Fatalf("untilted channel BER %g", ch.BER)
+	if s := TiltedChannel(1e-6, 1e-6, NewRNG(1), 2048); s.Channel().BER != 1e-6 {
+		t.Fatalf("untilted channel BER %g", s.Channel().BER)
 	}
 }
 
@@ -53,11 +53,11 @@ func TestUnitLogLRTelescopes(t *testing.T) {
 	const p, q, unit, units = 1e-7, 3e-4, 2048, 4000
 
 	// Walk the tilted schedule and fold the per-unit closed form.
-	ch := TiltedChannel(p, q, NewRNG(42))
+	s := TiltedChannel(p, q, NewRNG(42), unit)
 	unitSide := 0.0
 	totalFlips := 0
 	for i := 0; i < units; i++ {
-		k := ch.Traverse(unit)
+		k := s.Traverse()
 		totalFlips += k
 		unitSide += UnitLogLR(p, q, unit, k)
 	}
@@ -116,10 +116,10 @@ func TestUnitLogLRIdentities(t *testing.T) {
 // tilted trials must be 1 — the sum-to-one sanity of importance weights.
 func TestUnitWeightMeanIsOne(t *testing.T) {
 	const p, q, unit, units = 1e-6, 4e-4, 2048, 200000
-	ch := TiltedChannel(p, q, NewRNG(3))
+	s := TiltedChannel(p, q, NewRNG(3), unit)
 	sum, sum2 := 0.0, 0.0
 	for i := 0; i < units; i++ {
-		w := math.Exp(UnitLogLR(p, q, unit, ch.Traverse(unit)))
+		w := math.Exp(UnitLogLR(p, q, unit, s.Traverse()))
 		sum += w
 		sum2 += w * w
 	}

@@ -2,6 +2,7 @@ package reliability
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 
 	"repro/internal/flit"
@@ -33,9 +34,9 @@ type FERSample struct {
 }
 
 // MeasureFERSchedule pushes `flits` flits through a BER channel and
-// counts how many are corrupted, cross-checking Eq. 1. It walks the
-// channel's pre-drawn error-event schedule with phy.Channel.Traverse, so
-// clean flits cost O(1) with zero RNG draws. The channel consumes exactly
+// counts how many are corrupted, cross-checking Eq. 1. It is a one-hop
+// phy.SharedSchedule.Walk: clean spans cost O(1) with zero RNG draws, and
+// only struck flits go through Traverse. The schedule consumes exactly
 // the random stream the byte-level reference (the one-hop MeasureFERPath)
 // would, so identical seeds give identical counts — proven by
 // TestMeasureFERScheduleMatchesByteLevel — at one-to-two orders of
@@ -46,26 +47,13 @@ func MeasureFERSchedule(ber float64, flits int, seed uint64) FERSample {
 	}
 	p := DefaultParams()
 	p.BER = ber
-	ch := phy.NewChannel(ber, 0, phy.NewRNG(seed))
+	s := phy.NewSharedSchedule(ber, 0, phy.NewRNG(seed), FlitBits)
 	bad := 0
-	for i := 0; i < flits; {
-		// Bulk-advance the whole clean span in one O(1) step: at BER 1e-6
-		// that is ~500 flits per error event, so the loop body runs per
-		// event, not per flit. Advance draws no RNG and accounts the same
-		// BitsSeen total the per-flit walk would.
-		if clean := ch.NextEvent() / FlitBits; clean > 0 {
-			if clean > flits-i {
-				clean = flits - i
-			}
-			ch.Advance(clean * FlitBits)
-			i += clean
-			continue
-		}
-		if ch.Traverse(FlitBits) > 0 {
+	s.Walk(context.TODO(), 1, flits, func() {
+		if s.Traverse() > 0 {
 			bad++
 		}
-		i++
-	}
+	})
 	return FERSample{
 		Flits:     flits,
 		Erroneous: bad,

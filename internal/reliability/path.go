@@ -1,6 +1,7 @@
 package reliability
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/phy"
@@ -64,46 +65,35 @@ func MeasureFERPath(ber float64, hops, flits int, seed uint64) PathFERSample {
 	return pathSample(ber, hops, flits, bad)
 }
 
-// MeasureFERPathSchedule is MeasureFERPath on the shared path schedule
-// with full clean-epoch skipping: whole clean traversals — at production
-// BERs, hundreds at a time — are consumed in one O(1) GrantSpan with zero
-// RNG draws, and inside a struck traversal the loop jumps straight to the
-// struck crossing (CleanCrossings/AdvanceCrossings) instead of walking
-// each clean hop, so the per-traversal cost is proportional to error
-// events, not hops. Corruption still lands on the exact per-hop unit the
-// schedule assigns it (each event crossing goes through Traverse), and
-// the channel consumes exactly the random stream MeasureFERPath would, so
-// identical seeds give identical samples — proven by
-// TestMeasureFERPathScheduleMatchesByteLevel.
+// MeasureFERPathSchedule is MeasureFERPath on the shared path schedule,
+// walked by phy.SharedSchedule.Walk: whole clean traversals — at
+// production BERs, hundreds at a time — are consumed in one O(1) grant
+// with zero RNG draws, and a struck traversal runs a one-hop Walk over
+// its own crossings, so the clean crossings before and between its
+// events are jumped too and the per-traversal cost is proportional to
+// error events, not hops. Corruption still lands on the exact per-hop
+// unit the schedule assigns it (each struck crossing goes through
+// Traverse), and the schedule consumes exactly the random stream
+// MeasureFERPath would, so identical seeds give identical samples —
+// proven by TestMeasureFERPathScheduleMatchesByteLevel.
 func MeasureFERPathSchedule(ber float64, hops, flits int, seed uint64) PathFERSample {
 	if flits <= 0 || hops <= 0 {
 		panic("reliability: MeasureFERPathSchedule needs positive hops and flits")
 	}
+	ctx := context.TODO()
 	s := phy.NewSharedSchedule(ber, 0, phy.NewRNG(seed), FlitBits)
-	bad := 0
-	for i := 0; i < flits; {
-		if n := s.GrantSpan(hops, flits-i); n > 0 {
-			i += n
-			continue
+	bad, struck := 0, false
+	crossing := func() {
+		if s.Traverse() > 0 {
+			struck = true
 		}
-		// Struck traversal: jump clean epochs, simulate only the struck
-		// crossings. h counts crossings consumed of this traversal.
-		struck := false
-		for h := 0; h < hops; {
-			k := s.CleanCrossings(hops - h)
-			s.AdvanceCrossings(k)
-			h += k
-			if h < hops {
-				if s.Traverse() > 0 {
-					struck = true
-				}
-				h++
-			}
-		}
+	}
+	s.Walk(ctx, hops, flits, func() {
+		struck = false
+		s.Walk(ctx, 1, hops, crossing)
 		if struck {
 			bad++
 		}
-		i++
-	}
+	})
 	return pathSample(ber, hops, flits, bad)
 }

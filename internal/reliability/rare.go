@@ -81,10 +81,13 @@ func runRare(ctx context.Context, pool runner.Pool, mk func() rarevent.Estimator
 	}
 }
 
-// checkTilt validates a (true BER, proposal) pair at the API boundary so
+// CheckTilt validates a (true BER, proposal) pair at the API boundary so
 // user input can never reach phy.TiltedChannel's panic from inside a
-// runner worker goroutine. A zero/negative proposal selects auto.
-func checkTilt(name string, ber, proposal float64) error {
+// runner worker goroutine: the BER must lie in (0,1) and a set proposal
+// in [BER, 1). A zero/negative proposal selects auto. name labels the
+// error. It is the one copy of the rule; rxld's rare-job normalizer calls
+// it too, so a bad proposal is a 400 at submission.
+func CheckTilt(name string, ber, proposal float64) error {
 	if ber <= 0 || ber >= 1 {
 		return fmt.Errorf("reliability: %s needs BER in (0,1), got %g", name, ber)
 	}
@@ -101,7 +104,7 @@ func checkTilt(name string, ber, proposal float64) error {
 // target or maxFlits is hit), relErr <= 0 spends exactly maxFlits. The
 // estimate's Analytic field carries Eq. 1 at the true BER.
 func MeasureFERRare(ctx context.Context, pool runner.Pool, ber, proposal, relErr float64, maxFlits, shards int) (rarevent.Estimate, error) {
-	if err := checkTilt("MeasureFERRare", ber, proposal); err != nil {
+	if err := CheckTilt("MeasureFERRare", ber, proposal); err != nil {
 		return rarevent.Estimate{}, err
 	}
 	if proposal <= 0 {
@@ -117,7 +120,7 @@ func MeasureFERRare(ctx context.Context, pool runner.Pool, ber, proposal, relErr
 // miscorrected through) the RS interleave, with a real FEC decode on
 // every struck flit.
 func MeasureUncorrectableRare(ctx context.Context, pool runner.Pool, ber, proposal, relErr float64, maxTrials, shards int) (rarevent.Estimate, error) {
-	if err := checkTilt("MeasureUncorrectableRare", ber, proposal); err != nil {
+	if err := CheckTilt("MeasureUncorrectableRare", ber, proposal); err != nil {
 		return rarevent.Estimate{}, err
 	}
 	if proposal <= 0 {
@@ -134,7 +137,7 @@ func MeasureUncorrectableRare(ctx context.Context, pool runner.Pool, ber, propos
 // naive estimate is "0 failures observed in anything feasible" (≈1.6e-24
 // per flit at the paper's operating point).
 func MeasureUndetectedRare(ctx context.Context, pool runner.Pool, ber, proposal, relErr float64, maxTrials, shards int) (rarevent.Estimate, error) {
-	if err := checkTilt("MeasureUndetectedRare", ber, proposal); err != nil {
+	if err := CheckTilt("MeasureUndetectedRare", ber, proposal); err != nil {
 		return rarevent.Estimate{}, err
 	}
 	if proposal <= 0 {

@@ -12,52 +12,21 @@ import (
 
 // Importance-sampling estimators on the tilted error-event schedule.
 //
-// Each estimator walks phy.TiltedChannel's pre-drawn schedule exactly
-// like reliability.MeasureFERSchedule walks the untilted one: clean flits
-// are bulk-advanced in O(1) with zero RNG draws, and only flits the
-// schedule actually strikes do any work. The per-flit importance weight
+// Each estimator walks phy.TiltedChannel's pre-drawn schedule with the
+// same phy.SharedSchedule.Walk that reliability.MeasureFERSchedule walks
+// the untilted one with: clean flits are bulk-advanced in O(1) with zero
+// RNG draws, and only flits the schedule actually strikes (which
+// therefore carry ≥1 flip) do any work. The per-flit importance weight
 // W = exp(phy.UnitLogLR(p, q, 2048, flips)) multiplies the event
 // indicator; clean flits have flips = 0 and can never hit an event, so
 // their (constant) weight enters only the sum-to-one accounting, in
-// closed form per clean span.
-
-// walkTilted drives `trials` flits through a tilted schedule: whole
-// clean spans are bulk-advanced in O(1) — their weights are a known
-// constant and their event indicator is identically zero — and onStruck
-// runs for every flit the schedule strikes (which therefore carries ≥1
-// flip). It returns the number of clean flits, so the caller folds
-// cleanFlits × exp(UnitLogLR(p, q, UnitBits, 0)) into its weight sum.
-// This is the one copy of the clean-span idiom the IS estimators share.
+// closed form over the clean count Walk returns.
 //
-// The walk polls ctx every cancelCheckMask+1 steps (a step is one bulk
-// advance or one struck flit, so at proposal tilts where nearly every
-// flit is struck the poll period is a few thousand decodes) and abandons
-// the remaining budget on cancellation; the caller's partial sums are
-// discarded by the ctx.Err() contract on Estimator.Run.
-func walkTilted(ctx context.Context, ch *phy.Channel, trials int, onStruck func()) (cleanFlits int) {
-	for i, steps := 0, 0; i < trials; steps++ {
-		if steps&cancelCheckMask == 0 && ctx.Err() != nil {
-			break
-		}
-		if clean := ch.NextEvent() / UnitBits; clean > 0 {
-			if clean > trials-i {
-				clean = trials - i
-			}
-			ch.Advance(clean * UnitBits)
-			cleanFlits += clean
-			i += clean
-			continue
-		}
-		onStruck()
-		i++
-	}
-	return cleanFlits
-}
-
-// cancelCheckMask sets the context-poll period of the estimator loops:
-// every 4096 steps, cheap enough to vanish against even the lightest
-// per-step work while keeping cancellation latency in the microseconds.
-const cancelCheckMask = 4095
+// Walk polls ctx every 4096 steps (a step is one bulk advance or one
+// struck flit, so at proposal tilts where nearly every flit is struck the
+// poll period is a few thousand decodes) and abandons the remaining
+// budget on cancellation; the caller's partial sums are discarded by the
+// ctx.Err() contract on Estimator.Run.
 
 // ISFER estimates the deep-tail flit error rate P(≥1 bit error per flit)
 // at BER by importance sampling at Proposal. The Analytic field of the
@@ -73,10 +42,10 @@ func (e ISFER) Run(ctx context.Context, trials int, seed uint64) Estimate {
 		panic("rarevent: ISFER needs at least one trial")
 	}
 	p, q := e.BER, e.Proposal
-	ch := phy.TiltedChannel(p, q, phy.NewRNG(seed))
+	s := phy.TiltedChannel(p, q, phy.NewRNG(seed), UnitBits)
 	est := Estimate{Trials: trials, Analytic: analyticFER(p)}
-	clean := walkTilted(ctx, ch, trials, func() {
-		w := math.Exp(phy.UnitLogLR(p, q, UnitBits, ch.Traverse(UnitBits)))
+	clean := s.Walk(ctx, 1, trials, func() {
+		w := math.Exp(phy.UnitLogLR(p, q, UnitBits, s.Traverse()))
 		est.SumW += w
 		est.Hits++
 		est.SumWZ += w
@@ -104,15 +73,15 @@ const (
 func isDecode(ctx context.Context, ber, proposal float64, trials int, seed uint64, sink func(w float64, ev fecEvent)) (sumW float64, struck int) {
 	p, q := ber, proposal
 	master := phy.NewRNG(seed)
-	ch := phy.TiltedChannel(p, q, master.Split())
+	s := phy.TiltedChannel(p, q, master.Split(), UnitBits)
 	payloadRNG := master.Split()
 	fec := flit.NewFEC()
 	var f, reference flit.Flit
-	clean := walkTilted(ctx, ch, trials, func() {
+	clean := s.Walk(ctx, 1, trials, func() {
 		payloadRNG.Fill(f.Payload())
 		f.SealCXL(fec)
 		reference = f
-		k := ch.Corrupt(f.Raw[:])
+		k := s.Corrupt(f.Raw[:])
 		w := math.Exp(phy.UnitLogLR(p, q, UnitBits, k))
 		sumW += w
 		struck++

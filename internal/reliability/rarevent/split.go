@@ -23,7 +23,7 @@ import (
 //
 //	P(count ≥ L) = p₁ × Π_{ℓ=2..L} p_ℓ,   p_ℓ = P(reach ℓ | reached ℓ−1)
 //
-// by fixed-effort stages: stage 1 scans flits on the (bulk-skipped)
+// by fixed-effort stages: stage 1 walks flits on the (bulk-skipped)
 // schedule and records each first-error state; stage ℓ restarts
 // trajectories from the recorded level-(ℓ−1) entry states — cloning the
 // near-miss prefix, memorylessness makes the continuation exact — and
@@ -166,44 +166,28 @@ func (s Splitting) Run(ctx context.Context, trials int, seed uint64) Estimate {
 	return est
 }
 
-// scanStage examines `effort` flits on the bulk-skipped error-event
-// schedule and returns the first-error entry states (level 1) plus the
-// number of flits examined. Clean flits cost O(1) amortized, so stage 1
-// stays feasible even at deep-tail BERs where hits are one in millions.
+// scanStage examines `effort` flits on a burst-free schedule drawn from
+// the stage RNG and returns the first-error entry states (level 1) plus
+// the number of flits examined. phy.SharedSchedule.Walk bulk-advances the
+// clean flits, so stage 1 stays feasible even at deep-tail BERs where
+// hits are one in millions. A struck flit records its first error's bit
+// and then Traverses the flit: that draws the gaps of the flit's
+// remaining errors (they belong to trajectories the continuation stages
+// resample) and re-anchors the process at the next flit boundary.
 func (s Splitting) scanStage(ctx context.Context, rng *phy.RNG, effort int) ([]entry, int) {
 	var out []entry
-	next := rng.Geometric(s.BER)
-	for i, steps := 0, 0; i < effort; steps++ {
-		if steps&cancelCheckMask == 0 && ctx.Err() != nil {
-			break
-		}
-		if skip := next / UnitBits; skip > 0 {
-			if skip > effort-i {
-				next -= (effort - i) * UnitBits
-				i = effort
-				break
-			}
-			next -= skip * UnitBits
-			i += skip
-			continue
-		}
-		// First error of this flit.
-		out = append(out, entry{bit: next, syms: []uint8{uint8(next / 8)}})
-		i++
-		// Re-anchor the process at the next flit boundary: draw the gaps
-		// of this flit's remaining errors (they belong to trajectories the
-		// continuation stages resample) until the stream crosses it.
-		pos := next
-		for {
-			pos += 1 + rng.Geometric(s.BER)
-			if pos >= UnitBits {
-				next = pos - UnitBits
-				break
-			}
-		}
-	}
+	sched := phy.NewSharedSchedule(s.BER, 0, rng, UnitBits)
+	sched.Walk(ctx, 1, effort, func() {
+		bit := sched.Channel().NextEvent()
+		out = append(out, entry{bit: bit, syms: []uint8{uint8(bit / 8)}})
+		sched.Traverse()
+	})
 	return out, effort
 }
+
+// cancelCheckMask sets continueStage's context-poll period: every 4096
+// trajectories, like Walk's.
+const cancelCheckMask = 4095
 
 // continueStage restarts `effort` trajectories from the given entry
 // states (cycled round-robin) and returns the states that reached the

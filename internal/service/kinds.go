@@ -41,6 +41,9 @@ var kinds = []kind{
 				return s, err
 			}
 			g := s.Grid.Normalized()
+			// Grid cells run on chains, which ignore NoExpress: normalize
+			// it away so it cannot split the cache key.
+			g.Base.NoExpress = false
 			for _, cfg := range g.Configs() {
 				if err := cfg.Validate(); err != nil {
 					return s, err
@@ -87,15 +90,14 @@ var kinds = []kind{
 				r.RelErr = 0
 			}
 			// Every non-positive proposal is the automatic tilt; a set one
-			// must lie in [BER, 1) for every listed BER. This mirrors
-			// reliability.checkTilt, so a bad proposal is a 400 here
-			// rather than a failed job later.
+			// must pass the estimators' own check for every listed BER,
+			// so a bad proposal is a 400 here rather than a failed job.
 			if r.Proposal < 0 {
 				r.Proposal = 0
 			}
 			for _, ber := range r.BERs {
-				if r.Proposal > 0 && (r.Proposal < ber || r.Proposal >= 1) {
-					return s, fmt.Errorf("service: rare proposal BER %g out of [BER=%g, 1)", r.Proposal, ber)
+				if err := reliability.CheckTilt("rare", ber, r.Proposal); err != nil {
+					return s, err
 				}
 			}
 			r.Shards = shardsOrDefault(r.Shards)
@@ -116,10 +118,12 @@ var kinds = []kind{
 				return s, fmt.Errorf("service: comparison needs n > 0 payloads")
 			}
 			// Protocol and LinkConfig are overridden per variant by the
-			// comparison engine; normalize them away so two specs that differ
-			// only in ignored fields share one cache entry.
+			// comparison engine, and its chains ignore NoExpress; normalize
+			// them away so two specs that differ only in ignored fields
+			// share one cache entry.
 			c.Base.Protocol = 0
 			c.Base.LinkConfig = nil
+			c.Base.NoExpress = false
 			if err := c.Base.Validate(); err != nil {
 				return s, err
 			}
@@ -165,10 +169,18 @@ var kinds = []kind{
 			if err := s.Scenario.Base.Validate(); err != nil {
 				return s, err
 			}
+			// Mesh and torus fabrics have no switching levels and no
+			// switch-internal fault point: Levels is normalized away like
+			// any ignored field, and an InternalFlipProb the run would
+			// silently skip is refused.
+			if s.Scenario.Base.InternalFlipProb != 0 {
+				return s, fmt.Errorf("service: scenario fabrics do not model InternalFlipProb; use a fault campaign")
+			}
 			sg, err := s.Scenario.Normalized()
 			if err != nil {
 				return s, err
 			}
+			sg.Base.Levels = 0
 			// Reject grids with no runnable cells at submission, like an
 			// invalid axis — and validate every cell configuration.
 			cells, err := sg.Cells()

@@ -23,8 +23,10 @@ import (
 // The committed corpus (testdata/fuzz) holds one valid spec per kind plus
 // the rejected shapes: the two LinkConfig specs that used to panic in a
 // runner goroutine, a two-payload spec, an unknown kind, a LinkConfig
-// naming a wiring field the strict decode refuses, and two rare proposals
-// outside [BER, 1).
+// naming a wiring field the strict decode refuses, two rare proposals
+// outside [BER, 1), and specs naming Config fields their fabric ignores:
+// NoExpress on a grid, Levels on a scenario (both valid) and a scenario
+// InternalFlipProb (refused).
 func FuzzJobSpecNormalize(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		spec, ok := decodeBody(body)
@@ -138,6 +140,60 @@ func TestRareProposalNormalizes(t *testing.T) {
 			if rec.Code != http.StatusBadRequest {
 				t.Errorf("proposal %s: HTTP %d, want 400: %s", tc.proposal, rec.Code, rec.Body)
 			}
+		}
+	}
+}
+
+// TestIgnoredFabricFieldsNormalize: a Config field the kind's fabric
+// ignores cannot split the cache key — chains (grid, comparison) ignore
+// NoExpress and meshes (scenario) ignore Levels — and a scenario asking
+// for switch-internal corruption, which a mesh would silently skip, is a
+// 400 at submission.
+func TestIgnoredFabricFieldsNormalize(t *testing.T) {
+	grid := func(extra string) string {
+		return `{"kind":"grid","seed":1,"grid":{"Base":{"Protocol":2,"Levels":1,"BER":1e-6,"Seed":1` + extra + `},"N":100}}`
+	}
+	comparison := func(extra string) string {
+		return `{"kind":"comparison","seed":4,"comparison":{"base":{"Levels":1,"BER":1e-5,"Seed":7` + extra + `},"n":300}}`
+	}
+	scenario := func(extra string) string {
+		return `{"kind":"scenario","seed":6,"scenario":{"base":{"Protocol":2,"Seed":17` + extra +
+			`},"topologies":[{"w":3,"h":3}],"workloads":[{"kind":"zipf","flows":4}],"bers":[1e-5],"n":40}}`
+	}
+	srv := newTestServer(t, Config{ShardBudget: 1})
+	for _, tc := range []struct {
+		name, spec, same string // same: a spec that must share spec's key ("" = must be a 400)
+	}{
+		{"grid NoExpress", grid(`,"NoExpress":true`), grid("")},
+		{"comparison NoExpress", comparison(`,"NoExpress":true`), comparison("")},
+		{"scenario Levels", scenario(`,"Levels":3`), scenario("")},
+		{"scenario InternalFlipProb", scenario(`,"InternalFlipProb":0.5`), ""},
+	} {
+		spec, ok := decodeBody([]byte(tc.spec))
+		if !ok {
+			t.Fatalf("%s: does not decode", tc.name)
+		}
+		norm, err := spec.Normalize()
+		if tc.same == "" {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(tc.spec)))
+			if err == nil || rec.Code != http.StatusBadRequest {
+				t.Errorf("%s: Normalize error %v, HTTP %d, want a 400", tc.name, err, rec.Code)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		plain, ok := decodeBody([]byte(tc.same))
+		if !ok {
+			t.Fatalf("%s: reference spec does not decode", tc.name)
+		}
+		if plain, err = plain.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		if norm.Key() != plain.Key() {
+			t.Errorf("%s: key %s, the spec without the ignored field has %s", tc.name, norm.Key(), plain.Key())
 		}
 	}
 }

@@ -34,8 +34,8 @@ var errEmptyTrace = errors.New("workload: replay trace has no records")
 // negative IDs, non-positive counts, oversized traces — returns a
 // descriptive error naming the offending line; the parser never panics.
 //
-// The node IDs are row-major grid positions, interpreted by Generate and
-// ReplayCounts against the fabric geometry: the parser only requires them
+// The node IDs are row-major grid positions, interpreted by Generate
+// against the fabric geometry: the parser only requires them
 // non-negative, so one trace can replay onto any topology large enough to
 // contain its IDs.
 func parseReplay(s string) ([]flowRecord, error) {

@@ -45,6 +45,9 @@ var ErrIncompatible = errors.New("workload: incompatible with fabric geometry")
 type Flow struct {
 	SrcX, SrcY int
 	DstX, DstY int
+	// Count is the payload volume a replay trace records for the route,
+	// its duplicate records merged; 0 for generated workloads.
+	Count int
 }
 
 // Spec selects and parameterizes a workload generator. The zero value is
@@ -200,55 +203,26 @@ func Generate(spec Spec, w, h int, seed uint64) ([]Flow, error) {
 		if err != nil {
 			return nil, err
 		}
-		seen := make(map[[2]int]bool)
+		seen := make(map[[2]int]int) // route -> index into flows
 		var flows []Flow
 		for _, r := range recs {
 			if r.Src >= n || r.Dst >= n {
 				return nil, fmt.Errorf("%w: replay node %d outside %dx%d fabric", ErrIncompatible, max(r.Src, r.Dst), w, h)
 			}
-			if r.Src == r.Dst || seen[[2]int{r.Src, r.Dst}] {
+			if r.Src == r.Dst {
 				continue
 			}
-			seen[[2]int{r.Src, r.Dst}] = true
-			flows = append(flows, Flow{SrcX: r.Src % w, SrcY: r.Src / w, DstX: r.Dst % w, DstY: r.Dst / w})
+			// A duplicate record merges into the route's first occurrence.
+			if i, ok := seen[[2]int{r.Src, r.Dst}]; ok {
+				flows[i].Count += r.N
+				continue
+			}
+			seen[[2]int{r.Src, r.Dst}] = len(flows)
+			flows = append(flows, Flow{SrcX: r.Src % w, SrcY: r.Src / w, DstX: r.Dst % w, DstY: r.Dst / w, Count: r.N})
 		}
 		return nonEmpty(flows, spec.Kind)
 	}
 	panic("unreachable: Normalized admits only known kinds")
-}
-
-// ReplayCounts returns the per-flow payload counts of a replay spec, in
-// the same order and after the same dedup as Generate, so callers can
-// weight injection by the trace's recorded volumes. Non-replay specs have
-// no intrinsic counts and return nil.
-func ReplayCounts(spec Spec, w, h int) ([]int, error) {
-	if spec.Kind != KindReplay {
-		return nil, nil
-	}
-	recs, err := parseReplay(spec.Trace)
-	if err != nil {
-		return nil, err
-	}
-	n := w * h
-	seen := make(map[[2]int]int)
-	var order [][2]int
-	for _, r := range recs {
-		if r.Src >= n || r.Dst >= n || r.Src == r.Dst {
-			continue
-		}
-		k := [2]int{r.Src, r.Dst}
-		if _, ok := seen[k]; !ok {
-			order = append(order, k)
-		}
-		// Duplicate records merge into the first occurrence, matching
-		// Generate's dedup.
-		seen[k] += r.N
-	}
-	counts := make([]int, len(order))
-	for i, k := range order {
-		counts[i] = seen[k]
-	}
-	return counts, nil
 }
 
 // drawFlows samples distinct non-self (src,dst) pairs: sources uniform,
@@ -307,11 +281,4 @@ func nonEmpty(flows []Flow, kind string) ([]Flow, error) {
 		return nil, fmt.Errorf("%w: %s produced no flows", ErrIncompatible, kind)
 	}
 	return flows, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -141,21 +141,21 @@ func TestReplay(t *testing.T) {
 	spec := Spec{Kind: KindReplay, Trace: "1 0 40\n2 0 40\n3 0\n0 3 5\n1 0 2\n"}
 	flows := mustGenerate(t, spec, 2, 2, 0)
 	assertFlowInvariants(t, flows, 2, 2)
-	want := []Flow{{SrcX: 1, DstX: 0}, {SrcX: 0, SrcY: 1, DstX: 0}, {SrcX: 1, SrcY: 1, DstX: 0}, {SrcX: 0, DstX: 1, DstY: 1}}
+	// The duplicate "1 0 2" record merges into the first 1→0 occurrence.
+	want := []Flow{
+		{SrcX: 1, DstX: 0, Count: 42},
+		{SrcX: 0, SrcY: 1, DstX: 0, Count: 40},
+		{SrcX: 1, SrcY: 1, DstX: 0, Count: 1},
+		{SrcX: 0, DstX: 1, DstY: 1, Count: 5},
+	}
 	if !reflect.DeepEqual(flows, want) {
 		t.Fatalf("replay flows = %+v, want %+v", flows, want)
 	}
-	counts, err := ReplayCounts(spec, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The duplicate "1 0 2" record merges into the first 1→0 occurrence.
-	if !reflect.DeepEqual(counts, []int{42, 40, 1, 5}) {
-		t.Fatalf("replay counts = %v", counts)
-	}
 
-	if c, err := ReplayCounts(Spec{Kind: KindUniform}, 2, 2); c != nil || err != nil {
-		t.Errorf("non-replay counts = %v, %v", c, err)
+	for _, f := range mustGenerate(t, Spec{Kind: KindUniform}, 2, 2, 0) {
+		if f.Count != 0 {
+			t.Errorf("generated flow %+v carries a replay count", f)
+		}
 	}
 }
 

@@ -123,13 +123,16 @@ rung_kernels() {
   # The RXL_PUREGO escape hatch must force the reference kernels at
   # runtime without a rebuild.
   RXL_PUREGO=1 run go test -count=1 -run 'CLMUL|Flags' ./internal/crc/
-  # Kernel fuzz corpora, replayed on both builds.
-  run go test -count=1 -run 'Fuzz.*' ./internal/crc/ ./internal/rs/
-  run go test -count=1 -tags purego -run 'Fuzz.*' ./internal/crc/ ./internal/rs/
-  # A short live fuzz of the FEC kernel against its per-way reference on
-  # the default build; go runs one -fuzz target per invocation.
-  for target in FuzzInterleavedEncode FuzzReencodeIdentity FuzzVerifyDecode FuzzDecodeMatchesReference; do
-    run go test -run '^$' -fuzz "^${target}\$" -fuzztime=10s ./internal/rs/
+  # Kernel fuzz corpora, replayed on both builds, with the error-schedule
+  # walk's (Walk against a crossing-by-crossing Channel walk).
+  run go test -count=1 -run 'Fuzz.*' ./internal/crc/ ./internal/rs/ ./internal/phy/
+  run go test -count=1 -tags purego -run 'Fuzz.*' ./internal/crc/ ./internal/rs/ ./internal/phy/
+  # A short live fuzz of the FEC kernel against its per-way reference and
+  # of the schedule walk against its stepwise twin, on the default build;
+  # go runs one -fuzz target per invocation.
+  for target in rs:FuzzInterleavedEncode rs:FuzzReencodeIdentity rs:FuzzVerifyDecode \
+    rs:FuzzDecodeMatchesReference phy:FuzzWalkMatchesStepwise; do
+    run go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime=10s "./internal/${target%%:*}/"
   done
 }
 
