@@ -16,7 +16,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"repro/internal/flit"
 	"repro/internal/link"
@@ -216,7 +215,7 @@ func keystream(p []byte, fill bool) bool {
 }
 
 // seal writes tag and its keystream into p, in place.
-func seal(p []byte, tag uint64) {
+func seal(tag uint64, p []byte) {
 	binary.BigEndian.PutUint64(p, tag)
 	keystream(p, true)
 }
@@ -226,7 +225,7 @@ func seal(p []byte, tag uint64) {
 // verify it regardless of zero-padding on the wire.
 func SealedPayload(tag uint64) []byte {
 	p := make([]byte, flit.PayloadSize)
-	seal(p, tag)
+	seal(tag, p)
 	return p
 }
 
@@ -234,18 +233,13 @@ func SealedPayload(tag uint64) []byte {
 // keystream (ignoring the routing tag bytes at the payload tail).
 func PayloadIntact(p []byte) bool { return keystream(p, false) }
 
-// offer submits tags 0..counts[j]-1 to each transmitter txs[j], interleaved
-// round-robin across the transmitters still offering. Each tag is sealed
-// once into one buffer, which Submit copies.
+// offer queues tags 0..counts[j]-1 at each transmitter txs[j], in
+// transmitter order. Each payload is sealed into its replay entry when
+// first sent, so a backlog costs no memory until it reaches the replay
+// window.
 func offer(txs []*link.Peer, counts []int) {
-	var buf [flit.PayloadSize]byte
-	for tag, n := 0, slices.Max(counts); tag < n; tag++ {
-		seal(buf[:], uint64(tag))
-		for j, tx := range txs {
-			if tag < counts[j] {
-				tx.Submit(buf[:])
-			}
-		}
+	for j, tx := range txs {
+		tx.Offer(counts[j], seal)
 	}
 }
 

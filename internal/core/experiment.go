@@ -49,7 +49,10 @@ type Experiment struct {
 }
 
 // Run executes the experiment to quiescence and returns the result.
-func (e *Experiment) Run() Result {
+func (e *Experiment) Run() Result { return e.run(offer) }
+
+// run is Run with the payloads queued at endpoint A by load.
+func (e *Experiment) run(load func([]*link.Peer, []int)) Result {
 	if e.N <= 0 {
 		panic("core: experiment needs N > 0")
 	}
@@ -58,7 +61,7 @@ func (e *Experiment) Run() Result {
 	col := NewCollector(e.N)
 	f.B().Deliver = col.Deliver
 
-	offer([]*link.Peer{f.A()}, []int{e.N})
+	load([]*link.Peer{f.A()}, []int{e.N})
 	f.Run()
 
 	res := Result{

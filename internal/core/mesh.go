@@ -164,24 +164,24 @@ func (r MeshResult) String() string {
 		r.Elapsed/sim.Nanosecond)
 }
 
-// RunWorkload drives n payloads through each flow simultaneously
-// (submissions interleaved round-robin across flows) and returns the full
-// accounting. Equal seeds and configurations give bit-identical results;
-// the mesh differential suite relies on that to compare the fast path
-// against the byte-level reference.
+// RunWorkload drives n payloads through each flow simultaneously (every
+// flow's backlog is offered at once, its payloads generated as they are
+// first sent) and returns the full accounting. Each flow must be a
+// distinct (source, destination) pair. Equal seeds and configurations
+// give bit-identical results; the mesh differential suite relies on that
+// to compare the fast path against the byte-level reference.
 func (m *MeshFabric) RunWorkload(flows []MeshFlow, n int) MeshResult {
 	if n <= 0 {
 		panic("core: mesh workload needs n > 0")
 	}
-	res := m.runWorkload(flows, slices.Repeat([]int{n}, len(flows)))
+	res := m.runWorkload(flows, slices.Repeat([]int{n}, len(flows)), offer)
 	res.PerFlowOffered = nil // uniform runs keep the legacy result shape
 	return res
 }
 
 // RunWeighted is RunWorkload with a per-flow payload count — the
 // trace-driven replay shape, where recorded flows carry different
-// volumes. Submissions stay round-robin across flows still offering, so
-// the congestion interleaving matches RunWorkload's for uniform counts.
+// volumes. For uniform counts it runs exactly as RunWorkload.
 func (m *MeshFabric) RunWeighted(flows []MeshFlow, counts []int) MeshResult {
 	if len(counts) != len(flows) {
 		panic("core: mesh workload counts must match flows")
@@ -191,12 +191,23 @@ func (m *MeshFabric) RunWeighted(flows []MeshFlow, counts []int) MeshResult {
 			panic("core: mesh workload needs every count > 0")
 		}
 	}
-	return m.runWorkload(flows, counts)
+	return m.runWorkload(flows, counts, offer)
 }
 
-func (m *MeshFabric) runWorkload(flows []MeshFlow, counts []int) MeshResult {
+// runWorkload drives the flows with load, which queues counts[i] payloads
+// at flow i's transmitter.
+func (m *MeshFabric) runWorkload(flows []MeshFlow, counts []int, load func([]*link.Peer, []int)) MeshResult {
 	if len(flows) == 0 {
 		panic("core: mesh workload needs at least one flow")
+	}
+	// A flow owns its (src, dst) peer pair: a repeated pair would share
+	// one transmit backlog and replace the first flow's collector.
+	seen := make(map[MeshFlow]bool, len(flows))
+	for _, fl := range flows {
+		if seen[fl] {
+			panic(fmt.Sprintf("core: mesh workload repeats flow %+v", fl))
+		}
+		seen[fl] = true
 	}
 	txs := make([]*link.Peer, len(flows))
 	rxs := make([]*link.Peer, len(flows))
@@ -209,7 +220,7 @@ func (m *MeshFabric) runWorkload(flows []MeshFlow, counts []int) MeshResult {
 		cols[i] = NewCollector(counts[i])
 		rxs[i].Deliver = cols[i].Deliver
 	}
-	offer(txs, counts)
+	load(txs, counts)
 	m.Run()
 
 	res := MeshResult{

@@ -1,0 +1,110 @@
+package core
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"slices"
+	"testing"
+
+	"repro/internal/link"
+	"repro/internal/workload"
+)
+
+// submitRoundRobin is the eager load Offer replaced: every payload sealed
+// up front and Submitted, tags interleaved round-robin across the
+// transmitters still offering.
+func submitRoundRobin(txs []*link.Peer, counts []int) {
+	for tag, n := 0, slices.Max(counts); tag < n; tag++ {
+		for j, tx := range txs {
+			if tag < counts[j] {
+				tx.Submit(SealedPayload(uint64(tag)))
+			}
+		}
+	}
+}
+
+// TestOfferMatchesSubmit: generating payloads at first transmission must
+// be invisible — a chain experiment per protocol and BER, and an 8×8 mesh
+// cell, give the same result JSON, engine event count and end time
+// whether their payloads are offered or Submitted up front.
+func TestOfferMatchesSubmit(t *testing.T) {
+	type run struct {
+		result   []byte
+		executed uint64
+		now      int64
+	}
+	same := func(t *testing.T, offered, submitted run) {
+		t.Helper()
+		if !bytes.Equal(offered.result, submitted.result) {
+			t.Errorf("results differ:\noffer:  %s\nsubmit: %s", offered.result, submitted.result)
+		}
+		if offered.executed != submitted.executed || offered.now != submitted.now {
+			t.Errorf("engine executed/now %d/%d, Submit %d/%d",
+				offered.executed, offered.now, submitted.executed, submitted.now)
+		}
+	}
+	encode := func(v interface{}) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	for _, proto := range Protocols {
+		for _, ber := range []float64{0, 1e-5} {
+			t.Run(fmt.Sprintf("chain/%s/ber=%g", proto, ber), func(t *testing.T) {
+				experiment := func(load func([]*link.Peer, []int)) run {
+					f := MustNewFabric(Config{Protocol: proto, Levels: 2, BER: ber, BurstProb: 0.4, Seed: 7})
+					res := (&Experiment{Fabric: f, N: 3000}).run(load)
+					return run{encode(res), f.Eng.Executed, int64(f.Eng.Now())}
+				}
+				same(t, experiment(offer), experiment(submitRoundRobin))
+			})
+		}
+	}
+
+	t.Run("mesh-8x8", func(t *testing.T) {
+		cell := ScenarioCell{
+			Cfg:      Config{Protocol: link.ProtocolRXL, BER: 1e-6, BurstProb: 0.4, Seed: 1},
+			Topo:     Topology{Kind: TopoMesh, W: 8, H: 8},
+			Workload: workload.Spec{Kind: workload.KindUniform, Flows: 16},
+		}
+		flows, _, err := cell.Flows()
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := slices.Repeat([]int{1500}, len(flows))
+		mesh := func(load func([]*link.Peer, []int)) run {
+			fab, err := NewTopologyFabric(cell.Cfg, cell.Topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := fab.runWorkload(flows, counts, load)
+			return run{encode(res), fab.Eng.Executed, int64(fab.Eng.Now())}
+		}
+		same(t, mesh(offer), mesh(submitRoundRobin))
+	})
+}
+
+// TestRunWorkloadRejectsRepeatedFlow: two flows on one (src, dst) pair
+// would share a peer pair, the second collector replacing the first's,
+// and a clean fabric would report duplicates, reorders and losses.
+func TestRunWorkloadRejectsRepeatedFlow(t *testing.T) {
+	f := MeshFlow{SrcX: 0, SrcY: 0, DstX: 1, DstY: 1}
+	for name, run := range map[string]func(*MeshFabric){
+		"RunWorkload": func(m *MeshFabric) { m.RunWorkload([]MeshFlow{f, f}, 10) },
+		"RunWeighted": func(m *MeshFabric) { m.RunWeighted([]MeshFlow{f, f}, []int{10, 10}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			m := MustNewMeshFabric(Config{Protocol: link.ProtocolRXL}, 2, 2)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("repeated flow accepted")
+				}
+			}()
+			run(m)
+		})
+	}
+}

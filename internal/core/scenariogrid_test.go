@@ -307,11 +307,11 @@ func TestMeshResultTotalsWeighted(t *testing.T) {
 }
 
 // TestScenarioCellAllocationBudget holds DESIGN §5.7 for the driver, not
-// only for the probes: under ScenarioCell.Run the one payload-sized
-// allocation per offered payload is the transmitting peer's replay entry
-// (flit images are pooled, the offer loop reuses one buffer, the collector
-// checks in place), so a warm cell stays under 1.5 heap objects and 512 B
-// per offered payload.
+// only for the probes: under ScenarioCell.Run nothing is allocated per
+// offered payload — payloads are generated into replay entries recycled
+// within the window, flit images are pooled, the collector checks in
+// place — so a warm cell stays under 0.3 heap objects and 96 B per
+// offered payload, what is left being per-cell setup amortized over it.
 func TestScenarioCellAllocationBudget(t *testing.T) {
 	const flows, n = 8, 2000
 	cell := ScenarioCell{
@@ -333,7 +333,15 @@ func TestScenarioCellAllocationBudget(t *testing.T) {
 	objects := float64(after.Mallocs-before.Mallocs) / (flows * n)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (flows * n)
 	t.Logf("%.2f objects, %.0f B per offered payload", objects, bytes)
-	if objects >= 1.5 || bytes >= 512 {
-		t.Errorf("cell allocates %.2f objects and %.0f B per offered payload, budget is < 1.5 and < 512 B", objects, bytes)
+	maxObjects, maxBytes := 0.3, 96.0
+	if raceBuild {
+		// Pooled flit images reallocate when the race runtime drops their
+		// puts (0.42 objects, 117 B measured), so -race holds the budget
+		// the driver had while it Submitted every payload up front.
+		maxObjects, maxBytes = 1.5, 512
+	}
+	if objects >= maxObjects || bytes >= maxBytes {
+		t.Errorf("cell allocates %.2f objects and %.0f B per offered payload, budget is < %g and < %g B",
+			objects, bytes, maxObjects, maxBytes)
 	}
 }

@@ -1,5 +1,5 @@
 // Package headq implements the sliding-head backlog shared by the link
-// layer's send queue and the sim engine's monotone event lane: consumers
+// layer's send queue and the sim engine's monotone event lanes: consumers
 // advance a head index instead of re-slicing, and producers call Compact
 // before each append so the backing array is reused when drained and the
 // dead prefix is reclaimed under sustained pipelined load.

@@ -9,9 +9,10 @@ import (
 	"repro/internal/sim"
 )
 
-// replayEntry is the one buffer a payload lives in from Submit until its
-// acknowledgment: queued in sendQ, then moved by pointer into the replay
-// ring, then recycled on the peer's free list.
+// replayEntry is the one buffer a payload lives in from Submit (or, for
+// an offered payload, its first transmission) until its acknowledgment:
+// queued in sendQ, then moved by pointer into the replay ring, then
+// recycled on the peer's free list.
 type replayEntry struct {
 	seq      uint64 // absolute sequence number, assigned at first transmission
 	payload  [flit.PayloadSize]byte
@@ -49,11 +50,18 @@ type Peer struct {
 	cursor        int            // next replay index to (re)transmit; == len(replay) when drained
 	sendQ         []*replayEntry // pending payloads from sendHead on
 	sendHead      int            // consumed prefix of sendQ; array reused once drained
-	free          []*replayEntry // acknowledged entries, reused by Submit
+	free          []*replayEntry // acknowledged entries, reused by Submit and Offer
 	pumpScheduled bool
 	timerArmed    bool
 	nakToSend     bool
 	ackToSend     bool
+
+	// The offered backlog behind sendQ: offered payloads not yet sent,
+	// generated by fill into a fresh entry at first transmission and
+	// tagged offerTag, offerTag+1, …
+	offered  int
+	offerTag uint64
+	fill     func(tag uint64, p []byte)
 
 	// Receive state. verified is the watermark: every sequence number
 	// below it passed an explicit (or ISN) check. eseq is the next
@@ -82,17 +90,16 @@ func NewPeer(name string, eng *sim.Engine, cfg Config) *Peer {
 func (p *Peer) Attach(w *Wire) { p.out = w }
 
 // Submit queues a payload (at most flit.PayloadSize bytes; shorter payloads
-// are zero-padded) for transmission. Payload bytes are copied.
+// are zero-padded) for transmission. Payload bytes are copied. It panics
+// while an offered backlog remains, which it would otherwise overtake.
 func (p *Peer) Submit(payload []byte) {
 	if len(payload) > flit.PayloadSize {
 		panic(fmt.Sprintf("link: payload %dB exceeds %dB", len(payload), flit.PayloadSize))
 	}
-	var e *replayEntry
-	if last := len(p.free) - 1; last >= 0 {
-		e, p.free = p.free[last], p.free[:last]
-	} else {
-		e = new(replayEntry)
+	if p.offered > 0 {
+		panic("link: Submit behind an offered backlog")
 	}
+	e := p.entry()
 	n := copy(e.payload[:], payload)
 	clear(e.payload[n:])
 	p.sendQ, p.sendHead = headq.Compact(p.sendQ, p.sendHead)
@@ -100,13 +107,57 @@ func (p *Peer) Submit(payload []byte) {
 	p.pump()
 }
 
-// Queued returns the number of payloads waiting behind the replay window.
-func (p *Peer) Queued() int { return len(p.sendQ) - p.sendHead }
+// Offer queues n payloads behind any Submitted ones without building them:
+// at its first transmission, offered payload i (0 ≤ i < n) is written by
+// fill(i, p) into a zeroed flit.PayloadSize buffer. A backlog of any depth
+// thus costs no memory until it reaches the replay window, and each
+// payload is generated into the entry it is sent from. One backlog at a
+// time: Offer panics while an earlier one remains.
+func (p *Peer) Offer(n int, fill func(tag uint64, p []byte)) {
+	if n < 0 || p.offered > 0 {
+		panic("link: Offer needs n >= 0 and no offered backlog")
+	}
+	p.offered, p.offerTag, p.fill = n, 0, fill
+	p.pump()
+}
+
+// entry takes a replay entry off the free list, allocating when it is
+// empty.
+func (p *Peer) entry() *replayEntry {
+	if last := len(p.free) - 1; last >= 0 {
+		e := p.free[last]
+		p.free = p.free[:last]
+		return e
+	}
+	return new(replayEntry)
+}
+
+// Queued returns the number of payloads waiting behind the replay window,
+// offered ones included.
+func (p *Peer) Queued() int { return len(p.sendQ) - p.sendHead + p.offered }
+
+// nextPayload dequeues the next payload to send: the send queue's head,
+// else the offered backlog's next payload, generated now.
+func (p *Peer) nextPayload() *replayEntry {
+	if p.sendHead < len(p.sendQ) {
+		e := p.sendQ[p.sendHead]
+		p.sendHead++
+		return e
+	}
+	e := p.entry()
+	clear(e.payload[:])
+	p.fill(p.offerTag, e.payload[:])
+	p.offerTag++
+	if p.offered--; p.offered == 0 {
+		p.fill = nil
+	}
+	return e
+}
 
 // hasWork reports whether the transmitter has anything to put on the wire.
 func (p *Peer) hasWork() bool {
 	return p.nakToSend || p.ackToSend || p.cursor < len(p.replay) ||
-		(p.sendHead < len(p.sendQ) && len(p.replay) < p.Cfg.ReplayBufferSize)
+		(p.Queued() > 0 && len(p.replay) < p.Cfg.ReplayBufferSize)
 }
 
 // pump schedules the next transmission at the moment the wire frees up.
@@ -154,9 +205,8 @@ func (p *Peer) transmitOne() bool {
 		p.Stats.AckFlitsSent++
 		return true
 
-	case p.sendHead < len(p.sendQ) && len(p.replay) < p.Cfg.ReplayBufferSize:
-		e := p.sendQ[p.sendHead]
-		p.sendHead++
+	case p.Queued() > 0 && len(p.replay) < p.Cfg.ReplayBufferSize:
+		e := p.nextPayload()
 		e.seq, e.lastSent = p.nextSeq, 0
 		p.nextSeq++
 		p.replay = append(p.replay, e)

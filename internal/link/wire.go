@@ -28,6 +28,10 @@ type Wire struct {
 	// sink is the wire's arrival handler, bound once so a send's delivery
 	// event carries only the flit.
 	sink func(interface{})
+	// lane carries the wire's arrival events. Arrivals are claim ends plus
+	// a fixed propagation delay, and claims never move backward, so the
+	// stream is in order by construction.
+	lane *sim.Lane
 
 	busyUntil sim.Time
 	busyTime  sim.Time // cumulative serialization occupancy
@@ -71,7 +75,7 @@ type Wire struct {
 // propagation delay. Use sim.FlitTime (2 ns) as the serialization delay of a
 // full-speed x16 CXL 3.0 link.
 func NewWire(eng *sim.Engine, ser, prop sim.Time, deliver func(*flit.Flit)) *Wire {
-	w := &Wire{eng: eng, ser: ser, prop: prop, deliver: deliver}
+	w := &Wire{eng: eng, ser: ser, prop: prop, deliver: deliver, lane: eng.NewLane()}
 	w.sink = w.arrive
 	return w
 }
@@ -150,7 +154,7 @@ func (w *Wire) Send(f *flit.Flit) { w.SendAfter(f, 0) }
 // event at `earliest` followed by a Send would have delivered it, without
 // paying that event.
 func (w *Wire) SendAfter(f *flit.Flit, earliest sim.Time) {
-	w.eng.AtArg(w.claim(earliest)+w.prop, w.sink, f)
+	w.lane.AtArg(w.claim(earliest)+w.prop, w.sink, f)
 }
 
 // Reserve claims the wire for one flit starting no earlier than `earliest`

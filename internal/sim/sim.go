@@ -1,8 +1,9 @@
 // Package sim is a small discrete-event simulation engine with picosecond
 // resolution, used to drive the link-layer and fabric models. It provides a
-// deterministic event queue (stable FIFO ordering among same-time events);
-// link.Wire builds the flit conduit — serialization, propagation, busy
-// accounting — on top of it.
+// deterministic event queue (stable FIFO ordering among same-time events)
+// with monotone lanes for in-order event streams; link.Wire builds the
+// flit conduit — serialization, propagation, busy accounting — on top of
+// it.
 //
 // The engine is single-threaded by design: determinism matters more than
 // parallel speedup for protocol-correctness experiments, and a 256B flit
@@ -38,22 +39,28 @@ const FlitTime = 2 * Nanosecond
 // so scheduling one allocates nothing; At and Schedule carry a func() as
 // the arg of runFunc.
 type event struct {
-	at   Time
-	seq  uint64 // tie-break: schedule order
+	key
 	sink func(interface{})
 	arg  interface{}
+}
+
+// key is the dispatch order of an event: its time, ties broken by seq,
+// the engine-wide schedule order.
+type key struct {
+	at  Time
+	seq uint64
 }
 
 // runFunc is the sink of At/Schedule events. A func value is
 // pointer-shaped, so boxing it in arg does not allocate.
 func runFunc(fn interface{}) { fn.(func())() }
 
-// before reports the strict (at, seq) ordering between events.
-func (ev *event) before(o *event) bool {
-	if ev.at != o.at {
-		return ev.at < o.at
+// before reports the strict (at, seq) ordering between keys.
+func (k *key) before(o *key) bool {
+	if k.at != o.at {
+		return k.at < o.at
 	}
-	return ev.seq < o.seq
+	return k.seq < o.seq
 }
 
 // eventHeap is a hand-rolled binary min-heap on (at, seq). container/heap
@@ -67,7 +74,7 @@ func (h *eventHeap) push(ev event) {
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q[i].before(&q[parent]) {
+		if !q[i].before(&q[parent].key) {
 			break
 		}
 		q[i], q[parent] = q[parent], q[i]
@@ -89,10 +96,10 @@ func (h *eventHeap) pop() event {
 		if child >= n {
 			break
 		}
-		if r := child + 1; r < n && q[r].before(&q[child]) {
+		if r := child + 1; r < n && q[r].before(&q[child].key) {
 			child = r
 		}
-		if !q[child].before(&q[i]) {
+		if !q[child].before(&q[i].key) {
 			break
 		}
 		q[i], q[child] = q[child], q[i]
@@ -104,23 +111,23 @@ func (h *eventHeap) pop() event {
 // Engine is a discrete-event scheduler. The zero value is not usable; call
 // NewEngine.
 //
-// The queue is a two-lane structure tuned for the simulator's dominant
-// pattern — long stretches of near-monotone schedule times (every flit
-// delivery and pump wakeup lands at or just under the previously
-// scheduled tail). Those events live in a sorted ring dispatched by a
-// bulk pump in O(1) per event, with pushes landing slightly below the
-// tail accepted by bounded insertion; genuinely out-of-order schedules
-// (scripted scenario events, deep reorders) fall back to a binary heap.
-// Dispatch merges the two lanes under the strict (time, schedule-order)
-// total order, so the hybrid is observationally identical to a single
-// priority queue.
+// The queue is shaped by the simulator's dominant pattern: most events
+// belong to an in-order stream — one wire's arrivals, one express route's
+// deliveries — whose times never decrease. Each such stream is a Lane, a
+// FIFO that dispatches in O(1), and the engine keeps a min-heap of the
+// non-empty lanes keyed on their head events, so a stream costs one heap
+// entry however deep its backlog. Everything else (pump wakeups, timers,
+// scripted events) goes to the one-off heap. Dispatch takes the earlier
+// of the two heap heads under the strict (time, schedule-order) total
+// order, so the engine is observationally identical to a single priority
+// queue.
 type Engine struct {
-	now     Time
-	events  eventHeap // out-of-order lane
-	fifo    []event   // sorted lane: times non-decreasing from fifoPos
-	fifoPos int       // index of the sorted lane's head
-	seq     uint64
-	stopped bool
+	now         Time
+	events      eventHeap // one-off events
+	lanes       laneHeap  // the head of every non-empty lane
+	lanePending int       // events queued across all lanes
+	seq         uint64
+	stopped     bool
 	// Executed counts dispatched events, a cheap progress metric.
 	Executed uint64
 }
@@ -151,52 +158,110 @@ func (e *Engine) At(t Time, fn func()) { e.AtArg(t, runFunc, fn) }
 // AtArg runs sink(arg) at absolute time t (>= Now). With a sink bound once
 // per sender and a pointer arg, the event allocates nothing.
 func (e *Engine) AtArg(t Time, sink func(interface{}), arg interface{}) {
-	e.push(event{at: t, seq: e.seq, sink: sink, arg: arg})
+	e.events.push(e.event(t, sink, arg))
 }
 
-func (e *Engine) push(ev event) {
-	if ev.at < e.now {
+// event stamps a new event with the next schedule-order number.
+func (e *Engine) event(t Time, sink func(interface{}), arg interface{}) event {
+	if t < e.now {
 		panic("sim: scheduling into the past")
 	}
+	ev := event{key: key{at: t, seq: e.seq}, sink: sink, arg: arg}
 	e.seq++
-	e.fifo, e.fifoPos = headq.Compact(e.fifo, e.fifoPos)
-	n := len(e.fifo)
-	if n == e.fifoPos || ev.at >= e.fifo[n-1].at {
-		e.fifo = append(e.fifo, ev)
-		return
-	}
-	// The new event lands below the sorted lane's tail. The dominant
-	// patterns land *just* below it: pump wakeups scheduled a couple of
-	// nanoseconds under in-flight deliveries, and stream events pushed
-	// beneath a standing backstop timer (link retry, ACK timeout) parked
-	// at the tail. Deflecting those to the heap would make every flit
-	// delivery pay a sift, so the tail accepts them by bounded insertion:
-	// scan back a few slots for the insertion point and shift the tail
-	// right. Equal times insert after — the new event carries the largest
-	// seq, preserving FIFO order. Past the window the order really is
-	// mixed, and the event goes to the heap.
-	lo := n - fifoInsertWindow
-	if lo < e.fifoPos {
-		lo = e.fifoPos
-	}
-	j := n
-	for j > lo && ev.at < e.fifo[j-1].at {
-		j--
-	}
-	if j > lo || j == e.fifoPos || ev.at >= e.fifo[j-1].at {
-		e.fifo = append(e.fifo, event{})
-		copy(e.fifo[j+1:], e.fifo[j:n])
-		e.fifo[j] = ev
-		return
-	}
-	e.events.push(ev)
+	return ev
 }
 
-// fifoInsertWindow bounds how far below the sorted lane's tail a push may
-// insert. It needs to cover the few distinct schedule offsets live at
-// once (pump wakeup, per-hop delivery, a standing timer or two); past
-// that, heap order is genuinely cheaper than shifting.
-const fifoInsertWindow = 8
+// Lane is a producer handle for one in-order event stream: its events
+// must be pushed at non-decreasing times, and however deep its backlog it
+// holds one entry in the engine's lane heap. A wire's arrivals and a
+// route's express deliveries are lanes.
+type Lane struct {
+	e    *Engine
+	buf  []event // pending events from head on, times non-decreasing
+	head int     // consumed prefix of buf; reclaimed by headq.Compact
+	last Time    // time of the latest push
+}
+
+// NewLane returns a new, empty lane of the engine.
+func (e *Engine) NewLane() *Lane { return &Lane{e: e} }
+
+// AtArg runs sink(arg) at absolute time t, which must be >= Now and no
+// earlier than the lane's previous push; an earlier t panics.
+func (l *Lane) AtArg(t Time, sink func(interface{}), arg interface{}) {
+	if t < l.last {
+		panic("sim: lane push below its last event")
+	}
+	l.last = t
+	e := l.e
+	ev := e.event(t, sink, arg)
+	l.buf, l.head = headq.Compact(l.buf, l.head)
+	l.buf = append(l.buf, ev)
+	e.lanePending++
+	if len(l.buf)-l.head == 1 {
+		e.lanes.push(laneHead{key: ev.key, l: l})
+	}
+}
+
+// laneHead is a lane's entry in the engine's lane heap, keyed on the
+// lane's head event.
+type laneHead struct {
+	key
+	l *Lane
+}
+
+// laneHeap is a binary min-heap of lane heads, written out like eventHeap.
+type laneHeap []laneHead
+
+func (h *laneHeap) push(lh laneHead) {
+	*h = append(*h, lh)
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q[i].before(&q[parent].key) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+// advance takes the head event off the root lane: the root's key moves to
+// the lane's next event, or the root leaves the heap when the lane
+// drains.
+func (h *laneHeap) advance() event {
+	q := *h
+	l := q[0].l
+	ev := l.buf[l.head]
+	l.buf[l.head] = event{} // release references for GC
+	l.head++
+	if l.head < len(l.buf) {
+		q[0].key = l.buf[l.head].key
+	} else {
+		n := len(q) - 1
+		q[0] = q[n]
+		q[n] = laneHead{}
+		q = q[:n]
+		*h = q
+	}
+	n := len(q)
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q[r].before(&q[child].key) {
+			child = r
+		}
+		if !q[child].before(&q[i].key) {
+			break
+		}
+		q[i], q[child] = q[child], q[i]
+		i = child
+	}
+	return ev
+}
 
 // Stop makes the current Run/AdvanceTo call return after
 // the in-flight event completes.
@@ -210,11 +275,9 @@ func (e *Engine) Run() { e.run(maxTime) }
 
 // AdvanceTo is the bulk-advance pump: it dispatches every event with a
 // timestamp <= t (events scheduled at t included) in strict (time,
-// schedule-order) order, then jumps the clock to exactly t. Stretches with no pending events are crossed in one
-// assignment — the clock is driven by the schedule, not ticked — and runs
-// of monotone events (the dominant pattern: flit deliveries and pump
-// wakeups land at or after the previously scheduled tail) dispatch in a
-// tight loop with no per-event lane merge.
+// schedule-order) order, then jumps the clock to exactly t. Stretches
+// with no pending events are crossed in one assignment — the clock is
+// driven by the schedule, not ticked.
 func (e *Engine) AdvanceTo(t Time) {
 	e.run(t)
 	if !e.stopped && e.now < t {
@@ -223,43 +286,30 @@ func (e *Engine) AdvanceTo(t Time) {
 }
 
 // run dispatches events with timestamps <= limit until the queue is
-// exhausted past the limit or Stop is called.
+// exhausted past the limit or Stop is called. Each step takes the earlier
+// of the lane heap's and the one-off heap's heads; a dispatched handler
+// can push to either, so both are re-read every step.
 func (e *Engine) run(limit Time) {
 	e.stopped = false
 	for !e.stopped {
-		// Bulk pump: dispatch the monotone lane in a tight loop for as
-		// long as it precedes the heap head — one compare per event, no
-		// heap traffic. A dispatched handler can push into either lane
-		// (and compact the FIFO), so every loop state is re-read per
-		// iteration rather than cached.
-		for e.fifoPos < len(e.fifo) && !e.stopped {
-			ev := e.fifo[e.fifoPos]
-			// Past the limit or behind the heap head: the heap may still
-			// hold earlier events within the limit.
-			if ev.at > limit {
-				break
+		var ev event
+		if len(e.lanes) > 0 && (len(e.events) == 0 || e.lanes[0].before(&e.events[0].key)) {
+			if e.lanes[0].at > limit {
+				return
 			}
-			if len(e.events) > 0 && !ev.before(&e.events[0]) {
-				break
+			ev = e.lanes.advance()
+			e.lanePending--
+		} else {
+			if len(e.events) == 0 || e.events[0].at > limit {
+				return
 			}
-			e.fifo[e.fifoPos] = event{} // release references for GC
-			e.fifoPos++
-			e.now = ev.at
-			e.Executed++
-			ev.sink(ev.arg)
+			ev = e.events.pop()
 		}
-		// The sorted lane is empty, past the limit, or behind the heap
-		// head: in every case the heap head is the next event overall, so
-		// it runs if it is due and otherwise nothing is.
-		if e.stopped || len(e.events) == 0 || e.events[0].at > limit {
-			return
-		}
-		ev := e.events.pop()
 		e.now = ev.at
 		e.Executed++
 		ev.sink(ev.arg)
 	}
 }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.events) + len(e.fifo) - e.fifoPos }
+// Pending returns the number of queued events, lanes included.
+func (e *Engine) Pending() int { return len(e.events) + e.lanePending }

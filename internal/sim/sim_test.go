@@ -225,57 +225,43 @@ func TestAdvanceToJumpsIdleStretch(t *testing.T) {
 	}
 }
 
-// TestPushBeyondInsertWindowGoesToHeap pins the lane-routing boundary the
-// mixed engine benchmark relies on: an out-of-order push within
-// fifoInsertWindow slots of the tail stays in the sorted lane; one deeper
-// than the window reaches the heap.
-func TestPushBeyondInsertWindowGoesToHeap(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(100, func() {})
-	e.At(50, func() {}) // 1-deep lane: absorbed by tail insertion
-	if len(e.events) != 0 {
-		t.Fatal("shallow out-of-order push escaped the sorted lane")
-	}
-
-	e = NewEngine()
-	for j := Time(0); j < 12; j++ {
-		e.Schedule(4+2*j, func() {})
-	}
-	e.At(1, func() {}) // 12-deep lane: beyond the window → heap
-	if len(e.events) != 1 {
-		t.Fatalf("deep out-of-order push not in heap (heap len %d)", len(e.events))
-	}
-	var order []Time
-	e.At(1, func() { order = append(order, 1) })
-	e.Schedule(4, func() { order = append(order, 4) })
-	e.Run()
-	if len(order) != 2 || order[0] != 1 || order[1] != 4 {
-		t.Fatalf("heap/lane merge order wrong: %v", order)
-	}
-}
-
-// TestAdvanceToHeapBeforeFIFOHead: an out-of-order event earlier than
-// the sorted lane's head must dispatch within an AdvanceTo whose limit
-// excludes the lane head — the pump may not conclude "past the limit"
-// from the lane alone.
+// TestAdvanceToHeapBeforeFIFOHead: a one-off event earlier than a lane's
+// head must dispatch within an AdvanceTo whose limit excludes the lane
+// head — the pump may not conclude "past the limit" from the lanes alone.
 func TestAdvanceToHeapBeforeFIFOHead(t *testing.T) {
 	e := NewEngine()
+	lane := e.NewLane()
 	var ran []Time
-	// Ten lane events at 100.. so the 50 push falls outside the bounded
-	// tail-insertion window and genuinely lands in the heap.
+	record := func(x interface{}) { ran = append(ran, x.(Time)) }
 	for i := 0; i < 10; i++ {
 		at := Time(100 + i)
-		e.At(at, func() { ran = append(ran, at) })
+		lane.AtArg(at, record, at)
 	}
 	e.At(50, func() { ran = append(ran, 50) })
 	e.AdvanceTo(60)
 	if len(ran) != 1 || ran[0] != 50 {
-		t.Fatalf("ran %v, want just the heap event at 50", ran)
+		t.Fatalf("ran %v, want just the one-off event at 50", ran)
 	}
 	e.Run()
 	if len(ran) != 11 {
 		t.Fatalf("ran %d events total", len(ran))
 	}
+}
+
+// TestLanePushBelowLastPanics: a lane is monotone by contract, so a push
+// below its previous one is a bug in the producer, not a reorder.
+func TestLanePushBelowLastPanics(t *testing.T) {
+	e := NewEngine()
+	lane := e.NewLane()
+	noop := func(interface{}) {}
+	lane.AtArg(10, noop, nil)
+	lane.AtArg(10, noop, nil) // equal times are in order
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic")
+		}
+	}()
+	lane.AtArg(9, noop, nil)
 }
 
 // TestBulkPumpHeapInterleave: out-of-order events pushed mid-drain must
@@ -316,26 +302,25 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 }
 
 // TestFIFOLaneCompaction drives two interleaved self-perpetuating event
-// chains so the monotone lane never fully drains: at every push another
-// monotone event is still pending, the drained-reset in push never fires,
-// and before compaction the lane grew by one slot per dispatched event.
-// The backing array must stay O(pending), not O(total events dispatched).
+// chains on one lane so it never fully drains: at every push another event
+// is still pending, the drained reset never fires, and without compaction
+// the lane would grow by one slot per dispatched event. The backing array
+// must stay O(pending), not O(total events dispatched).
 func TestFIFOLaneCompaction(t *testing.T) {
 	e := NewEngine()
+	lane := e.NewLane()
 	const total = 100000
 	var ran [2]int
-	var chain [2]func()
-	for i := range chain {
-		i := i
-		chain[i] = func() {
-			ran[i]++
-			if ran[i] < total/2 {
-				e.Schedule(1, chain[i])
-			}
+	var chain func(interface{})
+	chain = func(x interface{}) {
+		i := x.(int)
+		ran[i]++
+		if ran[i] < total/2 {
+			lane.AtArg(e.Now()+1, chain, i)
 		}
 	}
-	e.Schedule(0, chain[0])
-	e.Schedule(0, chain[1])
+	lane.AtArg(0, chain, 0)
+	lane.AtArg(0, chain, 1)
 	e.Run()
 	if ran[0] != total/2 || ran[1] != total/2 {
 		t.Fatalf("chains ran %v, want %d each", ran, total/2)
@@ -343,7 +328,7 @@ func TestFIFOLaneCompaction(t *testing.T) {
 	if e.Executed != total {
 		t.Fatalf("executed %d, want %d", e.Executed, total)
 	}
-	if c := cap(e.fifo); c > 1024 {
-		t.Fatalf("fifo backing array grew to %d slots for %d events; dispatched prefix not reclaimed", c, total)
+	if c := cap(lane.buf); c > 1024 {
+		t.Fatalf("lane backing array grew to %d slots for %d events; dispatched prefix not reclaimed", c, total)
 	}
 }

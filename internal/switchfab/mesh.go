@@ -67,6 +67,11 @@ type Mesh struct {
 	ExpressTraversals uint64
 	ExpressFallbacks  uint64
 
+	// routes[src][dst] is the express record of the route from router src
+	// to router dst (node IDs), built on the route's first traffic; a
+	// router's row is allocated with its first route.
+	routes [][]*meshRoute
+
 	// walkFn is the stable event sink of scheduled hop-by-hop walks
 	// (struck flits on express-eligible routes), bound once so each walk
 	// step carries only its *meshWalk payload.
@@ -149,7 +154,8 @@ func NewMesh(eng *sim.Engine, w, h int, cfg MeshConfig) *Mesh {
 	if w < 1 || h < 1 || w*h > 256 {
 		panic(fmt.Sprintf("switchfab: mesh %dx%d out of range", w, h))
 	}
-	m := &Mesh{W: w, H: h, Eng: eng, wrap: cfg.Wrap, berScale: 1, noExpress: cfg.NoExpress}
+	m := &Mesh{W: w, H: h, Eng: eng, wrap: cfg.Wrap, berScale: 1, noExpress: cfg.NoExpress,
+		routes: make([][]*meshRoute, w*h)}
 	if !cfg.NoExpress {
 		m.walkFn = m.walkStep
 	}
@@ -315,33 +321,81 @@ func (m *Mesh) injectArrival(x, y int) func(*flit.Flit) {
 		// the flit's true path identity.
 		src := f.Payload()[flit.SrcRouteOffset]
 		dst := f.Payload()[flit.RouteOffset]
-		dx, dy, ok := m.nodeXY(dst)
+		var rt *meshRoute
 		hops := 1
-		if ok {
-			hops = m.HopsBetween(x, y, dx, dy)
+		if _, _, ok := m.nodeXY(dst); ok {
+			rt = m.route(x, y, dst)
+			hops = len(rt.routers)
 		}
 		granted := true
 		if m.paths != nil {
 			granted = link.BeginPathTraversal(m.pathSched(src, dst), m.fec, f, hops)
 		}
-		if ok && !m.noExpress {
-			eligible := m.expressEligible(x, y, dx, dy)
+		if rt != nil && !m.noExpress {
+			eligible := rt.expressEligible()
 			if granted && eligible {
 				m.ExpressTraversals++
-				m.claimRoute(f, x, y, dx, dy, nil)
+				m.claimRoute(f, rt, nil)
 				return
 			}
 			m.ExpressFallbacks++
 			// hops == 1 is local delivery at the injection router: nothing
 			// to claim, the lazy pipeline handles it identically.
 			if eligible && hops > 1 {
-				wk := &meshWalk{f: f, dx: dx, dy: dy, times: make([]sim.Time, 0, hops-1)}
-				m.claimRoute(f, x, y, dx, dy, wk)
+				wk := &meshWalk{f: f, rt: rt, times: make([]sim.Time, 0, hops)}
+				m.claimRoute(f, rt, wk)
 				return
 			}
 		}
 		pipeline(f)
 	}
+}
+
+// meshRoute is the express record of one (ingress router, destination
+// router) route, built on its first traffic: the routers the XY route
+// visits, ingress first and destination last, the egress wire leaving
+// each toward the next, and the lane its express deliveries ride. Every
+// flit of an eligible route claims the route's wires at injection, so
+// the route's express deliveries land in claim order — the lane's
+// in-order contract.
+type meshRoute struct {
+	routers []*Switch
+	wires   []*link.Wire // wires[i] leaves routers[i]
+	dx, dy  int          // destination router
+	lane    *sim.Lane
+}
+
+// route returns (building on first use) the record of the route from
+// router (x,y) to the router of node dst, which must be inside the mesh.
+func (m *Mesh) route(x, y int, dst byte) *meshRoute {
+	row := m.routes[y*m.W+x]
+	if row == nil {
+		row = make([]*meshRoute, m.W*m.H)
+		m.routes[y*m.W+x] = row
+	}
+	if rt := row[dst]; rt != nil {
+		return rt
+	}
+	dx, dy, _ := m.nodeXY(dst)
+	hops := m.HopsBetween(x, y, dx, dy)
+	rt := &meshRoute{
+		routers: make([]*Switch, 0, hops),
+		wires:   make([]*link.Wire, 0, hops-1),
+		dx:      dx,
+		dy:      dy,
+		lane:    m.Eng.NewLane(),
+	}
+	for {
+		rt.routers = append(rt.routers, m.Routers[x][y])
+		d := m.routeDir(x, y, dx, dy)
+		if d < 0 {
+			break
+		}
+		rt.wires = append(rt.wires, m.out[x][y][d])
+		x, y = m.neighbor(x, y, d)
+	}
+	row[dst] = rt
+	return rt
 }
 
 // meshWalk is the event payload of a scheduled hop-by-hop walk: a struck
@@ -350,15 +404,14 @@ func (m *Mesh) injectArrival(x, y int) func(*flit.Flit) {
 // event per hop at the pre-reserved arrival times, crossing its path
 // schedule and terminating FEC at every router like the lazy pipeline.
 type meshWalk struct {
-	f      *flit.Flit
-	cx, cy int // router the next walkStep arrives at
-	dx, dy int // destination router, fixed at injection (source routing)
-	i      int // index into times of the current step
-	times  []sim.Time
+	f     *flit.Flit
+	rt    *meshRoute
+	hop   int        // index of the router the next walkStep arrives at
+	times []sim.Time // times[i]: arrival at rt.routers[i]
 }
 
-// claimRoute claims every wire of an expressEligible (x,y)→(dx,dy) route
-// at injection, in route order, and schedules the traversal's one event.
+// claimRoute claims every wire of an expressEligible route at injection,
+// in route order, and schedules the traversal's one event.
 // The claim math per hop is exactly the SendAfter fold — serialization
 // starts at max(arrival+latency, wire-free) — so on same-path-only
 // traffic the claimed timing is bit-identical to hop-by-hop. Under
@@ -371,10 +424,10 @@ type meshWalk struct {
 //
 // A granted flit (wk == nil) goes express: each router's pipeline runs
 // inline and the one event is the delivery at the analytically-known
-// arrival time. Running process() at claim time is unobservable: for an
-// eligible route it touches only the flit image and the router stats,
-// draws no RNG, and cannot drop a granted (hence uncorrupted, CRC-valid)
-// flit.
+// arrival time, on the route's lane. Running process() at claim time is
+// unobservable: for an eligible route it touches only the flit image and
+// the router stats, draws no RNG, and cannot drop a granted (hence
+// uncorrupted, CRC-valid) flit.
 //
 // A struck flit walks (wk != nil): only the injection router runs now,
 // exactly when the lazy pipeline would, and the one event is the first
@@ -387,10 +440,14 @@ type meshWalk struct {
 // routing tags (source routing): corruption that rewrites the route bytes
 // in flight changes which schedule later crossings consume — same as the
 // lazy pipeline — but not the wires the flit occupies.
-func (m *Mesh) claimRoute(f *flit.Flit, x, y, dx, dy int, wk *meshWalk) {
+func (m *Mesh) claimRoute(f *flit.Flit, rt *meshRoute, wk *meshWalk) {
 	arrive := m.Eng.Now()
-	for inline := true; ; inline = wk == nil {
-		r := m.Routers[x][y]
+	last := len(rt.wires)
+	for i, r := range rt.routers {
+		if wk != nil {
+			wk.times = append(wk.times, arrive)
+		}
+		inline := i == 0 || wk == nil
 		if inline && !r.process(f) {
 			// A struck flit may be uncorrectable at its injection router,
 			// which then claims nothing; a granted flit cannot be dropped,
@@ -399,30 +456,23 @@ func (m *Mesh) claimRoute(f *flit.Flit, x, y, dx, dy int, wk *meshWalk) {
 			flit.Release(f)
 			return
 		}
-		d := m.routeDir(x, y, dx, dy)
-		if d < 0 {
+		if i == last {
 			break
 		}
 		if inline {
 			r.Stats.Forwarded++
 			f.TakePathPass() // a granted flit spends one per wire; a walk holds none
 		}
-		arrive = m.out[x][y][d].Reserve(arrive + r.Latency)
-		x, y = m.neighbor(x, y, d)
-		if wk != nil {
-			if len(wk.times) == 0 {
-				wk.cx, wk.cy = x, y
-			}
-			wk.times = append(wk.times, arrive)
-		}
+		arrive = rt.wires[i].Reserve(arrive + r.Latency)
 	}
 	if wk != nil {
-		m.Eng.AtArg(wk.times[0], m.walkFn, wk)
+		wk.hop = 1
+		m.Eng.AtArg(wk.times[1], m.walkFn, wk)
 		return
 	}
-	r := m.Routers[x][y]
+	r := rt.routers[last]
 	r.Stats.DeliveredLocal++
-	m.Eng.AtArg(arrive+r.Latency, m.localSink[x][y], f)
+	rt.lane.AtArg(arrive+r.Latency, m.localSink[rt.dx][rt.dy], f)
 }
 
 // walkStep is one router arrival of a scheduled walk: cross the path
@@ -433,30 +483,28 @@ func (m *Mesh) claimRoute(f *flit.Flit, x, y, dx, dy int, wk *meshWalk) {
 // mid-walk leaves no dangling event behind.
 func (m *Mesh) walkStep(p interface{}) {
 	wk := p.(*meshWalk)
-	f := wk.f
+	f, rt := wk.f, wk.rt
 	if m.paths != nil {
 		m.crossHop(f)
 	}
-	r := m.Routers[wk.cx][wk.cy]
+	r := rt.routers[wk.hop]
 	if !r.process(f) {
 		flit.Release(f)
 		return
 	}
-	d := m.routeDir(wk.cx, wk.cy, wk.dx, wk.dy)
-	if d < 0 {
-		m.deliverLocal(r, wk.cx, wk.cy, f)
+	if wk.hop == len(rt.wires) {
+		m.deliverLocal(r, rt.dx, rt.dy, f)
 		return
 	}
 	r.Stats.Forwarded++
-	wk.i++
-	wk.cx, wk.cy = m.neighbor(wk.cx, wk.cy, d)
-	m.Eng.AtArg(wk.times[wk.i], m.walkFn, wk)
+	wk.hop++
+	m.Eng.AtArg(wk.times[wk.hop], m.walkFn, wk)
 }
 
 // routeDir is the dimension-ordered routing decision at router (cx,cy)
 // for destination router (dx,dy): an egress direction, or -1 for local
-// delivery. Every traversal tier (lazy pipeline, scheduled walk, express)
-// routes through it, so an express walk visits
+// delivery. The lazy pipeline routes through it hop by hop and route
+// records are built from it, so an express or scheduled walk visits
 // precisely the routers and wires the hop-by-hop path would.
 func (m *Mesh) routeDir(cx, cy, dx, dy int) int {
 	if sx := m.dimStep(cx, dx, m.W); sx > 0 {
@@ -496,9 +544,9 @@ func (m *Mesh) neighbor(cx, cy, d int) (int, int) {
 	return cx, cy
 }
 
-// expressEligible reports whether the (x,y)→(dx,dy) route may be claimed
-// up front at injection by claimRoute — express for a granted flit, a
-// scheduled walk for a struck one:
+// expressEligible reports whether the route may be claimed up front at
+// injection by claimRoute — express for a granted flit, a scheduled walk
+// for a struck one:
 //
 //   - No route router carries an internal fault point (hook or
 //     probabilistic flip): process() must stay deterministic and
@@ -510,24 +558,21 @@ func (m *Mesh) neighbor(cx, cy, d int) (int, int) {
 //     serialization and per-path delivery — follow injection order, which
 //     is ISN's in-order contract.
 //
-// Eligibility is a property of the route, not the flit, so a path is
-// never in a mixed claim regime.
-func (m *Mesh) expressEligible(x, y, dx, dy int) bool {
-	for {
-		r := m.Routers[x][y]
+// Both are read on every injection, so a fault point installed mid-run
+// takes effect at the next flit. Eligibility is a property of the route,
+// not the flit, so a path is never in a mixed claim regime.
+func (rt *meshRoute) expressEligible() bool {
+	for _, r := range rt.routers {
 		if r.InternalHook != nil || r.InternalBitFlipProb > 0 {
 			return false
 		}
-		d := m.routeDir(x, y, dx, dy)
-		if d < 0 {
-			return true
-		}
-		w := m.out[x][y][d]
+	}
+	for _, w := range rt.wires {
 		if w == nil || !w.ExpressClaimable() {
 			return false
 		}
-		x, y = m.neighbor(x, y, d)
 	}
+	return true
 }
 
 // hopArrival wraps router (x,y)'s pipeline for an inter-router wire,

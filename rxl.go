@@ -394,11 +394,12 @@ func RunScenarios(ctx context.Context, pool Runner, grid ScenarioGrid) ([]Scenar
 	return core.RunScenarioGrid(ctx, pool, grid)
 }
 
-// Engine is the discrete-event scheduler driving every fabric: a
-// two-lane queue (monotone FIFO ring + out-of-order heap) drained by a
-// bulk-advance pump that jumps the clock across stretches with no
-// pending events. Fabrics build their own; expose it here for custom
-// scenario scripting and engine-level benchmarks.
+// Engine is the discrete-event scheduler driving every fabric: monotone
+// lanes for in-order event streams (a wire's arrivals, a route's express
+// deliveries) beside a heap of one-off events, drained in one (time,
+// schedule-order) sequence by a pump that jumps the clock across
+// stretches with no pending events. Fabrics build their own; expose it
+// here for custom scenario scripting and engine-level benchmarks.
 type Engine = sim.Engine
 
 // NewEngine returns an engine at time 0 with an empty queue.

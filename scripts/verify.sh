@@ -107,8 +107,9 @@ rung_unit() {
 rung_race() {
   run go test -race ./...
   # Fuzz seed corpora (replay parsing, JobSpec normalize, spill files,
-  # Prometheus text; no long fuzzing).
-  run go test -run 'Fuzz.*' ./internal/workload/ ./internal/service/ ./internal/obs/
+  # Prometheus text, the engine against its single-heap reference; no
+  # long fuzzing).
+  run go test -run 'Fuzz.*' ./internal/workload/ ./internal/service/ ./internal/obs/ ./internal/sim/
 }
 
 rung_kernels() {
@@ -127,11 +128,12 @@ rung_kernels() {
   # walk's (Walk against a crossing-by-crossing Channel walk).
   run go test -count=1 -run 'Fuzz.*' ./internal/crc/ ./internal/rs/ ./internal/phy/
   run go test -count=1 -tags purego -run 'Fuzz.*' ./internal/crc/ ./internal/rs/ ./internal/phy/
-  # A short live fuzz of the FEC kernel against its per-way reference and
-  # of the schedule walk against its stepwise twin, on the default build;
-  # go runs one -fuzz target per invocation.
+  # A short live fuzz of the FEC kernel against its per-way reference, of
+  # the schedule walk against its stepwise twin and of the event engine
+  # against a single binary heap, on the default build; go runs one -fuzz
+  # target per invocation.
   for target in rs:FuzzInterleavedEncode rs:FuzzReencodeIdentity rs:FuzzVerifyDecode \
-    rs:FuzzDecodeMatchesReference phy:FuzzWalkMatchesStepwise; do
+    rs:FuzzDecodeMatchesReference phy:FuzzWalkMatchesStepwise sim:FuzzEngineMatchesReference; do
     run go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime=10s "./internal/${target%%:*}/"
   done
 }
