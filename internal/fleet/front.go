@@ -266,6 +266,12 @@ func (p *frontPeer) markRouted() {
 	p.mu.Unlock()
 }
 
+// jobID is the front's handle for a job the peer issued as localID:
+// "p<index>~<localID>", which resolveJobID splits again.
+func (p *frontPeer) jobID(localID string) string {
+	return "p" + strconv.Itoa(p.index) + "~" + localID
+}
+
 // handleSubmit routes a submission to its owner (or replica set).
 func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, ok := service.DecodeSpec(w, r)
@@ -311,12 +317,12 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	f.subSeconds[submitOutcome(v)].Observe(time.Since(now).Seconds())
-	v.ID = fmt.Sprintf("p%d~%s", peer.index, v.ID)
+	v.ID = peer.jobID(v.ID)
 	status := http.StatusAccepted
 	if v.Status.Terminal() {
 		status = http.StatusOK
 	}
-	service.WriteJSON(w, status, v)
+	service.WriteJobView(w, status, v)
 }
 
 // submitOutcome classifies a forwarded submit's response for the front's
@@ -459,8 +465,8 @@ func (f *Front) handleForward(w http.ResponseWriter, r *http.Request) {
 		service.WriteError(w, http.StatusBadGateway, "fleet: bad peer response: "+err.Error())
 		return
 	}
-	v.ID = fmt.Sprintf("p%d~%s", p.index, v.ID)
-	service.WriteJSON(w, resp.StatusCode, v)
+	v.ID = p.jobID(v.ID)
+	service.WriteJobView(w, resp.StatusCode, v)
 }
 
 // handleEvents streams a job's SSE feed through from the issuing

@@ -126,7 +126,19 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	if out == nil {
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return decodeReply(resp, out)
+}
+
+// decodeReply reads a reply body whole and decodes it into out. The
+// daemon sends every JSON reply with its length, so the body is read in
+// one allocation; a body without one (a proxy's), or one claiming more
+// than 1 MiB, grows as it arrives instead.
+func decodeReply(resp *http.Response, out any) error {
+	buf := bytes.NewBuffer(make([]byte, 0, max(0, min(resp.ContentLength, 1<<20))+bytes.MinRead))
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return err
+	}
+	return json.Unmarshal(buf.Bytes(), out)
 }
 
 // Submit posts a job spec. Cache hits come back already StatusDone with
@@ -166,7 +178,7 @@ func (c *Client) GetConditional(ctx context.Context, id, etag string) (v JobView
 	case resp.StatusCode >= 300:
 		return v, "", false, statusError(resp)
 	}
-	err = json.NewDecoder(resp.Body).Decode(&v)
+	err = decodeReply(resp, &v)
 	return v, resp.Header.Get("ETag"), false, err
 }
 

@@ -29,15 +29,14 @@ type Event struct {
 // There are no per-subscriber buffers, so no subscriber can fall behind
 // or force a drop — a late attacher replays the full history and then
 // follows live, which is exactly the SSE contract the server exposes.
+// The zero value is an empty log. The wake channel is made only when a
+// subscriber parks on it, so a job nobody watches — every cache hit —
+// publishes without allocating one.
 type broker struct {
 	mu   sync.Mutex
 	log  []Event
-	wake chan struct{}
+	wake chan struct{} // nil until a subscriber of a live log asks for it
 	done bool
-}
-
-func newBroker() *broker {
-	return &broker{wake: make(chan struct{})}
 }
 
 // publish appends an event and wakes every parked subscriber. terminal
@@ -49,21 +48,31 @@ func (b *broker) publish(e Event, terminal bool) {
 	if b.done {
 		return
 	}
+	if b.log == nil {
+		// Every log ends up holding at least its queued and terminal events.
+		b.log = make([]Event, 0, 2)
+	}
 	b.log = append(b.log, e)
 	b.done = terminal
-	close(b.wake)
-	b.wake = make(chan struct{})
+	if b.wake != nil {
+		close(b.wake)
+		b.wake = nil
+	}
 }
 
 // snapshot returns the events at and past `from`, a channel that closes
 // on the next publish, and whether the log is terminal. Callers loop:
-// consume the slice, then wait on the channel unless done.
+// consume the slice, then wait on the channel unless done (a terminal
+// log returns no channel: there is no next publish to wait for).
 func (b *broker) snapshot(from int) ([]Event, <-chan struct{}, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var tail []Event
 	if from < len(b.log) {
 		tail = b.log[from:]
+	}
+	if !b.done && b.wake == nil {
+		b.wake = make(chan struct{})
 	}
 	return tail, b.wake, b.done
 }

@@ -95,6 +95,59 @@ func TestPeerFetchMissFallsThrough(t *testing.T) {
 	}
 }
 
+// TestPeerFetchRejectsNonJSON: bytes a peer returns that are not a JSON
+// document in encoder form — a proxy's error page — are a peer miss. The
+// job computes its own result, and the key is not poisoned: the repeat
+// is a hit with the computed bytes.
+func TestPeerFetchRejectsNonJSON(t *testing.T) {
+	spec := smallGridSpec(79)
+	srv := newTestServer(t, Config{
+		PeerFetch: func(ctx context.Context, key string) ([]byte, bool) { return []byte("<html>502</html>"), true },
+		FleetInfo: &FleetInfo{},
+	})
+	ctx := context.Background()
+	c := NewInProcessClient(srv)
+
+	first, err := c.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first, err = c.Wait(ctx, first.ID); err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewInProcessClient(newTestServer(t, Config{})).Run(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Status != StatusDone || first.PeerFetched || string(first.Result) != string(want) {
+		t.Fatalf("served %s peer_fetched=%v %q; the plain daemon computes %q",
+			first.Status, first.PeerFetched, first.Result, want)
+	}
+	v, err := c.Submit(ctx, spec)
+	if err != nil || !v.Cached || string(v.Result) != string(want) {
+		t.Fatalf("repeat: cached=%v result=%q err=%v", v.Cached, v.Result, err)
+	}
+	if st := srv.Stats(); st.Fleet.PeerMisses != 1 || st.Fleet.PeerHits != 0 {
+		t.Fatalf("fleet stats after a refused fetch: %+v", st.Fleet)
+	}
+	tv, err := c.JobTrace(ctx, first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetches := 0
+	for _, sp := range tv.Spans {
+		if sp.Name == "peer_fetch" {
+			fetches++
+			if sp.Attrs["hit"] != "false" {
+				t.Fatalf("refused fetch recorded hit=%q", sp.Attrs["hit"])
+			}
+		}
+	}
+	if fetches != 1 {
+		t.Fatalf("%d peer_fetch spans, want 1", fetches)
+	}
+}
+
 // TestPeerFetchSingleFlight pins single-flight across the fetch window:
 // identical submissions racing a slow peer fetch coalesce onto the one
 // fetching job — the fetcher runs once, every caller gets its bytes.

@@ -37,9 +37,11 @@ type Job struct {
 	rid  string  // request ID of the submission that created the job
 	seq  uint64  // admission order, FIFO tiebreak within a priority
 
+	// ctx and cancel exist only for jobs that will run: a cache hit is
+	// terminal at birth and has nothing to cancel.
 	ctx        context.Context
 	cancel     context.CancelFunc
-	events     *broker
+	events     broker
 	shardsDone atomic.Int64
 	// onTerminal runs exactly once, before the terminal event publishes —
 	// the server hooks its registry finalization here so every path to a
@@ -190,7 +192,9 @@ func (j *Job) setPeerFetched() {
 // running jobs transition when the engines observe the context (the
 // estimator poll period keeps that in the milliseconds).
 func (j *Job) Cancel() {
-	j.cancel()
+	if j.cancel != nil {
+		j.cancel()
+	}
 	j.mu.Lock()
 	queued := j.status == StatusQueued
 	j.mu.Unlock()

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/headq"
 	"repro/internal/obs"
 	"repro/internal/runner"
 )
@@ -43,7 +44,8 @@ type Config struct {
 	// the engines' determinism, so where they came from is unobservable
 	// in the document. Because misses are registered in-flight before
 	// the fetch, concurrent identical submissions coalesce onto the one
-	// fetching job: single-flight holds across the fetch.
+	// fetching job: single-flight holds across the fetch. Bytes that are
+	// not a JSON document in encoder form are refused (a peer miss).
 	PeerFetch func(ctx context.Context, key string) ([]byte, bool)
 	// FleetInfo, when non-nil, describes this daemon's fleet membership
 	// for /v1/statsz (ring size, peer count). Purely informational.
@@ -111,10 +113,14 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
-	order    []*Job          // submission order, for history trimming
 	inflight map[string]*Job // cache key → live job (dedup coalescing)
-	seq      uint64
-	closed   bool
+	// finished holds terminal jobs in the order they finished, from
+	// finishedHead on: finalize appends, and retires the head once more
+	// than jobHistory are held.
+	finished     []*Job
+	finishedHead int
+	seq          uint64
+	closed       bool
 }
 
 // New builds a Server from the configuration.
@@ -255,7 +261,14 @@ func (s *Server) SubmitCtx(ctx context.Context, spec JobSpec) (j *Job, dedup boo
 	if ex, ok := s.inflight[key]; ok && ex != nil {
 		inflight = false // key already claimed by a scheduling-divergent twin
 	}
-	j = s.registerLocked(rid, norm, key, inflight)
+	j = s.registerLocked(rid, norm, key)
+	// The job's context carries the submitting request's trace, so spans
+	// recorded deep in execution (the peer fetcher's probes) land under
+	// the same request ID.
+	j.ctx, j.cancel = context.WithCancel(obs.WithTrace(context.Background(), s.tracer, rid))
+	if inflight {
+		s.inflight[key] = j
+	}
 	s.mu.Unlock()
 
 	if err := s.sched.submit(j); err != nil {
@@ -266,14 +279,16 @@ func (s *Server) SubmitCtx(ctx context.Context, spec JobSpec) (j *Job, dedup boo
 }
 
 // serveHit registers a terminal job view for a cache hit. Hits respect
-// admission shutdown like misses do: a closed server serves nothing.
+// admission shutdown like misses do: a closed server serves nothing. A
+// hit never runs, so it gets no context: it is born, finished and
+// retired without anything to cancel.
 func (s *Server) serveHit(rid string, norm JobSpec, key string, res []byte) (*Job, bool, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, false, ErrClosed
 	}
-	j := s.registerLocked(rid, norm, key, false)
+	j := s.registerLocked(rid, norm, key)
 	j.cached = true
 	s.mu.Unlock()
 	j.finish(StatusDone, res, "")
@@ -304,25 +319,17 @@ func (s *Server) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// registerLocked allocates a job — cancellation context, queued event,
-// terminal hook — and adds it to the registry (and the in-flight index
-// when it will execute), trimming terminal history past the configured
-// bound. The job's context carries the submitting request's trace, so
-// spans recorded deep in execution (the peer fetcher's probes) land
-// under the same request ID. Caller holds s.mu.
-func (s *Server) registerLocked(rid string, spec JobSpec, key string, inflight bool) *Job {
-	ctx, cancel := context.WithCancel(obs.WithTrace(context.Background(), s.tracer, rid))
+// registerLocked allocates a job — queued event, terminal hook — and
+// adds it to the registry. The caller adds what only a job that will run
+// needs (its context, its in-flight claim). Caller holds s.mu.
+func (s *Server) registerLocked(rid string, spec JobSpec, key string) *Job {
 	s.seq++
-	seq := s.seq
 	j := &Job{
-		ID:         fmt.Sprintf("j%06d-%s", seq, key[:8]),
+		ID:         jobID(s.seq, key),
 		Key:        key,
 		Spec:       spec,
 		rid:        rid,
-		seq:        seq,
-		ctx:        ctx,
-		cancel:     cancel,
-		events:     newBroker(),
+		seq:        s.seq,
 		onTerminal: s.finalize,
 	}
 	j.status = StatusQueued
@@ -331,27 +338,25 @@ func (s *Server) registerLocked(rid string, spec JobSpec, key string, inflight b
 
 	s.submitted.Inc()
 	s.jobs[j.ID] = j
-	s.order = append(s.order, j)
-	if inflight {
-		s.inflight[key] = j
-	}
-	if len(s.order) > jobHistory {
-		kept := s.order[:0]
-		excess := len(s.order) - jobHistory
-		for _, old := range s.order {
-			if excess > 0 && old.Status().Terminal() {
-				delete(s.jobs, old.ID)
-				excess--
-				continue
-			}
-			kept = append(kept, old)
-		}
-		s.order = kept
-	}
 	return j
 }
 
-// unregister removes a job whose admission failed.
+// jobID renders "j<seq, at least six digits>-<key prefix>".
+func jobID(seq uint64, key string) string {
+	var b [32]byte
+	id := append(b[:0], 'j')
+	for n := uint64(100000); n > 1 && seq < n; n /= 10 {
+		id = append(id, '0')
+	}
+	id = strconv.AppendUint(id, seq, 10)
+	id = append(id, '-')
+	return string(append(id, key[:8]...))
+}
+
+// unregister removes a job whose admission failed. It leaves the
+// finished FIFO alone: the job is not in it, or — cancelled by a racing
+// Close before the scheduler refused it — retires from it later as a
+// delete of an ID already gone.
 func (s *Server) unregister(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -359,25 +364,27 @@ func (s *Server) unregister(j *Job) {
 	if s.inflight[j.Key] == j {
 		delete(s.inflight, j.Key)
 	}
-	for i, o := range s.order {
-		if o == j {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
 }
 
-// finalize clears a finished job's in-flight entry and counts it
-// served. It is the job's onTerminal hook, so it runs exactly once on
-// every path to a terminal state — engine completion, cancellation of a
-// job still in the queue, shutdown drain — and an identical future
-// submission can never coalesce onto a dead job.
+// finalize clears a finished job's in-flight entry, counts it served and
+// enters it into the terminal history, retiring the oldest-finished job
+// past jobHistory. It is the job's onTerminal hook, so it runs exactly
+// once on every path to a terminal state — engine completion,
+// cancellation of a job still in the queue, shutdown drain — and an
+// identical future submission can never coalesce onto a dead job.
 func (s *Server) finalize(j *Job) {
 	s.mu.Lock()
 	if s.inflight[j.Key] == j {
 		delete(s.inflight, j.Key)
 	}
 	s.completed.Inc()
+	s.finished, s.finishedHead = headq.Compact(s.finished, s.finishedHead)
+	s.finished = append(s.finished, j)
+	if len(s.finished)-s.finishedHead > jobHistory {
+		delete(s.jobs, s.finished[s.finishedHead].ID)
+		s.finished[s.finishedHead] = nil
+		s.finishedHead++
+	}
 	s.mu.Unlock()
 	s.observeJob(j)
 }
@@ -409,7 +416,10 @@ func (s *Server) runJob(j *Job, workers int) {
 	}
 	if s.cfg.PeerFetch != nil {
 		fetchStart := time.Now()
-		if res, ok := s.cfg.PeerFetch(ctx, j.Key); ok {
+		// Fetched bytes are cached and served verbatim, so they must be in
+		// encoder form; anything else (a proxy's HTML error page, a
+		// truncated body) is a peer miss, and the job computes its own.
+		if res, ok := s.cfg.PeerFetch(ctx, j.Key); ok && encoderForm(res) {
 			s.peerHits.Inc()
 			s.tracer.Record(j.rid, "peer_fetch", fetchStart, time.Since(fetchStart),
 				map[string]string{"hit": "true"})
@@ -532,28 +542,6 @@ func (s *Server) Stats() Stats {
 
 // ---- HTTP handlers ----
 
-// apiError is the uniform error body.
-type apiError struct {
-	Error string `json:"error"`
-}
-
-// WriteJSON writes compact JSON — the one response encoder of the daemon
-// and the fleet front. Compactness matters beyond bytes on the wire:
-// result documents are stored and served as raw messages, and an
-// indenting encoder would reformat them — breaking the byte-identity
-// between cached, uncached, and direct library runs that the cache's
-// whole design guarantees.
-func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-// WriteError answers with the uniform error body {"error": msg}.
-func WriteError(w http.ResponseWriter, status int, msg string) {
-	WriteJSON(w, status, apiError{Error: msg})
-}
-
 // parseWait reads the ?wait=ms long-poll budget: absent means no wait
 // (ok with d == 0), negative or non-numeric is rejected, and anything
 // past a minute is clamped so a handler goroutine never parks for longer.
@@ -631,7 +619,7 @@ func writeJobView(w http.ResponseWriter, r *http.Request, v JobView, status int)
 			return
 		}
 	}
-	WriteJSON(w, status, v)
+	WriteJobView(w, status, v)
 }
 
 // etagMatches implements the weak-comparison If-None-Match rules the 304
@@ -700,7 +688,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.CancelJob(j)
-	WriteJSON(w, http.StatusOK, j.View())
+	WriteJobView(w, http.StatusOK, j.View())
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {

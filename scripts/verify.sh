@@ -4,6 +4,7 @@
 #
 #   scripts/verify.sh --level=unit          # gofmt + vet + build (incl. purego) + tests (incl. bench/) + bench smoke
 #   scripts/verify.sh --level=race          # race detector over ./... + fuzz corpus
+#   scripts/verify.sh --level=flake         # serving/runner packages under -race, 50 times over
 #   scripts/verify.sh --level=kernels       # coding-kernel differential: default vs -tags purego
 #   scripts/verify.sh --level=differential  # scenario-grid fast/slow scan + EXPERIMENTS.md bytes
 #   scripts/verify.sh --level=smoke         # rxld HTTP serving-contract drill
@@ -21,7 +22,7 @@ for arg in "$@"; do
   case "$arg" in
     --level=*) level="${arg#--level=}" ;;
     *)
-      echo "usage: $0 [--level=unit|race|kernels|differential|smoke|metrics|fleet|compose|bench|e2e|all]" >&2
+      echo "usage: $0 [--level=unit|race|flake|kernels|differential|smoke|metrics|fleet|compose|bench|e2e|all]" >&2
       exit 2
       ;;
   esac
@@ -107,9 +108,16 @@ rung_unit() {
 rung_race() {
   run go test -race ./...
   # Fuzz seed corpora (replay parsing, JobSpec normalize, spill files,
-  # Prometheus text, the engine against its single-heap reference; no
-  # long fuzzing).
+  # the job-view envelope against the encoder, Prometheus text, the engine
+  # against its single-heap reference; no long fuzzing).
   run go test -run 'Fuzz.*' ./internal/workload/ ./internal/service/ ./internal/obs/ ./internal/sim/
+}
+
+rung_flake() {
+  # The concurrent packages — daemon, fleet, tracing, sharded runner —
+  # under the race detector, fifty runs each: an interleaving that fails
+  # once in fifty fails the rung.
+  run go test -race -count=50 ./internal/service/ ./internal/fleet/ ./internal/obs/ ./internal/runner/
 }
 
 rung_kernels() {
@@ -349,6 +357,7 @@ rung_e2e() {
 case "$level" in
 unit) rung_unit ;;
 race) rung_race ;;
+flake) rung_flake ;;
 kernels) rung_kernels ;;
 differential) rung_differential ;;
 smoke) rung_smoke ;;
@@ -360,6 +369,7 @@ e2e) rung_e2e ;;
 all)
   rung_unit
   rung_race
+  rung_flake
   rung_kernels
   rung_differential
   rung_smoke
@@ -370,7 +380,7 @@ all)
   rung_e2e
   ;;
 *)
-  echo "unknown level '$level' (want unit|race|kernels|differential|smoke|metrics|fleet|compose|bench|e2e|all)" >&2
+  echo "unknown level '$level' (want unit|race|flake|kernels|differential|smoke|metrics|fleet|compose|bench|e2e|all)" >&2
   exit 2
   ;;
 esac
