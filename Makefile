@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet verify unit race differential smoke metrics fleet compose bench e2e \
+.PHONY: build test vet verify unit race flake kernels differential smoke metrics fleet compose bench e2e \
         fleet-up fleet-down docker clean
 
 build: ## Build all binaries into ./bin
@@ -19,7 +19,7 @@ vet: ## go vet
 verify: ## The whole verification ladder, bottom to top
 	scripts/verify.sh --level=all
 
-unit race differential smoke metrics fleet compose bench e2e: ## Individual verify rungs
+unit race flake kernels differential smoke metrics fleet compose bench e2e: ## Individual verify rungs
 	scripts/verify.sh --level=$@
 
 fleet-up: ## Start the docker-compose fleet (3 daemons + front on :17080)

@@ -8,11 +8,10 @@
 // Usage:
 //
 //	rxld [-addr 127.0.0.1:8080] [-budget 0] [-queue 64] [-cache 256]
-//	     [-spill DIR] [-job-workers 0] [-addr-file PATH]
+//	     [-spill DIR] [-addr-file PATH]
 //	     [-fleet-self URL -fleet-peers URL,URL,...]     # fleet member
-//	     [-fleet-fetch-wait 10s]
 //	rxld -fleet URL,URL,... [-addr ...] [-addr-file ...] # fleet front
-//	     [-fleet-hot-threshold 32] [-fleet-hot-replicas 2]
+//	     [-fleet-hot-threshold 32]
 //	     [-fleet-probe-interval 2s] [-fleet-probe-timeout 1s]
 //
 // The bound address is printed on startup (and written to -addr-file when
@@ -24,18 +23,17 @@
 //   - Member: -fleet-self/-fleet-peers make this daemon part of a
 //     consistent-hash fleet. On a cache miss it first asks the key's
 //     ring owner for the bytes (GET /v1/cache/{key}, joining the
-//     owner's in-flight computation when there is one) and only
-//     computes when no peer has them; -fleet-fetch-wait bounds how long
-//     a fetch joins the owner's computation. /v1/statsz grows a "fleet"
-//     section (ring size, peer hits/misses/served).
+//     owner's in-flight computation for up to 10 s when there is one)
+//     and only computes when no peer has them. -fleet-self must be one
+//     of the -fleet-peers entries verbatim, or rxld exits 1. /v1/statsz
+//     grows a "fleet" section (ring size, peer hits/misses/served).
 //
 //   - Front: -fleet runs a stateless router instead of a daemon. Every
 //     submission is normalized, keyed, and forwarded to its owner — a
 //     key whose decayed repeat count reaches -fleet-hot-threshold is
-//     spread over -fleet-hot-replicas owners — and job handles carry a
-//     peer prefix ("p1~j000042-...") so GET/DELETE/events find the
-//     daemon that issued them. No engines, no cache, restartable at
-//     will.
+//     spread over two owners — and job handles carry a peer prefix
+//     ("p1~j000042-...") so GET/DELETE/events find the daemon that
+//     issued them. No engines, no cache, restartable at will.
 //
 // Observability (see OPERATIONS.md for the full family reference):
 //
@@ -95,20 +93,17 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for a random port)")
-		budget     = flag.Int("budget", 0, "total shard concurrency across all jobs (0 = GOMAXPROCS)")
-		jobWorkers = flag.Int("job-workers", 0, "default per-job worker request (0 = full budget)")
-		queue      = flag.Int("queue", 64, "bounded job queue depth (admission control)")
-		cacheSize  = flag.Int("cache", 256, "in-memory result cache entries (LRU)")
-		spillDir   = flag.String("spill", "", "directory for cache disk spill (empty = memory only)")
-		addrFile   = flag.String("addr-file", "", "write the bound address to this file once listening")
+		addr      = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for a random port)")
+		budget    = flag.Int("budget", 0, "total shard concurrency across all jobs (0 = GOMAXPROCS)")
+		queue     = flag.Int("queue", 64, "bounded job queue depth (admission control)")
+		cacheSize = flag.Int("cache", 256, "in-memory result cache entries (LRU)")
+		spillDir  = flag.String("spill", "", "directory for cache disk spill (empty = memory only)")
+		addrFile  = flag.String("addr-file", "", "write the bound address to this file once listening")
 
 		front      = flag.String("fleet", "", "run as fleet front: comma-separated daemon base URLs to route over (no local engines)")
 		fleetSelf  = flag.String("fleet-self", "", "this daemon's base URL within the fleet (member mode; requires -fleet-peers)")
 		peersCSV   = flag.String("fleet-peers", "", "comma-separated base URLs of every fleet daemon, self included (member mode)")
 		hotThresh  = flag.Int("fleet-hot-threshold", 0, "front: decayed repeat count that promotes a key to its replica set (0 = 32, negative disables)")
-		hotRepl    = flag.Int("fleet-hot-replicas", 0, "front: distinct owners a hot key spreads over (0 = 2)")
-		fetchWait  = flag.Duration("fleet-fetch-wait", 0, "member: how long a peer fetch may join the owner's in-flight computation (0 = 10s)")
 		probeEvery = flag.Duration("fleet-probe-interval", 0, "front: background /v1/healthz probe period per peer (0 = 2s, negative disables)")
 		probeTO    = flag.Duration("fleet-probe-timeout", 0, "front: per-probe timeout (0 = 1s)")
 	)
@@ -128,25 +123,18 @@ func main() {
 		err = runFront(*addr, *addrFile, fleet.FrontConfig{
 			Peers:         splitCSV(*front),
 			HotThreshold:  *hotThresh,
-			HotReplicas:   *hotRepl,
 			ProbeInterval: *probeEvery,
 			ProbeTimeout:  *probeTO,
 		})
 	} else {
 		cfg := service.Config{
-			ShardBudget:       *budget,
-			DefaultJobWorkers: *jobWorkers,
-			QueueDepth:        *queue,
-			CacheEntries:      *cacheSize,
-			SpillDir:          *spillDir,
+			ShardBudget:  *budget,
+			QueueDepth:   *queue,
+			CacheEntries: *cacheSize,
+			SpillDir:     *spillDir,
 		}
 		if *fleetSelf != "" {
-			peers := splitCSV(*peersCSV)
-			fetcher, ferr := fleet.NewFetcher(fleet.FetchConfig{
-				Self:  *fleetSelf,
-				Peers: peers,
-				Wait:  *fetchWait,
-			})
+			fetcher, ferr := fleet.NewFetcher(fleet.FetchConfig{Self: *fleetSelf, Peers: splitCSV(*peersCSV)})
 			if ferr != nil {
 				fmt.Fprintln(os.Stderr, ferr)
 				os.Exit(1)

@@ -7,13 +7,13 @@
 //	rxltop -peers http://d1:8081,http://d2:8081   # or an explicit member list
 //	rxltop -front http://127.0.0.1:17080 -watch   # redraw every 2 s
 //
-// One shot prints a FRONT line (routing counters) with one PEER line per
-// member the front routes to (routability, probe verdict, traffic), then
-// one MEMBER line per daemon: queue depth, running jobs, shard
-// utilization, cache footprint and hit rate, request-latency quantiles
-// rebuilt from the scraped histogram buckets, and peer-fetch traffic
-// (h/m/s = fetch hits / fetch misses / served to peers). A process whose
-// scrape fails renders as DOWN. -once forces one shot for scripts.
+// Without -watch it prints one snapshot and exits: a FRONT line (routing
+// counters) with one PEER line per member the front routes to
+// (routability, probe verdict, traffic), then one MEMBER line per daemon:
+// queue depth, running jobs, shard utilization, cache footprint and hit
+// rate, request-latency quantiles rebuilt from the scraped histogram
+// buckets, and peer-fetch traffic (h/m/s = fetch hits / fetch misses /
+// served to peers). A process whose scrape fails renders as DOWN.
 package main
 
 import (
@@ -34,11 +34,10 @@ const watchInterval = 2 * time.Second
 func main() {
 	front := flag.String("front", "", "fleet front base URL; members are discovered from its /metrics")
 	peers := flag.String("peers", "", "comma-separated member base URLs (instead of, or in addition to, -front)")
-	once := flag.Bool("once", false, "print one snapshot and exit (the default without -watch)")
 	watch := flag.Bool("watch", false, "redraw every 2s until interrupted")
 	flag.Parse()
-	if flag.NArg() > 0 || (*front == "" && *peers == "") || (*once && *watch) {
-		fmt.Fprintln(os.Stderr, "usage: rxltop (-front URL | -peers URL,URL,...) [-once | -watch]")
+	if flag.NArg() > 0 || (*front == "" && *peers == "") {
+		fmt.Fprintln(os.Stderr, "usage: rxltop (-front URL | -peers URL,URL,...) [-watch]")
 		os.Exit(2)
 	}
 	var members []string

@@ -143,3 +143,33 @@ func TestDocsNameOnlyExistingBinaries(t *testing.T) {
 		}
 	}
 }
+
+// TestMakefileRungsMatchVerifyLevels keeps the Makefile's per-rung
+// targets equal to the levels scripts/verify.sh dispatches to a rung
+// function, so every rung CI runs is also a make target.
+func TestMakefileRungsMatchVerifyLevels(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rule := regexp.MustCompile(`(?m)^([a-z0-9 -]+):.*\n\tscripts/verify\.sh --level=\$@$`).FindSubmatch(mk)
+	if rule == nil {
+		t.Fatal("Makefile has no rule running scripts/verify.sh --level=$@")
+	}
+	targets := strings.Fields(string(rule[1]))
+
+	sh, err := os.ReadFile("scripts/verify.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var levels []string
+	for _, m := range regexp.MustCompile(`(?m)^([a-z0-9]+)\) rung_`).FindAllSubmatch(sh, -1) {
+		levels = append(levels, string(m[1]))
+	}
+
+	slices.Sort(targets)
+	slices.Sort(levels)
+	if len(levels) == 0 || !slices.Equal(targets, levels) {
+		t.Errorf("Makefile rung targets %v, scripts/verify.sh levels %v", targets, levels)
+	}
+}

@@ -179,9 +179,6 @@ func (f *Fabric) B() *link.Peer { return f.Chain.B }
 // Run drains the event queue.
 func (f *Fabric) Run() { f.Eng.Run() }
 
-// RunFor advances simulated time by d.
-func (f *Fabric) RunFor(d sim.Time) { f.Eng.AdvanceTo(f.Eng.Now() + d) }
-
 // keystream walks the integrity keystream of the tag in p's first eight
 // bytes over the rest of p, one xorshift step per eight bytes: with fill it
 // writes the stream, otherwise it reports whether p carries it — so a

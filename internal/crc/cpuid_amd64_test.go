@@ -16,9 +16,6 @@ func TestAgainstProcCPUInfo(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("cross-check needs /proc/cpuinfo")
 	}
-	if os.Getenv("RXL_PUREGO") != "" {
-		t.Skip("RXL_PUREGO overrides detection")
-	}
 	raw, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
 		t.Skipf("cannot read /proc/cpuinfo: %v", err)

@@ -14,12 +14,12 @@
 // the portable slicing-by-16 engine otherwise (16 precomputed 256-entry
 // tables consume one 16-byte block per iteration with two independent
 // 8-byte loads, so the table lookups of the two halves overlap in the
-// pipeline). Building with -tags purego (or setting RXL_PUREGO) pins
-// Update to slicing-by-16 — the only path on non-amd64 hosts and the
-// pinned reference the kernel differential and fuzz suites compare the
-// assembly against. UpdateBitwise is the bit-serial definition of the
-// polynomial every table is derived from and checked against, and the
-// slow leg of the bitwise/by16 floor (DESIGN.md §2).
+// pipeline). Building with -tags purego pins Update to slicing-by-16 —
+// the only path on non-amd64 hosts and the pinned reference the kernel
+// differential and fuzz suites compare the assembly against.
+// UpdateBitwise is the bit-serial definition of the polynomial every
+// table is derived from and checked against, and the slow leg of the
+// bitwise/by16 floor (DESIGN.md §2).
 //
 // # ISN encoding
 //
@@ -97,7 +97,7 @@ func Update(crc uint64, data []byte) uint64 {
 
 // UsingCLMUL reports whether Update dispatches long inputs to the
 // carry-less-multiply kernel on this host (amd64 with PCLMULQDQ+SSE4.1,
-// not built with -tags purego, not disabled via RXL_PUREGO).
+// not built with -tags purego).
 func UsingCLMUL() bool { return hasCLMUL }
 
 // UpdateSlicing16 is the slicing-by-16 engine (one 8-byte step and

@@ -2,15 +2,11 @@
 
 package crc
 
-import "os"
-
 // hasCLMUL gates Update's dispatch to the PCLMULQDQ folding kernel. It is
 // computed once, from CPUID leaf 1: PCLMULQDQ for the folds, and SSE4.1 for
 // the epilogue's PEXTRQ (every CPU shipping PCLMULQDQ has it, but the
-// dispatch checks anyway so the pairing is explicit). The RXL_PUREGO
-// environment variable (any non-empty value) clears it, forcing the
-// slicing-by-16 engine without a rebuild.
-var hasCLMUL = detectCLMUL() && os.Getenv("RXL_PUREGO") == ""
+// dispatch checks anyway so the pairing is explicit).
+var hasCLMUL = detectCLMUL()
 
 // cpuid executes the CPUID instruction with the given leaf (EAX) and
 // subleaf (ECX). Implemented in cpuid_amd64.s.

@@ -2,20 +2,16 @@ package crc
 
 import (
 	"math/rand"
-	"os"
 	"runtime"
 	"testing"
 )
 
 // TestFlagsConsistent checks the invariants the dispatch relies on,
 // without assuming anything about the host: the CLMUL kernel is never
-// selected off amd64, and RXL_PUREGO force-clears it.
+// selected off amd64.
 func TestFlagsConsistent(t *testing.T) {
 	if runtime.GOARCH != "amd64" && UsingCLMUL() {
 		t.Fatal("non-amd64 host dispatches to the CLMUL kernel")
-	}
-	if os.Getenv("RXL_PUREGO") != "" && UsingCLMUL() {
-		t.Fatal("RXL_PUREGO set but the CLMUL kernel stayed on")
 	}
 	t.Logf("UsingCLMUL() = %v", UsingCLMUL())
 }

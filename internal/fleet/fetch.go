@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -11,18 +13,18 @@ import (
 
 // FetchConfig parameterizes a daemon's peer fetcher.
 type FetchConfig struct {
-	// Self is this daemon's own base URL as it appears in Peers; the
-	// fetcher never asks itself.
+	// Self is this daemon's own base URL, spelled exactly as in Peers;
+	// the fetcher never asks itself.
 	Self string
 	// Peers is the full fleet membership (base URLs), self included.
 	Peers []string
-	// Wait is the in-flight join budget of the primary owner's probe:
-	// how long it may block while the owner is computing the key right
-	// now (0 = 10s). An owner that neither holds nor is computing the
-	// key answers immediately regardless, and fallback probes never
-	// wait (see Fetch).
-	Wait time.Duration
 }
+
+// fetchWait is the in-flight join budget of the primary owner's probe:
+// how long it may block while the owner is computing the key right now.
+// An owner that neither holds nor is computing the key answers
+// immediately regardless, and fallback probes never wait (see Fetch).
+const fetchWait = 10 * time.Second
 
 // fetchCandidates is how many distinct non-self owners a fetch tries
 // before giving up: the owner plus one fallback for when the owner is
@@ -36,23 +38,23 @@ const fetchCandidates = 2
 type Fetcher struct {
 	ring    *Ring
 	self    string
-	wait    time.Duration
 	clients map[string]*service.Client
 }
 
-// NewFetcher validates the configuration and builds the ring.
+// NewFetcher validates the configuration and builds the ring. Self must
+// be one of Peers verbatim: a member that hashes under another spelling
+// would not recognise the keys it owns, and would probe itself for them.
 func NewFetcher(cfg FetchConfig) (*Fetcher, error) {
 	ring, err := NewRing(cfg.Peers, 0)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Wait <= 0 {
-		cfg.Wait = 10 * time.Second
+	if !slices.Contains(ring.Peers(), cfg.Self) {
+		return nil, fmt.Errorf("fleet: self %q is not one of the peers %q", cfg.Self, cfg.Peers)
 	}
 	f := &Fetcher{
 		ring:    ring,
 		self:    cfg.Self,
-		wait:    cfg.Wait,
 		clients: make(map[string]*service.Client, len(ring.peers)),
 	}
 	for _, p := range ring.Peers() {
@@ -92,7 +94,7 @@ func (f *Fetcher) Fetch(ctx context.Context, key string) ([]byte, bool) {
 			continue
 		}
 		tried++
-		wait := f.wait
+		wait := fetchWait
 		if o != owners[0] {
 			wait = 0
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -77,7 +78,7 @@ func startFleet(t *testing.T, n int, frontCfg FrontConfig) *testFleet {
 		tf.urls = append(tf.urls, ts.URL)
 	}
 	for i := 0; i < n; i++ {
-		f, err := NewFetcher(FetchConfig{Self: tf.urls[i], Peers: tf.urls, Wait: 30 * time.Second})
+		f, err := NewFetcher(FetchConfig{Self: tf.urls[i], Peers: tf.urls})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +255,7 @@ func TestFleetPeerFetch(t *testing.T) {
 // (404 at once — it has never seen the key) and then the other as its
 // fallback owner, where the key is in flight; if fallback probes joined
 // in-flight jobs the two would wait on each other for the whole fetch
-// budget (30 s here) before either computed. Both must instead compute
+// budget (10 s) before either computed. Both must instead compute
 // and answer identical bytes in compute time — tens of milliseconds.
 func TestColdKeyAtBothNonOwners(t *testing.T) {
 	tf := startFleet(t, 3, FrontConfig{})
@@ -288,8 +289,8 @@ func TestColdKeyAtBothNonOwners(t *testing.T) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	// A sixth of the join budget: far above any loaded-host compute
-	// time, far below what a mutual join costs.
+	// Half the join budget: far above any loaded-host compute time, far
+	// below what a mutual join costs.
 	if elapsed > 5*time.Second {
 		t.Fatalf("cold key at both non-owners took %v: they waited on each other", elapsed)
 	}
@@ -297,10 +298,10 @@ func TestColdKeyAtBothNonOwners(t *testing.T) {
 }
 
 // TestFrontHotPromotion drives one key past the promotion threshold and
-// asserts its bytes end up replicated: at least HotReplicas daemons
+// asserts its bytes end up replicated: at least hotReplicas daemons
 // hold the key locally, and every response stayed byte-identical.
 func TestFrontHotPromotion(t *testing.T) {
-	tf := startFleet(t, 3, FrontConfig{HotThreshold: 3, HotReplicas: 2})
+	tf := startFleet(t, 3, FrontConfig{HotThreshold: 3})
 	ctx := context.Background()
 	spec := gridSpec(31)
 	norm, err := spec.Normalize()
@@ -461,4 +462,25 @@ func TestFetcherSkipsSelfOwnedKeys(t *testing.T) {
 		return
 	}
 	t.Fatal("no self-owned key found")
+}
+
+// TestFetcherRejectsSelfNotInPeers: Self must be one of Peers verbatim. A
+// member hashing under an alias of its own ring entry would not recognise
+// the keys it owns: it would probe itself for each one and join its own
+// in-flight job, stalling every such miss for the whole join budget.
+func TestFetcherRejectsSelfNotInPeers(t *testing.T) {
+	peers := []string{"http://a:1", "http://b:1"}
+	for _, self := range []string{"http://a:1/", "http://A:1", "http://c:1", ""} {
+		_, err := NewFetcher(FetchConfig{Self: self, Peers: peers})
+		if err == nil {
+			t.Errorf("self %q accepted with peers %q", self, peers)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("%q", self)) || !strings.Contains(msg, peers[1]) {
+			t.Errorf("self %q: error %q names neither self nor peers", self, msg)
+		}
+	}
+	if _, err := NewFetcher(FetchConfig{Self: peers[1], Peers: peers}); err != nil {
+		t.Fatalf("self in peers rejected: %v", err)
+	}
 }

@@ -22,12 +22,6 @@ type FrontConfig struct {
 	// HotThreshold is the decayed request count at which a key is
 	// promoted to its replica set (0 = 32; < 0 disables promotion).
 	HotThreshold int
-	// HotReplicas is how many distinct owners a promoted key's requests
-	// spread over (0 = 2; clamped to the fleet size).
-	HotReplicas int
-	// RetryDead is how long a peer that failed a forward is skipped
-	// before being retried (0 = 3s).
-	RetryDead time.Duration
 	// ProbeInterval is the active health-probe period: the front probes
 	// every peer's /v1/healthz in the background and routes around peers
 	// whose probes fail, independent of forward traffic (0 = 2s; < 0
@@ -36,6 +30,15 @@ type FrontConfig struct {
 	// ProbeTimeout bounds one health probe (0 = 1s).
 	ProbeTimeout time.Duration
 }
+
+const (
+	// hotReplicas is how many distinct owners a promoted key's requests
+	// spread over, clamped to the fleet size.
+	hotReplicas = 2
+	// retryDead is how long a peer that failed a forward is skipped
+	// before being retried, unless a probe answers first.
+	retryDead = 3 * time.Second
+)
 
 // Front is the fleet router: a stateless http.Handler speaking the same
 // /v1 surface as a daemon. Each submission is normalized, keyed, and
@@ -104,15 +107,6 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 	if cfg.HotThreshold == 0 {
 		cfg.HotThreshold = 32
 	}
-	if cfg.HotReplicas <= 0 {
-		cfg.HotReplicas = 2
-	}
-	if n := len(ring.Peers()); cfg.HotReplicas > n {
-		cfg.HotReplicas = n
-	}
-	if cfg.RetryDead <= 0 {
-		cfg.RetryDead = 3 * time.Second
-	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = 2 * time.Second
 	}
@@ -171,7 +165,7 @@ func (f *Front) Close() {
 // longer than one probe round. Active probing is the primary health
 // signal: it finds dead peers with no forward traffic to trip the
 // passive marks, and it revives wrongly-marked peers the moment they
-// answer, instead of after RetryDead expires.
+// answer, instead of after retryDead expires.
 func (f *Front) probeLoop() {
 	defer f.probeWG.Done()
 	t := time.NewTicker(f.cfg.ProbeInterval)
@@ -287,14 +281,14 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Candidate order: the full ring ownership sequence, rotated for hot
 	// keys so a promoted key's requests spread over its first
-	// HotReplicas owners. Everything after the preferred target stays in
+	// hotReplicas owners. Everything after the preferred target stays in
 	// ring order — it is the failover sequence.
 	now := time.Now()
 	candidates := f.ring.Owners(key, len(f.peers))
 	n := f.hot.bump(key, now)
-	promoted := f.cfg.HotThreshold > 0 && n >= uint64(f.cfg.HotThreshold) && f.cfg.HotReplicas > 1
+	k := min(hotReplicas, len(f.peers))
+	promoted := f.cfg.HotThreshold > 0 && n >= uint64(f.cfg.HotThreshold) && k > 1
 	if promoted {
-		k := f.cfg.HotReplicas
 		pick := int(n) % k
 		candidates[0], candidates[pick] = candidates[pick], candidates[0]
 		f.promotions.Inc()
@@ -378,7 +372,7 @@ func (f *Front) forwardSubmit(ctx context.Context, candidates []string, norm ser
 				return service.JobView{}, nil, err
 			}
 			obs.Record(ctx, "forward_failed", attempt, map[string]string{"peer": url})
-			p.markDown(now.Add(f.cfg.RetryDead))
+			p.markDown(now.Add(retryDead))
 			lastErr = err
 			if ctx.Err() != nil {
 				return service.JobView{}, nil, lastErr
@@ -423,7 +417,7 @@ func (f *Front) proxy(w http.ResponseWriter, r *http.Request, suffix string, hea
 	}
 	resp, err := p.client.Send(r.Context(), r.Method, "/v1/jobs/"+localID+suffix, nil, header)
 	if err != nil {
-		p.markDown(time.Now().Add(f.cfg.RetryDead))
+		p.markDown(time.Now().Add(retryDead))
 		service.WriteError(w, http.StatusBadGateway, "fleet: peer unreachable: "+err.Error())
 		return nil, nil, false
 	}
@@ -570,7 +564,7 @@ func (f *Front) Stats() FrontStats {
 		RingSize:      f.ring.Size(),
 		VNodes:        f.ring.VNodes(),
 		HotThreshold:  f.cfg.HotThreshold,
-		HotReplicas:   f.cfg.HotReplicas,
+		HotReplicas:   min(hotReplicas, len(f.peers)),
 		HotTracked:    f.hot.size(),
 		HotPromotions: f.promotions.Value(),
 		Forwards:      f.forwards.Value(),

@@ -22,7 +22,7 @@ import (
 // owner's cache-serve span — merged under the one request ID the client
 // sent.
 func TestFleetTraceAssembly(t *testing.T) {
-	tf := startFleet(t, 3, FrontConfig{HotThreshold: 2, HotReplicas: 2})
+	tf := startFleet(t, 3, FrontConfig{HotThreshold: 2})
 	ctx := context.Background()
 	spec := gridSpec(53)
 	body, err := json.Marshal(spec)
@@ -113,12 +113,11 @@ func TestFleetTraceAssembly(t *testing.T) {
 // TestFrontActiveProbing pins the probe loop as the primary health
 // signal: a peer that dies with zero forward traffic is marked down
 // within a few probe rounds, and a peer wrongly passive-marked down is
-// revived by its next successful probe instead of waiting out RetryDead.
+// revived by its next successful probe instead of waiting out its mark.
 func TestFrontActiveProbing(t *testing.T) {
 	tf := startFleet(t, 2, FrontConfig{
 		ProbeInterval: 20 * time.Millisecond,
 		ProbeTimeout:  300 * time.Millisecond,
-		RetryDead:     time.Hour, // passive marks alone would never recover in-test
 	})
 
 	waitFor := func(desc string, cond func() bool) {
@@ -226,7 +225,6 @@ func TestFrontStaleProbeKeepsNewerMark(t *testing.T) {
 		Peers:         []string{member.URL},
 		ProbeInterval: time.Hour, // only the immediate first round runs
 		ProbeTimeout:  time.Minute,
-		RetryDead:     time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)

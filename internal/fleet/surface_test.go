@@ -343,7 +343,6 @@ func TestSurfaceGolden(t *testing.T) {
 func TestOneStoreContract(t *testing.T) {
 	tf := startFleet(t, 3, FrontConfig{
 		HotThreshold:  2,
-		HotReplicas:   2,
 		ProbeInterval: 5 * time.Millisecond,
 	})
 	ctx := context.Background()

@@ -2,7 +2,6 @@ package reliability
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 
 	"repro/internal/flit"
@@ -34,32 +33,18 @@ type FERSample struct {
 }
 
 // MeasureFERSchedule pushes `flits` flits through a BER channel and
-// counts how many are corrupted, cross-checking Eq. 1. It is a one-hop
-// phy.SharedSchedule.Walk: clean spans cost O(1) with zero RNG draws, and
-// only struck flits go through Traverse. The schedule consumes exactly
-// the random stream the byte-level reference (the one-hop MeasureFERPath)
-// would, so identical seeds give identical counts — proven by
-// TestMeasureFERScheduleMatchesByteLevel — at one-to-two orders of
-// magnitude higher trial throughput at production BERs (Fig. 8 tails).
+// counts how many are corrupted, cross-checking Eq. 1. It is the one-hop
+// MeasureFERPathSchedule: clean spans cost O(1) with zero RNG draws, and
+// the schedule consumes exactly the random stream the byte-level
+// reference (the one-hop MeasureFERPath) would, so identical seeds give
+// identical counts — proven by TestMeasureFERScheduleMatchesByteLevel —
+// at one-to-two orders of magnitude higher trial throughput at
+// production BERs (Fig. 8 tails).
 func MeasureFERSchedule(ber float64, flits int, seed uint64) FERSample {
-	if flits <= 0 {
-		panic("reliability: MeasureFERSchedule needs at least one flit")
-	}
+	s := MeasureFERPathSchedule(ber, 1, flits, seed)
 	p := DefaultParams()
 	p.BER = ber
-	s := phy.NewSharedSchedule(ber, 0, phy.NewRNG(seed), FlitBits)
-	bad := 0
-	s.Walk(context.TODO(), 1, flits, func() {
-		if s.Traverse() > 0 {
-			bad++
-		}
-	})
-	return FERSample{
-		Flits:     flits,
-		Erroneous: bad,
-		FER:       float64(bad) / float64(flits),
-		Analytic:  p.FER(),
-	}
+	return FERSample{Flits: s.Flits, Erroneous: s.Erroneous, FER: s.FER, Analytic: p.FER()}
 }
 
 // FECOutcome classifies decode results of error-injected flits.

@@ -31,9 +31,8 @@ var ErrClosed = errors.New("service: server closed")
 //     shrinks to fit rather than starving behind the running set
 //     (results are worker-count independent, so shrinking is safe).
 type scheduler struct {
-	budget         int
-	depth          int
-	defaultWorkers int
+	budget int
+	depth  int
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -48,8 +47,8 @@ type scheduler struct {
 }
 
 // newScheduler starts the dispatcher goroutine.
-func newScheduler(budget, depth, defaultWorkers int, run func(*Job, int)) *scheduler {
-	s := &scheduler{budget: budget, depth: depth, defaultWorkers: defaultWorkers, run: run}
+func newScheduler(budget, depth int, run func(*Job, int)) *scheduler {
+	s := &scheduler{budget: budget, depth: depth, run: run}
 	s.cond = sync.NewCond(&s.mu)
 	s.wg.Add(1)
 	go s.dispatch()
@@ -97,16 +96,10 @@ func (s *scheduler) dispatch() {
 			s.mu.Unlock()
 			continue
 		}
-		want := j.Spec.Workers
-		if want <= 0 {
-			want = s.defaultWorkers
-		}
-		if want > s.budget {
-			want = s.budget
-		}
+		// A job that leaves Workers at 0 asks for the whole budget.
 		grant := s.budget - s.inUse
-		if grant > want {
-			grant = want
+		if w := j.Spec.Workers; w > 0 && w < grant {
+			grant = w
 		}
 		s.inUse += grant
 		if s.inUse > s.peak {

@@ -24,9 +24,6 @@ type Config struct {
 	// jobs (0 = runtime.GOMAXPROCS). The scheduler guarantees the sum of
 	// per-job runner workers never exceeds it.
 	ShardBudget int
-	// DefaultJobWorkers is the allocation requested for jobs that leave
-	// Spec.Workers zero (0 = the full shard budget).
-	DefaultJobWorkers int
 	// QueueDepth bounds the pending-job queue; submissions past it are
 	// rejected with ErrQueueFull / HTTP 429 (0 = 64).
 	QueueDepth int
@@ -71,9 +68,6 @@ type FleetInfo struct {
 func (c Config) withDefaults() Config {
 	if c.ShardBudget <= 0 {
 		c.ShardBudget = runtime.GOMAXPROCS(0)
-	}
-	if c.DefaultJobWorkers <= 0 || c.DefaultJobWorkers > c.ShardBudget {
-		c.DefaultJobWorkers = c.ShardBudget
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
@@ -143,7 +137,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.tracer = obs.NewTracer("daemon", origin)
 	s.wireMetrics()
-	s.sched = newScheduler(cfg.ShardBudget, cfg.QueueDepth, cfg.DefaultJobWorkers, s.runJob)
+	s.sched = newScheduler(cfg.ShardBudget, cfg.QueueDepth, s.runJob)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -190,9 +184,6 @@ func (s *Server) Close() {
 	}
 	s.sched.wait()
 }
-
-// Cache exposes the result cache (cmd/rxld logs its stats on shutdown).
-func (s *Server) Cache() *Cache { return s.cache }
 
 // Submit is the in-process submission path: exactly what POST /v1/jobs
 // does, minus HTTP. It returns the job — already done on a cache hit, or

@@ -143,8 +143,8 @@ type JobSpec struct {
 	// running (0 = no deadline).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Workers caps this job's shard concurrency. The scheduler may grant
-	// fewer (never more than the server's shard budget); 0 accepts the
-	// server default. Does not affect results.
+	// fewer (never more than the server's shard budget); 0 asks for the
+	// whole budget. Does not affect results.
 	Workers int `json:"workers,omitempty"`
 
 	// Grid is the KindGrid payload: a core.Grid in its native JSON form

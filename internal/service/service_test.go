@@ -223,7 +223,7 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 // submitters retry).
 func TestAdmissionControlUnderConcurrentLoad(t *testing.T) {
 	const budget = 4
-	srv := newTestServer(t, Config{ShardBudget: budget, QueueDepth: 128, DefaultJobWorkers: 2})
+	srv := newTestServer(t, Config{ShardBudget: budget, QueueDepth: 128})
 	c := NewInProcessClient(srv)
 	ctx := context.Background()
 
@@ -236,6 +236,7 @@ func TestAdmissionControlUnderConcurrentLoad(t *testing.T) {
 			defer wg.Done()
 			// Unique seeds make unique keys: no dedup, no cache hits.
 			spec := sweepSpec(uint64(1000 + i))
+			spec.Workers = 2
 			for {
 				v, err := c.Submit(ctx, spec)
 				if IsQueueFull(err) {
@@ -464,7 +465,7 @@ func TestCacheSpillSurvivesRestart(t *testing.T) {
 	if !bytes.Equal(v.Result, res1) {
 		t.Fatal("spilled result differs from the original")
 	}
-	if st := second.Cache().Stats(); st.DiskHits != 1 {
+	if st := second.Stats().Cache; st.DiskHits != 1 {
 		t.Errorf("disk hit not counted: %+v", st)
 	}
 }

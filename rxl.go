@@ -266,9 +266,9 @@ func NewFleetRing(peers []string, vnodes int) (*FleetRing, error) {
 }
 
 // FleetFetchConfig parameterizes a fleet member's peer fetch: its own
-// URL, the full peer list, and how long a fetch may join the owner's
-// in-flight computation. Wire the fetcher's Fetch into
-// ServiceConfig.PeerFetch (cmd/rxld does this under -fleet-self).
+// URL, spelled exactly as in the full peer list, and that list. Wire the
+// fetcher's Fetch into ServiceConfig.PeerFetch (cmd/rxld does this under
+// -fleet-self).
 type FleetFetchConfig = fleet.FetchConfig
 
 // NewFleetFetcher returns the miss-path peer fetcher for one daemon of a
@@ -277,8 +277,8 @@ func NewFleetFetcher(cfg FleetFetchConfig) (*fleet.Fetcher, error) {
 	return fleet.NewFetcher(cfg)
 }
 
-// FrontConfig parameterizes a fleet front: the peer list plus hot-key
-// promotion policy (threshold, replica count, decay epoch).
+// FrontConfig parameterizes a fleet front: the peer list, the hot-key
+// promotion threshold and the health-probe timing.
 type FrontConfig = fleet.FrontConfig
 
 // Front is the stateless fleet router: it normalizes and keys each

@@ -129,9 +129,6 @@ rung_kernels() {
   # two runs together pin the asm and vectored paths bit-for-bit.
   run go test -count=1 ./internal/crc/ ./internal/rs/ ./internal/flit/
   run go test -count=1 -tags purego ./internal/crc/ ./internal/rs/ ./internal/flit/
-  # The RXL_PUREGO escape hatch must force the reference kernels at
-  # runtime without a rebuild.
-  RXL_PUREGO=1 run go test -count=1 -run 'CLMUL|Flags' ./internal/crc/
   # Kernel fuzz corpora, replayed on both builds, with the error-schedule
   # walk's (Walk against a crossing-by-crossing Channel walk).
   run go test -count=1 -run 'Fuzz.*' ./internal/crc/ ./internal/rs/ ./internal/phy/
@@ -238,7 +235,7 @@ rung_metrics() {
   sleep 1 # let a probe round land
   curl -fsS "$FRONT/metrics" | grep -q '^rxlfront_peer_up'
 
-  "$BASE/rxltop" -once -front "$FRONT" | tee "$BASE/top.txt"
+  "$BASE/rxltop" -front "$FRONT" | tee "$BASE/top.txt"
   grep -q "FRONT $FRONT" "$BASE/top.txt"
   grep -q '^MEMBER' "$BASE/top.txt"
   for m in "${MEMBERS[@]}"; do

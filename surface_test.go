@@ -29,7 +29,6 @@ var keptUnreached = map[string]string{
 	"service.jobQueue.Less":                "interface method: heap.Interface",
 	"service.jobQueue.Swap":                "interface method: heap.Interface",
 
-	"core.Fabric.RunFor":                  "facade type method: rxl.Fabric",
 	"core.Fig5Report.CleanTransactions":   "facade type method: rxl.Fig5Report",
 	"hwcost.Report.RelativeDepthOverhead": "facade type method: rxl.HardwareReport",
 	"hwcost.Circuit.MaxFanIn":             "facade type method: the type of rxl.HardwareReport.Baseline",
