@@ -168,12 +168,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		ordered := make([]core.Result, 0, len(core.Protocols))
-		for _, p := range core.Protocols {
-			fmt.Println(results[p])
-			ordered = append(ordered, results[p])
+		for _, r := range results {
+			fmt.Println(r)
 		}
-		exportCSV(*csvPath, ordered)
+		exportCSV(*csvPath, results)
 		return
 	}
 

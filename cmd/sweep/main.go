@@ -146,8 +146,8 @@ func run(ctx context.Context, opt options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	for _, p := range core.Protocols {
-		fmt.Fprintln(w, results[p])
+	for _, r := range results {
+		fmt.Fprintln(w, r)
 	}
 
 	if opt.grid {

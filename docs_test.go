@@ -118,10 +118,15 @@ func usageLines(doc string) []string {
 // a build script or a Makefile.
 var binaryPath = regexp.MustCompile(`(?:^|[^A-Za-z0-9_.-])(?:\./)?((?:cmd|examples)/[a-z][a-z0-9_-]*)`)
 
+// sourcePath matches an internal/<pkg>/<file>.go source file named the
+// same way.
+var sourcePath = regexp.MustCompile(`(?:^|[^A-Za-z0-9_.-])(?:\./)?(internal/[a-z0-9_/]+\.go)\b`)
+
 // TestDocsNameOnlyExistingBinaries fails when a document or build file
-// names a cmd/<x> or examples/<x> directory that does not exist, so a
-// deleted binary cannot linger in the instructions. CHANGES.md and
-// ROADMAP.md are history and are not read.
+// names a cmd/<x> or examples/<x> directory, or an internal/<pkg>/<file>.go
+// source file, that does not exist, so a deleted binary or a moved file
+// cannot linger in the instructions. CHANGES.md and ROADMAP.md are
+// history and are not read.
 func TestDocsNameOnlyExistingBinaries(t *testing.T) {
 	files := []string{"README.md", "OPERATIONS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md",
 		"Makefile", "Dockerfile", "docker-compose.yml"}
@@ -137,6 +142,11 @@ func TestDocsNameOnlyExistingBinaries(t *testing.T) {
 		for i, line := range strings.Split(string(text), "\n") {
 			for _, m := range binaryPath.FindAllStringSubmatch(line, -1) {
 				if st, err := os.Stat(m[1]); err != nil || !st.IsDir() {
+					t.Errorf("%s:%d names %s, which does not exist", path, i+1, m[1])
+				}
+			}
+			for _, m := range sourcePath.FindAllStringSubmatch(line, -1) {
+				if st, err := os.Stat(m[1]); err != nil || !st.Mode().IsRegular() {
 					t.Errorf("%s:%d names %s, which does not exist", path, i+1, m[1])
 				}
 			}

@@ -90,32 +90,29 @@ var Protocols = []link.Protocol{link.ProtocolCXL, link.ProtocolCXLNoPiggyback, l
 // concurrently on the sharded runner (each on its own engine); results are
 // identical to running them sequentially.
 func RunComparison(base Config, n int) map[link.Protocol]Result {
-	out, err := RunComparisonPool(context.Background(), runner.Pool{Workers: len(Protocols)}, base, n)
+	results, err := RunComparisonPool(context.Background(), runner.Pool{Workers: len(Protocols)}, base, n)
 	if err != nil {
 		panic(err)
-	}
-	return out
-}
-
-// RunComparisonPool is RunComparison with an explicit context and pool:
-// a three-cell Grid over Protocols. A zero base seed is replaced by one
-// seed derived from the pool's base seed — the *same* seed for all three
-// variants, since the comparison's whole point is identical error
-// patterns across protocols — so distinct pool seeds yield independent
-// comparison samples. Each variant runs its protocol-correct link
-// defaults (LinkConfig is cleared), and n must be positive.
-func RunComparisonPool(ctx context.Context, pool runner.Pool, base Config, n int) (map[link.Protocol]Result, error) {
-	if base.Seed == 0 {
-		base.Seed = runner.ShardSeed(pool.BaseSeed, 0)
-	}
-	base.LinkConfig = nil
-	results, err := RunGrid(ctx, pool, Grid{Base: base, Protocols: Protocols, N: n})
-	if err != nil {
-		return nil, err
 	}
 	out := make(map[link.Protocol]Result, len(Protocols))
 	for i, p := range Protocols {
 		out[p] = results[i]
 	}
-	return out, nil
+	return out
+}
+
+// RunComparisonPool is RunComparison with an explicit context and pool:
+// a three-cell Grid over Protocols, whose results it returns in that
+// order. A zero base seed is replaced by one seed derived from the pool's
+// base seed — the *same* seed for all three variants, since the
+// comparison's whole point is identical error patterns across protocols —
+// so distinct pool seeds yield independent comparison samples. Each
+// variant runs its protocol-correct link defaults (LinkConfig is
+// cleared), and n must be positive.
+func RunComparisonPool(ctx context.Context, pool runner.Pool, base Config, n int) ([]Result, error) {
+	if base.Seed == 0 {
+		base.Seed = runner.ShardSeed(pool.BaseSeed, 0)
+	}
+	base.LinkConfig = nil
+	return RunGrid(ctx, pool, Grid{Base: base, Protocols: Protocols, N: n})
 }

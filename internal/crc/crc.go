@@ -252,20 +252,3 @@ func ChecksumISN(seq uint16, segments ...[]byte) uint64 {
 	}
 	return crc
 }
-
-// Verify reports whether sum is the CRC-64 of the concatenated segments —
-// the byte-level half of the verify-skip contract: flits whose images are
-// provably untouched since sealing (flit.Clean) answer the same question
-// in O(1) and never reach this function on the fast path.
-func Verify(sum uint64, segments ...[]byte) bool {
-	return Checksum(segments...) == sum
-}
-
-// VerifyISN reports whether sum is the ISN checksum of the segments under
-// seq. Two ISN checksums over identical data with different (SeqBits)-bit
-// sequence numbers always differ: the fold is a 2-byte burst, which a
-// 64-bit CRC detects with certainty. The fast path relies on exactly that
-// property to replace this computation with a sequence comparison.
-func VerifyISN(sum uint64, seq uint16, segments ...[]byte) bool {
-	return ChecksumISN(seq, segments...) == sum
-}

@@ -309,8 +309,9 @@ func BenchmarkCheckCRCISN(b *testing.B) {
 // TestCleanVerdictsMatchByteLevelVerify is the verify-skip half of the
 // fast-path differential contract: every O(1) answer a clean flit gives
 // (CheckCRC, CheckCRCISN, DecodeFEC short-circuits) must agree with the
-// pure byte-level verifiers — crc.Verify, crc.VerifyISN, and the
-// syndrome-only rs Verify — run over the materialized image. It also pins
+// pure byte-level verifiers — a full crc.Checksum and crc.ChecksumISN
+// compared with the CRC field, and the syndrome-only rs Verify — run over
+// the materialized image. It also pins
 // the negative direction: one flipped bit makes every byte-level verifier
 // reject what the clean mark would have blessed.
 func TestCleanVerdictsMatchByteLevelVerify(t *testing.T) {
@@ -337,22 +338,22 @@ func TestCleanVerdictsMatchByteLevelVerify(t *testing.T) {
 			cleanCRC, cleanISN := f.CheckCRC(), f.CheckCRCISN(tc.seq)
 			f.Materialize(fec)
 
-			if got := crc.Verify(f.CRCField(), f.crcInput()); got != cleanCRC {
-				t.Errorf("plain CRC: clean verdict %v, crc.Verify %v", cleanCRC, got)
+			if got := crc.Checksum(f.crcInput()) == f.CRCField(); got != cleanCRC {
+				t.Errorf("plain CRC: clean verdict %v, crc.Checksum match %v", cleanCRC, got)
 			}
-			if got := crc.VerifyISN(f.CRCField(), tc.seq, f.crcInput()); got != cleanISN {
-				t.Errorf("ISN CRC: clean verdict %v, crc.VerifyISN %v", cleanISN, got)
+			if got := crc.ChecksumISN(tc.seq, f.crcInput()) == f.CRCField(); got != cleanISN {
+				t.Errorf("ISN CRC: clean verdict %v, crc.ChecksumISN match %v", cleanISN, got)
 			}
 			if !fec.Verify(f.protected(), f.FECField()) {
 				t.Error("materialized clean image is not a valid RS codeword")
 			}
-			if wrong := tc.seq + 1; f.Clean() && crc.VerifyISN(f.CRCField(), wrong, f.crcInput()) {
+			if wrong := tc.seq + 1; f.Clean() && crc.ChecksumISN(wrong, f.crcInput()) == f.CRCField() {
 				t.Error("ISN verify accepted the wrong sequence number")
 			}
 
 			f.Payload()[17] ^= 0x40
 			f.Taint()
-			if crc.Verify(f.CRCField(), f.crcInput()) && crc.VerifyISN(f.CRCField(), tc.seq, f.crcInput()) {
+			if crc.Checksum(f.crcInput()) == f.CRCField() && crc.ChecksumISN(tc.seq, f.crcInput()) == f.CRCField() {
 				t.Error("byte-level CRC verify blessed a corrupted image")
 			}
 			if fec.Verify(f.protected(), f.FECField()) {

@@ -151,8 +151,7 @@ func (c *Client) Submit(ctx context.Context, spec JobSpec) (JobView, error) {
 
 // Get fetches a job's current view.
 func (c *Client) Get(ctx context.Context, id string) (JobView, error) {
-	var v JobView
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &v)
+	v, _, _, err := c.GetConditional(ctx, id, "")
 	return v, err
 }
 

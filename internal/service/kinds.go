@@ -131,13 +131,13 @@ var kinds = []kind{
 			return s, nil
 		},
 		run: func(ctx context.Context, pool runner.Pool, s JobSpec) (any, error) {
-			byProto, err := core.RunComparisonPool(ctx, pool, s.Comparison.Base, s.Comparison.N)
+			results, err := core.RunComparisonPool(ctx, pool, s.Comparison.Base, s.Comparison.N)
 			if err != nil {
 				return nil, err
 			}
-			ordered := make([]ProtocolResult, 0, len(core.Protocols))
-			for _, p := range core.Protocols {
-				ordered = append(ordered, ProtocolResult{Protocol: p.String(), Result: byProto[p]})
+			ordered := make([]ProtocolResult, len(results))
+			for i, r := range results {
+				ordered[i] = ProtocolResult{Protocol: core.Protocols[i].String(), Result: r}
 			}
 			return ordered, nil
 		},

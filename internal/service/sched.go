@@ -30,29 +30,29 @@ var ErrClosed = errors.New("service: server closed")
 //     grant is min(requested, free budget), at least 1 — a wide job
 //     shrinks to fit rather than starving behind the running set
 //     (results are worker-count independent, so shrinking is safe).
+//
+// Dispatch is inline: only a submit and a running job's release of its
+// grant can change what may start, so each calls startLocked, and no
+// goroutine runs while nothing executes.
 type scheduler struct {
 	budget int
 	depth  int
 
 	mu      sync.Mutex
-	cond    *sync.Cond
 	queue   jobQueue
 	inUse   int
 	peak    int
-	running int
+	running map[*Job]bool
 	closed  bool
 
 	run func(j *Job, workers int) // set by the server; executes one job
-	wg  sync.WaitGroup
+	wg  sync.WaitGroup            // running job goroutines
 }
 
-// newScheduler starts the dispatcher goroutine.
+// newScheduler returns an empty scheduler; it starts goroutines only to
+// run jobs.
 func newScheduler(budget, depth int, run func(*Job, int)) *scheduler {
-	s := &scheduler{budget: budget, depth: depth, run: run}
-	s.cond = sync.NewCond(&s.mu)
-	s.wg.Add(1)
-	go s.dispatch()
-	return s
+	return &scheduler{budget: budget, depth: depth, run: run, running: make(map[*Job]bool)}
 }
 
 // submit admits a job to the queue or rejects it with ErrQueueFull.
@@ -66,35 +66,19 @@ func (s *scheduler) submit(j *Job) error {
 		return ErrQueueFull
 	}
 	heap.Push(&s.queue, j)
-	s.cond.Signal()
+	s.startLocked()
 	return nil
 }
 
-// dispatch pops jobs in priority order whenever budget frees up, grants
-// each an allocation, and hands it to run on its own goroutine.
-func (s *scheduler) dispatch() {
-	defer s.wg.Done()
-	for {
-		s.mu.Lock()
-		for !s.closed && (s.queue.Len() == 0 || s.inUse >= s.budget) {
-			s.cond.Wait()
-		}
-		if s.closed {
-			// Drain the queue as cancelled: nothing new will run.
-			for s.queue.Len() > 0 {
-				j := heap.Pop(&s.queue).(*Job)
-				s.mu.Unlock()
-				j.Cancel()
-				s.mu.Lock()
-			}
-			s.mu.Unlock()
-			return
-		}
+// startLocked pops jobs in priority order while budget is free, grants
+// each an allocation, and hands it to run on its own goroutine, which
+// releases the grant and calls startLocked again when the job returns.
+// Caller holds s.mu.
+func (s *scheduler) startLocked() {
+	for !s.closed && s.queue.Len() > 0 && s.inUse < s.budget {
 		j := heap.Pop(&s.queue).(*Job)
 		if j.Status().Terminal() {
-			// Cancelled while queued; drop without charging the budget.
-			s.mu.Unlock()
-			continue
+			continue // cancelled while queued; drop without charging the budget
 		}
 		// A job that leaves Workers at 0 asks for the whole budget.
 		grant := s.budget - s.inUse
@@ -102,22 +86,18 @@ func (s *scheduler) dispatch() {
 			grant = w
 		}
 		s.inUse += grant
-		if s.inUse > s.peak {
-			s.peak = s.inUse
-		}
-		s.running++
-		s.mu.Unlock()
-
+		s.peak = max(s.peak, s.inUse)
+		s.running[j] = true
 		s.wg.Add(1)
-		go func(j *Job, grant int) {
+		go func() {
 			defer s.wg.Done()
 			s.run(j, grant)
 			s.mu.Lock()
 			s.inUse -= grant
-			s.running--
-			s.cond.Broadcast()
+			delete(s.running, j)
+			s.startLocked()
 			s.mu.Unlock()
-		}(j, grant)
+		}()
 	}
 }
 
@@ -136,23 +116,31 @@ func (s *scheduler) remove(j *Job) {
 	}
 }
 
-// close stops dispatching. Queued jobs are cancelled; running jobs keep
-// their grants until they observe their cancelled contexts and return.
+// close stops dispatching and cancels every job it holds: queued jobs
+// end at once, running ones keep their grants until they observe their
+// cancelled contexts and return.
 func (s *scheduler) close() {
 	s.mu.Lock()
 	s.closed = true
-	s.cond.Broadcast()
+	jobs := s.queue
+	s.queue = nil
+	for j := range s.running {
+		jobs = append(jobs, j)
+	}
 	s.mu.Unlock()
+	for _, j := range jobs {
+		j.Cancel()
+	}
 }
 
-// wait blocks until the dispatcher and every running job goroutine exit.
+// wait blocks until every running job goroutine exits.
 func (s *scheduler) wait() { s.wg.Wait() }
 
 // snapshot returns (queued, running, inUse, peak).
 func (s *scheduler) snapshot() (queued, running, inUse, peak int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.queue.Len(), s.running, s.inUse, s.peak
+	return s.queue.Len(), len(s.running), s.inUse, s.peak
 }
 
 // jobQueue is a max-heap on (priority, FIFO sequence).

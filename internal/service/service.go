@@ -18,18 +18,23 @@
 //   - Admission-controlled scheduler (sched.go). Misses enter a bounded
 //     priority queue (FIFO within a priority class); submissions beyond
 //     the bound are rejected immediately with 429 rather than absorbed
-//     into an unbounded backlog. A dispatcher grants each job a worker
-//     allocation from a fixed shard budget (default GOMAXPROCS) and sizes
-//     the job's internal runner pool to the grant, so total shard
-//     concurrency across all running jobs never exceeds the budget — the
-//     machine is shared, never oversubscribed. Jobs carry per-job
-//     cancellation (DELETE) and an optional execution deadline.
+//     into an unbounded backlog. Dispatch is inline — a submit and a
+//     finishing job are the only events that can start one — and grants
+//     each job a worker allocation from a fixed shard budget (default
+//     GOMAXPROCS), sizing the job's internal runner pool to the grant, so
+//     total shard concurrency across all running jobs never exceeds the
+//     budget — the machine is shared, never oversubscribed. Jobs carry
+//     per-job cancellation (DELETE) and an optional execution deadline.
 //
-//   - Progress streaming (events.go, server.go). The runner's progress
+//   - Progress streaming (events.go, handlers.go). The runner's progress
 //     callbacks are bridged into a per-job replayable event log exposed
 //     as a Server-Sent-Events stream, so clients attaching at any point
 //     see the full history and then live updates until the terminal
 //     event.
+//
+// The Server (server.go) takes each job from submission to its terminal
+// state in lifecycle.go, serves the HTTP surface below from handlers.go,
+// and does a fleet member's peer fetch in peer.go.
 //
 // The HTTP surface (stdlib net/http only):
 //

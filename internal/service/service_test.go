@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -274,6 +275,18 @@ func TestAdmissionControlUnderConcurrentLoad(t *testing.T) {
 	}
 	if st.JobsCompleted < n {
 		t.Fatalf("completed %d of %d jobs", st.JobsCompleted, n)
+	}
+}
+
+// TestIdleServerRunsNoGoroutine: dispatch is inline, so a Server with
+// nothing to execute runs no goroutine of its own. The count is compared
+// with ≤ and never retried: goroutines earlier tests left behind may exit
+// in between, but none may start.
+func TestIdleServerRunsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	newTestServer(t, Config{})
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after New, %d before", after, before)
 	}
 }
 
@@ -728,6 +741,32 @@ func TestDedupRequiresMatchingScheduling(t *testing.T) {
 
 	c.Cancel(ctx, v1.ID)
 	c.Cancel(ctx, v2.ID)
+}
+
+// TestCloseCancelsQueuedAndRunningJobs: Close cancels the job holding
+// the only worker and the job queued behind it, and returns once the
+// running one has observed its cancelled context.
+func TestCloseCancelsQueuedAndRunningJobs(t *testing.T) {
+	srv := newTestServer(t, Config{ShardBudget: 1})
+	hog, _, err := srv.Submit(JobSpec{
+		Kind: KindRare,
+		Seed: 1,
+		Rare: &RareSpec{BERs: []float64{1e-9}, MaxTrials: 1 << 26, RelErr: 0, Shards: 64},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, srv, hog.ID, StatusRunning)
+	queued, _, err := srv.Submit(sweepSpec(93))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	for _, j := range []*Job{hog, queued} {
+		if st := j.Status(); st != StatusCanceled {
+			t.Errorf("job %s is %s after Close, want %s", j.ID, st, StatusCanceled)
+		}
+	}
 }
 
 // TestClosedServerRejectsCacheHits: Close stops admission for hits and

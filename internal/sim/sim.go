@@ -122,12 +122,11 @@ func (h *eventHeap) pop() event {
 // order, so the engine is observationally identical to a single priority
 // queue.
 type Engine struct {
-	now         Time
-	events      eventHeap // one-off events
-	lanes       laneHeap  // the head of every non-empty lane
-	lanePending int       // events queued across all lanes
-	seq         uint64
-	stopped     bool
+	now     Time
+	events  eventHeap // one-off events
+	lanes   laneHeap  // the head of every non-empty lane
+	seq     uint64
+	stopped bool
 	// Executed counts dispatched events, a cheap progress metric.
 	Executed uint64
 }
@@ -196,7 +195,6 @@ func (l *Lane) AtArg(t Time, sink func(interface{}), arg interface{}) {
 	ev := e.event(t, sink, arg)
 	l.buf, l.head = headq.Compact(l.buf, l.head)
 	l.buf = append(l.buf, ev)
-	e.lanePending++
 	if len(l.buf)-l.head == 1 {
 		e.lanes.push(laneHead{key: ev.key, l: l})
 	}
@@ -298,7 +296,6 @@ func (e *Engine) run(limit Time) {
 				return
 			}
 			ev = e.lanes.advance()
-			e.lanePending--
 		} else {
 			if len(e.events) == 0 || e.events[0].at > limit {
 				return
@@ -312,4 +309,10 @@ func (e *Engine) run(limit Time) {
 }
 
 // Pending returns the number of queued events, lanes included.
-func (e *Engine) Pending() int { return len(e.events) + e.lanePending }
+func (e *Engine) Pending() int {
+	n := len(e.events)
+	for _, lh := range e.lanes {
+		n += len(lh.l.buf) - lh.l.head
+	}
+	return n
+}

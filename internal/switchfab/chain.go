@@ -68,7 +68,7 @@ func NewChain(eng *sim.Engine, cfg ChainConfig) *Chain {
 
 	for i := 0; i < cfg.Levels; i++ {
 		c.Switches = append(c.Switches,
-			NewSwitch(fmt.Sprintf("S%d", i+1), eng, mode, cfg.SwitchLatency, nil))
+			NewSwitch(fmt.Sprintf("S%d", i+1), eng, mode, cfg.SwitchLatency))
 	}
 
 	// Build each direction from the far end backwards so every wire knows

@@ -176,7 +176,7 @@ func NewMesh(eng *sim.Engine, w, h int, cfg MeshConfig) *Mesh {
 		m.localSink[x] = make([]func(interface{}), h)
 		m.ingress[x] = make([]*link.Wire, h)
 		for y := 0; y < h; y++ {
-			m.Routers[x][y] = NewSwitch(fmt.Sprintf("R%d.%d", x, y), eng, cfg.Mode, cfg.RouterLatency, nil)
+			m.Routers[x][y] = NewSwitch(fmt.Sprintf("R%d.%d", x, y), eng, cfg.Mode, cfg.RouterLatency)
 			m.localSink[x][y] = releaseFlit
 		}
 	}

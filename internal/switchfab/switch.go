@@ -113,10 +113,10 @@ type Switch struct {
 	Stats Stats
 }
 
-// NewSwitch constructs a switch. rng may be nil if no probabilistic
-// internal faults are configured.
-func NewSwitch(name string, eng *sim.Engine, mode Mode, latency sim.Time, rng *phy.RNG) *Switch {
-	return &Switch{Name: name, Eng: eng, Mode: mode, Latency: latency, fec: flit.NewFEC(), rng: rng}
+// NewSwitch constructs a switch with no probabilistic internal faults;
+// SeedInternalFaults arms them.
+func NewSwitch(name string, eng *sim.Engine, mode Mode, latency sim.Time) *Switch {
+	return &Switch{Name: name, Eng: eng, Mode: mode, Latency: latency, fec: flit.NewFEC()}
 }
 
 // SeedInternalFaults enables probabilistic internal corruption: each flit

@@ -67,7 +67,10 @@ wait_healthz() {
 
 # boot_fleet PORT [front flags...] — build rxld and start a 3-member
 # consistent-hash fleet on PORT+1..PORT+3 with a front on PORT, as host
-# processes; sets FRONT and MEMBERS (base URLs) once all four answer.
+# processes; sets FRONT and MEMBERS (base URLs) once all four answer. The
+# front starts only once the members answer: its first health probe runs
+# at start, and a member not yet listening then stays unroutable until
+# the next probe round, so the front would route around the key owners.
 boot_fleet() {
   local port=$1 m peers
   shift
@@ -79,9 +82,10 @@ boot_fleet() {
     ./rxld -addr "${m#http://}" -fleet-self "$m" -fleet-peers "$peers" &
     PIDS+=($!)
   done
+  wait_healthz "${MEMBERS[@]}"
   ./rxld -addr "${FRONT#http://}" -fleet "$peers" "$@" &
   PIDS+=($!)
-  wait_healthz "${MEMBERS[@]}" "$FRONT"
+  wait_healthz "$FRONT"
 }
 
 rung_unit() {
@@ -233,7 +237,10 @@ rung_metrics() {
   boot_fleet 17090 -fleet-probe-interval 250ms
   curl -fsS -X POST "$FRONT/v1/jobs" -d "$SPEC" >/dev/null
   sleep 1 # let a probe round land
-  curl -fsS "$FRONT/metrics" | grep -q '^rxlfront_peer_up'
+  # Into a file first: grep -q exits at its first match, and under
+  # pipefail the write error curl then gets would fail the rung.
+  curl -fsS "$FRONT/metrics" >"$BASE/front-metrics.txt"
+  grep -q '^rxlfront_peer_up' "$BASE/front-metrics.txt"
 
   "$BASE/rxltop" -front "$FRONT" | tee "$BASE/top.txt"
   grep -q "FRONT $FRONT" "$BASE/top.txt"

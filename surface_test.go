@@ -20,8 +20,7 @@ import (
 // reason it stays. An entry whose name becomes reached, or that internal/
 // no longer declares, fails the test, so the list cannot rot.
 var keptUnreached = map[string]string{
-	"crc.VerifyISN": "byte-level oracle: flit's clean-verdict suite checks every O(1) verdict against it",
-	"phy.GapLogLR":  "reference kernel: the per-gap likelihood ratio UnitLogLR's closed form is tested to telescope from",
+	"phy.GapLogLR": "reference kernel: the per-gap likelihood ratio UnitLogLR's closed form is tested to telescope from",
 
 	"reliability.MeasureFERPath": "byte-level oracle: the path-schedule suite pins MeasureFERPathSchedule's samples to it",
 
@@ -33,7 +32,6 @@ var keptUnreached = map[string]string{
 	"hwcost.Report.RelativeDepthOverhead": "facade type method: rxl.HardwareReport",
 	"hwcost.Circuit.MaxFanIn":             "facade type method: the type of rxl.HardwareReport.Baseline",
 	"perf.Params.EffectiveBandwidth":      "facade type method: rxl.Performance",
-	"service.Client.GetConditional":       "facade type method: rxl.Client",
 	"sim.Engine.Pending":                  "facade type method: rxl.Engine",
 }
 
