@@ -11,7 +11,6 @@
 //	     [-spill DIR] [-addr-file PATH]
 //	     [-fleet-self URL -fleet-peers URL,URL,...]     # fleet member
 //	rxld -fleet URL,URL,... [-addr ...] [-addr-file ...] # fleet front
-//	     [-fleet-hot-threshold 32]
 //	     [-fleet-probe-interval 2s] [-fleet-probe-timeout 1s]
 //
 // The bound address is printed on startup (and written to -addr-file when
@@ -29,11 +28,11 @@
 //     grows a "fleet" section (ring size, peer hits/misses/served).
 //
 //   - Front: -fleet runs a stateless router instead of a daemon. Every
-//     submission is normalized, keyed, and forwarded to its owner — a
-//     key whose decayed repeat count reaches -fleet-hot-threshold is
-//     spread over two owners — and job handles carry a peer prefix
-//     ("p1~j000042-...") so GET/DELETE/events find the daemon that
-//     issued them. No engines, no cache, restartable at will.
+//     submission is normalized, keyed, and forwarded to its ring owner
+//     (the next owner in ring order only while the owner is down), and
+//     job handles carry a peer prefix ("p1~j000042-...") so
+//     GET/DELETE/events find the daemon that issued them. No engines, no
+//     cache, restartable at will.
 //
 // Observability (see OPERATIONS.md for the full family reference):
 //
@@ -103,7 +102,6 @@ func main() {
 		front      = flag.String("fleet", "", "run as fleet front: comma-separated daemon base URLs to route over (no local engines)")
 		fleetSelf  = flag.String("fleet-self", "", "this daemon's base URL within the fleet (member mode; requires -fleet-peers)")
 		peersCSV   = flag.String("fleet-peers", "", "comma-separated base URLs of every fleet daemon, self included (member mode)")
-		hotThresh  = flag.Int("fleet-hot-threshold", 0, "front: decayed repeat count that promotes a key to its replica set (0 = 32, negative disables)")
 		probeEvery = flag.Duration("fleet-probe-interval", 0, "front: background /v1/healthz probe period per peer (0 = 2s, negative disables)")
 		probeTO    = flag.Duration("fleet-probe-timeout", 0, "front: per-probe timeout (0 = 1s)")
 	)
@@ -122,7 +120,6 @@ func main() {
 	if *front != "" {
 		err = runFront(*addr, *addrFile, fleet.FrontConfig{
 			Peers:         splitCSV(*front),
-			HotThreshold:  *hotThresh,
 			ProbeInterval: *probeEvery,
 			ProbeTimeout:  *probeTO,
 		})
@@ -233,7 +230,7 @@ func runFront(addr, addrFile string, cfg fleet.FrontConfig) error {
 	return serve(addr, addrFile, "front", f, func() {
 		f.Close()
 		st := f.Stats()
-		log.Printf("rxld front: forwarded %d (failovers %d, hot promotions %d) over %d peers",
-			st.Forwards, st.Failovers, st.HotPromotions, len(st.Peers))
+		log.Printf("rxld front: forwarded %d (failovers %d) over %d peers",
+			st.Forwards, st.Failovers, len(st.Peers))
 	})
 }

@@ -103,9 +103,8 @@ func render(w io.Writer, hc *http.Client, front string, members []string) bool {
 // peer label of rxlfront_peer_up, in scrape order).
 func renderFront(w io.Writer, front string, fs []obs.Sample, members []string) []string {
 	sum := func(name string, labels ...string) uint64 { return uint64(obs.SumSamples(fs, name, labels...)) }
-	fmt.Fprintf(w, "FRONT %s forwards=%d failovers=%d hot_promotions=%d hot_tracked=%d\n", front,
-		sum("rxlfront_forwards_total"), sum("rxlfront_failovers_total"),
-		sum("rxlfront_hot_promotions_total"), sum("rxlfront_hot_tracked"))
+	fmt.Fprintf(w, "FRONT %s forwards=%d failovers=%d\n", front,
+		sum("rxlfront_forwards_total"), sum("rxlfront_failovers_total"))
 	for _, s := range fs {
 		if s.Name != "rxlfront_peer_up" {
 			continue

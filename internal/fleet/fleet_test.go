@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -297,45 +298,70 @@ func TestColdKeyAtBothNonOwners(t *testing.T) {
 	t.Logf("both non-owners answered in %v", elapsed)
 }
 
-// TestFrontHotPromotion drives one key past the promotion threshold and
-// asserts its bytes end up replicated: at least hotReplicas daemons
-// hold the key locally, and every response stayed byte-identical.
-func TestFrontHotPromotion(t *testing.T) {
-	tf := startFleet(t, 3, FrontConfig{HotThreshold: 3})
+// TestFrontsRouteIdentically pins placement as a pure function of key
+// and peer set: two fronts over the same members send every submission
+// of a key to its ring owner, however often the key repeats.
+func TestFrontsRouteIdentically(t *testing.T) {
+	tf := startFleet(t, 3, FrontConfig{})
+	second, err := NewFront(FrontConfig{Peers: tf.urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	secondTS := httptest.NewServer(second)
+	defer secondTS.Close()
+
 	ctx := context.Background()
 	spec := gridSpec(31)
 	norm, err := spec.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := norm.Key()
+	ring := tf.front.Ring()
+	want := fmt.Sprintf("p%d~", slices.Index(ring.Peers(), ring.Owners(norm.Key(), 1)[0]))
 
-	fc := service.NewClient(tf.frontTS.URL)
-	var ref []byte
-	for i := 0; i < 12; i++ {
-		res, err := fc.Run(ctx, spec)
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-		if ref == nil {
-			ref = res
-		} else if string(res) != string(ref) {
-			t.Fatalf("request %d bytes diverged under replication", i)
+	check := func(front string, n int) {
+		t.Helper()
+		fc := service.NewClient(front)
+		for i := 0; i < n; i++ {
+			v, err := fc.Submit(ctx, spec)
+			if err != nil {
+				t.Fatalf("request %d: %v", i, err)
+			}
+			if !strings.HasPrefix(v.ID, want) {
+				t.Fatalf("request %d routed to %q, want the owner's %s prefix", i, v.ID, want)
+			}
 		}
 	}
+	check(tf.frontTS.URL, 80)
+	check(secondTS.URL, 1)
+}
 
-	holders := 0
-	for _, url := range tf.urls {
-		if _, ok, err := service.NewClient(url).FetchCached(ctx, key, 0); err == nil && ok {
-			holders++
+// TestFrontDialsEachPeerOnce: a submit over a fleet whose members all
+// refuse connections dials each member once. The last-resort pass is for
+// peers skipped as down, not for the ones that just failed.
+func TestFrontDialsEachPeerOnce(t *testing.T) {
+	var urls []string
+	for i := 0; i < 3; i++ {
+		ts := httptest.NewServer(nil)
+		urls = append(urls, ts.URL)
+		ts.Close()
+	}
+	front, err := NewFront(FrontConfig{Peers: urls, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer front.Close()
+	frontTS := httptest.NewServer(front)
+	defer frontTS.Close()
+
+	if _, err := service.NewClient(frontTS.URL).Submit(context.Background(), gridSpec(37)); err == nil {
+		t.Fatal("submit over a fleet of closed members succeeded")
+	}
+	for _, p := range front.Stats().Peers {
+		if p.Errors != 1 {
+			t.Errorf("peer %s: %d transport errors, want 1 (dialled once)", p.URL, p.Errors)
 		}
-	}
-	if holders < 2 {
-		t.Fatalf("hot key held by %d daemons, want >= 2 after promotion", holders)
-	}
-	st := tf.front.Stats()
-	if st.HotPromotions == 0 {
-		t.Fatal("front recorded no hot promotions")
 	}
 }
 

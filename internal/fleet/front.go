@@ -19,9 +19,6 @@ import (
 type FrontConfig struct {
 	// Peers are the daemons' base URLs (e.g. "http://127.0.0.1:8081").
 	Peers []string
-	// HotThreshold is the decayed request count at which a key is
-	// promoted to its replica set (0 = 32; < 0 disables promotion).
-	HotThreshold int
 	// ProbeInterval is the active health-probe period: the front probes
 	// every peer's /v1/healthz in the background and routes around peers
 	// whose probes fail, independent of forward traffic (0 = 2s; < 0
@@ -31,20 +28,16 @@ type FrontConfig struct {
 	ProbeTimeout time.Duration
 }
 
-const (
-	// hotReplicas is how many distinct owners a promoted key's requests
-	// spread over, clamped to the fleet size.
-	hotReplicas = 2
-	// retryDead is how long a peer that failed a forward is skipped
-	// before being retried, unless a probe answers first.
-	retryDead = 3 * time.Second
-)
+// retryDead is how long a peer that failed a forward is skipped before
+// being retried, unless a probe answers first.
+const retryDead = 3 * time.Second
 
 // Front is the fleet router: a stateless http.Handler speaking the same
 // /v1 surface as a daemon. Each submission is normalized, keyed, and
-// forwarded to the key's ring owner — or, for hot keys, spread over the
-// key's replica set — and job handles are forwarded to the daemon that
-// issued them via an ID prefix ("p2~j000017-4c1ea3b0" lives on peer 2).
+// forwarded to the key's ring owner — the next owner in ring order only
+// when the owner is down — and job handles are forwarded to the daemon
+// that issued them via an ID prefix ("p2~j000017-4c1ea3b0" lives on
+// peer 2).
 //
 // The front holds no results and runs no engines; it can be restarted
 // freely, and N fronts over the same peer list route identically
@@ -53,7 +46,6 @@ type Front struct {
 	cfg     FrontConfig
 	ring    *Ring
 	peers   []*frontPeer // indexed by position in ring.Peers() order
-	hot     *hotTracker
 	handler http.Handler // the mux behind the request-ID middleware
 	start   time.Time
 
@@ -62,9 +54,8 @@ type Front struct {
 	tracer     *obs.Tracer
 
 	// Registry counters (see wireMetrics): the only store of each count.
-	forwards   *obs.Counter
-	failovers  *obs.Counter
-	promotions *obs.Counter
+	forwards  *obs.Counter
+	failovers *obs.Counter
 
 	stop      chan struct{}
 	closeOnce sync.Once
@@ -104,9 +95,6 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.HotThreshold == 0 {
-		cfg.HotThreshold = 32
-	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = 2 * time.Second
 	}
@@ -116,7 +104,6 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 	f := &Front{
 		cfg:    cfg,
 		ring:   ring,
-		hot:    newHotTracker(),
 		start:  time.Now(),
 		tracer: obs.NewTracer("front", "front"),
 		stop:   make(chan struct{}),
@@ -266,7 +253,8 @@ func (p *frontPeer) jobID(localID string) string {
 	return "p" + strconv.Itoa(p.index) + "~" + localID
 }
 
-// handleSubmit routes a submission to its owner (or replica set).
+// handleSubmit routes a submission to its ring owner, failing over in
+// ring order.
 func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, ok := service.DecodeSpec(w, r)
 	if !ok {
@@ -277,26 +265,9 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		service.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	key := norm.Key()
 
-	// Candidate order: the full ring ownership sequence, rotated for hot
-	// keys so a promoted key's requests spread over its first
-	// hotReplicas owners. Everything after the preferred target stays in
-	// ring order — it is the failover sequence.
 	now := time.Now()
-	candidates := f.ring.Owners(key, len(f.peers))
-	n := f.hot.bump(key, now)
-	k := min(hotReplicas, len(f.peers))
-	promoted := f.cfg.HotThreshold > 0 && n >= uint64(f.cfg.HotThreshold) && k > 1
-	if promoted {
-		pick := int(n) % k
-		candidates[0], candidates[pick] = candidates[pick], candidates[0]
-		f.promotions.Inc()
-		obs.Record(r.Context(), "hot_promote", now, map[string]string{
-			"key": key[:8], "target": candidates[0],
-		})
-	}
-
+	candidates := f.ring.Owners(norm.Key(), len(f.peers))
 	v, peer, err := f.forwardSubmit(r.Context(), candidates, norm, now)
 	if err != nil {
 		f.subSeconds[service.OutcomeError].Observe(time.Since(now).Seconds())
@@ -338,21 +309,24 @@ func submitOutcome(v service.JobView) string {
 	}
 }
 
-// forwardSubmit tries candidates in order, skipping peers marked down
-// (unless every candidate is down — then it tries them all anyway: a
-// wrong "down" mark must not black-hole traffic). Transport errors fail
+// forwardSubmit tries candidates in order, skipping peers marked down,
+// then tries the skipped ones as a last resort: a wrong "down" mark must
+// not black-hole traffic. A peer is dialled at most once per submit, so
+// one that just failed is never re-dialled. Transport errors fail
 // over to the next owner; daemon HTTP errors (400, 429, ...) are the
 // daemon's answer and propagate immediately. Failover is safe precisely
 // because results are location-independent: any owner computes the same
 // bytes, so retrying elsewhere can change latency, never content.
 func (f *Front) forwardSubmit(ctx context.Context, candidates []string, norm service.JobSpec, now time.Time) (service.JobView, *frontPeer, error) {
 	var lastErr error
+	tried := make([]bool, len(candidates))
 	for pass := 0; pass < 2; pass++ {
 		for i, url := range candidates {
 			p := f.peerByURL(url)
-			if pass == 0 && !p.up(now) {
+			if tried[i] || pass == 0 && !p.up(now) {
 				continue
 			}
+			tried[i] = true
 			attempt := time.Now()
 			v, err := p.client.Submit(ctx, norm)
 			if err == nil {
@@ -378,7 +352,7 @@ func (f *Front) forwardSubmit(ctx context.Context, candidates []string, norm ser
 				return service.JobView{}, nil, lastErr
 			}
 		}
-		// Second pass only if the first skipped everything as down.
+		// The second pass dials only the peers the first skipped as down.
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("no candidates")
@@ -542,33 +516,25 @@ type FrontPeerStats struct {
 
 // FrontStats is the front's /v1/statsz document.
 type FrontStats struct {
-	Role          string           `json:"role"`
-	UptimeMS      int64            `json:"uptime_ms"`
-	RingSize      int              `json:"ring_size"`
-	VNodes        int              `json:"vnodes"`
-	HotThreshold  int              `json:"hot_threshold"`
-	HotReplicas   int              `json:"hot_replicas"`
-	HotTracked    int              `json:"hot_tracked"`
-	HotPromotions uint64           `json:"hot_promotions"`
-	Forwards      uint64           `json:"forwards"`
-	Failovers     uint64           `json:"failovers"`
-	Peers         []FrontPeerStats `json:"peers"`
+	Role      string           `json:"role"`
+	UptimeMS  int64            `json:"uptime_ms"`
+	RingSize  int              `json:"ring_size"`
+	VNodes    int              `json:"vnodes"`
+	Forwards  uint64           `json:"forwards"`
+	Failovers uint64           `json:"failovers"`
+	Peers     []FrontPeerStats `json:"peers"`
 }
 
 // Stats snapshots the front.
 func (f *Front) Stats() FrontStats {
 	now := time.Now()
 	st := FrontStats{
-		Role:          "front",
-		UptimeMS:      time.Since(f.start).Milliseconds(),
-		RingSize:      f.ring.Size(),
-		VNodes:        f.ring.VNodes(),
-		HotThreshold:  f.cfg.HotThreshold,
-		HotReplicas:   min(hotReplicas, len(f.peers)),
-		HotTracked:    f.hot.size(),
-		HotPromotions: f.promotions.Value(),
-		Forwards:      f.forwards.Value(),
-		Failovers:     f.failovers.Value(),
+		Role:      "front",
+		UptimeMS:  time.Since(f.start).Milliseconds(),
+		RingSize:  f.ring.Size(),
+		VNodes:    f.ring.VNodes(),
+		Forwards:  f.forwards.Value(),
+		Failovers: f.failovers.Value(),
 	}
 	for _, p := range f.peers {
 		st.Peers = append(st.Peers, FrontPeerStats{

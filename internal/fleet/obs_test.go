@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,58 +15,60 @@ import (
 	"repro/internal/service"
 )
 
-// TestFleetTraceAssembly is the tracing acceptance pin: a traced hot-key
-// miss that lands on a replica shows the whole fleet path — the front's
-// forwarding span, the replica's lifecycle and peer-probe spans, and the
-// owner's cache-serve span — merged under the one request ID the client
-// sent.
+// TestFleetTraceAssembly is the tracing acceptance pin: a traced miss
+// that fails over to the next ring owner shows the whole fleet path — the
+// front's forwarding span, that member's lifecycle and peer-probe spans,
+// and the owner's cache-serve span — merged under the one request ID the
+// client sent.
 func TestFleetTraceAssembly(t *testing.T) {
-	tf := startFleet(t, 3, FrontConfig{HotThreshold: 2})
+	tf := startFleet(t, 3, FrontConfig{ProbeInterval: -1})
 	ctx := context.Background()
 	spec := gridSpec(53)
 	body, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	norm, err := spec.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
 	fc := service.NewClient(tf.frontTS.URL)
 
-	// Warm the owner so later replica-routed repeats peer-fetch.
+	// Warm the owner, then mark it down at the front only: the traced
+	// repeat fails over to the next owner, which peer-fetches from the
+	// (still live) owner.
 	if _, err := fc.Run(ctx, spec); err != nil {
 		t.Fatal(err)
 	}
+	tf.front.peerByURL(tf.front.Ring().Owner(norm.Key())).markDown(time.Now().Add(time.Hour))
 
+	const rid = "trace00000000001"
+	req, err := http.NewRequest(http.MethodPost, tf.frontTS.URL+"/v1/jobs", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(obs.HeaderRequestID, rid)
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resp.Header.Get(obs.HeaderRequestID); got != rid {
+		t.Fatalf("front did not echo request id: got %q want %q", got, rid)
+	}
 	var traced service.JobView
-	var rid string
-	for i := 0; i < 20 && !traced.PeerFetched; i++ {
-		rid = fmt.Sprintf("trace%011d", i)
-		req, err := http.NewRequest(http.MethodPost, tf.frontTS.URL+"/v1/jobs", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set(obs.HeaderRequestID, rid)
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := resp.Header.Get(obs.HeaderRequestID); got != rid {
-			t.Fatalf("front did not echo request id: got %q want %q", got, rid)
-		}
-		var v service.JobView
-		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-			resp.Body.Close()
-			t.Fatal(err)
-		}
+	if err := json.NewDecoder(resp.Body).Decode(&traced); err != nil {
 		resp.Body.Close()
-		if !v.Status.Terminal() {
-			if v, err = fc.Wait(ctx, v.ID); err != nil {
-				t.Fatal(err)
-			}
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if !traced.Status.Terminal() {
+		if traced, err = fc.Wait(ctx, traced.ID); err != nil {
+			t.Fatal(err)
 		}
-		traced = v
 	}
 	if !traced.PeerFetched {
-		t.Fatal("no request was ever replica-routed into a peer fetch")
+		t.Fatalf("failed-over request was not a peer fetch: %+v", traced)
 	}
 
 	tv, err := fc.JobTrace(ctx, traced.ID)

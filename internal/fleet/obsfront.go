@@ -29,12 +29,9 @@ func (f *Front) wireMetrics() {
 		func() float64 { return time.Since(f.start).Seconds() })
 	reg.GaugeFunc("rxlfront_ring_size", "Virtual nodes on the routing ring.",
 		func() float64 { return float64(f.ring.Size()) })
-	reg.GaugeFunc("rxlfront_hot_tracked", "Keys currently tracked by the hot-key counter.",
-		func() float64 { return float64(f.hot.size()) })
 
 	f.forwards = reg.Counter("rxlfront_forwards_total", "Submissions forwarded to an owner.")
 	f.failovers = reg.Counter("rxlfront_failovers_total", "Forwards that skipped at least one dead owner.")
-	f.promotions = reg.Counter("rxlfront_hot_promotions_total", "Submissions routed via a hot key's replica set.")
 
 	// Per-peer health and traffic, labelled by the peer's base URL — the
 	// series rxltop renders as the fleet map.
@@ -68,8 +65,8 @@ func (f *Front) wireMetrics() {
 // owner's spans (which carry the request ID), the front's own spans, and
 // whatever every other member recorded under that ID — the peer that
 // served a cache fetch, a fallback owner that was probed. One traced
-// hot-key miss therefore shows the full front → owner → peer path under
-// a single propagated request ID.
+// failed-over miss therefore shows the full front → member → owner path
+// under a single propagated request ID.
 func (f *Front) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	p, localID, ok := f.resolveJobID(r.PathValue("id"))
 	if !ok {

@@ -15,18 +15,18 @@
 //   - Fetcher (fetch.go): daemon-side peer fetch. A daemon that misses
 //     its local cache asks the key's owner for the bytes (joining the
 //     owner's in-flight computation if one is running) before falling
-//     back to computing locally. Replicas therefore fill from the owner
-//     instead of re-running engines.
+//     back to computing locally. A member that gets a key it does not
+//     own (a direct submission, a front failover) therefore fills from
+//     the owner instead of re-running engines.
 //
 //   - Front (front.go): a stateless router speaking the same HTTP
 //     surface as a daemon. It normalizes each submission, computes its
-//     key, and forwards it to the ring owner — promoting keys that
-//     repeat above a threshold to a replica set of K owners so hot
-//     zipf-skewed traffic spreads across daemons.
+//     key, and forwards it to the ring owner, failing over to the next
+//     owner in ring order only while the owner is down.
 //
 // None of this wiring can change a result: every daemon computes
 // byte-identical documents for a given spec (the runner's determinism
-// contract), so routing, failover, and replication only decide which
+// contract), so routing and failover only decide which
 // machine serves bytes that are fixed by the spec alone. See DESIGN.md
 // §10 for the full argument.
 package fleet
@@ -134,9 +134,8 @@ func (r *Ring) Owner(key string) string {
 
 // Owners returns up to n distinct peers in ownership order: the owner
 // first, then each subsequent distinct peer walking clockwise. This is
-// both the replica set of a hot key (first K entries) and the failover
-// order when the owner is unreachable — every ring over the same peer
-// set agrees on it.
+// the front's failover order and the peer fetcher's probe order — every
+// ring over the same peer set agrees on it.
 func (r *Ring) Owners(key string, n int) []string {
 	if n > len(r.peers) {
 		n = len(r.peers)

@@ -83,10 +83,6 @@ var frontSurface = []surfaceRow{
 	{Family: "rxlfront_submit_seconds{outcome}", Type: "histogram", Meaning: "Submit forwarding latency with the daemon's outcome split, as seen from the `JobView` the owner returned — a forwarded `miss` is observed at accept time, so it measures routing cost, not compute"},
 	{JSON: "ring_size", Family: "rxlfront_ring_size", Type: "gauge", Meaning: "Virtual nodes on the routing ring (must match the members')"},
 	{JSON: "vnodes", Meaning: "Virtual nodes per peer"},
-	{JSON: "hot_threshold", Meaning: "Decayed request count at which a key is promoted"},
-	{JSON: "hot_replicas", Meaning: "Owners a promoted key's requests spread over"},
-	{JSON: "hot_tracked", Family: "rxlfront_hot_tracked", Type: "gauge", Meaning: "Keys currently in the decaying popularity tracker"},
-	{JSON: "hot_promotions", Family: "rxlfront_hot_promotions_total", Type: "counter", Meaning: "Submissions routed via a hot key's replica set"},
 	{JSON: "forwards", Family: "rxlfront_forwards_total", Type: "counter", Meaning: "Submissions forwarded to an owner"},
 	{JSON: "failovers", Family: "rxlfront_failovers_total", Type: "counter", Meaning: "Forwards that skipped at least one dead owner"},
 	{JSON: "peers[].url", Meaning: "The peer's base URL — the `peer` label of every per-peer family"},
@@ -336,15 +332,12 @@ func TestSurfaceGolden(t *testing.T) {
 }
 
 // TestOneStoreContract drives concurrent hit / miss / in-flight-join /
-// peer-fetch traffic at a 3-member fleet — through the front (with hot-key
-// spreading) and at the members directly — then, at rest, scrapes
-// /v1/statsz and /metrics from every process and requires every quantity
-// both surfaces publish to be equal: they read the same registry counter.
+// peer-fetch traffic at a 3-member fleet — through the front and at the
+// members directly — then, at rest, scrapes /v1/statsz and /metrics from
+// every process and requires every quantity both surfaces publish to be
+// equal: they read the same registry counter.
 func TestOneStoreContract(t *testing.T) {
-	tf := startFleet(t, 3, FrontConfig{
-		HotThreshold:  2,
-		ProbeInterval: 5 * time.Millisecond,
-	})
+	tf := startFleet(t, 3, FrontConfig{ProbeInterval: 5 * time.Millisecond})
 	ctx := context.Background()
 	front := service.NewClient(tf.frontTS.URL)
 	var wg sync.WaitGroup
@@ -354,10 +347,9 @@ func TestOneStoreContract(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 12; i++ {
 				// Four specs, eight workers: first arrivals miss or join an
-				// in-flight twin, repeats hit, hot keys spread to a replica
-				// that peer-fetches. The direct submission follows the
-				// front's answer, so the owner already holds the key and the
-				// non-owner peer-fetches it.
+				// in-flight twin, repeats hit. The direct submission follows
+				// the front's answer, so the owner already holds the key and
+				// a non-owner peer-fetches it.
 				spec := gridSpec(uint64(70 + (w+i)%4))
 				if _, err := front.Run(ctx, spec); err != nil {
 					t.Errorf("worker %d request %d via front: %v", w, i, err)

@@ -92,7 +92,7 @@ func (s *Server) wireMetrics() {
 	}
 	c.probes = peerReg.Counter("rxld_cache_probes_total", "Peer cache lookups received (GET /v1/cache/{key}).")
 	s.peerHits = peerReg.Counter("rxld_peer_fetch_hits_total", "Local misses answered with a peer's bytes.")
-	s.peerMisses = peerReg.Counter("rxld_peer_fetch_misses_total", "Fleet consultations that fell through to a local compute.")
+	s.peerMisses = peerReg.Counter("rxld_peer_fetch_misses_total", "Fleet consultations that fell through to a local compute, self-owned keys included.")
 	s.peerServed = peerReg.Counter("rxld_peer_served_total", "Peer cache lookups answered with bytes.")
 
 	reg.GaugeFunc("rxld_traces_live", "Request IDs with spans in the trace buffer.",

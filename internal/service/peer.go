@@ -16,8 +16,9 @@ type FleetStats struct {
 	// PeerHits counts local misses answered by fetching the bytes from
 	// a peer (the owner, or a fallback owner) instead of computing.
 	PeerHits uint64 `json:"peer_hits"`
-	// PeerMisses counts fetch attempts that found no peer copy and fell
-	// through to a local engine run.
+	// PeerMisses counts miss-path fleet consultations that fell through
+	// to a local engine run: no peer had a copy, or this daemon owns the
+	// key and asked no peer at all.
 	PeerMisses uint64 `json:"peer_misses"`
 	// PeerServed counts GET /v1/cache/{key} requests this daemon
 	// answered with bytes — its service to the rest of the fleet.

@@ -277,15 +277,15 @@ func NewFleetFetcher(cfg FleetFetchConfig) (*fleet.Fetcher, error) {
 	return fleet.NewFetcher(cfg)
 }
 
-// FrontConfig parameterizes a fleet front: the peer list, the hot-key
-// promotion threshold and the health-probe timing.
+// FrontConfig parameterizes a fleet front: the peer list and the
+// health-probe timing.
 type FrontConfig = fleet.FrontConfig
 
 // Front is the stateless fleet router: it normalizes and keys each
-// submission, forwards it to the key's ring owner (spreading hot keys
-// over a replica set, failing over past dead peers), and rewrites job
-// handles so GET/DELETE/events find the daemon that issued them. It is
-// an http.Handler; cmd/rxld serves one under -fleet.
+// submission, forwards it to the key's ring owner (failing over past
+// dead peers in ring order), and rewrites job handles so
+// GET/DELETE/events find the daemon that issued them. It is an
+// http.Handler; cmd/rxld serves one under -fleet.
 type Front = fleet.Front
 
 // NewFront builds a fleet front over the given daemons.

@@ -274,6 +274,9 @@ fleet_drill() {
   test "$(echo "$DONE" | jq -r .status)" = done
   SECOND=$(curl -fsS -X POST "$front/v1/jobs" -d "$SPEC")
   test "$(echo "$SECOND" | jq -r .cached)" = true
+  # Single-owner placement: both submissions went to the key's ring owner.
+  SECOND_ID=$(echo "$SECOND" | jq -r .id)
+  test "${ID%%~*}" = "${SECOND_ID%%~*}"
   echo "$DONE"   | jq -cS .result >"$base/front1.json"
   echo "$SECOND" | jq -cS .result >"$base/front2.json"
   cmp "$base/front1.json" "$base/front2.json"
@@ -298,7 +301,8 @@ fleet_drill() {
   echo "fleet-wide peer_hits=$PEER_HITS"
   test "$PEER_HITS" -ge 2 # the two non-owners fetched instead of computing
 
-  curl -fsS "$front/v1/statsz" | jq -e '.forwards >= 2 and .ring_size > 0'
+  # Members answer before the front starts, so no forward ever failed over.
+  curl -fsS "$front/v1/statsz" | jq -e '.forwards >= 2 and .failovers == 0 and .ring_size > 0'
 }
 
 rung_fleet() {
