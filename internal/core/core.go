@@ -231,9 +231,10 @@ func SealedPayload(tag uint64) []byte {
 func PayloadIntact(p []byte) bool { return keystream(p, false) }
 
 // offer queues tags 0..counts[j]-1 at each transmitter txs[j], in
-// transmitter order. Each payload is sealed into its replay entry when
-// first sent, so a backlog costs no memory until it reaches the replay
-// window.
+// transmitter order. No payload is sealed before it is sent, and on the
+// fast path none is sealed unless a byte of it is read (a schedule
+// strike, a fault hook, a consumer without a tag-only callback), so a
+// backlog costs no memory until it reaches the replay window.
 func offer(txs []*link.Peer, counts []int) {
 	for j, tx := range txs {
 		tx.Offer(counts[j], seal)
@@ -293,9 +294,21 @@ func NewCollector(expect int) *Collector {
 	return &Collector{Expect: expect}
 }
 
-// Deliver is the endpoint delivery callback.
+// Deliver is the endpoint delivery callback: the payload's tag is
+// accounted for as DeliverClean does it, and its keystream is checked
+// byte by byte.
 func (c *Collector) Deliver(p []byte) {
-	tag := binary.BigEndian.Uint64(p)
+	c.DeliverClean(binary.BigEndian.Uint64(p))
+	if !PayloadIntact(p) {
+		c.Counts.FailData++
+	}
+}
+
+// DeliverClean is the delivery callback for a payload whose flit arrived
+// clean, its bytes still deferred (link.Peer.DeliverClean): the same
+// order and duplicate accounting as Deliver, with the payload intact by
+// the clean mark rather than by a byte read.
+func (c *Collector) DeliverClean(tag uint64) {
 	c.Counts.Delivered++
 	switch {
 	case tag == c.seen:
@@ -321,9 +334,6 @@ func (c *Collector) Deliver(p []byte) {
 		c.next = tag + 1
 	default:
 		c.Counts.FailOrder++
-	}
-	if !PayloadIntact(p) {
-		c.Counts.FailData++
 	}
 }
 

@@ -59,7 +59,7 @@ func (e *Experiment) run(load func([]*link.Peer, []int)) Result {
 	f := e.Fabric
 
 	col := NewCollector(e.N)
-	f.B().Deliver = col.Deliver
+	f.B().Deliver, f.B().DeliverClean = col.Deliver, col.DeliverClean
 
 	load([]*link.Peer{f.A()}, []int{e.N})
 	f.Run()

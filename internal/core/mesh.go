@@ -218,7 +218,7 @@ func (m *MeshFabric) runWorkload(flows []MeshFlow, counts []int, load func([]*li
 		txs[i] = src.PeerTo(dst.ID)
 		rxs[i] = dst.PeerTo(src.ID)
 		cols[i] = NewCollector(counts[i])
-		rxs[i].Deliver = cols[i].Deliver
+		rxs[i].Deliver, rxs[i].DeliverClean = cols[i].Deliver, cols[i].DeliverClean
 	}
 	load(txs, counts)
 	m.Run()

@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"slices"
 	"testing"
 
+	"repro/internal/flit"
 	"repro/internal/link"
 	"repro/internal/workload"
 )
@@ -85,6 +87,94 @@ func TestOfferMatchesSubmit(t *testing.T) {
 			return run{encode(res), fab.Eng.Executed, int64(fab.Eng.Now())}
 		}
 		same(t, mesh(offer), mesh(submitRoundRobin))
+	})
+}
+
+// TestOfferedPayloadBytes: on the fast path an offered payload is
+// generated only when a byte of it is read, and whoever reads one sees
+// the real bytes. A clean run hands every payload to DeliverClean by its
+// tag; a receiver with only Deliver set gets each one generated and
+// intact; a fault hook, which materializes the image, reads it complete;
+// and Submitted bytes that reuse the replay entries a drained offered
+// backlog left on the free list arrive as submitted, not as that
+// backlog's payloads.
+func TestOfferedPayloadBytes(t *testing.T) {
+	const n = 300 // over two replay windows, so entries are recycled
+	newFabric := func() *Fabric {
+		return MustNewFabric(Config{Protocol: link.ProtocolRXL, Levels: 1, Seed: 3})
+	}
+	wantIntact := func(t *testing.T, got [][]byte) {
+		t.Helper()
+		if len(got) != n {
+			t.Fatalf("delivered %d payloads, want %d", len(got), n)
+		}
+		for i, p := range got {
+			if tag := binary.BigEndian.Uint64(p); tag != uint64(i) || !PayloadIntact(p) {
+				t.Fatalf("delivery %d: tag %d, intact %v", i, tag, PayloadIntact(p))
+			}
+		}
+	}
+
+	t.Run("clean-by-tag", func(t *testing.T) {
+		f := newFabric()
+		var bytesRead, byTag int
+		f.B().Deliver = func([]byte) { bytesRead++ }
+		f.B().DeliverClean = func(uint64) { byTag++ }
+		f.A().Offer(n, seal)
+		f.Run()
+		if byTag != n || bytesRead != 0 {
+			t.Fatalf("clean run: %d deliveries by tag, %d by bytes; want %d and 0", byTag, bytesRead, n)
+		}
+	})
+
+	t.Run("deliver-only", func(t *testing.T) {
+		f := newFabric()
+		var got [][]byte
+		f.B().Deliver = func(p []byte) { got = append(got, bytes.Clone(p)) }
+		f.A().Offer(n, seal)
+		f.Run()
+		wantIntact(t, got)
+	})
+
+	t.Run("hook-reads-image", func(t *testing.T) {
+		f := newFabric()
+		var seen [][]byte
+		f.Chain.Fwd[0].FaultHook = func(fl *flit.Flit) bool {
+			if fl.Header().Type == flit.TypeData {
+				seen = append(seen, bytes.Clone(fl.Raw[flit.HeaderSize:flit.HeaderSize+flit.PayloadSize]))
+			}
+			return false
+		}
+		var got [][]byte
+		f.B().Deliver = func(p []byte) { got = append(got, bytes.Clone(p)) }
+		f.A().Offer(n, seal)
+		f.Run()
+		wantIntact(t, seen)
+		wantIntact(t, got)
+	})
+
+	t.Run("submit-after-offer", func(t *testing.T) {
+		f := newFabric()
+		var got [][]byte
+		f.B().Deliver = func(p []byte) { got = append(got, bytes.Clone(p)) }
+		f.B().DeliverClean = func(uint64) {}
+		f.A().Offer(n, seal)
+		f.Run()
+		var want [][]byte
+		for i := range n {
+			p := bytes.Repeat([]byte{byte(i), 0xa5}, flit.PayloadSize/2)
+			want = append(want, p)
+			f.A().Submit(p)
+		}
+		f.Run()
+		if len(got) != n {
+			t.Fatalf("delivered %d submitted payloads, want %d", len(got), n)
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("submitted payload %d arrived as %x", i, got[i][:16])
+			}
+		}
 	})
 }
 

@@ -32,6 +32,11 @@ type FrontConfig struct {
 // being retried, unless a probe answers first.
 const retryDead = 3 * time.Second
 
+// reprobeFailed is how soon a peer whose last probe failed is probed
+// again, whatever ProbeInterval is: a peer that missed one probe must not
+// stay unroutable for a whole interval once it answers again.
+const reprobeFailed = 250 * time.Millisecond
+
 // Front is the fleet router: a stateless http.Handler speaking the same
 // /v1 surface as a daemon. Each submission is normalized, keyed, and
 // forwarded to the key's ring owner — the next owner in ring order only
@@ -70,7 +75,8 @@ type frontPeer struct {
 	url    string
 	client *service.Client
 
-	// Registry counters, labelled by peer URL (see wireMetrics).
+	// Registry counters, labelled by peer URL (see wireMetrics). routed
+	// counts successful submit forwards only.
 	routed     *obs.Counter
 	errors     *obs.Counter
 	probes     *obs.Counter
@@ -149,29 +155,51 @@ func (f *Front) Close() {
 
 // probeLoop actively probes every peer's /v1/healthz on the configured
 // interval — once immediately at start, so a front never routes blind
-// longer than one probe round. Active probing is the primary health
-// signal: it finds dead peers with no forward traffic to trip the
+// longer than one probe round — and re-probes the peers whose last probe
+// failed every reprobeFailed in between. Active probing is the primary
+// health signal: it finds dead peers with no forward traffic to trip the
 // passive marks, and it revives wrongly-marked peers the moment they
 // answer, instead of after retryDead expires.
 func (f *Front) probeLoop() {
 	defer f.probeWG.Done()
 	t := time.NewTicker(f.cfg.ProbeInterval)
 	defer t.Stop()
+	f.probe(f.peers)
 	for {
-		f.probeAll()
+		var retry <-chan time.Time
+		failed := f.probeFailed()
+		if len(failed) > 0 {
+			retry = time.After(reprobeFailed)
+		}
 		select {
 		case <-f.stop:
 			return
 		case <-t.C:
+			f.probe(f.peers)
+		case <-retry:
+			f.probe(failed)
 		}
 	}
 }
 
-// probeAll probes peers concurrently so one hung peer cannot starve the
-// round past its own timeout.
-func (f *Front) probeAll() {
-	var wg sync.WaitGroup
+// probeFailed returns the peers whose last probe failed.
+func (f *Front) probeFailed() []*frontPeer {
+	var failed []*frontPeer
 	for _, p := range f.peers {
+		p.mu.Lock()
+		if p.probeChecked && !p.probeOK {
+			failed = append(failed, p)
+		}
+		p.mu.Unlock()
+	}
+	return failed
+}
+
+// probe probes peers concurrently so one hung peer cannot starve the
+// round past its own timeout.
+func (f *Front) probe(peers []*frontPeer) {
+	var wg sync.WaitGroup
+	for _, p := range peers {
 		wg.Add(1)
 		go func(p *frontPeer) {
 			defer wg.Done()
@@ -239,11 +267,16 @@ func (p *frontPeer) markDown(until time.Time) {
 	p.mu.Unlock()
 }
 
-// markRouted records a successful forward (and clears down state).
-func (p *frontPeer) markRouted() {
-	p.routed.Inc()
+// markAnswered records that the peer answered a forwarded or proxied
+// request. Any answer clears a passive down-mark; a served one (status
+// below 400) also clears a failed probe verdict, as a passing probe
+// would.
+func (p *frontPeer) markAnswered(served bool) {
 	p.mu.Lock()
 	p.downUntil = time.Time{}
+	if served {
+		p.probeOK = true
+	}
 	p.mu.Unlock()
 }
 
@@ -333,7 +366,8 @@ func (f *Front) forwardSubmit(ctx context.Context, candidates []string, norm ser
 				obs.Record(ctx, "forward", attempt, map[string]string{
 					"peer": url, "failover": strconv.FormatBool(i > 0),
 				})
-				p.markRouted()
+				p.markAnswered(true)
+				p.routed.Inc()
 				f.forwards.Inc()
 				if i > 0 {
 					f.failovers.Inc()
@@ -342,7 +376,7 @@ func (f *Front) forwardSubmit(ctx context.Context, candidates []string, norm ser
 			}
 			if _, isHTTP := service.StatusCode(err); isHTTP {
 				// The daemon answered; its answer stands.
-				p.markRouted()
+				p.markAnswered(false)
 				return service.JobView{}, nil, err
 			}
 			obs.Record(ctx, "forward_failed", attempt, map[string]string{"peer": url})
@@ -395,7 +429,7 @@ func (f *Front) proxy(w http.ResponseWriter, r *http.Request, suffix string, hea
 		service.WriteError(w, http.StatusBadGateway, "fleet: peer unreachable: "+err.Error())
 		return nil, nil, false
 	}
-	p.markRouted()
+	p.markAnswered(resp.StatusCode < 400)
 	if et := resp.Header.Get("ETag"); et != "" {
 		w.Header().Set("ETag", et)
 	}

@@ -7,7 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -365,5 +367,155 @@ func TestFrontProxyPropagatesRequestID(t *testing.T) {
 		if got != tc.rid {
 			t.Errorf("owner saw request id %q on the forwarded GET %s, want the front's %q", got, tc.suffix, tc.rid)
 		}
+	}
+}
+
+// TestFrontRoutedCountsSubmitsOnly: peers[].routed and forwards count
+// successful submit forwards. The ?wait= polls and the DELETE the front
+// proxies for the same jobs update peer health, not those counters.
+func TestFrontRoutedCountsSubmitsOnly(t *testing.T) {
+	tf := startFleet(t, 3, FrontConfig{ProbeInterval: -1})
+	ctx := context.Background()
+	fc := service.NewClient(tf.frontTS.URL)
+	var ids []string
+	for seed := uint64(61); seed < 64; seed++ {
+		v, err := fc.Submit(ctx, gridSpec(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, v.ID)
+	}
+	for _, id := range ids[:2] {
+		if _, err := fc.Wait(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fc.Cancel(ctx, ids[2]); err != nil {
+		if _, answered := service.StatusCode(err); !answered {
+			t.Fatal(err)
+		}
+	}
+	st := tf.front.Stats()
+	var routed uint64
+	for _, p := range st.Peers {
+		routed += p.Routed
+	}
+	if routed != 3 || st.Forwards != 3 {
+		t.Fatalf("Σ routed = %d, forwards = %d after 3 submits, 2 waits and 1 delete; want 3 and 3", routed, st.Forwards)
+	}
+}
+
+// TestFrontReprobesFailedPeer: a ring owner whose first health probe
+// fails is probed again long before ProbeInterval (an hour here), and
+// its keys go back to it once it answers.
+func TestFrontReprobesFailedPeer(t *testing.T) {
+	var failedOnce atomic.Bool
+	var urls []string
+	for i := 0; i < 2; i++ {
+		srv, err := service.New(service.Config{ShardBudget: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var h http.Handler = srv
+		if i == 0 {
+			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/healthz" && failedOnce.CompareAndSwap(false, true) {
+					http.Error(w, "warming up", http.StatusServiceUnavailable)
+					return
+				}
+				srv.ServeHTTP(w, r)
+			})
+		}
+		ts := httptest.NewServer(h)
+		t.Cleanup(func() { ts.Close(); srv.Close() })
+		urls = append(urls, ts.URL)
+	}
+	front, err := NewFront(FrontConfig{Peers: urls, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer front.Close()
+	frontTS := httptest.NewServer(front)
+	defer frontTS.Close()
+
+	var spec service.JobSpec
+	for seed := uint64(300); spec.Kind == ""; seed++ {
+		norm, err := gridSpec(seed).Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if front.Ring().Owner(norm.Key()) == urls[0] {
+			spec = gridSpec(seed)
+		}
+	}
+	owner := front.peerByURL(urls[0])
+	want := owner.jobID("")
+
+	deadline := time.Now().Add(10 * time.Second)
+	for owner.probeFails.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("timeout waiting for the owner's first probe to fail")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	fc := service.NewClient(frontTS.URL)
+	for {
+		v, err := fc.Submit(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.HasPrefix(v.ID, want) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("owner still skipped after its failed probe: submit went to %q, want %s", v.ID, want)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestFrontServedAnswerClearsFailedProbe: a peer whose last probe failed
+// is routable again the moment it serves a request through the front. An
+// answer that serves nothing (a 404) clears only a passive mark.
+func TestFrontServedAnswerClearsFailedProbe(t *testing.T) {
+	tf := startFleet(t, 2, FrontConfig{ProbeInterval: -1})
+	ctx := context.Background()
+	fc := service.NewClient(tf.frontTS.URL)
+	v, err := fc.Submit(ctx, gridSpec(71))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, localID, ok := tf.front.resolveJobID(v.ID)
+	if !ok {
+		t.Fatalf("unroutable handle %q", v.ID)
+	}
+	p.mu.Lock()
+	p.probeChecked, p.probeOK = true, false
+	p.mu.Unlock()
+	if _, err := fc.Get(ctx, p.jobID("j999999-00000000")); err == nil {
+		t.Fatal("GET of an unknown job succeeded")
+	}
+	if p.up(time.Now()) {
+		t.Fatal("a 404 answer cleared a failed probe verdict")
+	}
+	if _, err := fc.Get(ctx, p.jobID(localID)); err != nil {
+		t.Fatal(err)
+	}
+	if !p.up(time.Now()) {
+		t.Fatal("a proxied 2xx left the failed probe verdict standing")
+	}
+
+	// With every probe failed, the submit dials the owner as a last
+	// resort, and its answer revives it.
+	for _, q := range tf.front.peers {
+		q.mu.Lock()
+		q.probeChecked, q.probeOK = true, false
+		q.mu.Unlock()
+	}
+	if w, err := fc.Submit(ctx, gridSpec(71)); err != nil || !strings.HasPrefix(w.ID, p.jobID("")) {
+		t.Fatalf("last-resort submit: %q, %v; want the owner's handle", w.ID, err)
+	}
+	if !p.up(time.Now()) {
+		t.Fatal("a forwarded submit left the failed probe verdict standing")
 	}
 }

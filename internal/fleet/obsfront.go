@@ -51,7 +51,7 @@ func (f *Front) wireMetrics() {
 				defer p.mu.Unlock()
 				return bit(p.probeOK)
 			}, "peer", p.url)
-		p.routed = reg.Counter("rxlfront_peer_routed_total", "Successful forwards to the peer.", "peer", p.url)
+		p.routed = reg.Counter("rxlfront_peer_routed_total", "Successful job submissions forwarded to the peer.", "peer", p.url)
 		p.errors = reg.Counter("rxlfront_peer_errors_total", "Transport failures forwarding to the peer.", "peer", p.url)
 		p.probes = reg.Counter("rxlfront_peer_probes_total", "Active health probes sent to the peer.", "peer", p.url)
 		p.probeFails = reg.Counter("rxlfront_peer_probe_failures_total", "Active health probes the peer failed.", "peer", p.url)

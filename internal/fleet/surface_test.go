@@ -88,7 +88,7 @@ var frontSurface = []surfaceRow{
 	{JSON: "peers[].url", Meaning: "The peer's base URL — the `peer` label of every per-peer family"},
 	{JSON: "peers[].up", Family: "rxlfront_peer_up{peer}", Type: "gauge", Meaning: "1 / true while the peer is routable (probe verdict AND passive marks)"},
 	{Family: "rxlfront_peer_probe_ok{peer}", Type: "gauge", Meaning: "1 while the peer's last active health probe succeeded"},
-	{JSON: "peers[].routed", Family: "rxlfront_peer_routed_total{peer}", Type: "counter", Meaning: "Successful forwards to the peer"},
+	{JSON: "peers[].routed", Family: "rxlfront_peer_routed_total{peer}", Type: "counter", Meaning: "Successful job submissions forwarded to the peer"},
 	{JSON: "peers[].errors", Family: "rxlfront_peer_errors_total{peer}", Type: "counter", Meaning: "Transport failures forwarding to the peer"},
 	{JSON: "peers[].probes", Family: "rxlfront_peer_probes_total{peer}", Type: "counter", Meaning: "Active health probes sent to the peer"},
 	{JSON: "peers[].probe_fails", Family: "rxlfront_peer_probe_failures_total{peer}", Type: "counter", Meaning: "Active health probes the peer failed"},

@@ -164,16 +164,19 @@ const (
 // call SetHeader/Payload and Seal before transmission.
 //
 // Beyond the wire image, a flit carries error-event fast-path state that
-// never appears on the wire: a seal record (kind and ISN sequence number)
-// and a clean mark. A clean flit's image is known to be bit-identical to
-// its sealed form — no channel or switch has touched it — so every
-// integrity check (CheckCRC, CheckCRCISN, DecodeFEC) short-circuits to its
-// provable outcome in O(1). Anything that mutates Raw outside those
-// methods must call Taint (after Materialize if the seal is still
-// deferred) or the clean mark lies.
+// never appears on the wire: a seal record (kind and ISN sequence number),
+// a clean mark, and possibly a deferred payload (a tag and the generator
+// of its bytes). A clean flit's image is known to be bit-identical to its
+// sealed form — no channel or switch has touched it — so every integrity
+// check (CheckCRC, CheckCRCISN, DecodeFEC) short-circuits to its provable
+// outcome in O(1). Anything that mutates Raw outside those methods must
+// call Taint (after Materialize if the seal is still deferred) or the
+// clean mark lies.
 type Flit struct {
 	Raw [Size]byte
 
+	fill     func(tag uint64, p []byte) // deferred payload generator; nil once generated
+	tag      uint64                     // fill's argument
 	kind     sealKind
 	isnSeq   uint16
 	clean    bool  // image is bit-identical to the sealed image
@@ -223,8 +226,49 @@ func (f *Flit) SetHeader(h Header) {
 }
 
 // Payload returns the 240-byte payload region as a mutable slice into the
-// flit.
-func (f *Flit) Payload() []byte { return f.Raw[payloadOff : payloadOff+PayloadSize] }
+// flit, generating a deferred payload first.
+func (f *Flit) Payload() []byte {
+	f.fillPayload()
+	return f.Raw[payloadOff : payloadOff+PayloadSize]
+}
+
+// DeferPayload records the payload as fill's output for tag without
+// generating it: fill(tag, p) writes into p, the payload region short of
+// the two routing-tag bytes (SrcRouteOffset bytes long), which must be
+// zero as Get returns it, and must be deterministic in tag. Like a deferred seal's CRC and FEC, nothing
+// needs those bytes while the flit stays clean; Payload and Materialize —
+// the one way out of the clean state — generate them the first time they
+// are needed, so every byte-level image is complete. The routing tags lie
+// outside fill's reach and are set with SetRoute either way.
+func (f *Flit) DeferPayload(tag uint64, fill func(tag uint64, p []byte)) {
+	f.tag, f.fill = tag, fill
+}
+
+// DeferredPayload reports the tag of a payload still deferred. No byte of
+// it has been read or touched, so it is exactly fill(tag)'s output, and a
+// receiver may take it as intact from the tag alone.
+func (f *Flit) DeferredPayload() (tag uint64, ok bool) { return f.tag, f.fill != nil }
+
+// fillPayload generates a deferred payload into the image, if one is
+// pending.
+func (f *Flit) fillPayload() {
+	if f.fill != nil {
+		f.fill(f.tag, f.Raw[payloadOff:payloadOff+SrcRouteOffset])
+		f.fill = nil
+	}
+}
+
+// Route returns the fabric routing tags. It reads the image directly: the
+// tags lie outside a deferred payload, which stays deferred.
+func (f *Flit) Route() (src, dst byte) {
+	return f.Raw[payloadOff+SrcRouteOffset], f.Raw[payloadOff+RouteOffset]
+}
+
+// SetRoute writes the fabric routing tags without generating a deferred
+// payload. The flit must be (re-)Sealed afterwards.
+func (f *Flit) SetRoute(src, dst byte) {
+	f.Raw[payloadOff+SrcRouteOffset], f.Raw[payloadOff+RouteOffset] = src, dst
+}
 
 // CRCField returns the stored 8-byte CRC as a uint64.
 func (f *Flit) CRCField() uint64 {
@@ -258,6 +302,7 @@ func (f *Flit) crcInput() []byte { return f.Raw[:crcOff] }
 // unmarked, so every downstream integrity check runs byte-level — the
 // slow-path reference behavior.
 func (f *Flit) SealCXL(fec *rs.Interleaved) {
+	f.fillPayload()
 	f.kind = sealPlain
 	f.clean = false
 	f.deferred = false
@@ -269,6 +314,7 @@ func (f *Flit) SealCXL(fec *rs.Interleaved) {
 // folded in, then FEC over the protected region. The header FSN field
 // carries only AckNum (or zero) under RXL; seq never appears on the wire.
 func (f *Flit) SealRXL(seq uint16, fec *rs.Interleaved) {
+	f.fillPayload()
 	f.kind = sealISN
 	f.isnSeq = seq & FSNMask
 	f.clean = false
@@ -324,19 +370,21 @@ func (f *Flit) TakePathPass() bool {
 }
 
 // Taint clears the clean mark; call it after mutating Raw. A deferred
-// seal must be materialized first — corrupting an image whose CRC/FEC
+// seal or payload must be materialized first — corrupting an image whose
 // bytes do not exist yet would diverge from byte-level semantics.
 func (f *Flit) Taint() {
-	if f.deferred {
+	if f.deferred || f.fill != nil {
 		panic("flit: Taint before Materialize")
 	}
 	f.clean = false
 }
 
-// Materialize computes the CRC and FEC fields of a deferred seal, making
-// the image byte-complete and bit-identical to an eager seal. It is a
-// no-op when the seal was never deferred.
+// Materialize generates a deferred payload and computes the CRC and FEC
+// fields of a deferred seal, making the image byte-complete and
+// bit-identical to an eager seal. It is a no-op when neither was
+// deferred.
 func (f *Flit) Materialize(fec *rs.Interleaved) {
+	f.fillPayload()
 	if !f.deferred {
 		return
 	}

@@ -362,3 +362,72 @@ func TestCleanVerdictsMatchByteLevelVerify(t *testing.T) {
 		})
 	}
 }
+
+// TestDeferredPayloadMaterializes: a deferred payload is invisible in the
+// wire image. Materialize (and an eager seal) produce the bytes an eager
+// fill would have; Route and SetRoute leave the payload deferred; Payload
+// generates it; and Taint refuses an image whose payload is still missing.
+func TestDeferredPayloadMaterializes(t *testing.T) {
+	fec := NewFEC()
+	fill := func(tag uint64, p []byte) {
+		if len(p) != SrcRouteOffset {
+			t.Fatalf("fill got %d bytes, want %d", len(p), SrcRouteOffset)
+		}
+		rand.New(rand.NewSource(int64(tag))).Read(p)
+	}
+	eager := func(seal func(*Flit)) *Flit {
+		f := &Flit{}
+		fill(9, f.Payload()[:SrcRouteOffset])
+		f.SetRoute(3, 4)
+		f.SetHeader(Header{Type: TypeData, Cmd: CmdAck, FSN: 77})
+		seal(f)
+		return f
+	}
+	deferred := func() *Flit {
+		f := &Flit{}
+		f.DeferPayload(9, fill)
+		f.SetRoute(3, 4)
+		f.SetHeader(Header{Type: TypeData, Cmd: CmdAck, FSN: 77})
+		return f
+	}
+
+	want := eager(func(f *Flit) { f.SealRXL(513, fec) })
+	f := deferred()
+	f.DeferSealRXL(513)
+	if src, dst := f.Route(); src != 3 || dst != 4 {
+		t.Fatalf("Route = %d, %d; want 3, 4", src, dst)
+	}
+	if _, ok := f.DeferredPayload(); !ok {
+		t.Fatal("Route generated the deferred payload")
+	}
+	f.Materialize(fec)
+	if f.Raw != want.Raw {
+		t.Error("materialized deferred payload differs from the eager image")
+	}
+	if _, ok := f.DeferredPayload(); ok {
+		t.Error("payload still deferred after Materialize")
+	}
+
+	f = deferred()
+	f.SealCXL(fec)
+	if want := eager(func(f *Flit) { f.SealCXL(fec) }); f.Raw != want.Raw {
+		t.Error("eager seal over a deferred payload differs from the eager image")
+	}
+
+	f = deferred()
+	f.DeferSealRXL(513)
+	if tag, ok := f.DeferredPayload(); !ok || tag != 9 {
+		t.Fatalf("DeferredPayload = %d, %v; want 9, true", tag, ok)
+	}
+	if string(f.Payload()) != string(want.Payload()) {
+		t.Error("Payload did not generate the deferred payload")
+	}
+
+	f = deferred()
+	defer func() {
+		if recover() == nil {
+			t.Error("Taint accepted an image whose payload was never generated")
+		}
+	}()
+	f.Taint()
+}

@@ -96,7 +96,8 @@ type Config struct {
 	// processed byte-level, so results are bit-identical to
 	// FastPath=false for identical seeds — proven by the differential
 	// tests in internal/core. Every flit a FastPath peer sends defers its
-	// seal, first transmission or replay. Off for zero-value Configs;
+	// seal, first transmission or replay, and an offered payload's bytes
+	// (Offer). Off for zero-value Configs;
 	// DefaultConfig turns it on.
 	FastPath bool `json:"-"`
 

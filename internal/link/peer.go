@@ -15,8 +15,15 @@ import (
 // recycled on the peer's free list.
 type replayEntry struct {
 	seq      uint64 // absolute sequence number, assigned at first transmission
-	payload  [flit.PayloadSize]byte
 	lastSent sim.Time
+	// fill, when set, stands for the payload: on the fast path an offered
+	// payload is fill(tag)'s output, handed to each transmission's flit
+	// as a deferred payload instead of bytes. Nil for a Submitted
+	// payload and for every payload of the byte-level reference path,
+	// whose bytes are in payload.
+	fill    func(tag uint64, p []byte)
+	tag     uint64
+	payload [flit.PayloadSize]byte
 }
 
 // Peer is one end of a duplex link-layer connection: a transmitter with a
@@ -33,7 +40,14 @@ type Peer struct {
 
 	// Deliver receives each validated payload in delivery order. The
 	// slice aliases the flit; copy anything retained beyond the call.
+	// An offered payload reaches it generated, whatever path it took.
 	Deliver func(payload []byte)
+	// DeliverClean, when set, receives in Deliver's place the tag of each
+	// validated payload still deferred on arrival: an offered payload
+	// whose flit stayed clean end to end, its bytes provably the
+	// sender's fill(tag). A consumer keyed on the tag thus never has the
+	// bytes generated. Only fast-path flits carry deferred payloads.
+	DeliverClean func(tag uint64)
 
 	out *Wire
 	fec *rs.Interleaved
@@ -100,6 +114,7 @@ func (p *Peer) Submit(payload []byte) {
 		panic("link: Submit behind an offered backlog")
 	}
 	e := p.entry()
+	e.fill = nil
 	n := copy(e.payload[:], payload)
 	clear(e.payload[n:])
 	p.sendQ, p.sendHead = headq.Compact(p.sendQ, p.sendHead)
@@ -108,11 +123,15 @@ func (p *Peer) Submit(payload []byte) {
 }
 
 // Offer queues n payloads behind any Submitted ones without building them:
-// at its first transmission, offered payload i (0 ≤ i < n) is written by
-// fill(i, p) into a zeroed flit.PayloadSize buffer. A backlog of any depth
-// thus costs no memory until it reaches the replay window, and each
-// payload is generated into the entry it is sent from. One backlog at a
-// time: Offer panics while an earlier one remains.
+// offered payload i (0 ≤ i < n) is what fill(i, p) writes into a zeroed
+// flit.SrcRouteOffset-byte buffer (the payload short of its routing
+// tags). A backlog of any depth thus costs no memory until it reaches the
+// replay window. The byte-level reference path generates each payload
+// into its replay entry at first transmission; the fast path generates
+// none, handing fill and the tag to every transmission's flit as a
+// deferred payload (flit.DeferPayload), so fill must be deterministic in
+// its tag. One backlog at a time: Offer panics while an earlier one
+// remains.
 func (p *Peer) Offer(n int, fill func(tag uint64, p []byte)) {
 	if n < 0 || p.offered > 0 {
 		panic("link: Offer needs n >= 0 and no offered backlog")
@@ -137,7 +156,8 @@ func (p *Peer) entry() *replayEntry {
 func (p *Peer) Queued() int { return len(p.sendQ) - p.sendHead + p.offered }
 
 // nextPayload dequeues the next payload to send: the send queue's head,
-// else the offered backlog's next payload, generated now.
+// else the offered backlog's next payload — deferred on the fast path,
+// generated now on the reference path.
 func (p *Peer) nextPayload() *replayEntry {
 	if p.sendHead < len(p.sendQ) {
 		e := p.sendQ[p.sendHead]
@@ -145,8 +165,13 @@ func (p *Peer) nextPayload() *replayEntry {
 		return e
 	}
 	e := p.entry()
-	clear(e.payload[:])
-	p.fill(p.offerTag, e.payload[:])
+	if p.Cfg.FastPath {
+		e.fill, e.tag = p.fill, p.offerTag
+	} else {
+		e.fill = nil
+		clear(e.payload[:])
+		p.fill(p.offerTag, e.payload[:flit.SrcRouteOffset])
+	}
 	p.offerTag++
 	if p.offered--; p.offered == 0 {
 		p.fill = nil
@@ -239,17 +264,21 @@ func (p *Peer) sendControl(h flit.Header) {
 // rest of the flit.
 func (p *Peer) stampRoute(f *flit.Flit) {
 	if p.Cfg.StampRoute {
-		f.Payload()[flit.RouteOffset] = p.Cfg.RouteTag
-		f.Payload()[flit.SrcRouteOffset] = p.Cfg.SrcTag
+		f.SetRoute(p.Cfg.SrcTag, p.Cfg.RouteTag)
 	}
 }
 
 // sendData builds, seals and transmits the flit for a replay entry,
 // applying the protocol's header/CRC semantics and consuming a pending
-// piggyback acknowledgment if the protocol allows one.
+// piggyback acknowledgment if the protocol allows one. A deferred entry
+// regenerates the same payload at every transmission, replays included.
 func (p *Peer) sendData(e *replayEntry, isRetransmit bool) {
 	f := flit.Get()
-	copy(f.Payload(), e.payload[:])
+	if e.fill != nil {
+		f.DeferPayload(e.tag, e.fill)
+	} else {
+		copy(f.Payload(), e.payload[:])
+	}
 	p.stampRoute(f)
 
 	h := flit.Header{Type: flit.TypeData, Cmd: flit.CmdSeq}
@@ -481,9 +510,15 @@ func (p *Peer) requestNak() {
 	p.pump()
 }
 
-// deliverPayload hands the flit payload to the upper layer.
+// deliverPayload hands the flit payload to the upper layer: a payload
+// still deferred goes to DeliverClean by its tag when one is set, anything
+// else to Deliver, generated first if need be.
 func (p *Peer) deliverPayload(f *flit.Flit) {
 	p.Stats.Delivered++
+	if tag, ok := f.DeferredPayload(); ok && p.DeliverClean != nil {
+		p.DeliverClean(tag)
+		return
+	}
 	if p.Deliver != nil {
 		p.Deliver(f.Payload())
 	}

@@ -319,8 +319,7 @@ func (m *Mesh) injectArrival(x, y int) func(*flit.Flit) {
 		// Both routing tags are read before the injection crossing can
 		// corrupt the image: the express decision and the schedule key use
 		// the flit's true path identity.
-		src := f.Payload()[flit.SrcRouteOffset]
-		dst := f.Payload()[flit.RouteOffset]
+		src, dst := f.Route()
 		var rt *meshRoute
 		hops := 1
 		if _, _, ok := m.nodeXY(dst); ok {
@@ -596,8 +595,7 @@ func (m *Mesh) crossHop(f *flit.Flit) {
 	if f.TakePathPass() {
 		return
 	}
-	src := f.Payload()[flit.SrcRouteOffset]
-	dst := f.Payload()[flit.RouteOffset]
+	src, dst := f.Route()
 	link.CrossPathUnit(m.pathSched(src, dst), m.fec, f)
 }
 
@@ -655,7 +653,8 @@ func (m *Mesh) routerIngress(x, y int) func(*flit.Flit) {
 			flit.Release(f)
 			return
 		}
-		dx, dy, ok := m.nodeXY(f.Payload()[flit.RouteOffset])
+		_, dst := f.Route()
+		dx, dy, ok := m.nodeXY(dst)
 		if !ok {
 			r.Stats.DroppedNoRoute++
 			flit.Release(f)
@@ -793,7 +792,7 @@ type MeshNode struct {
 func NewMeshNode(m *Mesh, x, y int, linkCfg link.Config) *MeshNode {
 	n := &MeshNode{ID: m.NodeID(x, y), eng: m.Eng, linkCfg: linkCfg, peers: make(map[byte]*link.Peer)}
 	n.ingress = m.AttachNode(x, y, func(f *flit.Flit) {
-		src := f.Payload()[flit.SrcRouteOffset]
+		src, _ := f.Route()
 		if p, ok := n.peers[src]; ok {
 			p.Receive(f)
 		}

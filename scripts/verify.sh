@@ -151,6 +151,8 @@ rung_differential() {
   # Sweep the built-in topology x workload x fault grid through the
   # fast-path/byte-level differential; any diverging cell (or
   # non-exactly-once RXL delivery) exits non-zero.
+  # At the paper's 1e-6 clean flits dominate: payloads stay deferred end to end.
+  run go run ./cmd/rxlsim -scan -scan-n 25 -ber 1e-6
   run go run ./cmd/rxlsim -scan -scan-n 25 -ber 1e-5
   # Again where retransmissions dominate: every replayed flit defers its
   # seal on the fast path, so these cells pin that against byte-level.
