@@ -59,7 +59,7 @@ func TestLinkConfigFollowsFabricProtocol(t *testing.T) {
 	if p := m.Node(0, 0).PeerTo(m.Node(1, 1).ID); p.Cfg.Protocol != link.ProtocolRXL || p.Cfg.CoalesceCount != 4 || p.Cfg.FastPath {
 		t.Errorf("mesh peer resolved %+v", p.Cfg)
 	}
-	if got := m.Mesh.Routers[0][0].Mode; got != switchfab.ModeRXL {
+	if got := m.Mesh.Routers[m.Mesh.NodeID(0, 0)].Mode; got != switchfab.ModeRXL {
 		t.Errorf("mesh router runs %v", got)
 	}
 	if cxlDefault.Protocol != link.ProtocolCXL {

@@ -21,7 +21,7 @@ import (
 // per-hop wire timing, SwitchLatency the router traversal, and NoFastPath
 // forces every endpoint onto the byte-level reference path. Levels and
 // InternalFlipProb are ignored (inject router faults directly via
-// Mesh.Routers).
+// Mesh.Routers, indexed by Mesh.NodeID).
 type MeshFabric struct {
 	Cfg  Config
 	W, H int
@@ -29,7 +29,9 @@ type MeshFabric struct {
 	// Mesh exposes routers and wires for fault injection and stats.
 	Mesh *switchfab.Mesh
 
-	nodes map[[2]int]*switchfab.MeshNode
+	// nodes[Mesh.NodeID(x, y)] is the endpoint at (x,y), nil until first
+	// use.
+	nodes []*switchfab.MeshNode
 }
 
 // NewTopologyFabric builds the fabric of a topology: a plain mesh or a
@@ -64,7 +66,7 @@ func NewTopologyFabric(cfg Config, topo Topology) (*MeshFabric, error) {
 		H:     t.H,
 		Eng:   eng,
 		Mesh:  switchfab.NewMesh(eng, t.W, t.H, mc),
-		nodes: make(map[[2]int]*switchfab.MeshNode),
+		nodes: make([]*switchfab.MeshNode, t.W*t.H),
 	}, nil
 }
 
@@ -81,13 +83,11 @@ func MustNewMeshFabric(cfg Config, w, h int) *MeshFabric {
 // (x,y), wired with the fabric's link configuration and NoFastPath
 // setting.
 func (m *MeshFabric) Node(x, y int) *switchfab.MeshNode {
-	key := [2]int{x, y}
-	if nd, ok := m.nodes[key]; ok {
-		return nd
+	id := m.Mesh.NodeID(x, y) // panics off the mesh, before x,y can alias another node
+	if m.nodes[id] == nil {
+		m.nodes[id] = switchfab.NewMeshNode(m.Mesh, x, y, m.Cfg.linkConfig())
 	}
-	nd := switchfab.NewMeshNode(m.Mesh, x, y, m.Cfg.linkConfig())
-	m.nodes[key] = nd
-	return nd
+	return m.nodes[id]
 }
 
 // Run drains the event queue.

@@ -83,9 +83,9 @@ func TestMeshFastPathDifferentialInternalCorruption(t *testing.T) {
 				// Deterministic internal fault seeding on every router, so
 				// fast and slow draw the same fault points.
 				root := phy.NewRNG(7)
-				for _, col := range m.Mesh.Routers {
-					for _, r := range col {
-						r.SeedInternalFaults(2e-3, root.Split())
+				for x := 0; x < m.W; x++ {
+					for y := 0; y < m.H; y++ {
+						m.Mesh.Routers[m.Mesh.NodeID(x, y)].SeedInternalFaults(2e-3, root.Split())
 					}
 				}
 				flows := []MeshFlow{
@@ -215,13 +215,13 @@ func TestMeshStatsAuditZipfHotSpot(t *testing.T) {
 			// deliveries of any router (zipf concentrates destinations
 			// there; ACK deliveries at sources cannot overtake it since
 			// control flits are coalesced).
-			sink := fab.Mesh.Routers[0][0].Stats.DeliveredLocal
+			sink := fab.Mesh.Routers[fab.Mesh.NodeID(0, 0)].Stats.DeliveredLocal
 			for x := 0; x < 4; x++ {
 				for y := 0; y < 4; y++ {
 					if x == 0 && y == 0 {
 						continue
 					}
-					if got := fab.Mesh.Routers[x][y].Stats.DeliveredLocal; got > sink {
+					if got := fab.Mesh.Routers[fab.Mesh.NodeID(x, y)].Stats.DeliveredLocal; got > sink {
 						t.Errorf("router (%d,%d) delivered %d > hot-spot router's %d", x, y, got, sink)
 					}
 				}

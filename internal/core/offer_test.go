@@ -198,3 +198,16 @@ func TestRunWorkloadRejectsRepeatedFlow(t *testing.T) {
 		})
 	}
 }
+
+// TestMeshNodeOffMeshPanics: a position outside the mesh is refused, not
+// folded onto the node whose index it computes to ((3,0) on a 3-wide
+// mesh would otherwise be (0,1)).
+func TestMeshNodeOffMeshPanics(t *testing.T) {
+	m := MustNewMeshFabric(Config{Protocol: link.ProtocolRXL}, 3, 3)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("off-mesh node accepted")
+		}
+	}()
+	m.Node(3, 0)
+}

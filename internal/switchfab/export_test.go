@@ -16,10 +16,9 @@ import (
 // their reverses West/North.
 func (m *Mesh) InterRouterWire(x1, y1, x2, y2 int) *link.Wire {
 	var w *link.Wire
-	if d := m.routeDir(x1, y1, x2, y2); d >= 0 {
-		if nx, ny := m.neighbor(x1, y1, d); nx == x2 && ny == y2 {
-			w = m.out[x1][y1][d]
-		}
+	from, to := int(m.NodeID(x1, y1)), int(m.NodeID(x2, y2))
+	if d := m.routeDir(from, to); d >= 0 && m.neighbor(from, d) == to {
+		w = m.out[from][d]
 	}
 	if w == nil {
 		panic(fmt.Sprintf("switchfab: (%d,%d)-(%d,%d) are not adjacent mesh routers", x1, y1, x2, y2))

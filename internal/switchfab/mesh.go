@@ -2,7 +2,6 @@ package switchfab
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/flit"
 	"repro/internal/link"
@@ -38,18 +37,19 @@ import (
 type Mesh struct {
 	W, H int
 	Eng  *sim.Engine
-	// Routers indexes the switching elements as [x][y].
-	Routers [][]*Switch
+	// Routers indexes the switching elements by node ID (NodeID, y*W+x).
+	// Every per-node table below is indexed the same way.
+	Routers []*Switch
 
-	// out[x][y][d] is the egress wire of router (x,y) toward direction d.
-	out [][][meshDirs]*link.Wire
-	// localSink[x][y] hands flits addressed to node (x,y) to the node
+	// out[id][d] is the egress wire of router id toward direction d.
+	out [][meshDirs]*link.Wire
+	// localSink[id] hands flits addressed to node id to the node
 	// AttachNode installed (releasing them while none is). It is the
 	// engine sink of both the hop-by-hop latency event and the express
 	// delivery event, so neither allocates per flit.
-	localSink [][]func(interface{})
-	// ingress[x][y] is the wire a node uses to inject at its router.
-	ingress [][]*link.Wire
+	localSink []func(interface{})
+	// ingress[id] is the wire a node uses to inject at its router.
+	ingress []*link.Wire
 
 	wires []*link.Wire
 
@@ -81,10 +81,13 @@ type Mesh struct {
 	// the minimal direction around each ring.
 	wrap bool
 
-	// Per-path error-event schedules, keyed src<<8|dst, created on first
-	// traffic from a dedicated RNG lineage (deterministic per seed and
-	// traffic order). nil maps mean BER 0 — no error model at all.
-	paths   map[uint16]*phy.SharedSchedule
+	// paths[src][dst] is the error-event schedule of the src→dst path,
+	// indexed by the flit's routing tags and created on first traffic
+	// from a dedicated RNG lineage (deterministic per seed and traffic
+	// order). It has a row for every byte, since a corrupted tag may name
+	// a node outside the mesh; a row is allocated with its first
+	// schedule. nil paths means BER 0 — no error model at all.
+	paths   []*[256]*phy.SharedSchedule
 	pathRNG *phy.RNG
 	ber     float64
 	burst   float64
@@ -160,25 +163,19 @@ func NewMesh(eng *sim.Engine, w, h int, cfg MeshConfig) *Mesh {
 		m.walkFn = m.walkStep
 	}
 	if cfg.BER > 0 {
-		m.paths = make(map[uint16]*phy.SharedSchedule)
+		m.paths = make([]*[256]*phy.SharedSchedule, 256)
 		m.pathRNG = phy.NewRNG(cfg.Seed)
 		m.ber, m.burst = cfg.BER, cfg.BurstProb
 		m.fec = flit.NewFEC()
 	}
 
-	m.Routers = make([][]*Switch, w)
-	m.out = make([][][meshDirs]*link.Wire, w)
-	m.localSink = make([][]func(interface{}), w)
-	m.ingress = make([][]*link.Wire, w)
-	for x := 0; x < w; x++ {
-		m.Routers[x] = make([]*Switch, h)
-		m.out[x] = make([][meshDirs]*link.Wire, h)
-		m.localSink[x] = make([]func(interface{}), h)
-		m.ingress[x] = make([]*link.Wire, h)
-		for y := 0; y < h; y++ {
-			m.Routers[x][y] = NewSwitch(fmt.Sprintf("R%d.%d", x, y), eng, cfg.Mode, cfg.RouterLatency)
-			m.localSink[x][y] = releaseFlit
-		}
+	m.Routers = make([]*Switch, w*h)
+	m.out = make([][meshDirs]*link.Wire, w*h)
+	m.localSink = make([]func(interface{}), w*h)
+	m.ingress = make([]*link.Wire, w*h)
+	for id := range m.Routers {
+		m.Routers[id] = NewSwitch(fmt.Sprintf("R%d.%d", id%w, id/w), eng, cfg.Mode, cfg.RouterLatency)
+		m.localSink[id] = releaseFlit
 	}
 
 	mkWire := func(deliver func(*flit.Flit)) *link.Wire {
@@ -193,17 +190,19 @@ func NewMesh(eng *sim.Engine, w, h int, cfg MeshConfig) *Mesh {
 	// A direction has a wire when stepping that way stays inside the mesh,
 	// or — under Wrap, in a dimension of at least two routers — wraps
 	// around it (east from x=W-1 lands on x=0, and so on); neighbor
-	// resolves both, so forwarding needs no wrap-specific cases.
+	// resolves both, so forwarding needs no wrap-specific cases. Wires are
+	// created x-major: flap campaigns pick their wire by index in Wires.
 	for x := 0; x < w; x++ {
 		for y := 0; y < h; y++ {
+			id := y*w + x
 			inside := [meshDirs]bool{dirEast: x+1 < w, dirWest: x > 0, dirSouth: y+1 < h, dirNorth: y > 0}
 			wraps := [meshDirs]bool{dirEast: w > 1, dirWest: w > 1, dirSouth: h > 1, dirNorth: h > 1}
 			for d := 0; d < meshDirs; d++ {
 				if inside[d] || cfg.Wrap && wraps[d] {
-					m.out[x][y][d] = mkWire(m.hopArrival(m.neighbor(x, y, d)))
+					m.out[id][d] = mkWire(m.hopArrival(m.neighbor(id, d)))
 				}
 			}
-			m.ingress[x][y] = mkWire(m.injectArrival(x, y))
+			m.ingress[id] = mkWire(m.injectArrival(id))
 		}
 	}
 	return m
@@ -250,19 +249,21 @@ func (m *Mesh) HopsBetween(sx, sy, dx, dy int) int {
 	return 1 + m.dimDist(sx, dx, m.W) + m.dimDist(sy, dy, m.H)
 }
 
-// pathKey identifies a shared schedule by the flit's routing tags. Both
-// tags sit inside the CRC-protected payload, so a corrupted tag resolves
-// the same (wrong) schedule on the fast and byte-level paths alike.
-func pathKey(src, dst byte) uint16 { return uint16(src)<<8 | uint16(dst) }
-
 // pathSched returns (creating on first use) the shared error schedule of
 // the src→dst path, at the BER currently in force (base × fault scale).
+// Both routing tags sit inside the CRC-protected payload, so a corrupted
+// tag resolves the same (wrong) schedule on the fast and byte-level paths
+// alike.
 func (m *Mesh) pathSched(src, dst byte) *phy.SharedSchedule {
-	k := pathKey(src, dst)
-	s, ok := m.paths[k]
-	if !ok {
+	row := m.paths[src]
+	if row == nil {
+		row = new([256]*phy.SharedSchedule)
+		m.paths[src] = row
+	}
+	s := row[dst]
+	if s == nil {
 		s = phy.NewSharedSchedule(m.ber*m.berScale, m.burst, m.pathRNG.Split(), flit.Bits)
-		m.paths[k] = s
+		row[dst] = s
 	}
 	return s
 }
@@ -282,17 +283,27 @@ func (m *Mesh) SetPathBERScale(scale float64) {
 		panic("switchfab: non-positive BER scale")
 	}
 	m.berScale = scale
-	if m.paths == nil {
-		return
-	}
 	// Iteration order does not matter: each schedule redraws from its own
 	// RNG stream, independent of the others.
-	for _, s := range m.paths {
-		s.Channel().SetBER(m.ber * scale)
+	m.eachPath(func(_, _ int, s *phy.SharedSchedule) { s.Channel().SetBER(m.ber * scale) })
+}
+
+// eachPath calls fn on every schedule created so far, in ascending
+// (src, dst) order.
+func (m *Mesh) eachPath(fn func(src, dst int, s *phy.SharedSchedule)) {
+	for src, row := range m.paths {
+		if row == nil {
+			continue
+		}
+		for dst, s := range row {
+			if s != nil {
+				fn(src, dst, s)
+			}
+		}
 	}
 }
 
-// injectArrival wraps router (x,y)'s pipeline for its node-ingress wire:
+// injectArrival wraps router id's pipeline for its node-ingress wire:
 // the flit's whole traversal opens here. hops counts every wire crossing
 // of the XY route — this ingress wire plus the Manhattan distance to the
 // destination router; flits with an unroutable destination consume one
@@ -310,8 +321,8 @@ func (m *Mesh) SetPathBERScale(scale float64) {
 // decision depends only on the grant verdict and route state — never on
 // the flit's fast-path marks — so fast-path and byte-level runs take it
 // identically.
-func (m *Mesh) injectArrival(x, y int) func(*flit.Flit) {
-	pipeline := m.routerIngress(x, y)
+func (m *Mesh) injectArrival(id int) func(*flit.Flit) {
+	pipeline := m.routerIngress(id)
 	if m.paths == nil && m.noExpress {
 		return pipeline
 	}
@@ -322,8 +333,8 @@ func (m *Mesh) injectArrival(x, y int) func(*flit.Flit) {
 		src, dst := f.Route()
 		var rt *meshRoute
 		hops := 1
-		if _, _, ok := m.nodeXY(dst); ok {
-			rt = m.route(x, y, dst)
+		if int(dst) < len(m.Routers) {
+			rt = m.route(id, int(dst))
 			hops = len(rt.routers)
 		}
 		granted := true
@@ -360,38 +371,36 @@ func (m *Mesh) injectArrival(x, y int) func(*flit.Flit) {
 type meshRoute struct {
 	routers []*Switch
 	wires   []*link.Wire // wires[i] leaves routers[i]
-	dx, dy  int          // destination router
+	dst     int          // destination router
 	lane    *sim.Lane
 }
 
 // route returns (building on first use) the record of the route from
-// router (x,y) to the router of node dst, which must be inside the mesh.
-func (m *Mesh) route(x, y int, dst byte) *meshRoute {
-	row := m.routes[y*m.W+x]
+// router src to router dst, which must both be inside the mesh.
+func (m *Mesh) route(src, dst int) *meshRoute {
+	row := m.routes[src]
 	if row == nil {
-		row = make([]*meshRoute, m.W*m.H)
-		m.routes[y*m.W+x] = row
+		row = make([]*meshRoute, len(m.Routers))
+		m.routes[src] = row
 	}
 	if rt := row[dst]; rt != nil {
 		return rt
 	}
-	dx, dy, _ := m.nodeXY(dst)
-	hops := m.HopsBetween(x, y, dx, dy)
+	hops := m.HopsBetween(src%m.W, src/m.W, dst%m.W, dst/m.W)
 	rt := &meshRoute{
 		routers: make([]*Switch, 0, hops),
 		wires:   make([]*link.Wire, 0, hops-1),
-		dx:      dx,
-		dy:      dy,
+		dst:     dst,
 		lane:    m.Eng.NewLane(),
 	}
-	for {
-		rt.routers = append(rt.routers, m.Routers[x][y])
-		d := m.routeDir(x, y, dx, dy)
+	for cur := src; ; {
+		rt.routers = append(rt.routers, m.Routers[cur])
+		d := m.routeDir(cur, dst)
 		if d < 0 {
 			break
 		}
-		rt.wires = append(rt.wires, m.out[x][y][d])
-		x, y = m.neighbor(x, y, d)
+		rt.wires = append(rt.wires, m.out[cur][d])
+		cur = m.neighbor(cur, d)
 	}
 	row[dst] = rt
 	return rt
@@ -471,7 +480,7 @@ func (m *Mesh) claimRoute(f *flit.Flit, rt *meshRoute, wk *meshWalk) {
 	}
 	r := rt.routers[last]
 	r.Stats.DeliveredLocal++
-	rt.lane.AtArg(arrive+r.Latency, m.localSink[rt.dx][rt.dy], f)
+	rt.lane.AtArg(arrive+r.Latency, m.localSink[rt.dst], f)
 }
 
 // walkStep is one router arrival of a scheduled walk: cross the path
@@ -492,7 +501,7 @@ func (m *Mesh) walkStep(p interface{}) {
 		return
 	}
 	if wk.hop == len(rt.wires) {
-		m.deliverLocal(r, rt.dx, rt.dy, f)
+		m.deliverLocal(r, rt.dst, f)
 		return
 	}
 	r.Stats.Forwarded++
@@ -500,18 +509,18 @@ func (m *Mesh) walkStep(p interface{}) {
 	m.Eng.AtArg(wk.times[wk.hop], m.walkFn, wk)
 }
 
-// routeDir is the dimension-ordered routing decision at router (cx,cy)
-// for destination router (dx,dy): an egress direction, or -1 for local
-// delivery. The lazy pipeline routes through it hop by hop and route
-// records are built from it, so an express or scheduled walk visits
-// precisely the routers and wires the hop-by-hop path would.
-func (m *Mesh) routeDir(cx, cy, dx, dy int) int {
-	if sx := m.dimStep(cx, dx, m.W); sx > 0 {
+// routeDir is the dimension-ordered routing decision at router cur for
+// destination router dst: an egress direction, or -1 for local delivery.
+// The lazy pipeline routes through it hop by hop and route records are
+// built from it, so an express or scheduled walk visits precisely the
+// routers and wires the hop-by-hop path would.
+func (m *Mesh) routeDir(cur, dst int) int {
+	if sx := m.dimStep(cur%m.W, dst%m.W, m.W); sx > 0 {
 		return dirEast
 	} else if sx < 0 {
 		return dirWest
 	}
-	if sy := m.dimStep(cy, dy, m.H); sy > 0 {
+	if sy := m.dimStep(cur/m.W, dst/m.W, m.H); sy > 0 {
 		return dirSouth
 	} else if sy < 0 {
 		return dirNorth
@@ -519,9 +528,10 @@ func (m *Mesh) routeDir(cx, cy, dx, dy int) int {
 	return -1
 }
 
-// neighbor returns the router that the direction-d egress wire of (cx,cy)
-// lands on, wraparound included.
-func (m *Mesh) neighbor(cx, cy, d int) (int, int) {
+// neighbor returns the router that the direction-d egress wire of router
+// id lands on, wraparound included.
+func (m *Mesh) neighbor(id, d int) int {
+	cx, cy := id%m.W, id/m.W
 	switch d {
 	case dirEast:
 		if cx++; cx == m.W {
@@ -540,7 +550,7 @@ func (m *Mesh) neighbor(cx, cy, d int) (int, int) {
 			cy = m.H - 1
 		}
 	}
-	return cx, cy
+	return cy*m.W + cx
 }
 
 // expressEligible reports whether the route may be claimed up front at
@@ -574,10 +584,10 @@ func (rt *meshRoute) expressEligible() bool {
 	return true
 }
 
-// hopArrival wraps router (x,y)'s pipeline for an inter-router wire,
+// hopArrival wraps router id's pipeline for an inter-router wire,
 // putting a crossing of the flit's path schedule in front of it.
-func (m *Mesh) hopArrival(x, y int) func(*flit.Flit) {
-	pipeline := m.routerIngress(x, y)
+func (m *Mesh) hopArrival(id int) func(*flit.Flit) {
+	pipeline := m.routerIngress(id)
 	if m.paths == nil {
 		return pipeline
 	}
@@ -609,21 +619,13 @@ func abs(v int) int {
 	return v
 }
 
-// NodeID returns the routing tag of node (x,y).
+// NodeID returns the routing tag of node (x,y): the index of its router
+// in Routers.
 func (m *Mesh) NodeID(x, y int) byte {
 	if x < 0 || x >= m.W || y < 0 || y >= m.H {
 		panic("switchfab: node out of mesh")
 	}
 	return byte(y*m.W + x)
-}
-
-// nodeXY decodes a routing tag; ok is false for tags outside the mesh.
-func (m *Mesh) nodeXY(id byte) (x, y int, ok bool) {
-	n := int(id)
-	if n >= m.W*m.H {
-		return 0, 0, false
-	}
-	return n % m.W, n / m.W, true
 }
 
 // AttachNode installs the delivery function of node (x,y) and returns the
@@ -632,40 +634,40 @@ func (m *Mesh) AttachNode(x, y int, deliver func(*flit.Flit)) *link.Wire {
 	if deliver == nil {
 		panic("switchfab: nil node deliver")
 	}
-	m.localSink[x][y] = func(p interface{}) { deliver(p.(*flit.Flit)) }
-	return m.ingress[x][y]
+	id := m.NodeID(x, y)
+	m.localSink[id] = func(p interface{}) { deliver(p.(*flit.Flit)) }
+	return m.ingress[id]
 }
 
 // Wires returns every wire for bulk channel/fault attachment (inter-router
 // and node-ingress).
 func (m *Mesh) Wires() []*link.Wire { return m.wires }
 
-// routerIngress builds the deliver function of router (x,y): run the
+// routerIngress builds the deliver function of router id: run the
 // switch pipeline, then forward by XY dimension-ordered routing. The
 // router latency is folded into the egress wire claim (SendAfter), so a
 // multi-hop traversal costs one engine event per hop — the wire arrival —
 // instead of two. Local deliveries have no egress wire and keep their
 // latency event so the node still receives at arrival+Latency.
-func (m *Mesh) routerIngress(x, y int) func(*flit.Flit) {
-	r := m.Routers[x][y]
+func (m *Mesh) routerIngress(id int) func(*flit.Flit) {
+	r := m.Routers[id]
 	return func(f *flit.Flit) {
 		if !r.process(f) {
 			flit.Release(f)
 			return
 		}
 		_, dst := f.Route()
-		dx, dy, ok := m.nodeXY(dst)
-		if !ok {
+		if int(dst) >= len(m.Routers) {
 			r.Stats.DroppedNoRoute++
 			flit.Release(f)
 			return
 		}
-		d := m.routeDir(x, y, dx, dy)
+		d := m.routeDir(id, int(dst))
 		if d < 0 {
-			m.deliverLocal(r, x, y, f)
+			m.deliverLocal(r, id, f)
 			return
 		}
-		w := m.out[x][y][d]
+		w := m.out[id][d]
 		if w == nil {
 			r.Stats.DroppedNoRoute++
 			flit.Release(f)
@@ -676,18 +678,18 @@ func (m *Mesh) routerIngress(x, y int) func(*flit.Flit) {
 	}
 }
 
-// deliverLocal hands a flit that reached its destination router (x,y) to
+// deliverLocal hands a flit that reached its destination router id to
 // the attached node after the router latency. Local delivery is accounted
 // on its own, not as a forward, so TotalStats().Forwarded equals the
 // flits' actual inter-router hops (see the per-hop audit in
 // internal/core's mesh stats test). The sink is the stable per-router
 // one, so the latency event carries only the flit.
-func (m *Mesh) deliverLocal(r *Switch, x, y int, f *flit.Flit) {
+func (m *Mesh) deliverLocal(r *Switch, id int, f *flit.Flit) {
 	r.Stats.DeliveredLocal++
 	if r.Latency > 0 {
-		m.Eng.ScheduleArg(r.Latency, m.localSink[x][y], f)
+		m.Eng.ScheduleArg(r.Latency, m.localSink[id], f)
 	} else {
-		m.localSink[x][y](f)
+		m.localSink[id](f)
 	}
 }
 
@@ -695,25 +697,23 @@ func (m *Mesh) deliverLocal(r *Switch, x, y int, f *flit.Flit) {
 // of the per-node peaks (a depth, not a count).
 func (m *Mesh) TotalStats() Stats {
 	var t Stats
-	for x, col := range m.Routers {
-		for y, r := range col {
-			t.add(r.Stats)
-			t.QueuePeak = max(t.QueuePeak, m.nodeQueuePeak(x, y))
-		}
+	for id, r := range m.Routers {
+		t.add(r.Stats)
+		t.QueuePeak = max(t.QueuePeak, m.nodeQueuePeak(id))
 	}
 	return t
 }
 
-// nodeQueuePeak is the queue-depth high-water mark of node (x,y): the max
+// nodeQueuePeak is the queue-depth high-water mark of node id: the max
 // across its router's egress wires and its node-ingress wire (the node's
 // injection backlog). Queue depth lives on the wires — the mesh is
 // output-queued, a forward queues on the egress wire's serialization
 // window — and express reservations use the same claim accounting as
 // hop-by-hop sends, so the peaks are identical across express, fast-path,
 // and byte-level runs.
-func (m *Mesh) nodeQueuePeak(x, y int) uint64 {
-	p := m.ingress[x][y].QueuePeak()
-	for _, w := range m.out[x][y] {
+func (m *Mesh) nodeQueuePeak(id int) uint64 {
+	p := m.ingress[id].QueuePeak()
+	for _, w := range m.out[id] {
 		if w != nil {
 			p = max(p, w.QueuePeak())
 		}
@@ -729,7 +729,7 @@ func (m *Mesh) NodeQueuePeaks() [][]uint64 {
 	for y := 0; y < m.H; y++ {
 		out[y] = make([]uint64, m.W)
 		for x := 0; x < m.W; x++ {
-			out[y][x] = m.nodeQueuePeak(x, y)
+			out[y][x] = m.nodeQueuePeak(y*m.W + x)
 		}
 	}
 	return out
@@ -752,27 +752,22 @@ type PathStat struct {
 	BitsSeen, BitsFlipped, ErrorEvents, UnitsTouched uint64
 }
 
-// PathStats snapshots every path schedule's accounting, ordered by
-// (src, dst) — the mesh-level analogue of reading each wire's Channel
-// stats, used by the fast-vs-slow differential suite.
+// PathStats snapshots the accounting of every path schedule created so
+// far, ordered by (src, dst) — the mesh-level analogue of reading each
+// wire's Channel stats, used by the fast-vs-slow differential suite.
 func (m *Mesh) PathStats() []PathStat {
 	if m.paths == nil {
 		return nil
 	}
-	keys := make([]int, 0, len(m.paths))
-	for k := range m.paths {
-		keys = append(keys, int(k))
-	}
-	sort.Ints(keys)
-	out := make([]PathStat, 0, len(keys))
-	for _, k := range keys {
-		ch := m.paths[uint16(k)].Channel()
+	out := []PathStat{}
+	m.eachPath(func(src, dst int, s *phy.SharedSchedule) {
+		ch := s.Channel()
 		out = append(out, PathStat{
-			Src: byte(k >> 8), Dst: byte(k),
+			Src: byte(src), Dst: byte(dst),
 			BitsSeen: ch.BitsSeen, BitsFlipped: ch.BitsFlipped,
 			ErrorEvents: ch.ErrorEvents, UnitsTouched: ch.UnitsTouched,
 		})
-	}
+	})
 	return out
 }
 
@@ -783,18 +778,22 @@ type MeshNode struct {
 	eng     *sim.Engine
 	ingress *link.Wire
 	linkCfg link.Config
-	peers   map[byte]*link.Peer
+	// peers[tag] is the peer of the flow with remote node tag (nil while
+	// there is none).
+	peers [256]*link.Peer
 }
 
 // NewMeshNode attaches a node at (x,y) and returns its peer manager.
 // linkCfg is the base link configuration; PeerTo fills the routing tags
 // per flow.
 func NewMeshNode(m *Mesh, x, y int, linkCfg link.Config) *MeshNode {
-	n := &MeshNode{ID: m.NodeID(x, y), eng: m.Eng, linkCfg: linkCfg, peers: make(map[byte]*link.Peer)}
+	n := &MeshNode{ID: m.NodeID(x, y), eng: m.Eng, linkCfg: linkCfg}
 	n.ingress = m.AttachNode(x, y, func(f *flit.Flit) {
 		src, _ := f.Route()
-		if p, ok := n.peers[src]; ok {
+		if p := n.peers[src]; p != nil {
 			p.Receive(f)
+		} else {
+			flit.Release(f) // no flow from src: the demux is the flit's last consumer
 		}
 	})
 	return n
@@ -803,7 +802,7 @@ func NewMeshNode(m *Mesh, x, y int, linkCfg link.Config) *MeshNode {
 // PeerTo returns (creating on first use) this node's link peer for the
 // flow to the given remote node.
 func (n *MeshNode) PeerTo(remote byte) *link.Peer {
-	if p, ok := n.peers[remote]; ok {
+	if p := n.peers[remote]; p != nil {
 		return p
 	}
 	cfg := n.linkCfg

@@ -102,7 +102,7 @@ func TestMeshInternalCorruptionRXLDetected(t *testing.T) {
 	rx.Deliver = func(p []byte) { payloads = append(payloads, append([]byte(nil), p...)) }
 
 	fired := false
-	m.Routers[1][0].InternalHook = func(f *flit.Flit) bool {
+	m.Routers[m.NodeID(1, 0)].InternalHook = func(f *flit.Flit) bool {
 		if !fired && f.Header().Type == flit.TypeData {
 			fired = true
 			f.Payload()[5] ^= 0xAA
@@ -131,7 +131,7 @@ func TestMeshInternalCorruptionRXLDetected(t *testing.T) {
 func TestSeedInternalFaultsOnMeshRouter(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMesh(eng, 2, 1, DefaultMeshConfig(ModeRXL))
-	m.Routers[0][0].SeedInternalFaults(0.5, nil) // nil rng: must stay inert
+	m.Routers[m.NodeID(0, 0)].SeedInternalFaults(0.5, nil) // nil rng: must stay inert
 	a := NewMeshNode(m, 0, 0, link.DefaultConfig(link.ProtocolRXL))
 	b := NewMeshNode(m, 1, 0, link.DefaultConfig(link.ProtocolRXL))
 	tx := a.PeerTo(b.ID)
@@ -142,7 +142,79 @@ func TestSeedInternalFaultsOnMeshRouter(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("delivered %d", delivered)
 	}
-	if m.Routers[0][0].Stats.InternalCorruptions != 0 {
+	if m.Routers[m.NodeID(0, 0)].Stats.InternalCorruptions != 0 {
 		t.Fatal("nil-RNG fault injection corrupted a flit")
+	}
+}
+
+// TestMeshNodeReleasesUnknownSource: a flit whose source tag names no
+// peer of the receiving node ends at the node's demux, so the demux
+// recycles it like every other terminal consumer. Had it kept the image,
+// each Get below would allocate a fresh flit.
+func TestMeshNodeReleasesUnknownSource(t *testing.T) {
+	m := NewMesh(sim.NewEngine(), 2, 2, DefaultMeshConfig(ModeRXL))
+	n := NewMeshNode(m, 1, 1, link.DefaultConfig(link.ProtocolRXL))
+	n.PeerTo(m.NodeID(1, 0))
+	deliver := m.localSink[n.ID]
+	allocs := testing.AllocsPerRun(1000, func() {
+		f := flit.Get()
+		f.SetRoute(m.NodeID(0, 1), n.ID) // (0,1) has no flow to n
+		deliver(f)
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per dropped flit, want 0 (the demux must release it)", allocs)
+	}
+}
+
+// TestMeshPathStatsContract pins what PathStats promises the differential
+// suites: every schedule created so far is listed exactly once, in
+// ascending (src, dst) whatever the creation order, including schedules
+// whose tags name no node of the mesh; and SetPathBERScale retunes every
+// one of them, while schedules created later inherit the scale.
+func TestMeshPathStatsContract(t *testing.T) {
+	const ber = 1e-3
+	cfg := DefaultMeshConfig(ModeRXL)
+	cfg.BER = ber
+	eng := sim.NewEngine()
+	m := NewMesh(eng, 2, 2, cfg)
+	in := m.AttachNode(0, 0, func(f *flit.Flit) { flit.Release(f) })
+	send := func(src, dst byte) {
+		f := &flit.Flit{}
+		f.SetRoute(src, dst)
+		f.SealRXL(0, flit.NewFEC())
+		in.Send(f)
+	}
+	// Creation order is deliberately unsorted; (0,200) routes nowhere and
+	// (255,1) names a source outside the 4-node mesh. (3,0) is sent twice.
+	order := [][2]byte{{3, 0}, {0, 200}, {0, 3}, {255, 1}, {1, 2}, {0, 1}, {3, 0}}
+	for _, p := range order {
+		send(p[0], p[1])
+	}
+	eng.Run()
+
+	want := [][2]byte{{0, 1}, {0, 3}, {0, 200}, {1, 2}, {3, 0}, {255, 1}}
+	stats := m.PathStats()
+	if len(stats) != len(want) {
+		t.Fatalf("PathStats lists %d schedules, want %d: %+v", len(stats), len(want), stats)
+	}
+	for i, st := range stats {
+		if [2]byte{st.Src, st.Dst} != want[i] {
+			t.Errorf("PathStats[%d] = (%d,%d), want (%d,%d)", i, st.Src, st.Dst, want[i][0], want[i][1])
+		}
+		if st.BitsSeen == 0 {
+			t.Errorf("PathStats[%d] (%d,%d) saw no bits", i, st.Src, st.Dst)
+		}
+	}
+
+	m.SetPathBERScale(8)
+	send(2, 0) // created after the scale change
+	eng.Run()
+	for _, st := range m.PathStats() {
+		if got := m.pathSched(st.Src, st.Dst).Channel().BER; got != 8*ber {
+			t.Errorf("schedule (%d,%d) BER %g after SetPathBERScale(8), want %g", st.Src, st.Dst, got, 8*ber)
+		}
+	}
+	if got := len(m.PathStats()); got != len(want)+1 {
+		t.Errorf("PathStats lists %d schedules after one more path, want %d", got, len(want)+1)
 	}
 }

@@ -16,14 +16,17 @@ func TestMeshNodeID(t *testing.T) {
 	if m.NodeID(0, 0) != 0 || m.NodeID(3, 0) != 3 || m.NodeID(0, 1) != 4 || m.NodeID(3, 2) != 11 {
 		t.Fatal("node IDs wrong")
 	}
-	for id := byte(0); id < 12; id++ {
-		x, y, ok := m.nodeXY(id)
-		if !ok || m.NodeID(x, y) != id {
-			t.Fatalf("nodeXY(%d) = (%d,%d,%v)", id, x, y, ok)
-		}
+	// The tag is the router's index: every router sits at its own ID and
+	// no tag past the last node names one.
+	if len(m.Routers) != 12 {
+		t.Fatalf("%d routers, want 12", len(m.Routers))
 	}
-	if _, _, ok := m.nodeXY(12); ok {
-		t.Fatal("out-of-mesh tag accepted")
+	for x := 0; x < 4; x++ {
+		for y := 0; y < 3; y++ {
+			if got, want := m.Routers[m.NodeID(x, y)].Name, fmt.Sprintf("R%d.%d", x, y); got != want {
+				t.Fatalf("Routers[NodeID(%d,%d)] is %s, want %s", x, y, got, want)
+			}
+		}
 	}
 }
 
@@ -218,8 +221,8 @@ func TestMeshMidRouteDropRXLRecovers(t *testing.T) {
 			t.Fatalf("delivery %d has tag %d", i, v)
 		}
 	}
-	if m.Routers[2][0].Stats.DroppedUncorrectable != 1 {
-		t.Errorf("center router drops = %d, want 1", m.Routers[2][0].Stats.DroppedUncorrectable)
+	if m.Routers[m.NodeID(2, 0)].Stats.DroppedUncorrectable != 1 {
+		t.Errorf("center router drops = %d, want 1", m.Routers[m.NodeID(2, 0)].Stats.DroppedUncorrectable)
 	}
 }
 

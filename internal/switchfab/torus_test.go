@@ -90,10 +90,10 @@ func TestTorusCornerToCorner(t *testing.T) {
 			// The minimal route crosses only the two corner-adjacent
 			// routers: (0,0) west-wraps to (3,0), then north-wraps to
 			// (3,3). Interior routers never forward.
-			if fwd := m.Routers[1][1].Stats.Forwarded; fwd != 0 {
+			if fwd := m.Routers[m.NodeID(1, 1)].Stats.Forwarded; fwd != 0 {
 				t.Errorf("interior router forwarded %d flits on a wrap route", fwd)
 			}
-			if fwd := m.Routers[3][0].Stats.Forwarded; fwd == 0 && m.Routers[0][3].Stats.Forwarded == 0 {
+			if fwd := m.Routers[m.NodeID(3, 0)].Stats.Forwarded; fwd == 0 && m.Routers[m.NodeID(0, 3)].Stats.Forwarded == 0 {
 				t.Error("no wrap-corner router forwarded traffic")
 			}
 		})

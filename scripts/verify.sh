@@ -6,7 +6,7 @@
 #   scripts/verify.sh --level=race          # race detector over ./... + fuzz corpus
 #   scripts/verify.sh --level=flake         # serving/runner packages under -race, 50 times over
 #   scripts/verify.sh --level=kernels       # coding-kernel differential: default vs -tags purego
-#   scripts/verify.sh --level=differential  # scenario-grid fast/slow scan + EXPERIMENTS.md bytes
+#   scripts/verify.sh --level=differential  # scenario-grid fast/slow scan + cell fuzz + EXPERIMENTS.md bytes
 #   scripts/verify.sh --level=smoke         # rxld HTTP serving-contract drill
 #   scripts/verify.sh --level=metrics       # /metrics + trace contract + rxltop drill
 #   scripts/verify.sh --level=fleet         # 3-daemon fleet + front byte-identity e2e
@@ -157,6 +157,10 @@ rung_differential() {
   # Again where retransmissions dominate: every replayed flit defers its
   # seal on the fast path, so these cells pin that against byte-level.
   run go run ./cmd/rxlsim -scan -scan-n 25 -ber 1e-4
+  # Off the fixed grid: a live fuzz of small mesh/torus cells (any
+  # workload, fault script, protocol, BER 1e-7..1e-3, burst, coalescing,
+  # n <= 64), each run on both paths; a diverging cell fails the rung.
+  run go test -run '^$' -fuzz '^FuzzCellFastMatchesReference$' -fuzztime=30s ./internal/core/
   # The committed evaluation record: every output byte of the full sweep
   # must reproduce EXPERIMENTS.md.
   run go run ./cmd/sweep -rare | cmp - EXPERIMENTS.md
