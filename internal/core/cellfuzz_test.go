@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/link"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -107,4 +109,76 @@ func decodeFuzzCell(shape, kind, fault uint8, timing uint32, proto uint8, ber ui
 			Flaps: 1 + int(timing>>19%4), PeriodNS: duration + 1 + int64(timing>>21%512)}
 	}
 	return ScenarioCell{Cfg: cfg, Topo: topo, Workload: wl, Fault: fs}, 1 + int(n%64)
+}
+
+// FuzzExperimentFastMatchesReference is FuzzCellFastMatchesReference's
+// chain sibling: one fuzz-decoded Experiment on a switch chain, run on the
+// fast path and on the byte-level reference, must give bit-identical
+// results under the same projection (every Result field but Cfg) and the
+// same per-direction channel accounting. The decoder reaches every
+// protocol at levels 1–4, BER in [1e-7, 1e-4], burst, CoalesceCount 1–16,
+// the propagation delay and n 1–256, and an RXL chain may also carry
+// switch-internal flips of up to 1e-2 per flit.
+//
+// An RXL chain without flips must deliver with no ordering failure,
+// duplicate or corrupt payload. With flips it need not: the ISN fold XORs
+// the sequence number into the last two payload bytes, so a flip of one
+// of those ten bits inside a switch makes the flit pass the check for the
+// sequence number that differs in that bit, and a receiver that expects
+// that number mid-replay accepts it out of order (the committed input
+// rxl-L4-flip-isn-fold-alias delivers 9 out of order and 1 duplicate).
+//
+// Two bounds keep every input to milliseconds, not the fuzzer's deadline.
+// The BER stops a decade below the mesh decoder's: every chain link draws
+// its own errors, and past ≈ 1e-4 go-back-N collapses (a CXL chain at 4
+// levels, BER 1e-3 and burst 0.9 took 2.1 M retransmissions for 256
+// payloads, some 300 times a 1e-4 input's cost).
+// And CXL chains get no flips: a CXL switch re-seals a flipped header, and
+// the link can lose step with its receiver for millions of replays (a
+// CXL-noPB chain at 4 levels, BER 1e-4 and flips 1e-2 took 2.4 M
+// retransmissions, and 89 of 256 payloads went missing).
+// TestFastPathDifferentialInternalCorruption holds both CXL variants
+// under flips to the reference on fixed inputs.
+func FuzzExperimentFastMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, proto, levels uint8, ber uint16, burst, flip, coalesce, prop uint8, n uint16, seed uint64) {
+		cfg, payloads := decodeFuzzChain(proto, levels, ber, burst, flip, coalesce, prop, n, seed)
+		fastCfg, slowCfg := cfg, cfg
+		slowCfg.NoFastPath = true
+		fast, fastChs := runOnce(t, fastCfg, payloads)
+		slow, slowChs := runOnce(t, slowCfg, payloads)
+		name := fmt.Sprintf("%s L%d BER=%g flip=%g n=%d", cfg.Protocol, cfg.Levels, cfg.BER, cfg.InternalFlipProb, payloads)
+		if !reflect.DeepEqual(fast, slow) {
+			t.Fatalf("%s: fast/slow diverge:\nfast: %+v\nslow: %+v", name, fast, slow)
+		}
+		if !reflect.DeepEqual(fastChs, slowChs) {
+			t.Fatalf("%s: channel stats diverge:\nfast: %+v\nslow: %+v", name, fastChs, slowChs)
+		}
+		if cfg.Protocol == link.ProtocolRXL && cfg.InternalFlipProb == 0 {
+			if fc := fast.Failures; fc.FailOrder != 0 || fc.Duplicates != 0 || fc.FailData != 0 {
+				t.Fatalf("%s: RXL delivered ooo=%d dup=%d corrupt=%d", name, fc.FailOrder, fc.Duplicates, fc.FailData)
+			}
+		}
+	})
+}
+
+// decodeFuzzChain maps the fuzz arguments onto a valid chain
+// configuration and its payload count. Every argument value decodes to
+// some configuration.
+func decodeFuzzChain(proto, levels uint8, ber uint16, burst, flip, coalesce, prop uint8, n uint16, seed uint64) (Config, int) {
+	cfg := Config{
+		Protocol:  Protocols[int(proto)%len(Protocols)],
+		Levels:    1 + int(levels%4),
+		BER:       1e-7 * math.Pow(10, 3*float64(ber)/math.MaxUint16),
+		BurstProb: float64(burst%231) / 256,
+		Seed:      seed,
+		// prop 0 keeps the default propagation delay.
+		Propagation: sim.Time(prop%64) * sim.Nanosecond,
+	}
+	if flip >= 128 && cfg.Protocol == link.ProtocolRXL {
+		cfg.InternalFlipProb = 1e-2 * float64(flip-127) / 128
+	}
+	lc := link.DefaultConfig(cfg.Protocol)
+	lc.CoalesceCount = 1 + int(coalesce%16)
+	cfg.LinkConfig = &lc
+	return cfg, 1 + int(n%256)
 }

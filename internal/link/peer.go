@@ -11,8 +11,9 @@ import (
 
 // replayEntry is the one buffer a payload lives in from Submit (or, for
 // an offered payload, its first transmission) until its acknowledgment:
-// queued in sendQ, then moved by pointer into the replay ring, then
-// recycled on the peer's free list.
+// queued in sendQ, then appended by pointer to the replay window — a
+// slice that an acknowledgment shifts down in place, so it never outgrows
+// ReplayBufferSize — then recycled on the peer's free list.
 type replayEntry struct {
 	seq      uint64 // absolute sequence number, assigned at first transmission
 	lastSent sim.Time
@@ -234,6 +235,11 @@ func (p *Peer) transmitOne() bool {
 		e := p.nextPayload()
 		e.seq, e.lastSent = p.nextSeq, 0
 		p.nextSeq++
+		if p.replay == nil {
+			// The window's one array, sized once at the first payload:
+			// popAcked shifts the window down inside it.
+			p.replay = make([]*replayEntry, 0, p.Cfg.ReplayBufferSize)
+		}
 		p.replay = append(p.replay, e)
 		p.cursor = len(p.replay)
 		p.Stats.DataFlitsSent++
@@ -618,7 +624,10 @@ func (p *Peer) popAcked(watermark uint64) {
 		return
 	}
 	p.free = append(p.free, p.replay[:n]...)
-	p.replay = p.replay[n:]
+	// Shift the window down inside its own array: re-slicing past the
+	// acknowledged prefix would shrink the capacity at every ACK and make
+	// the next appends reallocate the window.
+	p.replay = append(p.replay[:0], p.replay[n:]...)
 	p.ackedUpTo += uint64(n)
 	p.cursor -= n
 	if p.cursor < 0 {

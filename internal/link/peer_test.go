@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"maps"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -613,5 +614,46 @@ func benchThroughput(b *testing.B, proto Protocol, ber float64) {
 	eng.Run()
 	if delivered != b.N {
 		b.Fatalf("delivered %d of %d", delivered, b.N)
+	}
+}
+
+// TestReplayWindowShiftsInPlace: an acknowledgment shifts the replay
+// window down inside its own array, so a stream of payloads through a warm
+// peer pair keeps the window's capacity within ReplayBufferSize and
+// allocates nothing per payload. Re-slicing the window past each
+// acknowledged prefix instead shrinks its capacity at every ACK, and the
+// next appends reallocate it.
+func TestReplayWindowShiftsInPlace(t *testing.T) {
+	h := newHarness(t, ProtocolRXL, nil)
+	delivered := 0
+	h.b.Deliver = func([]byte) { delivered++ }
+	h.b.DeliverClean = func(uint64) { delivered++ }
+	fill := func(tag uint64, p []byte) { binary.BigEndian.PutUint64(p, tag) }
+	stream := func(n int) {
+		h.a.Offer(n, fill)
+		h.eng.Run()
+	}
+	stream(2000) // warm the flit pool and the free lists
+	const n = 20000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	stream(n)
+	runtime.ReadMemStats(&after)
+	if delivered != 2000+n {
+		t.Fatalf("delivered %d payloads, want %d", delivered, 2000+n)
+	}
+	if c, max := cap(h.a.replay), h.a.Cfg.ReplayBufferSize; c > max {
+		t.Errorf("replay window capacity %d, ReplayBufferSize %d", c, max)
+	}
+	perPayload := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("%.4f objects per payload", perPayload)
+	budget := 0.001
+	if raceBuild {
+		// The race runtime drops a quarter of sync.Pool puts, so pooled
+		// flit images reallocate.
+		budget = 1
+	}
+	if perPayload > budget {
+		t.Errorf("steady-state stream allocates %.4f objects per payload, budget %g", perPayload, budget)
 	}
 }

@@ -13,6 +13,7 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/headq"
 )
@@ -55,57 +56,88 @@ type key struct {
 // pointer-shaped, so boxing it in arg does not allocate.
 func runFunc(fn interface{}) { fn.(func())() }
 
-// before reports the strict (at, seq) ordering between keys.
-func (k *key) before(o *key) bool {
-	if k.at != o.at {
-		return k.at < o.at
-	}
-	return k.seq < o.seq
+// less is the strict (at, seq) order between keys, 1 when a is before b
+// and 0 otherwise. It reads the borrow out of the 128-bit subtraction
+// a − b, with at as the high word — sign-flipped so that signed times
+// compare as unsigned words — and seq as the low word. The result is a
+// word, not a branch: the heaps' sifts add it to a child index, so the
+// near-random outcome of comparing siblings costs no misprediction.
+func less(a, b key) uint64 {
+	const sign = 1 << 63
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at)^sign, uint64(b.at)^sign, borrow)
+	return borrow
 }
 
-// eventHeap is a hand-rolled binary min-heap on (at, seq). container/heap
-// would box every event through interface{} on Push/Pop — one allocation
-// per scheduled event — so the sift operations are written out instead.
-type eventHeap []event
+// entry is a heap entry: a key and the index of what it orders — a lane
+// in Engine.byID or a one-off event's slot in Engine.calls. It holds no
+// pointer, so a sift moves plain words and the GC never sees it.
+type entry struct {
+	key
+	i int32
+}
 
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
+// entryHeap is a hand-rolled binary min-heap of entries under less.
+// container/heap would box every entry through interface{} on Push/Pop,
+// so the sifts are written out; each moves the sifted entry through a
+// hole instead of swapping.
+type entryHeap []entry
+
+func (h *entryHeap) push(x entry) {
+	*h = append(*h, x)
 	q := *h
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q[i].before(&q[parent].key) {
+		if less(x.key, q[parent].key) == 0 {
 			break
 		}
-		q[i], q[parent] = q[parent], q[i]
+		q[i] = q[parent]
 		i = parent
 	}
+	q[i] = x
 }
 
-func (h *eventHeap) pop() event {
+// removeRoot drops the root entry and restores the heap order.
+func (h *entryHeap) removeRoot() {
 	q := *h
-	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q[n] = event{} // release references for GC
-	q = q[:n]
-	*h = q
+	*h = q[:n]
+	h.down()
+}
+
+// down sifts the root entry to its place, after its key has grown or it
+// has been replaced.
+func (h entryHeap) down() {
+	n := len(h)
+	if n == 0 {
+		return
+	}
+	x := h[0]
 	i := 0
 	for {
 		child := 2*i + 1
 		if child >= n {
 			break
 		}
-		if r := child + 1; r < n && q[r].before(&q[child].key) {
-			child = r
+		if r := child + 1; r < n {
+			child += int(less(h[r].key, h[child].key))
 		}
-		if !q[child].before(&q[i].key) {
+		if less(h[child].key, x.key) == 0 {
 			break
 		}
-		q[i], q[child] = q[child], q[i]
+		h[i] = h[child]
 		i = child
 	}
-	return top
+	h[i] = x
+}
+
+// call is a pending one-off event's sink and arg, parked in the engine's
+// slot table while its entry sits in the one-off heap.
+type call struct {
+	sink func(interface{})
+	arg  interface{}
 }
 
 // Engine is a discrete-event scheduler. The zero value is not usable; call
@@ -123,8 +155,11 @@ func (h *eventHeap) pop() event {
 // queue.
 type Engine struct {
 	now     Time
-	events  eventHeap // one-off events
-	lanes   laneHeap  // the head of every non-empty lane
+	events  entryHeap // one-off events, indexing calls
+	lanes   entryHeap // the head of every non-empty lane, indexing byID
+	calls   []call    // one-off event slots; a slot is free while on free
+	free    []int32   // free slots of calls
+	byID    []*Lane   // every lane of the engine, by its id
 	seq     uint64
 	stopped bool
 	// Executed counts dispatched events, a cheap progress metric.
@@ -157,17 +192,38 @@ func (e *Engine) At(t Time, fn func()) { e.AtArg(t, runFunc, fn) }
 // AtArg runs sink(arg) at absolute time t (>= Now). With a sink bound once
 // per sender and a pointer arg, the event allocates nothing.
 func (e *Engine) AtArg(t Time, sink func(interface{}), arg interface{}) {
-	e.events.push(e.event(t, sink, arg))
+	var i int32
+	if n := len(e.free); n > 0 {
+		i = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.calls[i] = call{sink, arg}
+	} else {
+		i = int32(len(e.calls))
+		e.calls = append(e.calls, call{sink, arg})
+	}
+	e.events.push(entry{key: e.stamp(t), i: i})
 }
 
-// event stamps a new event with the next schedule-order number.
-func (e *Engine) event(t Time, sink func(interface{}), arg interface{}) event {
+// stamp returns the key of a new event at t, numbered with the next
+// schedule-order number.
+func (e *Engine) stamp(t Time) key {
 	if t < e.now {
 		panic("sim: scheduling into the past")
 	}
-	ev := event{key: key{at: t, seq: e.seq}, sink: sink, arg: arg}
+	k := key{at: t, seq: e.seq}
 	e.seq++
-	return ev
+	return k
+}
+
+// popEvent takes the earliest one-off event off its heap, returning its
+// slot to the free list.
+func (e *Engine) popEvent() (Time, call) {
+	top := e.events[0]
+	c := e.calls[top.i]
+	e.calls[top.i] = call{} // release references for GC
+	e.free = append(e.free, top.i)
+	e.events.removeRoot()
+	return top.at, c
 }
 
 // Lane is a producer handle for one in-order event stream: its events
@@ -176,13 +232,18 @@ func (e *Engine) event(t Time, sink func(interface{}), arg interface{}) event {
 // route's express deliveries are lanes.
 type Lane struct {
 	e    *Engine
+	id   int32   // index in e.byID, the lane's heap entries carry it
 	buf  []event // pending events from head on, times non-decreasing
 	head int     // consumed prefix of buf; reclaimed by headq.Compact
 	last Time    // time of the latest push
 }
 
 // NewLane returns a new, empty lane of the engine.
-func (e *Engine) NewLane() *Lane { return &Lane{e: e} }
+func (e *Engine) NewLane() *Lane {
+	l := &Lane{e: e, id: int32(len(e.byID))}
+	e.byID = append(e.byID, l)
+	return l
+}
 
 // AtArg runs sink(arg) at absolute time t, which must be >= Now and no
 // earlier than the lane's previous push; an earlier t panics.
@@ -192,71 +253,27 @@ func (l *Lane) AtArg(t Time, sink func(interface{}), arg interface{}) {
 	}
 	l.last = t
 	e := l.e
-	ev := e.event(t, sink, arg)
+	k := e.stamp(t)
 	l.buf, l.head = headq.Compact(l.buf, l.head)
-	l.buf = append(l.buf, ev)
+	l.buf = append(l.buf, event{key: k, sink: sink, arg: arg})
 	if len(l.buf)-l.head == 1 {
-		e.lanes.push(laneHead{key: ev.key, l: l})
+		e.lanes.push(entry{key: k, i: l.id})
 	}
 }
 
-// laneHead is a lane's entry in the engine's lane heap, keyed on the
-// lane's head event.
-type laneHead struct {
-	key
-	l *Lane
-}
-
-// laneHeap is a binary min-heap of lane heads, written out like eventHeap.
-type laneHeap []laneHead
-
-func (h *laneHeap) push(lh laneHead) {
-	*h = append(*h, lh)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q[i].before(&q[parent].key) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-// advance takes the head event off the root lane: the root's key moves to
-// the lane's next event, or the root leaves the heap when the lane
-// drains.
-func (h *laneHeap) advance() event {
-	q := *h
-	l := q[0].l
+// advanceLane takes the head event off the root lane: the root's key
+// moves to the lane's next event, or the root leaves the heap when the
+// lane drains.
+func (e *Engine) advanceLane() event {
+	l := e.byID[e.lanes[0].i]
 	ev := l.buf[l.head]
 	l.buf[l.head] = event{} // release references for GC
 	l.head++
 	if l.head < len(l.buf) {
-		q[0].key = l.buf[l.head].key
+		e.lanes[0].key = l.buf[l.head].key
+		e.lanes.down()
 	} else {
-		n := len(q) - 1
-		q[0] = q[n]
-		q[n] = laneHead{}
-		q = q[:n]
-		*h = q
-	}
-	n := len(q)
-	i := 0
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && q[r].before(&q[child].key) {
-			child = r
-		}
-		if !q[child].before(&q[i].key) {
-			break
-		}
-		q[i], q[child] = q[child], q[i]
-		i = child
+		e.lanes.removeRoot()
 	}
 	return ev
 }
@@ -286,25 +303,29 @@ func (e *Engine) AdvanceTo(t Time) {
 // run dispatches events with timestamps <= limit until the queue is
 // exhausted past the limit or Stop is called. Each step takes the earlier
 // of the lane heap's and the one-off heap's heads; a dispatched handler
-// can push to either, so both are re-read every step.
+// can push to either, so both are re-read every step. Each branch
+// dispatches on its own: assembling one event from a one-off's slot for
+// a shared tail cost ≈ 8 ns/event on BenchmarkEngineMeshShape.
 func (e *Engine) run(limit Time) {
 	e.stopped = false
 	for !e.stopped {
-		var ev event
-		if len(e.lanes) > 0 && (len(e.events) == 0 || e.lanes[0].before(&e.events[0].key)) {
+		if len(e.lanes) > 0 && (len(e.events) == 0 || less(e.lanes[0].key, e.events[0].key) != 0) {
 			if e.lanes[0].at > limit {
 				return
 			}
-			ev = e.lanes.advance()
+			ev := e.advanceLane()
+			e.now = ev.at
+			e.Executed++
+			ev.sink(ev.arg)
 		} else {
 			if len(e.events) == 0 || e.events[0].at > limit {
 				return
 			}
-			ev = e.events.pop()
+			at, c := e.popEvent()
+			e.now = at
+			e.Executed++
+			c.sink(c.arg)
 		}
-		e.now = ev.at
-		e.Executed++
-		ev.sink(ev.arg)
 	}
 }
 
@@ -312,7 +333,8 @@ func (e *Engine) run(limit Time) {
 func (e *Engine) Pending() int {
 	n := len(e.events)
 	for _, lh := range e.lanes {
-		n += len(lh.l.buf) - lh.l.head
+		l := e.byID[lh.i]
+		n += len(l.buf) - l.head
 	}
 	return n
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 )
 
@@ -331,4 +332,106 @@ func TestFIFOLaneCompaction(t *testing.T) {
 	if c := cap(lane.buf); c > 1024 {
 		t.Fatalf("lane backing array grew to %d slots for %d events; dispatched prefix not reclaimed", c, total)
 	}
+}
+
+// TestLessIsPlainOrder pins the branch-free less to the plain (at, seq)
+// comparison, both ways round, on the corners of its 128-bit subtraction:
+// equal times ordered by seq, equal keys (neither is before the other),
+// time 0, times near maxTime, a seq borrow that must not outweigh the
+// time, and negative times, which the sign flip orders below 0.
+func TestLessIsPlainOrder(t *testing.T) {
+	plain := func(a, b key) bool {
+		if a.at != b.at {
+			return a.at < b.at
+		}
+		return a.seq < b.seq
+	}
+	cases := []struct {
+		name string
+		a, b key
+	}{
+		{"equal at, seq differs", key{at: 5, seq: 1}, key{at: 5, seq: 2}},
+		{"equal keys", key{at: 5, seq: 3}, key{at: 5, seq: 3}},
+		{"equal keys at 0", key{}, key{}},
+		{"at 0 against at 1", key{at: 0, seq: 9}, key{at: 1, seq: 0}},
+		{"at 0, seq differs", key{at: 0, seq: 0}, key{at: 0, seq: 1}},
+		{"near maxTime", key{at: maxTime - 1, seq: math.MaxUint64}, key{at: maxTime, seq: 0}},
+		{"maxTime, seq differs", key{at: maxTime, seq: 1}, key{at: maxTime, seq: 2}},
+		{"0 against maxTime", key{at: 0, seq: math.MaxUint64}, key{at: maxTime, seq: 0}},
+		{"seq borrow under a later time", key{at: 1, seq: math.MaxUint64}, key{at: 2, seq: 0}},
+		{"negative at", key{at: -1, seq: 0}, key{at: 0, seq: 0}},
+		{"minimum at", key{at: math.MinInt64, seq: math.MaxUint64}, key{at: maxTime, seq: 0}},
+	}
+	for _, c := range cases {
+		for _, ab := range [][2]key{{c.a, c.b}, {c.b, c.a}} {
+			want := uint64(0)
+			if plain(ab[0], ab[1]) {
+				want = 1
+			}
+			if got := less(ab[0], ab[1]); got != want {
+				t.Errorf("%s: less(%+v, %+v) = %d, want %d", c.name, ab[0], ab[1], got, want)
+			}
+		}
+	}
+}
+
+// meshShape is BenchmarkEngineMeshShape's event mix, after the queue of an
+// 8×8 mesh cell: monotone lanes with a short backlog (wire arrivals and
+// express deliveries), near-term one-off pumps, and far-future timers
+// re-armed on every firing, so both heaps hold their in-situ depth.
+type meshShape struct {
+	e      *Engine
+	rng    uint64
+	laneFn func(interface{})
+	pumpFn func(interface{})
+	timeFn func(interface{})
+}
+
+// jitter is a small deterministic delay in [base, base+span).
+func (s *meshShape) jitter(base, span Time) Time {
+	s.rng = s.rng*6364136223846793005 + 1442695040888963407
+	return base + Time(s.rng>>33)%span
+}
+
+func (s *meshShape) lane(arg interface{}) {
+	l := arg.(*Lane)
+	l.AtArg(max(l.last, s.e.Now())+s.jitter(FlitTime, 3*FlitTime), s.laneFn, l)
+}
+
+func (s *meshShape) pump(arg interface{}) {
+	s.e.AtArg(s.e.Now()+s.jitter(Nanosecond, 4*Nanosecond), s.pumpFn, arg)
+}
+
+func (s *meshShape) timer(arg interface{}) {
+	s.e.AtArg(s.e.Now()+s.jitter(2*Microsecond, Microsecond), s.timeFn, arg)
+}
+
+// BenchmarkEngineMeshShape times the engine on a mesh cell's queue shape:
+// 27 lanes of three pending events each, 25 near-term one-off pumps and
+// 30 far-future timers, every dispatch re-arming its own source. It
+// reports ns/event over the events dispatched.
+func BenchmarkEngineMeshShape(b *testing.B) {
+	e := NewEngine()
+	s := &meshShape{e: e, rng: 1}
+	s.laneFn, s.pumpFn, s.timeFn = s.lane, s.pump, s.timer
+	for i := 0; i < 27; i++ {
+		l := e.NewLane()
+		for k := 0; k < 3; k++ {
+			s.lane(l)
+		}
+	}
+	for i := 0; i < 25; i++ {
+		s.pump(i)
+	}
+	for i := 0; i < 30; i++ {
+		s.timer(i)
+	}
+	e.AdvanceTo(10 * Microsecond) // settle the timers into their cycle
+	b.ResetTimer()
+	start := e.Executed
+	for e.Executed-start < uint64(b.N) {
+		e.AdvanceTo(e.Now() + 100*Nanosecond)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.Executed-start), "ns/event")
 }

@@ -76,6 +76,9 @@ type Mesh struct {
 	// (struck flits on express-eligible routes), bound once so each walk
 	// step carries only its *meshWalk payload.
 	walkFn func(interface{})
+	// walks holds ended walks for reuse, so a struck flit's walk — and
+	// its times slice — allocates only while the number in flight grows.
+	walks []*meshWalk
 
 	// wrap marks torus mode: the row/column rings close and routing takes
 	// the minimal direction around each ring.
@@ -352,8 +355,7 @@ func (m *Mesh) injectArrival(id int) func(*flit.Flit) {
 			// hops == 1 is local delivery at the injection router: nothing
 			// to claim, the lazy pipeline handles it identically.
 			if eligible && hops > 1 {
-				wk := &meshWalk{f: f, rt: rt, times: make([]sim.Time, 0, hops)}
-				m.claimRoute(f, rt, wk)
+				m.claimRoute(f, rt, m.newWalk(f, rt))
 				return
 			}
 		}
@@ -418,6 +420,28 @@ type meshWalk struct {
 	times []sim.Time // times[i]: arrival at rt.routers[i]
 }
 
+// newWalk returns a walk of f along rt, reusing an ended one when it can.
+func (m *Mesh) newWalk(f *flit.Flit, rt *meshRoute) *meshWalk {
+	var wk *meshWalk
+	if n := len(m.walks) - 1; n >= 0 {
+		wk = m.walks[n]
+		m.walks = m.walks[:n]
+	} else {
+		wk = new(meshWalk)
+	}
+	if hops := len(rt.routers); cap(wk.times) < hops {
+		wk.times = make([]sim.Time, 0, hops)
+	}
+	wk.f, wk.rt, wk.hop, wk.times = f, rt, 0, wk.times[:0]
+	return wk
+}
+
+// endWalk recycles a walk whose flit was delivered or dropped.
+func (m *Mesh) endWalk(wk *meshWalk) {
+	wk.f, wk.rt = nil, nil
+	m.walks = append(m.walks, wk)
+}
+
 // claimRoute claims every wire of an expressEligible route at injection,
 // in route order, and schedules the traversal's one event.
 // The claim math per hop is exactly the SendAfter fold — serialization
@@ -462,6 +486,9 @@ func (m *Mesh) claimRoute(f *flit.Flit, rt *meshRoute, wk *meshWalk) {
 			// the release stays in case a future pipeline stage can reject
 			// clean flits.
 			flit.Release(f)
+			if wk != nil {
+				m.endWalk(wk)
+			}
 			return
 		}
 		if i == last {
@@ -498,9 +525,11 @@ func (m *Mesh) walkStep(p interface{}) {
 	r := rt.routers[wk.hop]
 	if !r.process(f) {
 		flit.Release(f)
+		m.endWalk(wk)
 		return
 	}
 	if wk.hop == len(rt.wires) {
+		m.endWalk(wk)
 		m.deliverLocal(r, rt.dst, f)
 		return
 	}

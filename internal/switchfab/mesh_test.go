@@ -262,3 +262,57 @@ func ExampleMesh() {
 	eng.Run()
 	// Output: tag 7
 }
+
+// TestMeshWalksRecycle: at a BER where most traversals are struck, each
+// struck flit on an express-eligible route walks its route hop by hop. A
+// walk ends when its flit is delivered or dropped, and the mesh reuses
+// ended walks, so after warm-up new walks come from the free list and the
+// walks ever made stay bounded by how many were in flight at once, not by
+// how many flits were struck.
+func TestMeshWalksRecycle(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := DefaultMeshConfig(ModeRXL)
+	cfg.BER = 1e-4
+	cfg.BurstProb = 0.4
+	cfg.Seed = 7
+	m := NewMesh(eng, 4, 4, cfg)
+	a := NewMeshNode(m, 0, 0, link.DefaultConfig(link.ProtocolRXL))
+	b := NewMeshNode(m, 3, 3, link.DefaultConfig(link.ProtocolRXL))
+	tx, got := meshFlow(m, a, b)
+	stream := func(from, n uint64) {
+		for i := from; i < from+n; i++ {
+			tx.Submit(tagged(i))
+		}
+		eng.Run()
+	}
+
+	const n = 2000
+	stream(0, n)
+	warm := make(map[*meshWalk]bool, len(m.walks))
+	for _, wk := range m.walks {
+		warm[wk] = true
+	}
+	before := m.ExpressFallbacks
+	stream(n, n)
+	walked := m.ExpressFallbacks - before
+
+	if uint64(len(*got)) != 2*n {
+		t.Fatalf("delivered %d of %d", len(*got), 2*n)
+	}
+	fresh := 0
+	for _, wk := range m.walks {
+		if !warm[wk] {
+			fresh++
+		}
+		if wk.f != nil || wk.rt != nil {
+			t.Fatal("an ended walk still holds its flit or route")
+		}
+	}
+	t.Logf("%d struck traversals after warm-up, %d walks made in warm-up, %d after", walked, len(warm), fresh)
+	if walked < n/10 {
+		t.Fatalf("only %d struck traversals after warm-up; the BER no longer exercises walks", walked)
+	}
+	if fresh > len(warm)/4 {
+		t.Errorf("%d struck traversals after warm-up made %d new walks; %d warm walks were free", walked, fresh, len(warm))
+	}
+}
