@@ -9,6 +9,10 @@
 // Monte-Carlo form of the experiment. Results are bit-identical at any
 // worker count.
 //
+// With -compare the single experiment runs once under each of the three
+// protocols on the same workload; -proto and -reps conflict with it and
+// are rejected.
+//
 // With -rare the live simulation is replaced by the rare-event deep-tail
 // estimation at the configured -ber: importance sampling on the tilted
 // error-event schedule reports FER, FER_UC, and FER_UD with relative-
@@ -62,6 +66,52 @@ func parseProto(s string) (link.Protocol, error) {
 	}
 }
 
+// modes lists, for each mode that replaces the single experiment, the
+// flags it rejects and why: setting one of them is a contradiction, not
+// something to discard silently. Each list is in flag.Visit's (lexical)
+// order, which the message keeps.
+var modes = []struct {
+	name    string
+	rejects []string
+	why     string
+}{{
+	// The scan grid enumerates what the single-experiment flags select,
+	// and the sweep tool's -scenarios stage exports scenario CSV.
+	name: "scan",
+	rejects: []string{"compare", "csv", "internal", "levels", "n", "proposal-ber", "proto",
+		"rare", "rel-err", "reps"},
+	why: "the scan verb enumerates protocols, topologies, workloads, and fault campaigns itself",
+}, {
+	name:    "rare",
+	rejects: []string{"burst", "compare", "csv", "internal", "levels", "n", "proto", "reps", "scan-n"},
+	why:     "the rare estimators model the per-link iid channel (burst-free) without a fabric",
+}, {
+	name:    "compare",
+	rejects: []string{"proto", "reps"},
+	why:     "the comparison runs each of the three protocols once on the same workload",
+}}
+
+// modeConflict reports the first mode in set that conflicts with other
+// flags in set; set holds the names of the flags given on the command line.
+func modeConflict(set map[string]bool) error {
+	for _, m := range modes {
+		if !set[m.name] {
+			continue
+		}
+		var conflict []string
+		for _, name := range m.rejects {
+			if set[name] {
+				conflict = append(conflict, "-"+name)
+			}
+		}
+		if len(conflict) > 0 {
+			return fmt.Errorf("rxlsim: %s do(es) not apply with -%s: %s",
+				strings.Join(conflict, ", "), m.name, m.why)
+		}
+	}
+	return nil
+}
+
 // checkCounts rejects a payload or replica count below one, which no mode
 // can run: the experiment panics on N = 0 and -reps 0 would run one replica.
 func checkCounts(n, reps int) error {
@@ -100,24 +150,14 @@ func main() {
 	ctx := context.Background()
 	pool := runner.Pool{Workers: *workers, BaseSeed: *seed}
 
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := modeConflict(set); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+
 	if *scan {
-		// Scan mode runs the built-in scenario grid differentially: the
-		// single-experiment flags select things the grid enumerates for
-		// itself, and -csv is unsupported (the sweep tool's -scenarios
-		// stage exports scenario CSV), so setting one is a contradiction.
-		var conflict []string
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "proto", "levels", "internal", "n", "compare", "reps", "csv",
-				"rare", "proposal-ber", "rel-err":
-				conflict = append(conflict, "-"+f.Name)
-			}
-		})
-		if len(conflict) > 0 {
-			fmt.Fprintf(os.Stderr, "rxlsim: %s do(es) not apply with -scan: the scan verb enumerates protocols, topologies, workloads, and fault campaigns itself\n",
-				strings.Join(conflict, ", "))
-			os.Exit(2)
-		}
 		regressions, err := runScan(ctx, pool, scanGrid(*ber, *burst, *seed, *scanN), os.Stdout)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -130,23 +170,6 @@ func main() {
 	}
 
 	if *rare {
-		// Rare mode estimates the per-link iid error process analytically
-		// rather than simulating the fabric: protocol, topology, workload,
-		// and DFE-burst flags have no effect here, so explicitly setting
-		// one is a contradiction, not something to silently discard.
-		var conflict []string
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "proto", "levels", "burst", "internal", "n", "compare", "reps", "csv",
-				"scan-n":
-				conflict = append(conflict, "-"+f.Name)
-			}
-		})
-		if len(conflict) > 0 {
-			fmt.Fprintf(os.Stderr, "rxlsim: %s do(es) not apply with -rare: the rare estimators model the per-link iid channel (burst-free) without a fabric\n",
-				strings.Join(conflict, ", "))
-			os.Exit(2)
-		}
 		if err := runRare(ctx, pool, *ber, *proposal, *relErr); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -115,5 +116,45 @@ func TestRunScanRejectsBadGrid(t *testing.T) {
 	}
 	if regressions == 0 {
 		t.Fatalf("invalid-BER grid scanned clean:\n%s", out.String())
+	}
+}
+
+// TestModeConflict drives the mode table: each mode rejects the flags that
+// select what it fixes or enumerates itself, names them in lexical order,
+// and lets its own parameters through.
+func TestModeConflict(t *testing.T) {
+	cases := []struct {
+		set  []string
+		want string // "" for no conflict
+	}{
+		{nil, ""},
+		{[]string{"proto", "reps", "n"}, ""},
+		{[]string{"compare", "n", "ber", "levels", "csv", "seed"}, ""},
+		{[]string{"compare", "reps", "proto"}, "-proto, -reps do(es) not apply with -compare"},
+		{[]string{"compare", "reps"}, "-reps do(es) not apply with -compare"},
+		{[]string{"scan", "ber", "burst", "seed", "scan-n", "workers"}, ""},
+		{[]string{"scan", "n", "compare"}, "-compare, -n do(es) not apply with -scan"},
+		{[]string{"scan", "rare"}, "-rare do(es) not apply with -scan"},
+		{[]string{"rare", "ber", "proposal-ber", "rel-err", "seed", "workers"}, ""},
+		{[]string{"rare", "scan-n", "burst"}, "-burst, -scan-n do(es) not apply with -rare"},
+		{[]string{"rare", "compare", "proto"}, "-compare, -proto do(es) not apply with -rare"},
+	}
+	for _, c := range cases {
+		set := map[string]bool{}
+		for _, name := range c.set {
+			set[name] = true
+		}
+		err := modeConflict(set)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%v: unexpected conflict %v", c.set, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%v: got %v, want %q", c.set, err, c.want)
+		}
+	}
+	for _, m := range modes {
+		if !slices.IsSorted(m.rejects) {
+			t.Errorf("-%s rejects %v, not in flag.Visit's lexical order", m.name, m.rejects)
+		}
 	}
 }

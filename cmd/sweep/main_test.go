@@ -56,3 +56,21 @@ func TestRunScenariosSectionOptIn(t *testing.T) {
 		}
 	}
 }
+
+// TestEq10LinesLabelDeviation: the Eq. 10 FIT and improvement lines print
+// the per-path values under a deviation label, not beside the paper's
+// one-link figures as if they were its values.
+func TestEq10LinesLabelDeviation(t *testing.T) {
+	var out strings.Builder
+	if err := run(context.Background(), options{n: 200}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"Eq. 10 FIT RXL 1-switch    0.00585   (known deviation: L+1 = 2 links; paper's 2.9e-3 is one link)\n",
+		"       improvement         9.22e+17   (known deviation: RXL over L+1 = 2 links; paper: >1e18)\n",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report lacks the line %q", want)
+		}
+	}
+}

@@ -41,10 +41,10 @@ func adversaryRun(t *testing.T, proto link.Protocol, seed uint64) FailureCounts 
 		case 0: // silent drop (5%)
 			return true
 		case 1: // uncorrectable corruption: the switch FEC will drop it
-			fl.Raw[30] ^= rng.NonzeroByte()
-			fl.Raw[33] ^= rng.NonzeroByte()
+			fl.Image(nil)[30] ^= rng.NonzeroByte()
+			fl.Image(nil)[33] ^= rng.NonzeroByte()
 		case 2: // correctable single-symbol error
-			fl.Raw[40] ^= rng.NonzeroByte()
+			fl.Image(nil)[40] ^= rng.NonzeroByte()
 		}
 		return false
 	}

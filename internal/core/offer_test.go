@@ -141,7 +141,7 @@ func TestOfferedPayloadBytes(t *testing.T) {
 		var seen [][]byte
 		f.Chain.Fwd[0].FaultHook = func(fl *flit.Flit) bool {
 			if fl.Header().Type == flit.TypeData {
-				seen = append(seen, bytes.Clone(fl.Raw[flit.HeaderSize:flit.HeaderSize+flit.PayloadSize]))
+				seen = append(seen, bytes.Clone(fl.Image(nil)[flit.HeaderSize:flit.HeaderSize+flit.PayloadSize]))
 			}
 			return false
 		}

@@ -156,8 +156,8 @@ type sealKind uint8
 
 const (
 	sealNone  sealKind = iota
-	sealPlain          // SealCXL: plain CRC over header+payload
-	sealISN            // SealRXL: ISN CRC with the folded sequence number
+	sealPlain          // DeferSealCXL: plain CRC over header+payload
+	sealISN            // DeferSealRXL: ISN CRC with the folded sequence number
 )
 
 // Flit is a 256-byte wire flit. The zero value is a valid idle flit shell;
@@ -169,11 +169,10 @@ const (
 // of its bytes). A clean flit's image is known to be bit-identical to its
 // sealed form — no channel or switch has touched it — so every integrity
 // check (CheckCRC, CheckCRCISN, DecodeFEC) short-circuits to its provable
-// outcome in O(1). Anything that mutates Raw outside those methods must
-// call Taint (after Materialize if the seal is still deferred) or the
-// clean mark lies.
+// outcome in O(1). The image itself is reached through Image alone, which
+// completes it and drops the clean mark first, so the mark cannot lie.
 type Flit struct {
-	Raw [Size]byte
+	raw [Size]byte
 
 	fill     func(tag uint64, p []byte) // deferred payload generator; nil once generated
 	tag      uint64                     // fill's argument
@@ -214,32 +213,33 @@ func Release(f *Flit) {
 
 // Header decodes the current header bytes.
 func (f *Flit) Header() Header {
-	return UnpackHeader([2]byte{f.Raw[headerOff], f.Raw[headerOff+1]})
+	return UnpackHeader([2]byte{f.raw[headerOff], f.raw[headerOff+1]})
 }
 
 // SetHeader encodes h into the header bytes. The flit must be re-Sealed
 // afterwards for the CRC and FEC to match.
 func (f *Flit) SetHeader(h Header) {
 	b := h.Pack()
-	f.Raw[headerOff] = b[0]
-	f.Raw[headerOff+1] = b[1]
+	f.raw[headerOff] = b[0]
+	f.raw[headerOff+1] = b[1]
 }
 
 // Payload returns the 240-byte payload region as a mutable slice into the
 // flit, generating a deferred payload first.
 func (f *Flit) Payload() []byte {
 	f.fillPayload()
-	return f.Raw[payloadOff : payloadOff+PayloadSize]
+	return f.raw[payloadOff : payloadOff+PayloadSize]
 }
 
 // DeferPayload records the payload as fill's output for tag without
 // generating it: fill(tag, p) writes into p, the payload region short of
 // the two routing-tag bytes (SrcRouteOffset bytes long), which must be
-// zero as Get returns it, and must be deterministic in tag. Like a deferred seal's CRC and FEC, nothing
-// needs those bytes while the flit stays clean; Payload and Materialize —
-// the one way out of the clean state — generate them the first time they
-// are needed, so every byte-level image is complete. The routing tags lie
-// outside fill's reach and are set with SetRoute either way.
+// zero as Get returns it, and must be deterministic in tag. Like a
+// deferred seal's CRC and FEC, nothing needs those bytes while the flit
+// stays clean; Payload and Image — the one way out of the clean state —
+// generate them the first time they are needed, so every byte-level image
+// is complete. The routing tags lie outside fill's reach and are set with
+// SetRoute either way.
 func (f *Flit) DeferPayload(tag uint64, fill func(tag uint64, p []byte)) {
 	f.tag, f.fill = tag, fill
 }
@@ -253,7 +253,7 @@ func (f *Flit) DeferredPayload() (tag uint64, ok bool) { return f.tag, f.fill !=
 // pending.
 func (f *Flit) fillPayload() {
 	if f.fill != nil {
-		f.fill(f.tag, f.Raw[payloadOff:payloadOff+SrcRouteOffset])
+		f.fill(f.tag, f.raw[payloadOff:payloadOff+SrcRouteOffset])
 		f.fill = nil
 	}
 }
@@ -261,20 +261,20 @@ func (f *Flit) fillPayload() {
 // Route returns the fabric routing tags. It reads the image directly: the
 // tags lie outside a deferred payload, which stays deferred.
 func (f *Flit) Route() (src, dst byte) {
-	return f.Raw[payloadOff+SrcRouteOffset], f.Raw[payloadOff+RouteOffset]
+	return f.raw[payloadOff+SrcRouteOffset], f.raw[payloadOff+RouteOffset]
 }
 
 // SetRoute writes the fabric routing tags without generating a deferred
 // payload. The flit must be (re-)Sealed afterwards.
 func (f *Flit) SetRoute(src, dst byte) {
-	f.Raw[payloadOff+SrcRouteOffset], f.Raw[payloadOff+RouteOffset] = src, dst
+	f.raw[payloadOff+SrcRouteOffset], f.raw[payloadOff+RouteOffset] = src, dst
 }
 
-// CRCField returns the stored 8-byte CRC as a uint64.
-func (f *Flit) CRCField() uint64 {
+// crcField returns the stored 8-byte CRC as a uint64.
+func (f *Flit) crcField() uint64 {
 	var v uint64
 	for i := 0; i < CRCSize; i++ {
-		v = v<<8 | uint64(f.Raw[crcOff+i])
+		v = v<<8 | uint64(f.raw[crcOff+i])
 	}
 	return v
 }
@@ -282,51 +282,42 @@ func (f *Flit) CRCField() uint64 {
 // setCRCField stores the 8-byte CRC.
 func (f *Flit) setCRCField(v uint64) {
 	for i := CRCSize - 1; i >= 0; i-- {
-		f.Raw[crcOff+i] = byte(v)
+		f.raw[crcOff+i] = byte(v)
 		v >>= 8
 	}
 }
 
-// FECField returns the 6-byte FEC parity region as a mutable slice.
-func (f *Flit) FECField() []byte { return f.Raw[fecOff : fecOff+FECSize] }
+// fecField returns the 6-byte FEC parity region as a mutable slice.
+func (f *Flit) fecField() []byte { return f.raw[fecOff : fecOff+FECSize] }
 
 // protected returns the FEC-covered region (header+payload+CRC).
-func (f *Flit) protected() []byte { return f.Raw[:ProtectedSize] }
+func (f *Flit) protected() []byte { return f.raw[:ProtectedSize] }
 
 // crcInput returns the CRC-covered region (header+payload).
-func (f *Flit) crcInput() []byte { return f.Raw[:crcOff] }
+func (f *Flit) crcInput() []byte { return f.raw[:crcOff] }
 
-// SealCXL finalizes a baseline CXL flit: plain CRC over header+payload,
-// then FEC over the protected region. The sequence number, if any, must
-// already be present in the header FSN field. Eager seals leave the flit
-// unmarked, so every downstream integrity check runs byte-level — the
-// slow-path reference behavior.
+// SealCXL finalizes a baseline CXL flit eagerly: DeferSealCXL, then Image,
+// so the plain CRC and the FEC are computed where a deferred seal's are.
+// The flit leaves unmarked, so every downstream integrity check runs
+// byte-level. The sequence number, if any, must already be present in the
+// header FSN field.
 func (f *Flit) SealCXL(fec *rs.Interleaved) {
-	f.fillPayload()
-	f.kind = sealPlain
-	f.clean = false
-	f.deferred = false
-	f.setCRCField(crc.Checksum(f.crcInput()))
-	fec.Encode(f.protected(), f.FECField())
+	f.DeferSealCXL()
+	f.Image(fec)
 }
 
-// SealRXL finalizes an RXL flit: ISN CRC over header+payload with seq
-// folded in, then FEC over the protected region. The header FSN field
-// carries only AckNum (or zero) under RXL; seq never appears on the wire.
+// SealRXL finalizes an RXL flit eagerly: DeferSealRXL, then Image. The
+// header FSN field carries only AckNum (or zero) under RXL; seq never
+// appears on the wire.
 func (f *Flit) SealRXL(seq uint16, fec *rs.Interleaved) {
-	f.fillPayload()
-	f.kind = sealISN
-	f.isnSeq = seq & FSNMask
-	f.clean = false
-	f.deferred = false
-	f.setCRCField(crc.ChecksumISN(f.isnSeq, f.crcInput()))
-	fec.Encode(f.protected(), f.FECField())
+	f.DeferSealRXL(seq)
+	f.Image(fec)
 }
 
 // DeferSealCXL records plain-CRC seal semantics and marks the flit clean
 // without computing the CRC or FEC bytes: as long as the flit stays clean
-// nothing ever reads them, and Materialize produces them on demand the
-// moment a channel or fault point needs the byte-complete image.
+// nothing ever reads them, and Image produces them on demand the moment a
+// channel or fault point needs the byte-complete image.
 func (f *Flit) DeferSealCXL() {
 	f.kind = sealPlain
 	f.clean = true
@@ -369,14 +360,16 @@ func (f *Flit) TakePathPass() bool {
 	return true
 }
 
-// Taint clears the clean mark; call it after mutating Raw. A deferred
-// seal or payload must be materialized first — corrupting an image whose
-// bytes do not exist yet would diverge from byte-level semantics.
-func (f *Flit) Taint() {
-	if f.deferred || f.fill != nil {
-		panic("flit: Taint before Materialize")
-	}
+// Image is the one door into the flit's wire bytes. It materializes a
+// deferred payload and seal, drops the clean mark and returns the 256-byte
+// image, to read or to mutate in place: a channel strike, a switch-internal
+// fault, a fault hook. From then on every integrity check runs byte-level
+// on what the caller left there. fec may be nil when nothing is deferred —
+// a fault hook's flit, which its wire or switch has already materialized.
+func (f *Flit) Image(fec *rs.Interleaved) *[Size]byte {
+	f.Materialize(fec)
 	f.clean = false
+	return &f.raw
 }
 
 // Materialize generates a deferred payload and computes the CRC and FEC
@@ -394,7 +387,7 @@ func (f *Flit) Materialize(fec *rs.Interleaved) {
 	} else {
 		f.setCRCField(crc.Checksum(f.crcInput()))
 	}
-	fec.Encode(f.protected(), f.FECField())
+	fec.Encode(f.protected(), f.fecField())
 }
 
 // ReencodeFEC recomputes the FEC parity without touching the CRC. Switches
@@ -402,7 +395,7 @@ func (f *Flit) Materialize(fec *rs.Interleaved) {
 // under RXL the end-to-end CRC passes through untouched while FEC is
 // terminated per hop (Section 6.4). The image must be materialized.
 func (f *Flit) ReencodeFEC(fec *rs.Interleaved) {
-	fec.Encode(f.protected(), f.FECField())
+	fec.Encode(f.protected(), f.fecField())
 }
 
 // DecodeFEC runs the link-layer FEC decoder over the flit, correcting the
@@ -412,7 +405,7 @@ func (f *Flit) DecodeFEC(fec *rs.Interleaved) rs.Result {
 	if f.clean {
 		return rs.Result{Status: rs.StatusClean}
 	}
-	return fec.Decode(f.protected(), f.FECField())
+	return fec.Decode(f.protected(), f.fecField())
 }
 
 // CheckCRC verifies the stored CRC against a plain checksum of
@@ -423,7 +416,7 @@ func (f *Flit) CheckCRC() bool {
 	if f.clean {
 		return f.kind == sealPlain || (f.kind == sealISN && f.isnSeq == 0)
 	}
-	return crc.Checksum(f.crcInput()) == f.CRCField()
+	return crc.Checksum(f.crcInput()) == f.crcField()
 }
 
 // CheckCRCISN verifies the stored CRC against the ISN checksum computed
@@ -443,7 +436,7 @@ func (f *Flit) CheckCRCISN(eseq uint16) bool {
 		}
 		return eseq == 0 // a plain seal is an ISN seal with seq 0
 	}
-	return crc.ChecksumISN(eseq, f.crcInput()) == f.CRCField()
+	return crc.ChecksumISN(eseq, f.crcInput()) == f.crcField()
 }
 
 // RecomputeCRC rewrites the CRC over the current header+payload (plain

@@ -106,19 +106,19 @@ func TestFECCorrectsFlitBurst(t *testing.T) {
 	rng.Read(f.Payload())
 	f.SetHeader(Header{FSN: 9, Cmd: CmdSeq, Type: TypeData})
 	f.SealCXL(fec)
-	want := f.Raw
+	want := *f.Image(nil)
 
 	// 3-byte bursts anywhere in the 256B wire image are corrected.
 	for start := 0; start <= Size-3; start += 7 {
 		g := *f
 		for i := 0; i < 3; i++ {
-			g.Raw[start+i] ^= byte(rng.Intn(255) + 1)
+			g.Image(nil)[start+i] ^= byte(rng.Intn(255) + 1)
 		}
 		res := g.DecodeFEC(fec)
 		if res.Status.String() == "uncorrectable" {
 			t.Fatalf("3-byte burst at %d uncorrectable", start)
 		}
-		if g.Raw != want {
+		if *g.Image(nil) != want {
 			t.Fatalf("3-byte burst at %d: wrong correction", start)
 		}
 		if !g.CheckCRC() {
@@ -146,13 +146,13 @@ func TestCRCCatchesWhatFECMiscorrects(t *testing.T) {
 		for p2 == p1 {
 			p2 = (p1 + 3*(1+rng.Intn(80))) % 250
 		}
-		g.Raw[p1] ^= byte(rng.Intn(255) + 1)
-		g.Raw[p2] ^= byte(rng.Intn(255) + 1)
+		g.Image(nil)[p1] ^= byte(rng.Intn(255) + 1)
+		g.Image(nil)[p2] ^= byte(rng.Intn(255) + 1)
 		res := g.DecodeFEC(fec)
 		if res.Status.String() == "uncorrectable" {
 			continue
 		}
-		if g.Raw == f.Raw {
+		if g.raw == f.raw {
 			continue // FEC restored the original (impossible for 2 errors, but guard)
 		}
 		miscorrections++
@@ -172,11 +172,11 @@ func TestReencodeFECPreservesCRC(t *testing.T) {
 	f := &Flit{}
 	rng.Read(f.Payload())
 	f.SealRXL(77, fec)
-	crcBefore := f.CRCField()
+	crcBefore := f.crcField()
 	// Corrupt only the FEC parity, then re-encode (a switch hop).
-	f.FECField()[2] ^= 0xFF
+	f.fecField()[2] ^= 0xFF
 	f.ReencodeFEC(fec)
-	if f.CRCField() != crcBefore {
+	if f.crcField() != crcBefore {
 		t.Fatal("ReencodeFEC touched the CRC")
 	}
 	if res := f.DecodeFEC(fec); res.Status.String() != "clean" {
@@ -338,25 +338,27 @@ func TestCleanVerdictsMatchByteLevelVerify(t *testing.T) {
 			cleanCRC, cleanISN := f.CheckCRC(), f.CheckCRCISN(tc.seq)
 			f.Materialize(fec)
 
-			if got := crc.Checksum(f.crcInput()) == f.CRCField(); got != cleanCRC {
+			if got := crc.Checksum(f.crcInput()) == f.crcField(); got != cleanCRC {
 				t.Errorf("plain CRC: clean verdict %v, crc.Checksum match %v", cleanCRC, got)
 			}
-			if got := crc.ChecksumISN(tc.seq, f.crcInput()) == f.CRCField(); got != cleanISN {
+			if got := crc.ChecksumISN(tc.seq, f.crcInput()) == f.crcField(); got != cleanISN {
 				t.Errorf("ISN CRC: clean verdict %v, crc.ChecksumISN match %v", cleanISN, got)
 			}
-			if !fec.Verify(f.protected(), f.FECField()) {
+			if !fec.Verify(f.protected(), f.fecField()) {
 				t.Error("materialized clean image is not a valid RS codeword")
 			}
-			if wrong := tc.seq + 1; f.Clean() && crc.ChecksumISN(wrong, f.crcInput()) == f.CRCField() {
+			if wrong := tc.seq + 1; f.Clean() && crc.ChecksumISN(wrong, f.crcInput()) == f.crcField() {
 				t.Error("ISN verify accepted the wrong sequence number")
 			}
 
-			f.Payload()[17] ^= 0x40
-			f.Taint()
-			if crc.Checksum(f.crcInput()) == f.CRCField() && crc.ChecksumISN(tc.seq, f.crcInput()) == f.CRCField() {
+			f.Image(nil)[HeaderSize+17] ^= 0x40
+			if f.Clean() {
+				t.Error("Image left the clean mark on a mutated image")
+			}
+			if crc.Checksum(f.crcInput()) == f.crcField() && crc.ChecksumISN(tc.seq, f.crcInput()) == f.crcField() {
 				t.Error("byte-level CRC verify blessed a corrupted image")
 			}
-			if fec.Verify(f.protected(), f.FECField()) {
+			if fec.Verify(f.protected(), f.fecField()) {
 				t.Error("syndrome-only RS verify blessed a corrupted image")
 			}
 		})
@@ -366,7 +368,8 @@ func TestCleanVerdictsMatchByteLevelVerify(t *testing.T) {
 // TestDeferredPayloadMaterializes: a deferred payload is invisible in the
 // wire image. Materialize (and an eager seal) produce the bytes an eager
 // fill would have; Route and SetRoute leave the payload deferred; Payload
-// generates it; and Taint refuses an image whose payload is still missing.
+// generates it; and Image on a deferred flit yields the eager seal's bytes
+// and drops the clean mark.
 func TestDeferredPayloadMaterializes(t *testing.T) {
 	fec := NewFEC()
 	fill := func(tag uint64, p []byte) {
@@ -401,7 +404,7 @@ func TestDeferredPayloadMaterializes(t *testing.T) {
 		t.Fatal("Route generated the deferred payload")
 	}
 	f.Materialize(fec)
-	if f.Raw != want.Raw {
+	if f.raw != want.raw {
 		t.Error("materialized deferred payload differs from the eager image")
 	}
 	if _, ok := f.DeferredPayload(); ok {
@@ -410,7 +413,7 @@ func TestDeferredPayloadMaterializes(t *testing.T) {
 
 	f = deferred()
 	f.SealCXL(fec)
-	if want := eager(func(f *Flit) { f.SealCXL(fec) }); f.Raw != want.Raw {
+	if want := eager(func(f *Flit) { f.SealCXL(fec) }); f.raw != want.raw {
 		t.Error("eager seal over a deferred payload differs from the eager image")
 	}
 
@@ -424,10 +427,20 @@ func TestDeferredPayloadMaterializes(t *testing.T) {
 	}
 
 	f = deferred()
-	defer func() {
-		if recover() == nil {
-			t.Error("Taint accepted an image whose payload was never generated")
-		}
-	}()
-	f.Taint()
+	f.DeferSealRXL(513)
+	if !f.Clean() {
+		t.Fatal("deferred seal left the flit unmarked")
+	}
+	if img := f.Image(fec); *img != want.raw {
+		t.Error("Image of a deferred flit differs from the eager seal's bytes")
+	}
+	if f.Clean() {
+		t.Error("Image left the clean mark")
+	}
+	if _, ok := f.DeferredPayload(); ok {
+		t.Error("payload still deferred after Image")
+	}
+	if !f.CheckCRCISN(513) || f.CheckCRCISN(514) {
+		t.Error("byte-level ISN verdicts on the image are wrong")
+	}
 }

@@ -24,10 +24,10 @@ func TestSealReference(t *testing.T) {
 		seq := uint16(rng.Intn(1024))
 
 		f.SealCXL(fec)
-		if want := crc.UpdateSlicing16(0, f.crcInput()); f.CRCField() != want {
-			t.Fatalf("trial %d: CXL CRC field %#x != reference %#x", trial, f.CRCField(), want)
+		if want := crc.UpdateSlicing16(0, f.crcInput()); f.crcField() != want {
+			t.Fatalf("trial %d: CXL CRC field %#x != reference %#x", trial, f.crcField(), want)
 		}
-		if !fec.VerifyReference(f.protected(), f.FECField()) {
+		if !fec.VerifyReference(f.protected(), f.fecField()) {
 			t.Fatalf("trial %d: CXL seal is not a codeword under reference verify", trial)
 		}
 
@@ -35,20 +35,20 @@ func TestSealReference(t *testing.T) {
 		folded := append([]byte(nil), f.crcInput()...)
 		folded[len(folded)-2] ^= byte((seq & crc.SeqMask) >> 8)
 		folded[len(folded)-1] ^= byte(seq & crc.SeqMask)
-		if want := crc.UpdateSlicing16(0, folded); f.CRCField() != want {
-			t.Fatalf("trial %d seq %d: RXL CRC field %#x != reference %#x", trial, seq, f.CRCField(), want)
+		if want := crc.UpdateSlicing16(0, folded); f.crcField() != want {
+			t.Fatalf("trial %d seq %d: RXL CRC field %#x != reference %#x", trial, seq, f.crcField(), want)
 		}
-		if !fec.VerifyReference(f.protected(), f.FECField()) {
+		if !fec.VerifyReference(f.protected(), f.fecField()) {
 			t.Fatalf("trial %d: RXL seal is not a codeword under reference verify", trial)
 		}
 
 		// A deferred seal, once materialized, must be byte-identical.
 		g := &Flit{}
-		g.Raw = f.Raw
+		g.raw = f.raw
 		g.SetHeader(f.Header())
 		g.DeferSealRXL(seq)
 		g.Materialize(fec)
-		if g.Raw != f.Raw {
+		if g.raw != f.raw {
 			t.Fatalf("trial %d: materialized deferred seal differs from eager seal", trial)
 		}
 	}

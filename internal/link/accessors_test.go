@@ -161,7 +161,7 @@ func TestCorruptedAckIgnored(t *testing.T) {
 	ba.FaultHook = func(f *flit.Flit) bool {
 		if !hit && f.Header().Type == flit.TypeAck {
 			hit = true
-			f.Raw[flit.HeaderSize+100] ^= 0xFF // payload byte under the CRC
+			f.Image(nil)[flit.HeaderSize+100] ^= 0xFF // payload byte under the CRC
 			f.ReencodeFEC(flit.NewFEC())
 		}
 		return false

@@ -88,17 +88,18 @@ type Config struct {
 	// JSON form: core sets FastPath from Config.NoFastPath, and
 	// MeshNode.PeerTo sets the routing fields of every mesh peer.
 
-	// FastPath enables the error-event fast path: outgoing flits defer
-	// their CRC/FEC computation and travel by reference with a clean
-	// mark, and every hop consults the channel's pre-drawn error schedule
-	// instead of scanning the image. Flits an error event (or fault hook,
-	// or switch-internal corruption) does touch are materialized and
-	// processed byte-level, so results are bit-identical to
+	// FastPath enables the error-event fast path. Every flit a peer sends
+	// defers its payload and its seal, first transmission or replay, and
+	// the peer reads FastPath in one place, its send tail: with it set the
+	// flit travels by reference with a clean mark, and every hop consults
+	// the channel's pre-drawn error schedule instead of scanning the
+	// image; with it off the flit is materialized there, unmarked, and
+	// everything downstream runs byte-level. Flits an error event (or
+	// fault hook, or switch-internal corruption) does touch are
+	// materialized on the spot, so results are bit-identical to
 	// FastPath=false for identical seeds — proven by the differential
-	// tests in internal/core. Every flit a FastPath peer sends defers its
-	// seal, first transmission or replay, and an offered payload's bytes
-	// (Offer). Off for zero-value Configs;
-	// DefaultConfig turns it on.
+	// tests in internal/core. Off for zero-value Configs; DefaultConfig
+	// turns it on.
 	FastPath bool `json:"-"`
 
 	// StampRoute, when true, writes RouteTag and SrcTag into the fabric

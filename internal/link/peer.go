@@ -17,11 +17,10 @@ import (
 type replayEntry struct {
 	seq      uint64 // absolute sequence number, assigned at first transmission
 	lastSent sim.Time
-	// fill, when set, stands for the payload: on the fast path an offered
-	// payload is fill(tag)'s output, handed to each transmission's flit
-	// as a deferred payload instead of bytes. Nil for a Submitted
-	// payload and for every payload of the byte-level reference path,
-	// whose bytes are in payload.
+	// fill, when set, stands for the payload: an offered payload is
+	// fill(tag)'s output, handed to each transmission's flit as a deferred
+	// payload instead of bytes, on either path. Nil for a Submitted
+	// payload, the only kind whose bytes are staged in payload.
 	fill    func(tag uint64, p []byte)
 	tag     uint64
 	payload [flit.PayloadSize]byte
@@ -127,12 +126,11 @@ func (p *Peer) Submit(payload []byte) {
 // offered payload i (0 ≤ i < n) is what fill(i, p) writes into a zeroed
 // flit.SrcRouteOffset-byte buffer (the payload short of its routing
 // tags). A backlog of any depth thus costs no memory until it reaches the
-// replay window. The byte-level reference path generates each payload
-// into its replay entry at first transmission; the fast path generates
-// none, handing fill and the tag to every transmission's flit as a
-// deferred payload (flit.DeferPayload), so fill must be deterministic in
-// its tag. One backlog at a time: Offer panics while an earlier one
-// remains.
+// replay window, and none is staged even then: every transmission's flit
+// gets fill and the tag as a deferred payload (flit.DeferPayload), which
+// the byte-level reference generates at send and the fast path only when
+// a byte is read, so fill must be deterministic in its tag. One backlog at
+// a time: Offer panics while an earlier one remains.
 func (p *Peer) Offer(n int, fill func(tag uint64, p []byte)) {
 	if n < 0 || p.offered > 0 {
 		panic("link: Offer needs n >= 0 and no offered backlog")
@@ -157,8 +155,7 @@ func (p *Peer) entry() *replayEntry {
 func (p *Peer) Queued() int { return len(p.sendQ) - p.sendHead + p.offered }
 
 // nextPayload dequeues the next payload to send: the send queue's head,
-// else the offered backlog's next payload — deferred on the fast path,
-// generated now on the reference path.
+// else the offered backlog's next payload, still deferred.
 func (p *Peer) nextPayload() *replayEntry {
 	if p.sendHead < len(p.sendQ) {
 		e := p.sendQ[p.sendHead]
@@ -166,13 +163,7 @@ func (p *Peer) nextPayload() *replayEntry {
 		return e
 	}
 	e := p.entry()
-	if p.Cfg.FastPath {
-		e.fill, e.tag = p.fill, p.offerTag
-	} else {
-		e.fill = nil
-		clear(e.payload[:])
-		p.fill(p.offerTag, e.payload[:flit.SrcRouteOffset])
-	}
+	e.fill, e.tag = p.fill, p.offerTag
 	p.offerTag++
 	if p.offered--; p.offered == 0 {
 		p.fill = nil
@@ -255,28 +246,30 @@ func (p *Peer) transmitOne() bool {
 func (p *Peer) sendControl(h flit.Header) {
 	f := flit.Get()
 	f.SetHeader(h)
-	p.stampRoute(f)
-	if p.Cfg.FastPath {
-		f.DeferSealCXL()
-	} else {
-		f.SealCXL(p.fec)
+	f.DeferSealCXL()
+	p.transmit(f)
+}
+
+// transmit is every send's tail: it stamps the fabric routing tags when
+// configured — they sit inside the CRC-covered payload region, so the
+// deferred seal covers them — and puts the flit on the wire. Every flit
+// arrives here with its payload and seal deferred; this is the one place
+// the two paths part: the byte-level reference materializes the image
+// now, unmarked, so every check downstream of it runs byte-level.
+func (p *Peer) transmit(f *flit.Flit) {
+	if p.Cfg.StampRoute {
+		f.SetRoute(p.Cfg.SrcTag, p.Cfg.RouteTag)
+	}
+	if !p.Cfg.FastPath {
+		f.Image(p.fec)
 	}
 	p.Stats.FlitsSent++
 	p.out.Send(f)
 }
 
-// stampRoute writes the fabric routing tags when configured. The tags sit
-// inside the CRC-covered payload region, so they are sealed along with the
-// rest of the flit.
-func (p *Peer) stampRoute(f *flit.Flit) {
-	if p.Cfg.StampRoute {
-		f.SetRoute(p.Cfg.SrcTag, p.Cfg.RouteTag)
-	}
-}
-
 // sendData builds, seals and transmits the flit for a replay entry,
 // applying the protocol's header/CRC semantics and consuming a pending
-// piggyback acknowledgment if the protocol allows one. A deferred entry
+// piggyback acknowledgment if the protocol allows one. An offered entry
 // regenerates the same payload at every transmission, replays included.
 func (p *Peer) sendData(e *replayEntry, isRetransmit bool) {
 	f := flit.Get()
@@ -285,7 +278,6 @@ func (p *Peer) sendData(e *replayEntry, isRetransmit bool) {
 	} else {
 		copy(f.Payload(), e.payload[:])
 	}
-	p.stampRoute(f)
 
 	h := flit.Header{Type: flit.TypeData, Cmd: flit.CmdSeq}
 	piggyback := p.ackPending && p.Cfg.Protocol != ProtocolCXLNoPiggyback
@@ -302,11 +294,7 @@ func (p *Peer) sendData(e *replayEntry, isRetransmit bool) {
 		// FSN carries only the AckNum (or zero); the sequence number
 		// travels inside the CRC.
 		f.SetHeader(h)
-		if p.Cfg.FastPath {
-			f.DeferSealRXL(wireSeq(e.seq))
-		} else {
-			f.SealRXL(wireSeq(e.seq), p.fec)
-		}
+		f.DeferSealRXL(wireSeq(e.seq))
 	default:
 		// Baseline CXL: FSN is the explicit sequence number unless this
 		// flit was chosen to carry the AckNum — the blind spot.
@@ -314,19 +302,14 @@ func (p *Peer) sendData(e *replayEntry, isRetransmit bool) {
 			h.FSN = wireSeq(e.seq)
 		}
 		f.SetHeader(h)
-		if p.Cfg.FastPath {
-			f.DeferSealCXL()
-		} else {
-			f.SealCXL(p.fec)
-		}
+		f.DeferSealCXL()
 	}
 
 	if isRetransmit {
 		p.Stats.Retransmissions++
 	}
 	e.lastSent = p.Eng.Now()
-	p.Stats.FlitsSent++
-	p.out.Send(f)
+	p.transmit(f)
 	p.armRetryTimer()
 }
 

@@ -171,8 +171,8 @@ func TestCorruptionTriggersRetry(t *testing.T) {
 				}
 				seen++
 				if seen == 3 {
-					f.Raw[30] ^= 0xFF
-					f.Raw[33] ^= 0xFF
+					f.Image(nil)[30] ^= 0xFF
+					f.Image(nil)[33] ^= 0xFF
 				}
 				return false
 			}
@@ -200,9 +200,9 @@ func TestFECCorrectsInFlightBurst(t *testing.T) {
 			seen++
 			if seen == 2 {
 				// 3-byte burst: correctable by the interleaved SSC.
-				f.Raw[100] ^= 0xA5
-				f.Raw[101] ^= 0x5A
-				f.Raw[102] ^= 0xFF
+				f.Image(nil)[100] ^= 0xA5
+				f.Image(nil)[101] ^= 0x5A
+				f.Image(nil)[102] ^= 0xFF
 			}
 		}
 		return false
@@ -655,5 +655,54 @@ func TestReplayWindowShiftsInPlace(t *testing.T) {
 	}
 	if perPayload > budget {
 		t.Errorf("steady-state stream allocates %.4f objects per payload, budget %g", perPayload, budget)
+	}
+}
+
+// TestReferenceReplaysRegenerateOfferedImage: a byte-level reference peer
+// (FastPath off) puts every flit on the wire materialized and unmarked,
+// and an offered payload, regenerated from its tag at each transmission,
+// gives every go-back-N replay the image of its first transmission byte
+// for byte. The traffic is one-way, so no data flit carries a piggybacked
+// acknowledgment whose header could differ between transmissions.
+func TestReferenceReplaysRegenerateOfferedImage(t *testing.T) {
+	for _, proto := range []Protocol{ProtocolRXL, ProtocolCXL} {
+		t.Run(proto.String(), func(t *testing.T) {
+			h := newHarness(t, proto, func(c *Config) { c.FastPath = false })
+			h.ab.PathSched, h.ab.PathHops = phy.NewSharedSchedule(1e-4, 0.3, phy.NewRNG(5), flit.Bits), 1
+			first := map[uint64][flit.Size]byte{}
+			replays := 0
+			watch := func(w *Wire) {
+				arrive := w.sink
+				w.sink = func(x interface{}) {
+					f := x.(*flit.Flit)
+					if _, deferred := f.DeferredPayload(); f.Clean() || deferred {
+						t.Fatalf("%v flit on the wire clean=%v, payload deferred=%v", f.Header().Type, f.Clean(), deferred)
+					}
+					if w == h.ab && f.Header().Type == flit.TypeData {
+						img := *f.Image(nil)
+						tag := binary.BigEndian.Uint64(img[flit.HeaderSize:])
+						if want, ok := first[tag]; !ok {
+							first[tag] = img
+						} else if replays++; img != want {
+							t.Fatalf("replay of payload %d differs from its first transmission", tag)
+						}
+					}
+					arrive(x)
+				}
+			}
+			watch(h.ab)
+			watch(h.ba)
+			const n = 1000
+			h.a.Offer(n, func(tag uint64, p []byte) {
+				phy.NewRNG(tag + 1).Fill(p)
+				binary.BigEndian.PutUint64(p, tag)
+			})
+			h.eng.Run()
+			wantInOrder(t, h.gotB, n)
+			if h.a.Stats.GoBackNRounds == 0 || replays == 0 {
+				t.Fatalf("no go-back-N replay (%d rounds, %d replayed flits seen); BER too low to test replays", h.a.Stats.GoBackNRounds, replays)
+			}
+			t.Logf("%d go-back-N rounds, %d replayed flits", h.a.Stats.GoBackNRounds, replays)
+		})
 	}
 }

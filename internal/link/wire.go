@@ -54,8 +54,10 @@ type Wire struct {
 	// FaultHook, when non-nil, inspects each (possibly corrupted) flit at
 	// arrival; returning true drops the flit silently — the scripted
 	// equivalent of a switch discarding an uncorrectable flit. Hooked
-	// wires force every flit onto the byte-level path: the hook may
-	// mutate the image, so the clean mark cannot be trusted past it.
+	// wires force every flit onto the byte-level path: the wire takes the
+	// image through flit.Image before the call, and the hook reaches it
+	// with f.Image(nil), so it may mutate the image and no clean mark
+	// survives to lie about it.
 	// Express claims never cross a hooked wire, so a hook must be
 	// installed before the run: one appearing mid-run would be skipped by
 	// flits that claimed the wire earlier. A campaign whose fault comes
@@ -92,8 +94,7 @@ func (w *Wire) arrive(x interface{}) {
 		}
 	}
 	if w.FaultHook != nil {
-		f.Materialize(w.fecLazy())
-		f.Taint()
+		f.Image(w.fecLazy())
 		if w.FaultHook(f) {
 			w.HookDropped++
 			flit.Release(f)
@@ -131,17 +132,14 @@ func BeginPathTraversal(s *phy.SharedSchedule, fec *rs.Interleaved, f *flit.Flit
 }
 
 // CrossPathUnit consumes one shared-schedule crossing for f: an O(1)
-// advance when the unit is clean, a materialize-and-corrupt when the
+// advance when the unit is clean, a strike on the flit's image when the
 // schedule strikes it.
 func CrossPathUnit(s *phy.SharedSchedule, fec *rs.Interleaved, f *flit.Flit) {
 	if s.CrossClean() {
 		s.Advance()
 		return
 	}
-	f.Materialize(fec)
-	if s.Corrupt(f.Raw[:]) > 0 {
-		f.Taint()
-	}
+	s.Corrupt(f.Image(fec)[:])
 }
 
 // Send transmits a flit. The caller relinquishes ownership: the flit may be

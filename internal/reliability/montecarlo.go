@@ -80,18 +80,18 @@ func MeasureFECBurst(burstLen, trials int, seed uint64) FECOutcome {
 	fec := flit.NewFEC()
 	out := FECOutcome{Trials: trials}
 
-	var reference flit.Flit
 	for i := 0; i < trials; i++ {
 		var f flit.Flit
 		rng.Fill(f.Payload())
 		f.SealCXL(fec)
-		reference = f
+		img := f.Image(nil)
+		reference := *img
 
 		// Inject a burst of byte errors at a random offset across the
 		// FEC-protected region (header+payload+CRC+FEC parity).
 		start := rng.Intn(flit.Size - burstLen)
 		for b := 0; b < burstLen; b++ {
-			f.Raw[start+b] ^= rng.NonzeroByte()
+			img[start+b] ^= rng.NonzeroByte()
 		}
 
 		res := f.DecodeFEC(fec)
@@ -100,7 +100,7 @@ func MeasureFECBurst(burstLen, trials int, seed uint64) FECOutcome {
 			// Zero syndromes despite injected errors means the burst
 			// mapped the codeword onto another valid codeword — an FEC
 			// miss unless the flips happened to cancel.
-			if bytes.Equal(f.Raw[:flit.ProtectedSize], reference.Raw[:flit.ProtectedSize]) {
+			if bytes.Equal(img[:flit.ProtectedSize], reference[:flit.ProtectedSize]) {
 				out.Clean++
 			} else {
 				out.Miscorrected++
@@ -108,7 +108,7 @@ func MeasureFECBurst(burstLen, trials int, seed uint64) FECOutcome {
 		case rs.StatusUncorrectable:
 			out.Detected++
 		case rs.StatusCorrected:
-			if bytes.Equal(f.Raw[:flit.ProtectedSize], reference.Raw[:flit.ProtectedSize]) {
+			if bytes.Equal(img[:flit.ProtectedSize], reference[:flit.ProtectedSize]) {
 				out.Corrected++
 			} else {
 				out.Miscorrected++

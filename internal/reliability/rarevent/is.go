@@ -76,18 +76,19 @@ func isDecode(ctx context.Context, ber, proposal float64, trials int, seed uint6
 	s := phy.TiltedChannel(p, q, master.Split(), UnitBits)
 	payloadRNG := master.Split()
 	fec := flit.NewFEC()
-	var f, reference flit.Flit
+	var f flit.Flit
 	clean := s.Walk(ctx, 1, trials, func() {
 		payloadRNG.Fill(f.Payload())
 		f.SealCXL(fec)
-		reference = f
-		k := s.Corrupt(f.Raw[:])
+		img := f.Image(nil)
+		reference := *img
+		k := s.Corrupt(img[:])
 		w := math.Exp(phy.UnitLogLR(p, q, UnitBits, k))
 		sumW += w
 		struck++
 		ev := fecHarmless
 		res := f.DecodeFEC(fec)
-		intact := bytes.Equal(f.Raw[:flit.ProtectedSize], reference.Raw[:flit.ProtectedSize])
+		intact := bytes.Equal(img[:flit.ProtectedSize], reference[:flit.ProtectedSize])
 		switch res.Status {
 		case rs.StatusUncorrectable:
 			ev = fecDetected

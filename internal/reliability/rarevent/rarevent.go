@@ -63,7 +63,7 @@ type Estimate struct {
 	// Splitting has no weights and reports 1.
 	MeanWeight float64
 
-	// Raw accumulators: Σ W·Z, Σ (W·Z)², Σ W over trials (Z = event
+	// Unnormalized accumulators: Σ W·Z, Σ (W·Z)², Σ W over trials (Z = event
 	// indicator). Exported so shard merges can recompute exact moments;
 	// zero for splitting estimates, which merge as equal-effort means.
 	SumWZ, SumWZ2, SumW float64

@@ -216,7 +216,7 @@ func TestETagNotModified(t *testing.T) {
 		t.Fatal("repeat fetch with matching ETag not answered 304")
 	}
 
-	// Raw HTTP double-check: 304 and empty body, wildcard also matches,
+	// Plain HTTP double-check: 304 and empty body, wildcard also matches,
 	// and a stale validator still gets the full document.
 	for _, tc := range []struct {
 		inm  string

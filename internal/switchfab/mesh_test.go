@@ -200,8 +200,8 @@ func TestMeshMidRouteDropRXLRecovers(t *testing.T) {
 		if f.Header().Type == flit.TypeData {
 			seen++
 			if seen == 4 {
-				f.Raw[30] ^= 0xFF
-				f.Raw[33] ^= 0xFF
+				f.Image(nil)[30] ^= 0xFF
+				f.Image(nil)[33] ^= 0xFF
 			}
 		}
 		return false

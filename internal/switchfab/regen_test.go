@@ -31,7 +31,8 @@ func TestRegenerationsEqualInternalCorruptions(t *testing.T) {
 			var observed, badFEC, badCRC uint64
 			hook := func(f *flit.Flit) bool {
 				observed++
-				if !fec.VerifyReference(f.Raw[:flit.ProtectedSize], f.FECField()) {
+				img := f.Image(nil)
+				if !fec.VerifyReference(img[:flit.ProtectedSize], img[flit.ProtectedSize:]) {
 					badFEC++
 				}
 				if proto == link.ProtocolCXL && !f.CheckCRC() {

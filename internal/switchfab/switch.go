@@ -100,11 +100,12 @@ type Switch struct {
 	InternalBitFlipProb float64
 
 	// InternalHook, when non-nil, may mutate the flit at the internal
-	// fault point; return true to count it as a corruption. The return
-	// value only feeds InternalCorruptions: the switch regenerates the
-	// egress CRC (ModeCXL) and FEC after every hook call, so a hook that
-	// mutates and returns false still forwards a valid codeword. Used by
-	// the deterministic Section 6.3 experiments.
+	// fault point, through f.Image(nil): the switch has materialized the
+	// flit before the call. Return true to count it as a corruption. The
+	// return value only feeds InternalCorruptions: the switch regenerates
+	// the egress CRC (ModeCXL) and FEC after every hook call, so a hook
+	// that mutates and returns false still forwards a valid codeword. Used
+	// by the deterministic Section 6.3 experiments.
 	InternalHook func(*flit.Flit) bool
 
 	fec *rs.Interleaved
@@ -184,20 +185,17 @@ func (s *Switch) process(f *flit.Flit) bool {
 	}
 
 	// Internal fault point: datapath/buffer corruption inside the switch.
-	// A deferred seal is materialized before the image mutates, so the
+	// Image materializes a deferred seal before the image mutates, so the
 	// corruption lands on the byte-exact sealed image. A hook may mutate
 	// without reporting it, so touched follows the call, not its verdict.
 	touched, corrupted := s.InternalHook != nil, false
 	if touched {
-		f.Materialize(s.fec)
-		f.Taint()
+		f.Image(s.fec)
 		corrupted = s.InternalHook(f)
 	}
 	if s.InternalBitFlipProb > 0 && s.rng != nil && s.rng.Float64() < s.InternalBitFlipProb {
 		bit := s.rng.Intn((flit.HeaderSize + flit.PayloadSize) * 8)
-		f.Materialize(s.fec)
-		f.Raw[bit/8] ^= 1 << (7 - bit%8)
-		f.Taint()
+		f.Image(s.fec)[bit/8] ^= 1 << (7 - bit%8)
 		touched, corrupted = true, true
 	}
 	if corrupted {

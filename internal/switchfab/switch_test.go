@@ -92,8 +92,8 @@ func TestSwitchDropsUncorrectable(t *testing.T) {
 			seen++
 			if seen == 3 {
 				// Two symbol errors in one interleave way: uncorrectable.
-				f.Raw[30] ^= 0xFF
-				f.Raw[33] ^= 0xFF
+				f.Image(nil)[30] ^= 0xFF
+				f.Image(nil)[33] ^= 0xFF
 			}
 		}
 		return false
@@ -130,8 +130,8 @@ func TestSwitchDropCXLPiggybackMisorders(t *testing.T) {
 		if f.Header().Type == flit.TypeData {
 			seen++
 			if seen == 2 {
-				f.Raw[30] ^= 0xFF
-				f.Raw[33] ^= 0xFF
+				f.Image(nil)[30] ^= 0xFF
+				f.Image(nil)[33] ^= 0xFF
 			}
 		}
 		return false
@@ -257,7 +257,8 @@ func TestInternalHookSilentMutationRegenerated(t *testing.T) {
 	fec := flit.NewFEC()
 	nonCodewords := 0
 	c.Fwd[1].FaultHook = func(f *flit.Flit) bool {
-		if !fec.VerifyReference(f.Raw[:flit.ProtectedSize], f.FECField()) {
+		img := f.Image(nil)
+		if !fec.VerifyReference(img[:flit.ProtectedSize], img[flit.ProtectedSize:]) {
 			nonCodewords++
 		}
 		return false

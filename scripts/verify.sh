@@ -6,7 +6,7 @@
 #   scripts/verify.sh --level=race          # race detector over ./... + fuzz corpus
 #   scripts/verify.sh --level=flake         # serving/runner packages under -race, 50 times over
 #   scripts/verify.sh --level=kernels       # coding-kernel differential: default vs -tags purego
-#   scripts/verify.sh --level=differential  # scenario-grid fast/slow scan + cell and chain fuzz + EXPERIMENTS.md bytes
+#   scripts/verify.sh --level=differential  # scenario-grid fast/slow scan + cell and chain fuzz + purego core differentials + EXPERIMENTS.md bytes
 #   scripts/verify.sh --level=smoke         # rxld HTTP serving-contract drill
 #   scripts/verify.sh --level=metrics       # /metrics + trace contract + rxltop drill
 #   scripts/verify.sh --level=fleet         # 3-daemon fleet + front byte-identity e2e
@@ -165,6 +165,9 @@ rung_differential() {
   # 1e-7..1e-4, burst, coalescing, propagation, n <= 256, switch-internal
   # flips on RXL chains), each run on both paths.
   run go test -run '^$' -fuzz '^FuzzExperimentFastMatchesReference$' -fuzztime=30s ./internal/core/
+  # The reference is NoFastPath with the purego kernels under it: run the
+  # core differential suites on that build too.
+  run go test -count=1 -tags purego -run 'Differential|FastMatchesReference|OfferMatchesSubmit|OfferedPayloadBytes' ./internal/core/
   # The committed evaluation record: every output byte of the full sweep
   # must reproduce EXPERIMENTS.md.
   run go run ./cmd/sweep -rare | cmp - EXPERIMENTS.md
