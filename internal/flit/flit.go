@@ -24,7 +24,6 @@ package flit
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/crc"
 	"repro/internal/rs"
@@ -163,69 +162,125 @@ const (
 // Flit is a 256-byte wire flit. The zero value is a valid idle flit shell;
 // call SetHeader/Payload and Seal before transmission.
 //
-// Beyond the wire image, a flit carries error-event fast-path state that
-// never appears on the wire: a seal record (kind and ISN sequence number),
-// a clean mark, and possibly a deferred payload (a tag and the generator
-// of its bytes). A clean flit's image is known to be bit-identical to its
-// sealed form — no channel or switch has touched it — so every integrity
-// check (CheckCRC, CheckCRCISN, DecodeFEC) short-circuits to its provable
-// outcome in O(1). The image itself is reached through Image alone, which
-// completes it and drops the clean mark first, so the mark cannot lie.
+// A flit is a small value until something needs its bytes: the header,
+// the routing tags, a seal record (kind and ISN sequence number), a clean
+// mark and possibly a deferred payload (a tag and the generator of its
+// bytes). A clean flit's image is known to be bit-identical to its sealed
+// form — no channel or switch has touched it — so every integrity check
+// (CheckCRC, CheckCRCISN, DecodeFEC) short-circuits to its provable
+// outcome in O(1), and no 256-byte image exists at all. Image, Payload and
+// Materialize attach one, as does a byte-level check of an unmarked flit:
+// a zeroed image from the flit's Pool (or a fresh one) with the header and
+// tags written into it, and from then on the image is the truth. Image is
+// the one door to it; it completes the image and drops the clean mark
+// first, so the mark cannot lie.
+//
+// Copying a Flit copies the value and shares its image: writes through
+// either copy's Image land in both. Release one copy only.
 type Flit struct {
-	raw [Size]byte
+	raw  *[Size]byte // the wire image; nil until attached
+	home *Pool       // the pool Release returns the flit to; nil if unpooled
 
 	fill     func(tag uint64, p []byte) // deferred payload generator; nil once generated
 	tag      uint64                     // fill's argument
+	hdr      [HeaderSize]byte           // packed header while no image is attached
+	src, dst byte                       // routing tags while no image is attached
 	kind     sealKind
 	isnSeq   uint16
 	clean    bool  // image is bit-identical to the sealed image
 	deferred bool  // CRC/FEC fields not yet materialized
-	pooled   bool  // obtained from Get; recyclable via Release
 	pass     uint8 // remaining path-pass hops (shared-schedule grant)
 }
 
-// pool recycles flit images across transmissions. The slow path allocates
-// one 256B image per flit per transmission otherwise; reuse keeps the
-// Monte-Carlo inner loop allocation-free.
-var pool = sync.Pool{New: func() interface{} { return new(Flit) }}
+// Pool is a free list of flits and of their images. It takes no lock and
+// is not safe for concurrent use: its owner (a link peer) runs on one
+// engine, and a released flit returns to the pool it came from. Unlike a
+// GC-cleared cache, the list keeps what it holds, so a warm owner
+// allocates nothing. The zero value is an empty pool.
+type Pool struct {
+	flits  []*Flit
+	images []*[Size]byte // zeroed, ready to attach
+}
 
-// Get returns a zeroed flit from the package pool. Pooled flits are
-// recycled by Release at their consumption points (endpoint receive,
-// switch drops, fault-hook drops); flits allocated directly are never
-// pooled, so mixing both is safe.
-func Get() *Flit {
-	f := pool.Get().(*Flit)
-	*f = Flit{}
-	f.pooled = true
+// Get returns a zeroed flit with no image, taken off the free list when
+// one is there. Get's flits are recycled by Release at their consumption
+// points (endpoint receive, switch drops, fault-hook drops); flits
+// allocated directly are never pooled, so mixing both is safe.
+func (p *Pool) Get() *Flit {
+	var f *Flit
+	if last := len(p.flits) - 1; last >= 0 {
+		f = p.flits[last]
+		p.flits = p.flits[:last]
+	} else {
+		f = new(Flit)
+	}
+	f.home = p
 	return f
 }
 
-// Release returns a pooled flit for reuse. It is a no-op for flits that
-// did not come from Get, so termination points may call it
-// unconditionally. The caller must not touch the flit afterwards.
-func Release(f *Flit) {
-	if f == nil || !f.pooled {
-		return
+// image returns a zeroed image off the free list, or a fresh one. A nil
+// pool, an unpooled flit's home, always allocates.
+func (p *Pool) image() *[Size]byte {
+	if p != nil {
+		if last := len(p.images) - 1; last >= 0 {
+			img := p.images[last]
+			p.images = p.images[:last]
+			return img
+		}
 	}
-	f.pooled = false
-	pool.Put(f)
+	return new([Size]byte)
 }
 
-// Header decodes the current header bytes.
+// Release returns a pooled flit, and its image if it has one, to the pool
+// it came from. It is a no-op for flits that did not come from Get and for
+// a flit already released, so termination points may call it
+// unconditionally. The caller must not touch the flit afterwards.
+func Release(f *Flit) {
+	if f == nil || f.home == nil {
+		return
+	}
+	p := f.home
+	if f.raw != nil {
+		*f.raw = [Size]byte{}
+		p.images = append(p.images, f.raw)
+	}
+	*f = Flit{}
+	p.flits = append(p.flits, f)
+}
+
+// attach gives the flit its image, if it has none yet: a zeroed one from
+// its pool with the header and routing tags written in. It returns the
+// image.
+func (f *Flit) attach() *[Size]byte {
+	if f.raw == nil {
+		f.raw = f.home.image()
+		f.raw[headerOff], f.raw[headerOff+1] = f.hdr[0], f.hdr[1]
+		f.raw[payloadOff+SrcRouteOffset], f.raw[payloadOff+RouteOffset] = f.src, f.dst
+	}
+	return f.raw
+}
+
+// Header decodes the current header.
 func (f *Flit) Header() Header {
+	if f.raw == nil {
+		return UnpackHeader(f.hdr)
+	}
 	return UnpackHeader([2]byte{f.raw[headerOff], f.raw[headerOff+1]})
 }
 
-// SetHeader encodes h into the header bytes. The flit must be re-Sealed
+// SetHeader encodes h into the header. The flit must be re-Sealed
 // afterwards for the CRC and FEC to match.
 func (f *Flit) SetHeader(h Header) {
 	b := h.Pack()
-	f.raw[headerOff] = b[0]
-	f.raw[headerOff+1] = b[1]
+	if f.raw == nil {
+		f.hdr = b
+		return
+	}
+	f.raw[headerOff], f.raw[headerOff+1] = b[0], b[1]
 }
 
 // Payload returns the 240-byte payload region as a mutable slice into the
-// flit, generating a deferred payload first.
+// flit's image, attaching it and generating a deferred payload first.
 func (f *Flit) Payload() []byte {
 	f.fillPayload()
 	return f.raw[payloadOff : payloadOff+PayloadSize]
@@ -233,13 +288,14 @@ func (f *Flit) Payload() []byte {
 
 // DeferPayload records the payload as fill's output for tag without
 // generating it: fill(tag, p) writes into p, the payload region short of
-// the two routing-tag bytes (SrcRouteOffset bytes long), which must be
-// zero as Get returns it, and must be deterministic in tag. Like a
-// deferred seal's CRC and FEC, nothing needs those bytes while the flit
-// stays clean; Payload and Image — the one way out of the clean state —
-// generate them the first time they are needed, so every byte-level image
-// is complete. The routing tags lie outside fill's reach and are set with
-// SetRoute either way.
+// the two routing-tag bytes (SrcRouteOffset bytes long), and must be
+// deterministic in tag. p is zero by construction as long as nothing wrote
+// the payload before: an image attaches zeroed, and Release zeroes the
+// image it recycles. Like a deferred seal's CRC and FEC, nothing needs
+// those bytes while the flit stays clean; Payload and Image — the one way
+// out of the clean state — generate them the first time they are needed,
+// so every byte-level image is complete. The routing tags lie outside
+// fill's reach and are set with SetRoute either way.
 func (f *Flit) DeferPayload(tag uint64, fill func(tag uint64, p []byte)) {
 	f.tag, f.fill = tag, fill
 }
@@ -249,52 +305,62 @@ func (f *Flit) DeferPayload(tag uint64, fill func(tag uint64, p []byte)) {
 // receiver may take it as intact from the tag alone.
 func (f *Flit) DeferredPayload() (tag uint64, ok bool) { return f.tag, f.fill != nil }
 
-// fillPayload generates a deferred payload into the image, if one is
-// pending.
+// fillPayload attaches the image and generates a deferred payload into
+// it, if one is pending.
 func (f *Flit) fillPayload() {
+	raw := f.attach()
 	if f.fill != nil {
-		f.fill(f.tag, f.raw[payloadOff:payloadOff+SrcRouteOffset])
+		f.fill(f.tag, raw[payloadOff:payloadOff+SrcRouteOffset])
 		f.fill = nil
 	}
 }
 
-// Route returns the fabric routing tags. It reads the image directly: the
-// tags lie outside a deferred payload, which stays deferred.
+// Route returns the fabric routing tags. It never attaches an image or
+// generates a deferred payload: the tags lie outside it.
 func (f *Flit) Route() (src, dst byte) {
+	if f.raw == nil {
+		return f.src, f.dst
+	}
 	return f.raw[payloadOff+SrcRouteOffset], f.raw[payloadOff+RouteOffset]
 }
 
-// SetRoute writes the fabric routing tags without generating a deferred
-// payload. The flit must be (re-)Sealed afterwards.
+// SetRoute writes the fabric routing tags without attaching an image or
+// generating a deferred payload. The flit must be (re-)Sealed afterwards.
 func (f *Flit) SetRoute(src, dst byte) {
+	if f.raw == nil {
+		f.src, f.dst = src, dst
+		return
+	}
 	f.raw[payloadOff+SrcRouteOffset], f.raw[payloadOff+RouteOffset] = src, dst
 }
 
 // crcField returns the stored 8-byte CRC as a uint64.
 func (f *Flit) crcField() uint64 {
+	raw := f.attach()
 	var v uint64
 	for i := 0; i < CRCSize; i++ {
-		v = v<<8 | uint64(f.raw[crcOff+i])
+		v = v<<8 | uint64(raw[crcOff+i])
 	}
 	return v
 }
 
 // setCRCField stores the 8-byte CRC.
 func (f *Flit) setCRCField(v uint64) {
+	raw := f.attach()
 	for i := CRCSize - 1; i >= 0; i-- {
-		f.raw[crcOff+i] = byte(v)
+		raw[crcOff+i] = byte(v)
 		v >>= 8
 	}
 }
 
 // fecField returns the 6-byte FEC parity region as a mutable slice.
-func (f *Flit) fecField() []byte { return f.raw[fecOff : fecOff+FECSize] }
+func (f *Flit) fecField() []byte { return f.attach()[fecOff : fecOff+FECSize] }
 
 // protected returns the FEC-covered region (header+payload+CRC).
-func (f *Flit) protected() []byte { return f.raw[:ProtectedSize] }
+func (f *Flit) protected() []byte { return f.attach()[:ProtectedSize] }
 
 // crcInput returns the CRC-covered region (header+payload).
-func (f *Flit) crcInput() []byte { return f.raw[:crcOff] }
+func (f *Flit) crcInput() []byte { return f.attach()[:crcOff] }
 
 // SealCXL finalizes a baseline CXL flit eagerly: DeferSealCXL, then Image,
 // so the plain CRC and the FEC are computed where a deferred seal's are.
@@ -369,13 +435,13 @@ func (f *Flit) TakePathPass() bool {
 func (f *Flit) Image(fec *rs.Interleaved) *[Size]byte {
 	f.Materialize(fec)
 	f.clean = false
-	return &f.raw
+	return f.raw
 }
 
-// Materialize generates a deferred payload and computes the CRC and FEC
-// fields of a deferred seal, making the image byte-complete and
-// bit-identical to an eager seal. It is a no-op when neither was
-// deferred.
+// Materialize attaches the image, generates a deferred payload into it and
+// computes the CRC and FEC fields of a deferred seal, making the image
+// byte-complete and bit-identical to an eager seal. Beyond attaching, it is
+// a no-op when neither was deferred.
 func (f *Flit) Materialize(fec *rs.Interleaved) {
 	f.fillPayload()
 	if !f.deferred {

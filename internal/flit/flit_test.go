@@ -8,6 +8,18 @@ import (
 	"repro/internal/crc"
 )
 
+// clone returns an independent copy of f, unpooled: a plain copy of a
+// Flit shares its image.
+func clone(f *Flit) *Flit {
+	g := *f
+	g.home = nil
+	if f.raw != nil {
+		img := *f.raw
+		g.raw = &img
+	}
+	return &g
+}
+
 func TestGeometry(t *testing.T) {
 	if HeaderSize+PayloadSize+CRCSize+FECSize != Size {
 		t.Fatal("flit regions do not sum to 256")
@@ -110,7 +122,7 @@ func TestFECCorrectsFlitBurst(t *testing.T) {
 
 	// 3-byte bursts anywhere in the 256B wire image are corrected.
 	for start := 0; start <= Size-3; start += 7 {
-		g := *f
+		g := clone(f)
 		for i := 0; i < 3; i++ {
 			g.Image(nil)[start+i] ^= byte(rng.Intn(255) + 1)
 		}
@@ -139,7 +151,7 @@ func TestCRCCatchesWhatFECMiscorrects(t *testing.T) {
 
 	miscorrections := 0
 	for trial := 0; trial < 5000 && miscorrections < 200; trial++ {
-		g := *f
+		g := clone(f)
 		// Two errors in the same sub-block (positions congruent mod 3).
 		p1 := rng.Intn(250)
 		p2 := p1
@@ -152,7 +164,7 @@ func TestCRCCatchesWhatFECMiscorrects(t *testing.T) {
 		if res.Status.String() == "uncorrectable" {
 			continue
 		}
-		if g.raw == f.raw {
+		if *g.raw == *f.raw {
 			continue // FEC restored the original (impossible for 2 errors, but guard)
 		}
 		miscorrections++
@@ -220,14 +232,6 @@ func TestPathPass(t *testing.T) {
 	}
 	if f.TakePathPass() || g.TakePathPass() {
 		t.Fatal("pass outlived its granted crossings")
-	}
-
-	// Pooled recycling must not leak a pass into the next user.
-	p := Get()
-	p.SetPathPass(3)
-	Release(p)
-	if q := Get(); q.pass != 0 {
-		t.Fatal("pool leaked a path pass")
 	}
 }
 
@@ -404,7 +408,7 @@ func TestDeferredPayloadMaterializes(t *testing.T) {
 		t.Fatal("Route generated the deferred payload")
 	}
 	f.Materialize(fec)
-	if f.raw != want.raw {
+	if *f.raw != *want.raw {
 		t.Error("materialized deferred payload differs from the eager image")
 	}
 	if _, ok := f.DeferredPayload(); ok {
@@ -413,7 +417,7 @@ func TestDeferredPayloadMaterializes(t *testing.T) {
 
 	f = deferred()
 	f.SealCXL(fec)
-	if want := eager(func(f *Flit) { f.SealCXL(fec) }); f.raw != want.raw {
+	if want := eager(func(f *Flit) { f.SealCXL(fec) }); *f.raw != *want.raw {
 		t.Error("eager seal over a deferred payload differs from the eager image")
 	}
 
@@ -431,7 +435,7 @@ func TestDeferredPayloadMaterializes(t *testing.T) {
 	if !f.Clean() {
 		t.Fatal("deferred seal left the flit unmarked")
 	}
-	if img := f.Image(fec); *img != want.raw {
+	if img := f.Image(fec); *img != *want.raw {
 		t.Error("Image of a deferred flit differs from the eager seal's bytes")
 	}
 	if f.Clean() {
@@ -442,5 +446,152 @@ func TestDeferredPayloadMaterializes(t *testing.T) {
 	}
 	if !f.CheckCRCISN(513) || f.CheckCRCISN(514) {
 		t.Error("byte-level ISN verdicts on the image are wrong")
+	}
+}
+
+// TestCleanFlitStaysAValue: a clean flit has no image. Every method it
+// meets on the fast path reads and writes the value alone, and the first
+// Image, Payload or Materialize attaches an image whose bytes equal the
+// eager seal's, header and routing tags included, whether those were set
+// before the image attached or after.
+func TestCleanFlitStaysAValue(t *testing.T) {
+	fec := NewFEC()
+	fill := func(tag uint64, p []byte) { rand.New(rand.NewSource(int64(tag))).Read(p) }
+	hdr := Header{Type: TypeData, Cmd: CmdAck, FSN: 77}
+	for _, tc := range []struct {
+		name             string
+		deferSeal, eager func(*Flit)
+	}{
+		{"cxl", (*Flit).DeferSealCXL, func(f *Flit) { f.SealCXL(fec) }},
+		{"rxl", func(f *Flit) { f.DeferSealRXL(513) }, func(f *Flit) { f.SealRXL(513, fec) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := &Flit{}
+			fill(9, want.Payload()[:SrcRouteOffset])
+			want.SetRoute(3, 4)
+			want.SetHeader(hdr)
+			tc.eager(want)
+
+			var pool Pool
+			value := func() *Flit {
+				f := pool.Get()
+				f.SetHeader(Header{FSN: 1})
+				f.SetRoute(1, 2)
+				f.DeferPayload(9, fill)
+				tc.deferSeal(f)
+				f.SetHeader(hdr)
+				f.SetRoute(3, 4)
+				f.SetPathPass(1)
+				return f
+			}
+			f := value()
+			for _, step := range []struct {
+				name string
+				run  func() bool
+			}{
+				{"Header", func() bool { return f.Header() == hdr }},
+				{"Route", func() bool { src, dst := f.Route(); return src == 3 && dst == 4 }},
+				{"DecodeFEC", func() bool { return f.DecodeFEC(fec).Status.String() == "clean" }},
+				{"CheckCRC", func() bool { return f.CheckCRC() == (tc.name == "cxl") }},
+				{"CheckCRCISN", func() bool { return f.CheckCRCISN(513) == (tc.name == "rxl") }},
+				{"TakePathPass", f.TakePathPass},
+				{"DeferredPayload", func() bool { tag, ok := f.DeferredPayload(); return ok && tag == 9 }},
+			} {
+				if !step.run() {
+					t.Errorf("%s: wrong answer on a clean flit", step.name)
+				}
+				if f.raw != nil {
+					t.Fatalf("%s attached an image to a clean flit", step.name)
+				}
+			}
+			if !f.Clean() {
+				t.Fatal("fast-path methods dropped the clean mark")
+			}
+
+			if img := f.Image(fec); *img != *want.raw {
+				t.Error("Image: bytes differ from the eager seal's")
+			}
+			f = value()
+			if string(f.Payload()) != string(want.Payload()) {
+				t.Error("Payload: bytes differ from the eager seal's")
+			}
+			f.Materialize(fec)
+			if *f.raw != *want.raw {
+				t.Error("Payload, then Materialize: bytes differ from the eager seal's")
+			}
+			f = value()
+			f.Materialize(fec)
+			if *f.raw != *want.raw {
+				t.Error("Materialize: bytes differ from the eager seal's")
+			}
+			if !f.Clean() || f.Header() != hdr {
+				t.Error("Materialize dropped the clean mark or lost the header")
+			}
+
+			// Header and tags set after the image attached land in it.
+			f = pool.Get()
+			f.DeferPayload(9, fill)
+			f.Payload()
+			f.SetHeader(hdr)
+			f.SetRoute(3, 4)
+			tc.deferSeal(f)
+			if src, dst := f.Route(); f.Header() != hdr || src != 3 || dst != 4 {
+				t.Error("header or tags set on an attached image read back wrong")
+			}
+			if img := f.Image(fec); *img != *want.raw {
+				t.Error("header and tags set after attaching: bytes differ from the eager seal's")
+			}
+		})
+	}
+}
+
+// TestPoolRecycles: Release returns a flit and its image to the pool the
+// flit came from, and the next Get hands the flit out with nothing left of
+// its last user — no header, tags, seal, pass or deferred payload — and
+// its image, once it attaches again, with a zero payload region, which
+// DeferPayload's contract needs. A second Release, and a Release of an
+// unpooled flit, are no-ops.
+func TestPoolRecycles(t *testing.T) {
+	fec := NewFEC()
+	var pool Pool
+	f := pool.Get()
+	f.SetHeader(Header{FSN: 5, Cmd: CmdAck, Type: TypeNak})
+	f.SetRoute(3, 4)
+	f.DeferPayload(9, func(tag uint64, p []byte) { rand.New(rand.NewSource(int64(tag))).Read(p) })
+	f.DeferSealRXL(7)
+	f.SetPathPass(3)
+	img := f.Image(fec)
+	Release(f)
+	Release(f)
+	Release(&Flit{})
+	if len(pool.flits) != 1 || len(pool.images) != 1 {
+		t.Fatalf("pool holds %d flits and %d images after a double Release, want 1 and 1", len(pool.flits), len(pool.images))
+	}
+
+	g := pool.Get()
+	if g != f {
+		t.Fatal("Get did not reuse the released flit")
+	}
+	if g.raw != nil || g.home != &pool {
+		t.Fatal("recycled flit came back with an image or without its pool")
+	}
+	if src, dst := g.Route(); g.Header() != (Header{}) || src != 0 || dst != 0 {
+		t.Error("recycled flit kept its header or routing tags")
+	}
+	if _, ok := g.DeferredPayload(); ok || g.Clean() || g.kind != sealNone || g.isnSeq != 0 || g.TakePathPass() {
+		t.Error("recycled flit kept its deferred payload, seal or path pass")
+	}
+	g.DeferPayload(1, func(_ uint64, p []byte) {
+		for i, b := range p {
+			if b != 0 {
+				t.Fatalf("recycled image payload byte %d = %#x, want 0", i, b)
+			}
+		}
+	})
+	if g.Image(fec) != img {
+		t.Error("the recycled flit did not attach the recycled image")
+	}
+	if len(pool.images) != 0 {
+		t.Errorf("%d images left on the free list", len(pool.images))
 	}
 }

@@ -43,12 +43,11 @@ func TestSealReference(t *testing.T) {
 		}
 
 		// A deferred seal, once materialized, must be byte-identical.
-		g := &Flit{}
-		g.raw = f.raw
+		g := clone(f)
 		g.SetHeader(f.Header())
 		g.DeferSealRXL(seq)
 		g.Materialize(fec)
-		if g.raw != f.raw {
+		if *g.raw != *f.raw {
 			t.Fatalf("trial %d: materialized deferred seal differs from eager seal", trial)
 		}
 	}

@@ -81,7 +81,7 @@ func TestStampRouteOnControlFlits(t *testing.T) {
 // single-flit command. The header format still defines CmdNakSingle, but
 // no peer dispatches on it: every NAK flit is a go-back-N request.
 func receiveNakSingle(p *Peer, seq uint64) {
-	f := flit.Get()
+	f := p.pool.Get()
 	f.SetHeader(flit.Header{FSN: wireSeq(seq), Cmd: flit.CmdNakSingle, Type: flit.TypeNak})
 	f.SealCXL(p.fec)
 	p.Receive(f)

@@ -51,6 +51,11 @@ type Peer struct {
 
 	out *Wire
 	fec *rs.Interleaved
+	// pool recycles the peer's flits and their images: every flit it
+	// sends comes from here and returns here through whichever terminal
+	// consumer ends it. A flit never leaves the goroutine that drives its
+	// fabric's engine (a runner worker runs whole cells), so no lock.
+	pool flit.Pool
 
 	// Engine sinks of the pump wakeup and the retry and ACK timers, bound
 	// once in NewPeer so scheduling any of them allocates nothing.
@@ -244,7 +249,7 @@ func (p *Peer) transmitOne() bool {
 // sit outside the sequence stream and always use a plain CRC; their loss is
 // recovered by the retransmission and ACK timers.
 func (p *Peer) sendControl(h flit.Header) {
-	f := flit.Get()
+	f := p.pool.Get()
 	f.SetHeader(h)
 	f.DeferSealCXL()
 	p.transmit(f)
@@ -272,7 +277,7 @@ func (p *Peer) transmit(f *flit.Flit) {
 // piggyback acknowledgment if the protocol allows one. An offered entry
 // regenerates the same payload at every transmission, replays included.
 func (p *Peer) sendData(e *replayEntry, isRetransmit bool) {
-	f := flit.Get()
+	f := p.pool.Get()
 	if e.fill != nil {
 		f.DeferPayload(e.tag, e.fill)
 	} else {
@@ -350,9 +355,10 @@ func (p *Peer) retryTimeout(interface{}) {
 }
 
 // Receive processes a flit arriving from the wire (after any switches).
-// The peer is the flit's terminal consumer: pooled flits are recycled when
-// processing completes (payloads handed to Deliver alias the image and
-// must be copied if retained, per the Deliver contract).
+// The peer is the flit's terminal consumer: a pooled flit goes back to its
+// sender's pool when processing completes (payloads handed to Deliver
+// alias the image and must be copied if retained, per the Deliver
+// contract).
 func (p *Peer) Receive(f *flit.Flit) {
 	p.receive(f)
 	flit.Release(f)

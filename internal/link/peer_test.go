@@ -633,7 +633,7 @@ func TestReplayWindowShiftsInPlace(t *testing.T) {
 		h.a.Offer(n, fill)
 		h.eng.Run()
 	}
-	stream(2000) // warm the flit pool and the free lists
+	stream(2000) // warm the free lists
 	const n = 20000
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -647,14 +647,44 @@ func TestReplayWindowShiftsInPlace(t *testing.T) {
 	}
 	perPayload := float64(after.Mallocs-before.Mallocs) / n
 	t.Logf("%.4f objects per payload", perPayload)
-	budget := 0.001
-	if raceBuild {
-		// The race runtime drops a quarter of sync.Pool puts, so pooled
-		// flit images reallocate.
-		budget = 1
+	if perPayload > 0.001 {
+		t.Errorf("steady-state stream allocates %.4f objects per payload, budget 0.001", perPayload)
 	}
-	if perPayload > budget {
-		t.Errorf("steady-state stream allocates %.4f objects per payload, budget %g", perPayload, budget)
+}
+
+// TestReferenceImagesRecycle: a byte-level reference peer (FastPath off)
+// attaches a 256-byte image to every flit at send, and the receiver's
+// Release hands the flit and its image back to the sender's free list, so
+// a warm RXL pair streaming offered payloads over a lone wire allocates no
+// heap object per flit.
+func TestReferenceImagesRecycle(t *testing.T) {
+	h := newHarness(t, ProtocolRXL, func(c *Config) { c.FastPath = false })
+	var next uint64
+	h.b.Deliver = func(p []byte) {
+		if tag := binary.BigEndian.Uint64(p); tag != next {
+			t.Fatalf("delivered payload %d, want %d", tag, next)
+		}
+		next++
+	}
+	stream := func(n int) {
+		next = 0
+		h.a.Offer(n, func(tag uint64, p []byte) { binary.BigEndian.PutUint64(p, tag) })
+		h.eng.Run()
+		if next != uint64(n) {
+			t.Fatalf("delivered %d payloads, want %d", next, n)
+		}
+	}
+	stream(2000) // warm the free lists
+	const n = 20000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	stream(n)
+	runtime.ReadMemStats(&after)
+	flits := h.a.Stats.FlitsSent + h.b.Stats.FlitsSent
+	perFlit := float64(after.Mallocs-before.Mallocs) / float64(flits)
+	t.Logf("%.5f objects per flit over %d flits", perFlit, flits)
+	if perFlit > 0.001 {
+		t.Errorf("steady-state reference stream allocates %.5f objects per flit, want 0", perFlit)
 	}
 }
 

@@ -156,8 +156,9 @@ func TestMeshNodeReleasesUnknownSource(t *testing.T) {
 	n := NewMeshNode(m, 1, 1, link.DefaultConfig(link.ProtocolRXL))
 	n.PeerTo(m.NodeID(1, 0))
 	deliver := m.localSink[n.ID]
+	var pool flit.Pool
 	allocs := testing.AllocsPerRun(1000, func() {
-		f := flit.Get()
+		f := pool.Get()
 		f.SetRoute(m.NodeID(0, 1), n.ID) // (0,1) has no flow to n
 		deliver(f)
 	})

@@ -6,7 +6,7 @@
 #   scripts/verify.sh --level=race          # race detector over ./... + fuzz corpus
 #   scripts/verify.sh --level=flake         # serving/runner packages under -race, 50 times over
 #   scripts/verify.sh --level=kernels       # coding-kernel differential: default vs -tags purego
-#   scripts/verify.sh --level=differential  # scenario-grid fast/slow scan + cell and chain fuzz + purego core differentials + EXPERIMENTS.md bytes
+#   scripts/verify.sh --level=differential  # scenario-grid fast/slow scan + cell and chain fuzz + purego core and link differentials + EXPERIMENTS.md bytes
 #   scripts/verify.sh --level=smoke         # rxld HTTP serving-contract drill
 #   scripts/verify.sh --level=metrics       # /metrics + trace contract + rxltop drill
 #   scripts/verify.sh --level=fleet         # 3-daemon fleet + front byte-identity e2e
@@ -168,6 +168,9 @@ rung_differential() {
   # The reference is NoFastPath with the purego kernels under it: run the
   # core differential suites on that build too.
   run go test -count=1 -tags purego -run 'Differential|FastMatchesReference|OfferMatchesSubmit|OfferedPayloadBytes' ./internal/core/
+  # The reference path attaches a recycled flit image at every send, so
+  # the link suites that drive it and offered payloads run there too.
+  run go test -count=1 -tags purego -run 'Reference|Offer' ./internal/link/
   # The committed evaluation record: every output byte of the full sweep
   # must reproduce EXPERIMENTS.md.
   run go run ./cmd/sweep -rare | cmp - EXPERIMENTS.md
