@@ -47,3 +47,34 @@ func BenchmarkScenarioCell(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkExperiment runs whole chain experiments through Experiment.Run,
+// the chain counterpart of BenchmarkScenarioCell: the one-level RXL cell
+// at BER 1e-6 with 2 000 payloads that every grid miss of the serving
+// workloads computes (bench/serve.go's gridSpec), and a four-level CXL
+// cell at BER 1e-5, where traversals get struck and the path schedules
+// are consumed crossing by crossing. Seeds are fixed, so every iteration
+// of a shape runs the same experiment.
+//
+//	go test -run '^$' -bench Experiment/serve_miss -cpuprofile cpu.out ./internal/core/
+func BenchmarkExperiment(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		n    int
+	}{
+		{"serve_miss", Config{Protocol: link.ProtocolRXL, Levels: 1, BER: 1e-6, Seed: 1}, 2000},
+		{"cxl_struck", Config{Protocol: link.ProtocolCXL, Levels: 4, BER: 1e-5, BurstProb: 0.4, Seed: 1}, 2000},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res := (&Experiment{Fabric: MustNewFabric(tc.cfg), N: tc.n}).Run()
+				if res.Failures.Delivered == 0 {
+					b.Fatalf("experiment delivered nothing: %v", res)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tc.n), "ns/payload")
+		})
+	}
+}

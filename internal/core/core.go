@@ -1,15 +1,15 @@
-// Package core wires the substrates — event simulator, BER channels, link
+// Package core wires the substrates — event simulator, BER schedules, link
 // layer, switches, and transaction agents — into complete end-to-end
 // protocol stacks and runnable experiments. It is the layer the public rxl
 // package, the command-line tools, and the benchmark harness sit on.
 //
 // A Fabric is two endpoints joined across a configurable number of
-// switching levels with per-hop bit-error channels. Experiments inject a
-// workload at endpoint A, validate deliveries at endpoint B with the
-// paper's failure taxonomy (Section 7.1) — Fail_data for corrupted
-// payloads reaching the application, Fail_order for misordered or
-// duplicated deliveries — and report link, switch, and bandwidth
-// statistics.
+// switching levels with one bit-error schedule per direction.
+// Experiments inject a workload at endpoint A, validate deliveries at
+// endpoint B with the paper's failure taxonomy (Section 7.1) — Fail_data
+// for corrupted payloads reaching the application, Fail_order for
+// misordered or duplicated deliveries — and report link, switch, and
+// bandwidth statistics.
 package core
 
 import (
@@ -101,15 +101,16 @@ func (c Config) linkConfig() link.Config {
 	return lcfg
 }
 
-// Fabric is a live end-to-end stack: engine, chain topology, channels.
+// Fabric is a live end-to-end stack: engine, chain topology, schedules.
 type Fabric struct {
 	Cfg   Config
 	Eng   *sim.Engine
 	Chain *switchfab.Chain
 	// FwdSched and BwdSched are the per-direction shared error-event
-	// schedules (nil when BER is 0): each A→B traversal consumes one
-	// levels+1-hop window of FwdSched end-to-end, with the whole-path
-	// grant taken at the first wire, and symmetrically for B→A.
+	// schedules the chain consumes (nil when BER is 0): each A→B
+	// traversal consumes one levels+1-hop window of FwdSched end-to-end,
+	// with the whole-path grant taken at the first wire, and symmetrically
+	// for B→A.
 	FwdSched, BwdSched *phy.SharedSchedule
 	rng                *phy.RNG
 }
@@ -133,26 +134,15 @@ func NewFabric(cfg Config) (*Fabric, error) {
 	}
 
 	f := &Fabric{Cfg: cfg, Eng: eng, rng: phy.NewRNG(cfg.Seed)}
-	f.Chain = switchfab.NewChain(eng, ccfg)
-
 	if cfg.BER > 0 {
 		// One shared schedule per direction: the whole A→B (and B→A) path
 		// is one error-event stream, consumed a levels+1-hop window per
-		// flit. The first wire of each direction is the injection point
-		// where whole-path grants are taken.
+		// flit. Both are split before the switches' internal-fault
+		// streams, so every RNG keeps its place in the fabric's lineage.
 		f.FwdSched = phy.NewSharedSchedule(cfg.BER, cfg.BurstProb, f.rng.Split(), flit.Bits)
 		f.BwdSched = phy.NewSharedSchedule(cfg.BER, cfg.BurstProb, f.rng.Split(), flit.Bits)
-		wireSched := func(wires []*link.Wire, s *phy.SharedSchedule) {
-			for i, w := range wires {
-				w.PathSched = s
-				if i == 0 {
-					w.PathHops = len(wires)
-				}
-			}
-		}
-		wireSched(f.Chain.Fwd, f.FwdSched)
-		wireSched(f.Chain.Bwd, f.BwdSched)
 	}
+	f.Chain = switchfab.NewChain(eng, ccfg, f.FwdSched, f.BwdSched)
 	if cfg.InternalFlipProb > 0 {
 		for _, s := range f.Chain.Switches {
 			s.SeedInternalFaults(cfg.InternalFlipProb, f.rng.Split())

@@ -16,12 +16,11 @@ type channelStats struct {
 
 // schedStats snapshots a shared schedule's channel accounting.
 func schedStats(s *phy.SharedSchedule) channelStats {
-	ch := s.Channel()
 	return channelStats{
-		BitsSeen:     ch.BitsSeen,
-		BitsFlipped:  ch.BitsFlipped,
-		ErrorEvents:  ch.ErrorEvents,
-		UnitsTouched: ch.UnitsTouched,
+		BitsSeen:     s.BitsSeen,
+		BitsFlipped:  s.BitsFlipped,
+		ErrorEvents:  s.ErrorEvents,
+		UnitsTouched: s.UnitsTouched,
 	}
 }
 

@@ -333,13 +333,7 @@ func TestScenarioCellAllocationBudget(t *testing.T) {
 	objects := float64(after.Mallocs-before.Mallocs) / (flows * n)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (flows * n)
 	t.Logf("%.2f objects, %.0f B per offered payload", objects, bytes)
-	maxObjects, maxBytes := 0.3, 96.0
-	if raceBuild {
-		// Pooled flit images reallocate when the race runtime drops their
-		// puts (0.42 objects, 117 B measured), so -race holds the budget
-		// the driver had while it Submitted every payload up front.
-		maxObjects, maxBytes = 1.5, 512
-	}
+	const maxObjects, maxBytes = 0.3, 96.0
 	if objects >= maxObjects || bytes >= maxBytes {
 		t.Errorf("cell allocates %.2f objects and %.0f B per offered payload, budget is < %g and < %g B",
 			objects, bytes, maxObjects, maxBytes)

@@ -206,7 +206,8 @@ func TestChannelAttachment(t *testing.T) {
 	a := NewPeer("A", eng, DefaultConfig(ProtocolRXL))
 	b := NewPeer("B", eng, DefaultConfig(ProtocolRXL))
 	ab, _ := connectDirect(eng, a, b, sim.FlitTime, sim.Nanosecond)
-	ab.PathSched, ab.PathHops = phy.NewSharedSchedule(1e-4, 0, phy.NewRNG(3), flit.Bits), 1
+	sched := phy.NewSharedSchedule(1e-4, 0, phy.NewRNG(3), flit.Bits)
+	lossy(ab, sched)
 
 	delivered := 0
 	b.Deliver = func([]byte) { delivered++ }
@@ -218,7 +219,7 @@ func TestChannelAttachment(t *testing.T) {
 	if delivered != n {
 		t.Fatalf("delivered %d of %d", delivered, n)
 	}
-	if ab.PathSched.Channel().BitsFlipped == 0 {
+	if sched.BitsFlipped == 0 {
 		t.Fatal("channel injected nothing at BER 1e-4")
 	}
 }

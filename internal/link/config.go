@@ -92,7 +92,7 @@ type Config struct {
 	// defers its payload and its seal, first transmission or replay, and
 	// the peer reads FastPath in one place, its send tail: with it set the
 	// flit travels by reference with a clean mark, and every hop consults
-	// the channel's pre-drawn error schedule instead of scanning the
+	// the path's pre-drawn error schedule instead of scanning the
 	// image; with it off the flit is materialized there, unmarked, and
 	// everything downstream runs byte-level. Flits an error event (or
 	// fault hook, or switch-internal corruption) does touch are

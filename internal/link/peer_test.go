@@ -51,6 +51,22 @@ func connectDirect(eng *sim.Engine, a, b *Peer, ser, prop sim.Time) (ab, ba *Wir
 	return ab, ba
 }
 
+// lossy puts a one-hop crossing of s in front of w's receiver, behind its
+// fault hook: the lone link is a one-hop path, consumed the way a fabric
+// consumes its path schedules.
+func lossy(w *Wire, s *phy.SharedSchedule) {
+	fec := flit.NewFEC()
+	deliver := w.deliver
+	w.deliver = func(f *flit.Flit) {
+		if s.CrossClean() {
+			s.Advance()
+		} else {
+			s.Corrupt(f.Image(fec)[:])
+		}
+		deliver(f)
+	}
+}
+
 func tagged(tag uint64) []byte {
 	p := make([]byte, 16)
 	binary.BigEndian.PutUint64(p, tag)
@@ -423,8 +439,8 @@ func TestRandomBERDirectLinkExactlyOnce(t *testing.T) {
 		t.Run(proto.String(), func(t *testing.T) {
 			h := newHarness(t, proto, nil)
 			rng := phy.NewRNG(42)
-			h.ab.PathSched, h.ab.PathHops = phy.NewSharedSchedule(2e-6, 0.3, rng.Split(), flit.Bits), 1
-			h.ba.PathSched, h.ba.PathHops = phy.NewSharedSchedule(2e-6, 0.3, rng.Split(), flit.Bits), 1
+			lossy(h.ab, phy.NewSharedSchedule(2e-6, 0.3, rng.Split(), flit.Bits))
+			lossy(h.ba, phy.NewSharedSchedule(2e-6, 0.3, rng.Split(), flit.Bits))
 			const n = 4000
 			for i := uint64(0); i < n; i++ {
 				h.a.Submit(tagged(i))
@@ -442,8 +458,8 @@ func TestRandomBERHighErrorStress(t *testing.T) {
 		c.RetryTimeout = 1 * sim.Microsecond
 	})
 	rng := phy.NewRNG(7)
-	h.ab.PathSched, h.ab.PathHops = phy.NewSharedSchedule(5e-5, 0.5, rng.Split(), flit.Bits), 1
-	h.ba.PathSched, h.ba.PathHops = phy.NewSharedSchedule(5e-5, 0.5, rng.Split(), flit.Bits), 1
+	lossy(h.ab, phy.NewSharedSchedule(5e-5, 0.5, rng.Split(), flit.Bits))
+	lossy(h.ba, phy.NewSharedSchedule(5e-5, 0.5, rng.Split(), flit.Bits))
 	const n = 3000
 	for i := uint64(0); i < n; i++ {
 		h.a.Submit(tagged(i))
@@ -600,7 +616,7 @@ func benchThroughput(b *testing.B, proto Protocol, ber float64) {
 	bb.Deliver = func([]byte) { delivered++ }
 	ab, _ := connectDirect(eng, a, bb, sim.FlitTime, 10*sim.Nanosecond)
 	if ber > 0 {
-		ab.PathSched, ab.PathHops = phy.NewSharedSchedule(ber, 0.3, phy.NewRNG(1), flit.Bits), 1
+		lossy(ab, phy.NewSharedSchedule(ber, 0.3, phy.NewRNG(1), flit.Bits))
 	}
 	payload := make([]byte, flit.PayloadSize)
 	b.SetBytes(flit.PayloadSize)
@@ -698,7 +714,7 @@ func TestReferenceReplaysRegenerateOfferedImage(t *testing.T) {
 	for _, proto := range []Protocol{ProtocolRXL, ProtocolCXL} {
 		t.Run(proto.String(), func(t *testing.T) {
 			h := newHarness(t, proto, func(c *Config) { c.FastPath = false })
-			h.ab.PathSched, h.ab.PathHops = phy.NewSharedSchedule(1e-4, 0.3, phy.NewRNG(5), flit.Bits), 1
+			lossy(h.ab, phy.NewSharedSchedule(1e-4, 0.3, phy.NewRNG(5), flit.Bits))
 			first := map[uint64][flit.Size]byte{}
 			replays := 0
 			watch := func(w *Wire) {

@@ -232,11 +232,9 @@ func TestMeasuredAckOverheadMatchesEq13(t *testing.T) {
 func TestMeasuredRetryOverheadTracksEq12(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := switchfab.DefaultChainConfig(link.ProtocolRXL, 1)
-	c := switchfab.NewChain(eng, cfg)
 	rng := phy.NewRNG(12345)
-	for _, w := range append(append([]*link.Wire{}, c.Fwd...), c.Bwd...) {
-		w.PathSched, w.PathHops = phy.NewSharedSchedule(2e-5, 0.4, rng.Split(), flit.Bits), 1
-	}
+	c := switchfab.NewChain(eng, cfg,
+		phy.NewSharedSchedule(2e-5, 0.4, rng.Split(), flit.Bits), phy.NewSharedSchedule(2e-5, 0.4, rng.Split(), flit.Bits))
 	delivered := 0
 	c.B.Deliver = func([]byte) { delivered++ }
 	const n = 5000

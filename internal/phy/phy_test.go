@@ -146,7 +146,7 @@ func TestGeometricEdges(t *testing.T) {
 }
 
 func TestChannelZeroBER(t *testing.T) {
-	ch := NewChannel(0, 0, NewRNG(1))
+	ch := NewSharedSchedule(0, 0, NewRNG(1), 2048)
 	buf := make([]byte, 256)
 	for i := 0; i < 100; i++ {
 		if ch.Corrupt(buf) != 0 {
@@ -163,7 +163,7 @@ func TestChannelZeroBER(t *testing.T) {
 // The observed bit flip rate must match the configured BER.
 func TestChannelBERCalibration(t *testing.T) {
 	for _, ber := range []float64{1e-2, 1e-3, 1e-4} {
-		ch := NewChannel(ber, 0, NewRNG(2))
+		ch := NewSharedSchedule(ber, 0, NewRNG(2), 2048)
 		buf := make([]byte, 256)
 		flips := 0
 		trials := int(200 / ber / 2048) // aim for ~200 expected flips minimum
@@ -183,7 +183,7 @@ func TestChannelBERCalibration(t *testing.T) {
 // Observed flit error rate must match Eq. 1: FER = 1-(1-BER)^bits.
 func TestChannelFlitErrorRateMatchesEq1(t *testing.T) {
 	ber := 1e-4
-	ch := NewChannel(ber, 0, NewRNG(3))
+	ch := NewSharedSchedule(ber, 0, NewRNG(3), 2048)
 	buf := make([]byte, 256)
 	const trials = 100000
 	for i := 0; i < trials; i++ {
@@ -201,7 +201,7 @@ func TestChannelFlitErrorRateMatchesEq1(t *testing.T) {
 
 func TestChannelBurstExtension(t *testing.T) {
 	// With BurstProb=0.5, mean burst length is 2. Verify flips-per-event.
-	ch := NewChannel(1e-3, 0.5, NewRNG(4))
+	ch := NewSharedSchedule(1e-3, 0.5, NewRNG(4), 2048)
 	buf := make([]byte, 256)
 	for i := 0; i < 50000; i++ {
 		ch.Corrupt(buf)
@@ -219,7 +219,7 @@ func TestChannelBurstsAreContiguous(t *testing.T) {
 	// With a high burst probability and a single event, flipped bits must
 	// be contiguous.
 	for seed := uint64(0); seed < 50; seed++ {
-		ch := NewChannel(1e-6, 0.9, NewRNG(seed))
+		ch := NewSharedSchedule(1e-6, 0.9, NewRNG(seed), 4096*8)
 		buf := make([]byte, 4096)
 		n := ch.Corrupt(buf)
 		if n == 0 || ch.ErrorEvents != 1 {
@@ -242,7 +242,7 @@ func TestChannelBurstsAreContiguous(t *testing.T) {
 }
 
 func BenchmarkCorruptLowBER(b *testing.B) {
-	ch := NewChannel(1e-6, 0, NewRNG(6))
+	ch := NewSharedSchedule(1e-6, 0, NewRNG(6), 2048)
 	buf := make([]byte, 256)
 	b.SetBytes(256)
 	for i := 0; i < b.N; i++ {
@@ -251,7 +251,7 @@ func BenchmarkCorruptLowBER(b *testing.B) {
 }
 
 func BenchmarkCorruptHighBER(b *testing.B) {
-	ch := NewChannel(1e-3, 0.3, NewRNG(7))
+	ch := NewSharedSchedule(1e-3, 0.3, NewRNG(7), 2048)
 	buf := make([]byte, 256)
 	b.SetBytes(256)
 	for i := 0; i < b.N; i++ {

@@ -9,7 +9,7 @@ const flitBits = 2048
 // flipPositions corrupts n consecutive units of unitBytes through ch and
 // returns the global bit positions of every flip, concatenated across
 // units.
-func flipPositions(ch *Channel, n, unitBytes int) []int {
+func flipPositions(ch *SharedSchedule, n, unitBytes int) []int {
 	var pos []int
 	buf := make([]byte, unitBytes)
 	for u := 0; u < n; u++ {
@@ -37,8 +37,8 @@ func flipPositions(ch *Channel, n, unitBytes int) []int {
 func TestResidualGapCarry(t *testing.T) {
 	const units, unitBytes = 64, flitBits / 8
 	for _, ber := range []float64{1e-2, 1e-3, 1e-4} {
-		whole := NewChannel(ber, 0, NewRNG(77))
-		split := NewChannel(ber, 0, NewRNG(77))
+		whole := NewSharedSchedule(ber, 0, NewRNG(77), units*flitBits)
+		split := NewSharedSchedule(ber, 0, NewRNG(77), flitBits)
 
 		wantPos := flipPositions(whole, 1, units*unitBytes)
 		gotPos := flipPositions(split, units, unitBytes)
@@ -72,7 +72,7 @@ func TestBurstStraddlingBoundary(t *testing.T) {
 	const unitBytes = flitBits / 8
 	// High BER and burst probability so bursts regularly reach the
 	// boundary within a reasonable number of units.
-	ch := NewChannel(5e-3, 0.9, NewRNG(3))
+	ch := NewSharedSchedule(5e-3, 0.9, NewRNG(3), flitBits)
 	buf := make([]byte, unitBytes)
 	sawBoundaryHit := false
 	for u := 0; u < 400; u++ {
@@ -127,14 +127,14 @@ func TestTraverseMatchesCorrupt(t *testing.T) {
 	for _, tc := range []struct{ ber, burst float64 }{
 		{1e-3, 0}, {1e-3, 0.4}, {1e-4, 0.9}, {0, 0},
 	} {
-		byteCh := NewChannel(tc.ber, tc.burst, NewRNG(42))
-		schedCh := NewChannel(tc.ber, tc.burst, NewRNG(42))
+		byteCh := NewSharedSchedule(tc.ber, tc.burst, NewRNG(42), flitBits)
+		schedCh := NewSharedSchedule(tc.ber, tc.burst, NewRNG(42), flitBits)
 		buf := make([]byte, flitBits/8)
 		for u := 0; u < units; u++ {
 			for i := range buf {
 				buf[i] = 0
 			}
-			got := schedCh.Traverse(flitBits)
+			got := schedCh.Traverse()
 			want := byteCh.Corrupt(buf)
 			if got != want {
 				t.Fatalf("BER %g burst %g unit %d: Traverse flipped %d, Corrupt %d",
@@ -156,16 +156,16 @@ func TestTraverseMatchesCorrupt(t *testing.T) {
 // advancing across a scheduled event panics instead of silently dropping
 // it.
 func TestNextEventAdvance(t *testing.T) {
-	if got := NewChannel(0, 0, NewRNG(1)).NextEvent(); got != NoEvent {
+	if got := NewSharedSchedule(0, 0, NewRNG(1), flitBits).NextEvent(); got != NoEvent {
 		t.Fatalf("BER 0 NextEvent = %d, want NoEvent", got)
 	}
 
-	ch := NewChannel(1e-4, 0, NewRNG(9))
+	ch := NewSharedSchedule(1e-4, 0, NewRNG(9), flitBits)
 	next := ch.NextEvent()
 	// Advance in clean flit-sized steps up to the event.
 	steps := 0
 	for ch.NextEvent() >= flitBits {
-		ch.Advance(flitBits)
+		ch.Advance()
 		steps++
 		if want := next - steps*flitBits; ch.NextEvent() != want {
 			t.Fatalf("after %d advances NextEvent = %d, want %d", steps, ch.NextEvent(), want)
@@ -190,9 +190,9 @@ func TestNextEventAdvance(t *testing.T) {
 			t.Fatal("Advance across a scheduled event did not panic")
 		}
 	}()
-	ch2 := NewChannel(0.5, 0, NewRNG(2))
+	ch2 := NewSharedSchedule(0.5, 0, NewRNG(2), flitBits)
 	for ch2.NextEvent() >= flitBits {
-		ch2.Advance(flitBits)
+		ch2.Advance()
 	}
-	ch2.Advance(flitBits)
+	ch2.Advance()
 }

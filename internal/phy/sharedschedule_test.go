@@ -7,22 +7,22 @@ import (
 )
 
 // TestSharedScheduleMatchesChannelStream: driving a SharedSchedule with
-// the grant-then-per-unit policy consumes exactly the stream a bare
-// Channel consumes unit-by-unit — same flip counts per unit, same
-// residual, same RNG draws — whenever the policy's consumption order is
-// unit-sequential (one traversal at a time).
+// the grant-then-per-unit policy consumes exactly the stream an
+// identically seeded schedule consumes crossing by crossing — same flip
+// counts per unit, same residual, same RNG draws — whenever the policy's
+// consumption order is unit-sequential (one traversal at a time).
 func TestSharedScheduleMatchesChannelStream(t *testing.T) {
 	const unit = 2048
 	const hops = 5
 	const traversals = 4000
 	for _, ber := range []float64{1e-4, 1e-5, 5e-6} {
 		s := NewSharedSchedule(ber, 0.4, NewRNG(7), unit)
-		ref := NewChannel(ber, 0.4, NewRNG(7))
+		ref := NewSharedSchedule(ber, 0.4, NewRNG(7), unit)
 
 		for i := 0; i < traversals; i++ {
 			var want [hops]int
 			for h := 0; h < hops; h++ {
-				want[h] = ref.Traverse(unit)
+				want[h] = ref.Traverse()
 			}
 			if s.Begin(hops) {
 				for h := 0; h < hops; h++ {
@@ -51,10 +51,10 @@ func TestSharedScheduleMatchesChannelStream(t *testing.T) {
 				t.Fatalf("ber %g traversal %d: grant refused but traversal clean", ber, i)
 			}
 		}
-		if s.Channel().BitsSeen != ref.BitsSeen || s.Channel().BitsFlipped != ref.BitsFlipped ||
-			s.Channel().ErrorEvents != ref.ErrorEvents {
+		if s.BitsSeen != ref.BitsSeen || s.BitsFlipped != ref.BitsFlipped ||
+			s.ErrorEvents != ref.ErrorEvents {
 			t.Fatalf("ber %g: accounting diverged: %+v vs BitsSeen=%d BitsFlipped=%d ErrorEvents=%d",
-				ber, s.Channel(), ref.BitsSeen, ref.BitsFlipped, ref.ErrorEvents)
+				ber, s, ref.BitsSeen, ref.BitsFlipped, ref.ErrorEvents)
 		}
 	}
 }
@@ -66,7 +66,7 @@ func TestSharedScheduleCorruptPlacesFlipsOnAssignedHop(t *testing.T) {
 	const unit = 2048
 	const hops = 3
 	s := NewSharedSchedule(2e-4, 0.4, NewRNG(21), unit)
-	ref := NewChannel(2e-4, 0.4, NewRNG(21))
+	ref := NewSharedSchedule(2e-4, 0.4, NewRNG(21), unit)
 
 	dirtySeen := 0
 	for i := 0; i < 3000; i++ {
@@ -108,8 +108,8 @@ func TestSharedScheduleZeroBER(t *testing.T) {
 			t.Fatal("zero-BER schedule refused a grant")
 		}
 	}
-	if s.Channel().BitsSeen != 10*7*2048 {
-		t.Fatalf("BitsSeen %d", s.Channel().BitsSeen)
+	if s.BitsSeen != 10*7*2048 {
+		t.Fatalf("BitsSeen %d", s.BitsSeen)
 	}
 }
 
@@ -139,11 +139,11 @@ func TestWalkEpochSkipMatchesStepwise(t *testing.T) {
 	const unit = 2048
 	const crossings = 60000
 	s := NewSharedSchedule(1e-5, 0.4, NewRNG(9), unit)
-	ref := NewChannel(1e-5, 0.4, NewRNG(9))
+	ref := NewSharedSchedule(1e-5, 0.4, NewRNG(9), unit)
 	struck := 0
 	clean := s.Walk(context.Background(), 1, crossings, func() {
 		for {
-			want := ref.Traverse(unit)
+			want := ref.Traverse()
 			if want == 0 {
 				continue // a clean crossing Walk granted
 			}
@@ -155,7 +155,7 @@ func TestWalkEpochSkipMatchesStepwise(t *testing.T) {
 		struck++
 	})
 	for ref.BitsSeen < uint64(crossings*unit) {
-		if got := ref.Traverse(unit); got != 0 {
+		if got := ref.Traverse(); got != 0 {
 			t.Fatalf("trailing crossing declared clean but reference flips %d bits", got)
 		}
 	}
@@ -165,7 +165,7 @@ func TestWalkEpochSkipMatchesStepwise(t *testing.T) {
 	if clean+struck != crossings {
 		t.Fatalf("clean %d + struck %d != %d crossings", clean, struck, crossings)
 	}
-	sc := s.Channel()
+	sc := s
 	if sc.BitsSeen != ref.BitsSeen || sc.BitsFlipped != ref.BitsFlipped || sc.ErrorEvents != ref.ErrorEvents {
 		t.Fatalf("accounting diverged: BitsSeen %d/%d BitsFlipped %d/%d ErrorEvents %d/%d",
 			sc.BitsSeen, ref.BitsSeen, sc.BitsFlipped, ref.BitsFlipped, sc.ErrorEvents, ref.ErrorEvents)
@@ -183,8 +183,8 @@ func TestWalkZeroBER(t *testing.T) {
 	if s.Walk(context.Background(), 3, 0, nil) != 0 { // no units: no-op
 		t.Fatal("empty walk reported clean units")
 	}
-	if s.Channel().BitsSeen != 123*3*2048 {
-		t.Fatalf("BitsSeen %d", s.Channel().BitsSeen)
+	if s.BitsSeen != 123*3*2048 {
+		t.Fatalf("BitsSeen %d", s.BitsSeen)
 	}
 }
 
@@ -197,8 +197,8 @@ func TestWalkStopsOnCancel(t *testing.T) {
 	if clean := s.Walk(ctx, 1, 1000, func() { t.Fatal("canceled walk struck a unit") }); clean != 0 {
 		t.Fatalf("canceled walk granted %d units", clean)
 	}
-	if s.Channel().BitsSeen != 0 {
-		t.Fatalf("canceled walk consumed %d bits", s.Channel().BitsSeen)
+	if s.BitsSeen != 0 {
+		t.Fatalf("canceled walk consumed %d bits", s.BitsSeen)
 	}
 }
 
@@ -206,7 +206,7 @@ func TestWalkStopsOnCancel(t *testing.T) {
 // count, Walk — with onStruck Traversing the struck traversal's crossings
 // one by one — reports the clean traversals, struck traversals (with
 // their flip counts, in order) and channel accounting of a
-// crossing-by-crossing Channel.Traverse walk on the same seed.
+// crossing-by-crossing Traverse walk on the same seed.
 func FuzzWalkMatchesStepwise(f *testing.F) {
 	const unit = 256
 	f.Fuzz(func(t *testing.T, ber, burst float64, seed uint64, hops uint8, units uint16) {
@@ -225,13 +225,13 @@ func FuzzWalkMatchesStepwise(f *testing.F) {
 			struck = append(struck, flips)
 		})
 
-		ref := NewChannel(ber, burst, NewRNG(seed))
+		ref := NewSharedSchedule(ber, burst, NewRNG(seed), unit)
 		var want []int
 		refClean := 0
 		for i := 0; i < n; i++ {
 			flips := 0
 			for c := 0; c < h; c++ {
-				flips += ref.Traverse(unit)
+				flips += ref.Traverse()
 			}
 			if flips == 0 {
 				refClean++
@@ -243,7 +243,7 @@ func FuzzWalkMatchesStepwise(f *testing.F) {
 		if clean != refClean || !slices.Equal(struck, want) {
 			t.Fatalf("clean %d struck %v, stepwise clean %d struck %v", clean, struck, refClean, want)
 		}
-		sc := s.Channel()
+		sc := s
 		if sc.BitsSeen != ref.BitsSeen || sc.BitsFlipped != ref.BitsFlipped ||
 			sc.ErrorEvents != ref.ErrorEvents || sc.UnitsTouched != ref.UnitsTouched {
 			t.Fatalf("accounting diverged: %+v, stepwise %+v", *sc, *ref)

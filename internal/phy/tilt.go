@@ -3,7 +3,7 @@ package phy
 import "math"
 
 // Importance-sampling support: exponential tilting of the error-event
-// schedule. A Channel built at a *proposal* BER q > p draws its geometric
+// schedule. A schedule built at a *proposal* BER q > p draws its geometric
 // gaps from the tilted process; an estimator that reweights each unit
 // (flit) trajectory by the exact likelihood ratio of the drawn gaps
 // recovers unbiased estimates under the *true* BER p. Because the

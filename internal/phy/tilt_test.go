@@ -12,12 +12,12 @@ import (
 func TestTiltedChannelIsPlainProposalChannel(t *testing.T) {
 	const p, q, unit = 1e-9, 5e-4, 2048
 	tilted := TiltedChannel(p, q, NewRNG(7), unit)
-	plain := NewChannel(q, 0, NewRNG(7))
+	plain := NewSharedSchedule(q, 0, NewRNG(7), unit)
 	for i := 0; i < 5000; i++ {
-		if a, b := tilted.Channel().NextEvent(), plain.NextEvent(); a != b {
+		if a, b := tilted.NextEvent(), plain.NextEvent(); a != b {
 			t.Fatalf("unit %d: tilted NextEvent %d != plain %d", i, a, b)
 		}
-		if a, b := tilted.Traverse(), plain.Traverse(unit); a != b {
+		if a, b := tilted.Traverse(), plain.Traverse(); a != b {
 			t.Fatalf("unit %d: tilted Traverse %d != plain %d", i, a, b)
 		}
 	}
@@ -39,8 +39,8 @@ func TestTiltedChannelValidation(t *testing.T) {
 		}()
 	}
 	// Equal rates are the untilted degenerate case and must be accepted.
-	if s := TiltedChannel(1e-6, 1e-6, NewRNG(1), 2048); s.Channel().BER != 1e-6 {
-		t.Fatalf("untilted channel BER %g", s.Channel().BER)
+	if s := TiltedChannel(1e-6, 1e-6, NewRNG(1), 2048); s.BER != 1e-6 {
+		t.Fatalf("untilted channel BER %g", s.BER)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // flit) is impossible, so the chain of conditional probabilities is
 // measured stage by stage at rates where events actually occur:
 //
-//	stage 1  P(flit erroneous)                — accelerated BER, phy.Channel
+//	stage 1  P(flit erroneous)                — accelerated BER, phy.SharedSchedule
 //	stage 2  P(uncorrectable | erroneous)     — real FEC decode on flits
 //	stage 3  P(FEC misses | uncorrectable)    — burst injection into RS codec
 //	stage 4  P(CRC misses | FEC missed)       — analytic 2^-64 (validated by

@@ -38,14 +38,15 @@ func pathSample(ber float64, hops, flits, bad int) PathFERSample {
 }
 
 // MeasureFERPath is the byte-level reference: every flit crosses `hops`
-// crossings of one shared schedule, each corrupting a real flit image.
-// It exists to pin MeasureFERPathSchedule bit-exactly (the schedule walk
-// must count precisely the flits this loop counts), not for throughput.
+// crossings of one shared schedule, each corrupting a real flit image
+// through the schedule's one-hop Corrupt. It exists to pin
+// MeasureFERPathSchedule bit-exactly (the schedule walk must count
+// precisely the flits this loop counts), not for throughput.
 func MeasureFERPath(ber float64, hops, flits int, seed uint64) PathFERSample {
 	if flits <= 0 || hops <= 0 {
 		panic("reliability: MeasureFERPath needs positive hops and flits")
 	}
-	ch := phy.NewChannel(ber, 0, phy.NewRNG(seed))
+	ch := phy.NewSharedSchedule(ber, 0, phy.NewRNG(seed), FlitBits)
 	buf := make([]byte, FlitBits/8)
 	bad := 0
 	for i := 0; i < flits; i++ {

@@ -53,18 +53,18 @@ func TestISFERUntiltedReducesToNaive(t *testing.T) {
 	const ber, trials = 1e-4, 100000
 	est := ISFER{BER: ber, Proposal: ber}.Run(bg, trials, 5)
 
-	ch := phy.NewChannel(ber, 0, phy.NewRNG(5))
+	ch := phy.NewSharedSchedule(ber, 0, phy.NewRNG(5), UnitBits)
 	hits := 0
 	for i := 0; i < trials; {
 		if clean := ch.NextEvent() / UnitBits; clean > 0 {
 			if clean > trials-i {
 				clean = trials - i
 			}
-			ch.Advance(clean * UnitBits)
+			ch.GrantSpan(1, clean)
 			i += clean
 			continue
 		}
-		if ch.Traverse(UnitBits) > 0 {
+		if ch.Traverse() > 0 {
 			hits++
 		}
 		i++

@@ -178,7 +178,7 @@ func (s Splitting) scanStage(ctx context.Context, rng *phy.RNG, effort int) ([]e
 	var out []entry
 	sched := phy.NewSharedSchedule(s.BER, 0, rng, UnitBits)
 	sched.Walk(ctx, 1, effort, func() {
-		bit := sched.Channel().NextEvent()
+		bit := sched.NextEvent()
 		out = append(out, entry{bit: bit, syms: []uint8{uint8(bit / 8)}})
 		sched.Traverse()
 	})

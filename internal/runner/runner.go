@@ -4,7 +4,7 @@
 // results deterministically.
 //
 // Every simulation substrate in this repository is single-threaded by
-// design (one sim.Engine, one phy.Channel RNG stream per fabric), so the
+// design (one sim.Engine, one phy.RNG lineage per fabric), so the
 // unit of parallelism is the *shard*: an independent job with its own
 // engine and its own RNG stream. The two invariants the runner maintains:
 //

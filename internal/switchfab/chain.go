@@ -3,7 +3,10 @@ package switchfab
 import (
 	"fmt"
 
+	"repro/internal/flit"
 	"repro/internal/link"
+	"repro/internal/phy"
+	"repro/internal/rs"
 	"repro/internal/sim"
 )
 
@@ -13,8 +16,12 @@ import (
 //
 //	A ═w0═ S1 ═w1═ S2 ═ ... ═ SL ═wL═ B
 //
-// All wires are exposed so experiments can attach error channels and fault
-// hooks per hop.
+// Each direction is one path with one error-event schedule, consumed the
+// way the mesh consumes its paths: a crossing sits in front of every
+// hop's receiver (the next switch's pipeline, or the endpoint), behind
+// the wire's fault hook. The first wire opens a traversal of all levels+1
+// crossings, so a clean window grants the flit a pass over the rest. All
+// wires are exposed so experiments can attach fault hooks per hop.
 type Chain struct {
 	A, B *link.Peer
 	// Fwd[i] is the i-th wire on the A->B path; Bwd[i] the i-th on B->A
@@ -22,6 +29,9 @@ type Chain struct {
 	Fwd, Bwd []*link.Wire
 	// Switches holds the L switching elements, shared by both directions.
 	Switches []*Switch
+
+	// fec materializes deferred seals when a schedule strikes a flit.
+	fec *rs.Interleaved
 }
 
 // ChainConfig parameterizes chain construction.
@@ -56,12 +66,16 @@ func ModeFor(p link.Protocol) Mode {
 }
 
 // NewChain builds the topology and returns it with endpoints attached and
-// ready for traffic.
-func NewChain(eng *sim.Engine, cfg ChainConfig) *Chain {
+// ready for traffic. fwd and bwd are the error-event schedules of the A→B
+// and B→A paths, one unit per wire crossing; nil means a clean direction.
+func NewChain(eng *sim.Engine, cfg ChainConfig, fwd, bwd *phy.SharedSchedule) *Chain {
 	if cfg.Levels < 0 {
 		panic("switchfab: negative switch levels")
 	}
 	c := &Chain{}
+	if fwd != nil || bwd != nil {
+		c.fec = flit.NewFEC()
+	}
 	c.A = link.NewPeer("A", eng, cfg.LinkCfg)
 	c.B = link.NewPeer("B", eng, cfg.LinkCfg)
 	mode := ModeFor(cfg.LinkCfg.Protocol)
@@ -73,8 +87,8 @@ func NewChain(eng *sim.Engine, cfg ChainConfig) *Chain {
 
 	// Build each direction from the far end backwards so every wire knows
 	// its deliver target at construction.
-	c.Fwd = buildPath(eng, cfg, c.Switches, c.B, false)
-	c.Bwd = buildPath(eng, cfg, c.Switches, c.A, true)
+	c.Fwd = c.buildPath(eng, cfg, c.B, false, fwd)
+	c.Bwd = c.buildPath(eng, cfg, c.A, true, bwd)
 	c.A.Attach(c.Fwd[0])
 	c.B.Attach(c.Bwd[0])
 	return c
@@ -82,22 +96,44 @@ func NewChain(eng *sim.Engine, cfg ChainConfig) *Chain {
 
 // buildPath creates the levels+1 wires of one direction. For the backward
 // direction the switch order is reversed (flits from B hit SL first).
-func buildPath(eng *sim.Engine, cfg ChainConfig, switches []*Switch, dst *link.Peer, reverse bool) []*link.Wire {
+func (c *Chain) buildPath(eng *sim.Engine, cfg ChainConfig, dst *link.Peer, reverse bool, s *phy.SharedSchedule) []*link.Wire {
 	n := cfg.Levels + 1
 	wires := make([]*link.Wire, n)
 	// Wire n-1 delivers to the destination endpoint.
 	deliver := dst.Receive
 	for i := n - 1; i >= 0; i-- {
-		wires[i] = link.NewWire(eng, cfg.Serialization, cfg.Propagation, deliver)
+		wires[i] = link.NewWire(eng, cfg.Serialization, cfg.Propagation, c.crossing(s, i, n, deliver))
 		if i > 0 {
-			sw := switches[i-1]
+			sw := c.Switches[i-1]
 			if reverse {
-				sw = switches[len(switches)-i]
+				sw = c.Switches[len(c.Switches)-i]
 			}
 			deliver = sw.Pipeline(wires[i])
 		}
 	}
 	return wires
+}
+
+// crossing puts wire i's crossing of the path schedule s in front of the
+// wire's receiver recv: wire 0 opens the flit's traversal of all hops
+// crossings, and every later wire spends the flit's path pass or consumes
+// one unit of s.
+func (c *Chain) crossing(s *phy.SharedSchedule, i, hops int, recv func(*flit.Flit)) func(*flit.Flit) {
+	if s == nil {
+		return recv
+	}
+	if i == 0 {
+		return func(f *flit.Flit) {
+			beginTraversal(s, c.fec, f, hops)
+			recv(f)
+		}
+	}
+	return func(f *flit.Flit) {
+		if !f.TakePathPass() {
+			crossUnit(s, c.fec, f)
+		}
+		recv(f)
+	}
 }
 
 // TotalSwitchStats sums the stats across all switches.

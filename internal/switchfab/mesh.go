@@ -288,7 +288,7 @@ func (m *Mesh) SetPathBERScale(scale float64) {
 	m.berScale = scale
 	// Iteration order does not matter: each schedule redraws from its own
 	// RNG stream, independent of the others.
-	m.eachPath(func(_, _ int, s *phy.SharedSchedule) { s.Channel().SetBER(m.ber * scale) })
+	m.eachPath(func(_, _ int, s *phy.SharedSchedule) { s.SetBER(m.ber * scale) })
 }
 
 // eachPath calls fn on every schedule created so far, in ascending
@@ -342,7 +342,7 @@ func (m *Mesh) injectArrival(id int) func(*flit.Flit) {
 		}
 		granted := true
 		if m.paths != nil {
-			granted = link.BeginPathTraversal(m.pathSched(src, dst), m.fec, f, hops)
+			granted = beginTraversal(m.pathSched(src, dst), m.fec, f, hops)
 		}
 		if rt != nil && !m.noExpress {
 			eligible := rt.expressEligible()
@@ -589,9 +589,9 @@ func (m *Mesh) neighbor(id, d int) int {
 //   - No route router carries an internal fault point (hook or
 //     probabilistic flip): process() must stay deterministic and
 //     RNG-silent when run at claim time instead of arrival time.
-//   - Every route wire is ExpressClaimable — no wire-attached error
-//     model, no fault hook (fault scripts install theirs before the run).
-//     In-flight flits do not block: on an eligible path every flit claims
+//   - No route wire carries a fault hook (fault scripts install theirs
+//     before the run). In-flight flits do not block: claims queue FIFO on
+//     a wire's busy window, and on an eligible path every flit claims
 //     its wires at injection, so claims — and therefore per-wire
 //     serialization and per-path delivery — follow injection order, which
 //     is ISN's in-order contract.
@@ -606,7 +606,7 @@ func (rt *meshRoute) expressEligible() bool {
 		}
 	}
 	for _, w := range rt.wires {
-		if w == nil || !w.ExpressClaimable() {
+		if w == nil || w.FaultHook != nil {
 			return false
 		}
 	}
@@ -635,7 +635,38 @@ func (m *Mesh) crossHop(f *flit.Flit) {
 		return
 	}
 	src, dst := f.Route()
-	link.CrossPathUnit(m.pathSched(src, dst), m.fec, f)
+	crossUnit(m.pathSched(src, dst), m.fec, f)
+}
+
+// beginTraversal opens a flit's traversal of a path schedule at its
+// injection crossing. A clean whole-traversal window consumes all
+// hops×flit.Bits up front, grants the flit a pass for the remaining
+// hops-1 crossings, and returns true; otherwise only this crossing is
+// consumed — byte-level when the schedule strikes it — and false is
+// returned. The decision depends only on the schedule — never on the
+// flit's fast-path marks — so fast and byte-level runs consume the stream
+// identically. The grant verdict is what express traversal keys on: a
+// granted flit's whole mesh timing is deterministic at injection.
+func beginTraversal(s *phy.SharedSchedule, fec *rs.Interleaved, f *flit.Flit, hops int) bool {
+	if s.Begin(hops) {
+		f.SetPathPass(hops - 1)
+		return true
+	}
+	crossUnit(s, fec, f)
+	return false
+}
+
+// crossUnit consumes one path-schedule crossing for f: an O(1) advance
+// when the unit is clean, a strike on the flit's image when the schedule
+// strikes it. A struck flit is materialized first (its deferred CRC/FEC
+// computed), so the byte-level corruption, and everything downstream of
+// it, is bit-identical to the always-slow reference.
+func crossUnit(s *phy.SharedSchedule, fec *rs.Interleaved, f *flit.Flit) {
+	if s.CrossClean() {
+		s.Advance()
+		return
+	}
+	s.Corrupt(f.Image(fec)[:])
 }
 
 // releaseFlit is the local sink of a node with nothing attached.
@@ -790,11 +821,10 @@ func (m *Mesh) PathStats() []PathStat {
 	}
 	out := []PathStat{}
 	m.eachPath(func(src, dst int, s *phy.SharedSchedule) {
-		ch := s.Channel()
 		out = append(out, PathStat{
 			Src: byte(src), Dst: byte(dst),
-			BitsSeen: ch.BitsSeen, BitsFlipped: ch.BitsFlipped,
-			ErrorEvents: ch.ErrorEvents, UnitsTouched: ch.UnitsTouched,
+			BitsSeen: s.BitsSeen, BitsFlipped: s.BitsFlipped,
+			ErrorEvents: s.ErrorEvents, UnitsTouched: s.UnitsTouched,
 		})
 	})
 	return out

@@ -211,7 +211,7 @@ func TestMeshPathStatsContract(t *testing.T) {
 	send(2, 0) // created after the scale change
 	eng.Run()
 	for _, st := range m.PathStats() {
-		if got := m.pathSched(st.Src, st.Dst).Channel().BER; got != 8*ber {
+		if got := m.pathSched(st.Src, st.Dst).BER; got != 8*ber {
 			t.Errorf("schedule (%d,%d) BER %g after SetPathBERScale(8), want %g", st.Src, st.Dst, got, 8*ber)
 		}
 	}

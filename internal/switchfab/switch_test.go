@@ -37,7 +37,7 @@ func TestChainCleanDelivery(t *testing.T) {
 		for _, levels := range []int{0, 1, 2, 4} {
 			t.Run(proto.String(), func(t *testing.T) {
 				eng := sim.NewEngine()
-				c := NewChain(eng, DefaultChainConfig(proto, levels))
+				c := NewChain(eng, DefaultChainConfig(proto, levels), nil, nil)
 				var got []uint64
 				c.B.Deliver = collectTags(&got)
 				const n = 200
@@ -62,7 +62,7 @@ func TestChainCleanDelivery(t *testing.T) {
 
 func TestChainBidirectional(t *testing.T) {
 	eng := sim.NewEngine()
-	c := NewChain(eng, DefaultChainConfig(link.ProtocolRXL, 2))
+	c := NewChain(eng, DefaultChainConfig(link.ProtocolRXL, 2), nil, nil)
 	var gotB, gotA []uint64
 	c.B.Deliver = collectTags(&gotB)
 	c.A.Deliver = collectTags(&gotA)
@@ -82,7 +82,7 @@ func TestChainBidirectional(t *testing.T) {
 func TestSwitchDropsUncorrectable(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultChainConfig(link.ProtocolRXL, 1)
-	c := NewChain(eng, cfg)
+	c := NewChain(eng, cfg, nil, nil)
 	var got []uint64
 	c.B.Deliver = collectTags(&got)
 
@@ -119,7 +119,7 @@ func TestSwitchDropCXLPiggybackMisorders(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultChainConfig(link.ProtocolCXL, 1)
 	cfg.LinkCfg.CoalesceCount = 1
-	c := NewChain(eng, cfg)
+	c := NewChain(eng, cfg, nil, nil)
 	var got []uint64
 	c.B.Deliver = collectTags(&got)
 
@@ -168,7 +168,7 @@ func TestSwitchDropCXLPiggybackMisorders(t *testing.T) {
 // the application undetected.
 func TestInternalCorruptionCXLUndetected(t *testing.T) {
 	eng := sim.NewEngine()
-	c := NewChain(eng, DefaultChainConfig(link.ProtocolCXL, 1))
+	c := NewChain(eng, DefaultChainConfig(link.ProtocolCXL, 1), nil, nil)
 	var payloads [][]byte
 	c.B.Deliver = func(p []byte) { payloads = append(payloads, append([]byte(nil), p...)) }
 
@@ -202,7 +202,7 @@ func TestInternalCorruptionCXLUndetected(t *testing.T) {
 // the same internal corruption and the retry delivers clean data.
 func TestInternalCorruptionRXLDetected(t *testing.T) {
 	eng := sim.NewEngine()
-	c := NewChain(eng, DefaultChainConfig(link.ProtocolRXL, 1))
+	c := NewChain(eng, DefaultChainConfig(link.ProtocolRXL, 1), nil, nil)
 	var payloads [][]byte
 	c.B.Deliver = func(p []byte) { payloads = append(payloads, append([]byte(nil), p...)) }
 
@@ -242,7 +242,7 @@ func TestInternalCorruptionRXLDetected(t *testing.T) {
 // rejects the flit by its end-to-end CRC.
 func TestInternalHookSilentMutationRegenerated(t *testing.T) {
 	eng := sim.NewEngine()
-	c := NewChain(eng, DefaultChainConfig(link.ProtocolRXL, 2))
+	c := NewChain(eng, DefaultChainConfig(link.ProtocolRXL, 2), nil, nil)
 	var payloads [][]byte
 	c.B.Deliver = func(p []byte) { payloads = append(payloads, append([]byte(nil), p...)) }
 
@@ -285,11 +285,9 @@ func TestInternalHookSilentMutationRegenerated(t *testing.T) {
 
 func TestChainUnderBERRXLExactlyOnce(t *testing.T) {
 	eng := sim.NewEngine()
-	c := NewChain(eng, DefaultChainConfig(link.ProtocolRXL, 2))
 	rng := phy.NewRNG(99)
-	for _, w := range append(append([]*link.Wire{}, c.Fwd...), c.Bwd...) {
-		w.PathSched, w.PathHops = phy.NewSharedSchedule(1e-5, 0.4, rng.Split(), flit.Bits), 1
-	}
+	c := NewChain(eng, DefaultChainConfig(link.ProtocolRXL, 2),
+		phy.NewSharedSchedule(1e-5, 0.4, rng.Split(), flit.Bits), phy.NewSharedSchedule(1e-5, 0.4, rng.Split(), flit.Bits))
 	var got []uint64
 	c.B.Deliver = collectTags(&got)
 	const n = 3000
@@ -307,11 +305,9 @@ func TestChainUnderBERRXLExactlyOnce(t *testing.T) {
 func TestChainUnderBERNoPiggybackExactlyOnce(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultChainConfig(link.ProtocolCXLNoPiggyback, 1)
-	c := NewChain(eng, cfg)
 	rng := phy.NewRNG(5)
-	for _, w := range append(append([]*link.Wire{}, c.Fwd...), c.Bwd...) {
-		w.PathSched, w.PathHops = phy.NewSharedSchedule(1e-5, 0.4, rng.Split(), flit.Bits), 1
-	}
+	c := NewChain(eng, cfg,
+		phy.NewSharedSchedule(1e-5, 0.4, rng.Split(), flit.Bits), phy.NewSharedSchedule(1e-5, 0.4, rng.Split(), flit.Bits))
 	var got []uint64
 	c.B.Deliver = collectTags(&got)
 	const n = 3000
@@ -322,13 +318,66 @@ func TestChainUnderBERNoPiggybackExactlyOnce(t *testing.T) {
 	wantInOrder(t, got, n)
 }
 
+// TestHookRunsBeforeCrossing pins the order both fabrics share at a wire:
+// its fault hook sees a flit before the fabric puts the flit through that
+// wire's crossing of its path schedule. A hook on a path's first wire that
+// drops every flit therefore leaves the path's schedule unconsumed.
+func TestHookRunsBeforeCrossing(t *testing.T) {
+	const ber = 1e-4
+	for _, tc := range []struct {
+		name string
+		// build returns the path's sender, its first wire and a probe of
+		// its schedule's accounting (bits seen, error events).
+		build func(eng *sim.Engine) (tx *link.Peer, first *link.Wire, sched func() (uint64, uint64))
+	}{
+		{"chain", func(eng *sim.Engine) (*link.Peer, *link.Wire, func() (uint64, uint64)) {
+			rng := phy.NewRNG(1)
+			fwd := phy.NewSharedSchedule(ber, 0.4, rng.Split(), flit.Bits)
+			c := NewChain(eng, DefaultChainConfig(link.ProtocolRXL, 2), fwd, phy.NewSharedSchedule(ber, 0.4, rng.Split(), flit.Bits))
+			return c.A, c.Fwd[0], func() (uint64, uint64) { return fwd.BitsSeen, fwd.ErrorEvents }
+		}},
+		{"mesh", func(eng *sim.Engine) (*link.Peer, *link.Wire, func() (uint64, uint64)) {
+			cfg := DefaultMeshConfig(ModeRXL)
+			cfg.BER, cfg.BurstProb, cfg.Seed = ber, 0.4, 1
+			m := NewMesh(eng, 3, 3, cfg)
+			a := NewMeshNode(m, 0, 0, link.DefaultConfig(link.ProtocolRXL))
+			b := NewMeshNode(m, 2, 2, link.DefaultConfig(link.ProtocolRXL))
+			tx, _ := meshFlow(m, a, b)
+			return tx, m.ingress[a.ID], func() (bits, events uint64) {
+				for _, st := range m.PathStats() {
+					if st.Src == a.ID && st.Dst == b.ID {
+						bits, events = st.BitsSeen, st.ErrorEvents
+					}
+				}
+				return bits, events
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			tx, first, sched := tc.build(eng)
+			first.FaultHook = func(*flit.Flit) bool { return true }
+			for i := uint64(0); i < 200; i++ {
+				tx.Submit(tagged(i))
+			}
+			eng.AdvanceTo(20 * sim.Microsecond) // the sender retries forever
+			if first.HookDropped == 0 {
+				t.Fatal("the hook dropped nothing")
+			}
+			if bits, events := sched(); bits != 0 || events != 0 {
+				t.Fatalf("dropped flits consumed the path schedule: %d bits seen, %d error events", bits, events)
+			}
+		})
+	}
+}
+
 func TestNegativeLevelsPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
 		}
 	}()
-	NewChain(sim.NewEngine(), ChainConfig{Levels: -1, LinkCfg: link.DefaultConfig(link.ProtocolRXL)})
+	NewChain(sim.NewEngine(), ChainConfig{Levels: -1, LinkCfg: link.DefaultConfig(link.ProtocolRXL)}, nil, nil)
 }
 
 func TestModeString(t *testing.T) {
@@ -339,7 +388,7 @@ func TestModeString(t *testing.T) {
 
 func BenchmarkChainThroughput2Level(b *testing.B) {
 	eng := sim.NewEngine()
-	c := NewChain(eng, DefaultChainConfig(link.ProtocolRXL, 2))
+	c := NewChain(eng, DefaultChainConfig(link.ProtocolRXL, 2), nil, nil)
 	delivered := 0
 	c.B.Deliver = func([]byte) { delivered++ }
 	payload := make([]byte, flit.PayloadSize)

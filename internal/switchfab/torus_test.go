@@ -224,15 +224,15 @@ func TestSetPathBERScale(t *testing.T) {
 	scaled := base * factor // the exact float64 product the mesh computes
 	existing := m.pathSched(0, 3)
 	m.SetPathBERScale(100)
-	if got := existing.Channel().BER; got != scaled {
+	if got := existing.BER; got != scaled {
 		t.Errorf("existing schedule BER = %g, want %g", got, scaled)
 	}
 	created := m.pathSched(3, 0)
-	if got := created.Channel().BER; got != scaled {
+	if got := created.BER; got != scaled {
 		t.Errorf("new schedule BER = %g, want %g", got, scaled)
 	}
 	m.SetPathBERScale(1)
-	if got := existing.Channel().BER; got != 1e-6 {
+	if got := existing.BER; got != 1e-6 {
 		t.Errorf("restored BER = %g, want 1e-6", got)
 	}
 

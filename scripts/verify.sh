@@ -2,7 +2,7 @@
 # Tiered verification ladder. Every CI job calls one rung of this script,
 # so the exact commands CI enforces are runnable (and debuggable) locally:
 #
-#   scripts/verify.sh --level=unit          # gofmt + vet + build (incl. purego) + tests (incl. bench/) + bench smoke
+#   scripts/verify.sh --level=unit          # gofmt + link/phy layering + vet + build (incl. purego) + tests (incl. bench/) + bench smoke
 #   scripts/verify.sh --level=race          # race detector over ./... + fuzz corpus
 #   scripts/verify.sh --level=flake         # serving/runner packages under -race, 50 times over
 #   scripts/verify.sh --level=kernels       # coding-kernel differential: default vs -tags purego
@@ -94,6 +94,14 @@ rung_unit() {
   local unformatted
   unformatted=$(git ls-files -z '*.go' | xargs -0 gofmt -l)
   [ -z "$unformatted" ] || { echo "gofmt -l: $unformatted" >&2; exit 1; }
+  # Layering: bit errors belong to the fabrics' path schedules, consumed
+  # in internal/switchfab; a wire is a conduit, so internal/link must not
+  # import internal/phy.
+  echo "+ go list: internal/link must not import internal/phy" >&2
+  if go list -f '{{join .Imports "\n"}}' ./internal/link | grep -qx 'repro/internal/phy'; then
+    echo "internal/link imports repro/internal/phy: the error model belongs to the fabrics" >&2
+    exit 1
+  fi
   run go vet ./...
   run go build ./...
   # The purego build is the pinned reference for every SIMD-dispatched
