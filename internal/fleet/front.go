@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -462,8 +461,8 @@ func (f *Front) handleForward(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer resp.Body.Close()
-	var v service.JobView
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+	v, err := service.ReadJobView(resp)
+	if err != nil {
 		service.WriteError(w, http.StatusBadGateway, "fleet: bad peer response: "+err.Error())
 		return
 	}

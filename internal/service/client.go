@@ -20,6 +20,11 @@ import (
 // (NewInProcessClient) — the latter routes requests through ServeHTTP
 // without a socket, so examples and tests exercise exactly the handlers
 // HTTP users hit.
+//
+// A job view's Result points into the buffer its reply was read into:
+// the client reads each reply whole into one buffer sized by its
+// Content-Length, and a hit costs that one result-sized allocation
+// rather than a second copy of the result.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -113,40 +118,73 @@ func statusError(resp *http.Response) error {
 	return &apiStatusError{Code: resp.StatusCode, Message: msg}
 }
 
+// call issues a request and returns its 2xx response for the caller to
+// read and close; any other status comes back as the daemon's error.
+func (c *Client) call(ctx context.Context, method, path string, body any) (*http.Response, error) {
+	resp, err := c.Send(ctx, method, path, body, nil)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode >= 300 {
+		defer resp.Body.Close()
+		return nil, statusError(resp)
+	}
+	return resp, nil
+}
+
 // do issues a request and decodes the JSON response into out.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
-	resp, err := c.Send(ctx, method, path, body, nil)
+	resp, err := c.call(ctx, method, path, body)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return statusError(resp)
-	}
 	if out == nil {
 		return nil
 	}
-	return decodeReply(resp, out)
-}
-
-// decodeReply reads a reply body whole and decodes it into out. The
-// daemon sends every JSON reply with its length, so the body is read in
-// one allocation; a body without one (a proxy's), or one claiming more
-// than 1 MiB, grows as it arrives instead.
-func decodeReply(resp *http.Response, out any) error {
-	buf := bytes.NewBuffer(make([]byte, 0, max(0, min(resp.ContentLength, 1<<20))+bytes.MinRead))
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
+	b, err := readReply(resp)
+	if err != nil {
 		return err
 	}
-	return json.Unmarshal(buf.Bytes(), out)
+	return json.Unmarshal(b, out)
+}
+
+// doJobView is do for the requests a job view answers.
+func (c *Client) doJobView(ctx context.Context, method, path string, body any) (JobView, error) {
+	resp, err := c.call(ctx, method, path, body)
+	if err != nil {
+		return JobView{}, err
+	}
+	defer resp.Body.Close()
+	return ReadJobView(resp)
+}
+
+// readReply reads a reply body whole. The daemon sends every JSON reply
+// with its length, so the body is read in one allocation; a body without
+// one (a proxy's), or one claiming more than 1 MiB, grows as it arrives
+// instead.
+func readReply(resp *http.Response) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, max(0, min(resp.ContentLength, 1<<20))+bytes.MinRead))
+	_, err := buf.ReadFrom(resp.Body)
+	return buf.Bytes(), err
+}
+
+// ReadJobView reads a job view reply whole and decodes it with
+// DecodeJobView, leaving the view's Result in the buffer the body was
+// read into. The client reads every job view this way, and the fleet
+// front every job view it relays.
+func ReadJobView(resp *http.Response) (JobView, error) {
+	b, err := readReply(resp)
+	if err != nil {
+		return JobView{}, err
+	}
+	return DecodeJobView(b)
 }
 
 // Submit posts a job spec. Cache hits come back already StatusDone with
 // the result inline and Cached set.
 func (c *Client) Submit(ctx context.Context, spec JobSpec) (JobView, error) {
-	var v JobView
-	err := c.do(ctx, http.MethodPost, "/v1/jobs", spec, &v)
-	return v, err
+	return c.doJobView(ctx, http.MethodPost, "/v1/jobs", spec)
 }
 
 // Get fetches a job's current view.
@@ -177,7 +215,7 @@ func (c *Client) GetConditional(ctx context.Context, id, etag string) (v JobView
 	case resp.StatusCode >= 300:
 		return v, "", false, statusError(resp)
 	}
-	err = decodeReply(resp, &v)
+	v, err = ReadJobView(resp)
 	return v, resp.Header.Get("ETag"), false, err
 }
 
@@ -213,8 +251,8 @@ func (c *Client) FetchCached(ctx context.Context, key string, wait time.Duration
 // Wait long-polls until the job reaches a terminal status or ctx ends.
 func (c *Client) Wait(ctx context.Context, id string) (JobView, error) {
 	for {
-		var v JobView
-		if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"?wait=30000", nil, &v); err != nil {
+		v, err := c.doJobView(ctx, http.MethodGet, "/v1/jobs/"+id+"?wait=30000", nil)
+		if err != nil {
 			return v, err
 		}
 		if v.Status.Terminal() {

@@ -1,8 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/core"
@@ -69,4 +73,101 @@ func benchSubmitHit(b *testing.B, client func(*testing.B, *Server) *Client) {
 			}
 		})
 	}
+}
+
+// hitReply is the reply a serve_mix hit reads: hitSpec(1) submitted to a
+// daemon that already holds its result.
+func hitReply(tb testing.TB) []byte {
+	srv, err := New(Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer srv.Close()
+	if _, err := NewInProcessClient(srv).Run(context.Background(), hitSpec(1)); err != nil {
+		tb.Fatal(err)
+	}
+	body, err := json.Marshal(hitSpec(1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		tb.Fatalf("repeat submit answered %d %s", rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
+}
+
+// BenchmarkDecodeJobView decodes the hit reply with DecodeJobView's hand
+// reader and with json.Unmarshal, the layer's before and after.
+func BenchmarkDecodeJobView(b *testing.B) {
+	reply := hitReply(b)
+	if _, ok := readJobView(reply); !ok {
+		b.Fatalf("the hand reader refuses the hit reply\n%s", reply)
+	}
+	b.Run("reader", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if v, err := DecodeJobView(reply); err != nil || !v.Cached {
+				b.Fatalf("cached=%v err=%v", v.Cached, err)
+			}
+		}
+	})
+	b.Run("unmarshal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var v JobView
+			if err := json.Unmarshal(reply, &v); err != nil || !v.Cached {
+				b.Fatalf("cached=%v err=%v", v.Cached, err)
+			}
+		}
+	})
+}
+
+// hitAllocBudget is what one in-process cache-hit submit may allocate,
+// from spec to decoded view: the count measured with go1.24 when
+// DecodeJobView's hand reader landed (87 with json.Unmarshal before it).
+// net/http's share of it can move between Go releases.
+const hitAllocBudget = 79
+
+// TestSubmitHitAllocations holds one in-process cache hit to
+// hitAllocBudget allocations, so a hit path that starts allocating again
+// fails here rather than only in a benchmark.
+func TestSubmitHitAllocations(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's sync.Pool drops items at random: counts there measure the detector")
+	}
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl := NewInProcessClient(srv)
+	ctx := context.Background()
+	spec := hitSpec(1)
+	if _, err := cl.Run(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if v, err := cl.Submit(ctx, spec); err != nil || !v.Cached {
+			t.Fatalf("cached=%v err=%v", v.Cached, err)
+		}
+	})
+	if allocs > hitAllocBudget {
+		t.Fatalf("%v allocations per in-process hit, budget %d", allocs, hitAllocBudget)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

@@ -111,6 +111,189 @@ func appendJobView(b []byte, v JobView) ([]byte, bool) {
 	return append(b, "}\n"...), ok1 && ok2 && ok3
 }
 
+// DecodeJobView decodes a job view reply, the bytes WriteJobView writes.
+// It reads the writer's own form by hand, mirroring appendJobView: fields
+// in JobView's declaration order under its omitempty rules, strings in
+// appendString's verbatim case, integers in JSON grammar (non-zero where
+// the field is omitempty), times through (time.Time).UnmarshalJSON, the
+// result through one strict pass of scanValue, then "}" and an optional
+// newline with nothing after. Any other body goes to json.Unmarshal,
+// which returns the values and errors it always has: FuzzDecodeJobView
+// holds the two paths equal wherever the hand reader answers.
+//
+// Where the hand reader answers, the view's Result points into b rather
+// than into a copy, so b must not be reused while the view is live.
+func DecodeJobView(b []byte) (JobView, error) {
+	if v, ok := readJobView(b); ok {
+		return v, nil
+	}
+	var v JobView
+	err := json.Unmarshal(b, &v)
+	return v, err
+}
+
+// readJobView is DecodeJobView's hand reader; ok is false as soon as the
+// body departs from what appendJobView writes.
+func readJobView(b []byte) (v JobView, ok bool) {
+	r := viewReader{b: b}
+	r.expect(`{"id":`)
+	v.ID = r.str()
+	r.expect(`,"kind":`)
+	v.Kind = r.str()
+	r.expect(`,"key":`)
+	v.Key = r.str()
+	r.expect(`,"status":`)
+	v.Status = Status(r.str())
+	r.expect(`,"cached":`)
+	if v.Cached = r.skip("true"); !v.Cached {
+		r.expect("false")
+	}
+	v.Dedup = r.skip(`,"dedup":true`)
+	v.PeerFetched = r.skip(`,"peer_fetched":true`)
+	v.RequestID = r.optStr(`,"request_id":`)
+	v.Priority = r.optInt(`,"priority":`)
+	v.Workers = r.optInt(`,"workers":`)
+	v.ShardsDone = r.optInt64(`,"shards_done":`)
+	v.Error = r.optStr(`,"error":`)
+	if r.skip(`,"result":`) {
+		v.Result = r.value()
+	}
+	r.expect(`,"submitted_at":`)
+	v.SubmittedAt = r.time()
+	r.expect(`,"started_at":`)
+	v.StartedAt = r.time()
+	r.expect(`,"finished_at":`)
+	v.FinishedAt = r.time()
+	v.WaitMS = r.optInt64(`,"wait_ms":`)
+	v.RunMS = r.optInt64(`,"run_ms":`)
+	r.expect("}")
+	r.skip("\n")
+	return v, !r.bad && len(r.b) == 0
+}
+
+// viewReader is readJobView's cursor: b is what is left of the body, and
+// bad, once set, makes every further read a no-op returning zero.
+type viewReader struct {
+	b   []byte
+	bad bool
+}
+
+// skip consumes lit if the body continues with it.
+func (r *viewReader) skip(lit string) bool {
+	if r.bad || len(r.b) < len(lit) || string(r.b[:len(lit)]) != lit {
+		return false
+	}
+	r.b = r.b[len(lit):]
+	return true
+}
+
+// expect consumes lit, which the body must continue with.
+func (r *viewReader) expect(lit string) {
+	if !r.skip(lit) {
+		r.bad = true
+	}
+}
+
+// quoted returns the length of the quoted string at the head of the body,
+// quotes included, if it is one appendString copies verbatim; else 0.
+func (r *viewReader) quoted() int {
+	if r.bad || len(r.b) == 0 || r.b[0] != '"' {
+		return 0
+	}
+	for i := 1; i < len(r.b); i++ {
+		if c := r.b[i]; c == '"' {
+			return i + 1
+		} else if !plainByte(c) {
+			return 0
+		}
+	}
+	return 0
+}
+
+// str reads a string appendString writes verbatim.
+func (r *viewReader) str() string {
+	n := r.quoted()
+	if n == 0 {
+		r.bad = true
+		return ""
+	}
+	s := string(r.b[1 : n-1])
+	r.b = r.b[n:]
+	return s
+}
+
+// optStr reads an omitempty string field: absent, or non-empty.
+func (r *viewReader) optStr(name string) string {
+	if !r.skip(name) {
+		return ""
+	}
+	s := r.str()
+	if s == "" {
+		r.bad = true
+	}
+	return s
+}
+
+// optInt64 reads an omitempty integer field: absent, or a non-zero integer
+// in JSON grammar. More than 18 digits, which might not fit, is left to
+// json.Unmarshal.
+func (r *viewReader) optInt64(name string) int64 {
+	if !r.skip(name) {
+		return 0
+	}
+	neg := r.skip("-")
+	var n int64
+	i := 0
+	for ; i < len(r.b) && i <= 18 && '0' <= r.b[i] && r.b[i] <= '9'; i++ {
+		n = 10*n + int64(r.b[i]-'0')
+	}
+	if i == 0 || i > 18 || r.b[0] == '0' {
+		r.bad = true
+		return 0
+	}
+	r.b = r.b[i:]
+	if neg {
+		return -n
+	}
+	return n
+}
+
+// optInt is optInt64 for an int field.
+func (r *viewReader) optInt(name string) int {
+	n := r.optInt64(name)
+	if int64(int(n)) != n {
+		r.bad = true
+	}
+	return int(n)
+}
+
+// time reads a timestamp as json.Unmarshal does, through UnmarshalJSON.
+func (r *viewReader) time() (t time.Time) {
+	n := r.quoted()
+	if n == 0 || t.UnmarshalJSON(r.b[:n]) != nil {
+		r.bad = true
+		return time.Time{}
+	}
+	r.b = r.b[n:]
+	return t
+}
+
+// value reads the compact JSON value at the head of the body, returning
+// it in place.
+func (r *viewReader) value() json.RawMessage {
+	if r.bad {
+		return nil
+	}
+	n := scanValue(r.b)
+	if n < 0 {
+		r.bad = true
+		return nil
+	}
+	v := r.b[:n:n]
+	r.b = r.b[n:]
+	return v
+}
+
 // appendNonZero appends an omitempty integer field: name and n, unless n
 // is zero.
 func appendNonZero(b []byte, name string, n int64) []byte {
@@ -127,7 +310,7 @@ func appendNonZero(b []byte, name string, n int64) []byte {
 // non-ASCII) is quoted by the encoder itself.
 func appendString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+		if !plainByte(s[i]) {
 			q, _ := json.Marshal(s) // a string always encodes
 			return append(b, q...)
 		}
@@ -135,6 +318,13 @@ func appendString(b []byte, s string) []byte {
 	b = append(b, '"')
 	b = append(b, s...)
 	return append(b, '"')
+}
+
+// plainByte reports whether the encoder copies c into a quoted string as
+// it is: an ASCII byte from the space up, other than the quote, the
+// backslash and the HTML-escaped <, > and &.
+func plainByte(c byte) bool {
+	return 0x20 <= c && c < 0x80 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 }
 
 // appendTime appends t as (time.Time).MarshalJSON renders it: quoted
@@ -167,4 +357,177 @@ func appendTime(b []byte, t time.Time) (_ []byte, ok bool) {
 func encoderForm(b []byte) bool {
 	m, err := json.Marshal(json.RawMessage(b))
 	return err == nil && bytes.Equal(m, b)
+}
+
+// maxScanDepth bounds the nesting scanValue follows. Results are a few
+// levels deep; a deeper one sends its reply to json.Unmarshal.
+const maxScanDepth = 64
+
+// scanValue returns the length of the JSON value at the head of b, or -1
+// if there is none it accepts. It is one strict pass that both finds the
+// value's end and validates it: b[:n] is a value json.Valid accepts, and
+// every compact value json.Valid accepts is found whole. It accepts no
+// whitespace outside strings and no nesting deeper than maxScanDepth.
+func scanValue(b []byte) int {
+	return scanFrom(b, 0, 0)
+}
+
+// scanFrom returns the index just past the value that starts at b[i], or
+// -1; depth is the nesting of the arrays and objects around it.
+func scanFrom(b []byte, i, depth int) int {
+	if i >= len(b) {
+		return -1
+	}
+	switch c := b[i]; {
+	case c == '"':
+		return scanString(b, i)
+	case c == '-' || '0' <= c && c <= '9':
+		return scanNumber(b, i)
+	case c == 't':
+		return scanLiteral(b, i, "true")
+	case c == 'f':
+		return scanLiteral(b, i, "false")
+	case c == 'n':
+		return scanLiteral(b, i, "null")
+	case depth == maxScanDepth:
+		return -1
+	case c == '{':
+		if i++; i < len(b) && b[i] == '}' {
+			return i + 1
+		}
+		for {
+			if i = scanString(b, i); i < 0 || i >= len(b) || b[i] != ':' {
+				return -1
+			}
+			if i = scanFrom(b, i+1, depth+1); i < 0 || i >= len(b) {
+				return -1
+			}
+			switch b[i] {
+			case ',':
+				i++
+			case '}':
+				return i + 1
+			default:
+				return -1
+			}
+		}
+	case c == '[':
+		if i++; i < len(b) && b[i] == ']' {
+			return i + 1
+		}
+		for {
+			if i = scanFrom(b, i, depth+1); i < 0 || i >= len(b) {
+				return -1
+			}
+			switch b[i] {
+			case ',':
+				i++
+			case ']':
+				return i + 1
+			default:
+				return -1
+			}
+		}
+	}
+	return -1
+}
+
+// scanString returns the index just past the string that starts at b[i],
+// or -1: an unterminated string, a control byte, or a bad escape.
+func scanString(b []byte, i int) int {
+	if i >= len(b) || b[i] != '"' {
+		return -1
+	}
+	for i++; ; i++ {
+		for i < len(b) && stringByte[b[i]] {
+			i++
+		}
+		if i == len(b) {
+			return -1
+		}
+		switch b[i] {
+		case '"':
+			return i + 1
+		case '\\':
+			if i++; i == len(b) {
+				return -1
+			}
+			switch b[i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if len(b) < i+5 {
+					return -1
+				}
+				for _, h := range b[i+1 : i+5] {
+					if !('0' <= h && h <= '9' || 'a' <= h && h <= 'f' || 'A' <= h && h <= 'F') {
+						return -1
+					}
+				}
+				i += 4
+			default:
+				return -1
+			}
+		default: // a control byte
+			return -1
+		}
+	}
+}
+
+// stringByte[c] reports whether c stands for itself inside a JSON string:
+// any byte but a control byte, the quote and the backslash.
+var stringByte = func() (t [256]bool) {
+	for c := 0x20; c < len(t); c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// scanNumber returns the index just past the number that starts at b[i]
+// in JSON grammar, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, or -1.
+func scanNumber(b []byte, i int) int {
+	if b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = scanDigits(b, i)
+	default:
+		return -1
+	}
+	if i < len(b) && b[i] == '.' {
+		if j := scanDigits(b, i+1); j > i+1 {
+			i = j
+		} else {
+			return -1
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if j := scanDigits(b, i); j > i {
+			i = j
+		} else {
+			return -1
+		}
+	}
+	return i
+}
+
+// scanDigits returns the index of the first non-digit at or after b[i].
+func scanDigits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// scanLiteral returns the index just past lit at b[i], or -1.
+func scanLiteral(b []byte, i int, lit string) int {
+	if len(b)-i < len(lit) || string(b[i:i+len(lit)]) != lit {
+		return -1
+	}
+	return i + len(lit)
 }
