@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
@@ -509,4 +510,119 @@ func TestFetcherRejectsSelfNotInPeers(t *testing.T) {
 	if _, err := NewFetcher(FetchConfig{Self: peers[1], Peers: peers}); err != nil {
 		t.Fatalf("self in peers rejected: %v", err)
 	}
+}
+
+// postRaw POSTs body to url's /v1/jobs and returns the status, the error
+// message of a refusal and the Retry-After header.
+func postRaw(t *testing.T, url, body string) (code int, msg, retryAfter string) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e struct {
+		Error string `json:"error"`
+	}
+	json.NewDecoder(resp.Body).Decode(&e)
+	return resp.StatusCode, e.Error, resp.Header.Get("Retry-After")
+}
+
+// TestFrontRejectsBytesAfterSpec: the front decodes a submit as strictly
+// as a daemon — one spec, then nothing but JSON whitespace.
+func TestFrontRejectsBytesAfterSpec(t *testing.T) {
+	tf := startFleet(t, 2, FrontConfig{})
+	spec, err := json.Marshal(gridSpec(53))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{` {"kind":"bogus"} garbage`, ` garbage`} {
+		if code, _, _ := postRaw(t, tf.frontTS.URL, string(spec)+tail); code != http.StatusBadRequest {
+			t.Errorf("spec followed by %q through the front: HTTP %d, want 400", tail, code)
+		}
+	}
+	if code, msg, _ := postRaw(t, tf.frontTS.URL, string(spec)+"\n \t"); code != http.StatusAccepted && code != http.StatusOK {
+		t.Errorf("spec followed by whitespace through the front: HTTP %d (%s), want it admitted", code, msg)
+	}
+}
+
+// TestFrontRelaysMemberRefusals: a member's refusal reaches the front's
+// client as the member wrote it — status, message and Retry-After — on
+// a submit (429, both members' queues full) and on a job trace (404).
+func TestFrontRelaysMemberRefusals(t *testing.T) {
+	var urls []string
+	for i := 0; i < 2; i++ {
+		srv, err := service.New(service.Config{ShardBudget: 1, QueueDepth: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv)
+		t.Cleanup(func() { ts.Close(); srv.Close() })
+		urls = append(urls, ts.URL)
+	}
+	front, err := NewFront(FrontConfig{Peers: urls, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frontTS := httptest.NewServer(front)
+	t.Cleanup(func() { front.Close(); frontTS.Close() })
+	ctx := context.Background()
+
+	t.Run("job trace 404", func(t *testing.T) {
+		resp, err := http.Get(frontTS.URL + "/v1/jobs/p0~j999999-deadbeef/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e struct {
+			Error string `json:"error"`
+		}
+		json.NewDecoder(resp.Body).Decode(&e)
+		if resp.StatusCode != http.StatusNotFound || e.Error != "no such job" {
+			t.Fatalf("HTTP %d %q, want 404 %q", resp.StatusCode, e.Error, "no such job")
+		}
+	})
+
+	t.Run("submit 429", func(t *testing.T) {
+		// On each member a hog takes the only shard and a second job the
+		// only queue slot, so whichever member owns the next key is full.
+		for i, u := range urls {
+			c := service.NewClient(u)
+			hog, err := c.Submit(ctx, service.JobSpec{
+				Kind: service.KindRare,
+				Seed: uint64(i + 1),
+				Rare: &service.RareSpec{BERs: []float64{1e-9}, MaxTrials: 1 << 26, RelErr: 0, Shards: 64},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Cancel(ctx, hog.ID) })
+			for deadline := time.Now().Add(5 * time.Second); ; {
+				v, err := c.Get(ctx, hog.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v.Status == service.StatusRunning {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("hog on member %d never ran: %s", i, v.Status)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			queued, err := c.Submit(ctx, gridSpec(uint64(100+i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Cancel(ctx, queued.ID) })
+		}
+		spec, err := json.Marshal(gridSpec(200))
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, msg, retry := postRaw(t, frontTS.URL, string(spec))
+		if code != http.StatusTooManyRequests || msg != service.ErrQueueFull.Error() || retry != "1" {
+			t.Fatalf("HTTP %d %q Retry-After %q, want 429 %q Retry-After 1", code, msg, retry, service.ErrQueueFull.Error())
+		}
+	})
 }

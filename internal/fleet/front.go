@@ -303,14 +303,9 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	v, peer, err := f.forwardSubmit(r.Context(), candidates, norm, now)
 	if err != nil {
 		f.subSeconds[service.OutcomeError].Observe(time.Since(now).Seconds())
-		if code, ok := service.StatusCode(err); ok {
-			if code == http.StatusTooManyRequests {
-				w.Header().Set("Retry-After", "1")
-			}
-			service.WriteError(w, code, strings.TrimPrefix(err.Error(), "service: "))
-			return
+		if !service.RelayError(w, err) {
+			service.WriteError(w, http.StatusBadGateway, "fleet: no reachable owner: "+err.Error())
 		}
-		service.WriteError(w, http.StatusBadGateway, "fleet: no reachable owner: "+err.Error())
 		return
 	}
 	f.subSeconds[submitOutcome(v)].Observe(time.Since(now).Seconds())

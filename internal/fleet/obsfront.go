@@ -75,11 +75,9 @@ func (f *Front) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	tv, err := p.client.JobTrace(r.Context(), localID)
 	if err != nil {
-		if code, ok := service.StatusCode(err); ok {
-			service.WriteError(w, code, err.Error())
-			return
+		if !service.RelayError(w, err) {
+			service.WriteError(w, http.StatusBadGateway, "fleet: peer unreachable: "+err.Error())
 		}
-		service.WriteError(w, http.StatusBadGateway, "fleet: peer unreachable: "+err.Error())
 		return
 	}
 	spans := f.assembleTrace(r, tv.RequestID, p)

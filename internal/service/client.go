@@ -46,8 +46,9 @@ func NewInProcessClient(s *Server) *Client {
 
 // apiStatusError is a non-2xx response decoded from the error body.
 type apiStatusError struct {
-	Code    int
-	Message string
+	Code       int
+	Message    string
+	RetryAfter string // the response's Retry-After header, if any
 }
 
 func (e *apiStatusError) Error() string {
@@ -71,6 +72,22 @@ func StatusCode(err error) (code int, ok bool) {
 		return 0, false
 	}
 	return se.Code, true
+}
+
+// RelayError writes err, a daemon's non-2xx answer, to w as the daemon
+// wrote it — status, message and Retry-After — and reports whether err
+// was one; a transport-level failure writes nothing. The fleet front
+// relays member refusals through it.
+func RelayError(w http.ResponseWriter, err error) bool {
+	se, ok := err.(*apiStatusError)
+	if !ok {
+		return false
+	}
+	if se.RetryAfter != "" {
+		w.Header().Set("Retry-After", se.RetryAfter)
+	}
+	WriteError(w, se.Code, se.Message)
+	return true
 }
 
 // Send is the client's one request builder and transport call: base URL +
@@ -115,7 +132,7 @@ func statusError(resp *http.Response) error {
 	if json.NewDecoder(resp.Body).Decode(&ae) == nil && ae.Error != "" {
 		msg = ae.Error
 	}
-	return &apiStatusError{Code: resp.StatusCode, Message: msg}
+	return &apiStatusError{Code: resp.StatusCode, Message: msg, RetryAfter: resp.Header.Get("Retry-After")}
 }
 
 // call issues a request and returns its 2xx response for the caller to

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -31,13 +32,19 @@ func parseWait(r *http.Request) (d time.Duration, ok bool) {
 	return time.Duration(ms) * time.Millisecond, true
 }
 
-// DecodeSpec reads the POST /v1/jobs body strictly (unknown fields are a
-// client error, not silently dropped parameters), answering 400 itself
-// when it cannot.
+// DecodeSpec reads the POST /v1/jobs body strictly — unknown fields are a
+// client error, not silently dropped parameters, and so is anything but
+// JSON whitespace after the spec — answering 400 itself when it cannot.
 func DecodeSpec(w http.ResponseWriter, r *http.Request) (spec JobSpec, ok bool) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("bytes after the spec")
+		}
+	}
+	if err != nil {
 		WriteError(w, http.StatusBadRequest, "decode spec: "+err.Error())
 		return spec, false
 	}

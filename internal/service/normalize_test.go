@@ -265,6 +265,39 @@ func TestKindTableComplete(t *testing.T) {
 	}
 }
 
+// FuzzDecodeSpec holds DecodeSpec to its contract: it accepts a body
+// exactly when a DisallowUnknownFields decode of one JobSpec succeeds and
+// only JSON whitespace follows it, and then yields that decode's spec.
+func FuzzDecodeSpec(f *testing.F) {
+	const spec = `{"kind":"sweep","seed":2,"sweep":{"bers":[1e-4,1e-5],"flits_per_point":20000}}`
+	for _, b := range []string{
+		spec + ` {"kind":"bogus"} garbage`,
+		spec + ` garbage`,
+		spec + " \t\r\n ",
+		`{"kind":"sweep","seed":2,"mystery":1}`,
+		``,
+	} {
+		f.Add([]byte(b))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var want JobSpec
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		err := dec.Decode(&want)
+		accept := err == nil && len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) == 0
+		rec := httptest.NewRecorder()
+		got, ok := DecodeSpec(rec, httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body)))
+		switch {
+		case ok != accept:
+			t.Fatalf("DecodeSpec ok=%v on %q, want %v (decode error %v)", ok, body, accept, err)
+		case !ok && rec.Code != http.StatusBadRequest:
+			t.Fatalf("DecodeSpec refused %q with %d, want 400", body, rec.Code)
+		case ok && !reflect.DeepEqual(got, want):
+			t.Fatalf("DecodeSpec reads %q as %+v, the decoder as %+v", body, got, want)
+		}
+	})
+}
+
 // decodeBody is the daemon's strict POST /v1/jobs decode of a raw body.
 func decodeBody(body []byte) (JobSpec, bool) {
 	return DecodeSpec(httptest.NewRecorder(),

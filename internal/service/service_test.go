@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
@@ -585,6 +586,40 @@ func TestBadSpecsRejected(t *testing.T) {
 
 	if _, err := c.Get(ctx, "j999999-deadbeef"); err == nil {
 		t.Error("unknown job id returned a view")
+	}
+}
+
+// TestSubmitRejectsBytesAfterSpec: a submit body is one spec and nothing
+// but JSON whitespace after it; anything else is a 400, not a job for the
+// leading spec.
+func TestSubmitRejectsBytesAfterSpec(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	spec, err := json.Marshal(smallGridSpec(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		tail string
+		want int
+	}{
+		{` {"kind":"bogus"} garbage`, http.StatusBadRequest},
+		{` garbage`, http.StatusBadRequest},
+		{`}`, http.StatusBadRequest},
+		{" \t\r\n", http.StatusAccepted},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(string(spec)+tc.tail))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("spec followed by %q: HTTP %d, want %d", tc.tail, resp.StatusCode, tc.want)
+		}
+	}
+	if n := srv.Stats().JobsSubmitted; n != 1 {
+		t.Errorf("%d jobs admitted, want the one with a whitespace tail", n)
 	}
 }
 

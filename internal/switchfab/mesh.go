@@ -50,6 +50,9 @@ type Mesh struct {
 	localSink []func(interface{})
 	// ingress[id] is the wire a node uses to inject at its router.
 	ingress []*link.Wire
+	// nodeWires[id] is node id's run of wires: its router's egress wires,
+	// then its node-ingress wire.
+	nodeWires [][]*link.Wire
 
 	wires []*link.Wire
 
@@ -73,7 +76,7 @@ type Mesh struct {
 	routes [][]*meshRoute
 
 	// walkFn is the stable event sink of scheduled hop-by-hop walks
-	// (struck flits on express-eligible routes), bound once so each walk
+	// (struck flits on claimable routes), bound once so each walk
 	// step carries only its *meshWalk payload.
 	walkFn func(interface{})
 	// walks holds ended walks for reuse, so a struck flit's walk — and
@@ -176,6 +179,7 @@ func NewMesh(eng *sim.Engine, w, h int, cfg MeshConfig) *Mesh {
 	m.out = make([][meshDirs]*link.Wire, w*h)
 	m.localSink = make([]func(interface{}), w*h)
 	m.ingress = make([]*link.Wire, w*h)
+	m.nodeWires = make([][]*link.Wire, w*h)
 	for id := range m.Routers {
 		m.Routers[id] = NewSwitch(fmt.Sprintf("R%d.%d", id%w, id/w), eng, cfg.Mode, cfg.RouterLatency)
 		m.localSink[id] = releaseFlit
@@ -200,12 +204,14 @@ func NewMesh(eng *sim.Engine, w, h int, cfg MeshConfig) *Mesh {
 			id := y*w + x
 			inside := [meshDirs]bool{dirEast: x+1 < w, dirWest: x > 0, dirSouth: y+1 < h, dirNorth: y > 0}
 			wraps := [meshDirs]bool{dirEast: w > 1, dirWest: w > 1, dirSouth: h > 1, dirNorth: h > 1}
+			first := len(m.wires)
 			for d := 0; d < meshDirs; d++ {
 				if inside[d] || cfg.Wrap && wraps[d] {
 					m.out[id][d] = mkWire(m.hopArrival(m.neighbor(id, d)))
 				}
 			}
 			m.ingress[id] = mkWire(m.injectArrival(id))
+			m.nodeWires[id] = m.wires[first:]
 		}
 	}
 	return m
@@ -316,7 +322,7 @@ func (m *Mesh) eachPath(fn func(src, dst int, s *phy.SharedSchedule)) {
 // mesh, where every traversal is trivially clean) has fully deterministic
 // mesh timing, so the traversal tries to go express: claim every wire of
 // the route up front and schedule exactly one delivery event. A struck
-// flit on the same (express-eligible) route claims its wires up front too
+// flit on the same (claimable) route claims its wires up front too
 // but walks them with per-hop events (claimRoute) — byte work happens
 // at each hop, only the claim timing moves to injection, which is what
 // keeps every claim on a path in injection order. Routes express cannot
@@ -345,8 +351,7 @@ func (m *Mesh) injectArrival(id int) func(*flit.Flit) {
 			granted = beginTraversal(m.pathSched(src, dst), m.fec, f, hops)
 		}
 		if rt != nil && !m.noExpress {
-			eligible := rt.expressEligible()
-			if granted && eligible {
+			if granted && rt.claimable {
 				m.ExpressTraversals++
 				m.claimRoute(f, rt, nil)
 				return
@@ -354,7 +359,7 @@ func (m *Mesh) injectArrival(id int) func(*flit.Flit) {
 			m.ExpressFallbacks++
 			// hops == 1 is local delivery at the injection router: nothing
 			// to claim, the lazy pipeline handles it identically.
-			if eligible && hops > 1 {
+			if rt.claimable && hops > 1 {
 				m.claimRoute(f, rt, m.newWalk(f, rt))
 				return
 			}
@@ -366,15 +371,32 @@ func (m *Mesh) injectArrival(id int) func(*flit.Flit) {
 // meshRoute is the express record of one (ingress router, destination
 // router) route, built on its first traffic: the routers the XY route
 // visits, ingress first and destination last, the egress wire leaving
-// each toward the next, and the lane its express deliveries ride. Every
-// flit of an eligible route claims the route's wires at injection, so
-// the route's express deliveries land in claim order — the lane's
-// in-order contract.
+// each toward the next, the lane its express deliveries ride, and
+// whether claimRoute may claim it at injection.
+//
+// claimable is decided once, when the record is built, and holds for the
+// rest of the run:
+//
+//   - No route router carries an internal fault point (hook or
+//     probabilistic flip): process() must stay deterministic and
+//     RNG-silent when run at claim time instead of arrival time.
+//   - No route wire carries a fault hook: a hooked wire's verdict at
+//     arrival is not knowable at injection.
+//
+// Fault points of either kind are therefore installed before a route's
+// first traffic (fault scripts install theirs before the run); one
+// installed later is invisible to a route already built. In-flight flits
+// do not block: claims queue FIFO on a wire's busy window, and on a
+// claimable route every flit claims its wires at injection, so claims —
+// and therefore per-wire serialization and per-path delivery — follow
+// injection order, which is ISN's in-order contract and the lane's. A
+// path is never in a mixed claim regime.
 type meshRoute struct {
-	routers []*Switch
-	wires   []*link.Wire // wires[i] leaves routers[i]
-	dst     int          // destination router
-	lane    *sim.Lane
+	routers   []*Switch
+	wires     []*link.Wire // wires[i] leaves routers[i]
+	dst       int          // destination router
+	lane      *sim.Lane
+	claimable bool
 }
 
 // route returns (building on first use) the record of the route from
@@ -390,18 +412,27 @@ func (m *Mesh) route(src, dst int) *meshRoute {
 	}
 	hops := m.HopsBetween(src%m.W, src/m.W, dst%m.W, dst/m.W)
 	rt := &meshRoute{
-		routers: make([]*Switch, 0, hops),
-		wires:   make([]*link.Wire, 0, hops-1),
-		dst:     dst,
-		lane:    m.Eng.NewLane(),
+		routers:   make([]*Switch, 0, hops),
+		wires:     make([]*link.Wire, 0, hops-1),
+		dst:       dst,
+		lane:      m.Eng.NewLane(),
+		claimable: true,
 	}
 	for cur := src; ; {
-		rt.routers = append(rt.routers, m.Routers[cur])
+		r := m.Routers[cur]
+		rt.routers = append(rt.routers, r)
+		if r.InternalHook != nil || r.InternalBitFlipProb > 0 {
+			rt.claimable = false
+		}
 		d := m.routeDir(cur, dst)
 		if d < 0 {
 			break
 		}
-		rt.wires = append(rt.wires, m.out[cur][d])
+		w := m.out[cur][d]
+		rt.wires = append(rt.wires, w)
+		if w.FaultHook != nil {
+			rt.claimable = false
+		}
 		cur = m.neighbor(cur, d)
 	}
 	row[dst] = rt
@@ -409,7 +440,7 @@ func (m *Mesh) route(src, dst int) *meshRoute {
 }
 
 // meshWalk is the event payload of a scheduled hop-by-hop walk: a struck
-// flit on an express-eligible route. Its wires were all claimed at
+// flit on a claimable route. Its wires were all claimed at
 // injection (claim order identical to express), but it still pays one
 // event per hop at the pre-reserved arrival times, crossing its path
 // schedule and terminating FEC at every router like the lazy pipeline.
@@ -442,7 +473,7 @@ func (m *Mesh) endWalk(wk *meshWalk) {
 	m.walks = append(m.walks, wk)
 }
 
-// claimRoute claims every wire of an expressEligible route at injection,
+// claimRoute claims every wire of a claimable route at injection,
 // in route order, and schedules the traversal's one event.
 // The claim math per hop is exactly the SendAfter fold — serialization
 // starts at max(arrival+latency, wire-free) — so on same-path-only
@@ -450,14 +481,14 @@ func (m *Mesh) endWalk(wk *meshWalk) {
 // cross-traffic the claim *order* changes (the whole route is claimed at
 // injection), which is a change to the fabric model itself and, like the
 // whole-traversal grant policy, applies identically to fast-path and
-// byte-level runs. On an eligible path *every* flit claims this way, so
+// byte-level runs. On a claimable path *every* flit claims this way, so
 // per-path delivery follows injection order (ISN's ground rule) without
 // express ever blocking behind a draining traversal.
 //
 // A granted flit (wk == nil) goes express: each router's pipeline runs
 // inline and the one event is the delivery at the analytically-known
 // arrival time, on the route's lane. Running process() at claim time is
-// unobservable: for an eligible route it touches only the flit image and
+// unobservable: for a claimable route it touches only the flit image and
 // the router stats, draws no RNG, and cannot drop a granted (hence
 // uncorrupted, CRC-valid) flit.
 //
@@ -582,37 +613,6 @@ func (m *Mesh) neighbor(id, d int) int {
 	return cy*m.W + cx
 }
 
-// expressEligible reports whether the route may be claimed up front at
-// injection by claimRoute — express for a granted flit, a scheduled walk
-// for a struck one:
-//
-//   - No route router carries an internal fault point (hook or
-//     probabilistic flip): process() must stay deterministic and
-//     RNG-silent when run at claim time instead of arrival time.
-//   - No route wire carries a fault hook (fault scripts install theirs
-//     before the run). In-flight flits do not block: claims queue FIFO on
-//     a wire's busy window, and on an eligible path every flit claims
-//     its wires at injection, so claims — and therefore per-wire
-//     serialization and per-path delivery — follow injection order, which
-//     is ISN's in-order contract.
-//
-// Both are read on every injection, so a fault point installed mid-run
-// takes effect at the next flit. Eligibility is a property of the route,
-// not the flit, so a path is never in a mixed claim regime.
-func (rt *meshRoute) expressEligible() bool {
-	for _, r := range rt.routers {
-		if r.InternalHook != nil || r.InternalBitFlipProb > 0 {
-			return false
-		}
-	}
-	for _, w := range rt.wires {
-		if w == nil || w.FaultHook != nil {
-			return false
-		}
-	}
-	return true
-}
-
 // hopArrival wraps router id's pipeline for an inter-router wire,
 // putting a crossing of the flit's path schedule in front of it.
 func (m *Mesh) hopArrival(id int) func(*flit.Flit) {
@@ -727,14 +727,8 @@ func (m *Mesh) routerIngress(id int) func(*flit.Flit) {
 			m.deliverLocal(r, id, f)
 			return
 		}
-		w := m.out[id][d]
-		if w == nil {
-			r.Stats.DroppedNoRoute++
-			flit.Release(f)
-			return
-		}
 		r.Stats.Forwarded++
-		w.SendAfter(f, m.Eng.Now()+r.Latency)
+		m.out[id][d].SendAfter(f, m.Eng.Now()+r.Latency)
 	}
 }
 
@@ -772,11 +766,9 @@ func (m *Mesh) TotalStats() Stats {
 // hop-by-hop sends, so the peaks are identical across express, fast-path,
 // and byte-level runs.
 func (m *Mesh) nodeQueuePeak(id int) uint64 {
-	p := m.ingress[id].QueuePeak()
-	for _, w := range m.out[id] {
-		if w != nil {
-			p = max(p, w.QueuePeak())
-		}
+	var p uint64
+	for _, w := range m.nodeWires[id] {
+		p = max(p, w.QueuePeak())
 	}
 	return p
 }

@@ -219,3 +219,96 @@ func TestMeshPathStatsContract(t *testing.T) {
 		t.Errorf("PathStats lists %d schedules after one more path, want %d", got, len(want)+1)
 	}
 }
+
+// TestRouteDirNamesBuiltWire: on every mesh and torus shape the routing
+// byte can address, each routing step names a wire NewMesh built — so
+// neither the hop-by-hop pipeline nor a route record ever meets a missing
+// egress wire. routeDir is -1 exactly at the destination.
+func TestRouteDirNamesBuiltWire(t *testing.T) {
+	for _, wrap := range []bool{false, true} {
+		cfg := DefaultMeshConfig(ModeRXL)
+		cfg.Wrap = wrap
+		for w := 1; w <= 16; w++ {
+			for h := 1; h <= 16 && w*h <= 256; h++ {
+				m := NewMesh(sim.NewEngine(), w, h, cfg)
+				for cur := range m.Routers {
+					for dst := range m.Routers {
+						d := m.routeDir(cur, dst)
+						switch {
+						case cur == dst && d != -1:
+							t.Fatalf("wrap=%v %dx%d: routeDir(%d, %d) = %d at the destination", wrap, w, h, cur, dst, d)
+						case cur != dst && (d < 0 || m.out[cur][d] == nil):
+							t.Fatalf("wrap=%v %dx%d: routeDir(%d, %d) = %d names no built wire", wrap, w, h, cur, dst, d)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestClaimabilityIsPerRoute: a fault point installed before the run —
+// a wire's FaultHook or a router's internal fault point — makes every
+// route through it fall back to per-hop forwarding, while a route that
+// avoids it still goes express. The mesh is clean (BER 0), so every
+// traversal is granted and only claimability decides.
+func TestClaimabilityIsPerRoute(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		install func(m *Mesh, seen *int)
+	}{
+		{"wire FaultHook", func(m *Mesh, seen *int) {
+			m.InterRouterWire(1, 0, 2, 0).FaultHook = func(*flit.Flit) bool { *seen++; return false }
+		}},
+		{"router InternalHook", func(m *Mesh, seen *int) {
+			m.Routers[m.NodeID(2, 0)].InternalHook = func(*flit.Flit) bool { *seen++; return false }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			m := NewMesh(eng, 4, 4, DefaultMeshConfig(ModeRXL))
+			seen := 0
+			tc.install(m, &seen)
+			delivered := map[byte]int{}
+			sink := func(id byte) func(*flit.Flit) {
+				return func(f *flit.Flit) { delivered[id]++; flit.Release(f) }
+			}
+			m.AttachNode(3, 0, sink(m.NodeID(3, 0)))
+			m.AttachNode(3, 1, sink(m.NodeID(3, 1)))
+			fec := flit.NewFEC()
+			stream := func(sx, sy, dx, dy, n int) {
+				in := m.AttachNode(sx, sy, func(f *flit.Flit) { flit.Release(f) })
+				for i := 0; i < n; i++ {
+					f := &flit.Flit{}
+					f.SetRoute(m.NodeID(sx, sy), m.NodeID(dx, dy))
+					f.SealRXL(uint16(i), fec)
+					in.Send(f)
+				}
+				eng.Run()
+			}
+
+			const n = 20
+			// (0,0)→(3,0) runs east along row 0, through the faulted point.
+			stream(0, 0, 3, 0, n)
+			if m.ExpressTraversals != 0 || m.ExpressFallbacks != n {
+				t.Fatalf("crossing route: %d express, %d fallbacks; want 0 and %d",
+					m.ExpressTraversals, m.ExpressFallbacks, n)
+			}
+			if seen != n {
+				t.Fatalf("the fault point saw %d flits, want %d", seen, n)
+			}
+			// (0,1)→(3,1) runs along row 1 and never touches it.
+			stream(0, 1, 3, 1, n)
+			if m.ExpressTraversals != n || m.ExpressFallbacks != n {
+				t.Fatalf("avoiding route: %d express, %d fallbacks; want %d and %d",
+					m.ExpressTraversals, m.ExpressFallbacks, n, n)
+			}
+			if seen != n {
+				t.Fatalf("the fault point saw %d flits after the avoiding route, want %d", seen, n)
+			}
+			if delivered[m.NodeID(3, 0)] != n || delivered[m.NodeID(3, 1)] != n {
+				t.Fatalf("delivered %v, want %d at each sink", delivered, n)
+			}
+		})
+	}
+}

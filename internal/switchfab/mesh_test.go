@@ -264,7 +264,7 @@ func ExampleMesh() {
 }
 
 // TestMeshWalksRecycle: at a BER where most traversals are struck, each
-// struck flit on an express-eligible route walks its route hop by hop. A
+// struck flit on a claimable route walks its route hop by hop. A
 // walk ends when its flit is delivered or dropped, and the mesh reuses
 // ended walks, so after warm-up new walks come from the free list and the
 // walks ever made stay bounded by how many were in flight at once, not by

@@ -96,7 +96,11 @@ type Switch struct {
 
 	// InternalBitFlipProb is the per-flit probability of a single-bit
 	// internal fault (buffer or datapath corruption) occurring between
-	// ingress checking and egress re-encoding.
+	// ingress checking and egress re-encoding. On a mesh router, set it
+	// (SeedInternalFaults) before the first traffic of any route through
+	// the router: a route decides once, when it is built, whether express
+	// may claim it, and a fault point set later would run at claim time
+	// rather than at arrival.
 	InternalBitFlipProb float64
 
 	// InternalHook, when non-nil, may mutate the flit at the internal
@@ -105,7 +109,9 @@ type Switch struct {
 	// return value only feeds InternalCorruptions: the switch regenerates
 	// the egress CRC (ModeCXL) and FEC after every hook call, so a hook
 	// that mutates and returns false still forwards a valid codeword. Used
-	// by the deterministic Section 6.3 experiments.
+	// by the deterministic Section 6.3 experiments. On a mesh router it is
+	// installed before the first traffic of any route through the router,
+	// like InternalBitFlipProb.
 	InternalHook func(*flit.Flit) bool
 
 	fec *rs.Interleaved
