@@ -11,7 +11,7 @@
 //	     [-spill DIR] [-addr-file PATH]
 //	     [-fleet-self URL -fleet-peers URL,URL,...]     # fleet member
 //	rxld -fleet URL,URL,... [-addr ...] [-addr-file ...] # fleet front
-//	     [-fleet-probe-interval 2s] [-fleet-probe-timeout 1s]
+//	     [-fleet-probe-interval 2s]
 //
 // The bound address is printed on startup (and written to -addr-file when
 // given), so -addr 127.0.0.1:0 picks a free port scriptably — the CI
@@ -49,8 +49,8 @@
 //     under the one propagated ID.
 //
 //   - The front actively probes every member's /v1/healthz in the
-//     background (-fleet-probe-interval, each probe bounded by
-//     -fleet-probe-timeout) and routes around peers whose probes fail;
+//     background (-fleet-probe-interval, each probe bounded by 1 s) and
+//     routes around peers whose probes fail;
 //     passive forward-failure marks remain as the fast path.
 //
 // API quickstart:
@@ -103,7 +103,6 @@ func main() {
 		fleetSelf  = flag.String("fleet-self", "", "this daemon's base URL within the fleet (member mode; requires -fleet-peers)")
 		peersCSV   = flag.String("fleet-peers", "", "comma-separated base URLs of every fleet daemon, self included (member mode)")
 		probeEvery = flag.Duration("fleet-probe-interval", 0, "front: background /v1/healthz probe period per peer (0 = 2s, negative disables)")
-		probeTO    = flag.Duration("fleet-probe-timeout", 0, "front: per-probe timeout (0 = 1s)")
 	)
 	flag.Parse()
 
@@ -121,7 +120,6 @@ func main() {
 		err = runFront(*addr, *addrFile, fleet.FrontConfig{
 			Peers:         splitCSV(*front),
 			ProbeInterval: *probeEvery,
-			ProbeTimeout:  *probeTO,
 		})
 	} else {
 		cfg := service.Config{

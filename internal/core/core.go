@@ -62,7 +62,8 @@ type Config struct {
 	// same-path-only traffic. Ignored by chain fabrics.
 	NoExpress bool
 	// Serialization, Propagation and SwitchLatency override the default
-	// per-hop timing when non-zero.
+	// per-hop timing when positive; zero keeps the default, and Validate
+	// refuses a negative one.
 	Serialization sim.Time
 	Propagation   sim.Time
 	SwitchLatency sim.Time
@@ -79,6 +80,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: BurstProb %g out of [0,1)", c.BurstProb)
 	case c.InternalFlipProb < 0 || c.InternalFlipProb > 1:
 		return fmt.Errorf("core: InternalFlipProb %g out of [0,1]", c.InternalFlipProb)
+	case c.Serialization < 0 || c.Propagation < 0 || c.SwitchLatency < 0:
+		return fmt.Errorf("core: negative timing override (Serialization %d, Propagation %d, SwitchLatency %d)",
+			c.Serialization, c.Propagation, c.SwitchLatency)
 	}
 	if err := c.linkConfig().Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)

@@ -22,6 +22,11 @@ func TestConfigValidate(t *testing.T) {
 		{BER: 2},
 		{BurstProb: 1},
 		{InternalFlipProb: -0.1},
+		// A negative timing override would change nothing a fabric
+		// builds, only the cache key and the echoed Cfg.
+		{Serialization: -5},
+		{Propagation: -7},
+		{SwitchLatency: -1},
 		{Protocol: 7},
 		// The link layer would panic on this at NewPeer; Validate must
 		// see it first.

@@ -23,9 +23,10 @@ type FrontConfig struct {
 	// whose probes fail, independent of forward traffic (0 = 2s; < 0
 	// disables probing, leaving only the passive down-marks).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe (0 = 1s).
-	ProbeTimeout time.Duration
 }
+
+// probeTimeout bounds one health probe.
+const probeTimeout = time.Second
 
 // retryDead is how long a peer that failed a forward is skipped before
 // being retried, unless a probe answers first.
@@ -102,9 +103,6 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = 2 * time.Second
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = time.Second
 	}
 	f := &Front{
 		cfg:    cfg,
@@ -205,7 +203,7 @@ func (f *Front) probe(peers []*frontPeer) {
 			p.mu.Lock()
 			marks := p.marks
 			p.mu.Unlock()
-			ctx, cancel := context.WithTimeout(context.Background(), f.cfg.ProbeTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 			err := p.client.Health(ctx)
 			cancel()
 			p.probes.Inc()

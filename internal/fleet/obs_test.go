@@ -120,7 +120,6 @@ func TestFleetTraceAssembly(t *testing.T) {
 func TestFrontActiveProbing(t *testing.T) {
 	tf := startFleet(t, 2, FrontConfig{
 		ProbeInterval: 20 * time.Millisecond,
-		ProbeTimeout:  300 * time.Millisecond,
 	})
 
 	waitFor := func(desc string, cond func() bool) {
@@ -227,7 +226,6 @@ func TestFrontStaleProbeKeepsNewerMark(t *testing.T) {
 	front, err := NewFront(FrontConfig{
 		Peers:         []string{member.URL},
 		ProbeInterval: time.Hour, // only the immediate first round runs
-		ProbeTimeout:  time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -514,9 +514,14 @@ func (f *Flit) RecomputeCRC() {
 	f.setCRCField(crc.Checksum(f.crcInput()))
 }
 
-// NewFEC returns a fresh instance of the spec FEC geometry for 256B flits:
-// 3-way interleaved, 2 parity symbols per way over the 250-byte protected
-// region. Each goroutine/entity needs its own (scratch buffers are reused).
+// FEC is the flit FEC every hop terminates: the spec geometry for 256B
+// flits, 3-way interleaved with 2 parity symbols per way over the
+// 250-byte protected region. The codec is immutable, so every link,
+// switch and fabric, on any goroutine, shares this one.
+var FEC = NewFEC()
+
+// NewFEC builds the spec FEC geometry for 256B flits: a codec equal to
+// FEC.
 func NewFEC() *rs.Interleaved {
 	return rs.MustNewInterleaved(ProtectedSize)
 }

@@ -83,7 +83,7 @@ func TestStampRouteOnControlFlits(t *testing.T) {
 func receiveNakSingle(p *Peer, seq uint64) {
 	f := p.pool.Get()
 	f.SetHeader(flit.Header{FSN: wireSeq(seq), Cmd: flit.CmdNakSingle, Type: flit.TypeNak})
-	f.SealCXL(p.fec)
+	f.SealCXL(flit.FEC)
 	p.Receive(f)
 }
 

@@ -50,7 +50,6 @@ type Peer struct {
 	DeliverClean func(tag uint64)
 
 	out *Wire
-	fec *rs.Interleaved
 	// pool recycles the peer's flits and their images: every flit it
 	// sends comes from here and returns here through whichever terminal
 	// consumer ends it. A flit never leaves the goroutine that drives its
@@ -100,7 +99,7 @@ type Peer struct {
 // NewPeer constructs a peer. Call Attach before submitting traffic.
 func NewPeer(name string, eng *sim.Engine, cfg Config) *Peer {
 	cfg.sanitize()
-	p := &Peer{Name: name, Eng: eng, Cfg: cfg, fec: flit.NewFEC()}
+	p := &Peer{Name: name, Eng: eng, Cfg: cfg}
 	p.pumpSink, p.retrySink, p.ackSink = p.pumpResume, p.retryTimeout, p.ackTimeout
 	return p
 }
@@ -266,7 +265,7 @@ func (p *Peer) transmit(f *flit.Flit) {
 		f.SetRoute(p.Cfg.SrcTag, p.Cfg.RouteTag)
 	}
 	if !p.Cfg.FastPath {
-		f.Image(p.fec)
+		f.Image(flit.FEC)
 	}
 	p.Stats.FlitsSent++
 	p.out.Send(f)
@@ -370,7 +369,7 @@ func (p *Peer) Receive(f *flit.Flit) {
 func (p *Peer) receive(f *flit.Flit) {
 	p.Stats.FlitsReceived++
 
-	res := f.DecodeFEC(p.fec)
+	res := f.DecodeFEC(flit.FEC)
 	switch res.Status {
 	case rs.StatusUncorrectable:
 		// The endpoint knows this flit is bad but not what it was:

@@ -2,7 +2,6 @@ package link
 
 import (
 	"repro/internal/flit"
-	"repro/internal/rs"
 	"repro/internal/sim"
 )
 
@@ -48,11 +47,6 @@ type Wire struct {
 
 	// HookDropped counts flits dropped by FaultHook.
 	HookDropped uint64
-
-	// fec materializes deferred seals when a fault hook needs the
-	// byte-complete image; built lazily since an unhooked wire never
-	// needs it.
-	fec *rs.Interleaved
 }
 
 // NewWire builds a wire delivering flits to deliver after serialization and
@@ -68,10 +62,7 @@ func NewWire(eng *sim.Engine, ser, prop sim.Time, deliver func(*flit.Flit)) *Wir
 func (w *Wire) arrive(x interface{}) {
 	f := x.(*flit.Flit)
 	if w.FaultHook != nil {
-		if w.fec == nil {
-			w.fec = flit.NewFEC()
-		}
-		f.Image(w.fec)
+		f.Image(flit.FEC)
 		if w.FaultHook(f) {
 			w.HookDropped++
 			flit.Release(f)

@@ -45,13 +45,13 @@ type Tracer struct {
 
 // traceLog is one request ID's spans.
 type traceLog struct {
-	rid     string
-	spans   []Span
-	dropped int
+	rid   string
+	spans []Span
 }
 
 // NewTracer returns a tracer stamping spans with service/origin, keeping
-// at most 1024 request IDs of 256 spans each.
+// at most 1024 request IDs of 256 spans each; spans past an ID's 256th are
+// not recorded.
 func NewTracer(service, origin string) *Tracer {
 	return &Tracer{
 		service:  service,
@@ -79,8 +79,9 @@ func (t *Tracer) Middleware(next http.Handler) http.Handler {
 	})
 }
 
-// Record appends a span to rid's trace. Overflowing logs count drops
-// instead of growing; the oldest trace is evicted past the ID bound.
+// Record appends a span to rid's trace. A trace already holding its
+// bound of spans does not record this one; the oldest trace is evicted
+// past the ID bound.
 func (t *Tracer) Record(rid, name string, start time.Time, d time.Duration, attrs map[string]string) {
 	if t == nil || rid == "" {
 		return
@@ -109,7 +110,6 @@ func (t *Tracer) Record(rid, name string, start time.Time, d time.Duration, attr
 	}
 	log := el.Value.(*traceLog)
 	if len(log.spans) >= t.maxSpans {
-		log.dropped++
 		return
 	}
 	log.spans = append(log.spans, span)

@@ -77,13 +77,12 @@ func MeasureFECBurst(burstLen, trials int, seed uint64) FECOutcome {
 		panic("reliability: MeasureFECBurst needs positive burst length and trials")
 	}
 	rng := phy.NewRNG(seed)
-	fec := flit.NewFEC()
 	out := FECOutcome{Trials: trials}
 
 	for i := 0; i < trials; i++ {
 		var f flit.Flit
 		rng.Fill(f.Payload())
-		f.SealCXL(fec)
+		f.SealCXL(flit.FEC)
 		img := f.Image(nil)
 		reference := *img
 
@@ -94,7 +93,7 @@ func MeasureFECBurst(burstLen, trials int, seed uint64) FECOutcome {
 			img[start+b] ^= rng.NonzeroByte()
 		}
 
-		res := f.DecodeFEC(fec)
+		res := f.DecodeFEC(flit.FEC)
 		switch res.Status {
 		case rs.StatusClean:
 			// Zero syndromes despite injected errors means the burst

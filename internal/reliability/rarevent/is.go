@@ -75,11 +75,10 @@ func isDecode(ctx context.Context, ber, proposal float64, trials int, seed uint6
 	master := phy.NewRNG(seed)
 	s := phy.TiltedChannel(p, q, master.Split(), UnitBits)
 	payloadRNG := master.Split()
-	fec := flit.NewFEC()
 	var f flit.Flit
 	clean := s.Walk(ctx, 1, trials, func() {
 		payloadRNG.Fill(f.Payload())
-		f.SealCXL(fec)
+		f.SealCXL(flit.FEC)
 		img := f.Image(nil)
 		reference := *img
 		k := s.Corrupt(img[:])
@@ -87,7 +86,7 @@ func isDecode(ctx context.Context, ber, proposal float64, trials int, seed uint6
 		sumW += w
 		struck++
 		ev := fecHarmless
-		res := f.DecodeFEC(fec)
+		res := f.DecodeFEC(flit.FEC)
 		intact := bytes.Equal(img[:flit.ProtectedSize], reference[:flit.ProtectedSize])
 		switch res.Status {
 		case rs.StatusUncorrectable:

@@ -13,15 +13,23 @@ const ways = 3
 // burst of up to 3 consecutive wire bytes — anywhere in the flit, including
 // straddling the data/parity boundary — therefore touches at most one
 // symbol per sub-block and is always correctable.
+//
+// An Interleaved is immutable once built: every call works on its
+// arguments and on stack-local values, so any number of goroutines may
+// share one codec.
 type Interleaved struct {
 	total int // protected data bytes
 	codes [ways]*Code
 	// parityWay[x] and parityIdx[x] map wire parity slot x to (way, symbol).
 	parityWay [ways * nparity]int
 	parityIdx [ways * nparity]int
-	// scratch buffers reused across calls; an Interleaved is NOT safe for
-	// concurrent use. Clone per goroutine.
-	deint  [ways][]byte
+}
+
+// deint is a protected image cut into its ways, as the per-way reference
+// loops read it: way w's data word is data[w][:codes[w].k]. It lives on
+// the caller's stack, which is what keeps the codec free of scratch.
+type deint struct {
+	data   [ways][order - nparity]byte
 	parity [ways][nparity]byte
 }
 
@@ -39,7 +47,6 @@ func NewInterleaved(total int) (*Interleaved, error) {
 			k++
 		}
 		il.codes[w] = MustNew(k)
-		il.deint[w] = make([]byte, k)
 	}
 	// Continue the data region's round-robin through the parity field so a
 	// burst crossing the boundary still spreads across sub-blocks. Any run
@@ -78,22 +85,23 @@ func (il *Interleaved) checkLen(data, parity []byte) {
 	}
 }
 
-// split copies the wire image into the per-way scratch words.
-func (il *Interleaved) split(data, parity []byte) {
-	for w := range il.deint {
-		for i := range il.deint[w] {
-			il.deint[w][i] = data[i*ways+w]
+// split cuts the wire image into its per-way words.
+func (il *Interleaved) split(data, parity []byte) (sp deint) {
+	for w, c := range il.codes {
+		for i := range c.k {
+			sp.data[w][i] = data[i*ways+w]
 		}
 	}
 	for x, p := range parity {
-		il.parity[il.parityWay[x]][il.parityIdx[x]] = p
+		sp.parity[il.parityWay[x]][il.parityIdx[x]] = p
 	}
+	return sp
 }
 
-// joinParity writes the per-way parity back to its wire slots.
-func (il *Interleaved) joinParity(parity []byte) {
+// joinParity writes sp's per-way parity back to its wire slots.
+func (il *Interleaved) joinParity(sp *deint, parity []byte) {
 	for x := range parity {
-		parity[x] = il.parity[il.parityWay[x]][il.parityIdx[x]]
+		parity[x] = sp.parity[il.parityWay[x]][il.parityIdx[x]]
 	}
 }
 
@@ -109,11 +117,11 @@ func (il *Interleaved) Encode(data, parity []byte) {
 		}
 		return
 	}
-	il.split(data, parity)
+	sp := il.split(data, parity)
 	for w, c := range il.codes {
-		c.Encode(il.deint[w], il.parity[w][:])
+		c.Encode(sp.data[w][:c.k], sp.parity[w][:])
 	}
-	il.joinParity(parity)
+	il.joinParity(&sp, parity)
 }
 
 // remTab[e-2][b] is b·(x^e mod g) for e = 2..9, packed like a remainder
@@ -192,10 +200,10 @@ func (il *Interleaved) Decode(data, parity []byte) Result {
 	if slicedRemainder {
 		return il.decodeResidues(data, parity)
 	}
-	il.split(data, parity)
+	sp := il.split(data, parity)
 	total := Result{Status: StatusClean}
 	for w, c := range il.codes {
-		res := c.decode(il.deint[w], il.parity[w][:])
+		res := c.decode(sp.data[w][:c.k], sp.parity[w][:])
 		switch res.Status {
 		case StatusUncorrectable:
 			return Result{Status: StatusUncorrectable}
@@ -205,12 +213,12 @@ func (il *Interleaved) Decode(data, parity []byte) Result {
 		}
 	}
 	if total.Status == StatusCorrected {
-		for w := range il.deint {
-			for i, d := range il.deint[w] {
+		for w, c := range il.codes {
+			for i, d := range sp.data[w][:c.k] {
 				data[i*ways+w] = d
 			}
 		}
-		il.joinParity(parity)
+		il.joinParity(&sp, parity)
 	}
 	return total
 }
@@ -272,9 +280,9 @@ func (il *Interleaved) Verify(data, parity []byte) bool {
 // pinned slow path; simulation code should call Verify.
 func (il *Interleaved) VerifyReference(data, parity []byte) bool {
 	il.checkLen(data, parity)
-	il.split(data, parity)
+	sp := il.split(data, parity)
 	for w, c := range il.codes {
-		if !c.VerifyReference(il.deint[w], il.parity[w][:]) {
+		if !c.VerifyReference(sp.data[w][:c.k], sp.parity[w][:]) {
 			return false
 		}
 	}

@@ -3,6 +3,7 @@ package rs
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -156,6 +157,40 @@ func TestInterleavedLengthPanics(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// TestInterleavedSharedAcrossGoroutines pins the codec's immutability:
+// goroutines sharing one Interleaved, each on its own buffers, get every
+// call's right answer. Under -race a write to the codec fails it on
+// either build, since the purego build runs every call through the
+// per-way reference loops and the default build still does for
+// VerifyReference.
+func TestInterleavedSharedAcrossGoroutines(t *testing.T) {
+	il := MustNewInterleaved(250)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			parity := make([]byte, 6)
+			for trial := 0; trial < 200; trial++ {
+				data := randData(rng, 250)
+				il.Encode(data, parity)
+				if !il.Verify(data, parity) || !il.VerifyReference(data, parity) {
+					t.Errorf("goroutine %d trial %d: fresh codeword fails verification", seed, trial)
+					return
+				}
+				orig := append([]byte(nil), data...)
+				data[rng.Intn(250)] ^= byte(rng.Intn(255) + 1)
+				if res := il.Decode(data, parity); res.Status != StatusCorrected || !bytes.Equal(data, orig) {
+					t.Errorf("goroutine %d trial %d: 1-symbol error decodes %v", seed, trial, res.Status)
+					return
+				}
+			}
+		}(int64(20 + g))
+	}
+	wg.Wait()
 }
 
 func TestMustNewInterleavedPanics(t *testing.T) {

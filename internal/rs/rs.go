@@ -20,6 +20,10 @@
 // Encode, the byte-at-a-time syndromesRef, decodeSingle and
 // VerifyReference. Building with -tags purego pins every call to the
 // reference.
+//
+// Codes and Interleaved banks are immutable once built and keep no
+// scratch: the reference loops deinterleave into a stack-local value. One
+// codec may serve any number of goroutines.
 package rs
 
 import (

@@ -144,6 +144,25 @@ func TestRareProposalNormalizes(t *testing.T) {
 	}
 }
 
+// TestNegativeTimingOverrideRejected: a negative Serialization,
+// Propagation or SwitchLatency would run the default timing under a key
+// of its own, so every kind with a fabric Config answers it with a 400.
+func TestNegativeTimingOverrideRejected(t *testing.T) {
+	srv := newTestServer(t, Config{ShardBudget: 1})
+	for _, spec := range []string{
+		`{"kind":"grid","seed":1,"grid":{"Base":{"Protocol":2,"Levels":1,"BER":1e-6,"Seed":1,"Serialization":-5,"Propagation":-7},"N":100}}`,
+		`{"kind":"comparison","seed":4,"comparison":{"base":{"Levels":1,"BER":1e-5,"Seed":7,"Propagation":-1},"n":300}}`,
+		`{"kind":"scenario","seed":6,"scenario":{"base":{"Protocol":2,"Seed":17,"SwitchLatency":-2},` +
+			`"topologies":[{"w":3,"h":3}],"workloads":[{"kind":"zipf","flows":4}],"bers":[1e-5],"n":40}}`,
+	} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(spec)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("HTTP %d, want 400, for %s: %s", rec.Code, spec, rec.Body)
+		}
+	}
+}
+
 // TestIgnoredFabricFieldsNormalize: a Config field the kind's fabric
 // ignores cannot split the cache key — chains (grid, comparison) ignore
 // NoExpress and meshes (scenario) ignore Levels — and a scenario asking

@@ -6,7 +6,6 @@ import (
 	"repro/internal/flit"
 	"repro/internal/link"
 	"repro/internal/phy"
-	"repro/internal/rs"
 	"repro/internal/sim"
 )
 
@@ -29,9 +28,6 @@ type Chain struct {
 	Fwd, Bwd []*link.Wire
 	// Switches holds the L switching elements, shared by both directions.
 	Switches []*Switch
-
-	// fec materializes deferred seals when a schedule strikes a flit.
-	fec *rs.Interleaved
 }
 
 // ChainConfig parameterizes chain construction.
@@ -73,9 +69,6 @@ func NewChain(eng *sim.Engine, cfg ChainConfig, fwd, bwd *phy.SharedSchedule) *C
 		panic("switchfab: negative switch levels")
 	}
 	c := &Chain{}
-	if fwd != nil || bwd != nil {
-		c.fec = flit.NewFEC()
-	}
 	c.A = link.NewPeer("A", eng, cfg.LinkCfg)
 	c.B = link.NewPeer("B", eng, cfg.LinkCfg)
 	mode := ModeFor(cfg.LinkCfg.Protocol)
@@ -124,13 +117,13 @@ func (c *Chain) crossing(s *phy.SharedSchedule, i, hops int, recv func(*flit.Fli
 	}
 	if i == 0 {
 		return func(f *flit.Flit) {
-			beginTraversal(s, c.fec, f, hops)
+			beginTraversal(s, f, hops)
 			recv(f)
 		}
 	}
 	return func(f *flit.Flit) {
 		if !f.TakePathPass() {
-			crossUnit(s, c.fec, f)
+			crossUnit(s, f)
 		}
 		recv(f)
 	}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/flit"
 	"repro/internal/link"
 	"repro/internal/phy"
-	"repro/internal/rs"
 	"repro/internal/sim"
 )
 
@@ -102,9 +101,6 @@ type Mesh struct {
 	// schedules created after the scale change; SetPathBERScale retunes
 	// the already-existing ones.
 	berScale float64
-	// fec materializes deferred seals when a schedule strikes a deferred
-	// flit mid-path.
-	fec *rs.Interleaved
 }
 
 // Mesh directions.
@@ -172,7 +168,6 @@ func NewMesh(eng *sim.Engine, w, h int, cfg MeshConfig) *Mesh {
 		m.paths = make([]*[256]*phy.SharedSchedule, 256)
 		m.pathRNG = phy.NewRNG(cfg.Seed)
 		m.ber, m.burst = cfg.BER, cfg.BurstProb
-		m.fec = flit.NewFEC()
 	}
 
 	m.Routers = make([]*Switch, w*h)
@@ -348,7 +343,7 @@ func (m *Mesh) injectArrival(id int) func(*flit.Flit) {
 		}
 		granted := true
 		if m.paths != nil {
-			granted = beginTraversal(m.pathSched(src, dst), m.fec, f, hops)
+			granted = beginTraversal(m.pathSched(src, dst), f, hops)
 		}
 		if rt != nil && !m.noExpress {
 			if granted && rt.claimable {
@@ -635,7 +630,7 @@ func (m *Mesh) crossHop(f *flit.Flit) {
 		return
 	}
 	src, dst := f.Route()
-	crossUnit(m.pathSched(src, dst), m.fec, f)
+	crossUnit(m.pathSched(src, dst), f)
 }
 
 // beginTraversal opens a flit's traversal of a path schedule at its
@@ -647,12 +642,12 @@ func (m *Mesh) crossHop(f *flit.Flit) {
 // flit's fast-path marks — so fast and byte-level runs consume the stream
 // identically. The grant verdict is what express traversal keys on: a
 // granted flit's whole mesh timing is deterministic at injection.
-func beginTraversal(s *phy.SharedSchedule, fec *rs.Interleaved, f *flit.Flit, hops int) bool {
+func beginTraversal(s *phy.SharedSchedule, f *flit.Flit, hops int) bool {
 	if s.Begin(hops) {
 		f.SetPathPass(hops - 1)
 		return true
 	}
-	crossUnit(s, fec, f)
+	crossUnit(s, f)
 	return false
 }
 
@@ -661,12 +656,12 @@ func beginTraversal(s *phy.SharedSchedule, fec *rs.Interleaved, f *flit.Flit, ho
 // strikes it. A struck flit is materialized first (its deferred CRC/FEC
 // computed), so the byte-level corruption, and everything downstream of
 // it, is bit-identical to the always-slow reference.
-func crossUnit(s *phy.SharedSchedule, fec *rs.Interleaved, f *flit.Flit) {
+func crossUnit(s *phy.SharedSchedule, f *flit.Flit) {
 	if s.CrossClean() {
 		s.Advance()
 		return
 	}
-	s.Corrupt(f.Image(fec)[:])
+	s.Corrupt(f.Image(flit.FEC)[:])
 }
 
 // releaseFlit is the local sink of a node with nothing attached.

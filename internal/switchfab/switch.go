@@ -114,7 +114,6 @@ type Switch struct {
 	// like InternalBitFlipProb.
 	InternalHook func(*flit.Flit) bool
 
-	fec *rs.Interleaved
 	rng *phy.RNG
 
 	Stats Stats
@@ -123,7 +122,7 @@ type Switch struct {
 // NewSwitch constructs a switch with no probabilistic internal faults;
 // SeedInternalFaults arms them.
 func NewSwitch(name string, eng *sim.Engine, mode Mode, latency sim.Time) *Switch {
-	return &Switch{Name: name, Eng: eng, Mode: mode, Latency: latency, fec: flit.NewFEC()}
+	return &Switch{Name: name, Eng: eng, Mode: mode, Latency: latency}
 }
 
 // SeedInternalFaults enables probabilistic internal corruption: each flit
@@ -173,7 +172,7 @@ func (s *Switch) process(f *flit.Flit) bool {
 
 	// Ingress: FEC decode. Uncorrectable flits are discarded without any
 	// notification to the destination — the silent drop (Section 2.3).
-	res := f.DecodeFEC(s.fec)
+	res := f.DecodeFEC(flit.FEC)
 	switch res.Status {
 	case rs.StatusUncorrectable:
 		s.Stats.DroppedUncorrectable++
@@ -196,12 +195,12 @@ func (s *Switch) process(f *flit.Flit) bool {
 	// without reporting it, so touched follows the call, not its verdict.
 	touched, corrupted := s.InternalHook != nil, false
 	if touched {
-		f.Image(s.fec)
+		f.Image(flit.FEC)
 		corrupted = s.InternalHook(f)
 	}
 	if s.InternalBitFlipProb > 0 && s.rng != nil && s.rng.Float64() < s.InternalBitFlipProb {
 		bit := s.rng.Intn((flit.HeaderSize + flit.PayloadSize) * 8)
-		f.Image(s.fec)[bit/8] ^= 1 << (7 - bit%8)
+		f.Image(flit.FEC)[bit/8] ^= 1 << (7 - bit%8)
 		touched, corrupted = true, true
 	}
 	if corrupted {
@@ -214,7 +213,7 @@ func (s *Switch) process(f *flit.Flit) bool {
 		if s.Mode == ModeCXL {
 			f.RecomputeCRC()
 		}
-		f.ReencodeFEC(s.fec)
+		f.ReencodeFEC(flit.FEC)
 	}
 	return true
 }

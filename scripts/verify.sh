@@ -5,7 +5,7 @@
 #   scripts/verify.sh --level=unit          # gofmt + link/phy layering + vet + build (incl. purego) + tests (incl. bench/) + bench smoke
 #   scripts/verify.sh --level=race          # race detector over ./... + fuzz corpus
 #   scripts/verify.sh --level=flake         # serving/runner packages under -race, 50 times over
-#   scripts/verify.sh --level=kernels       # coding-kernel differential: default vs -tags purego + 10 s live fuzz (kernels, engine, job-view reader, spec decoder)
+#   scripts/verify.sh --level=kernels       # coding-kernel differential: default vs -tags purego (+ purego FEC under -race) + 10 s live fuzz (kernels, engine, job-view reader, spec decoder)
 #   scripts/verify.sh --level=differential  # scenario-grid fast/slow scan + cell and chain fuzz + purego core and link differentials + EXPERIMENTS.md bytes
 #   scripts/verify.sh --level=smoke         # rxld HTTP serving-contract drill
 #   scripts/verify.sh --level=metrics       # /metrics + trace contract + rxltop drill
@@ -141,6 +141,10 @@ rung_kernels() {
   # two runs together pin the asm and vectored paths bit-for-bit.
   run go test -count=1 ./internal/crc/ ./internal/rs/ ./internal/flit/
   run go test -count=1 -tags purego ./internal/crc/ ./internal/rs/ ./internal/flit/
+  # The per-way reference loops run only under the tag, and the race rung
+  # never builds it: the one shared flit FEC codec must stay race-free on
+  # them too.
+  run go test -race -count=1 -tags purego ./internal/rs/ ./internal/flit/
   # Kernel fuzz corpora, replayed on both builds, with the error-schedule
   # walk's (Walk against a crossing-by-crossing Channel walk).
   run go test -count=1 -run 'Fuzz.*' ./internal/crc/ ./internal/rs/ ./internal/phy/
