@@ -159,7 +159,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	if out == nil {
 		return nil
 	}
-	b, err := readReply(resp)
+	b, err := readWhole(resp.Body, resp.ContentLength)
 	if err != nil {
 		return err
 	}
@@ -176,13 +176,14 @@ func (c *Client) doJobView(ctx context.Context, method, path string, body any) (
 	return ReadJobView(resp)
 }
 
-// readReply reads a reply body whole. The daemon sends every JSON reply
-// with its length, so the body is read in one allocation; a body without
-// one (a proxy's), or one claiming more than 1 MiB, grows as it arrives
-// instead.
-func readReply(resp *http.Response) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, 0, max(0, min(resp.ContentLength, 1<<20))+bytes.MinRead))
-	_, err := buf.ReadFrom(resp.Body)
+// readWhole reads a body of the given length whole: a reply, or a
+// submitted spec. The daemon sends every JSON reply with its length and
+// the client every spec with its, so the body is read in one allocation;
+// a body without one (-1, a proxy's), or one claiming more than 1 MiB,
+// grows as it arrives instead.
+func readWhole(body io.Reader, length int64) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, max(0, min(length, 1<<20))+bytes.MinRead))
+	_, err := buf.ReadFrom(body)
 	return buf.Bytes(), err
 }
 
@@ -191,7 +192,7 @@ func readReply(resp *http.Response) ([]byte, error) {
 // read into. The client reads every job view this way, and the fleet
 // front every job view it relays.
 func ReadJobView(resp *http.Response) (JobView, error) {
-	b, err := readReply(resp)
+	b, err := readWhole(resp.Body, resp.ContentLength)
 	if err != nil {
 		return JobView{}, err
 	}
@@ -307,7 +308,9 @@ func (c *Client) Run(ctx context.Context, spec JobSpec) (json.RawMessage, error)
 // Stream subscribes to a job's SSE feed, invoking fn for every event —
 // the full replay first, then live updates — until the terminal event,
 // fn's error, or ctx. A nil error from Stream means the job's event log
-// completed.
+// completed; a feed that ends before its terminal event — a member of a
+// fleet that died mid-stream, say — is an error wrapping
+// io.ErrUnexpectedEOF.
 func (c *Client) Stream(ctx context.Context, id string, fn func(Event) error) error {
 	resp, err := c.Send(ctx, http.MethodGet, "/v1/jobs/"+id+"/events", nil,
 		http.Header{"Accept": {"text/event-stream"}})
@@ -342,10 +345,13 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(Event) error) er
 			}
 		}
 	}
-	if err := sc.Err(); err != nil && !terminal {
+	if terminal {
+		return nil
+	}
+	if err := sc.Err(); err != nil {
 		return err
 	}
-	return nil
+	return fmt.Errorf("service: event feed of job %s ended before its terminal event: %w", id, io.ErrUnexpectedEOF)
 }
 
 // Stats fetches /v1/statsz.

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,7 +12,10 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/link"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // parseWait reads the ?wait=ms long-poll budget: absent means no wait
@@ -35,20 +39,121 @@ func parseWait(r *http.Request) (d time.Duration, ok bool) {
 // DecodeSpec reads the POST /v1/jobs body strictly — unknown fields are a
 // client error, not silently dropped parameters, and so is anything but
 // JSON whitespace after the spec — answering 400 itself when it cannot.
+// The daemon and the fleet front both call it.
+//
+// It reads the body whole and hands it to readSpec, a hand reader of
+// exactly the form json.Marshal writes a grid spec in — the form every
+// Client submission and every front forward takes. Any other body goes
+// to decodeStrict, which returns the spec and the error it always has:
+// FuzzDecodeSpec holds the two paths equal wherever the reader answers.
 func DecodeSpec(w http.ResponseWriter, r *http.Request) (spec JobSpec, ok bool) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&spec)
+	body, err := readWhole(r.Body, r.ContentLength)
 	if err == nil {
-		if _, tail := dec.Token(); tail != io.EOF {
-			err = errors.New("bytes after the spec")
+		if spec, ok = readSpec(body); ok {
+			return spec, true
 		}
+		spec, err = decodeStrict(body)
 	}
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "decode spec: "+err.Error())
 		return spec, false
 	}
 	return spec, true
+}
+
+// decodeStrict decodes one JobSpec under DisallowUnknownFields and
+// requires nothing but JSON whitespace after it.
+func decodeStrict(body []byte) (spec JobSpec, err error) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err = dec.Decode(&spec)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("bytes after the spec")
+		}
+	}
+	return spec, err
+}
+
+// readSpec is DecodeSpec's hand reader. It takes a grid spec in the form
+// json.Marshal(JobSpec) writes: kind and seed, the omitempty priority,
+// timeout_ms and workers, then the grid payload — core.Grid's fields in
+// declaration order, its Base with a null LinkConfig, each axis null or
+// an array — and "}" with nothing after it. Numbers go through strconv
+// as encoding/json's do. ok is false as soon as the body departs from
+// that form: another kind's payload, whitespace, reordered, repeated or
+// case-folded keys, an escaped string or a LinkConfig.
+func readSpec(b []byte) (s JobSpec, ok bool) {
+	r := viewReader{b: b}
+	r.expect(`{"kind":`)
+	// The kind every spec this reader takes names: no copy of it.
+	if s.Kind = KindGrid; !r.skip(`"grid"`) {
+		s.Kind = r.str()
+	}
+	r.expect(`,"seed":`)
+	s.Seed = r.uint64()
+	if r.skip(`,"priority":`) {
+		s.Priority = r.int()
+	}
+	if r.skip(`,"timeout_ms":`) {
+		s.TimeoutMS = r.int64()
+	}
+	if r.skip(`,"workers":`) {
+		s.Workers = r.int()
+	}
+	r.expect(`,"grid":{"Base":{"Protocol":`)
+	g := new(core.Grid)
+	c := &g.Base
+	c.Protocol = link.Protocol(r.int())
+	r.expect(`,"Levels":`)
+	c.Levels = r.int()
+	r.expect(`,"BER":`)
+	c.BER = r.float64()
+	r.expect(`,"BurstProb":`)
+	c.BurstProb = r.float64()
+	r.expect(`,"InternalFlipProb":`)
+	c.InternalFlipProb = r.float64()
+	r.expect(`,"Seed":`)
+	c.Seed = r.uint64()
+	r.expect(`,"LinkConfig":null,"NoFastPath":`)
+	c.NoFastPath = r.bool()
+	r.expect(`,"NoExpress":`)
+	c.NoExpress = r.bool()
+	r.expect(`,"Serialization":`)
+	c.Serialization = sim.Time(r.int64())
+	r.expect(`,"Propagation":`)
+	c.Propagation = sim.Time(r.int64())
+	r.expect(`,"SwitchLatency":`)
+	c.SwitchLatency = sim.Time(r.int64())
+	r.expect(`},"Protocols":`)
+	if r.list() {
+		for g.Protocols = []link.Protocol{}; r.next(len(g.Protocols)); {
+			g.Protocols = append(g.Protocols, link.Protocol(r.int()))
+		}
+	}
+	r.expect(`,"Levels":`)
+	if r.list() {
+		for g.Levels = []int{}; r.next(len(g.Levels)); {
+			g.Levels = append(g.Levels, r.int())
+		}
+	}
+	r.expect(`,"BERs":`)
+	if r.list() {
+		for g.BERs = []float64{}; r.next(len(g.BERs)); {
+			g.BERs = append(g.BERs, r.float64())
+		}
+	}
+	r.expect(`,"Seeds":`)
+	if r.list() {
+		for g.Seeds = []uint64{}; r.next(len(g.Seeds)); {
+			g.Seeds = append(g.Seeds, r.uint64())
+		}
+	}
+	r.expect(`,"N":`)
+	g.N = r.int()
+	r.expect("}}")
+	s.Grid = g
+	return s, !r.bad && len(r.b) == 0
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {

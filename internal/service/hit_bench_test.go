@@ -124,11 +124,41 @@ func BenchmarkDecodeJobView(b *testing.B) {
 	})
 }
 
+// BenchmarkDecodeSpec decodes serve_mix's hit body — a grid spec with a
+// 20-digit seed, as json.Marshal writes it — with DecodeSpec's hand
+// reader and with the strict decoder, the layer's before and after.
+func BenchmarkDecodeSpec(b *testing.B) {
+	body, err := json.Marshal(hitSpec(hitSeed))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, ok := readSpec(body); !ok {
+		b.Fatalf("the hand reader refuses the hit body\n%s", body)
+	}
+	b.Run("reader", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if s, ok := readSpec(body); !ok || s.Seed != hitSeed {
+				b.Fatalf("seed %d ok=%v", s.Seed, ok)
+			}
+		}
+	})
+	b.Run("strict", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if s, err := decodeStrict(body); err != nil || s.Seed != hitSeed {
+				b.Fatalf("seed %d err=%v", s.Seed, err)
+			}
+		}
+	})
+}
+
 // hitAllocBudget is what one in-process cache-hit submit may allocate,
 // from spec to decoded view: the count measured with go1.24 when
-// DecodeJobView's hand reader landed (87 with json.Unmarshal before it).
-// net/http's share of it can move between Go releases.
-const hitAllocBudget = 79
+// DecodeSpec's hand reader landed (79 with the strict decoder before it,
+// 87 before DecodeJobView's reader). net/http's share of it can move
+// between Go releases.
+const hitAllocBudget = 66
 
 // TestSubmitHitAllocations holds one in-process cache hit to
 // hitAllocBudget allocations, so a hit path that starts allocating again

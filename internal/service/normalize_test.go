@@ -286,7 +286,11 @@ func TestKindTableComplete(t *testing.T) {
 
 // FuzzDecodeSpec holds DecodeSpec to its contract: it accepts a body
 // exactly when a DisallowUnknownFields decode of one JobSpec succeeds and
-// only JSON whitespace follows it, and then yields that decode's spec.
+// only JSON whitespace follows it, and then yields that decode's spec —
+// equal, and marshalling to the same bytes, which is what the cache key
+// sees (reflect.DeepEqual alone counts a BER of -0 equal to 0). The
+// writer-form seeds run the hand reader's path, the others the strict
+// decoder's.
 func FuzzDecodeSpec(f *testing.F) {
 	const spec = `{"kind":"sweep","seed":2,"sweep":{"bers":[1e-4,1e-5],"flits_per_point":20000}}`
 	for _, b := range []string{
@@ -297,6 +301,13 @@ func FuzzDecodeSpec(f *testing.F) {
 		``,
 	} {
 		f.Add([]byte(b))
+	}
+	for _, s := range writerFormSpecs(f) {
+		b, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var want JobSpec
@@ -313,6 +324,13 @@ func FuzzDecodeSpec(f *testing.F) {
 			t.Fatalf("DecodeSpec refused %q with %d, want 400", body, rec.Code)
 		case ok && !reflect.DeepEqual(got, want):
 			t.Fatalf("DecodeSpec reads %q as %+v, the decoder as %+v", body, got, want)
+		}
+		if ok {
+			g, gErr := json.Marshal(got)
+			w, wErr := json.Marshal(want)
+			if !bytes.Equal(g, w) || gErr != nil || wErr != nil {
+				t.Fatalf("DecodeSpec reads %q as a spec that marshals to %s (%v), the decoder's to %s (%v)", body, g, gErr, w, wErr)
+			}
 		}
 	})
 }

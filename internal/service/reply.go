@@ -145,9 +145,7 @@ func readJobView(b []byte) (v JobView, ok bool) {
 	r.expect(`,"status":`)
 	v.Status = Status(r.str())
 	r.expect(`,"cached":`)
-	if v.Cached = r.skip("true"); !v.Cached {
-		r.expect("false")
-	}
+	v.Cached = r.bool()
 	v.Dedup = r.skip(`,"dedup":true`)
 	v.PeerFetched = r.skip(`,"peer_fetched":true`)
 	v.RequestID = r.optStr(`,"request_id":`)
@@ -171,8 +169,9 @@ func readJobView(b []byte) (v JobView, ok bool) {
 	return v, !r.bad && len(r.b) == 0
 }
 
-// viewReader is readJobView's cursor: b is what is left of the body, and
-// bad, once set, makes every further read a no-op returning zero.
+// viewReader is the hand readers' cursor, readJobView's and readSpec's:
+// b is what is left of the body, and bad, once set, makes every further
+// read a no-op returning zero.
 type viewReader struct {
 	b   []byte
 	bad bool
@@ -234,26 +233,15 @@ func (r *viewReader) optStr(name string) string {
 	return s
 }
 
-// optInt64 reads an omitempty integer field: absent, or a non-zero integer
-// in JSON grammar. More than 18 digits, which might not fit, is left to
-// json.Unmarshal.
+// optInt64 reads an omitempty integer field: absent, or a non-zero
+// integer.
 func (r *viewReader) optInt64(name string) int64 {
 	if !r.skip(name) {
 		return 0
 	}
-	neg := r.skip("-")
-	var n int64
-	i := 0
-	for ; i < len(r.b) && i <= 18 && '0' <= r.b[i] && r.b[i] <= '9'; i++ {
-		n = 10*n + int64(r.b[i]-'0')
-	}
-	if i == 0 || i > 18 || r.b[0] == '0' {
+	n := r.int64()
+	if n == 0 {
 		r.bad = true
-		return 0
-	}
-	r.b = r.b[i:]
-	if neg {
-		return -n
 	}
 	return n
 }
@@ -265,6 +253,94 @@ func (r *viewReader) optInt(name string) int {
 		r.bad = true
 	}
 	return int(n)
+}
+
+// number consumes the number at the head of the body, in JSON grammar.
+func (r *viewReader) number() []byte {
+	if r.bad || len(r.b) == 0 {
+		r.bad = true
+		return nil
+	}
+	n := scanNumber(r.b, 0)
+	if n < 0 {
+		r.bad = true
+		return nil
+	}
+	lit := r.b[:n]
+	r.b = r.b[n:]
+	return lit
+}
+
+// int64 reads an integer as json.Unmarshal does, through strconv.ParseInt
+// of the number's literal: a fraction, an exponent or an out-of-range
+// value is not one.
+func (r *viewReader) int64() int64 {
+	n, err := strconv.ParseInt(string(r.number()), 10, 64)
+	if err != nil {
+		r.bad = true
+	}
+	return n
+}
+
+// int is int64 for an int field.
+func (r *viewReader) int() int {
+	n := r.int64()
+	if int64(int(n)) != n {
+		r.bad = true
+	}
+	return int(n)
+}
+
+// uint64 reads an unsigned integer through strconv.ParseUint.
+func (r *viewReader) uint64() uint64 {
+	n, err := strconv.ParseUint(string(r.number()), 10, 64)
+	if err != nil {
+		r.bad = true
+	}
+	return n
+}
+
+// float64 reads a number through strconv.ParseFloat; one out of float64's
+// range is refused, as json.Unmarshal refuses it.
+func (r *viewReader) float64() float64 {
+	f, err := strconv.ParseFloat(string(r.number()), 64)
+	if err != nil {
+		r.bad = true
+	}
+	return f
+}
+
+// bool reads true or false.
+func (r *viewReader) bool() bool {
+	if r.skip("true") {
+		return true
+	}
+	r.expect("false")
+	return false
+}
+
+// list opens an array, reporting false on null instead. The caller then
+// reads the elements while next says one follows, into a slice it starts
+// empty but not nil, as json.Unmarshal fills one.
+func (r *viewReader) list() bool {
+	if r.skip("null") {
+		return false
+	}
+	r.expect("[")
+	return !r.bad
+}
+
+// next consumes the "]" that closes a list, or else the "," before any
+// element but the first (n is the count read), and reports whether an
+// element follows.
+func (r *viewReader) next(n int) bool {
+	if r.bad || r.skip("]") {
+		return false
+	}
+	if n > 0 {
+		r.expect(",")
+	}
+	return !r.bad
 }
 
 // time reads a timestamp as json.Unmarshal does, through UnmarshalJSON.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -820,5 +821,28 @@ func TestClosedServerRejectsCacheHits(t *testing.T) {
 
 	if _, _, err := srv.Submit(spec); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed server accepted a cache-hit submission: %v", err)
+	}
+}
+
+// TestStreamReportsCutFeed: a feed that ends cleanly before its terminal
+// event — what a client of the fleet front sees when the member streaming
+// the job dies — is an error wrapping io.ErrUnexpectedEOF, not the nil
+// that means the job's event log completed.
+func TestStreamReportsCutFeed(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		fmt.Fprint(w, "id: 0\nevent: status\ndata: {\"type\":\"status\",\"status\":\"queued\"}\n\n")
+	}))
+	defer ts.Close()
+	var events []Event
+	err := NewClient(ts.URL).Stream(context.Background(), "j1", func(e Event) error {
+		events = append(events, e)
+		return nil
+	})
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("a feed cut after %d event(s) returned %v, want io.ErrUnexpectedEOF", len(events), err)
+	}
+	if len(events) != 1 || events[0].Status != StatusQueued {
+		t.Fatalf("events before the cut: %+v", events)
 	}
 }
