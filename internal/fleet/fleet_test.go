@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -543,6 +545,49 @@ func TestFrontRejectsBytesAfterSpec(t *testing.T) {
 	}
 	if code, msg, _ := postRaw(t, tf.frontTS.URL, string(spec)+"\n \t"); code != http.StatusAccepted && code != http.StatusOK {
 		t.Errorf("spec followed by whitespace through the front: HTTP %d (%s), want it admitted", code, msg)
+	}
+}
+
+// TestFrontSubmitBodyBounded: the front bounds a submit body as a
+// daemon does, at the 8 MiB OPERATIONS documents. A body a byte over is
+// answered 413 without a forward, whether its length is declared or
+// not, and a whitespace-padded spec of exactly 8 MiB is admitted.
+func TestFrontSubmitBodyBounded(t *testing.T) {
+	const bound = 8 << 20
+	tf := startFleet(t, 2, FrontConfig{})
+	spec, err := json.Marshal(gridSpec(54))
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := func(n int) []byte { return append(spec, bytes.Repeat([]byte(" "), n-len(spec))...) }
+	post := func(body []byte, declared bool) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/jobs", struct{ io.Reader }{bytes.NewReader(body)})
+		if declared {
+			req.ContentLength = int64(len(body))
+		}
+		rec := httptest.NewRecorder()
+		tf.front.ServeHTTP(rec, req)
+		return rec
+	}
+	admitted := func() (n uint64) {
+		for _, srv := range tf.servers {
+			n += srv.Stats().JobsSubmitted
+		}
+		return n
+	}
+	for _, declared := range []bool{true, false} {
+		if rec := post(padded(bound+1), declared); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("declared length %v: a body a byte over the bound answered %d %.200s, want 413", declared, rec.Code, rec.Body)
+		}
+	}
+	if n := admitted(); n != 0 {
+		t.Fatalf("%d jobs admitted from oversized bodies", n)
+	}
+	if rec := post(padded(bound), true); rec.Code != http.StatusAccepted {
+		t.Fatalf("a spec padded to the bound answered %d %s, want 202", rec.Code, rec.Body)
+	}
+	if n := admitted(); n != 1 {
+		t.Fatalf("%d jobs admitted, want the one at the bound", n)
 	}
 }
 

@@ -286,18 +286,13 @@ func (p *frontPeer) jobID(localID string) string {
 // handleSubmit routes a submission to its ring owner, failing over in
 // ring order.
 func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, ok := service.DecodeSpec(w, r)
+	norm, key, ok := service.DecodeSpec(w, r)
 	if !ok {
-		return
-	}
-	norm, err := spec.Normalize()
-	if err != nil {
-		service.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
 	now := time.Now()
-	candidates := f.ring.Owners(norm.Key(), len(f.peers))
+	candidates := f.ring.Owners(key, len(f.peers))
 	v, peer, err := f.forwardSubmit(r.Context(), candidates, norm, now)
 	if err != nil {
 		f.subSeconds[service.OutcomeError].Observe(time.Since(now).Seconds())

@@ -10,12 +10,10 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/link"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // parseWait reads the ?wait=ms long-poll budget: absent means no wait
@@ -36,29 +34,48 @@ func parseWait(r *http.Request) (d time.Duration, ok bool) {
 	return time.Duration(ms) * time.Millisecond, true
 }
 
-// DecodeSpec reads the POST /v1/jobs body strictly — unknown fields are a
-// client error, not silently dropped parameters, and so is anything but
-// JSON whitespace after the spec — answering 400 itself when it cannot.
-// The daemon and the fleet front both call it.
+// maxSpecBody bounds a POST /v1/jobs body at 8 MiB, room for several
+// maximal replay traces (65 536 records each). A larger body is answered
+// 413 before anything past the bound is read.
+const maxSpecBody = 8 << 20
+
+// DecodeSpec reads the POST /v1/jobs body and returns its normalized spec
+// and cache key, answering the request itself when it cannot: 413 for a
+// body over maxSpecBody, 400 for one the strict decoder or Normalize
+// refuses. The daemon and the fleet front both call it.
 //
-// It reads the body whole and hands it to readSpec, a hand reader of
-// exactly the form json.Marshal writes a grid spec in — the form every
-// Client submission and every front forward takes. Any other body goes
-// to decodeStrict, which returns the spec and the error it always has:
-// FuzzDecodeSpec holds the two paths equal wherever the reader answers.
-func DecodeSpec(w http.ResponseWriter, r *http.Request) (spec JobSpec, ok bool) {
-	body, err := readWhole(r.Body, r.ContentLength)
+// A body the spec memo holds is answered from it. Any other goes through
+// decodeStrict, Normalize and Key, and is stored once accepted.
+func DecodeSpec(w http.ResponseWriter, r *http.Request) (norm JobSpec, key string, ok bool) {
+	// A declared length over the bound is refused unread.
+	tooBig := r.ContentLength > maxSpecBody
+	var body []byte
+	var err error
+	if !tooBig {
+		body, err = readWhole(http.MaxBytesReader(w, r.Body, maxSpecBody), r.ContentLength)
+		tooBig = err != nil && errors.As(err, new(*http.MaxBytesError))
+	}
+	if tooBig {
+		WriteError(w, http.StatusRequestEntityTooLarge, "decode spec: body over "+strconv.Itoa(maxSpecBody)+" bytes")
+		return JobSpec{}, "", false
+	}
 	if err == nil {
-		if spec, ok = readSpec(body); ok {
-			return spec, true
+		if e, ok := specs.get(body); ok {
+			return e.norm, e.key, true
 		}
-		spec, err = decodeStrict(body)
+		norm, err = decodeStrict(body)
 	}
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "decode spec: "+err.Error())
-		return spec, false
+		return JobSpec{}, "", false
 	}
-	return spec, true
+	if norm, err = norm.Normalize(); err != nil {
+		WriteError(w, http.StatusBadRequest, err.Error())
+		return JobSpec{}, "", false
+	}
+	key = norm.Key()
+	specs.put(body, memoSpec{norm, key})
+	return norm, key, true
 }
 
 // decodeStrict decodes one JobSpec under DisallowUnknownFields and
@@ -75,103 +92,67 @@ func decodeStrict(body []byte) (spec JobSpec, err error) {
 	return spec, err
 }
 
-// readSpec is DecodeSpec's hand reader. It takes a grid spec in the form
-// json.Marshal(JobSpec) writes: kind and seed, the omitempty priority,
-// timeout_ms and workers, then the grid payload — core.Grid's fields in
-// declaration order, its Base with a null LinkConfig, each axis null or
-// an array — and "}" with nothing after it. Numbers go through strconv
-// as encoding/json's do. ok is false as soon as the body departs from
-// that form: another kind's payload, whitespace, reordered, repeated or
-// case-folded keys, an escaped string or a LinkConfig.
-func readSpec(b []byte) (s JobSpec, ok bool) {
-	r := viewReader{b: b}
-	r.expect(`{"kind":`)
-	// The kind every spec this reader takes names: no copy of it.
-	if s.Kind = KindGrid; !r.skip(`"grid"`) {
-		s.Kind = r.str()
+// The spec memo's bounds: as many bodies as the default result cache
+// holds results, each a few times a grid spec's size.
+const (
+	memoEntries = 256
+	memoBodyMax = 4 << 10
+)
+
+// specMemo maps a submitted body, byte for byte, to its normalized spec
+// and cache key. The mapping is a pure function of the bytes: decodeStrict,
+// Normalize and Key read nothing else, so an entry never goes stale and
+// one memo serves every Server and Front in the process. A client
+// resubmitting a spec, or a front forwarding one, sends the same bytes
+// each time, so a repeat skips all three. Refused bodies and bodies over
+// memoBodyMax are not stored; a full memo is cleared whole, and a hot
+// body re-enters on its next repeat. Entries are shared by every job
+// submitted with their body, so nothing may write through a stored
+// spec's pointers.
+type specMemo struct {
+	mu sync.Mutex
+	m  map[string]memoSpec
+}
+
+type memoSpec struct {
+	norm JobSpec
+	key  string
+}
+
+var specs = specMemo{m: make(map[string]memoSpec, memoEntries)}
+
+func (c *specMemo) get(body []byte) (memoSpec, bool) {
+	c.mu.Lock()
+	e, ok := c.m[string(body)]
+	c.mu.Unlock()
+	return e, ok
+}
+
+func (c *specMemo) put(body []byte, e memoSpec) {
+	if len(body) > memoBodyMax {
+		return
 	}
-	r.expect(`,"seed":`)
-	s.Seed = r.uint64()
-	if r.skip(`,"priority":`) {
-		s.Priority = r.int()
+	c.mu.Lock()
+	if len(c.m) >= memoEntries {
+		clear(c.m)
 	}
-	if r.skip(`,"timeout_ms":`) {
-		s.TimeoutMS = r.int64()
-	}
-	if r.skip(`,"workers":`) {
-		s.Workers = r.int()
-	}
-	r.expect(`,"grid":{"Base":{"Protocol":`)
-	g := new(core.Grid)
-	c := &g.Base
-	c.Protocol = link.Protocol(r.int())
-	r.expect(`,"Levels":`)
-	c.Levels = r.int()
-	r.expect(`,"BER":`)
-	c.BER = r.float64()
-	r.expect(`,"BurstProb":`)
-	c.BurstProb = r.float64()
-	r.expect(`,"InternalFlipProb":`)
-	c.InternalFlipProb = r.float64()
-	r.expect(`,"Seed":`)
-	c.Seed = r.uint64()
-	r.expect(`,"LinkConfig":null,"NoFastPath":`)
-	c.NoFastPath = r.bool()
-	r.expect(`,"NoExpress":`)
-	c.NoExpress = r.bool()
-	r.expect(`,"Serialization":`)
-	c.Serialization = sim.Time(r.int64())
-	r.expect(`,"Propagation":`)
-	c.Propagation = sim.Time(r.int64())
-	r.expect(`,"SwitchLatency":`)
-	c.SwitchLatency = sim.Time(r.int64())
-	r.expect(`},"Protocols":`)
-	if r.list() {
-		for g.Protocols = []link.Protocol{}; r.next(len(g.Protocols)); {
-			g.Protocols = append(g.Protocols, link.Protocol(r.int()))
-		}
-	}
-	r.expect(`,"Levels":`)
-	if r.list() {
-		for g.Levels = []int{}; r.next(len(g.Levels)); {
-			g.Levels = append(g.Levels, r.int())
-		}
-	}
-	r.expect(`,"BERs":`)
-	if r.list() {
-		for g.BERs = []float64{}; r.next(len(g.BERs)); {
-			g.BERs = append(g.BERs, r.float64())
-		}
-	}
-	r.expect(`,"Seeds":`)
-	if r.list() {
-		for g.Seeds = []uint64{}; r.next(len(g.Seeds)); {
-			g.Seeds = append(g.Seeds, r.uint64())
-		}
-	}
-	r.expect(`,"N":`)
-	g.N = r.int()
-	r.expect("}}")
-	s.Grid = g
-	return s, !r.bad && len(r.b) == 0
+	c.m[string(body)] = e
+	c.mu.Unlock()
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, ok := DecodeSpec(w, r)
+	norm, key, ok := DecodeSpec(w, r)
 	if !ok {
 		return
 	}
-	j, dedup, err := s.SubmitCtx(r.Context(), spec)
+	j, dedup, err := s.submit(r.Context(), norm, key)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
 		WriteError(w, http.StatusTooManyRequests, err.Error())
 		return
-	case errors.Is(err, ErrClosed):
+	case err != nil: // ErrClosed, submit's one other refusal
 		WriteError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	case err != nil:
-		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 

@@ -124,29 +124,34 @@ func BenchmarkDecodeJobView(b *testing.B) {
 	})
 }
 
-// BenchmarkDecodeSpec decodes serve_mix's hit body — a grid spec with a
-// 20-digit seed, as json.Marshal writes it — with DecodeSpec's hand
-// reader and with the strict decoder, the layer's before and after.
+// BenchmarkDecodeSpec answers serve_mix's hit body — a grid spec with a
+// 20-digit seed, as json.Marshal writes it — from the spec memo, and
+// with the strict decoder, Normalize and Key, the path a body the memo
+// does not hold takes.
 func BenchmarkDecodeSpec(b *testing.B) {
 	body, err := json.Marshal(hitSpec(hitSeed))
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, ok := readSpec(body); !ok {
-		b.Fatalf("the hand reader refuses the hit body\n%s", body)
+	if _, _, ok := DecodeSpec(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body))); !ok {
+		b.Fatalf("the hit body is refused\n%s", body)
 	}
-	b.Run("reader", func(b *testing.B) {
+	b.Run("memo", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if s, ok := readSpec(body); !ok || s.Seed != hitSeed {
-				b.Fatalf("seed %d ok=%v", s.Seed, ok)
+			if e, ok := specs.get(body); !ok || e.norm.Seed != hitSeed {
+				b.Fatalf("seed %d ok=%v", e.norm.Seed, ok)
 			}
 		}
 	})
 	b.Run("strict", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if s, err := decodeStrict(body); err != nil || s.Seed != hitSeed {
+			s, err := decodeStrict(body)
+			if err == nil {
+				s, err = s.Normalize()
+			}
+			if err != nil || s.Key() == "" || s.Seed != hitSeed {
 				b.Fatalf("seed %d err=%v", s.Seed, err)
 			}
 		}
@@ -154,11 +159,11 @@ func BenchmarkDecodeSpec(b *testing.B) {
 }
 
 // hitAllocBudget is what one in-process cache-hit submit may allocate,
-// from spec to decoded view: the count measured with go1.24 when
-// DecodeSpec's hand reader landed (79 with the strict decoder before it,
-// 87 before DecodeJobView's reader). net/http's share of it can move
-// between Go releases.
-const hitAllocBudget = 66
+// from spec to decoded view: the count measured with go1.24 when the
+// spec memo landed (66 with the hand spec reader before it, 79 with the
+// strict decoder alone, 87 before DecodeJobView's reader). net/http's
+// share of it can move between Go releases.
+const hitAllocBudget = 56
 
 // TestSubmitHitAllocations holds one in-process cache hit to
 // hitAllocBudget allocations, so a hit path that starts allocating again

@@ -28,7 +28,13 @@ func (s *Server) SubmitCtx(ctx context.Context, spec JobSpec) (j *Job, dedup boo
 	if err != nil {
 		return nil, false, err
 	}
-	key := norm.Key()
+	return s.submit(ctx, norm, norm.Key())
+}
+
+// submit admits a normalized spec under its cache key: a hit, a join
+// onto an identical in-flight job, or a new job on the queue. Its only
+// refusals are ErrClosed and ErrQueueFull.
+func (s *Server) submit(ctx context.Context, norm JobSpec, key string) (j *Job, dedup bool, err error) {
 	rid := obs.RequestID(ctx)
 	s.tracer.Record(rid, "submit", time.Now(), 0, map[string]string{
 		"kind": norm.Kind, "key": key[:8],

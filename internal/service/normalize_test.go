@@ -284,13 +284,13 @@ func TestKindTableComplete(t *testing.T) {
 	}
 }
 
-// FuzzDecodeSpec holds DecodeSpec to its contract: it accepts a body
-// exactly when a DisallowUnknownFields decode of one JobSpec succeeds and
-// only JSON whitespace follows it, and then yields that decode's spec —
-// equal, and marshalling to the same bytes, which is what the cache key
-// sees (reflect.DeepEqual alone counts a BER of -0 equal to 0). The
-// writer-form seeds run the hand reader's path, the others the strict
-// decoder's.
+// FuzzDecodeSpec holds DecodeSpec to its contract (decodesAsReference):
+// it accepts a body exactly when a DisallowUnknownFields decode of one
+// JobSpec, followed by nothing but JSON whitespace, and Normalize both
+// succeed, and then yields Normalize's spec and its Key; otherwise it
+// answers 400 with the refusal's message. A second call on the same
+// body, which the memo answers, must answer identically. The seeds are
+// trailing-byte bodies, the writer-form specs and fallbackBodies.
 func FuzzDecodeSpec(f *testing.F) {
 	const spec = `{"kind":"sweep","seed":2,"sweep":{"bers":[1e-4,1e-5],"flits_per_point":20000}}`
 	for _, b := range []string{
@@ -309,36 +309,17 @@ func FuzzDecodeSpec(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	f.Fuzz(func(t *testing.T, body []byte) {
-		var want JobSpec
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		err := dec.Decode(&want)
-		accept := err == nil && len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) == 0
-		rec := httptest.NewRecorder()
-		got, ok := DecodeSpec(rec, httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body)))
-		switch {
-		case ok != accept:
-			t.Fatalf("DecodeSpec ok=%v on %q, want %v (decode error %v)", ok, body, accept, err)
-		case !ok && rec.Code != http.StatusBadRequest:
-			t.Fatalf("DecodeSpec refused %q with %d, want 400", body, rec.Code)
-		case ok && !reflect.DeepEqual(got, want):
-			t.Fatalf("DecodeSpec reads %q as %+v, the decoder as %+v", body, got, want)
-		}
-		if ok {
-			g, gErr := json.Marshal(got)
-			w, wErr := json.Marshal(want)
-			if !bytes.Equal(g, w) || gErr != nil || wErr != nil {
-				t.Fatalf("DecodeSpec reads %q as a spec that marshals to %s (%v), the decoder's to %s (%v)", body, g, gErr, w, wErr)
-			}
-		}
-	})
+	for _, b := range fallbackBodies(f) {
+		f.Add([]byte(b))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) { decodesAsReference(t, body) })
 }
 
-// decodeBody is the daemon's strict POST /v1/jobs decode of a raw body.
+// decodeBody is the strict POST /v1/jobs decode of a raw body, before
+// Normalize.
 func decodeBody(body []byte) (JobSpec, bool) {
-	return DecodeSpec(httptest.NewRecorder(),
-		httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body)))
+	spec, err := decodeStrict(body)
+	return spec, err == nil
 }
 
 const corpusDir = "testdata/fuzz/FuzzJobSpecNormalize"

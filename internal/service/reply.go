@@ -169,9 +169,8 @@ func readJobView(b []byte) (v JobView, ok bool) {
 	return v, !r.bad && len(r.b) == 0
 }
 
-// viewReader is the hand readers' cursor, readJobView's and readSpec's:
-// b is what is left of the body, and bad, once set, makes every further
-// read a no-op returning zero.
+// viewReader is readJobView's cursor: b is what is left of the body, and
+// bad, once set, makes every further read a no-op returning zero.
 type viewReader struct {
 	b   []byte
 	bad bool
@@ -282,34 +281,6 @@ func (r *viewReader) int64() int64 {
 	return n
 }
 
-// int is int64 for an int field.
-func (r *viewReader) int() int {
-	n := r.int64()
-	if int64(int(n)) != n {
-		r.bad = true
-	}
-	return int(n)
-}
-
-// uint64 reads an unsigned integer through strconv.ParseUint.
-func (r *viewReader) uint64() uint64 {
-	n, err := strconv.ParseUint(string(r.number()), 10, 64)
-	if err != nil {
-		r.bad = true
-	}
-	return n
-}
-
-// float64 reads a number through strconv.ParseFloat; one out of float64's
-// range is refused, as json.Unmarshal refuses it.
-func (r *viewReader) float64() float64 {
-	f, err := strconv.ParseFloat(string(r.number()), 64)
-	if err != nil {
-		r.bad = true
-	}
-	return f
-}
-
 // bool reads true or false.
 func (r *viewReader) bool() bool {
 	if r.skip("true") {
@@ -317,30 +288,6 @@ func (r *viewReader) bool() bool {
 	}
 	r.expect("false")
 	return false
-}
-
-// list opens an array, reporting false on null instead. The caller then
-// reads the elements while next says one follows, into a slice it starts
-// empty but not nil, as json.Unmarshal fills one.
-func (r *viewReader) list() bool {
-	if r.skip("null") {
-		return false
-	}
-	r.expect("[")
-	return !r.bad
-}
-
-// next consumes the "]" that closes a list, or else the "," before any
-// element but the first (n is the count read), and reports whether an
-// element follows.
-func (r *viewReader) next(n int) bool {
-	if r.bad || r.skip("]") {
-		return false
-	}
-	if n > 0 {
-		r.expect(",")
-	}
-	return !r.bad
 }
 
 // time reads a timestamp as json.Unmarshal does, through UnmarshalJSON.

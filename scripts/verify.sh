@@ -5,7 +5,7 @@
 #   scripts/verify.sh --level=unit          # gofmt + link/phy layering + vet + build (incl. purego) + tests (incl. bench/) + bench smoke
 #   scripts/verify.sh --level=race          # race detector over ./... + fuzz corpus
 #   scripts/verify.sh --level=flake         # serving/runner packages under -race, 50 times over
-#   scripts/verify.sh --level=kernels       # coding-kernel differential: default vs -tags purego (+ purego FEC under -race) + 10 s live fuzz (kernels, engine, job-view reader, spec decoder, spec reader)
+#   scripts/verify.sh --level=kernels       # coding-kernel differential: default vs -tags purego (+ purego FEC under -race) + 10 s live fuzz (kernels, engine, job-view reader, spec decoder)
 #   scripts/verify.sh --level=differential  # scenario-grid fast/slow scan + cell and chain fuzz + purego core and link differentials + EXPERIMENTS.md bytes
 #   scripts/verify.sh --level=smoke         # rxld HTTP serving-contract drill
 #   scripts/verify.sh --level=metrics       # /metrics + trace contract + rxltop drill
@@ -152,14 +152,13 @@ rung_kernels() {
   # A short live fuzz of the FEC kernel against its per-way reference, of
   # the schedule walk against its stepwise twin, of the event engine
   # against a single binary heap, of the job-view reader and its result
-  # scanner against encoding/json, of the submit-spec decoder against
-  # one strict decode followed by nothing but whitespace, and of the spec
-  # reader on every grid spec json.Marshal writes, on the default build;
-  # go runs one -fuzz target per invocation.
+  # scanner against encoding/json, and of the submit-spec decoder and its
+  # memo against one strict decode followed by nothing but whitespace,
+  # then Normalize and Key, on the default build; go runs one -fuzz
+  # target per invocation.
   for target in rs:FuzzInterleavedEncode rs:FuzzReencodeIdentity rs:FuzzVerifyDecode \
     rs:FuzzDecodeMatchesReference phy:FuzzWalkMatchesStepwise sim:FuzzEngineMatchesReference \
-    service:FuzzDecodeJobView service:FuzzScanValue service:FuzzDecodeSpec \
-    service:FuzzSpecReaderTakesWriterForm; do
+    service:FuzzDecodeJobView service:FuzzScanValue service:FuzzDecodeSpec; do
     run go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime=10s "./internal/${target%%:*}/"
   done
 }
