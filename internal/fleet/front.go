@@ -1,9 +1,9 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
-	"fmt"
-	"io"
+	"errors"
 	"net/http"
 	"strconv"
 	"strings"
@@ -71,9 +71,11 @@ type Front struct {
 // down-mark forwards leave behind, and the active probe verdict the
 // background health loop maintains.
 type frontPeer struct {
-	index  int
 	url    string
 	client *service.Client
+	// idHead is viewHead and the peer's handle prefix, "p<index>~",
+	// which resolveJobID splits again.
+	idHead []byte
 
 	// Registry counters, labelled by peer URL (see wireMetrics). routed
 	// counts successful submit forwards only.
@@ -112,7 +114,11 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 		stop:   make(chan struct{}),
 	}
 	for i, u := range ring.Peers() {
-		f.peers = append(f.peers, &frontPeer{index: i, url: u, client: service.NewClient(u)})
+		f.peers = append(f.peers, &frontPeer{
+			url:    u,
+			client: service.NewClient(u),
+			idHead: []byte(viewHead + "p" + strconv.Itoa(i) + "~"),
+		})
 	}
 	f.wireMetrics()
 
@@ -277,14 +283,61 @@ func (p *frontPeer) markAnswered(served bool) {
 	p.mu.Unlock()
 }
 
-// jobID is the front's handle for a job the peer issued as localID:
-// "p<index>~<localID>", which resolveJobID splits again.
-func (p *frontPeer) jobID(localID string) string {
-	return "p" + strconv.Itoa(p.index) + "~" + localID
+// viewHead is how every job view a member writes opens: the encoder's
+// form puts the ID first.
+const viewHead = `{"id":"`
+
+// relay writes a member's answer as the member wrote it — status,
+// Content-Type, Cache-Control, ETag, Retry-After and body — and closes
+// it; every answer the front passes on goes through it. With view set, a
+// 2xx body is a job view: read whole and decoded as the client reads it,
+// it goes out with the peer's handle spliced in front of the local ID,
+// or as a 502 (ok false) if it cannot be decoded or does not open with
+// viewHead. Any other body is streamed, flushed as it arrives.
+func (p *frontPeer) relay(w http.ResponseWriter, resp *http.Response, view bool) (v service.JobView, ok bool) {
+	defer resp.Body.Close()
+	var body []byte
+	if view = view && resp.StatusCode < 300; view {
+		var err error
+		v, body, err = service.ReadJobView(resp)
+		if err == nil && !bytes.HasPrefix(body, []byte(viewHead)) {
+			err = errors.New("job view does not open with its id")
+		}
+		if err != nil {
+			service.WriteError(w, http.StatusBadGateway, "fleet: bad peer response: "+err.Error())
+			return v, false
+		}
+	}
+	h := w.Header()
+	for _, k := range [...]string{"Content-Type", "Cache-Control", "ETag", "Retry-After"} {
+		if s := resp.Header.Get(k); s != "" {
+			h.Set(k, s)
+		}
+	}
+	if view {
+		h.Set("Content-Length", strconv.Itoa(len(p.idHead)+len(body)-len(viewHead)))
+		w.WriteHeader(resp.StatusCode)
+		w.Write(p.idHead)
+		w.Write(body[len(viewHead):])
+		return v, true
+	}
+	if resp.ContentLength >= 0 {
+		h.Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
+	}
+	w.WriteHeader(resp.StatusCode)
+	rc := http.NewResponseController(w)
+	for buf := make([]byte, 32<<10); ; {
+		rc.Flush()
+		n, err := resp.Body.Read(buf)
+		w.Write(buf[:n])
+		if err != nil {
+			return v, true
+		}
+	}
 }
 
 // handleSubmit routes a submission to its ring owner, failing over in
-// ring order.
+// ring order, and relays the owner's answer.
 func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	norm, key, ok := service.DecodeSpec(w, r)
 	if !ok {
@@ -293,21 +346,17 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	now := time.Now()
 	candidates := f.ring.Owners(key, len(f.peers))
-	v, peer, err := f.forwardSubmit(r.Context(), candidates, norm, now)
+	resp, peer, err := f.forwardSubmit(r.Context(), candidates, norm, now)
 	if err != nil {
 		f.subSeconds[service.OutcomeError].Observe(time.Since(now).Seconds())
-		if !service.RelayError(w, err) {
-			service.WriteError(w, http.StatusBadGateway, "fleet: no reachable owner: "+err.Error())
-		}
+		service.WriteError(w, http.StatusBadGateway, "fleet: no reachable owner: "+err.Error())
 		return
 	}
-	f.subSeconds[submitOutcome(v)].Observe(time.Since(now).Seconds())
-	v.ID = peer.jobID(v.ID)
-	status := http.StatusAccepted
-	if v.Status.Terminal() {
-		status = http.StatusOK
+	outcome := service.OutcomeError
+	if v, ok := peer.relay(w, resp, true); ok && resp.StatusCode < 300 {
+		outcome = submitOutcome(v)
 	}
-	service.WriteJobView(w, status, v)
+	f.subSeconds[outcome].Observe(time.Since(now).Seconds())
 }
 
 // submitOutcome classifies a forwarded submit's response for the front's
@@ -332,12 +381,13 @@ func submitOutcome(v service.JobView) string {
 // forwardSubmit tries candidates in order, skipping peers marked down,
 // then tries the skipped ones as a last resort: a wrong "down" mark must
 // not black-hole traffic. A peer is dialled at most once per submit, so
-// one that just failed is never re-dialled. Transport errors fail
-// over to the next owner; daemon HTTP errors (400, 429, ...) are the
-// daemon's answer and propagate immediately. Failover is safe precisely
-// because results are location-independent: any owner computes the same
-// bytes, so retrying elsewhere can change latency, never content.
-func (f *Front) forwardSubmit(ctx context.Context, candidates []string, norm service.JobSpec, now time.Time) (service.JobView, *frontPeer, error) {
+// one that just failed is never re-dialled. Transport errors fail over
+// to the next owner; any HTTP answer (202, 200, 400, 429, ...) is the
+// daemon's and comes back for the caller to relay and close. Failover is
+// safe precisely because results are location-independent: any owner
+// computes the same bytes, so retrying elsewhere can change latency,
+// never content.
+func (f *Front) forwardSubmit(ctx context.Context, candidates []string, norm service.JobSpec, now time.Time) (*http.Response, *frontPeer, error) {
 	var lastErr error
 	tried := make([]bool, len(candidates))
 	for pass := 0; pass < 2; pass++ {
@@ -348,37 +398,34 @@ func (f *Front) forwardSubmit(ctx context.Context, candidates []string, norm ser
 			}
 			tried[i] = true
 			attempt := time.Now()
-			v, err := p.client.Submit(ctx, norm)
+			resp, err := p.client.Send(ctx, http.MethodPost, "/v1/jobs", norm, nil)
 			if err == nil {
-				obs.Record(ctx, "forward", attempt, map[string]string{
-					"peer": url, "failover": strconv.FormatBool(i > 0),
-				})
-				p.markAnswered(true)
-				p.routed.Inc()
-				f.forwards.Inc()
-				if i > 0 {
-					f.failovers.Inc()
+				p.markAnswered(resp.StatusCode < 400)
+				if resp.StatusCode < 300 {
+					obs.Record(ctx, "forward", attempt, map[string]string{
+						"peer": url, "failover": strconv.FormatBool(i > 0),
+					})
+					p.routed.Inc()
+					f.forwards.Inc()
+					if i > 0 {
+						f.failovers.Inc()
+					}
 				}
-				return v, p, nil
-			}
-			if _, isHTTP := service.StatusCode(err); isHTTP {
-				// The daemon answered; its answer stands.
-				p.markAnswered(false)
-				return service.JobView{}, nil, err
+				return resp, p, nil
 			}
 			obs.Record(ctx, "forward_failed", attempt, map[string]string{"peer": url})
 			p.markDown(now.Add(retryDead))
 			lastErr = err
 			if ctx.Err() != nil {
-				return service.JobView{}, nil, lastErr
+				return nil, nil, lastErr
 			}
 		}
 		// The second pass dials only the peers the first skipped as down.
 	}
 	if lastErr == nil {
-		lastErr = fmt.Errorf("no candidates")
+		lastErr = errors.New("no candidates")
 	}
-	return service.JobView{}, nil, lastErr
+	return nil, nil, lastErr
 }
 
 // resolveJobID splits a front job ID ("p2~j000017-...") into its peer
@@ -395,15 +442,15 @@ func (f *Front) resolveJobID(id string) (*frontPeer, string, bool) {
 	return f.peers[idx], rest, true
 }
 
-// proxy relays the request for a front job handle to the daemon that
+// proxy sends the request for a front job handle to the daemon that
 // issued it: resolve the "p<idx>~" prefix, send {method} /v1/jobs/{local
 // id}{suffix} through the peer's client (which forwards the request ID,
 // so the owner's spans join the front's trace), and update the peer's
 // passive health marks. It returns the daemon's 2xx response for the
 // caller to relay and close. On any other outcome — unknown handle,
-// unreachable peer, or a non-2xx answer, which passes through verbatim
-// (a 304 with its ETag and no body) — it has answered the client itself
-// and returns ok=false.
+// unreachable peer, or a non-2xx answer, which it relays (a 304 with its
+// ETag and no body) — it has answered the client itself and returns
+// ok=false.
 func (f *Front) proxy(w http.ResponseWriter, r *http.Request, suffix string, header http.Header) (p *frontPeer, resp *http.Response, ok bool) {
 	p, localID, ok := f.resolveJobID(r.PathValue("id"))
 	if !ok {
@@ -417,24 +464,16 @@ func (f *Front) proxy(w http.ResponseWriter, r *http.Request, suffix string, hea
 		return nil, nil, false
 	}
 	p.markAnswered(resp.StatusCode < 400)
-	if et := resp.Header.Get("ETag"); et != "" {
-		w.Header().Set("ETag", et)
-	}
 	if resp.StatusCode >= 300 {
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusNotModified {
-			w.Header().Set("Content-Type", "application/json")
-		}
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
+		p.relay(w, resp, false)
 		return nil, nil, false
 	}
 	return p, resp, true
 }
 
 // handleForward proxies GET/DELETE /v1/jobs/{id} to the issuing daemon,
-// rewriting the job ID in the response and passing the query string
-// (?wait=) and conditional headers through untouched.
+// passing the query string (?wait=) and conditional headers through
+// untouched, and relays the job view with the front's handle in it.
 func (f *Front) handleForward(w http.ResponseWriter, r *http.Request) {
 	suffix := ""
 	if r.URL.RawQuery != "" {
@@ -444,50 +483,17 @@ func (f *Front) handleForward(w http.ResponseWriter, r *http.Request) {
 	if inm := r.Header.Get("If-None-Match"); inm != "" {
 		header = http.Header{"If-None-Match": {inm}}
 	}
-	p, resp, ok := f.proxy(w, r, suffix, header)
-	if !ok {
-		return
+	if p, resp, ok := f.proxy(w, r, suffix, header); ok {
+		p.relay(w, resp, true)
 	}
-	defer resp.Body.Close()
-	v, err := service.ReadJobView(resp)
-	if err != nil {
-		service.WriteError(w, http.StatusBadGateway, "fleet: bad peer response: "+err.Error())
-		return
-	}
-	v.ID = p.jobID(v.ID)
-	service.WriteJobView(w, resp.StatusCode, v)
 }
 
 // handleEvents streams a job's SSE feed through from the issuing
 // daemon. Event payloads carry no job IDs, so the bytes pass through
 // verbatim, flushed as they arrive.
 func (f *Front) handleEvents(w http.ResponseWriter, r *http.Request) {
-	flusher, canFlush := w.(http.Flusher)
-	if !canFlush {
-		service.WriteError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	_, resp, ok := f.proxy(w, r, "/events", nil)
-	if !ok {
-		return
-	}
-	defer resp.Body.Close()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-	buf := make([]byte, 32<<10)
-	for {
-		n, err := resp.Body.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
-			}
-			flusher.Flush()
-		}
-		if err != nil {
-			return
-		}
+	if p, resp, ok := f.proxy(w, r, "/events", nil); ok {
+		p.relay(w, resp, false)
 	}
 }
 

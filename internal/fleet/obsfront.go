@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"encoding/json"
 	"net/http"
 	"time"
 
@@ -68,16 +69,14 @@ func (f *Front) wireMetrics() {
 // failed-over miss therefore shows the full front → member → owner path
 // under a single propagated request ID.
 func (f *Front) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	p, localID, ok := f.resolveJobID(r.PathValue("id"))
+	p, resp, ok := f.proxy(w, r, "/trace", nil)
 	if !ok {
-		service.WriteError(w, http.StatusNotFound, "no such job (fleet IDs look like p0~j000001-...)")
 		return
 	}
-	tv, err := p.client.JobTrace(r.Context(), localID)
-	if err != nil {
-		if !service.RelayError(w, err) {
-			service.WriteError(w, http.StatusBadGateway, "fleet: peer unreachable: "+err.Error())
-		}
+	defer resp.Body.Close()
+	var tv service.TraceView
+	if err := json.NewDecoder(resp.Body).Decode(&tv); err != nil {
+		service.WriteError(w, http.StatusBadGateway, "fleet: bad peer response: "+err.Error())
 		return
 	}
 	spans := f.assembleTrace(r, tv.RequestID, p)

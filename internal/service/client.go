@@ -46,9 +46,8 @@ func NewInProcessClient(s *Server) *Client {
 
 // apiStatusError is a non-2xx response decoded from the error body.
 type apiStatusError struct {
-	Code       int
-	Message    string
-	RetryAfter string // the response's Retry-After header, if any
+	Code    int
+	Message string
 }
 
 func (e *apiStatusError) Error() string {
@@ -60,34 +59,6 @@ func (e *apiStatusError) Error() string {
 func IsQueueFull(err error) bool {
 	se, ok := err.(*apiStatusError)
 	return ok && se.Code == http.StatusTooManyRequests
-}
-
-// StatusCode extracts the HTTP status of a daemon error response. ok is
-// false for transport-level failures (connection refused, timeouts) —
-// the distinction the fleet front uses to tell "the daemon said no"
-// (propagate) from "the daemon is gone" (fail over to the next owner).
-func StatusCode(err error) (code int, ok bool) {
-	se, isAPI := err.(*apiStatusError)
-	if !isAPI {
-		return 0, false
-	}
-	return se.Code, true
-}
-
-// RelayError writes err, a daemon's non-2xx answer, to w as the daemon
-// wrote it — status, message and Retry-After — and reports whether err
-// was one; a transport-level failure writes nothing. The fleet front
-// relays member refusals through it.
-func RelayError(w http.ResponseWriter, err error) bool {
-	se, ok := err.(*apiStatusError)
-	if !ok {
-		return false
-	}
-	if se.RetryAfter != "" {
-		w.Header().Set("Retry-After", se.RetryAfter)
-	}
-	WriteError(w, se.Code, se.Message)
-	return true
 }
 
 // Send is the client's one request builder and transport call: base URL +
@@ -132,7 +103,7 @@ func statusError(resp *http.Response) error {
 	if json.NewDecoder(resp.Body).Decode(&ae) == nil && ae.Error != "" {
 		msg = ae.Error
 	}
-	return &apiStatusError{Code: resp.StatusCode, Message: msg, RetryAfter: resp.Header.Get("Retry-After")}
+	return &apiStatusError{Code: resp.StatusCode, Message: msg}
 }
 
 // call issues a request and returns its 2xx response for the caller to
@@ -173,7 +144,8 @@ func (c *Client) doJobView(ctx context.Context, method, path string, body any) (
 		return JobView{}, err
 	}
 	defer resp.Body.Close()
-	return ReadJobView(resp)
+	v, _, err := ReadJobView(resp)
+	return v, err
 }
 
 // readWhole reads a body of the given length whole: a reply, or a
@@ -188,15 +160,16 @@ func readWhole(body io.Reader, length int64) ([]byte, error) {
 }
 
 // ReadJobView reads a job view reply whole and decodes it with
-// DecodeJobView, leaving the view's Result in the buffer the body was
-// read into. The client reads every job view this way, and the fleet
-// front every job view it relays.
-func ReadJobView(resp *http.Response) (JobView, error) {
+// DecodeJobView, returning the body beside the view, whose Result points
+// into it. The client reads every job view this way, and the fleet front
+// every job view it relays, whose bytes it then writes on.
+func ReadJobView(resp *http.Response) (JobView, []byte, error) {
 	b, err := readWhole(resp.Body, resp.ContentLength)
 	if err != nil {
-		return JobView{}, err
+		return JobView{}, nil, err
 	}
-	return DecodeJobView(b)
+	v, err := DecodeJobView(b)
+	return v, b, err
 }
 
 // Submit posts a job spec. Cache hits come back already StatusDone with
@@ -233,7 +206,7 @@ func (c *Client) GetConditional(ctx context.Context, id, etag string) (v JobView
 	case resp.StatusCode >= 300:
 		return v, "", false, statusError(resp)
 	}
-	v, err = ReadJobView(resp)
+	v, _, err = ReadJobView(resp)
 	return v, resp.Header.Get("ETag"), false, err
 }
 

@@ -74,7 +74,7 @@ func DecodeSpec(w http.ResponseWriter, r *http.Request) (norm JobSpec, key strin
 		return JobSpec{}, "", false
 	}
 	key = norm.Key()
-	specs.put(body, memoSpec{norm, key})
+	specs.put(body, memoSpec{norm: norm, key: key})
 	return norm, key, true
 }
 
@@ -105,8 +105,11 @@ const (
 // one memo serves every Server and Front in the process. A client
 // resubmitting a spec, or a front forwarding one, sends the same bytes
 // each time, so a repeat skips all three. Refused bodies and bodies over
-// memoBodyMax are not stored; a full memo is cleared whole, and a hot
-// body re-enters on its next repeat. Entries are shared by every job
+// memoBodyMax are not stored. A full memo drops one entry for each body
+// it takes in: the first, in map order, not looked up since it was stored
+// or last passed over, and each looked-up entry passed over loses its
+// mark. So bodies seen once, such as unique submits, churn through while
+// a hot set that is asked for again stays. Entries are shared by every job
 // submitted with their body, so nothing may write through a stored
 // spec's pointers.
 type specMemo struct {
@@ -117,6 +120,7 @@ type specMemo struct {
 type memoSpec struct {
 	norm JobSpec
 	key  string
+	hit  bool // looked up since stored or last passed over
 }
 
 var specs = specMemo{m: make(map[string]memoSpec, memoEntries)}
@@ -124,6 +128,10 @@ var specs = specMemo{m: make(map[string]memoSpec, memoEntries)}
 func (c *specMemo) get(body []byte) (memoSpec, bool) {
 	c.mu.Lock()
 	e, ok := c.m[string(body)]
+	if ok && !e.hit {
+		e.hit = true
+		c.m[string(body)] = e
+	}
 	c.mu.Unlock()
 	return e, ok
 }
@@ -133,8 +141,15 @@ func (c *specMemo) put(body []byte, e memoSpec) {
 		return
 	}
 	c.mu.Lock()
-	if len(c.m) >= memoEntries {
-		clear(c.m)
+	for len(c.m) >= memoEntries {
+		for k, e := range c.m {
+			if !e.hit {
+				delete(c.m, k)
+				break
+			}
+			e.hit = false
+			c.m[k] = e
+		}
 	}
 	c.m[string(body)] = e
 	c.mu.Unlock()
@@ -183,7 +198,7 @@ func writeJobView(w http.ResponseWriter, r *http.Request, v JobView, status int)
 			return
 		}
 	}
-	WriteJobView(w, status, v)
+	sendJobView(w, status, v)
 }
 
 // etagMatches implements the weak-comparison If-None-Match rules the 304
@@ -259,7 +274,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.CancelJob(j)
-	WriteJobView(w, http.StatusOK, j.View())
+	sendJobView(w, http.StatusOK, j.View())
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {

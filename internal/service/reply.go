@@ -14,7 +14,7 @@ type apiError struct {
 }
 
 // WriteJSON writes compact JSON — the response encoder of the daemon and
-// the fleet front for every document but a job view (WriteJobView).
+// the fleet front for every document but a job view (sendJobView).
 // Compactness matters beyond bytes on the wire: result documents are
 // stored and served as raw messages, and an indenting encoder would
 // reformat them — breaking the byte-identity between cached, uncached,
@@ -45,20 +45,20 @@ func writeBody(w http.ResponseWriter, status int, b []byte) {
 	w.Write(b)
 }
 
-// WriteJobView writes a job view — the submit reply, GET and DELETE of a
-// job, on the daemon and through the fleet front — as exactly the bytes
-// json.NewEncoder(w).Encode(v) writes, newline included. It renders the
-// small fields around the result itself and copies v.Result in verbatim
-// instead of letting the encoder re-compact it, so a cache hit's reply
-// is a copy of the cached bytes.
+// sendJobView writes a job view — the daemon's submit reply and its GET
+// and DELETE of a job — as exactly the bytes json.NewEncoder(w).Encode(v)
+// writes, newline included. It renders the small fields around the
+// result itself and copies v.Result in verbatim instead of letting the
+// encoder re-compact it, so a cache hit's reply is a copy of the cached
+// bytes. The ID is the first field, so the fleet front can relay the
+// reply with its handle prefix spliced in front of the ID.
 //
 // That is sound because every result the daemon holds is already in
 // encoder form (encoderForm): engine results are json.Marshal output,
 // spill files are verified against the digest they were written under,
-// and peer-fetched bytes are checked before they are cached. The front
-// relays results its members wrote, which are in encoder form for the
-// same reasons. FuzzJobViewEnvelope holds the equality.
-func WriteJobView(w http.ResponseWriter, status int, v JobView) {
+// and peer-fetched bytes are checked before they are cached.
+// FuzzJobViewEnvelope holds the equality.
+func sendJobView(w http.ResponseWriter, status int, v JobView) {
 	b, ok := appendJobView(make([]byte, 0, 512+len(v.Result)), v)
 	if !ok {
 		// A time the encoder refuses: let it answer with its own error.
@@ -111,7 +111,7 @@ func appendJobView(b []byte, v JobView) ([]byte, bool) {
 	return append(b, "}\n"...), ok1 && ok2 && ok3
 }
 
-// DecodeJobView decodes a job view reply, the bytes WriteJobView writes.
+// DecodeJobView decodes a job view reply, the bytes sendJobView writes.
 // It reads the writer's own form by hand, mirroring appendJobView: fields
 // in JobView's declaration order under its omitempty rules, strings in
 // appendString's verbatim case, integers in JSON grammar (non-zero where
@@ -375,7 +375,7 @@ func appendTime(b []byte, t time.Time) (_ []byte, ok bool) {
 // encoderForm reports whether b is a JSON document exactly as the
 // encoder writes a raw message — json.Marshal(json.RawMessage(b)) is b:
 // valid, compact, with <, >, & and U+2028/U+2029 escaped. Only such
-// bytes may enter the cache, because WriteJobView copies cached bytes
+// bytes may enter the cache, because sendJobView copies cached bytes
 // into replies verbatim.
 func encoderForm(b []byte) bool {
 	m, err := json.Marshal(json.RawMessage(b))

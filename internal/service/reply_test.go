@@ -14,7 +14,7 @@ import (
 	"time"
 )
 
-// encoderReply is what the encoder writes for v, the bytes WriteJobView
+// encoderReply is what the encoder writes for v, the bytes sendJobView
 // must reproduce.
 func encoderReply(v any) ([]byte, error) {
 	var buf bytes.Buffer
@@ -22,22 +22,22 @@ func encoderReply(v any) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// checkEnvelope requires WriteJobView's reply to be the encoder's bytes
+// checkEnvelope requires sendJobView's reply to be the encoder's bytes
 // with their length, or — where the encoder fails — a 500 carrying its
 // error.
 func checkEnvelope(t *testing.T, v JobView) {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	WriteJobView(rec, http.StatusOK, v)
+	sendJobView(rec, http.StatusOK, v)
 	want, err := encoderReply(v)
 	if err != nil {
 		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "encode response") {
-			t.Fatalf("encoder fails (%v), WriteJobView answered %d %q", err, rec.Code, rec.Body)
+			t.Fatalf("encoder fails (%v), sendJobView answered %d %q", err, rec.Code, rec.Body)
 		}
 		return
 	}
 	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
-		t.Fatalf("WriteJobView wrote %d\n%s\nthe encoder writes\n%s", rec.Code, rec.Body, want)
+		t.Fatalf("sendJobView wrote %d\n%s\nthe encoder writes\n%s", rec.Code, rec.Body, want)
 	}
 	if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(want)) {
 		t.Fatalf("Content-Length %q for a %d-byte body", cl, len(want))
@@ -139,7 +139,7 @@ func (s envelopeSeed) view() JobView {
 		s.shards, s.waitMS, s.runMS, s.submitted, s.started, s.finished, s.zone)
 }
 
-// FuzzJobViewEnvelope holds WriteJobView to the encoder: for any job view
+// FuzzJobViewEnvelope holds sendJobView to the encoder: for any job view
 // whose result is in encoder form — the only results the daemon holds —
 // the reply is byte for byte what json.NewEncoder(w).Encode(v) writes.
 // Where the view's strings are ones appendString copies verbatim, the

@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -242,6 +244,34 @@ func TestSpecMemoBounded(t *testing.T) {
 		}
 		if _, held := specs.get(tc.body); held != tc.held {
 			t.Errorf("%s: held by the memo = %v, want %v", tc.name, held, tc.held)
+		}
+	}
+}
+
+// TestSpecMemoEvictsOne: a body taken into a full memo displaces one
+// entry, the one not looked up since it was stored, and the other
+// memoEntries-1 stay where they were.
+func TestSpecMemoEvictsOne(t *testing.T) {
+	m := specMemo{m: make(map[string]memoSpec, memoEntries)}
+	body := func(i int) []byte { return []byte(fmt.Sprintf(`{"seed":%d}`, i)) }
+	for i := 0; i < memoEntries; i++ {
+		m.put(body(i), memoSpec{key: strconv.Itoa(i)})
+	}
+	for i := 1; i < memoEntries; i++ {
+		if _, ok := m.get(body(i)); !ok {
+			t.Fatalf("body %d missing before the memo was full", i)
+		}
+	}
+	m.put(body(memoEntries), memoSpec{key: "new"})
+	if e, ok := m.get(body(memoEntries)); !ok || e.key != "new" {
+		t.Fatal("the memo refused a body when full")
+	}
+	if _, ok := m.get(body(0)); ok {
+		t.Fatal("the memo kept the one entry never looked up and dropped another")
+	}
+	for i := 1; i < memoEntries; i++ {
+		if e, ok := m.get(body(i)); !ok || e.key != strconv.Itoa(i) {
+			t.Fatalf("one insert into a full memo displaced body %d (held %v, entry %q)", i, ok, e.key)
 		}
 	}
 }

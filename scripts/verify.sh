@@ -6,7 +6,7 @@
 #   scripts/verify.sh --level=race          # race detector over ./... + fuzz corpus
 #   scripts/verify.sh --level=flake         # serving/runner packages under -race, 50 times over
 #   scripts/verify.sh --level=kernels       # coding-kernel differential: default vs -tags purego (+ purego FEC under -race) + 10 s live fuzz (kernels, engine, job-view reader, spec decoder)
-#   scripts/verify.sh --level=differential  # scenario-grid fast/slow scan + cell and chain fuzz + purego core and link differentials + EXPERIMENTS.md bytes
+#   scripts/verify.sh --level=differential  # scenario-grid fast/slow scan + cell and chain fuzz + purego core and link differentials + purego model fingerprint + EXPERIMENTS.md bytes
 #   scripts/verify.sh --level=smoke         # rxld HTTP serving-contract drill
 #   scripts/verify.sh --level=metrics       # /metrics + trace contract + rxltop drill
 #   scripts/verify.sh --level=fleet         # 3-daemon fleet + front byte-identity e2e
@@ -182,8 +182,9 @@ rung_differential() {
   # flips on RXL chains), each run on both paths.
   run go test -run '^$' -fuzz '^FuzzExperimentFastMatchesReference$' -fuzztime=30s ./internal/core/
   # The reference is NoFastPath with the purego kernels under it: run the
-  # core differential suites on that build too.
-  run go test -count=1 -tags purego -run 'Differential|FastMatchesReference|OfferMatchesSubmit|OfferedPayloadBytes' ./internal/core/
+  # core differential suites on that build too, and the model fingerprint,
+  # whose pinned digests hold on every build.
+  run go test -count=1 -tags purego -run 'Differential|FastMatchesReference|OfferMatchesSubmit|OfferedPayloadBytes|ModelFingerprint' ./internal/core/
   # The reference path attaches a recycled flit image at every send, so
   # the link suites that drive it and offered payloads run there too.
   run go test -count=1 -tags purego -run 'Reference|Offer' ./internal/link/
